@@ -48,6 +48,13 @@
 #                                             the recovered QUERY answer is
 #                                             identical to the no-crash run
 #                                             (DESIGN.md §13)
+#   6h. reference benchmark                   the standalone benchmark/ package
+#                                             (BENCHMARK.json's command; its own
+#                                             workspace, path-deps on these
+#                                             crates) passes its self-tests and a
+#                                             --smoke run of every workload, so a
+#                                             library API change that breaks it
+#                                             fails here, not in the driver
 #   7. examples                               all four examples/ run to completion
 #   8. cargo clippy -D warnings               lint gate, skipped when the
 #                                             toolchain ships without clippy
@@ -125,6 +132,10 @@ fi
 printf 'WAIT\nQUERY %s\nSHUTDOWN\n' "$member" \
     | "$smash_bin" serve --stdio --data-dir "$serve_dir/crash" | grep '^HIT ' >"$serve_dir/crash.hit"
 diff -u "$serve_dir/ref.hit" "$serve_dir/crash.hit"
+
+echo "==> reference benchmark (benchmark/: self-tests + --smoke)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke >/dev/null
 
 echo "==> examples build and run"
 for ex in quickstart campaign_discovery weekly_monitoring custom_trace; do

@@ -493,39 +493,10 @@ fn published_member(conn: &mut smash_serve::Connection) -> Option<String> {
     None
 }
 
-/// Re-emits raw wire records from the interned dataset (the inverse of
-/// ingest, mirroring `smash generate`): one JSONL line per record, with
-/// the value-blanked param pattern refilled with placeholder values.
+/// The scenario's records as raw JSONL wire lines (what `smash generate`
+/// would write).
 fn jsonl_lines(dataset: &smash_trace::TraceDataset) -> Vec<String> {
-    let records: Vec<smash_trace::HttpRecord> = dataset
-        .records()
-        .map(|r| {
-            let mut rec = smash_trace::HttpRecord::new(
-                r.timestamp,
-                dataset.client_name(r.client),
-                dataset.server_name(r.server),
-                dataset.ip_name(r.ip),
-                &{
-                    let path = dataset.path_name(r.path).to_string();
-                    let pattern = dataset.param_pattern_name(r.param_pattern);
-                    if pattern.is_empty() {
-                        path
-                    } else {
-                        format!("{path}?{}", pattern.replace("=[]", "=0"))
-                    }
-                },
-            )
-            .with_user_agent(dataset.user_agent_name(r.user_agent))
-            .with_status(r.status);
-            if let Some(rf) = r.referrer {
-                rec = rec.with_referrer(dataset.server_name(rf));
-            }
-            if let Some(rd) = r.redirect_to {
-                rec = rec.with_redirect_to(dataset.server_name(rd));
-            }
-            rec
-        })
-        .collect();
+    let records: Vec<smash_trace::HttpRecord> = dataset.raw_records().collect();
     let mut buf = Vec::new();
     smash_trace::io::write_jsonl(&mut buf, &records).expect("encode scenario records");
     String::from_utf8(buf)

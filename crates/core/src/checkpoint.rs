@@ -299,7 +299,7 @@ impl Checkpointer {
         let result: Result<T, CkptError> = bytes.and_then(|b| {
             let _span = metrics.span("stage/ckpt/validate");
             let payload = ckpt::parse_snapshot(&b, stage)?;
-            wire::decode(&payload)
+            wire::decode(payload)
                 .map_err(|e: WireError| CkptError::Corrupt(format!("payload does not decode: {e}")))
         });
         match result {

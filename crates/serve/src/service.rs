@@ -13,10 +13,13 @@
 //!   ([`crate::epoch`]), acknowledgment second, miner wake-up third. A
 //!   seal also cancels any in-flight mine through its [`CancelToken`] —
 //!   the stale mine's result would cover a strict prefix of the data.
-//! * **Mine** — one background worker re-mines the cumulative record
-//!   set per sealed epoch, panic-isolated via [`par::run_isolated`] and
-//!   supervised by the shared [`retry`] backoff schedule; a mine that
-//!   survives neither isolation nor retries marks the epoch failed
+//! * **Mine** — one background worker owns the cumulative trace as an
+//!   interned arena ([`TraceDataset`]): each wake drains the newly
+//!   sealed records out of the shared state and appends them, and the
+//!   mine borrows the arena — nothing is cloned or re-interned, and a
+//!   failed mine cannot leave it half-updated. Mines are panic-isolated
+//!   via [`par::run_isolated`] and supervised by the shared [`retry`]
+//!   backoff schedule; one that survives neither marks the epoch failed
 //!   (visible to `WAIT`) without taking the daemon down.
 //! * **Publish** — durable snapshot write, then the lock-free
 //!   [`SnapshotCell`] swap ([`crate::snapshot`]).
@@ -87,8 +90,8 @@ impl ServeOptions {
     }
 }
 
-/// Ingest buffer and cumulative record state (one mutex, taken by
-/// ingest, seal, and the miner's dataset snapshot).
+/// Ingest buffer and seal hand-off state (one mutex, taken by ingest,
+/// seal, and the miner's drain).
 #[derive(Default)]
 struct State {
     /// Raw accepted lines of the open epoch (the future WAL payload).
@@ -97,8 +100,9 @@ struct State {
     buffer_records: Vec<HttpRecord>,
     /// Bytes charged against the epoch scope for the open buffer.
     buffer_bytes: u64,
-    /// Every record of every sealed epoch, in seal order.
-    records: Vec<HttpRecord>,
+    /// Sealed records the mine worker has not yet drained into its
+    /// arena (where the cumulative trace lives), in seal order.
+    unabsorbed: Vec<HttpRecord>,
     /// Highest epoch number ever allocated to a seal. Epoch numbers are
     /// minted under this (the state) lock — held from allocation through
     /// the WAL write — so two concurrent `SEAL`s can never observe the
@@ -168,9 +172,10 @@ pub struct CampaignService {
 }
 
 impl CampaignService {
-    /// Starts the service: recovers the durable snapshot, replays the
-    /// epoch WAL, and spawns the supervised mine worker (which
-    /// immediately re-mines if the WAL is ahead of the snapshot).
+    /// Starts the service: recovers the durable snapshot, reads back
+    /// the epoch WAL, and spawns the supervised mine worker, which
+    /// rebuilds its arena from it (the recovered snapshot answers
+    /// meanwhile) and re-mines if the WAL is ahead of the snapshot.
     ///
     /// # Errors
     ///
@@ -206,28 +211,14 @@ impl CampaignService {
             );
             metrics.counter("serve/recovery/wal_skipped").inc();
         }
-        let mut state = State::default();
-        let mut sealed = 0u64;
-        for ep in &replay.epochs {
-            sealed = sealed.max(ep.seq);
-            for line in &ep.lines {
-                match decode_record_line(line.as_bytes()) {
-                    Ok(rec) => state.records.push(rec),
-                    Err(_) => {
-                        // Lines were validated at ingest; only disk rot
-                        // inside a checksummed envelope gets here.
-                        metrics.counter("serve/recovery/bad_replay_line").inc();
-                    }
-                }
-            }
-        }
-        state.sealed_seq = sealed;
+        let sealed = replay.epochs.iter().map(|ep| ep.seq).max().unwrap_or(0);
+        let state = State {
+            sealed_seq: sealed,
+            ..State::default()
+        };
         metrics
             .counter("serve/recovery/epochs_replayed")
             .add(replay.epochs.len() as u64);
-        metrics
-            .counter("serve/recovery/records_replayed")
-            .add(state.records.len() as u64);
 
         let ingest_governor = Governor::new(
             &GovernorOptions::unlimited().with_memory_budget_bytes(opts.epoch_budget_bytes),
@@ -254,7 +245,7 @@ impl CampaignService {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("smash-serve-miner".to_owned())
-                .spawn(move || mine_worker(&inner))
+                .spawn(move || mine_worker(&inner, replay.epochs))
                 .map_err(io::Error::other)?
         };
         Ok(CampaignService {
@@ -502,8 +493,8 @@ impl CampaignService {
         failpoint::fire("serve/after/seal");
         let records = state.buffer_records.len();
         state.buffer_lines.clear();
-        let moved: Vec<HttpRecord> = state.buffer_records.drain(..).collect();
-        state.records.extend(moved);
+        let sealed_now = std::mem::take(&mut state.buffer_records);
+        state.unabsorbed.extend(sealed_now);
         let freed = std::mem::take(&mut state.buffer_bytes);
         inner.epoch_scope.release(freed);
         drop(state);
@@ -541,12 +532,12 @@ impl CampaignService {
             (state.buffer_records.len(), state.buffer_bytes)
         };
         let retry = retry::counters();
-        let mut counters: BTreeMap<String, json::Json> = BTreeMap::new();
-        for (name, value) in inner.metrics.snapshot().counters {
-            if name.starts_with("serve/") {
-                counters.insert(name, value.to_json());
-            }
+        // The service's own (`serve/…`) slice of one metric family.
+        fn own<V: ToJson>(family: BTreeMap<String, V>) -> json::Json {
+            let own = family.into_iter().filter(|(n, _)| n.starts_with("serve/"));
+            json::Json::Obj(own.map(|(n, v)| (n, v.to_json())).collect())
         }
+        let snapshot = inner.metrics.snapshot();
         let mut root: BTreeMap<String, json::Json> = BTreeMap::new();
         root.insert("sealed".to_owned(), sealed.to_json());
         root.insert("published".to_owned(), published.to_json());
@@ -557,7 +548,8 @@ impl CampaignService {
             "snapshot_epoch".to_owned(),
             self.inner.cell.peek().epoch.to_json(),
         );
-        root.insert("counters".to_owned(), counters.to_json());
+        root.insert("counters".to_owned(), own(snapshot.counters));
+        root.insert("gauges".to_owned(), own(snapshot.gauges));
         let mut retry_obj: BTreeMap<String, json::Json> = BTreeMap::new();
         retry_obj.insert("ops".to_owned(), retry.ops.to_json());
         retry_obj.insert("backoffs".to_owned(), retry.backoffs.to_json());
@@ -643,13 +635,46 @@ fn next_target(inner: &Inner) -> Option<u64> {
     }
 }
 
-/// The supervised background miner (one per service).
-fn mine_worker(inner: &Inner) {
+/// Appends `records` to the worker's arena and publishes its new size
+/// (`serve/arena/*`), so `STATS` shows the cumulative trace.
+fn absorb(
+    inner: &Inner,
+    dataset: &mut TraceDataset,
+    records: impl IntoIterator<Item = HttpRecord>,
+) {
+    dataset.append(records);
+    let gauge = |name: &str, value: u64| inner.metrics.gauge(name).set(value as f64);
+    gauge("serve/arena/records", dataset.record_count() as u64);
+    gauge("serve/arena/bytes", dataset.heap_bytes());
+}
+
+/// The supervised background miner (one per service), owner of the
+/// arena: built here once per process by appending the replayed WAL,
+/// then each newly sealed epoch, and only ever borrowed by a mine.
+fn mine_worker(inner: &Inner, replayed: Vec<epoch::ReplayedEpoch>) {
+    let mut dataset = TraceDataset::default();
+    let metrics = &inner.metrics;
+    let lines = replayed.into_iter().flat_map(|ep| ep.lines);
+    let decoded = lines.filter_map(|line| {
+        // Lines were validated at ingest; only disk rot inside a
+        // checksummed envelope fails here.
+        let rec = decode_record_line(line.as_bytes());
+        if rec.is_err() {
+            metrics.counter("serve/recovery/bad_replay_line").inc();
+        }
+        rec.ok()
+    });
+    absorb(inner, &mut dataset, decoded);
+    let replayed = dataset.record_count() as u64;
+    metrics
+        .counter("serve/recovery/records_replayed")
+        .add(replayed);
     while let Some(target) = next_target(inner) {
-        let records = {
-            let state = inner.state.lock().expect("state mutex not poisoned");
-            state.records.clone()
+        let fresh = {
+            let mut state = inner.state.lock().expect("state mutex not poisoned");
+            std::mem::take(&mut state.unabsorbed)
         };
+        absorb(inner, &mut dataset, fresh);
         let token = CancelToken::new();
         *inner
             .current_mine
@@ -674,7 +699,6 @@ fn mine_worker(inner: &Inner) {
                 // shutting-down mine; the outer loop re-targets.
                 return Err("mine cancelled".to_owned());
             }
-            let dataset = TraceDataset::from_records(records.clone());
             par::run_isolated(|| {
                 inner
                     .smash

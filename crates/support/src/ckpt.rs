@@ -9,23 +9,13 @@
 //!
 //! # Snapshot envelope
 //!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"SMSHCKPT"
-//! 8       4     format version, u32 LE
-//! 12      2     stage-name length, u16 LE
-//! 14      n     stage name, UTF-8
-//! 14+n    8     payload length, u64 LE
-//! 22+n    8     FNV-1a checksum, u64 LE  (over version ‖ stage ‖ payload)
-//! 30+n    …     payload bytes (binary wire encoding of the stage value)
-//! ```
-//!
-//! The checksum covers the version and stage name as well as the
-//! payload, so a snapshot renamed to the wrong stage — or rewritten by a
-//! different format version — fails validation exactly like a bit flip.
-//! Writes go through a temp file in the same directory followed by
-//! `rename`, so a crash mid-write leaves either the old snapshot or
-//! none, never a torn one.
+//! A snapshot is the workspace's shared checksummed frame
+//! ([`crate::envelope`]) under the magic `SMSHCKPT`; the payload is the
+//! binary wire encoding of the stage value. A snapshot renamed to the
+//! wrong stage — or rewritten by a different format version — fails
+//! validation exactly like a bit flip. Writes go through a temp file in
+//! the same directory followed by `rename`, so a crash mid-write leaves
+//! either the old snapshot or none, never a torn one.
 //!
 //! # Manifest
 //!
@@ -51,8 +41,10 @@
 //! Every failure is an [`CkptError`] value; nothing in this module
 //! panics on untrusted bytes (property-tested in `tests/checkpoint.rs`).
 
+use crate::envelope::{self, EnvelopeError};
 use crate::impl_json_struct;
 use crate::json::{self, JsonError};
+use crate::retry::write_atomic_retrying;
 use crate::wire::{self, FromWire, ToWire};
 use std::fmt;
 use std::fs;
@@ -148,123 +140,26 @@ impl fmt::Display for CkptError {
 
 impl std::error::Error for CkptError {}
 
-/// Serializes and writes one stage snapshot atomically.
-///
-/// The payload is framed in the envelope described in the module docs,
-/// written to `<path>.tmp` and renamed into place, so a concurrent crash
-/// never leaves a torn file at `path`.
+/// Validates snapshot bytes for `expected_stage` and returns the
+/// payload, borrowed from `bytes` (validation order and guarantees:
+/// [`crate::envelope::parse`]).
 ///
 /// # Errors
 ///
-/// Returns [`CkptError::Io`] if the temp write or rename fails, and
-/// [`CkptError::Corrupt`] if the stage name cannot be framed (longer
-/// than `u16::MAX` bytes).
-pub fn write_snapshot(path: &Path, stage: &str, payload: &[u8]) -> Result<(), CkptError> {
-    write_atomic(path, &frame_snapshot(stage, payload)?)
-}
-
-/// Builds the envelope bytes for one stage snapshot (the framing half of
-/// [`write_snapshot`], shared with the retrying writer).
-fn frame_snapshot(stage: &str, payload: &[u8]) -> Result<Vec<u8>, CkptError> {
-    let stage_bytes = stage.as_bytes();
-    let stage_len = u16::try_from(stage_bytes.len())
-        .map_err(|_| CkptError::Corrupt(format!("stage name `{stage}` too long to frame")))?;
-    let mut checksum = Fnv1a::new();
-    checksum.write(&FORMAT_VERSION.to_le_bytes());
-    checksum.write(stage_bytes);
-    checksum.write(payload);
-    let mut buf = Vec::with_capacity(30 + stage_bytes.len() + payload.len());
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&stage_len.to_le_bytes());
-    buf.extend_from_slice(stage_bytes);
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&checksum.finish().to_le_bytes());
-    buf.extend_from_slice(payload);
-    Ok(buf)
-}
-
-/// Reads and validates one stage snapshot, returning its payload.
-///
-/// Validation covers, in order: magic, format version, stage name,
-/// declared payload length vs. actual bytes, and the FNV-1a checksum.
-///
-/// # Errors
-///
-/// [`CkptError::Io`] when the file cannot be read, [`CkptError::Corrupt`]
-/// on any framing/checksum violation, [`CkptError::Mismatch`] when the
-/// snapshot is valid but for a different version or stage.
-pub fn read_snapshot(path: &Path, expected_stage: &str) -> Result<Vec<u8>, CkptError> {
-    let bytes =
-        fs::read(path).map_err(|e| CkptError::Io(format!("read {}: {e}", path.display())))?;
-    parse_snapshot(&bytes, expected_stage)
-}
-
-/// The validation core of [`read_snapshot`], split out so property tests
-/// can feed arbitrary byte soup without touching the filesystem.
-///
-/// # Errors
-///
-/// See [`read_snapshot`].
-pub fn parse_snapshot(bytes: &[u8], expected_stage: &str) -> Result<Vec<u8>, CkptError> {
-    let rest = bytes
-        .strip_prefix(MAGIC.as_slice())
-        .ok_or_else(|| CkptError::Corrupt("bad magic (not a snapshot file)".to_owned()))?;
-    let (version_bytes, rest) = split_array::<4>(rest).ok_or_else(|| truncated("version"))?;
-    let version = u32::from_le_bytes(version_bytes);
-    if version != FORMAT_VERSION {
-        return Err(CkptError::Mismatch(format!(
-            "format version {version}, expected {FORMAT_VERSION}"
-        )));
-    }
-    let (stage_len_bytes, rest) =
-        split_array::<2>(rest).ok_or_else(|| truncated("stage length"))?;
-    let stage_len = usize::from(u16::from_le_bytes(stage_len_bytes));
-    if rest.len() < stage_len {
-        return Err(CkptError::Corrupt("truncated stage name".to_owned()));
-    }
-    let (stage_bytes, rest) = rest.split_at(stage_len);
-    let stage = std::str::from_utf8(stage_bytes)
-        .map_err(|_| CkptError::Corrupt("stage name is not UTF-8".to_owned()))?;
-    if stage != expected_stage {
-        return Err(CkptError::Mismatch(format!(
-            "snapshot is for stage `{stage}`, expected `{expected_stage}`"
-        )));
-    }
-    let (len_bytes, rest) = split_array::<8>(rest).ok_or_else(|| truncated("payload length"))?;
-    let payload_len = u64::from_le_bytes(len_bytes);
-    let (sum_bytes, payload) = split_array::<8>(rest).ok_or_else(|| truncated("checksum"))?;
-    let declared_sum = u64::from_le_bytes(sum_bytes);
-    if payload.len() as u64 != payload_len {
-        return Err(CkptError::Corrupt(format!(
-            "payload is {} bytes, header declares {payload_len}",
-            payload.len()
-        )));
-    }
-    let mut checksum = Fnv1a::new();
-    checksum.write(&version.to_le_bytes());
-    checksum.write(stage_bytes);
-    checksum.write(payload);
-    if checksum.finish() != declared_sum {
-        return Err(CkptError::Corrupt("checksum mismatch".to_owned()));
-    }
-    Ok(payload.to_vec())
-}
-
-fn split_array<const N: usize>(bytes: &[u8]) -> Option<([u8; N], &[u8])> {
-    if bytes.len() < N {
-        return None;
-    }
-    let (head, rest) = bytes.split_at(N);
-    let mut arr = [0u8; N];
-    arr.copy_from_slice(head);
-    Some((arr, rest))
-}
-
-/// Maps a failed [`split_array`] to a truncated-header error naming the
-/// field that was being read.
-fn truncated(what: &str) -> CkptError {
-    CkptError::Corrupt(format!("truncated header ({what})"))
+/// [`CkptError::Corrupt`] on any framing/checksum violation,
+/// [`CkptError::Mismatch`] when the snapshot is valid but for a
+/// different version or stage.
+// lint:allow(index): lifetime-annotated slice types, not an indexing site
+pub fn parse_snapshot<'a>(bytes: &'a [u8], expected_stage: &str) -> Result<&'a [u8], CkptError> {
+    envelope::parse(bytes, MAGIC, FORMAT_VERSION, expected_stage).map_err(|e| match e {
+        EnvelopeError::Corrupt(m) => CkptError::Corrupt(m),
+        EnvelopeError::Version(v) => {
+            CkptError::Mismatch(format!("format version {v}, expected {FORMAT_VERSION}"))
+        }
+        EnvelopeError::Stage(s) => CkptError::Mismatch(format!(
+            "snapshot is for stage `{s}`, expected `{expected_stage}`"
+        )),
+    })
 }
 
 /// Atomic file write shared by snapshots and the manifest: write to a
@@ -296,11 +191,6 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), CkptError> {
         )
     })
 }
-
-// The transient-I/O retry policy lives in [`crate::retry`] so the
-// quarantine sidecar and the serve layer's WAL share one schedule; the
-// re-exports below keep the historical `ckpt::` paths valid.
-pub use crate::retry::{retry_transient, write_atomic_retrying, RETRY_ATTEMPTS};
 
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().map(|n| n.to_owned()).unwrap_or_default();
@@ -425,14 +315,16 @@ pub fn snapshot_file_name(stage: &str) -> String {
 ///
 /// # Errors
 ///
-/// See [`write_snapshot`].
+/// [`CkptError::Io`] if the temp write or rename fails past the retry
+/// budget, [`CkptError::Corrupt`] if the stage name cannot be framed.
 pub fn write_value_snapshot<T: ToWire + ?Sized>(
     path: &Path,
     stage: &str,
     value: &T,
 ) -> Result<(u64, u32), CkptError> {
     let payload = wire::encode(value);
-    let framed = frame_snapshot(stage, &payload)?;
+    let framed = envelope::frame(MAGIC, FORMAT_VERSION, stage, &payload)
+        .map_err(|e| CkptError::Corrupt(e.to_string()))?;
     let retries = write_atomic_retrying(path, &framed)?;
     Ok((payload.len() as u64, retries))
 }
@@ -441,17 +333,24 @@ pub fn write_value_snapshot<T: ToWire + ?Sized>(
 ///
 /// # Errors
 ///
-/// See [`read_snapshot`]; additionally [`CkptError::Corrupt`] when the
+/// [`CkptError::Io`] when the file cannot be read, then as
+/// [`parse_snapshot`]; additionally [`CkptError::Corrupt`] when the
 /// payload is valid bytes but not a valid wire encoding of `T`.
 pub fn read_value_snapshot<T: FromWire>(path: &Path, stage: &str) -> Result<T, CkptError> {
-    let payload = read_snapshot(path, stage)?;
-    wire::decode(&payload).map_err(|e| CkptError::Corrupt(format!("payload does not decode: {e}")))
+    let bytes =
+        fs::read(path).map_err(|e| CkptError::Io(format!("read {}: {e}", path.display())))?;
+    wire::decode(parse_snapshot(&bytes, stage)?)
+        .map_err(|e| CkptError::Corrupt(format!("payload does not decode: {e}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::failpoint;
+
+    /// The `ckpt/write` failpoint is process-global: the tests that arm
+    /// it, and the one asserting a fault-free retrying write, take turns.
+    static WRITE_FAILPOINT: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("smash-ckpt-{tag}-{}", std::process::id()));
@@ -471,76 +370,33 @@ mod tests {
         assert_eq!(h.finish(), fnv1a(b"abc"));
     }
 
-    #[test]
-    fn snapshot_round_trips() {
-        let dir = tmp_dir("roundtrip");
-        let path = dir.join(snapshot_file_name("dimension/client"));
-        write_snapshot(&path, "dimension/client", b"{\"x\":1}").expect("write");
-        let payload = read_snapshot(&path, "dimension/client").expect("read");
-        assert_eq!(payload, b"{\"x\":1}");
-        let _ = fs::remove_dir_all(&dir);
-    }
+    // Truncation, bit flips, length lies and hostile bytes: the shared
+    // suite in `crate::envelope`. Here, only what this layer adds.
 
     #[test]
-    fn every_corrupted_byte_is_detected() {
-        let dir = tmp_dir("corrupt");
-        let path = dir.join("s.ckpt");
-        write_snapshot(&path, "s", b"payload-bytes-under-test").expect("write");
-        let good = fs::read(&path).expect("read back");
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            if let Some(b) = bad.get_mut(i) {
-                *b ^= 0x40;
-            }
-            assert!(
-                parse_snapshot(&bad, "s").is_err(),
-                "flip at byte {i} went undetected"
-            );
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn every_truncation_is_detected() {
-        let dir = tmp_dir("trunc");
-        let path = dir.join("s.ckpt");
-        write_snapshot(&path, "s", b"some payload").expect("write");
-        let good = fs::read(&path).expect("read back");
-        for len in 0..good.len() {
-            let cut = good.get(..len).unwrap_or(&[]);
-            assert!(
-                parse_snapshot(cut, "s").is_err(),
-                "truncation to {len} accepted"
-            );
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wrong_stage_and_version_are_mismatches() {
+    fn wrong_stage_version_and_foreign_magic_are_typed() {
         let dir = tmp_dir("mismatch");
         let path = dir.join("s.ckpt");
-        write_snapshot(&path, "preprocess", b"x").expect("write");
-        match read_snapshot(&path, "correlate") {
-            Err(CkptError::Mismatch(m)) => assert!(m.contains("preprocess"), "got: {m}"),
+        let framed = envelope::frame(MAGIC, FORMAT_VERSION, "preprocess", b"").expect("frame");
+        write_atomic(&path, &framed).expect("write");
+        match read_value_snapshot::<Vec<u64>>(&path, "correlate") {
+            Err(CkptError::Mismatch(m)) => {
+                assert!(m.contains("preprocess") && m.contains("correlate"), "{m}")
+            }
             other => panic!("expected stage mismatch, got {other:?}"),
         }
-        // Hand-craft a version bump with a valid checksum for it.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        let v = FORMAT_VERSION + 1;
-        bytes.extend_from_slice(&v.to_le_bytes());
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(b"s");
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        let mut sum = Fnv1a::new();
-        sum.write(&v.to_le_bytes());
-        sum.write(b"s");
-        bytes.extend_from_slice(&sum.finish().to_le_bytes());
-        match parse_snapshot(&bytes, "s") {
+        let future = envelope::frame(MAGIC, FORMAT_VERSION + 1, "s", b"").expect("frame");
+        match parse_snapshot(&future, "s") {
             Err(CkptError::Mismatch(m)) => assert!(m.contains("version"), "got: {m}"),
             other => panic!("expected version mismatch, got {other:?}"),
         }
+        // Another format's file (a day, say) is not a stale snapshot —
+        // it is not a snapshot at all.
+        let foreign = envelope::frame(b"SMSHCOLS", FORMAT_VERSION, "s", b"").expect("frame");
+        assert!(matches!(
+            parse_snapshot(&foreign, "s"),
+            Err(CkptError::Corrupt(_))
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -548,7 +404,7 @@ mod tests {
     fn atomic_write_leaves_no_temp_files() {
         let dir = tmp_dir("atomic");
         let path = dir.join("s.ckpt");
-        write_snapshot(&path, "s", b"x").expect("write");
+        write_atomic(&path, b"x").expect("write");
         let names: Vec<String> = fs::read_dir(&dir)
             .expect("list dir")
             .filter_map(|e| e.ok())
@@ -602,6 +458,7 @@ mod tests {
 
     #[test]
     fn value_snapshot_round_trips() {
+        let _turn = WRITE_FAILPOINT.lock().unwrap_or_else(|e| e.into_inner());
         let dir = tmp_dir("value");
         let path = dir.join("v.ckpt");
         let value: Vec<u64> = vec![1, 2, 3];
@@ -615,6 +472,7 @@ mod tests {
 
     #[test]
     fn transient_write_faults_are_retried_away() {
+        let _turn = WRITE_FAILPOINT.lock().unwrap_or_else(|e| e.into_inner());
         let dir = tmp_dir("retry");
         let path = dir.join("r.ckpt");
         failpoint::arm("ckpt/write", failpoint::Action::ErrorTimes(2));
@@ -630,6 +488,7 @@ mod tests {
 
     #[test]
     fn persistent_write_faults_exhaust_the_retry_budget() {
+        let _turn = WRITE_FAILPOINT.lock().unwrap_or_else(|e| e.into_inner());
         let dir = tmp_dir("retry-exhaust");
         let path = dir.join("r.ckpt");
         failpoint::arm("ckpt/write", failpoint::Action::Error);
@@ -638,23 +497,5 @@ mod tests {
         assert!(matches!(err, Err(CkptError::Io(_))), "got: {err:?}");
         assert!(!path.exists());
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn retry_counts_are_deterministic_helpers() {
-        let mut calls = 0;
-        let (r, retries) = retry_transient(7, || {
-            calls += 1;
-            if calls < 3 {
-                Err("transient")
-            } else {
-                Ok(calls)
-            }
-        });
-        assert_eq!(r, Ok(3));
-        assert_eq!(retries, 2);
-        let (r2, retries2) = retry_transient::<u32, _>(7, || Err("hard"));
-        assert_eq!(r2, Err("hard"));
-        assert_eq!(retries2, RETRY_ATTEMPTS - 1);
     }
 }

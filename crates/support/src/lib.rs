@@ -22,8 +22,11 @@
 //!   `--deadline-ms`.
 //! * [`check`] — a seeded property-test harness with shrink-on-failure
 //!   and failure-seed reporting, replacing `proptest`.
-//! * [`ckpt`] — versioned, checksummed, atomically-written checkpoint
-//!   snapshots plus the fingerprinted manifest behind `--resume`.
+//! * [`envelope`] — the one versioned, checksummed, fail-closed frame
+//!   every binary file shares (checkpoints, the serve WAL and snapshot,
+//!   preprocessed days); the magic and version are arguments.
+//! * [`ckpt`] — atomically-written checkpoint snapshots in that
+//!   envelope, plus the fingerprinted manifest behind `--resume`.
 //! * [`retry`] — the shared transient-fault retry policy (deterministic
 //!   backoff jitter, process-wide `retry/*` counters) behind checkpoint,
 //!   quarantine, and epoch-WAL writes.
@@ -41,6 +44,7 @@
 pub mod bench;
 pub mod check;
 pub mod ckpt;
+pub mod envelope;
 pub mod failpoint;
 pub mod governor;
 pub mod json;

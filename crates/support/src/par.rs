@@ -87,7 +87,7 @@ where
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(items.len()));
     std::thread::scope(|s| {
-        for _ in 0..threads {
+        let worker = || {
             s.spawn(|| {
                 let mut local = Vec::new();
                 loop {
@@ -106,7 +106,16 @@ where
                     .lock()
                     .expect("collector mutex not poisoned: workers do not panic while holding it")
                     .extend(local);
-            });
+            })
+        };
+        // Joined by hand so a worker's own panic payload reaches the
+        // caller (whose isolation boundary reads the message); the
+        // scope's implicit join would replace it with a generic one.
+        let workers: Vec<_> = (0..threads).map(|_| worker()).collect();
+        for handle in workers {
+            if let Err(payload) = handle.join() {
+                panic::resume_unwind(payload);
+            }
         }
     });
     if let Some(t) = token {

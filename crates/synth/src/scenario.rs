@@ -31,9 +31,11 @@ pub struct ScenarioData {
 }
 
 impl ScenarioData {
-    /// Persists the whole day — dataset, truth, Whois, IDS vintages,
-    /// blacklists — as JSON files in `dir` (created if missing), so a
-    /// generated scenario can be archived and evaluated elsewhere.
+    /// Persists the whole day in `dir` (created if missing), so a
+    /// generated scenario can be archived and evaluated elsewhere: the
+    /// dataset as a checksummed `SMSHCOLS` day (the arena's one
+    /// on-disk form), truth, Whois, IDS vintages and blacklists as
+    /// JSON.
     ///
     /// # Errors
     ///
@@ -44,7 +46,8 @@ impl ScenarioData {
         let write = |name: &str, json: String| -> std::io::Result<()> {
             std::fs::write(dir.join(name), json)
         };
-        write("dataset.json", json::to_string(&self.dataset))?;
+        smash_trace::save_day(&dir.join("dataset.day"), &self.dataset)
+            .map_err(std::io::Error::other)?;
         write("truth.json", json::to_string_pretty(&self.truth))?;
         write("whois.json", json::to_string_pretty(&self.whois))?;
         write("ids2012.json", json::to_string_pretty(&self.ids2012))?;
@@ -64,7 +67,8 @@ impl ScenarioData {
             json::from_str(&std::fs::read_to_string(path)?).map_err(std::io::Error::other)
         }
         Ok(Self {
-            dataset: read(dir.join("dataset.json"))?,
+            dataset: smash_trace::load_day(&dir.join("dataset.day"))
+                .map_err(std::io::Error::other)?,
             truth: read(dir.join("truth.json"))?,
             whois: read(dir.join("whois.json"))?,
             ids2012: read(dir.join("ids2012.json"))?,

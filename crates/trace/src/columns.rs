@@ -15,8 +15,8 @@
 //! scenarios never materialize a row-struct buffer.
 
 use crate::dataset::CompactRecord;
+use smash_support::impl_wire_struct;
 use smash_support::wire::{FromWire, Reader, WireError};
-use smash_support::{impl_json_struct, impl_wire_struct};
 
 /// Sentinel in optional id columns (`referrers`, `redirects`) meaning
 /// "no value". Interners can never issue it: they refuse to allocate
@@ -78,22 +78,6 @@ pub struct RecordColumns {
     resp_bytes: Vec<u32>,
     redirects: Vec<u32>,
 }
-
-impl_json_struct!(RecordColumns {
-    timestamps,
-    clients,
-    servers,
-    hosts,
-    ips,
-    files,
-    paths,
-    param_patterns,
-    user_agents,
-    referrers,
-    statuses,
-    resp_bytes,
-    redirects,
-});
 
 /// Payload bytes of one record across all columns: one `u64`, one
 /// `u16`, and eleven `u32` cells.

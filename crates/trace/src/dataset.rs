@@ -7,7 +7,6 @@ use crate::record::HttpRecord;
 use crate::server::ServerKey;
 use crate::uri::{parameter_pattern, uri_file, uri_path};
 use smash_support::governor::StageScope;
-use smash_support::impl_json_struct;
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 use std::collections::HashMap;
 
@@ -45,22 +44,6 @@ pub struct CompactRecord {
     /// Redirect target server, aggregated, if any.
     pub redirect_to: Option<ServerId>,
 }
-
-impl_json_struct!(CompactRecord {
-    timestamp,
-    client,
-    server,
-    host,
-    ip,
-    file,
-    path,
-    param_pattern,
-    user_agent,
-    referrer,
-    status,
-    resp_bytes,
-    redirect_to,
-});
 
 /// How many records the governed ingest processes between byte-account
 /// reconciliations (and cancellation ticks).
@@ -112,24 +95,6 @@ pub struct TraceDataset {
     server_referrers: Vec<Vec<ServerId>>,
 }
 
-impl_json_struct!(TraceDataset {
-    clients,
-    servers,
-    server_keys,
-    hosts,
-    ips,
-    files,
-    paths,
-    params,
-    user_agents,
-    cols,
-    server_clients,
-    server_files,
-    server_ips,
-    server_records,
-    server_referrers,
-});
-
 impl ToWire for TraceDataset {
     fn wire(&self, out: &mut Vec<u8>) {
         self.clients.wire(out);
@@ -172,14 +137,109 @@ impl FromWire for TraceDataset {
     }
 }
 
+/// An in-progress append: records go in through [`push`](Self::push),
+/// and dropping the appender re-sorts and deduplicates the postings of
+/// the servers it touched. It holds the dataset's one mutable borrow
+/// while those are unsorted, so no reader sees the intermediate state —
+/// even when the feeding loop bails out early or unwinds.
+#[derive(Debug)]
+pub struct Appender<'a> {
+    ds: &'a mut TraceDataset,
+    /// Arena index of the first record this appender adds.
+    first_new: u32,
+    /// Servers that received a record since `first_new`.
+    touched: Vec<ServerId>,
+    /// Posting cells pushed so far (pre-dedup), for governed ingest.
+    posting_cells: u64,
+}
+
+impl Appender<'_> {
+    /// Interns one record into the arena and its server's postings.
+    pub fn push(&mut self, r: &HttpRecord) {
+        let ds = &mut *self.ds;
+        let server = ds.intern_server(&r.host);
+        let referrer = r.referrer.as_deref().map(|h| ds.intern_server(h));
+        let redirect_to = r.redirect_to.as_deref().map(|h| ds.intern_server(h));
+        let file_str = uri_file(&r.uri);
+        let is_dir = file_str.is_empty();
+        let rec = CompactRecord {
+            timestamp: r.timestamp,
+            client: ds.clients.intern(&r.client),
+            server,
+            host: ds.hosts.intern(&r.host),
+            ip: ds.ips.intern(&r.server_ip.to_string()),
+            file: ds.files.intern(file_str),
+            path: ds.paths.intern(uri_path(&r.uri)),
+            param_pattern: ds.params.intern(&parameter_pattern(&r.uri)),
+            user_agent: ds.user_agents.intern(&r.user_agent),
+            referrer,
+            status: r.status,
+            resp_bytes: r.resp_bytes,
+            redirect_to,
+        };
+        let idx = ds.cols.len() as u32;
+        ds.grow_postings();
+        let s = rec.server as usize;
+        // Interned server ids are dense indexes into the postings;
+        // a miss would be an interner bug, and skipping the record
+        // beats panicking mid-ingest.
+        if let (Some(sc), Some(sf), Some(si), Some(sr), Some(sref)) = (
+            ds.server_clients.get_mut(s),
+            ds.server_files.get_mut(s),
+            ds.server_ips.get_mut(s),
+            ds.server_records.get_mut(s),
+            ds.server_referrers.get_mut(s),
+        ) {
+            // Record postings stay in record order, so the last entry
+            // tells whether this append has been here before.
+            if sr.last().is_none_or(|&last| last < self.first_new) {
+                self.touched.push(rec.server);
+            }
+            sc.push(rec.client);
+            self.posting_cells += 2; // client + ip
+            if !is_dir {
+                sf.push(rec.file);
+                self.posting_cells += 1;
+            }
+            si.push(rec.ip);
+            sr.push(idx);
+            self.posting_cells += 1;
+            if let Some(rf) = rec.referrer {
+                sref.push(rf);
+                self.posting_cells += 1;
+            }
+            ds.cols.push(rec);
+        }
+    }
+
+    /// Bytes this appender has added so far: new column rows plus
+    /// (pre-dedup) posting cells.
+    fn grown_bytes(&self) -> u64 {
+        let rows = self.ds.cols.len() as u64 - u64::from(self.first_new);
+        rows * columns::ROW_BYTES + self.posting_cells * 4
+    }
+}
+
+impl Drop for Appender<'_> {
+    fn drop(&mut self) {
+        let ds = &mut *self.ds;
+        for &server in &self.touched {
+            let s = server as usize;
+            let postings = (ds.server_clients.get_mut(s).into_iter())
+                .chain(ds.server_files.get_mut(s))
+                .chain(ds.server_ips.get_mut(s))
+                .chain(ds.server_referrers.get_mut(s));
+            for posting in postings {
+                posting.sort_unstable();
+                posting.dedup();
+            }
+        }
+    }
+}
+
 impl TraceDataset {
-    /// Builds a dataset from raw records, interning and indexing.
-    ///
-    /// Ingest is a single pass: each record's fields go straight into
-    /// the column arena and its ids into the per-server postings, so a
-    /// lazy record iterator (the streamed ISP-scale generator) is never
-    /// buffered in row form. The postings are sorted and deduplicated
-    /// once at the end.
+    /// Builds a dataset from raw records: an empty arena plus one
+    /// append.
     pub fn from_records<I: IntoIterator<Item = HttpRecord>>(records: I) -> Self {
         Self::from_records_governed(records, None)
     }
@@ -196,79 +256,18 @@ impl TraceDataset {
         scope: Option<&StageScope>,
     ) -> Self {
         let mut ds = TraceDataset::default();
-        let mut posting_cells: u64 = 0;
         let mut charged: u64 = 0;
-        let mut pending = 0usize;
-        for r in records {
-            let server = ds.intern_server(&r.host);
-            let referrer = r.referrer.as_deref().map(|h| ds.intern_server(h));
-            let redirect_to = r.redirect_to.as_deref().map(|h| ds.intern_server(h));
-            let file_str = uri_file(&r.uri);
-            let is_dir = file_str.is_empty();
-            let rec = CompactRecord {
-                timestamp: r.timestamp,
-                client: ds.clients.intern(&r.client),
-                server,
-                host: ds.hosts.intern(&r.host),
-                ip: ds.ips.intern(&r.server_ip.to_string()),
-                file: ds.files.intern(file_str),
-                path: ds.paths.intern(uri_path(&r.uri)),
-                param_pattern: ds.params.intern(&parameter_pattern(&r.uri)),
-                user_agent: ds.user_agents.intern(&r.user_agent),
-                referrer,
-                status: r.status,
-                resp_bytes: r.resp_bytes,
-                redirect_to,
-            };
-            let idx = ds.cols.len() as u32;
-            ds.grow_postings();
-            let s = rec.server as usize;
-            // Interned server ids are dense indexes into the postings;
-            // a miss would be an interner bug, and skipping the record
-            // beats panicking mid-ingest.
-            if let (Some(sc), Some(sf), Some(si), Some(sr), Some(sref)) = (
-                ds.server_clients.get_mut(s),
-                ds.server_files.get_mut(s),
-                ds.server_ips.get_mut(s),
-                ds.server_records.get_mut(s),
-                ds.server_referrers.get_mut(s),
-            ) {
-                sc.push(rec.client);
-                posting_cells += 2; // client + ip
-                if !is_dir {
-                    sf.push(rec.file);
-                    posting_cells += 1;
-                }
-                si.push(rec.ip);
-                sr.push(idx);
-                posting_cells += 1;
-                if let Some(rf) = rec.referrer {
-                    sref.push(rf);
-                    posting_cells += 1;
-                }
-                ds.cols.push(rec);
-            }
-            pending += 1;
-            if pending >= INGEST_CHUNK {
-                pending = 0;
-                if let Some(sc) = scope {
-                    sc.tick();
-                    let tracked = ds.cols.payload_bytes() + posting_cells * 4;
-                    sc.charge(tracked.saturating_sub(charged));
-                    charged = charged.max(tracked);
-                }
+        let mut appender = ds.appender();
+        for (n, r) in records.into_iter().enumerate() {
+            appender.push(&r);
+            if let (Some(sc), true) = (scope, (n + 1) % INGEST_CHUNK == 0) {
+                sc.tick();
+                let tracked = appender.grown_bytes();
+                sc.charge(tracked.saturating_sub(charged));
+                charged = charged.max(tracked);
             }
         }
-        for v in ds
-            .server_clients
-            .iter_mut()
-            .chain(&mut ds.server_files)
-            .chain(&mut ds.server_ips)
-            .chain(&mut ds.server_referrers)
-        {
-            v.sort_unstable();
-            v.dedup();
-        }
+        drop(appender);
         if let Some(sc) = scope {
             // Dedup shrank the postings and the interner tables were
             // never charged: settle the account on the exact arena.
@@ -280,6 +279,34 @@ impl TraceDataset {
             }
         }
         ds
+    }
+
+    /// Absorbs more records into the arena, interning and indexing.
+    ///
+    /// Ingest is a single pass: each record's fields go straight into
+    /// the column arena and its ids into the per-server postings, so a
+    /// lazy record iterator (the streamed ISP-scale generator) is never
+    /// buffered in row form. Interning is first-seen order and touched
+    /// postings are re-sorted and deduplicated at the end, so a trace
+    /// appended in any number of chunks is byte-identical (wire form,
+    /// [`fingerprint`](Self::fingerprint)) to one-shot
+    /// [`from_records`](Self::from_records).
+    pub fn append<I: IntoIterator<Item = HttpRecord>>(&mut self, records: I) {
+        let mut appender = self.appender();
+        for r in records {
+            appender.push(&r);
+        }
+    }
+
+    /// Opens a record-at-a-time append, for producers that push (the
+    /// streaming file reader) rather than hand over an iterator.
+    pub fn appender(&mut self) -> Appender<'_> {
+        Appender {
+            first_new: self.cols.len() as u32,
+            ds: self,
+            touched: Vec::new(),
+            posting_cells: 0,
+        }
     }
 
     fn intern_server(&mut self, host: &str) -> ServerId {
@@ -329,6 +356,39 @@ impl TraceDataset {
     /// Iterates the assembled row views in input order.
     pub fn records(&self) -> impl Iterator<Item = CompactRecord> + '_ {
         self.cols.iter()
+    }
+
+    /// Re-emits raw records from the arena, in input order — the
+    /// inverse of ingest, up to what interning keeps: hosts come back
+    /// aggregated, and the value-blanked parameter pattern
+    /// (`p=[]&id=[]`) is refilled with placeholder values so the
+    /// query-key structure survives.
+    pub fn raw_records(&self) -> impl Iterator<Item = HttpRecord> + '_ {
+        self.records().map(|r| {
+            let path = self.path_name(r.path);
+            let pattern = self.param_pattern_name(r.param_pattern);
+            let uri = if pattern.is_empty() {
+                path.to_owned()
+            } else {
+                format!("{path}?{}", pattern.replace("=[]", "=0"))
+            };
+            let mut rec = HttpRecord::new(
+                r.timestamp,
+                self.client_name(r.client),
+                self.server_name(r.server),
+                self.ip_name(r.ip),
+                &uri,
+            )
+            .with_user_agent(self.user_agent_name(r.user_agent))
+            .with_status(r.status);
+            if let Some(rf) = r.referrer {
+                rec = rec.with_referrer(self.server_name(rf));
+            }
+            if let Some(rd) = r.redirect_to {
+                rec = rec.with_redirect_to(self.server_name(rd));
+            }
+            rec
+        })
     }
 
     /// The row view of record `i`, or `None` past the end.
@@ -770,6 +830,22 @@ mod tests {
             back.clients_of(sid),
             ds.clients_of(ds.server_id("x.com").unwrap())
         );
+    }
+
+    #[test]
+    fn abandoned_appender_still_seals_its_postings() {
+        // Out-of-order clients into an existing server, then the
+        // appender is dropped without ceremony (an early `?` return).
+        let mut ds = TraceDataset::from_records(vec![rec("c9", "x.com", "1.1.1.1", "/a")]);
+        {
+            let mut appender = ds.appender();
+            appender.push(&rec("c5", "x.com", "1.1.1.1", "/a"));
+            appender.push(&rec("c9", "x.com", "1.1.1.1", "/b"));
+            appender.push(&rec("c1", "y.com", "1.1.1.2", "/c"));
+        }
+        assert!(ds.validate().is_ok(), "{:?}", ds.validate());
+        assert_eq!(ds.record_count(), 4);
+        assert_eq!(ds.clients_of(ds.server_id("x.com").unwrap()), &[0, 1]);
     }
 
     #[test]

@@ -1,17 +1,10 @@
-//! `SMSHCOLS`: the zero-copy on-disk day format (DESIGN.md §12).
+//! `SMSHCOLS`: the on-disk day format (DESIGN.md §12.4).
 //!
 //! A *day file* is one preprocessed [`TraceDataset`] — symbol tables,
-//! column arena, and postings — wrapped in the same versioned,
-//! checksummed envelope style the checkpoint subsystem uses (§9):
-//!
-//! ```text
-//! ┌──────────────┬─────────────┬───────────────────┬──────────────┐
-//! │ magic        │ version     │ payload           │ checksum     │
-//! │ b"SMSHCOLS"  │ u32 LE      │ wire TraceDataset │ u64 LE       │
-//! │ 8 bytes      │ 4 bytes     │ variable          │ 8 bytes      │
-//! └──────────────┴─────────────┴───────────────────┴──────────────┘
-//! checksum = fnv1a(version ‖ payload)
-//! ```
+//! column arena, and postings — as a wire payload inside the
+//! workspace's shared checksummed envelope
+//! ([`smash_support::envelope`]) under its own magic and version. This
+//! module owns only the payload codec and the dataset invariants.
 //!
 //! Write once with [`save_day`] (`smash preprocess`), re-mine as often
 //! as thresholds change with [`load_day`] — ingest, interning, and
@@ -20,14 +13,16 @@
 //! never a panic, and a payload that checksums clean is still run
 //! through [`TraceDataset::validate`] before it is handed to the miner.
 //!
-//! Version policy: readers accept exactly the versions they know
-//! ([`VERSION`]); an unknown version is [`DayError::Version`], not a
-//! best-effort parse. Layout changes bump the version; same-version
-//! additions are forbidden (the wire codec rejects trailing bytes), so
-//! a file either decodes completely or not at all.
+//! Version policy: readers accept exactly [`VERSION`]; any other is
+//! [`DayError::Version`] carrying the number the file held, never a
+//! best-effort parse. Layout changes bump the version (v1 was a
+//! hand-rolled frame with a trailing checksum; v2 is the shared
+//! envelope) and same-version additions are forbidden (the wire codec
+//! rejects trailing bytes). A day file is a regenerable cache.
 
 use crate::dataset::TraceDataset;
-use smash_support::ckpt::{self, Fnv1a};
+use smash_support::ckpt;
+use smash_support::envelope::{self, EnvelopeError};
 use smash_support::wire;
 use std::fmt;
 use std::path::Path;
@@ -36,14 +31,18 @@ use std::path::Path;
 pub const MAGIC: &[u8; 8] = b"SMSHCOLS";
 
 /// Current (and only) layout version this reader/writer speaks.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
+
+/// The envelope stage name of a day payload.
+pub const STAGE: &str = "day";
 
 /// Why a day file could not be written or loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DayError {
     /// Filesystem failure reading or writing the file.
     Io(String),
-    /// Missing magic, bad length, or checksum mismatch.
+    /// Not a day file, or one whose envelope or payload does not
+    /// verify (bad magic, truncation, checksum mismatch, undecodable).
     Corrupt(String),
     /// The file's version field is one this reader does not speak.
     Version(u32),
@@ -67,51 +66,19 @@ impl fmt::Display for DayError {
 
 impl std::error::Error for DayError {}
 
-fn checksum(version: u32, payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(&version.to_le_bytes());
-    h.write(payload);
-    h.finish()
-}
-
 /// Frames a dataset into `SMSHCOLS` envelope bytes.
 pub fn frame_day(ds: &TraceDataset) -> Vec<u8> {
-    let payload = wire::encode(ds);
-    let mut out = Vec::with_capacity(MAGIC.len() + 4 + payload.len() + 8);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(VERSION, &payload).to_le_bytes());
-    out
+    envelope::frame(MAGIC, VERSION, STAGE, &wire::encode(ds))
+        .expect("the constant stage name always frames")
 }
 
 /// Parses `SMSHCOLS` envelope bytes back into a dataset, verifying the
-/// magic, version, checksum, and every dataset invariant.
+/// envelope (magic, version, checksum) and every dataset invariant.
 pub fn parse_day(bytes: &[u8]) -> Result<TraceDataset, DayError> {
-    let min = MAGIC.len() + 4 + 8;
-    if bytes.len() < min {
-        return Err(DayError::Corrupt(format!(
-            "{} bytes is shorter than the {min}-byte envelope",
-            bytes.len()
-        )));
-    }
-    let (head, rest) = bytes.split_at(MAGIC.len());
-    if head != MAGIC {
-        return Err(DayError::Corrupt("bad magic".to_owned()));
-    }
-    let (ver_bytes, rest) = rest.split_at(4);
-    let mut ver = [0u8; 4];
-    ver.copy_from_slice(ver_bytes);
-    let version = u32::from_le_bytes(ver);
-    if version != VERSION {
-        return Err(DayError::Version(version));
-    }
-    let (payload, sum_bytes) = rest.split_at(rest.len() - 8);
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(sum_bytes);
-    if u64::from_le_bytes(sum) != checksum(version, payload) {
-        return Err(DayError::Corrupt("checksum mismatch".to_owned()));
-    }
+    let payload = envelope::parse(bytes, MAGIC, VERSION, STAGE).map_err(|e| match e {
+        EnvelopeError::Version(v) => DayError::Version(v),
+        other => DayError::Corrupt(other.to_string()),
+    })?;
     let ds: TraceDataset =
         wire::decode(payload).map_err(|e| DayError::Corrupt(format!("payload: {}", e.0)))?;
     ds.validate().map_err(DayError::Invalid)?;
@@ -134,7 +101,7 @@ pub fn load_day(path: &Path) -> Result<TraceDataset, DayError> {
 /// Sniffs whether `bytes` begin with the `SMSHCOLS` magic — lets the
 /// CLI's loader tell a day file from a JSONL trace by content.
 pub fn is_day_file(bytes: &[u8]) -> bool {
-    bytes.starts_with(MAGIC)
+    envelope::has_magic(bytes, MAGIC)
 }
 
 #[cfg(test)]
@@ -170,56 +137,59 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    // Truncation, bit flips and length lies: the shared suite in
+    // `smash_support::envelope`. These pin how its verdicts surface.
+
     #[test]
-    fn truncation_rejected() {
+    fn v1_files_fail_closed_with_their_version() {
+        // v1 (the pre-envelope layout: magic, version, payload,
+        // trailing checksum) kept its version at the same offset, so an
+        // old cache is refused by number, not misparsed. Future
+        // versions: `tests/day_remine.rs`.
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&wire::encode(&dataset()));
+        v1.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(parse_day(&v1).unwrap_err(), DayError::Version(1));
+    }
+
+    #[test]
+    fn foreign_and_damaged_envelopes_are_corrupt() {
+        // A checkpoint snapshot is a valid envelope of another format.
+        let snapshot = envelope::frame(ckpt::MAGIC, ckpt::FORMAT_VERSION, STAGE, b"x").unwrap();
+        assert!(matches!(parse_day(&snapshot), Err(DayError::Corrupt(_))));
         let bytes = frame_day(&dataset());
-        for cut in [0, 1, MAGIC.len(), bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                parse_day(bytes.get(..cut).unwrap_or(&bytes)).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
+        assert!(matches!(
+            parse_day(&bytes[..bytes.len() - 1]),
+            Err(DayError::Corrupt(_))
+        ));
+        assert!(matches!(parse_day(b""), Err(DayError::Corrupt(_))));
     }
 
     #[test]
-    fn bit_flips_rejected() {
-        let bytes = frame_day(&dataset());
-        let step = (bytes.len() / 40).max(1);
-        for i in (0..bytes.len()).step_by(step) {
-            let mut bad = bytes.clone();
-            if let Some(b) = bad.get_mut(i) {
-                *b ^= 0x40;
-            }
-            assert!(parse_day(&bad).is_err(), "bit flip at {i} accepted");
-        }
-    }
-
-    #[test]
-    fn unknown_version_rejected() {
-        let mut bytes = frame_day(&dataset());
-        let payload_start = MAGIC.len() + 4;
-        bytes[MAGIC.len()..payload_start].copy_from_slice(&2u32.to_le_bytes());
-        // Re-checksum so only the version is wrong.
-        let sum_at = bytes.len() - 8;
-        let sum = checksum(2, &bytes[payload_start..sum_at]);
-        bytes[sum_at..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(parse_day(&bytes), Err(DayError::Version(2))));
-    }
-
-    #[test]
-    fn valid_checksum_invalid_payload_rejected() {
-        // A dataset whose postings disagree with its interned servers:
-        // encode raw fields with an extra posting table entry.
-        let ds = dataset();
-        let mut payload = wire::encode(&ds);
-        // Appending trailing garbage keeps wire decode failing cleanly.
+    fn valid_envelope_invalid_payload_rejected() {
+        // Checksums clean, but the payload has a trailing byte the wire
+        // codec refuses.
+        let mut payload = wire::encode(&dataset());
         payload.push(0xAB);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&checksum(VERSION, &payload).to_le_bytes());
+        let bytes = envelope::frame(MAGIC, VERSION, STAGE, &payload).unwrap();
         assert!(matches!(parse_day(&bytes), Err(DayError::Corrupt(_))));
+    }
+
+    #[test]
+    fn structurally_lying_payload_is_invalid() {
+        // Checksums clean and decodes clean, but the last posting cell
+        // (b.com's referrer, a.com = id 0) points past the server
+        // table: `validate` is the last line of defence.
+        let ds = TraceDataset::from_records(vec![
+            HttpRecord::new(0, "c", "a.com", "1.1.1.1", "/").with_referrer("b.com"),
+            HttpRecord::new(1, "c", "b.com", "1.1.1.2", "/").with_referrer("a.com"),
+        ]);
+        let mut payload = wire::encode(&ds);
+        let last = payload.len() - 4;
+        payload[last..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let bytes = envelope::frame(MAGIC, VERSION, STAGE, &payload).unwrap();
+        assert!(matches!(parse_day(&bytes), Err(DayError::Invalid(_))));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! String interning: map strings to dense `u32` ids and back.
 
-use smash_support::json::{self, FromJson, Json, JsonError, ToJson};
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 use std::collections::HashMap;
 
@@ -27,30 +26,8 @@ pub struct Interner {
     strings: Vec<String>,
 }
 
-/// Only the id-ordered string table is serialized; the reverse map is
+/// Wire form: the id-ordered string table only; the reverse map is
 /// rebuilt on read.
-impl ToJson for Interner {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![("strings".to_owned(), self.strings.to_json())])
-    }
-}
-
-impl FromJson for Interner {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| JsonError("expected object for Interner".to_owned()))?;
-        let strings: Vec<String> = json::req_field(obj, "strings")?;
-        let map = strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i as u32))
-            .collect();
-        Ok(Self { map, strings })
-    }
-}
-
-/// Wire form mirrors the JSON form: the id-ordered string table only.
 /// Decoding rejects duplicate strings — a table where two ids resolve to
 /// the same string cannot have come from an interner.
 impl ToWire for Interner {

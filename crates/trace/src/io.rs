@@ -3,14 +3,15 @@
 //! The paper's input is PCAP; our portable interchange format is one JSON
 //! object per line, which is trivially produced from any flow log.
 //!
-//! Two decode modes are offered. The strict readers ([`read_jsonl`],
-//! [`read_jsonl_file`]) abort on the first malformed line — right for
-//! files we wrote ourselves. The lenient reader ([`read_jsonl_lenient`])
-//! is for dirty edge-of-ISP flow logs, where malformed lines are the
-//! norm: bad lines are counted per error class in an [`IngestReport`]
-//! (and optionally spilled to a quarantine sidecar), and an *error
-//! budget* distinguishes a dirty trace (ingest what you can) from the
-//! wrong file entirely (fail fast with [`IngestError::BudgetExceeded`]).
+//! There is one reader, [`ingest_jsonl`]: it streams every decodable
+//! line into a sink (the CLI's is the arena's appender — no row
+//! buffer), counts bad lines per error class in an [`IngestReport`]
+//! (optionally spilling them to a quarantine sidecar), and lets an
+//! *error budget* tell a dirty trace (ingest what you can) from the
+//! wrong file entirely ([`IngestError::BudgetExceeded`]). Dirty
+//! edge-of-ISP flow logs want the default 5%; files we wrote ourselves
+//! want *strict* — the same loop at budget 0, failing on the first
+//! malformed line ([`read_jsonl`], [`read_jsonl_file`]).
 
 use crate::record::HttpRecord;
 use smash_support::ckpt;
@@ -25,15 +26,15 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
-/// Per-error-class counts from one lenient ingest.
+/// Per-error-class counts from one ingest.
 ///
-/// `lines` counts every non-blank input line (or declared record, for
-/// the binary format); `records` counts the ones that decoded. The
-/// difference is broken down by error class, so an operator can tell
-/// "5% of lines had a mangled IP field" from "this is not JSONL at all".
+/// `lines` counts every non-blank input line; `records` counts the ones
+/// that decoded. The difference is broken down by error class, so an
+/// operator can tell "5% of lines had a mangled IP field" from "this is
+/// not JSONL at all".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
-    /// Non-blank lines seen (binary: records the header declared).
+    /// Non-blank lines seen.
     pub lines: usize,
     /// Records successfully decoded.
     pub records: usize,
@@ -43,13 +44,10 @@ pub struct IngestReport {
     pub bad_json: usize,
     /// Well-formed JSON whose `server_ip` was not an IPv4 literal.
     pub bad_ip: usize,
-    /// Well-formed JSON with another missing or mistyped field
-    /// (binary: records lost to a corrupt region).
+    /// Well-formed JSON with another missing or mistyped field.
     pub bad_field: usize,
     /// Bad lines spilled to the quarantine sidecar.
     pub quarantined: usize,
-    /// Binary only: decoding stopped early at a corrupt tail.
-    pub truncated_tail: bool,
 }
 
 impl_json_struct!(IngestReport {
@@ -60,7 +58,6 @@ impl_json_struct!(IngestReport {
     bad_ip,
     bad_field,
     quarantined,
-    truncated_tail,
 });
 
 impl IngestReport {
@@ -79,7 +76,7 @@ impl IngestReport {
     }
 }
 
-/// Tuning knobs for lenient ingest.
+/// Tuning knobs for ingest.
 #[derive(Debug, Clone)]
 pub struct IngestOptions {
     /// Lines longer than this are rejected unread (guards against
@@ -87,12 +84,13 @@ pub struct IngestOptions {
     pub max_line_bytes: usize,
     /// Maximum tolerated [`IngestReport::bad_fraction`]; exceeding it
     /// fails the whole ingest with [`IngestError::BudgetExceeded`].
-    /// Default 0.05 — the "dirty trace vs. wrong file" line.
+    /// Default 0.05 — the "dirty trace vs. wrong file" line; 0 is
+    /// strict mode.
     pub error_budget: f64,
     /// When set, raw rejected lines are appended to this sidecar file
     /// for offline inspection.
     pub quarantine: Option<PathBuf>,
-    /// When set, the lenient readers poll this token every
+    /// When set, the reader polls this token every
     /// [`CANCEL_POLL_LINES`] lines and abort with
     /// [`IngestError::Cancelled`] once it fires (governor deadlines and
     /// run-level cancellation reach ingest through here).
@@ -136,13 +134,13 @@ impl IngestOptions {
     }
 }
 
-/// Lines (or binary records) between cancellation-token polls: frequent
+/// Lines between cancellation-token polls: frequent
 /// enough that a cancelled ingest stops within milliseconds, rare enough
 /// that the poll never shows up in a profile.
 pub const CANCEL_POLL_LINES: usize = 4096;
 
 /// Returns [`IngestError::Cancelled`] if the optional token has fired.
-pub(crate) fn check_cancel(cancel: Option<&CancelToken>) -> Result<(), IngestError> {
+fn check_cancel(cancel: Option<&CancelToken>) -> Result<(), IngestError> {
     match cancel {
         Some(t) if t.is_cancelled() => Err(IngestError::Cancelled(
             t.reason()
@@ -152,12 +150,10 @@ pub(crate) fn check_cancel(cancel: Option<&CancelToken>) -> Result<(), IngestErr
     }
 }
 
-/// A lenient ingest that could not produce a usable dataset.
+/// An ingest that could not produce a usable dataset.
 #[derive(Debug)]
 pub enum IngestError {
-    /// Underlying I/O failure (including quarantine-sidecar writes), or
-    /// a structurally unreadable binary file (bad magic / corrupt string
-    /// table) — the "wrong file" signal.
+    /// Underlying I/O failure (including quarantine-sidecar writes).
     Io(io::Error),
     /// More lines were bad than the error budget allows.
     BudgetExceeded {
@@ -248,9 +244,6 @@ impl<'a> Quarantine<'a> {
     }
 }
 
-/// Classifies one undecodable (but syntactically valid JSON) line: an
-/// unparseable or mistyped `server_ip` is its own class, everything
-/// else (missing/mistyped field) is `bad_field`.
 /// Why one record line failed to decode, mirroring the
 /// [`IngestReport`] error classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,14 +267,16 @@ impl LineError {
     }
 }
 
-/// Decodes one JSONL record line: the lenient reader's per-line core,
-/// shared with the serve layer's wire protocol so a hostile `INGEST`
-/// line is classified exactly like a hostile trace line.
+/// Decodes one JSONL record line: the reader's per-line core, shared
+/// with the serve layer's wire protocol so a hostile `INGEST` line is
+/// classified exactly like a hostile trace line.
 ///
 /// # Errors
 ///
-/// A [`LineError`] naming the failing class; never panics, whatever the
-/// bytes.
+/// A [`LineError`] naming the failing class — for syntactically valid
+/// JSON, an unparseable or mistyped `server_ip` is its own class and
+/// any other missing or mistyped field is `BadField`; never panics,
+/// whatever the bytes.
 pub fn decode_record_line(raw: &[u8]) -> Result<HttpRecord, LineError> {
     let value = std::str::from_utf8(raw)
         .ok()
@@ -294,26 +289,32 @@ pub fn decode_record_line(raw: &[u8]) -> Result<HttpRecord, LineError> {
     })
 }
 
-/// Reads JSONL leniently: malformed lines are counted and optionally
-/// quarantined instead of aborting the ingest. Blank lines are skipped.
+/// The one JSONL reader: streams every decodable record of `r` into
+/// `sink`, counting (and optionally quarantining) malformed lines
+/// instead of aborting. Blank lines are skipped. A zero error budget
+/// cannot recover from a bad line, so strict mode stops at the first
+/// one rather than reading on.
 ///
 /// # Errors
 ///
-/// Returns [`IngestError::Io`] on I/O failure and
+/// Returns [`IngestError::Io`] on I/O failure,
+/// [`IngestError::Cancelled`] when [`IngestOptions::cancel`] fires, and
 /// [`IngestError::BudgetExceeded`] when more than
-/// [`IngestOptions::error_budget`] of the lines were bad.
-pub fn read_jsonl_lenient<R: Read>(
+/// [`IngestOptions::error_budget`] of the lines were bad. `sink` may
+/// already have received records by then; the caller discards them.
+pub fn ingest_jsonl<R: Read>(
     r: R,
     opts: &IngestOptions,
-) -> Result<(Vec<HttpRecord>, IngestReport), IngestError> {
+    mut sink: impl FnMut(HttpRecord),
+) -> Result<IngestReport, IngestError> {
     failpoint::check("ingest/jsonl").map_err(io::Error::other)?;
     check_cancel(opts.cancel.as_ref())?;
     let mut report = IngestReport::default();
-    let mut out = Vec::new();
     let mut quarantine = Quarantine::new(opts.quarantine.as_deref());
     let mut reader = BufReader::new(r);
     let mut raw: Vec<u8> = Vec::new();
-    loop {
+    // Strict mode: the first bad line has already blown a zero budget.
+    while report.bad_lines() == 0 || opts.error_budget > 0.0 {
         raw.clear();
         // Byte-oriented reading: invalid UTF-8 must be a counted error
         // class, not an abort (BufRead::lines would error out).
@@ -338,7 +339,7 @@ pub fn read_jsonl_lenient<R: Read>(
         match decode_record_line(&raw) {
             Ok(rec) => {
                 report.records += 1;
-                out.push(rec);
+                sink(rec);
             }
             Err(e) => {
                 match e {
@@ -357,19 +358,21 @@ pub fn read_jsonl_lenient<R: Read>(
             budget: opts.error_budget,
         });
     }
-    Ok((out, report))
+    Ok(report)
 }
 
-/// Lenient read of the file at `path` (see [`read_jsonl_lenient`]).
+/// [`ingest_jsonl`] into a row vector.
 ///
 /// # Errors
 ///
-/// Returns any underlying I/O error or a blown error budget.
-pub fn read_jsonl_lenient_file<P: AsRef<Path>>(
-    path: P,
+/// See [`ingest_jsonl`].
+pub fn read_jsonl_lenient<R: Read>(
+    r: R,
     opts: &IngestOptions,
 ) -> Result<(Vec<HttpRecord>, IngestReport), IngestError> {
-    read_jsonl_lenient(File::open(path).map_err(IngestError::Io)?, opts)
+    let mut out = Vec::new();
+    let report = ingest_jsonl(r, opts, |rec| out.push(rec))?;
+    Ok((out, report))
 }
 
 /// Writes records as JSONL to `w`.
@@ -389,24 +392,19 @@ pub fn write_jsonl<W: Write>(mut w: W, records: &[HttpRecord]) -> io::Result<()>
     Ok(())
 }
 
-/// Reads JSONL records from `r`. Blank lines are skipped.
+/// Reads JSONL records from `r` strictly: [`read_jsonl_lenient`] with
+/// an error budget of 0 and no quarantine. Blank lines are skipped.
 ///
 /// A `&mut` reader may be passed since `Read` is implemented for mutable
 /// references.
 ///
 /// # Errors
 ///
-/// Returns an error on I/O failure or malformed JSON.
+/// Returns an error on I/O failure or at the first malformed line.
 pub fn read_jsonl<R: Read>(r: R) -> io::Result<Vec<HttpRecord>> {
-    let mut out = Vec::new();
-    for line in BufReader::new(r).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(smash_support::json::from_str(&line).map_err(io::Error::other)?);
-    }
-    Ok(out)
+    read_jsonl_lenient(r, &IngestOptions::default().with_error_budget(0.0))
+        .map(|(records, _)| records)
+        .map_err(io::Error::other)
 }
 
 /// Writes records to the file at `path`, creating or truncating it.
@@ -446,6 +444,12 @@ mod tests {
         dir
     }
 
+    /// The `ingest/quarantine` failpoint is process-global: the tests
+    /// that arm it, and the one that must see an unfaulted sidecar,
+    /// take turns. (`ingest/jsonl` is armed only from the root
+    /// `tests/fault_injection.rs`, a process of its own.)
+    static QUARANTINE_FAILPOINT: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn sample() -> Vec<HttpRecord> {
         vec![
             HttpRecord::new(0, "c1", "x.com", "1.1.1.1", "/a.php?k=1").with_user_agent("UA"),
@@ -475,6 +479,25 @@ mod tests {
     #[test]
     fn malformed_json_is_an_error() {
         assert!(read_jsonl(&b"{not json}\n"[..]).is_err());
+    }
+
+    #[test]
+    fn strict_is_the_lenient_loop_with_a_zero_budget() {
+        // Fails at the first bad line, without reading (or counting)
+        // what follows it, and enforces the same line cap.
+        let mut buf = Vec::new();
+        write_jsonl(&mut buf, &sample()).unwrap();
+        buf.extend_from_slice(b"{not json}\n{not json either}\n");
+        let strict = IngestOptions::default().with_error_budget(0.0);
+        match read_jsonl_lenient(&buf[..], &strict) {
+            Err(IngestError::BudgetExceeded { report, .. }) => {
+                assert_eq!((report.lines, report.records, report.bad_json), (3, 2, 1));
+            }
+            other => panic!("expected BudgetExceeded, got {other:?}"),
+        }
+        let mut long = vec![b' '; strict.max_line_bytes];
+        long.extend_from_slice(b"{}\n");
+        assert!(read_jsonl(&long[..]).is_err());
     }
 
     #[test]
@@ -546,6 +569,9 @@ mod tests {
 
     #[test]
     fn lenient_quarantines_bad_lines_to_sidecar() {
+        let _turn = QUARANTINE_FAILPOINT
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let dir = unique_test_dir("quarantine");
         let sidecar = dir.join("trace.quarantine");
         let buf = dirty_buffer(97, 3);
@@ -618,6 +644,9 @@ mod tests {
 
     #[test]
     fn quarantine_spill_retries_transient_write_errors() {
+        let _turn = QUARANTINE_FAILPOINT
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let dir = unique_test_dir("quarantine-retry");
         let sidecar = dir.join("trace.quarantine");
         let buf = dirty_buffer(97, 3);
@@ -638,6 +667,9 @@ mod tests {
 
     #[test]
     fn quarantine_spill_gives_up_after_bounded_retries() {
+        let _turn = QUARANTINE_FAILPOINT
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let dir = unique_test_dir("quarantine-persistent");
         let sidecar = dir.join("trace.quarantine");
         let buf = dirty_buffer(97, 3);
@@ -652,13 +684,5 @@ mod tests {
         smash_support::failpoint::disarm("ingest/quarantine");
         assert!(matches!(res, Err(IngestError::Io(_))));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn ingest_failpoint_surfaces_as_error() {
-        smash_support::failpoint::arm("ingest/jsonl", smash_support::failpoint::Action::Error);
-        let res = read_jsonl_lenient(&b"{}\n"[..], &IngestOptions::default());
-        smash_support::failpoint::disarm("ingest/jsonl");
-        assert!(matches!(res, Err(IngestError::Io(_))));
     }
 }

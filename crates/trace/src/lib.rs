@@ -12,21 +12,23 @@
 //! * **Column arena** ([`columns::RecordColumns`]) — records are stored
 //!   one column per field (timestamps, interned ids, statuses, sizes),
 //!   not as row structs; [`CompactRecord`] is the *view* assembled on
-//!   demand. Ingest streams straight into the columns, so even the
-//!   ISP-scale lazy generator never materializes a row buffer.
+//!   demand. Ingest streams straight into the columns, and the arena
+//!   is *appendable* ([`TraceDataset::append`], byte-identical to a
+//!   one-shot build however the stream is cut), so neither the file
+//!   reader, the lazy generator, nor the daemon ever buffers rows.
 //! * **Postings** — per-server sorted, deduplicated id lists
 //!   (server → clients, files, IPs, referrers) built once at ingest and
 //!   shared by all dimension builders, the LSH candidate generator, and
 //!   Louvain. Invariant: sorted ascending, no duplicates — consumers
 //!   may merge-intersect without checking.
-//! * **On-disk days** ([`day`]) — the `SMSHCOLS` versioned, checksummed
-//!   envelope: preprocess a day once, re-mine it under different
-//!   thresholds without re-ingesting.
+//! * **On-disk days** ([`day`]) — the arena as a `SMSHCOLS` file in the
+//!   workspace's shared checksummed envelope: preprocess a day once,
+//!   re-mine it under different thresholds without re-ingesting.
 //!
 //! Also here: [`ServerKey`] (second-level-domain aggregation, §III-A),
 //! [`uri`] (URI-file and parameter-pattern extraction, §III-B2),
-//! [`stats`] (Table-I summaries), [`io`] (JSONL import/export), and
-//! [`binary`] (the compact `.smsh` archive format).
+//! [`stats`] (Table-I summaries), and [`io`] (JSONL, the interchange
+//! format: one reader, lenient by error budget, strict at budget 0).
 //!
 //! # Example
 //!
@@ -56,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod binary;
 pub mod columns;
 pub mod dataset;
 pub mod day;
@@ -68,7 +69,7 @@ pub mod stats;
 pub mod uri;
 
 pub use columns::RecordColumns;
-pub use dataset::{CompactRecord, ServerId, TraceDataset};
+pub use dataset::{Appender, CompactRecord, ServerId, TraceDataset};
 pub use day::{load_day, save_day, DayError};
 pub use interner::Interner;
 pub use io::{IngestError, IngestOptions, IngestReport};

@@ -1,6 +1,5 @@
 //! Server identity: second-level-domain aggregation and IP servers.
 
-use smash_support::json::{FromJson, Json, JsonError, ToJson};
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -69,32 +68,6 @@ pub enum ServerKey {
     Domain(String),
     /// A server contacted directly by IPv4 literal.
     Ip(Ipv4Addr),
-}
-
-/// Externally tagged, matching the classic derive format:
-/// `{"Domain":"evil.com"}` or `{"Ip":"1.2.3.4"}`.
-impl ToJson for ServerKey {
-    fn to_json(&self) -> Json {
-        let (tag, value) = match self {
-            ServerKey::Domain(d) => ("Domain", d.to_json()),
-            ServerKey::Ip(ip) => ("Ip", ip.to_json()),
-        };
-        Json::Obj(vec![(tag.to_owned(), value)])
-    }
-}
-
-impl FromJson for ServerKey {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_obj() {
-            Some([(tag, value)]) if tag == "Domain" => {
-                Ok(ServerKey::Domain(String::from_json(value)?))
-            }
-            Some([(tag, value)]) if tag == "Ip" => Ok(ServerKey::Ip(Ipv4Addr::from_json(value)?)),
-            _ => Err(JsonError(
-                "expected {\"Domain\": …} or {\"Ip\": …} for ServerKey".to_owned(),
-            )),
-        }
-    }
 }
 
 /// Wire form: a `u32` tag (`0` = Domain, `1` = Ip) then the payload —

@@ -12,11 +12,13 @@
 //! ```
 //!
 //! Traces are JSONL, one `HttpRecord` per line (see `smash::trace::io`),
-//! the compact `.smsh` binary archive, or a preprocessed `SMSHCOLS` day
-//! (written by `smash preprocess` or `--save-day`; detected by content,
-//! any file name works). With `--lenient`, malformed lines are counted
-//! per error class (and spilled to `<trace>.quarantine`) instead of
-//! aborting the ingest, as long as they stay under the error budget.
+//! or a preprocessed `SMSHCOLS` day (written by `smash preprocess` or
+//! `--save-day`; detected by content, any file name works). JSONL is
+//! streamed line by line straight into the interned arena — no row
+//! buffer — by one reader: strict by default (the first malformed line
+//! fails the run), and with `--lenient` malformed lines are counted per
+//! error class (and spilled to `<trace>.quarantine`) instead, as long
+//! as they stay under the error budget.
 //! `SMASH_FAILPOINTS` injects deterministic faults for resilience
 //! testing (see `smash::support::failpoint`).
 
@@ -254,45 +256,8 @@ fn cmd_generate(args: &[String]) -> CliResult {
         other => return Err(format!("unknown preset `{other}` (small|day2011|day2012)").into()),
     };
     let data = scenario.generate();
-    // Re-emit raw records from the interned dataset.
-    let records: Vec<smash::trace::HttpRecord> = data
-        .dataset
-        .records()
-        .map(|r| {
-            let mut rec = smash::trace::HttpRecord::new(
-                r.timestamp,
-                data.dataset.client_name(r.client),
-                data.dataset.server_name(r.server),
-                data.dataset.ip_name(r.ip),
-                &{
-                    // Reconstruct a representative URI: the stored pattern
-                    // is value-blanked (`p=[]&id=[]`), so refill with
-                    // placeholder values to keep the query-key structure.
-                    let path = data.dataset.path_name(r.path).to_string();
-                    let pattern = data.dataset.param_pattern_name(r.param_pattern);
-                    if pattern.is_empty() {
-                        path
-                    } else {
-                        format!("{path}?{}", pattern.replace("=[]", "=0"))
-                    }
-                },
-            )
-            .with_user_agent(data.dataset.user_agent_name(r.user_agent))
-            .with_status(r.status);
-            if let Some(rf) = r.referrer {
-                rec = rec.with_referrer(data.dataset.server_name(rf));
-            }
-            if let Some(rd) = r.redirect_to {
-                rec = rec.with_redirect_to(data.dataset.server_name(rd));
-            }
-            rec
-        })
-        .collect();
-    if out.ends_with(".smsh") {
-        smash::trace::binary::write_binary_file(out, &records)?;
-    } else {
-        io::write_jsonl_file(out, &records)?;
-    }
+    let records: Vec<smash::trace::HttpRecord> = data.dataset.raw_records().collect();
+    io::write_jsonl_file(out, &records)?;
     let whois_path = format!("{out}.whois.json");
     std::fs::write(
         &whois_path,
@@ -331,44 +296,40 @@ fn load(
                 && smash::trace::day::is_day_file(&head)
         })
     });
-    if let Some(day) = day_path {
-        let span = metrics.span("stage/load_day");
+    let (dataset, ingest) = if let Some(day) = day_path {
+        let _span = metrics.span("stage/load_day");
         let dataset = smash::trace::day::load_day(std::path::Path::new(day))?;
-        metrics
-            .counter("ingest/records")
-            .add(dataset.record_count() as u64);
-        metrics
-            .counter("ingest/arena_bytes")
-            .add(dataset.heap_bytes());
-        drop(span);
-        if let Some(out) = flag_value(args, "--save-day") {
-            smash::trace::day::save_day(std::path::Path::new(out), &dataset)?;
+        (dataset, None)
+    } else {
+        let path = positional.ok_or("missing trace path")?;
+        let _span = metrics.span("stage/ingest");
+        // One reader for both modes: strict is an error budget of zero
+        // and no quarantine sidecar.
+        let lenient = args.iter().any(|a| a == "--lenient");
+        let mut opts = IngestOptions::default();
+        if lenient {
+            opts = opts.with_quarantine(
+                flag_value(args, "--quarantine").unwrap_or(&format!("{path}.quarantine")),
+            );
+            if let Some(b) = flag_value(args, "--error-budget") {
+                opts = opts.with_error_budget(b.parse()?);
+            }
+        } else {
+            opts = opts.with_error_budget(0.0);
         }
-        return Ok((dataset, whois()?, None));
-    }
-    let path = positional.ok_or("missing trace path")?;
-    let ingest_span = metrics.span("stage/ingest");
-    let lenient = args.iter().any(|a| a == "--lenient");
-    let (records, ingest) = if lenient {
-        let mut opts = IngestOptions::default().with_quarantine(
-            flag_value(args, "--quarantine").unwrap_or(&format!("{path}.quarantine")),
-        );
-        if let Some(b) = flag_value(args, "--error-budget") {
-            opts = opts.with_error_budget(b.parse()?);
-        }
-        // A run deadline covers ingest too: the lenient readers poll
-        // the token and abort instead of parsing past the deadline.
+        // A run deadline covers ingest too: the reader polls the token
+        // and aborts instead of parsing past the deadline.
         if let Some(ms) = flag_value(args, "--deadline-ms") {
             let ms: u64 = ms.parse()?;
             if ms > 0 {
-                opts =
-                    opts.with_cancel(smash::support::governor::CancelToken::with_deadline_ms(ms));
+                let token = smash::support::governor::CancelToken::with_deadline_ms(ms);
+                opts = opts.with_cancel(token);
             }
         }
-        let (records, report) = if path.ends_with(".smsh") {
-            smash::trace::binary::read_binary_lenient_file(path, &opts)?
-        } else {
-            io::read_jsonl_lenient_file(path, &opts)?
+        let mut dataset = TraceDataset::default();
+        let report = {
+            let mut arena = dataset.appender();
+            io::ingest_jsonl(std::fs::File::open(path)?, &opts, |rec| arena.push(&rec))?
         };
         if report.bad_lines() > 0 {
             eprintln!(
@@ -381,24 +342,17 @@ fn load(
                 report.bad_field
             );
         }
-        (records, Some(report))
-    } else {
-        let records = if path.ends_with(".smsh") {
-            smash::trace::binary::read_binary_file(path)?
-        } else {
-            io::read_jsonl_file(path)?
-        };
-        (records, None)
+        metrics
+            .counter("ingest/quarantined")
+            .add(report.bad_lines() as u64);
+        (dataset, lenient.then_some(report))
     };
-    metrics.counter("ingest/records").add(records.len() as u64);
     metrics
-        .counter("ingest/quarantined")
-        .add(ingest.as_ref().map_or(0, |r| r.bad_lines() as u64));
-    let dataset = TraceDataset::from_records(records);
+        .counter("ingest/records")
+        .add(dataset.record_count() as u64);
     metrics
         .counter("ingest/arena_bytes")
         .add(dataset.heap_bytes());
-    drop(ingest_span);
     if let Some(out) = flag_value(args, "--save-day") {
         smash::trace::day::save_day(std::path::Path::new(out), &dataset)?;
         eprintln!("note: saved preprocessed day to {out}");
@@ -475,10 +429,8 @@ fn checkpoint_options(args: &[String]) -> Result<Option<CheckpointOptions>, Usag
     }
 }
 
-fn cmd_analyze(args: &[String]) -> CliResult {
-    check_flags(args, &[LOAD_FLAGS, ANALYZE_FLAGS])?;
-    let metrics = Registry::new();
-    let (dataset, whois, ingest) = load(args, &metrics)?;
+/// The pipeline knobs `analyze` and `serve` share.
+fn pipeline_config(args: &[String]) -> Result<SmashConfig, Box<dyn std::error::Error>> {
     let mut config = SmashConfig::default();
     if let Some(t) = flag_value(args, "--threshold") {
         config = config.with_threshold(t.parse()?);
@@ -495,6 +447,14 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     if let Some(ms) = flag_value(args, "--dimension-budget-ms") {
         config = config.with_dimension_budget_ms(ms.parse()?);
     }
+    Ok(config)
+}
+
+fn cmd_analyze(args: &[String]) -> CliResult {
+    check_flags(args, &[LOAD_FLAGS, ANALYZE_FLAGS])?;
+    let metrics = Registry::new();
+    let (dataset, whois, ingest) = load(args, &metrics)?;
+    let config = pipeline_config(args)?;
     let checkpoints = checkpoint_options(args)?;
     let mut resources = smash::support::governor::GovernorOptions::unlimited();
     if let Some(mb) = flag_value(args, "--memory-budget-mb") {
@@ -648,24 +608,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if stdio && addr.is_some() {
         return Err(UsageError("`--stdio` and `--addr` are mutually exclusive".to_owned()).into());
     }
-    let mut config = SmashConfig::default();
-    if let Some(t) = flag_value(args, "--threshold") {
-        config = config.with_threshold(t.parse()?);
-    }
-    if let Some(t) = flag_value(args, "--idf") {
-        config = config.with_idf_threshold(t.parse()?);
-    }
-    if args.iter().any(|a| a == "--param-dimension") {
-        config = config.with_param_pattern_dimension(true);
-    }
-    if args.iter().any(|a| a == "--exact") {
-        config = config.with_exact_candidates(true);
-    }
-    if let Some(ms) = flag_value(args, "--dimension-budget-ms") {
-        config = config.with_dimension_budget_ms(ms.parse()?);
-    }
     let mut serve = smash::serve::ServeOptions::new(data_dir);
-    serve.config = config;
+    serve.config = pipeline_config(args)?;
     if let Some(mb) = flag_value(args, "--epoch-budget-mb") {
         serve.epoch_budget_bytes = mb.parse::<u64>()? << 20;
     }

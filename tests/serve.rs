@@ -6,10 +6,14 @@
 //! followed by a restart must serve a valid snapshot that converges to
 //! the no-crash answers.
 
+use smash::core::{Smash, SmashConfig};
 use smash::serve::{CampaignService, Response, ServeOptions};
 use smash::support::check::{cases, Gen, Shrink};
 use smash::support::failpoint;
-use smash::trace::{io, HttpRecord};
+use smash::support::json::{self, FromJson, ToJson};
+use smash::trace::io::decode_record_line;
+use smash::trace::{io, HttpRecord, TraceDataset};
+use smash::whois::WhoisRegistry;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -79,6 +83,13 @@ fn flux_lines() -> Vec<String> {
         .lines()
         .map(str::to_owned)
         .collect()
+}
+
+/// One record as its JSONL wire line.
+fn jsonl_line(record: &HttpRecord) -> String {
+    let mut buf = Vec::new();
+    io::write_jsonl(&mut buf, std::slice::from_ref(record)).expect("encode");
+    String::from_utf8(buf).expect("utf-8").trim_end().to_owned()
 }
 
 fn reply(conn: &mut smash::serve::Connection, line: &str) -> String {
@@ -233,13 +244,8 @@ fn exhausted_mine_marks_the_epoch_failed_then_recovers() {
     // the full cumulative record set and publishes.
     failpoint::disarm_all();
     let late = HttpRecord::new(1, "bot1", "late.evil", "66.6.6.6", "/gate/login.php?p=1");
-    let mut buf = Vec::new();
-    io::write_jsonl(&mut buf, std::slice::from_ref(&late)).expect("encode");
-    let line = String::from_utf8(buf).expect("utf-8");
-    assert_eq!(
-        reply(&mut conn, &format!("INGEST {}", line.trim_end())),
-        "OK"
-    );
+    let line = jsonl_line(&late);
+    assert_eq!(reply(&mut conn, &format!("INGEST {line}")), "OK");
     assert!(reply(&mut conn, "SEAL").starts_with("OK epoch=2"));
     assert_eq!(reply(&mut conn, "WAIT"), "OK epoch=2");
     let hit = reply(&mut conn, "QUERY cc0.evil");
@@ -278,6 +284,118 @@ fn durable_snapshot_is_served_immediately_on_restart() {
     assert!(
         hit.contains("since=1"),
         "first-seen must survive restart: {hit}"
+    );
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sorted member lists of a campaign list: what "the same campaigns"
+/// means when the daemon's `REPORT` is held against the batch pipeline.
+fn membership(campaigns_json: &str) -> Vec<Vec<String>> {
+    let parsed = json::parse(campaigns_json).expect("campaign list parses");
+    let mut out: Vec<Vec<String>> = parsed
+        .as_arr()
+        .expect("campaign list is an array")
+        .iter()
+        .map(|campaign| {
+            let servers = campaign.get("servers").and_then(json::Json::as_arr);
+            let mut names: Vec<String> = servers
+                .expect("campaign has a server list")
+                .iter()
+                .map(|s| s.as_str().expect("server name is a string").to_owned())
+                .collect();
+            names.sort();
+            names
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// The sequential reference: campaign membership from the batch
+/// pipeline over one-shot interning of every accepted line.
+fn batch_membership(lines: &[String]) -> Vec<Vec<String>> {
+    let records = lines
+        .iter()
+        .map(|l| decode_record_line(l.as_bytes()).expect("accepted line decodes"));
+    let batch = Smash::new(SmashConfig::default())
+        .run(&TraceDataset::from_records(records), &WhoisRegistry::new());
+    membership(&json::to_string(&batch.campaigns.to_json()))
+}
+
+#[test]
+fn uneven_epochs_converge_on_the_sequential_batch_reference() {
+    let _g = locked();
+    failpoint::disarm_all();
+    let dir = scratch("reference");
+    let mut lines = flux_lines();
+    let reference = batch_membership(&lines);
+    assert!(
+        reference.iter().any(|c| c.len() == 8),
+        "reference lost the planted herd: {reference:?}"
+    );
+
+    // The same lines as four uneven epochs. Epochs 2 and 3 are sealed
+    // with no WAIT between them, and epoch 3's seal is held back until
+    // epoch 2's mine is in flight (stalled at its failpoint), so that
+    // mine is superseded mid-flight while the worker keeps appending
+    // to the one arena.
+    let svc = CampaignService::start(ServeOptions::new(&dir)).expect("start");
+    let mut conn = svc.connection();
+    let cuts = [0, 5, 60, 61, lines.len()];
+    for (epoch, window) in cuts.windows(2).enumerate() {
+        for line in &lines[window[0]..window[1]] {
+            assert_eq!(reply(&mut conn, &format!("INGEST {line}")), "OK");
+        }
+        if epoch == 1 {
+            failpoint::arm("serve/mine", failpoint::Action::Delay(150));
+        }
+        let seal = reply(&mut conn, "SEAL");
+        assert!(
+            seal.starts_with(&format!("OK epoch={} ", epoch + 1)),
+            "seal: {seal}"
+        );
+        if epoch == 1 {
+            let patience = std::time::Instant::now();
+            while svc.counter("serve/mine/started") < 2 {
+                assert!(patience.elapsed().as_secs() < 60, "epoch 2 never mined");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        } else {
+            failpoint::disarm_all();
+            assert_eq!(reply(&mut conn, "WAIT"), format!("OK epoch={}", epoch + 1));
+        }
+    }
+    assert_eq!(svc.counter("serve/mine/superseded"), 1);
+    assert_eq!(membership(&reply(&mut conn, "REPORT")), reference);
+    // The operator still sees the cumulative trace: the arena gauges
+    // count every sealed record, absorbed exactly once.
+    let stats = json::parse(&reply(&mut conn, "STATS")).expect("STATS is JSON");
+    let arena_records = stats
+        .get("gauges")
+        .and_then(|g| g.get("serve/arena/records"))
+        .and_then(|v| f64::from_json(v).ok());
+    assert_eq!(arena_records, Some(lines.len() as f64), "stats: {stats:?}");
+    svc.shutdown();
+
+    // Restart on the same data dir: the recovered snapshot answers at
+    // once, and one more epoch — mined over the arena rebuilt from the
+    // WAL — still matches the batch pipeline over everything.
+    let svc = CampaignService::start(ServeOptions::new(&dir)).expect("restart");
+    let mut conn = svc.connection();
+    assert_eq!(reply(&mut conn, "WAIT"), "OK epoch=4");
+    assert_eq!(membership(&reply(&mut conn, "REPORT")), reference);
+    let late = HttpRecord::new(1, "bot1", "late.evil", "66.6.6.6", "/gate/login.php?p=1");
+    lines.push(jsonl_line(&late));
+    assert_eq!(
+        reply(&mut conn, &format!("INGEST {}", lines[lines.len() - 1])),
+        "OK"
+    );
+    assert!(reply(&mut conn, "SEAL").starts_with("OK epoch=5 "));
+    assert_eq!(reply(&mut conn, "WAIT"), "OK epoch=5");
+    assert_eq!(
+        membership(&reply(&mut conn, "REPORT")),
+        batch_membership(&lines)
     );
     svc.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
