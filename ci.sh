@@ -33,8 +33,11 @@
 #                                             completes (writes no file)
 #   6e. smash-bench --pressure --quick        the resource governor's
 #                                             degradation ladder replays the
-#                                             streamed scenario under halving
-#                                             memory budgets (DESIGN.md §11;
+#                                             streamed scenario under the peak
+#                                             halved six times; fails when
+#                                             planted-campaign recovery rises
+#                                             under a tighter budget, prints
+#                                             the curve (DESIGN.md §11;
 #                                             writes no file)
 #   6f. preprocess / re-mine diff             `smash preprocess` writes a
 #                                             SMSHCOLS day, then analyzing the
@@ -95,8 +98,11 @@ cargo test -q --offline --release --test lsh_recall small_scenario
 echo "==> smash-bench --huge --quick (streamed ISP-scale smoke)"
 cargo run -q --release --offline -p smash-bench -- --huge --quick >/dev/null
 
-echo "==> smash-bench --pressure --quick (memory-budget degradation smoke)"
-cargo run -q --release --offline -p smash-bench -- --pressure --quick >/dev/null
+echo "==> smash-bench --pressure --quick (degradation curve: peak/2 .. peak/64, must be monotone)"
+# The sweep exits nonzero when recovery rises as the budget halves; the
+# curve line is the verdict a reader of the CI log should see.
+cargo run -q --release --offline -p smash-bench -- --pressure --quick 2>&1 >/dev/null \
+    | grep 'campaigns recovered as the budget halves'
 
 echo "==> preprocess / re-mine diff (SMSHCOLS day vs raw trace)"
 remine_dir="$(mktemp -d)"

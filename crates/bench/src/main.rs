@@ -61,13 +61,14 @@ fn main() {
              unless --out is given.\n\
              \n\
              --pressure replays the streamed scenario under a descending\n\
-             ladder of per-stage memory budgets (unconstrained, then half\n\
-             and a quarter of the unconstrained peak), recording every\n\
-             degradation rung (bucket_cap tightening, posting shedding,\n\
-             stage cancellation) and the planted-campaign recovery at each\n\
-             rung under a `pressure` key in BENCH_pipeline.json (DESIGN.md\n\
-             \u{a7}11). With --quick it uses the reduced scenario and writes\n\
-             no file unless --out is given.\n\
+             ladder of per-stage memory budgets (unconstrained, then the\n\
+             unconstrained peak halved six times: peak/2 .. peak/64),\n\
+             recording every degradation rung that fired and the\n\
+             planted-campaign recovery at each budget under a `pressure`\n\
+             key in BENCH_pipeline.json (DESIGN.md \u{a7}11). Exits nonzero\n\
+             if recovery ever rises as the budget halves (degradation must\n\
+             be monotone). With --quick it uses the reduced scenario and\n\
+             writes no file unless --out is given.\n\
              \n\
              --serve benchmarks the always-on campaign service (DESIGN.md\n\
              \u{a7}13): ingest a scenario epoch by epoch, hammer the lock-free\n\
@@ -200,12 +201,14 @@ fn run_chaos(args: &[String], quick: bool) {
 
 /// Replays the streamed scenario under a descending ladder of per-stage
 /// memory budgets (DESIGN.md §11): one unconstrained run to measure the
-/// peak tracked bytes, then the same dataset under half and a quarter of
-/// that peak. Each rung records its budget, observed peak, governor
+/// peak tracked bytes, then the same dataset under that peak halved six
+/// times. Each rung records its budget, observed peak, governor
 /// degradation events, degraded dimensions, and how many of the planted
 /// campaigns were still recovered. In full mode the sweep is merged into
 /// `BENCH_pipeline.json` under a top-level `pressure` key; with --quick
-/// (or no resolvable output path) it prints to stdout.
+/// (or no resolvable output path) it prints to stdout. Exits nonzero
+/// when recovery rises as the budget halves: a tighter budget may lose
+/// recall, never find more.
 fn run_pressure(args: &[String], quick: bool) {
     let scenario = if quick {
         StreamScenario::quick(7)
@@ -231,19 +234,20 @@ fn run_pressure(args: &[String], quick: bool) {
     let metrics = Registry::new();
     let baseline = smash.run_governed(&dataset, &whois, &metrics, None, None);
     let peak = baseline.perf.peak_tracked_bytes;
-    let recovered = recovered_campaigns(&baseline, &scenario);
+    let recovered = scenario.recovered_campaigns(&baseline.campaign_server_names());
     eprintln!(
         "{label}: unconstrained peak {} tracked bytes, {}/{} planted campaigns recovered",
         peak, recovered, scenario.campaigns
     );
 
     let mut rungs: Vec<Json> = vec![pressure_rung_json("unconstrained", 0, &baseline, recovered)];
-    for &divisor in &[2u64, 4] {
+    let mut curve = vec![recovered];
+    for &divisor in &[2u64, 4, 8, 16, 32, 64] {
         let budget = (peak / divisor).max(1);
         let opts = GovernorOptions::unlimited().with_memory_budget_bytes(budget);
         let rung_metrics = Registry::new();
         let report = smash.run_governed(&dataset, &whois, &rung_metrics, None, Some(&opts));
-        let recovered = recovered_campaigns(&report, &scenario);
+        let recovered = scenario.recovered_campaigns(&report.campaign_server_names());
         eprintln!(
             "{label}: budget peak/{divisor} = {} bytes → peak {} bytes, {} governor event(s), {}/{} campaigns",
             budget,
@@ -267,7 +271,9 @@ fn run_pressure(args: &[String], quick: bool) {
             &report,
             recovered,
         ));
+        curve.push(recovered);
     }
+    eprintln!("{label}: campaigns recovered as the budget halves: {curve:?}");
 
     let sweep = Json::Obj(vec![
         ("scenario".into(), Json::Str(label.into())),
@@ -287,6 +293,13 @@ fn run_pressure(args: &[String], quick: bool) {
             eprintln!("wrote {path}");
         }
         None => println!("{}", to_string_pretty(&sweep)),
+    }
+    if curve
+        .windows(2)
+        .any(|w| matches!(w, [wider, tighter] if tighter > wider))
+    {
+        eprintln!("{label}: FAILED: recovery rose under a tighter budget: {curve:?}");
+        std::process::exit(1);
     }
 }
 
@@ -542,25 +555,6 @@ fn pressure_rung_json(
         ),
         ("degraded_dimensions".into(), Json::Arr(degraded)),
     ])
-}
-
-/// Counts planted campaigns whose servers (`c{campaign}-{n}.bad`) landed
-/// together: a planted campaign is recovered when a single inferred
-/// campaign holds at least half of its planted servers.
-fn recovered_campaigns(report: &SmashReport, scenario: &StreamScenario) -> usize {
-    let need = scenario.servers_per_campaign.div_ceil(2);
-    (0..scenario.campaigns)
-        .filter(|c| {
-            let prefix = format!("c{c}-");
-            report.campaigns.iter().any(|camp| {
-                camp.servers
-                    .iter()
-                    .filter(|s| s.starts_with(&prefix) && s.ends_with(".bad"))
-                    .count()
-                    >= need
-            })
-        })
-        .count()
 }
 
 /// Reads the existing benchmark document at `path` (if any) and inserts

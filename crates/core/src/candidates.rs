@@ -54,7 +54,7 @@
 //! candidate output is independent of the carrier width.
 
 use crate::config::LshConfig;
-use smash_support::governor::StageScope;
+use smash_support::governor::{Governor, Rung, StageScope};
 use smash_support::par;
 use std::collections::HashMap;
 
@@ -85,15 +85,13 @@ impl FeatureId for u32 {
 /// Funnel statistics of one candidate-generation pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CandidateStats {
-    /// Distinct features observed (inverted-index postings).
+    /// Distinct features observed (inverted-index postings); 0 when a
+    /// memory budget made the generator skip the rare path.
     pub features: u64,
     /// LSH buckets skipped because they exceeded `bucket_cap`.
     pub capped_buckets: u64,
     /// Candidate pairs after deduplication.
     pub pairs: u64,
-    /// Postings shed by the governor's degradation ladder (always 0
-    /// without a memory budget).
-    pub shed_postings: u64,
 }
 
 /// SplitMix64 finalizer: the bijective scrambler behind every hash in
@@ -212,172 +210,37 @@ pub fn estimate_jaccard(a: &[u64], b: &[u64]) -> f64 {
 /// their pairs exactly; every feature — however popular — participates
 /// in MinHash banding, so candidacy tracks the full-set Jaccard the
 /// exact scorer will see.
+///
+/// This is [`lsh_candidates_governed`] under an inert scope: with no
+/// budget a charge is two relaxed adds and a tick one relaxed load, and
+/// no ladder rung can fire.
 pub fn lsh_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
     node_features: &[S],
     lsh: &LshConfig,
 ) -> (Vec<(u32, u32)>, CandidateStats) {
-    lsh_candidates_governed(node_features, lsh, None)
+    let scope = Governor::unlimited().stage("candidates", 0);
+    lsh_candidates_governed(node_features, lsh, &scope)
 }
 
-/// [`lsh_candidates`] under governor control (DESIGN.md §11).
+/// Candidate generation under governor control.
 ///
-/// With a scope the generator becomes a cancellation point (ticking per
-/// node and per band) and charges its dominant allocations — postings,
-/// per-band bucket keys and buckets, and the candidate-pair buffer —
-/// against the stage's byte account. (Signature memory needs no ladder
-/// rung: banding is streamed by construction, so only one band's keys —
-/// 8 bytes per node — are ever resident.) On a soft-budget breach it
-/// walks the degradation ladder deterministically:
-///
-/// 1. tighten the effective `bucket_cap` (÷4, floor 2), trading recall
-///    in degenerate crowds for clique memory;
-/// 2. shed the most popular postings, longest first (feature id breaks
-///    ties), recording each shed feature — postings beyond `rare_cap`
-///    are free to drop (the rare path never reads them), shorter ones
-///    cost real rare-path pairs;
-/// 3. pre-assess the rare-path clique expansion and shed pair-producing
-///    postings *shortest first* until the projected pair charge fits
-///    under soft — a len-2 posting buys one almost-always-subthreshold
-///    pair, while the longest rare postings are the herd signal;
-/// 4. compact the pair buffer between bands (duplicate cliques from
-///    crowds that collide every band are free to reclaim);
-/// 5. abandon the remaining bands once compaction finds no duplicates
-///    and the cap is floored — pairs already collected keep their
-///    recall, and the stage completes instead of cancelling;
-/// 6. the hard budget, enforced inside [`StageScope::charge`], cancels
-///    the stage outright.
-///
-/// Without a scope (or with an unbudgeted one) the output is identical
-/// to [`lsh_candidates`].
+/// The generator is a cancellation point (ticking per node and per
+/// band) and charges its dominant allocations — postings, per-band
+/// bucket keys and buckets, and the candidate-pair buffer — against the
+/// stage's byte account; the returned pairs stay charged (8 bytes each)
+/// until the caller releases them. Under a memory budget it walks the
+/// first five [`Rung`]s in order (DESIGN.md §11.3), each decided
+/// *before* the allocation it guards and from charged bytes only, so a
+/// given (input, budget) pair always degrades identically. A charge
+/// that crosses the hard budget anyway cancels the stage inside
+/// [`StageScope::charge`]; with no budget no rung fires.
 pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
     node_features: &[S],
     lsh: &LshConfig,
-    scope: Option<&StageScope>,
+    scope: &StageScope,
 ) -> (Vec<(u32, u32)>, CandidateStats) {
     let mut stats = CandidateStats::default();
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-
-    // Inverted index feature → nodes. Input sets are deduplicated and
-    // nodes are visited in order, so each posting is sorted and unique.
-    let mut postings: HashMap<u64, Vec<u32>> = HashMap::new();
-    let mut posting_bytes = 0u64;
-    for (node, features) in node_features.iter().enumerate() {
-        let features = features.as_ref();
-        if let Some(s) = scope {
-            s.tick();
-            let bytes = features.len() as u64 * 4;
-            posting_bytes += bytes;
-            s.charge(bytes);
-        }
-        for &f in features {
-            postings.entry(f.widen()).or_default().push(node as u32);
-        }
-    }
-    stats.features = postings.len() as u64;
-
-    // Soft breach after the postings build: ladder rungs 1 and 2. The
-    // decision point is sequential and driven only by charged bytes, so
-    // a given (input, budget) pair always degrades identically.
-    let mut effective_bucket_cap = lsh.bucket_cap;
-    if let Some(s) = scope {
-        if s.soft_exceeded() {
-            let tightened = (lsh.bucket_cap / 4).max(2);
-            if tightened < effective_bucket_cap {
-                s.record(format!(
-                    "bucket_cap tightened {effective_bucket_cap} -> {tightened}"
-                ));
-                effective_bucket_cap = tightened;
-            }
-            let mut order: Vec<(usize, u64)> = postings
-                .iter()
-                .map(|(&f, nodes)| (nodes.len(), f))
-                .collect();
-            order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            for (len, feature) in order {
-                if !s.soft_exceeded() {
-                    break;
-                }
-                postings.remove(&feature);
-                let bytes = len as u64 * 4;
-                posting_bytes = posting_bytes.saturating_sub(bytes);
-                s.release(bytes);
-                s.record(format!("shed posting feature={feature} len={len}"));
-                stats.shed_postings += 1;
-            }
-        }
-    }
-
-    // Pre-assess the rare-path clique expansion, mirroring the per-band
-    // assessment below: the whole pair buffer is charged in one step
-    // after the postings' bytes are returned, so without a projection a
-    // crowded rare path could jump the account from under soft straight
-    // past the hard budget with no ladder decision point in between.
-    // Sheds pair-producing postings only (a posting beyond `rare_cap`
-    // contributes nothing to the projection), *shortest first*: a len-2
-    // posting buys one pair whose eq.-1 weight is almost always below
-    // the edge threshold, while the longest rare postings are exactly
-    // the herd signal the miner is after — the opposite ordering from
-    // the posting-memory rung above, where oversized postings are free.
-    if let Some(s) = scope {
-        let rare_pair_bytes = |len: usize| -> u64 {
-            if (2..=lsh.rare_cap).contains(&len) {
-                let k = len as u64;
-                k * (k - 1) / 2 * 8
-            } else {
-                0
-            }
-        };
-        if s.soft_bytes() > 0 {
-            // lint:allow(hash-iter): order-independent sum; sheds below are sorted before use
-            let mut projected: u64 = postings.values().map(|n| rare_pair_bytes(n.len())).sum();
-            let base = s.tracked_bytes().saturating_sub(posting_bytes);
-            if base + projected > s.soft_bytes() {
-                let mut order: Vec<(usize, u64)> = postings
-                    .iter()
-                    .filter(|(_, nodes)| rare_pair_bytes(nodes.len()) > 0)
-                    .map(|(&f, nodes)| (nodes.len(), f))
-                    .collect();
-                order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-                let (mut shed, mut shed_bytes) = (0u64, 0u64);
-                for (len, feature) in order {
-                    if base + projected <= s.soft_bytes() {
-                        break;
-                    }
-                    postings.remove(&feature);
-                    let bytes = len as u64 * 4;
-                    posting_bytes = posting_bytes.saturating_sub(bytes);
-                    s.release(bytes);
-                    shed_bytes += rare_pair_bytes(len);
-                    projected = projected.saturating_sub(rare_pair_bytes(len));
-                    shed += 1;
-                    stats.shed_postings += 1;
-                }
-                if shed > 0 {
-                    // One summary event: this rung routinely sheds
-                    // hundreds of thousands of len-2 postings, and a
-                    // per-shed record would drown the event log.
-                    s.record(format!(
-                        "rare-path postings shed shortest-first: {shed} postings, \
-                         {shed_bytes} projected pair bytes"
-                    ));
-                }
-            }
-        }
-    }
-
-    // Rare-feature exact path.
-    // lint:allow(hash-iter): pairs are sorted+deduped before use.
-    for nodes in postings.values() {
-        if nodes.len() >= 2 && nodes.len() <= lsh.rare_cap {
-            push_clique(&mut pairs, nodes);
-        }
-    }
-    // Postings are only read by the rare path; return their bytes now.
-    drop(postings);
-    if let Some(s) = scope {
-        s.release(posting_bytes);
-        s.charge(pairs.len() as u64 * 8);
-    }
+    let mut pairs = rare_path_pairs(node_features, lsh.rare_cap, scope, &mut stats);
 
     // Banding, streamed: each band recomputes only its own signature
     // rows and folds them straight into one bucket key per node, so
@@ -385,59 +248,37 @@ pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
     // `nodes × bands·rows` table never exists. A band only ever needed
     // its own rows, so the total hashing work is unchanged.
     let key_bytes = node_features.len() as u64 * 8;
-
+    let mut bucket_cap = lsh.bucket_cap;
+    let abandon = |band: usize, why: &str| {
+        let event = format!("banding abandoned at band {band}/{}: {why}", lsh.bands);
+        scope.record(Rung::Abandoned, event);
+    };
     // One bucket map per band, reused across bands.
     let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
     for band in 0..lsh.bands {
-        if let Some(s) = scope {
-            s.tick();
-            // Re-check the ladder between bands: the pair buffer grows
-            // band by band. First compact it — a crowd with identical
-            // feature sets lands in the same bucket every band, so its
-            // clique is duplicated per band and those bytes are free to
-            // reclaim. Only if compaction leaves the stage over soft
-            // does tightening (which costs recall) engage.
-            if s.soft_exceeded() {
-                let before_compact = pairs.len();
-                pairs.sort_unstable();
-                pairs.dedup();
-                if pairs.len() < before_compact {
-                    s.release((before_compact - pairs.len()) as u64 * 8);
-                    s.record(format!(
-                        "pair buffer compacted: {before_compact} -> {} pairs",
-                        pairs.len()
-                    ));
-                }
+        scope.tick();
+        // A crowd with identical feature sets lands in the same bucket
+        // every band, so its clique is duplicated per band and those
+        // bytes are free to reclaim. If the account is over soft even
+        // without them, every further band could only push it toward
+        // hard: banding stops, the pairs collected keep their recall,
+        // and the stage completes instead of cancelling.
+        if scope.soft_exceeded() {
+            let before = compact(&mut pairs, scope);
+            if pairs.len() < before {
+                scope.record(
+                    Rung::Compacted,
+                    format!("pair buffer compacted: {before} -> {} pairs", pairs.len()),
+                );
             }
-            if s.soft_exceeded() {
-                let tightened = (effective_bucket_cap / 4).max(2);
-                if tightened < effective_bucket_cap {
-                    s.record(format!(
-                        "bucket_cap tightened {effective_bucket_cap} -> {tightened}"
-                    ));
-                    effective_bucket_cap = tightened;
-                } else {
-                    // Every softer rung is exhausted: compaction found
-                    // no duplicates and the cap is already floored, so
-                    // each further band can only grow the pair buffer
-                    // toward the hard budget. Abandon the remaining
-                    // bands instead of cancelling the whole stage — the
-                    // rare-path pairs and the bands already folded in
-                    // keep their recall.
-                    s.record(format!(
-                        "banding abandoned at band {band}/{}: pair buffer at soft budget",
-                        lsh.bands
-                    ));
-                    break;
-                }
+            if scope.soft_exceeded() {
+                abandon(band, "pair buffer at soft budget");
+                break;
             }
         }
-        if let Some(s) = scope {
-            s.charge(key_bytes);
-        }
+        scope.charge(key_bytes);
         let keys = band_keys(node_features, band, lsh.rows);
         buckets.clear();
-        let before = pairs.len();
         let mut bucketed = 0u64;
         for (node, (&key, features)) in keys.iter().zip(node_features).enumerate() {
             if features.as_ref().is_empty() {
@@ -448,65 +289,184 @@ pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
             buckets.entry(key).or_default().push(node as u32);
             bucketed += 1;
         }
-        if let Some(s) = scope {
-            s.charge(bucketed * 4);
-            // Pre-assess this band's clique expansion against the soft
-            // budget and tighten until the projection fits (or the cap
-            // floors at 2): a single crowded band could otherwise jump
-            // the account from under soft straight past the hard budget
-            // before any ladder decision point runs.
-            if s.soft_bytes() > 0 {
-                loop {
-                    // lint:allow(hash-iter): order-independent sum.
-                    let projected: u64 = buckets
-                        .values()
-                        .map(|nodes| {
-                            let k = nodes.len() as u64;
-                            if nodes.len() > effective_bucket_cap {
-                                0
-                            } else {
-                                k * k.saturating_sub(1) / 2 * 8
-                            }
-                        })
-                        .sum();
-                    if effective_bucket_cap <= 2 || s.tracked_bytes() + projected <= s.soft_bytes()
-                    {
-                        break;
-                    }
-                    let tightened = (effective_bucket_cap / 4).max(2);
-                    s.record(format!(
-                        "bucket_cap tightened {effective_bucket_cap} -> {tightened}"
-                    ));
-                    effective_bucket_cap = tightened;
-                }
-            }
+        scope.charge(bucketed * 4);
+        let Some(fitted) = fit_bucket_cap(scope, &buckets, bucket_cap) else {
+            scope.release(bucketed * 4 + key_bytes);
+            abandon(
+                band,
+                "its cliques would cross the hard budget even at the bucket_cap floor",
+            );
+            break;
+        };
+        if fitted < bucket_cap {
+            scope.record(
+                Rung::Tightened,
+                format!("bucket_cap tightened {bucket_cap} -> {fitted} at band {band}"),
+            );
+            bucket_cap = fitted;
         }
+        let before = pairs.len();
         // lint:allow(hash-iter): pairs are sorted+deduped before use.
         for nodes in buckets.values() {
-            if nodes.len() > effective_bucket_cap {
+            if nodes.len() > bucket_cap {
                 stats.capped_buckets += 1;
             } else {
                 push_clique(&mut pairs, nodes);
             }
         }
-        drop(keys);
-        if let Some(s) = scope {
-            // Buckets and keys are rebuilt next band; the pair delta
-            // persists.
-            s.release(bucketed * 4);
-            s.charge((pairs.len() - before) as u64 * 8);
-            s.release(key_bytes);
+        // Buckets and keys are rebuilt next band; the pair delta
+        // persists.
+        scope.release(bucketed * 4);
+        scope.charge((pairs.len() - before) as u64 * 8);
+        scope.release(key_bytes);
+    }
+
+    compact(&mut pairs, scope);
+    stats.pairs = pairs.len() as u64;
+    (pairs, stats)
+}
+
+/// The rare-feature exact path: every feature shared by 2..=`rare_cap`
+/// nodes contributes its clique. Returns the (unsorted) pairs, charged
+/// to `scope`; the inverted index it reads is charged while it lives.
+fn rare_path_pairs<F: FeatureId, S: AsRef<[F]> + Sync>(
+    node_features: &[S],
+    rare_cap: usize,
+    scope: &StageScope,
+    stats: &mut CandidateStats,
+) -> Vec<(u32, u32)> {
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let soft = scope.soft_bytes();
+    // The index holds every (feature, node) incidence once, so its size
+    // is known before it is built. If it would not fit under soft the
+    // decision is taken here — banding alone still finds every pair
+    // above the similarity threshold (§10) — rather than by the hard
+    // budget cancelling the stage halfway through the build.
+    let posting_bytes: u64 = node_features
+        .iter()
+        .map(|f| f.as_ref().len() as u64 * 4)
+        .sum();
+    if soft > 0 && scope.tracked_bytes() + posting_bytes > soft {
+        scope.record(
+            Rung::RareSkipped,
+            format!("rare path skipped: {posting_bytes} posting bytes would not fit under soft"),
+        );
+        return pairs;
+    }
+    scope.charge(posting_bytes);
+
+    // Inverted index feature → nodes. Input sets are deduplicated and
+    // nodes are visited in order, so each posting is sorted and unique.
+    let mut postings: HashMap<u64, Vec<u32>> = HashMap::new();
+    for (node, features) in node_features.iter().enumerate() {
+        scope.tick();
+        for &f in features.as_ref() {
+            postings.entry(f.widen()).or_default().push(node as u32);
+        }
+    }
+    stats.features = postings.len() as u64;
+
+    // Project the clique expansion — the whole pair buffer is charged
+    // in one step below — and shed pair-producing postings until it
+    // fits, *shortest first*: a len-2 posting buys one pair whose eq.-1
+    // weight is almost always below the edge threshold, while the
+    // longest rare postings are exactly the herd signal the miner is
+    // after.
+    let pair_bytes = |len: usize| -> u64 {
+        if len <= rare_cap {
+            pair_universe(len) * 8
+        } else {
+            0
+        }
+    };
+    if soft > 0 {
+        // lint:allow(hash-iter): order-independent sum; sheds below are sorted before use
+        let mut projected: u64 = postings.values().map(|n| pair_bytes(n.len())).sum();
+        let base = scope.tracked_bytes().saturating_sub(posting_bytes);
+        if base + projected > soft {
+            let mut order: Vec<(usize, u64)> = postings
+                .iter()
+                .filter(|(_, nodes)| pair_bytes(nodes.len()) > 0)
+                .map(|(&f, nodes)| (nodes.len(), f))
+                .collect();
+            order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+            let (mut shed, unshed) = (0u64, projected);
+            for (len, feature) in order {
+                if base + projected <= soft {
+                    break;
+                }
+                postings.remove(&feature);
+                projected -= pair_bytes(len);
+                shed += 1;
+            }
+            if shed > 0 {
+                // One summary event: this rung routinely sheds hundreds
+                // of thousands of len-2 postings.
+                let event = format!(
+                    "rare-path postings shed shortest-first: {shed} postings, \
+                     {} projected pair bytes",
+                    unshed - projected
+                );
+                scope.record(Rung::RareShed, event);
+            }
         }
     }
 
-    pairs.sort_unstable();
-    let before_dedup = pairs.len();
-    pairs.dedup();
-    if let Some(s) = scope {
-        s.release((before_dedup - pairs.len()) as u64 * 8);
+    // lint:allow(hash-iter): pairs are sorted+deduped before use.
+    for nodes in postings.values() {
+        if nodes.len() <= rare_cap {
+            push_clique(&mut pairs, nodes);
+        }
     }
-    stats.pairs = pairs.len() as u64;
-    (pairs, stats)
+    // Only the rare path reads the postings; return their bytes before
+    // the pair charge lands so the two don't stack in the account.
+    drop(postings);
+    scope.release(posting_bytes);
+    scope.charge(pairs.len() as u64 * 8);
+    pairs
+}
+
+/// Fits `bucket_cap` to one band: the largest cap on the ÷4 ladder
+/// (floor 2) at which the band's cliques, *projected* from its bucket
+/// sizes before any is pushed, fit under the soft budget. At the floor
+/// the band proceeds over soft as long as it stays under hard; `None`
+/// means not even that fits — nor will it for any later band, since the
+/// pair buffer only grows. A lower cap loses pairs inside degenerate
+/// crowds only.
+fn fit_bucket_cap(
+    scope: &StageScope,
+    buckets: &HashMap<u64, Vec<u32>>,
+    mut cap: usize,
+) -> Option<usize> {
+    if scope.soft_bytes() == 0 {
+        return Some(cap);
+    }
+    loop {
+        // lint:allow(hash-iter): order-independent sum.
+        let projected: u64 = buckets
+            .values()
+            .filter(|nodes| nodes.len() <= cap)
+            .map(|nodes| pair_universe(nodes.len()) * 8)
+            .sum();
+        let after = scope.tracked_bytes() + projected;
+        if after <= scope.soft_bytes() {
+            return Some(cap);
+        }
+        if cap <= 2 {
+            return (after <= scope.hard_bytes()).then_some(cap);
+        }
+        cap = (cap / 4).max(2);
+    }
+}
+
+/// Sorts and deduplicates the pair buffer, returning the duplicates'
+/// bytes to the account. Returns the length before compaction.
+fn compact(pairs: &mut Vec<(u32, u32)>, scope: &StageScope) -> usize {
+    let before = pairs.len();
+    pairs.sort_unstable();
+    pairs.dedup();
+    scope.release((before - pairs.len()) as u64 * 8);
+    before
 }
 
 /// Appends every unordered pair of `nodes` (already sorted ascending).
@@ -516,12 +476,6 @@ fn push_clique(pairs: &mut Vec<(u32, u32)>, nodes: &[u32]) {
             pairs.push((u, v));
         }
     }
-}
-
-/// Iterator over all unordered node pairs `(u, v)`, `u < v` — the
-/// brute-force pair universe `--exact` mode scores.
-pub fn all_pairs(n: usize) -> impl Iterator<Item = (u32, u32)> {
-    (0..n as u32).flat_map(move |u| (u + 1..n as u32).map(move |v| (u, v)))
 }
 
 /// `n·(n−1)/2` — the size of the all-pairs universe over `n` nodes.
@@ -740,6 +694,42 @@ mod tests {
     }
 
     #[test]
+    fn tight_budget_degrades_rung_by_rung_instead_of_cancelling() {
+        use smash_support::governor::GovernorOptions;
+        // 100 twin pairs of nodes, 50 features per twin pair. Under a
+        // 4000-byte budget (soft 3200): the 40 000-byte inverted index
+        // cannot fit, so the rare path is skipped; one band costs 1600
+        // (keys) + 800 (buckets) + 800 (its 100 twin cliques). Band 0
+        // fits under soft, band 1 only under hard at the cap floor, and
+        // band 2 would cross hard — banding stops there, and the twins
+        // found so far are the answer.
+        let sets: Vec<Vec<u64>> = (0..200u64)
+            .map(|node| (0..50).map(|f| (node / 2) * 50 + f).collect())
+            .collect();
+        let governor = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(4000));
+        let scope = governor.stage("dimension/client", 0);
+        let (pairs, stats) = lsh_candidates_governed(&sets, &LshConfig::default(), &scope);
+
+        let twins: Vec<(u32, u32)> = (0..100).map(|i| (2 * i, 2 * i + 1)).collect();
+        assert_eq!(pairs, twins);
+        assert_eq!(stats.features, 0, "the rare path must not have run");
+        assert!(!scope.token().is_cancelled());
+        assert_eq!(
+            scope.tracked_bytes(),
+            800,
+            "only the returned pairs stay charged"
+        );
+        let summary = governor.stage_summaries().remove(0);
+        let fired: Vec<Rung> = summary.rungs.keys().copied().collect();
+        assert_eq!(
+            fired,
+            vec![Rung::RareSkipped, Rung::Tightened, Rung::Abandoned],
+            "events: {:?}",
+            summary.events
+        );
+    }
+
+    #[test]
     fn empty_sets_never_pair() {
         let sets: Vec<Vec<u64>> = vec![vec![], vec![], vec![1, 2]];
         let (pairs, _) = lsh_candidates(&sets, &LshConfig::default());
@@ -747,13 +737,10 @@ mod tests {
     }
 
     #[test]
-    fn all_pairs_enumerates_the_triangle() {
-        let pairs: Vec<(u32, u32)> = all_pairs(4).collect();
-        assert_eq!(pairs, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+    fn pair_universe_is_the_triangle_number() {
         assert_eq!(pair_universe(4), 6);
         assert_eq!(pair_universe(0), 0);
         assert_eq!(pair_universe(1), 0);
-        assert!(all_pairs(0).next().is_none());
     }
 
     #[test]

@@ -108,13 +108,13 @@ pub struct SmashConfig {
     pub file_edge_min: f64,
     /// Minimum eq. 8 IP-set similarity to create an IP edge.
     pub ip_edge_min: f64,
-    /// Skip URI files served by more than this many servers (they carry
-    /// no signal — `index.html` is everywhere — and cost O(n²) pairs).
+    /// Skip URI parameter patterns and payload-size buckets shared by
+    /// more than this many servers when counting co-occurring pairs in
+    /// the `param-pattern` and `payload` dimensions (a feature that
+    /// common carries no signal and costs O(n²) pairs). The client and
+    /// URI-file dimensions are bounded by the LSH layer's `bucket_cap`
+    /// and `rare_cap` instead.
     pub file_posting_cap: usize,
-    /// Skip clients contacting more than this many servers when counting
-    /// pairs (quadratic-cost guard; the IDF filter already bounds the
-    /// other side).
-    pub client_posting_cap: usize,
     /// φ location parameter μ (paper: 4).
     pub mu: f64,
     /// φ scale parameter σ (paper: 5.5).
@@ -179,7 +179,6 @@ impl_json_struct!(SmashConfig {
     file_edge_min,
     ip_edge_min,
     file_posting_cap,
-    client_posting_cap,
     mu,
     sigma,
     threshold,
@@ -210,7 +209,6 @@ impl Default for SmashConfig {
             file_edge_min: 0.02,
             ip_edge_min: 0.1,
             file_posting_cap: 100,
-            client_posting_cap: 500,
             mu: 4.0,
             sigma: 5.5,
             threshold: 0.8,
@@ -380,8 +378,8 @@ impl SmashConfig {
                 self.min_campaign_size
             )));
         }
-        if self.file_posting_cap == 0 || self.client_posting_cap == 0 {
-            return Err(ConfigError("posting caps must be positive".into()));
+        if self.file_posting_cap == 0 {
+            return Err(ConfigError("file_posting_cap must be positive".into()));
         }
         if let Err(e) = smash_support::failpoint::parse_spec(&self.failpoints) {
             return Err(ConfigError(format!("bad failpoints spec: {e}")));

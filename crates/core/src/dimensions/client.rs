@@ -12,10 +12,11 @@
 //! `SmashConfig::exact_candidates` scores every pair instead (the
 //! recall oracle).
 
-use super::{instrumented_builder, overlap_product, Dimension, DimensionContext, DimensionKind};
-use crate::candidates;
+use super::{
+    instrumented_builder, overlap_product, score_candidates, Dimension, DimensionContext,
+    DimensionKind,
+};
 use smash_graph::Graph;
-use smash_support::par;
 
 /// Builder of the client-similarity graph.
 #[derive(Debug, Clone, Default)]
@@ -64,8 +65,6 @@ impl Dimension for ClientDimension {
                     }
                 })
                 .collect();
-            let eligible = feature_sets.iter().filter(|s| !s.is_empty()).count();
-            funnel.pairs_considered = candidates::pair_universe(eligible);
 
             // Exact eq. 1 score of one node pair; `None` below threshold
             // or when either side is ineligible.
@@ -79,50 +78,7 @@ impl Dimension for ClientDimension {
                 let sim = overlap_product(shared, cu.len(), cv.len());
                 (sim >= ctx.config.client_edge_min).then_some(sim)
             };
-
-            if ctx.config.exact_candidates {
-                // Brute force: score the whole pair universe, one node's
-                // upper triangle per parallel task.
-                let rows: Vec<u32> = (0..ctx.nodes.len() as u32).collect();
-                let per_node: Vec<Vec<(u32, f64)>> =
-                    par::par_map_cancellable(&rows, scope.token(), |&u| {
-                        (u + 1..ctx.nodes.len() as u32)
-                            .filter_map(|v| score(u, v).map(|s| (v, s)))
-                            .collect()
-                    });
-                funnel.postings = feature_sets
-                    .iter()
-                    .flat_map(|s| s.iter())
-                    .collect::<std::collections::HashSet<_>>()
-                    .len() as u64;
-                funnel.pairs_bucketed = funnel.pairs_considered;
-                funnel.pairs_scored = candidates::pair_universe(ctx.nodes.len());
-                for (u, edges) in per_node.into_iter().enumerate() {
-                    for (v, sim) in edges {
-                        builder.add_edge(u as u32, v, sim);
-                        funnel.edges += 1;
-                    }
-                }
-            } else {
-                let (pairs, stats) = candidates::lsh_candidates_governed(
-                    &feature_sets,
-                    &ctx.config.lsh,
-                    Some(scope),
-                );
-                funnel.postings = stats.features;
-                funnel.pairs_bucketed = stats.pairs;
-                funnel.pairs_scored = pairs.len() as u64;
-                let scores = par::par_map_cancellable(&pairs, scope.token(), |&(u, v)| score(u, v));
-                for (&(u, v), sim) in pairs.iter().zip(scores) {
-                    if let Some(sim) = sim {
-                        builder.add_edge(u, v, sim);
-                        funnel.edges += 1;
-                    }
-                }
-                // The pair buffer dies here; return its bytes before the
-                // edge charge lands so the two don't stack in the account.
-                scope.release(pairs.len() as u64 * 8);
-            }
+            score_candidates(ctx, scope, builder, funnel, &feature_sets, score);
         })
     }
 }

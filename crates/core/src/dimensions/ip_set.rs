@@ -5,10 +5,10 @@
 //! servers' IP sets.
 
 use super::{
-    govern_postings, instrumented_builder, overlap_product, Dimension, DimensionContext,
+    instrumented_builder, overlap_product, score_cooccurring, Dimension, DimensionContext,
     DimensionKind,
 };
-use smash_graph::{CooccurrenceCounter, Graph};
+use smash_graph::Graph;
 use std::collections::HashMap;
 
 /// Builder of the IP-set-similarity graph.
@@ -29,32 +29,14 @@ impl Dimension for IpSetDimension {
                     by_ip.entry(ip).or_default().push(node as u32);
                 }
             }
-            funnel.postings = by_ip.len() as u64;
-            govern_postings(scope, &mut by_ip);
             // Hot IPs (large shared hosters / NATs) carry no herd signal.
-            let mut counter = CooccurrenceCounter::new().with_max_posting_len(200);
-            // lint:allow(hash-iter): postings are order-independent; the counter sorts pairs.
-            for (_, servers) in by_ip {
-                counter.add_posting(servers);
-            }
-            let counts = counter.counts_parallel();
-            scope.charge(counts.len() as u64 * 16);
-            for ((u, v), shared) in counts {
-                funnel.pairs_scored += 1;
-                if funnel.pairs_scored % 1024 == 0 {
-                    scope.tick();
-                }
-                let (Some(su), Some(sv)) = (ctx.server_at(u), ctx.server_at(v)) else {
-                    continue;
-                };
+            score_cooccurring(scope, builder, funnel, by_ip, 200, |u, v, shared| {
+                let (su, sv) = (ctx.server_at(u)?, ctx.server_at(v)?);
                 let iu = ctx.dataset.ips_of(su).len();
                 let iv = ctx.dataset.ips_of(sv).len();
                 let sim = overlap_product(shared as usize, iu, iv);
-                if sim >= ctx.config.ip_edge_min {
-                    builder.add_edge(u, v, sim);
-                    funnel.edges += 1;
-                }
-            }
+                (sim >= ctx.config.ip_edge_min).then_some(sim)
+            });
         })
     }
 }

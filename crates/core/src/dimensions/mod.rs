@@ -4,12 +4,13 @@
 //! the servers that survived preprocessing — so that herds from different
 //! dimensions can be intersected directly during correlation.
 //!
-//! Candidate pairs are never enumerated quadratically: the client and
-//! URI-file dimensions route through the MinHash/LSH layer
-//! ([`crate::candidates`], DESIGN.md §10) unless
-//! `SmashConfig::exact_candidates` forces the brute-force oracle, and
-//! the remaining dimensions use an inverted index
-//! ([`smash_graph::CooccurrenceCounter`]).
+//! Candidate pairs are never enumerated quadratically. Builders supply
+//! features and a pair score; the two candidate frames live here: the
+//! client and URI-file dimensions route through `score_candidates`
+//! (the MinHash/LSH layer of [`crate::candidates`], DESIGN.md §10, or
+//! the brute-force oracle when `SmashConfig::exact_candidates` is set),
+//! the remaining dimensions through `score_cooccurring` (an inverted
+//! index counted by [`smash_graph::CooccurrenceCounter`]).
 
 pub mod client;
 pub mod ip_set;
@@ -19,15 +20,17 @@ pub mod timing;
 pub mod uri_file;
 pub mod whois;
 
+use crate::candidates::{self, FeatureId};
 use crate::config::SmashConfig;
-use smash_graph::{Graph, GraphBuilder};
-use smash_support::governor::{Governor, StageScope};
+use smash_graph::{CooccurrenceCounter, Graph, GraphBuilder};
+use smash_support::governor::{Governor, Rung, StageScope};
 use smash_support::impl_json_enum;
 use smash_support::metrics::Registry;
+use smash_support::par;
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 use smash_trace::{ServerId, TraceDataset};
 use smash_whois::WhoisRegistry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 pub use client::ClientDimension;
@@ -160,10 +163,9 @@ impl DimensionContext<'_> {
 /// Charges an inverted index's posting bytes to the stage account and,
 /// on a soft-budget breach, sheds the most popular postings — longest
 /// first, smallest key breaking ties — until the account is back under
-/// the soft budget (ladder rung 2 for the counter-routed dimensions).
-/// Every shed feature is recorded on the scope. A no-op on unbudgeted
-/// runs beyond the byte charge itself.
-pub(crate) fn govern_postings<K>(scope: &StageScope, postings: &mut HashMap<K, Vec<u32>>)
+/// the soft budget. Every shed feature is recorded on the scope. A
+/// no-op on unbudgeted runs beyond the byte charge itself.
+fn govern_postings<K>(scope: &StageScope, postings: &mut HashMap<K, Vec<u32>>)
 where
     K: Clone + Ord + std::hash::Hash + fmt::Display,
 {
@@ -184,7 +186,105 @@ where
         }
         postings.remove(&key);
         scope.release(len as u64 * 4);
-        scope.record(format!("shed posting feature={key} len={len}"));
+        scope.record(Rung::Shed, format!("shed posting feature={key} len={len}"));
+    }
+}
+
+/// The candidate frame of the inverted-index dimensions: `postings`
+/// (feature → nodes exhibiting it) are governed, counted into
+/// co-occurring node pairs — postings longer than `posting_cap` carry no
+/// herd signal and are skipped — and every pair `(u, v)` sharing
+/// `shared` features is offered to `score`; `Some(weight)` becomes an
+/// edge.
+pub(crate) fn score_cooccurring<K>(
+    scope: &StageScope,
+    builder: &mut GraphBuilder,
+    funnel: &mut BuilderFunnel,
+    mut postings: HashMap<K, Vec<u32>>,
+    posting_cap: usize,
+    score: impl Fn(u32, u32, u32) -> Option<f64>,
+) where
+    K: Clone + Ord + std::hash::Hash + fmt::Display,
+{
+    funnel.postings = postings.len() as u64;
+    govern_postings(scope, &mut postings);
+    let mut counter = CooccurrenceCounter::new().with_max_posting_len(posting_cap);
+    // lint:allow(hash-iter): postings are order-independent; the counter sorts pairs.
+    for (_, nodes) in postings {
+        counter.add_posting(nodes);
+    }
+    let counts = counter.counts_parallel();
+    scope.charge(counts.len() as u64 * 16);
+    for ((u, v), shared) in counts {
+        funnel.pairs_scored += 1;
+        if funnel.pairs_scored.is_multiple_of(1024) {
+            scope.tick();
+        }
+        if let Some(weight) = score(u, v, shared) {
+            builder.add_edge(u, v, weight);
+            funnel.edges += 1;
+        }
+    }
+}
+
+/// The candidate frame of the set-similarity dimensions: proposes node
+/// pairs from `feature_sets` (one per node; empty = ineligible) — from
+/// the MinHash/LSH layer, or with `SmashConfig::exact_candidates` the
+/// whole universe over eligible nodes, the recall oracle — and scores
+/// each with the dimension's exact `score`; `Some(weight)` becomes an
+/// edge. The LSH pair buffer, charged by the generator, is released
+/// here before the edge charge lands, so the two don't stack.
+pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
+    ctx: &DimensionContext<'_>,
+    scope: &StageScope,
+    builder: &mut GraphBuilder,
+    funnel: &mut BuilderFunnel,
+    feature_sets: &[S],
+    score: impl Fn(u32, u32) -> Option<f64> + Sync,
+) {
+    let eligible: Vec<u32> = (0..feature_sets.len() as u32)
+        .zip(feature_sets)
+        .filter(|(_, set)| !set.as_ref().is_empty())
+        .map(|(node, _)| node)
+        .collect();
+    funnel.pairs_considered = candidates::pair_universe(eligible.len());
+
+    if ctx.config.exact_candidates {
+        // Brute force: one eligible node's upper triangle (`eligible`
+        // ascends) per parallel task.
+        let per_node: Vec<Vec<(u32, u32, f64)>> =
+            par::par_map_cancellable(&eligible, scope.token(), |&u| {
+                eligible
+                    .iter()
+                    .filter(|&&v| v > u)
+                    .filter_map(|&v| score(u, v).map(|sim| (u, v, sim)))
+                    .collect()
+            });
+        funnel.postings = feature_sets
+            .iter()
+            .flat_map(|set| set.as_ref().iter().map(|f| f.widen()))
+            .collect::<HashSet<u64>>()
+            .len() as u64;
+        funnel.pairs_bucketed = funnel.pairs_considered;
+        funnel.pairs_scored = funnel.pairs_considered;
+        for (u, v, sim) in per_node.into_iter().flatten() {
+            builder.add_edge(u, v, sim);
+            funnel.edges += 1;
+        }
+    } else {
+        let (pairs, stats) =
+            candidates::lsh_candidates_governed(feature_sets, &ctx.config.lsh, scope);
+        funnel.postings = stats.features;
+        funnel.pairs_bucketed = stats.pairs;
+        funnel.pairs_scored = pairs.len() as u64;
+        let scores = par::par_map_cancellable(&pairs, scope.token(), |&(u, v)| score(u, v));
+        for (&(u, v), sim) in pairs.iter().zip(scores) {
+            if let Some(sim) = sim {
+                builder.add_edge(u, v, sim);
+                funnel.edges += 1;
+            }
+        }
+        scope.release(pairs.len() as u64 * 8);
     }
 }
 
@@ -214,10 +314,11 @@ pub(crate) fn record_dimension_metrics(
 /// The funnel counters every builder reports: how many inverted-index
 /// postings it processed, the candidate funnel from the all-pairs
 /// universe through LSH bucketing down to the pairs actually scored,
-/// and how many edges survived the similarity threshold. Dimensions
-/// still routed through a plain co-occurrence counter leave the LSH
-/// stages (`pairs_considered`, `pairs_bucketed`) equal to
-/// `pairs_scored`'s upstream defaults (zero).
+/// and how many edges survived the similarity threshold. For the
+/// [`score_candidates`] dimensions the funnel reconciles:
+/// `pairs_considered ≥ pairs_bucketed ≥ pairs_scored = pairs_pruned +
+/// edges` (`tests/metrics.rs`). The [`score_cooccurring`] dimensions
+/// leave the LSH stages (`pairs_considered`, `pairs_bucketed`) at zero.
 #[derive(Debug, Default)]
 pub(crate) struct BuilderFunnel {
     /// Inverted-index postings (distinct features) processed.
@@ -273,10 +374,13 @@ where
         if builder.edge_count() > keep {
             let dropped = builder.thin_to(keep);
             funnel.edges = builder.edge_count() as u64;
-            scope.record(format!(
-                "graph thinned: {dropped} lightest edges dropped, {} kept",
-                builder.edge_count()
-            ));
+            scope.record(
+                Rung::Thinned,
+                format!(
+                    "graph thinned: {dropped} lightest edges dropped, {} kept",
+                    builder.edge_count()
+                ),
+            );
         }
     }
     scope.charge(funnel.edges * 24);
@@ -320,6 +424,29 @@ mod tests {
         assert_eq!(overlap_product(0, 5, 5), 0.0);
         assert_eq!(overlap_product(1, 0, 5), 0.0);
         assert!((overlap_product(1, 2, 4) - 0.125).abs() < 1e-12);
+    }
+
+    #[test]
+    fn govern_postings_sheds_longest_first_until_under_soft() {
+        // 100-byte hard budget, 80 soft; the index charges 4 bytes per
+        // posting entry = 96 bytes, so the longest posting (and only
+        // it) must go.
+        let governor = Governor::new(
+            &smash_support::governor::GovernorOptions::unlimited().with_memory_budget_bytes(100),
+        );
+        let scope = governor.stage("dimension/ip-set", 0);
+        let mut postings: HashMap<u32, Vec<u32>> = HashMap::new();
+        postings.insert(7, (0..12).collect());
+        postings.insert(8, (0..8).collect());
+        postings.insert(9, (0..4).collect());
+        govern_postings(&scope, &mut postings);
+        let mut kept: Vec<u32> = postings.keys().copied().collect();
+        kept.sort_unstable();
+        assert_eq!(kept, vec![8, 9]);
+        assert_eq!(scope.tracked_bytes(), 48);
+        let summary = governor.stage_summaries().remove(0);
+        assert_eq!(summary.events, vec!["shed posting feature=7 len=12"]);
+        assert_eq!(summary.rungs.get(&Rung::Shed), Some(&1));
     }
 
     #[test]

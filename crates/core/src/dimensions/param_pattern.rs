@@ -7,10 +7,10 @@
 //! `p=[]&id=[]&e=[]`) the way the file dimension treats URI files.
 
 use super::{
-    govern_postings, instrumented_builder, overlap_product, Dimension, DimensionContext,
+    instrumented_builder, overlap_product, score_cooccurring, Dimension, DimensionContext,
     DimensionKind,
 };
-use smash_graph::{CooccurrenceCounter, Graph};
+use smash_graph::Graph;
 use std::collections::{HashMap, HashSet};
 
 /// Builder of the parameter-pattern-similarity graph.
@@ -42,34 +42,13 @@ impl Dimension for ParamPatternDimension {
                 }
                 node_patterns.push(set);
             }
-            funnel.postings = by_pattern.len() as u64;
-            govern_postings(scope, &mut by_pattern);
-            let mut counter =
-                CooccurrenceCounter::new().with_max_posting_len(ctx.config.file_posting_cap);
-            // lint:allow(hash-iter): postings are order-independent; the counter sorts pairs.
-            for (_, nodes) in by_pattern {
-                counter.add_posting(nodes);
-            }
-            let counts = counter.counts_parallel();
-            scope.charge(counts.len() as u64 * 16);
-            for ((u, v), shared) in counts {
-                funnel.pairs_scored += 1;
-                if funnel.pairs_scored % 1024 == 0 {
-                    scope.tick();
-                }
-                let (Some(nu), Some(nv)) =
-                    (node_patterns.get(u as usize), node_patterns.get(v as usize))
-                else {
-                    continue;
-                };
-                let pu = nu.len();
-                let pv = nv.len();
+            let cap = ctx.config.file_posting_cap;
+            score_cooccurring(scope, builder, funnel, by_pattern, cap, |u, v, shared| {
+                let pu = node_patterns.get(u as usize)?.len();
+                let pv = node_patterns.get(v as usize)?.len();
                 let sim = overlap_product(shared as usize, pu, pv);
-                if sim >= ctx.config.file_edge_min {
-                    builder.add_edge(u, v, sim);
-                    funnel.edges += 1;
-                }
-            }
+                (sim >= ctx.config.file_edge_min).then_some(sim)
+            });
         })
     }
 }

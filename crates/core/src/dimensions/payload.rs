@@ -9,10 +9,10 @@
 //! variation).
 
 use super::{
-    govern_postings, instrumented_builder, overlap_product, Dimension, DimensionContext,
+    instrumented_builder, overlap_product, score_cooccurring, Dimension, DimensionContext,
     DimensionKind,
 };
-use smash_graph::{CooccurrenceCounter, Graph};
+use smash_graph::Graph;
 use std::collections::{HashMap, HashSet};
 
 /// Low bits masked off a size before comparison (64-byte granularity).
@@ -50,33 +50,13 @@ impl Dimension for PayloadDimension {
                 }
                 node_sizes.push(sizes);
             }
-            funnel.postings = by_size.len() as u64;
-            govern_postings(scope, &mut by_size);
-            let mut counter =
-                CooccurrenceCounter::new().with_max_posting_len(ctx.config.file_posting_cap);
-            // lint:allow(hash-iter): postings are order-independent; the counter sorts pairs.
-            for (_, nodes) in by_size {
-                counter.add_posting(nodes);
-            }
-            let counts = counter.counts_parallel();
-            scope.charge(counts.len() as u64 * 16);
-            for ((u, v), shared) in counts {
-                funnel.pairs_scored += 1;
-                if funnel.pairs_scored % 1024 == 0 {
-                    scope.tick();
-                }
-                let (Some(nu), Some(nv)) = (node_sizes.get(u as usize), node_sizes.get(v as usize))
-                else {
-                    continue;
-                };
-                let su = nu.len();
-                let sv = nv.len();
+            let cap = ctx.config.file_posting_cap;
+            score_cooccurring(scope, builder, funnel, by_size, cap, |u, v, shared| {
+                let su = node_sizes.get(u as usize)?.len();
+                let sv = node_sizes.get(v as usize)?.len();
                 let sim = overlap_product(shared as usize, su, sv);
-                if sim >= ctx.config.file_edge_min {
-                    builder.add_edge(u, v, sim);
-                    funnel.edges += 1;
-                }
-            }
+                (sim >= ctx.config.file_edge_min).then_some(sim)
+            });
         })
     }
 }

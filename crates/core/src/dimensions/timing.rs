@@ -11,8 +11,8 @@
 //! is high. Only *bursty* servers participate — always-on servers have
 //! flat histograms that would trivially match each other.
 
-use super::{govern_postings, instrumented_builder, Dimension, DimensionContext, DimensionKind};
-use smash_graph::{CooccurrenceCounter, Graph};
+use super::{instrumented_builder, score_cooccurring, Dimension, DimensionContext, DimensionKind};
+use smash_graph::Graph;
 use std::collections::HashMap;
 
 /// Number of activity buckets (30-minute windows over a day).
@@ -85,32 +85,13 @@ impl Dimension for TimingDimension {
                 }
                 histograms.push(Some(h));
             }
-            funnel.postings = by_bucket.len() as u64;
-            govern_postings(scope, &mut by_bucket);
             // Candidate pairs: bursty servers active in a common bucket.
-            let mut counter = CooccurrenceCounter::new().with_max_posting_len(200);
-            // lint:allow(hash-iter): postings are order-independent; the counter sorts pairs.
-            for (_, nodes) in by_bucket {
-                counter.add_posting(nodes);
-            }
-            let counts = counter.counts_parallel();
-            scope.charge(counts.len() as u64 * 16);
-            for ((u, v), _) in counts {
-                funnel.pairs_scored += 1;
-                if funnel.pairs_scored % 1024 == 0 {
-                    scope.tick();
-                }
-                let (Some(Some(hu)), Some(Some(hv))) =
-                    (histograms.get(u as usize), histograms.get(v as usize))
-                else {
-                    continue;
-                };
+            score_cooccurring(scope, builder, funnel, by_bucket, 200, |u, v, _| {
+                let hu = histograms.get(u as usize)?.as_ref()?;
+                let hv = histograms.get(v as usize)?.as_ref()?;
                 let cos: f64 = hu.iter().zip(hv.iter()).map(|(a, b)| a * b).sum();
-                if cos >= ctx.config.timing_edge_min {
-                    builder.add_edge(u, v, cos);
-                    funnel.edges += 1;
-                }
-            }
+                (cos >= ctx.config.timing_edge_min).then_some(cos)
+            });
         })
     }
 }

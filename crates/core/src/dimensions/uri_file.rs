@@ -13,10 +13,8 @@
 //! folded into the signature space. Scoring stays the exact eqs. 2–7;
 //! `SmashConfig::exact_candidates` scores every pair instead.
 
-use super::{instrumented_builder, Dimension, DimensionContext, DimensionKind};
-use crate::candidates;
+use super::{instrumented_builder, score_candidates, Dimension, DimensionContext, DimensionKind};
 use smash_graph::Graph;
-use smash_support::par;
 use smash_trace::uri::charset_vector;
 use std::collections::{HashMap, HashSet};
 
@@ -77,8 +75,6 @@ impl Dimension for UriFileDimension {
                     feats
                 })
                 .collect();
-            let eligible = feature_sets.iter().filter(|s| !s.is_empty()).count();
-            funnel.pairs_considered = candidates::pair_universe(eligible);
 
             // Exact eqs. 2–7 score of one node pair; `None` below the
             // threshold or when no file matches.
@@ -103,48 +99,7 @@ impl Dimension for UriFileDimension {
                 let sim = (mu as f64 / nu.files.len() as f64) * (mv as f64 / nv.files.len() as f64);
                 (sim >= ctx.config.file_edge_min).then_some(sim)
             };
-
-            if ctx.config.exact_candidates {
-                let rows: Vec<u32> = (0..ctx.nodes.len() as u32).collect();
-                let per_node: Vec<Vec<(u32, f64)>> =
-                    par::par_map_cancellable(&rows, scope.token(), |&u| {
-                        (u + 1..ctx.nodes.len() as u32)
-                            .filter_map(|v| score(u, v).map(|s| (v, s)))
-                            .collect()
-                    });
-                funnel.postings = feature_sets
-                    .iter()
-                    .flat_map(|s| s.iter())
-                    .collect::<HashSet<_>>()
-                    .len() as u64;
-                funnel.pairs_bucketed = funnel.pairs_considered;
-                funnel.pairs_scored = candidates::pair_universe(ctx.nodes.len());
-                for (u, edges) in per_node.into_iter().enumerate() {
-                    for (v, sim) in edges {
-                        builder.add_edge(u as u32, v, sim);
-                        funnel.edges += 1;
-                    }
-                }
-            } else {
-                let (pairs, stats) = candidates::lsh_candidates_governed(
-                    &feature_sets,
-                    &ctx.config.lsh,
-                    Some(scope),
-                );
-                funnel.postings = stats.features;
-                funnel.pairs_bucketed = stats.pairs;
-                funnel.pairs_scored = pairs.len() as u64;
-                let scores = par::par_map_cancellable(&pairs, scope.token(), |&(u, v)| score(u, v));
-                for (&(u, v), sim) in pairs.iter().zip(scores) {
-                    if let Some(sim) = sim {
-                        builder.add_edge(u, v, sim);
-                        funnel.edges += 1;
-                    }
-                }
-                // The pair buffer dies here; return its bytes before the
-                // edge charge lands so the two don't stack in the account.
-                scope.release(pairs.len() as u64 * 8);
-            }
+            score_candidates(ctx, scope, builder, funnel, &feature_sets, score);
         })
     }
 }
@@ -193,6 +148,7 @@ fn charset_feature(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates;
     use crate::config::SmashConfig;
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;

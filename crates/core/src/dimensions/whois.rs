@@ -6,8 +6,8 @@
 //! field *values*, and pairs must co-occur in at least two value postings
 //! before the (proxy-aware) verification runs.
 
-use super::{govern_postings, instrumented_builder, Dimension, DimensionContext, DimensionKind};
-use smash_graph::{CooccurrenceCounter, Graph};
+use super::{instrumented_builder, score_cooccurring, Dimension, DimensionContext, DimensionKind};
+use smash_graph::Graph;
 use smash_whois::MIN_SHARED_FIELDS;
 use std::collections::HashMap;
 
@@ -54,37 +54,17 @@ impl Dimension for WhoisDimension {
                 }
                 records.push(rec);
             }
-            funnel.postings = by_value.len() as u64;
-            govern_postings(scope, &mut by_value);
-            let mut counter = CooccurrenceCounter::new().with_max_posting_len(200);
-            // lint:allow(hash-iter): postings are order-independent; the counter sorts pairs.
-            for (_, nodes) in by_value {
-                counter.add_posting(nodes);
-            }
-            let counts = counter.counts_parallel();
-            scope.charge(counts.len() as u64 * 16);
-            for ((u, v), hits) in counts {
-                funnel.pairs_scored += 1;
-                if funnel.pairs_scored % 1024 == 0 {
-                    scope.tick();
-                }
+            score_cooccurring(scope, builder, funnel, by_value, 200, |u, v, hits| {
                 if (hits as usize) < MIN_SHARED_FIELDS {
-                    continue;
+                    return None;
                 }
-                let (Some(ru), Some(rv)) = (
-                    records.get(u as usize).copied().flatten(),
-                    records.get(v as usize).copied().flatten(),
-                ) else {
-                    continue;
-                };
+                let ru = records.get(u as usize).copied().flatten()?;
+                let rv = records.get(v as usize).copied().flatten()?;
                 // Proxy-aware verification (two proxy records sharing only the
                 // proxy's identity fields are not associated).
                 let (shared, union) = ru.shared_fields(rv);
-                if shared >= MIN_SHARED_FIELDS && union > 0 {
-                    builder.add_edge(u, v, shared as f64 / union as f64);
-                    funnel.edges += 1;
-                }
-            }
+                (shared >= MIN_SHARED_FIELDS && union > 0).then(|| shared as f64 / union as f64)
+            });
         })
     }
 }

@@ -133,14 +133,15 @@ impl Smash {
     /// [`Governor`]: dimension builders, LSH bucketing, Louvain mining,
     /// and candidate scoring poll a shared cancellation token and charge
     /// their dominant allocations against per-stage memory budgets. A
-    /// soft-budget breach walks a deterministic degradation ladder
-    /// (tighten `bucket_cap` → shed popular postings → cancel the
-    /// dimension); a hard breach or deadline cancels the stage through
-    /// the same panic-isolation boundary used for crashes, so the run
-    /// degrades (eq. 9 renormalized) instead of dying, and checkpoint
-    /// state stays resumable. Every ladder rung is recorded in
-    /// [`RunHealth::governor`](crate::report::RunHealth) and the
-    /// `governor/*` metrics. With `resources` unset (or unlimited), the
+    /// stage heading past its soft budget walks the deterministic
+    /// degradation ladder of DESIGN.md §11.3 — each rung gives up the
+    /// cheapest recall left *before* the allocation it guards — so it
+    /// completes degraded; a hard breach or deadline cancels the stage
+    /// through the same panic-isolation boundary used for crashes, so
+    /// the run degrades (eq. 9 renormalized) instead of dying, and
+    /// checkpoint state stays resumable. Every rung that fires is
+    /// recorded in [`RunHealth::governor`](crate::report::RunHealth)
+    /// and counted under `governor/<rung>`. With `resources` unset (or unlimited), the
     /// governor is inert and the report is byte-identical to an
     /// ungoverned run.
     pub fn run_governed(
@@ -716,10 +717,11 @@ fn triage_failure(reason: String) -> DimensionStatus {
     }
 }
 
-/// Folds the governor's final accounting into `metrics`
-/// (`governor/tightened`, `governor/shed`, `governor/cancelled`
-/// counters; `governor/<stage>/peak_bytes` and `governor/peak_bytes`
-/// gauges) and returns the stage-prefixed degradation-ladder event
+/// Folds the governor's final accounting into `metrics` (one
+/// `governor/<rung>` counter per ladder rung that fired, counted where
+/// the rung was recorded, plus `governor/cancelled`;
+/// `governor/<stage>/peak_bytes` and `governor/peak_bytes` gauges) and
+/// returns the stage-prefixed degradation-ladder event
 /// lines for [`RunHealth::governor`](crate::report::RunHealth). Empty —
 /// and free of side effects beyond zero-valued gauges — when no ladder
 /// rung ever engaged, so unbudgeted runs stay byte-identical.
@@ -731,12 +733,12 @@ fn harvest_governor(governor: &Governor, metrics: &Registry) -> Vec<String> {
                 .gauge(&format!("governor/{}/peak_bytes", stage.name))
                 .set(stage.peak_bytes as f64);
         }
+        for (rung, fired) in &stage.rungs {
+            metrics
+                .counter(&format!("governor/{}", rung.name()))
+                .add(*fired);
+        }
         for e in &stage.events {
-            if e.starts_with("bucket_cap tightened") {
-                metrics.counter("governor/tightened").add(1);
-            } else if e.starts_with("shed posting") {
-                metrics.counter("governor/shed").add(1);
-            }
             events.push(format!("{}: {e}", stage.name));
         }
         if stage.cancelled {

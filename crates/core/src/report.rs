@@ -220,8 +220,9 @@ pub struct RunHealth {
     /// cold run's byte-for-byte (modulo wall times).
     pub checkpoint_warnings: Vec<String>,
     /// Every degradation-ladder rung the resource governor took, in
-    /// stage order (`<stage>: <event>` — tightened caps, shed postings,
-    /// cancellations). Empty — and omitted from the JSON — on unbudgeted
+    /// stage order (`<stage>: <event>` — skipped or shed postings,
+    /// tightened caps, abandoned bands, thinned graphs, cancellations;
+    /// DESIGN.md §11.3). Empty — and omitted from the JSON — on unbudgeted
     /// runs, so a governed-but-unconstrained run's report stays
     /// byte-identical to a pre-governor one.
     pub governor: Vec<String>,

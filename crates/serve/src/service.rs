@@ -36,7 +36,7 @@ use crate::snapshot::{ServeSnapshot, SnapshotCell, SnapshotReader, SNAPSHOT_FILE
 use smash_core::config::SmashConfig;
 use smash_core::Smash;
 use smash_support::ckpt;
-use smash_support::governor::{self, CancelToken, Governor, GovernorOptions, StageScope};
+use smash_support::governor::{self, CancelToken, Governor, GovernorOptions, Rung, StageScope};
 use smash_support::json::{self, ToJson};
 use smash_support::metrics::Registry;
 use smash_support::retry;
@@ -400,10 +400,13 @@ impl CampaignService {
             // Governor-driven load shedding: the open epoch crossed its
             // soft budget; the client must SEAL (or back off) first.
             if inner.metrics.counter("serve/ingest/busy").get() == 0 {
-                inner.epoch_scope.record(format!(
-                    "epoch buffer crossed soft budget ({} bytes): shedding ingest",
-                    inner.epoch_scope.soft_bytes()
-                ));
+                inner.epoch_scope.record(
+                    Rung::IngestShed,
+                    format!(
+                        "epoch buffer crossed soft budget ({} bytes): shedding ingest",
+                        inner.epoch_scope.soft_bytes()
+                    ),
+                );
             }
             inner.metrics.counter("serve/ingest/busy").inc();
             return Response::Reply("BUSY".to_owned());

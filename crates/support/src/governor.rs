@@ -17,10 +17,10 @@
 //!    signature tables, LSH buckets, candidate-pair buffers, graph
 //!    edges) against per-stage soft and hard budgets;
 //! 3. **degrade** — on a soft-budget breach the *caller* walks the
-//!    deterministic ladder (tighten `bucket_cap`, shed the most popular
-//!    postings, finally cancel the stage), recording every rung with
+//!    deterministic ladder (DESIGN.md §11.3; the rungs are the [`Rung`]
+//!    variants, in ladder order), recording every rung that fires with
 //!    [`StageScope::record`] so the run's health report shows exactly
-//!    what was traded away.
+//!    what was traded away. Crossing the hard budget cancels the stage.
 //!
 //! Cancellation is delivered by panicking with a `governor:`-prefixed
 //! message from a poll point; the pipeline's existing panic-isolation
@@ -38,6 +38,7 @@
 //! instrumentation budget, and reports stay byte-identical.
 
 use crate::failpoint;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant; // lint:allow(wallclock): deadline enforcement is inherently wall-clock
@@ -98,6 +99,54 @@ pub const MAX_RECORDED_EVENTS: usize = 64;
 pub const SOFT_NUM: u64 = 4;
 /// Soft budget denominator.
 pub const SOFT_DEN: u64 = 5;
+
+/// One rung of the degradation ladder (DESIGN.md §11.3), in the order a
+/// stage reaches them. [`StageScope::record`] takes the rung, so firings
+/// are counted where they happen, not parsed back out of event text.
+/// Cancellation, the last rung, is [`StageSummary::cancelled`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rung {
+    /// LSH rare-feature path skipped: its index would not fit under soft.
+    RareSkipped,
+    /// LSH rare-path postings shed, shortest first.
+    RareShed,
+    /// Duplicate candidate pairs reclaimed between bands.
+    Compacted,
+    /// `bucket_cap` lowered to fit a band's projected cliques.
+    Tightened,
+    /// The remaining LSH bands given up.
+    Abandoned,
+    /// A popular co-occurrence posting shed, longest first.
+    Shed,
+    /// The finished graph thinned to its heaviest edges.
+    Thinned,
+    /// `smash serve` refused ingest: the open epoch is at its budget.
+    IngestShed,
+}
+
+impl Rung {
+    /// The rung's metric name: it is counted under `governor/<name>`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Rung::RareSkipped => "rare_skipped",
+            Rung::RareShed => "rare_shed",
+            Rung::Compacted => "compacted",
+            Rung::Tightened => "tightened",
+            Rung::Abandoned => "abandoned",
+            Rung::Shed => "shed",
+            Rung::Thinned => "thinned",
+            Rung::IngestShed => "ingest_shed",
+        }
+    }
+}
+
+/// A stage's recorded ladder events: the lines kept verbatim, and how
+/// often each rung fired (lines past the cap included).
+#[derive(Debug, Default)]
+struct EventLog {
+    lines: Vec<String>,
+    rungs: BTreeMap<Rung, u64>,
+}
 
 /// A wall-clock deadline owned by a token.
 #[derive(Debug, Clone, Copy)]
@@ -273,20 +322,19 @@ impl Totals {
     }
 
     fn sub(&self, bytes: u64) {
-        // Saturating: a release can race a concurrent stage's charge,
-        // but tracked bytes never go negative.
-        let mut cur = self.tracked.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self.tracked.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
+        saturating_sub(&self.tracked, bytes);
+    }
+}
+
+/// Saturating atomic subtract: a release can race a concurrent charge,
+/// but tracked bytes never go negative.
+fn saturating_sub(tracked: &AtomicU64, bytes: u64) {
+    let mut cur = tracked.load(Ordering::Relaxed);
+    loop {
+        let next = cur.saturating_sub(bytes);
+        match tracked.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => break,
+            Err(seen) => cur = seen,
         }
     }
 }
@@ -305,8 +353,7 @@ pub struct StageScope {
     hard_bytes: u64,
     tracked: AtomicU64,
     peak: AtomicU64,
-    events: Mutex<Vec<String>>,
-    suppressed: AtomicU64,
+    events: Mutex<EventLog>,
     totals: Arc<Totals>,
 }
 
@@ -358,19 +405,7 @@ impl StageScope {
     /// Returns `bytes` to the account (shed postings, cleared buckets,
     /// dropped buffers).
     pub fn release(&self, bytes: u64) {
-        let mut cur = self.tracked.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self.tracked.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
+        saturating_sub(&self.tracked, bytes);
         self.totals.sub(bytes);
     }
 
@@ -395,32 +430,28 @@ impl StageScope {
         self.soft_bytes
     }
 
-    /// Records one degradation-ladder event (deterministic text: byte
-    /// counts and feature ids only, never wall-clock values). At most
-    /// [`MAX_RECORDED_EVENTS`] are kept verbatim per stage — a pressure
+    /// The hard budget in bytes (0 = unlimited): the bound
+    /// [`charge`](Self::charge) enforces by cancelling the stage.
+    pub fn hard_bytes(&self) -> u64 {
+        self.hard_bytes
+    }
+
+    /// Records that `rung` fired, with one event line (deterministic
+    /// text: byte counts and feature ids only, never wall-clock
+    /// values). Every firing is counted; at most
+    /// [`MAX_RECORDED_EVENTS`] lines are kept verbatim per stage — a
     /// rung that sheds tens of thousands of postings would otherwise
-    /// bloat `RunHealth` with one line each; the overflow is folded
-    /// into one deterministic summary line by
-    /// [`Governor::stage_summaries`].
-    pub fn record(&self, event: String) {
-        let mut events = self
+    /// bloat `RunHealth` — and [`Governor::stage_summaries`] folds the
+    /// overflow into one summary line.
+    pub fn record(&self, rung: Rung, event: String) {
+        let mut log = self
             .events
             .lock()
             .expect("governor event mutex not poisoned");
-        if events.len() < MAX_RECORDED_EVENTS {
-            events.push(event);
-        } else {
-            self.suppressed.fetch_add(1, Ordering::Relaxed);
+        *log.rungs.entry(rung).or_insert(0) += 1;
+        if log.lines.len() < MAX_RECORDED_EVENTS {
+            log.lines.push(event);
         }
-    }
-
-    /// Number of events observed so far (recorded plus suppressed).
-    pub fn event_count(&self) -> usize {
-        self.events
-            .lock()
-            .expect("governor event mutex not poisoned")
-            .len()
-            + self.suppressed.load(Ordering::Relaxed) as usize
     }
 }
 
@@ -433,6 +464,8 @@ pub struct StageSummary {
     pub peak_bytes: u64,
     /// Degradation-ladder events, in the order the stage recorded them.
     pub events: Vec<String>,
+    /// How often each rung fired (rungs that never fired are absent).
+    pub rungs: BTreeMap<Rung, u64>,
     /// Whether the stage's token ended cancelled.
     pub cancelled: bool,
 }
@@ -493,12 +526,6 @@ impl Governor {
         self.inner.run_token.clone()
     }
 
-    /// Whether any budget is configured (used to skip ladder work — and
-    /// any behavioral difference — entirely on unbudgeted runs).
-    pub fn enabled(&self) -> bool {
-        self.inner.opts.memory_budget_bytes > 0 || self.inner.opts.deadline_ms > 0
-    }
-
     /// Gets or creates the scope for `stage`. The first call creates it
     /// (starting its wall-clock budget of `budget_ms`, 0 = none); later
     /// calls return the same scope so a stage's builder and miner share
@@ -521,8 +548,7 @@ impl Governor {
             hard_bytes: hard,
             tracked: AtomicU64::new(0),
             peak: AtomicU64::new(0),
-            events: Mutex::new(Vec::new()),
-            suppressed: AtomicU64::new(0),
+            events: Mutex::new(EventLog::default()),
             totals: Arc::clone(&self.inner.totals),
         });
         stages.push(Arc::clone(&scope));
@@ -560,12 +586,9 @@ impl Governor {
         let mut out: Vec<StageSummary> = stages
             .iter()
             .map(|s| {
-                let mut events = s
-                    .events
-                    .lock()
-                    .expect("governor event mutex not poisoned")
-                    .clone();
-                let suppressed = s.suppressed.load(Ordering::Relaxed);
+                let log = s.events.lock().expect("governor event mutex not poisoned");
+                let mut events = log.lines.clone();
+                let suppressed = log.rungs.values().sum::<u64>() - events.len() as u64;
                 if suppressed > 0 {
                     events.push(format!("{suppressed} further ladder events suppressed"));
                 }
@@ -573,6 +596,7 @@ impl Governor {
                     name: s.name.clone(),
                     peak_bytes: s.peak_bytes(),
                     events,
+                    rungs: log.rungs.clone(),
                     cancelled: s.token.inner.cancelled.load(Ordering::Acquire),
                 }
             })
@@ -603,7 +627,6 @@ mod tests {
     #[test]
     fn unlimited_governor_never_cancels_or_degrades() {
         let g = Governor::unlimited();
-        assert!(!g.enabled());
         let s = g.stage("dimension/client", 0);
         for _ in 0..1000 {
             s.tick();
@@ -707,10 +730,14 @@ mod tests {
         let g = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(1 << 30));
         let s = g.stage("dimension/client", 0);
         for i in 0..MAX_RECORDED_EVENTS + 36 {
-            s.record(format!("shed posting feature={i} len=1"));
+            s.record(Rung::Shed, format!("shed posting feature={i} len=1"));
         }
-        assert_eq!(s.event_count(), MAX_RECORDED_EVENTS + 36);
         let summary = g.stage_summaries().remove(0);
+        // Suppressed events are still counted against their rung.
+        assert_eq!(
+            summary.rungs,
+            BTreeMap::from([(Rung::Shed, MAX_RECORDED_EVENTS as u64 + 36)])
+        );
         assert_eq!(summary.events.len(), MAX_RECORDED_EVENTS + 1);
         assert_eq!(
             summary.events.last().map(String::as_str),
@@ -723,8 +750,11 @@ mod tests {
         let g = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(1 << 30));
         let z = g.stage("dimension/whois", 0);
         let a = g.stage("dimension/client", 0);
-        z.record("shed posting feature=1 len=9".to_owned());
-        a.record("bucket_cap tightened 512 -> 128".to_owned());
+        z.record(Rung::Shed, "shed posting feature=1 len=9".to_owned());
+        a.record(
+            Rung::Tightened,
+            "bucket_cap tightened 512 -> 128".to_owned(),
+        );
         let names: Vec<String> = g.stage_summaries().into_iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["dimension/client", "dimension/whois"]);
     }

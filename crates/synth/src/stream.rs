@@ -116,6 +116,23 @@ impl StreamScenario {
         TraceDataset::from_records_governed(self.records(), scope)
     }
 
+    /// Counts the planted campaigns (servers `c{campaign}-{n}.bad`)
+    /// recovered by `campaigns`, a miner's output as server-name lists:
+    /// a planted campaign counts when one inferred campaign holds at
+    /// least half of its servers.
+    pub fn recovered_campaigns(&self, campaigns: &[Vec<String>]) -> usize {
+        let need = self.servers_per_campaign.div_ceil(2);
+        (0..self.campaigns)
+            .filter(|c| {
+                let prefix = format!("c{c}-");
+                let planted = |s: &&String| s.starts_with(&prefix) && s.ends_with(".bad");
+                campaigns
+                    .iter()
+                    .any(|servers| servers.iter().filter(planted).count() >= need)
+            })
+            .count()
+    }
+
     /// One client's records: benign Zipf browsing, plus the campaign
     /// herd contacts when the client is a bot. Pure function of
     /// `(seed, i)`.
@@ -204,6 +221,19 @@ fn benign_uri(seed: u64, rank: usize, rng: &mut DetRng) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_planted_campaign_is_recovered_by_half_its_servers_in_one_herd() {
+        let s = StreamScenario::quick(1); // 8 campaigns of 12 servers
+        let herd = |c: usize, n: usize| -> Vec<String> {
+            (0..n).map(|i| format!("c{c}-{i}.bad")).collect()
+        };
+        // Campaign 0 whole, campaign 1 exactly half, campaign 2 split
+        // five-and-five across two herds (neither reaches six).
+        let found = vec![herd(0, 12), herd(1, 6), herd(2, 5), herd(2, 5)];
+        assert_eq!(s.recovered_campaigns(&found), 2);
+        assert_eq!(s.recovered_campaigns(&[]), 0);
+    }
 
     #[test]
     fn stream_is_deterministic_across_calls() {

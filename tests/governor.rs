@@ -12,11 +12,15 @@
 //! 3. **A governor abort leaves resumable state** — `--resume` from the
 //!    checkpoint directory of an aborted run, with the budget lifted,
 //!    reproduces the unconstrained report exactly.
+//! 4. **Degradation is monotone** — halving the budget may lose planted
+//!    campaigns, never find more, and never loses everything while the
+//!    input still fits.
 
 use smash::core::{CheckpointOptions, Smash, SmashConfig, SmashReport};
 use smash::support::failpoint;
 use smash::support::governor::GovernorOptions;
 use smash::support::metrics::Registry;
+use smash::synth::stream::StreamScenario;
 use smash::trace::{HttpRecord, TraceDataset};
 use smash::whois::{WhoisRecord, WhoisRegistry};
 use std::path::PathBuf;
@@ -254,4 +258,73 @@ fn soft_budget_engages_the_ladder_but_still_completes() {
         !report.health.governor.is_empty(),
         "soft breach left no ladder events"
     );
+}
+
+#[test]
+fn degradation_is_monotone_as_the_budget_halves() {
+    use smash::core::report::DimensionStatus;
+    let _g = locked();
+    failpoint::disarm_all();
+    let scenario = StreamScenario::quick(7);
+    let dataset = scenario.dataset();
+    let whois = WhoisRegistry::new();
+    let smash = Smash::new(SmashConfig::default());
+    let run = |resources: Option<&GovernorOptions>| {
+        smash.run_governed(&dataset, &whois, &Registry::new(), None, resources)
+    };
+
+    let unconstrained = run(None);
+    let peak = unconstrained.perf.peak_tracked_bytes;
+    assert!(peak > 0, "the unconstrained run charged no bytes");
+    let mut wider = scenario.recovered_campaigns(&unconstrained.campaign_server_names());
+    assert_eq!(
+        wider, scenario.campaigns,
+        "unconstrained run lost campaigns"
+    );
+
+    for divisor in [2u64, 4, 8, 16, 32, 64] {
+        let budget = peak / divisor;
+        let opts = GovernorOptions::unlimited().with_memory_budget_bytes(budget);
+        let report = run(Some(&opts));
+        let recovered = scenario.recovered_campaigns(&report.campaign_server_names());
+        let events = &report.health.governor;
+        let client = report
+            .health
+            .dimensions
+            .iter()
+            .find(|d| d.kind.to_string() == "client")
+            .expect("client dimension health present");
+
+        // (a) A tighter budget never finds more.
+        assert!(
+            recovered <= wider,
+            "peak/{divisor}: recovered {recovered} > {wider} at twice the budget; {events:?}"
+        );
+        // (b) While one band's keys and buckets (12 bytes per server) fit
+        // under the hard budget, banding can run: the main dimension
+        // must complete and something must be found.
+        if 12 * report.kept_servers as u64 <= budget {
+            assert!(
+                !matches!(client.status, DimensionStatus::Cancelled { .. }),
+                "peak/{divisor}: client cancelled though its band keys fit: {:?}; {events:?}",
+                client.status
+            );
+            assert!(
+                recovered >= 1,
+                "peak/{divisor}: degraded silently to nothing; {events:?}"
+            );
+        }
+        // (c) Whatever was given up is accounted for.
+        let degraded = report.campaign_server_names() != unconstrained.campaign_server_names()
+            || report
+                .health
+                .dimensions
+                .iter()
+                .any(|d| !matches!(d.status, DimensionStatus::Ok | DimensionStatus::Disabled));
+        assert!(
+            !degraded || !events.is_empty(),
+            "peak/{divisor}: the report changed but no ladder event says why"
+        );
+        wider = recovered;
+    }
 }

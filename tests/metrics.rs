@@ -78,6 +78,37 @@ fn pipeline_times_every_stage_exactly_once() {
     assert_eq!(report.perf.stages.last().unwrap().stage, "assemble");
 }
 
+/// The candidate funnel must reconcile for both LSH-routed dimensions,
+/// in both candidate modes: every stage is a subset of the one before,
+/// and every scored pair is either pruned or an edge.
+#[test]
+fn candidate_funnel_reconciles_in_lsh_and_exact_mode() {
+    let data = Scenario::small_day(3).generate();
+    for exact in [false, true] {
+        let metrics = Registry::new();
+        let config = SmashConfig::default().with_exact_candidates(exact);
+        Smash::new(config).run_with_metrics(&data.dataset, &data.whois, &metrics);
+        let counters = metrics.snapshot().counters;
+        for kind in ["client", "uri-file"] {
+            let get = |name: &str| counters[&format!("dim/{kind}/{name}")];
+            let (considered, bucketed, scored) = (
+                get("pairs_considered"),
+                get("pairs_bucketed"),
+                get("pairs_scored"),
+            );
+            let (pruned, edges) = (get("pairs_pruned"), get("edges"));
+            let funnel = format!(
+                "{kind} exact={exact}: considered {considered} bucketed {bucketed} \
+                 scored {scored} pruned {pruned} edges {edges}"
+            );
+            assert!(considered >= bucketed, "{funnel}");
+            assert!(bucketed >= scored, "{funnel}");
+            assert_eq!(scored, pruned + edges, "{funnel}");
+            assert!(edges > 0, "{funnel}");
+        }
+    }
+}
+
 #[test]
 fn enabling_a_dimension_adds_its_stage() {
     let data = Scenario::small_day(3).generate();
