@@ -58,6 +58,12 @@
 #                                             --smoke run of every workload, so a
 #                                             library API change that breaks it
 #                                             fails here, not in the driver
+#   6i. hostile-line smoke                    one line of 200 000 `[` (deeper
+#                                             than any stack) is one quarantined
+#                                             line to `smash stats --lenient` and
+#                                             `ERR bad-json` then `PONG` to
+#                                             `smash serve --stdio`; both used to
+#                                             abort the process (DESIGN.md §6)
 #   7. examples                               all four examples/ run to completion
 #   8. cargo clippy -D warnings               lint gate, skipped when the
 #                                             toolchain ships without clippy
@@ -142,6 +148,17 @@ diff -u "$serve_dir/ref.hit" "$serve_dir/crash.hit"
 echo "==> reference benchmark (benchmark/: self-tests + --smoke)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke >/dev/null
+
+echo "==> hostile-line smoke (deep nesting: quarantined by the CLI, ERR bad-json from the daemon)"
+deep="$(head -c 200000 /dev/zero | tr '\0' '[')"
+{ cat "$remine_dir/trace.jsonl"; echo "$deep"; } >"$remine_dir/hostile.jsonl"
+"$smash_bin" stats "$remine_dir/hostile.jsonl" --lenient >/dev/null 2>"$remine_dir/hostile.err"
+grep -q 'quarantined 1 of ' "$remine_dir/hostile.err"
+test "$(wc -l <"$remine_dir/hostile.jsonl.quarantine")" -eq 1
+# Under the daemon's 64 KiB wire cap, so it reaches the decoder.
+printf 'INGEST %s\nPING\nSHUTDOWN\n' "${deep:0:60000}" \
+    | "$smash_bin" serve --stdio --data-dir "$serve_dir/hostile" >"$serve_dir/hostile.out"
+diff -u <(printf 'ERR bad-json\nPONG\nOK\n') "$serve_dir/hostile.out"
 
 echo "==> examples build and run"
 for ex in quickstart campaign_discovery weekly_monitoring custom_trace; do

@@ -1,5 +1,8 @@
 //! JSON without `serde`: a value type, parser, writer, and the
-//! [`ToJson`] / [`FromJson`] traits with derive-like impl macros.
+//! [`ToJson`] / [`FromJson`] traits with derive-like impl macros. One
+//! parser serves two entry points: [`parse`] builds the [`Json`] tree,
+//! [`visit_members`] hands out a top-level object's members as borrowed
+//! [`Scalar`]s without building one (the trace reader's hot path).
 //!
 //! Determinism is part of the contract: map- and set-like containers are
 //! serialized with sorted keys, struct fields in declaration order, and
@@ -23,6 +26,7 @@
 //! assert_eq!(back, p);
 //! ```
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -226,16 +230,59 @@ impl fmt::Display for Json {
 
 // ---------------------------------------------------------------- parser
 
+/// Deepest array/object nesting the parser accepts. Record lines are
+/// flat and reports nest under 10 levels; without a cap one hostile line
+/// of `[[[[…` recurses `value → array → value` until the stack overflows
+/// and the process aborts.
+pub const MAX_DEPTH: usize = 128;
+
+/// A scalar JSON value as the parser lexes it: numbers keep the
+/// [`Json`] integer/float split, and a string borrows from the input
+/// unless it contained an escape.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A negative integer (or any integer parsed with a leading `-`).
+    Int(i64),
+    /// A non-negative integer.
+    UInt(u64),
+    /// A number with a fractional part or exponent.
+    Float(f64),
+    /// A string, unescaped.
+    Str(Cow<'a, str>),
+}
+
+impl From<Scalar<'_>> for Json {
+    fn from(s: Scalar<'_>) -> Json {
+        match s {
+            Scalar::Null => Json::Null,
+            Scalar::Bool(b) => Json::Bool(b),
+            Scalar::Int(i) => Json::Int(i),
+            Scalar::UInt(u) => Json::UInt(u),
+            Scalar::Float(x) => Json::Float(x),
+            Scalar::Str(s) => Json::Str(s.into_owned()),
+        }
+    }
+}
+
+/// The one JSON grammar: [`parse`] builds a [`Json`] tree with it and
+/// [`visit_members`] walks a top-level object without building one.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Arrays and objects currently open, at most [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
+    fn new(src: &'a str) -> Self {
         Self {
-            bytes: s.as_bytes(),
+            src,
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -244,17 +291,25 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    /// The unread input. The lexer only ever steps over ASCII bytes or
+    /// up to one, so `pos` is always a character boundary.
+    fn rest(&self) -> &'a str {
+        self.src.get(self.pos..).unwrap_or_default()
+    }
+
+    /// `src[start..self.pos]`, both character boundaries as in
+    /// [`rest`](Self::rest).
+    fn since(&self, start: usize) -> &'a str {
+        self.src.get(start..self.pos).unwrap_or_default()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
@@ -266,8 +321,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn eat_literal(&mut self, lit: &str, v: Scalar<'a>) -> Result<Scalar<'a>, JsonError> {
+        if self.rest().starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -275,15 +330,46 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Fails unless the whole input has been consumed.
+    fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return self.fail("trailing characters");
+        }
+        Ok(())
+    }
+
+    /// Opens an array or object (the caller has peeked `open`).
+    fn enter(&mut self, open: u8) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return self.fail(&format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        self.eat(open)
+    }
+
     fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'n') => self.eat_literal("null", Json::Null),
-            Some(b't') => self.eat_literal("true", Json::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|p, key| {
+                    fields.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(fields))
+            }
+            _ => self.scalar().map(Json::from),
+        }
+    }
+
+    fn scalar(&mut self) -> Result<Scalar<'a>, JsonError> {
+        match self.peek() {
+            Some(b'n') => self.eat_literal("null", Scalar::Null),
+            Some(b't') => self.eat_literal("true", Scalar::Bool(true)),
+            Some(b'f') => self.eat_literal("false", Scalar::Bool(false)),
+            Some(b'"') => self.string().map(Scalar::Str),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => self.fail(&format!("unexpected byte `{}`", b as char)),
             None => self.fail("unexpected end of input"),
@@ -291,113 +377,120 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
+        self.enter(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
+        if self.peek() != Some(b']') {
+            loop {
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => break,
+                    _ => return self.fail("expected `,` or `]`"),
                 }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.fail("expected `,` or `]`"),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(Json::Arr(items))
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
+    /// Walks one object; `member` is handed each key with the parser
+    /// positioned after the `:` and must consume exactly the value.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.enter(b'{')?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
+        if self.peek() != Some(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.eat(b':')?;
+                member(self, key)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => break,
+                    _ => return self.fail("expected `,` or `}`"),
                 }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return self.fail("expected `,` or `}`"),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Advances over string bytes that stand for themselves: everything
+    /// up to the next quote, backslash or control character (all ASCII,
+    /// so multi-byte characters are stepped over whole).
+    fn skip_plain(&mut self) {
+        let rest = self.rest().as_bytes();
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            let s = self.since(start);
+            self.pos += 1;
+            return Ok(Cow::Borrowed(s));
+        }
+        let mut out = self.since(start).to_owned();
         loop {
             match self.peek() {
                 None => return self.fail("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let c = self.unicode_escape()?;
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return self.fail("bad escape"),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
+                Some(b) if b < 0x20 => return self.fail("unescaped control character"),
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError("invalid utf-8".into()))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .expect("peek() saw a byte, so the remainder is non-empty");
-                    if (c as u32) < 0x20 {
-                        return self.fail("unescaped control character");
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = self.pos;
+                    self.skip_plain();
+                    out.push_str(self.since(run));
                 }
             }
         }
     }
 
+    /// The character named by the escape whose backslash was just read.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0C}',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_escape();
+            }
+            _ => return self.fail("bad escape"),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let hex = self
-            .bytes
+            .src
             .get(self.pos..self.pos + 4)
-            .and_then(|h| std::str::from_utf8(h).ok())
             .ok_or_else(|| JsonError("truncated \\u escape".into()))?;
         let v = u32::from_str_radix(hex, 16).map_err(|_| JsonError("bad \\u escape".into()))?;
         self.pos += 4;
@@ -408,9 +501,7 @@ impl<'a> Parser<'a> {
         let hi = self.hex4()?;
         if (0xD800..0xDC00).contains(&hi) {
             // Surrogate pair: expect \uXXXX low surrogate.
-            if self.bytes.get(self.pos) == Some(&b'\\')
-                && self.bytes.get(self.pos + 1) == Some(&b'u')
-            {
+            if self.rest().starts_with("\\u") {
                 self.pos += 2;
                 let lo = self.hex4()?;
                 if !(0xDC00..0xE000).contains(&lo) {
@@ -424,7 +515,7 @@ impl<'a> Parser<'a> {
         char::from_u32(hi).ok_or_else(|| JsonError("bad \\u escape".into()))
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<Scalar<'a>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -455,23 +546,22 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number lexeme is ASCII digits, sign, dot, exponent");
+        let text = self.since(start);
         if integral {
             if let Some(stripped) = text.strip_prefix('-') {
                 if stripped != "0" {
                     if let Ok(i) = text.parse::<i64>() {
-                        return Ok(Json::Int(i));
+                        return Ok(Scalar::Int(i));
                     }
                 } else {
-                    return Ok(Json::Int(0));
+                    return Ok(Scalar::Int(0));
                 }
             } else if let Ok(u) = text.parse::<u64>() {
-                return Ok(Json::UInt(u));
+                return Ok(Scalar::UInt(u));
             }
         }
         match text.parse::<f64>() {
-            Ok(x) => Ok(Json::Float(x)),
+            Ok(x) => Ok(Scalar::Float(x)),
             Err(_) => self.fail("bad number"),
         }
     }
@@ -481,15 +571,49 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] describing the first syntax violation.
+/// Returns a [`JsonError`] describing the first syntax violation,
+/// nesting deeper than [`MAX_DEPTH`] included.
 pub fn parse(s: &str) -> Result<Json, JsonError> {
     let mut p = Parser::new(s);
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.fail("trailing characters");
-    }
+    p.finish()?;
     Ok(v)
+}
+
+/// Validates `s` as one JSON value — the same grammar and errors as
+/// [`parse`] — and, when that value is an object, hands `f` each of its
+/// members in input order without building a tree: a scalar value as
+/// `Some`, borrowing from `s`; an array or object value as `None`
+/// (validated, then dropped). Duplicate keys are all visited. A
+/// top-level value that is not an object has no members.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] describing the first syntax violation; `f`
+/// may already have seen the members before it.
+pub fn visit_members<'a>(
+    s: &'a str,
+    mut f: impl FnMut(&str, Option<Scalar<'a>>),
+) -> Result<(), JsonError> {
+    let mut p = Parser::new(s);
+    p.skip_ws();
+    if p.peek() == Some(b'{') {
+        p.object(|p, key| {
+            p.skip_ws();
+            let scalar = match p.peek() {
+                Some(b'[' | b'{') => {
+                    p.value()?;
+                    None
+                }
+                _ => Some(p.scalar()?),
+            };
+            f(&key, scalar);
+            Ok(())
+        })?;
+    } else {
+        p.value()?;
+    }
+    p.finish()
 }
 
 // ---------------------------------------------------------------- traits
@@ -1053,6 +1177,107 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested =
+            |open: &str, close: &str, n: usize| format!("{}1{}", open.repeat(n), close.repeat(n));
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(parse(&nested(open, close, MAX_DEPTH)).is_ok());
+            let e = parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(e.0.contains("nesting deeper"), "{e}");
+            // A member's value sits one level below the visited object.
+            let member = |n| format!("{{\"m\":{}}}", nested(open, close, n));
+            assert!(visit_members(&member(MAX_DEPTH - 1), |_, _| {}).is_ok());
+            assert!(visit_members(&member(MAX_DEPTH), |_, _| {}).is_err());
+        }
+        // The hostile line: never closed, far deeper than any stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(visit_members(&format!("{{\"m\":{}", "[".repeat(200_000)), |_, _| {}).is_err());
+        // Closing a container gives its level back.
+        let siblings = format!("[{}]", vec!["[[]]"; 4 * MAX_DEPTH].join(","));
+        assert!(parse(&siblings).is_ok());
+    }
+
+    #[test]
+    fn visited_members_borrow_unless_escaped() {
+        let src = r#" {"plain":"héllo 🦀","esc":"a\n\u00e9","k\u0031":-0,"f":1e3,
+            "nest":[1,{"x":null}],"plain":true,"n":null} "#;
+        let mut seen = Vec::new();
+        visit_members(src, |k, v| seen.push((k.to_owned(), v))).unwrap();
+        let keys: Vec<&str> = seen.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["plain", "esc", "k1", "f", "nest", "plain", "n"]);
+        assert!(matches!(
+            &seen[0].1,
+            Some(Scalar::Str(Cow::Borrowed("héllo 🦀")))
+        ));
+        assert!(matches!(&seen[1].1, Some(Scalar::Str(Cow::Owned(s))) if s == "a\né"));
+        assert_eq!(seen[2].1, Some(Scalar::Int(0)));
+        assert_eq!(seen[3].1, Some(Scalar::Float(1000.0)));
+        assert_eq!(seen[4].1, None);
+        assert_eq!(seen[5].1, Some(Scalar::Bool(true)));
+        assert_eq!(seen[6].1, Some(Scalar::Null));
+        // Not an object: valid, no members. Invalid: the same error as `parse`.
+        assert!(visit_members("[1,2]", |_, _| panic!("no members")).is_ok());
+        for bad in ["{\"a\":1} x", "{\"a\":[1,}", "{\"a\":\"\u{1}\"}", "", "[1"] {
+            assert_eq!(
+                visit_members(bad, |_, _| {}).unwrap_err(),
+                parse(bad).unwrap_err()
+            );
+        }
+    }
+
+    /// A random value nesting at most `depth` containers deep.
+    fn arbitrary(g: &mut crate::check::Gen, depth: usize) -> Json {
+        let text = |g: &mut crate::check::Gen| g.string(0..=6, "ab\"\\/\n\u{1}é🦀 ");
+        match g.range(0..if depth == 0 { 6 } else { 8 }) {
+            0 => Json::Null,
+            1 => Json::Bool(g.bool(0.5)),
+            2 => Json::UInt(g.u64() >> g.range(0..64u32)),
+            3 => Json::Int(-((g.u64() >> g.range(1..64u32)) as i64) - 1),
+            4 => Json::Float(g.unit() * 1e6 - 5e5),
+            5 => Json::Str(text(g)),
+            6 => Json::Arr(g.vec(0..4, |g| arbitrary(g, depth - 1))),
+            _ => Json::Obj(g.vec(0..4, |g| (text(g), arbitrary(g, depth - 1)))),
+        }
+    }
+
+    #[test]
+    fn visitor_agrees_with_the_tree_on_valid_and_broken_text() {
+        // One grammar, two consumers: whatever the text, `visit_members`
+        // accepts exactly what `parse` accepts and sees exactly the
+        // tree's top-level members.
+        crate::check::check(
+            |g| {
+                let mut text = to_string(&arbitrary(g, 3)).into_bytes();
+                if g.bool(0.5) && !text.is_empty() {
+                    let at = g.range(0..text.len());
+                    match g.range(0..3u8) {
+                        0 => text.truncate(at),
+                        1 => text[at] = *g.pick(b"\"\\{}[],:0-e.nu \x01"),
+                        _ => text.insert(at, *g.pick(b"\"\\{}[],:0-e.nu \x01")),
+                    }
+                }
+                String::from_utf8_lossy(&text).into_owned()
+            },
+            |text| {
+                let mut members = Vec::new();
+                let visited = visit_members(text, |k, v| members.push((k.to_owned(), v)));
+                let tree = parse(text);
+                assert_eq!(visited.as_ref().err(), tree.as_ref().err());
+                let Ok(tree) = tree else { return };
+                let fields = tree.as_obj().unwrap_or_default();
+                assert_eq!(members.len(), fields.len());
+                for ((key, scalar), (k, v)) in members.into_iter().zip(fields) {
+                    assert_eq!(&key, k);
+                    match scalar {
+                        Some(s) => assert_eq!(&Json::from(s), v),
+                        None => assert!(matches!(v, Json::Arr(_) | Json::Obj(_))),
+                    }
+                }
+            },
+        );
     }
 
     #[test]

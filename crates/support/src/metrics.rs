@@ -348,26 +348,38 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot as a human-readable profile table: stages
-    /// first (wall time, calls), then counters, then gauges.
+    /// first (wall time, calls), then counters, then gauges. A stage
+    /// `stage/<x>` with an `<x>/bytes` or `<x>/records` counter also
+    /// gets its throughput (MB/s of 10⁶ bytes, records/s) on its row.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "{:<38} {:>12} {:>8} {:>12} {:>12}\n",
             "stage", "total", "calls", "min", "max"
         ));
-        for (name, h) in self
-            .histograms
-            .iter()
-            .filter(|(k, _)| k.starts_with("stage/"))
-        {
+        for (name, h) in &self.histograms {
+            let Some(stage) = name.strip_prefix("stage/") else {
+                continue;
+            };
             out.push_str(&format!(
-                "{:<38} {:>12} {:>8} {:>12} {:>12}\n",
+                "{:<38} {:>12} {:>8} {:>12} {:>12}",
                 name,
                 fmt_ns(h.sum_ns),
                 h.count,
                 fmt_ns(h.min_ns),
                 fmt_ns(h.max_ns),
             ));
+            let per_second = |unit: &str| {
+                let done = self.counters.get(&format!("{stage}/{unit}"))?;
+                (h.sum_ns > 0).then(|| *done as f64 / (h.sum_ns as f64 / 1e9))
+            };
+            if let Some(rate) = per_second("bytes") {
+                out.push_str(&format!("  {:.1} MB/s", rate / 1e6));
+            }
+            if let Some(rate) = per_second("records") {
+                out.push_str(&format!("  {rate:.0} records/s"));
+            }
+            out.push('\n');
         }
         if !self.counters.is_empty() {
             out.push_str(&format!("\n{:<38} {:>12}\n", "counter", "value"));
@@ -504,6 +516,13 @@ mod tests {
         assert!(table.contains("dim/client/edges"));
         assert!(table.contains("louvain/client/modularity"));
         assert!(table.contains("5.000 ms"));
+        // Throughput appears only on a stage with matching counters.
+        assert!(!table.contains("/s"), "{table}");
+        m.histogram("stage/ingest").record_ns(500_000_000);
+        m.counter("ingest/bytes").add(26_000_000);
+        m.counter("ingest/records").add(130_000);
+        let table = m.snapshot().render_table();
+        assert!(table.contains("52.0 MB/s  260000 records/s"), "{table}");
     }
 
     #[test]

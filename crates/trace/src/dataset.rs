@@ -3,12 +3,13 @@
 
 use crate::columns::{self, RecordColumns};
 use crate::interner::Interner;
-use crate::record::HttpRecord;
+use crate::record::{HttpRecord, RecordFields};
 use crate::server::ServerKey;
 use crate::uri::{parameter_pattern, uri_file, uri_path};
 use smash_support::governor::StageScope;
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 
 /// Dense id of an (aggregated) server within a [`TraceDataset`].
 pub type ServerId = u32;
@@ -137,7 +138,8 @@ impl FromWire for TraceDataset {
     }
 }
 
-/// An in-progress append: records go in through [`push`](Self::push),
+/// An in-progress append: records go in through
+/// [`push_fields`](Self::push_fields) (or [`push`](Self::push)),
 /// and dropping the appender re-sorts and deduplicates the postings of
 /// the servers it touched. It holds the dataset's one mutable borrow
 /// while those are unsorted, so no reader sees the intermediate state —
@@ -151,15 +153,48 @@ pub struct Appender<'a> {
     touched: Vec<ServerId>,
     /// Posting cells pushed so far (pre-dedup), for governed ingest.
     posting_cells: u64,
+    /// Raw host string → server id, for the hosts this appender has
+    /// already aggregated: a repeat (nearly every record's host,
+    /// referrer and redirect target) skips lowercasing, label splitting
+    /// and the key's `to_string`. Scratch state — it dies with the
+    /// appender and is neither serialized nor part of `heap_bytes`; it
+    /// holds at most one entry per distinct host string pushed.
+    server_memo: HashMap<String, ServerId>,
+    /// Server IP → id in the IP table, scratch like `server_memo`: a
+    /// repeat skips formatting the address to look its text up.
+    ip_memo: HashMap<Ipv4Addr, u32>,
 }
 
 impl Appender<'_> {
-    /// Interns one record into the arena and its server's postings.
+    /// Interns one owned record: [`push_fields`](Self::push_fields) of
+    /// its borrowed fields.
     pub fn push(&mut self, r: &HttpRecord) {
+        self.push_fields(&r.fields());
+    }
+
+    /// The aggregated server id of a raw host string.
+    fn server_of(&mut self, host: &str) -> ServerId {
+        if let Some(&id) = self.server_memo.get(host) {
+            return id;
+        }
+        let id = self.ds.intern_server(host);
+        self.server_memo.insert(host.to_owned(), id);
+        id
+    }
+
+    /// Interns one record into the arena and its server's postings —
+    /// the one interning routine. Only the first sight of a symbol
+    /// allocates; a record whose strings are all known costs hash
+    /// lookups and column pushes.
+    pub fn push_fields(&mut self, r: &RecordFields<'_>) {
+        let server = self.server_of(&r.host);
+        let referrer = r.referrer.as_deref().map(|h| self.server_of(h));
+        let redirect_to = r.redirect_to.as_deref().map(|h| self.server_of(h));
         let ds = &mut *self.ds;
-        let server = ds.intern_server(&r.host);
-        let referrer = r.referrer.as_deref().map(|h| ds.intern_server(h));
-        let redirect_to = r.redirect_to.as_deref().map(|h| ds.intern_server(h));
+        let ip = *self
+            .ip_memo
+            .entry(r.server_ip)
+            .or_insert_with(|| ds.ips.intern(&r.server_ip.to_string()));
         let file_str = uri_file(&r.uri);
         let is_dir = file_str.is_empty();
         let rec = CompactRecord {
@@ -167,10 +202,14 @@ impl Appender<'_> {
             client: ds.clients.intern(&r.client),
             server,
             host: ds.hosts.intern(&r.host),
-            ip: ds.ips.intern(&r.server_ip.to_string()),
+            ip,
             file: ds.files.intern(file_str),
             path: ds.paths.intern(uri_path(&r.uri)),
-            param_pattern: ds.params.intern(&parameter_pattern(&r.uri)),
+            param_pattern: if r.uri.contains('?') {
+                ds.params.intern(&parameter_pattern(&r.uri))
+            } else {
+                ds.params.intern("")
+            },
             user_agent: ds.user_agents.intern(&r.user_agent),
             referrer,
             status: r.status,
@@ -306,6 +345,8 @@ impl TraceDataset {
             ds: self,
             touched: Vec::new(),
             posting_cells: 0,
+            server_memo: HashMap::new(),
+            ip_memo: HashMap::new(),
         }
     }
 

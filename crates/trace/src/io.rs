@@ -3,9 +3,10 @@
 //! The paper's input is PCAP; our portable interchange format is one JSON
 //! object per line, which is trivially produced from any flow log.
 //!
-//! There is one reader, [`ingest_jsonl`]: it streams every decodable
-//! line into a sink (the CLI's is the arena's appender — no row
-//! buffer), counts bad lines per error class in an [`IngestReport`]
+//! There is one reader, [`ingest_jsonl`]: it decodes each line into
+//! borrowed fields ([`decode_fields`] — no JSON tree, no owned strings)
+//! and streams them into a sink (the CLI's is the arena's appender — no
+//! row buffer), counts bad lines per error class in an [`IngestReport`]
 //! (optionally spilling them to a quarantine sidecar), and lets an
 //! *error budget* tell a dirty trace (ingest what you can) from the
 //! wrong file entirely ([`IngestError::BudgetExceeded`]). Dirty
@@ -13,13 +14,14 @@
 //! want *strict* — the same loop at budget 0, failing on the first
 //! malformed line ([`read_jsonl`], [`read_jsonl_file`]).
 
-use crate::record::HttpRecord;
+use crate::record::{HttpRecord, RecordFields};
 use smash_support::ckpt;
 use smash_support::failpoint;
 use smash_support::governor::CancelToken;
 use smash_support::impl_json_struct;
-use smash_support::json::{self, FromJson};
+use smash_support::json::{self, FromJson, Json, Scalar};
 use smash_support::retry;
+use std::borrow::Cow;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -91,7 +93,7 @@ pub struct IngestOptions {
     /// for offline inspection.
     pub quarantine: Option<PathBuf>,
     /// When set, the reader polls this token every
-    /// [`CANCEL_POLL_LINES`] lines and abort with
+    /// [`CANCEL_POLL_LINES`] lines and aborts with
     /// [`IngestError::Cancelled`] once it fires (governor deadlines and
     /// run-level cancellation reach ingest through here).
     pub cancel: Option<CancelToken>,
@@ -267,9 +269,55 @@ impl LineError {
     }
 }
 
-/// Decodes one JSONL record line: the reader's per-line core, shared
-/// with the serve layer's wire protocol so a hostile `INGEST` line is
-/// classified exactly like a hostile trace line.
+/// One field's decode state: `None` until its key is seen, then
+/// `Some(None)` for a mistyped value or `Some(Some(v))` for a decoded
+/// one.
+type Slot<T> = Option<Option<T>>;
+
+/// Fills `slot` unless an earlier occurrence of the key already did:
+/// the first of duplicate members wins.
+fn fill<T>(slot: &mut Slot<T>, v: Option<T>) {
+    if slot.is_none() {
+        *slot = Some(v);
+    }
+}
+
+/// An integer member, by the rules of the `FromJson` integer impls: an
+/// integral float counts, a negative or out-of-range value does not.
+fn number<T: FromJson>(v: Option<Scalar<'_>>) -> Option<T> {
+    match v? {
+        Scalar::Str(_) => None,
+        n => T::from_json(&Json::from(n)).ok(),
+    }
+}
+
+/// A string member.
+fn text(v: Option<Scalar<'_>>) -> Option<Cow<'_, str>> {
+    match v? {
+        Scalar::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// A string-or-`null` member.
+fn optional_text(v: Option<Scalar<'_>>) -> Option<Option<Cow<'_, str>>> {
+    match v? {
+        Scalar::Null => Some(None),
+        Scalar::Str(s) => Some(Some(s)),
+        _ => None,
+    }
+}
+
+/// Decodes one JSONL record line into borrowed fields: the reader's
+/// per-line core, shared with the serve layer's wire protocol so a
+/// hostile `INGEST` line is classified exactly like a hostile trace
+/// line. No JSON tree is built and nothing is allocated unless a
+/// string carries an escape: the line is validated as UTF-8 once and
+/// each member goes from its bytes straight into its typed field.
+///
+/// `resp_bytes` defaults to 0 when absent; `referrer` and `redirect_to`
+/// must be present (`null` or a string); members with other names are
+/// validated and ignored.
 ///
 /// # Errors
 ///
@@ -277,16 +325,91 @@ impl LineError {
 /// JSON, an unparseable or mistyped `server_ip` is its own class and
 /// any other missing or mistyped field is `BadField`; never panics,
 /// whatever the bytes.
-pub fn decode_record_line(raw: &[u8]) -> Result<HttpRecord, LineError> {
-    let value = std::str::from_utf8(raw)
-        .ok()
-        .and_then(|line| json::parse(line).ok())
-        .ok_or(LineError::BadJson)?;
-    HttpRecord::from_json(&value).map_err(|_| match value.get("server_ip") {
-        Some(json::Json::Str(s)) if s.parse::<Ipv4Addr>().is_err() => LineError::BadIp,
-        Some(json::Json::Str(_)) | None => LineError::BadField,
-        Some(_) => LineError::BadIp,
+pub fn decode_fields(raw: &[u8]) -> Result<RecordFields<'_>, LineError> {
+    let line = std::str::from_utf8(raw).map_err(|_| LineError::BadJson)?;
+    let mut timestamp: Slot<u64> = None;
+    let mut client = None;
+    let mut host = None;
+    let mut server_ip: Slot<Ipv4Addr> = None;
+    let mut method = None;
+    let mut uri = None;
+    let mut user_agent = None;
+    let mut referrer = None;
+    let mut status: Slot<u16> = None;
+    let mut resp_bytes: Slot<u32> = None;
+    let mut redirect_to = None;
+    json::visit_members(line, |key, v| match key {
+        "timestamp" => fill(&mut timestamp, number(v)),
+        "client" => fill(&mut client, text(v)),
+        "host" => fill(&mut host, text(v)),
+        "server_ip" => fill(&mut server_ip, text(v).and_then(|ip| ip.parse().ok())),
+        "method" => fill(&mut method, text(v)),
+        "uri" => fill(&mut uri, text(v)),
+        "user_agent" => fill(&mut user_agent, text(v)),
+        "referrer" => fill(&mut referrer, optional_text(v)),
+        "status" => fill(&mut status, number(v)),
+        "resp_bytes" => fill(&mut resp_bytes, number(v)),
+        "redirect_to" => fill(&mut redirect_to, optional_text(v)),
+        _ => {}
     })
+    .map_err(|_| LineError::BadJson)?;
+    // Whichever field failed, a `server_ip` that is present but not an
+    // IPv4 string names the class.
+    let class = if matches!(server_ip, Some(None)) {
+        LineError::BadIp
+    } else {
+        LineError::BadField
+    };
+    let (
+        Some(timestamp),
+        Some(client),
+        Some(host),
+        Some(server_ip),
+        Some(method),
+        Some(uri),
+        Some(user_agent),
+        Some(referrer),
+        Some(status),
+        Some(resp_bytes),
+        Some(redirect_to),
+    ) = (
+        timestamp.flatten(),
+        client.flatten(),
+        host.flatten(),
+        server_ip.flatten(),
+        method.flatten(),
+        uri.flatten(),
+        user_agent.flatten(),
+        referrer.flatten(),
+        status.flatten(),
+        resp_bytes.unwrap_or(Some(0)),
+        redirect_to.flatten(),
+    )
+    else {
+        return Err(class);
+    };
+    Ok(RecordFields {
+        timestamp,
+        client,
+        host,
+        server_ip,
+        method,
+        uri,
+        user_agent,
+        referrer,
+        status,
+        resp_bytes,
+        redirect_to,
+    })
+}
+
+/// [`decode_fields`] into an owned record.
+///
+/// # Errors
+///
+/// See [`decode_fields`].
+pub fn decode_record_line(raw: &[u8]) -> Result<HttpRecord, LineError> {
+    decode_fields(raw).map(RecordFields::into_record)
 }
 
 /// The one JSONL reader: streams every decodable record of `r` into
@@ -305,7 +428,7 @@ pub fn decode_record_line(raw: &[u8]) -> Result<HttpRecord, LineError> {
 pub fn ingest_jsonl<R: Read>(
     r: R,
     opts: &IngestOptions,
-    mut sink: impl FnMut(HttpRecord),
+    mut sink: impl FnMut(&RecordFields<'_>),
 ) -> Result<IngestReport, IngestError> {
     failpoint::check("ingest/jsonl").map_err(io::Error::other)?;
     check_cancel(opts.cancel.as_ref())?;
@@ -336,10 +459,10 @@ pub fn ingest_jsonl<R: Read>(
             quarantine.spill(&raw, &mut report)?;
             continue;
         }
-        match decode_record_line(&raw) {
-            Ok(rec) => {
+        match decode_fields(&raw) {
+            Ok(fields) => {
                 report.records += 1;
-                sink(rec);
+                sink(&fields);
             }
             Err(e) => {
                 match e {
@@ -371,7 +494,7 @@ pub fn read_jsonl_lenient<R: Read>(
     opts: &IngestOptions,
 ) -> Result<(Vec<HttpRecord>, IngestReport), IngestError> {
     let mut out = Vec::new();
-    let report = ingest_jsonl(r, opts, |rec| out.push(rec))?;
+    let report = ingest_jsonl(r, opts, |f| out.push(f.clone().into_record()))?;
     Ok((out, report))
 }
 

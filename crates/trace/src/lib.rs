@@ -73,7 +73,7 @@ pub use dataset::{Appender, CompactRecord, ServerId, TraceDataset};
 pub use day::{load_day, save_day, DayError};
 pub use interner::Interner;
 pub use io::{IngestError, IngestOptions, IngestReport};
-pub use record::{HttpRecord, RecordError};
+pub use record::{HttpRecord, RecordError, RecordFields};
 pub use server::{second_level_domain, ServerKey};
 pub use stats::TraceStats;
 pub use uri::{parameter_pattern, uri_file, uri_path};

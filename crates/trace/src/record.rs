@@ -1,6 +1,7 @@
 //! Raw HTTP request records as observed at the network edge.
 
 use smash_support::impl_json_struct;
+use std::borrow::Cow;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -79,7 +80,74 @@ impl_json_struct!(HttpRecord {
     redirect_to,
 });
 
+/// The eleven fields of an [`HttpRecord`] with the strings borrowed —
+/// from a JSONL line ([`crate::io::decode_fields`]; owned only where the
+/// line escaped a character) or from a record ([`HttpRecord::fields`]).
+/// This is what the arena interns from: a record on its way into a
+/// [`crate::TraceDataset`] never needs owned strings.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordFields<'a> {
+    /// See [`HttpRecord::timestamp`].
+    pub timestamp: u64,
+    /// See [`HttpRecord::client`].
+    pub client: Cow<'a, str>,
+    /// See [`HttpRecord::host`].
+    pub host: Cow<'a, str>,
+    /// See [`HttpRecord::server_ip`].
+    pub server_ip: Ipv4Addr,
+    /// See [`HttpRecord::method`].
+    pub method: Cow<'a, str>,
+    /// See [`HttpRecord::uri`].
+    pub uri: Cow<'a, str>,
+    /// See [`HttpRecord::user_agent`].
+    pub user_agent: Cow<'a, str>,
+    /// See [`HttpRecord::referrer`].
+    pub referrer: Option<Cow<'a, str>>,
+    /// See [`HttpRecord::status`].
+    pub status: u16,
+    /// See [`HttpRecord::resp_bytes`].
+    pub resp_bytes: u32,
+    /// See [`HttpRecord::redirect_to`].
+    pub redirect_to: Option<Cow<'a, str>>,
+}
+
+impl RecordFields<'_> {
+    /// The owned record, copying only the strings still borrowed.
+    pub fn into_record(self) -> HttpRecord {
+        HttpRecord {
+            timestamp: self.timestamp,
+            client: self.client.into_owned(),
+            host: self.host.into_owned(),
+            server_ip: self.server_ip,
+            method: self.method.into_owned(),
+            uri: self.uri.into_owned(),
+            user_agent: self.user_agent.into_owned(),
+            referrer: self.referrer.map(Cow::into_owned),
+            status: self.status,
+            resp_bytes: self.resp_bytes,
+            redirect_to: self.redirect_to.map(Cow::into_owned),
+        }
+    }
+}
+
 impl HttpRecord {
+    /// The record's fields, borrowed.
+    pub fn fields(&self) -> RecordFields<'_> {
+        RecordFields {
+            timestamp: self.timestamp,
+            client: Cow::Borrowed(&self.client),
+            host: Cow::Borrowed(&self.host),
+            server_ip: self.server_ip,
+            method: Cow::Borrowed(&self.method),
+            uri: Cow::Borrowed(&self.uri),
+            user_agent: Cow::Borrowed(&self.user_agent),
+            referrer: self.referrer.as_deref().map(Cow::Borrowed),
+            status: self.status,
+            resp_bytes: self.resp_bytes,
+            redirect_to: self.redirect_to.as_deref().map(Cow::Borrowed),
+        }
+    }
+
     /// Creates a record with the required fields; the rest default to
     /// `GET`, an empty user-agent, status `200`, and no referrer/redirect.
     ///

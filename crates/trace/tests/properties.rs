@@ -1,10 +1,13 @@
 //! Property-based tests for the trace substrate.
 
 use smash_support::check::{check, Gen};
+use smash_support::json::{self, FromJson, Json};
+use smash_support::rng::SliceRandom;
+use smash_trace::io::{decode_fields, LineError};
 use smash_trace::uri::charset_cosine;
 use smash_trace::{
-    parameter_pattern, second_level_domain, uri_file, uri_path, HttpRecord, Interner, ServerKey,
-    TraceDataset,
+    parameter_pattern, second_level_domain, uri_file, uri_path, HttpRecord, Interner, RecordFields,
+    ServerKey, TraceDataset,
 };
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
@@ -186,11 +189,16 @@ fn dataset_index_invariants() {
 type RawRecord = (u64, String, String, u8, String, u16, String, String);
 
 fn raw_record(g: &mut Gen) -> RawRecord {
-    let sld = |g: &mut Gen| format!("{}.com", g.string(1..=1, "pqrs"));
+    // Several spellings per server (case, trailing dot): distinct host
+    // strings — distinct appender-memo keys — that aggregate alike.
+    let sld = |g: &mut Gen| {
+        let tld = *g.pick(&["com", "COM", "com."]);
+        format!("{}.{tld}", g.string(1..=1, "pqrsPQ"))
+    };
     (
         g.range(0u64..1000),
         g.string(1..=1, "abcdef"),
-        format!("{}.{}", g.string(1..=1, "xyz"), sld(g)),
+        format!("{}.{}", g.string(1..=1, "xyzX"), sld(g)),
         g.range(0u8..4),
         format!("/{}", g.string(0..=3, "ab/.?=")),
         g.range(0u16..600),
@@ -233,7 +241,13 @@ fn append_by_epochs_is_byte_identical_to_one_shot() {
             bounds.sort_unstable();
             let mut appended = TraceDataset::default();
             for epoch in bounds.windows(2) {
-                appended.append(records[epoch[0]..epoch[1]].iter().cloned());
+                // A fresh appender per epoch, so a fresh host memo: what
+                // it forgets it must re-derive to the same ids.
+                let mut appender = appended.appender();
+                for r in &records[epoch[0]..epoch[1]] {
+                    appender.push(r);
+                }
+                drop(appender);
                 assert_eq!(appended.validate(), Ok(()), "unsealed after an epoch");
             }
             assert_eq!(
@@ -298,5 +312,267 @@ fn jsonl_round_trip() {
             let back = smash_trace::io::read_jsonl(&buf[..]).unwrap();
             assert_eq!(records, back);
         },
+    );
+}
+
+/// The decoder this crate had before `decode_fields`, kept as the
+/// reference: build the JSON tree, convert it with the derived
+/// `FromJson`, and on failure name the class from the tree's
+/// `server_ip`.
+fn oracle(raw: &[u8]) -> Result<HttpRecord, LineError> {
+    let value = std::str::from_utf8(raw)
+        .ok()
+        .and_then(|line| json::parse(line).ok())
+        .ok_or(LineError::BadJson)?;
+    HttpRecord::from_json(&value).map_err(|_| match value.get("server_ip") {
+        Some(Json::Str(s)) if s.parse::<std::net::Ipv4Addr>().is_err() => LineError::BadIp,
+        Some(Json::Str(_)) | None => LineError::BadField,
+        Some(_) => LineError::BadIp,
+    })
+}
+
+/// `s` as a JSON string: minimally escaped, or every UTF-16 unit as
+/// `\uXXXX` (astral characters become surrogate pairs).
+fn json_string(g: &mut Gen, s: &str) -> String {
+    if g.bool(0.7) {
+        return json::to_string(s);
+    }
+    let mut units = [0u16; 2];
+    let escaped: String = s
+        .chars()
+        .flat_map(|c| c.encode_utf16(&mut units).to_vec())
+        .map(|u| format!("\\u{u:04x}"))
+        .collect();
+    format!("\"{escaped}\"")
+}
+
+/// One record line, mostly valid, with the liberties a foreign writer
+/// takes: escapes and multi-byte text, members reordered, duplicated,
+/// unknown or missing, and numbers that are floats, negative or huge.
+fn record_line(g: &mut Gen) -> Vec<u8> {
+    let text = |g: &mut Gen| {
+        let s = g.string(0..=6, "ab./?=&\"\\é🦀\n");
+        json_string(g, &s)
+    };
+    let optional_text = |g: &mut Gen| {
+        if g.bool(0.5) {
+            "null".to_owned()
+        } else {
+            text(g)
+        }
+    };
+    let integer = |g: &mut Gen| {
+        if g.bool(0.8) {
+            return g.range(0u32..600).to_string();
+        }
+        let odd = [
+            "200.0",
+            "2e2",
+            "1.5",
+            "-1",
+            "-0",
+            "-0.0",
+            "70000",
+            "4294967296",
+            "18446744073709551615",
+            "18446744073709551616",
+            "1e30",
+            "\"7\"",
+            "null",
+            "true",
+            "[]",
+            "{}",
+        ];
+        (*g.pick(&odd)).to_owned()
+    };
+    let server_ip = |g: &mut Gen| {
+        if g.bool(0.85) {
+            return format!("\"10.0.0.{}\"", g.range(0u8..=255));
+        }
+        let odd = [
+            "\"999.1.2.3\"",
+            "\"\"",
+            "\"1.2\\u002e3.4\"",
+            "null",
+            "7",
+            "[\"1.2.3.4\"]",
+            "{\"ip\":\"1.2.3.4\"}",
+        ];
+        (*g.pick(&odd)).to_owned()
+    };
+    let value = |g: &mut Gen, key: &str| match key {
+        "timestamp" | "status" | "resp_bytes" => integer(g),
+        "server_ip" => server_ip(g),
+        "referrer" | "redirect_to" => optional_text(g),
+        _ => text(g),
+    };
+    let keys = [
+        "timestamp",
+        "client",
+        "host",
+        "server_ip",
+        "method",
+        "uri",
+        "user_agent",
+        "referrer",
+        "status",
+        "resp_bytes",
+        "redirect_to",
+    ];
+    let mut members: Vec<(&str, String)> = keys.iter().map(|k| (*k, value(g, k))).collect();
+    for (key, p) in [("resp_bytes", 0.25), ("referrer", 0.1), ("server_ip", 0.1)] {
+        if g.bool(p) {
+            members.retain(|(k, _)| *k != key);
+        }
+    }
+    if g.bool(0.05) {
+        members.remove(g.range(0..members.len()));
+    }
+    if g.bool(0.3) {
+        let key = *g.pick(&keys);
+        let at = g.range(0..=members.len());
+        members.insert(at, (key, value(g, key)));
+    }
+    if g.bool(0.3) {
+        let unknown = [
+            "1",
+            "\"x\"",
+            "null",
+            "[1,[2,\"\\n\"]]",
+            "{\"server_ip\":\"nope\",\"status\":[]}",
+            "[1,]",
+        ];
+        let at = g.range(0..=members.len());
+        members.insert(at, ("extra", (*g.pick(&unknown)).to_owned()));
+    }
+    if g.bool(0.5) {
+        members.shuffle(g.rng());
+    }
+    let sep = *g.pick(&[",", " , ", ",\t"]);
+    let body: Vec<String> = members
+        .iter()
+        .map(|(k, v)| format!("{}:{v}", json_string(g, k)))
+        .collect();
+    let tail = if g.bool(0.05) {
+        *g.pick(&[" x", "}", ",", " {}"])
+    } else {
+        ""
+    };
+    format!("{{{}}}{tail}", body.join(sep)).into_bytes()
+}
+
+/// A [`record_line`] broken at one place: cut short, or one byte
+/// overwritten with an arbitrary one (invalid UTF-8 included).
+fn damaged_line(g: &mut Gen) -> Vec<u8> {
+    let mut line = record_line(g);
+    let at = g.range(0..line.len());
+    if g.bool(0.5) {
+        line.truncate(at);
+    } else if let Some(b) = line.get_mut(at) {
+        *b = g.range(0u8..=255);
+    }
+    line
+}
+
+#[test]
+fn borrowed_decoder_agrees_with_the_tree_decoder() {
+    // Same record or the same error class, whatever the line: valid
+    // lines from a liberal writer, those lines damaged, and raw noise.
+    check(
+        |g| match g.range(0..4u8) {
+            0 | 1 => record_line(g),
+            2 => damaged_line(g),
+            _ => raw_bytes(g),
+        },
+        |line| {
+            assert_eq!(
+                decode_fields(line).map(RecordFields::into_record),
+                oracle(line),
+                "line: {}",
+                String::from_utf8_lossy(line)
+            );
+        },
+    );
+}
+
+#[test]
+fn deep_nesting_is_one_quarantined_line() {
+    // `[[[[…` deeper than any stack: at the parent this aborted the
+    // process; now it is a bad-json line and its neighbours still load.
+    let good = |t| HttpRecord::new(t, "c", "ok.com", "1.1.1.1", "/");
+    let mut buf = Vec::new();
+    smash_trace::io::write_jsonl(&mut buf, &[good(0)]).unwrap();
+    buf.extend_from_slice("[".repeat(200_000).as_bytes());
+    buf.extend_from_slice(b"\n{\"timestamp\":1,\"unknown\":");
+    buf.extend_from_slice("{\"k\":".repeat(100_000).as_bytes());
+    buf.push(b'\n');
+    smash_trace::io::write_jsonl(&mut buf, &[good(2)]).unwrap();
+    let opts = smash_trace::IngestOptions::default().with_error_budget(1.0);
+    let (recs, report) = smash_trace::io::read_jsonl_lenient(&buf[..], &opts).unwrap();
+    assert_eq!(recs, [good(0), good(2)]);
+    assert_eq!(
+        (report.lines, report.bad_json, report.bad_lines()),
+        (4, 2, 2)
+    );
+}
+
+#[test]
+fn streamed_fields_build_the_same_arena_as_owned_records() {
+    // The borrowed path (`ingest_jsonl` → `push_fields`, one appender,
+    // one host memo) against the owned one (`read_jsonl` →
+    // `from_records`), on hosts the memo must not conflate or split:
+    // spellings of one server, a multi-label suffix, IP literals, hosts
+    // seen only as referrer or redirect target, and every `?` shape.
+    let records = vec![
+        HttpRecord::new(0, "c1", "WWW.Shop.COM", "9.9.9.9", "/buy.php?id=4&q=x"),
+        HttpRecord::new(1, "c2", "shop.com.", "9.9.9.8", "/buy.php?"),
+        HttpRecord::new(2, "c1", "img.shop.com", "9.9.9.9", "/logo.png").with_referrer("Shop.com"),
+        HttpRecord::new(3, "c3", "a.b.co.uk", "8.8.8.8", "/dir/").with_referrer("only-ref.org."),
+        HttpRecord::new(4, "c3", "x.b.co.uk", "8.8.8.8", "/").with_redirect_to("ONLY-TARGET.net"),
+        HttpRecord::new(5, "c2", "1.2.3.4", "1.2.3.4", "/?k").with_referrer("1.2.3.4"),
+        HttpRecord::new(6, "c4", "5.6.7.8", "1.2.3.4", "/a\"b\\é.php").with_redirect_to("5.6.7.8"),
+        HttpRecord::new(7, "c4", "www.shop.com", "9.9.9.9", "/buy.php?id=5&q=y")
+            .with_referrer("a.b.co.uk"),
+    ];
+    let mut jsonl = Vec::new();
+    smash_trace::io::write_jsonl(&mut jsonl, &records).unwrap();
+
+    let owned = TraceDataset::from_records(smash_trace::io::read_jsonl(&jsonl[..]).unwrap());
+    let mut streamed = TraceDataset::default();
+    {
+        let mut arena = streamed.appender();
+        let strict = smash_trace::IngestOptions::default().with_error_budget(0.0);
+        smash_trace::io::ingest_jsonl(&jsonl[..], &strict, |f| arena.push_fields(f)).unwrap();
+    }
+    assert_eq!(streamed.validate(), Ok(()));
+    assert_eq!(
+        smash_support::wire::encode(&streamed),
+        smash_support::wire::encode(&owned)
+    );
+    assert_eq!(
+        smash_trace::day::frame_day(&streamed),
+        smash_trace::day::frame_day(&owned)
+    );
+    assert_eq!(streamed.fingerprint(), owned.fingerprint());
+    // And the aggregation is the intended one.
+    let names: Vec<&str> = owned.server_ids().map(|s| owned.server_name(s)).collect();
+    assert_eq!(
+        names,
+        [
+            "shop.com",
+            "b.co.uk",
+            "only-ref.org",
+            "only-target.net",
+            "1.2.3.4",
+            "5.6.7.8"
+        ]
+    );
+    let params: Vec<&str> = owned
+        .records()
+        .map(|r| owned.param_pattern_name(r.param_pattern))
+        .collect();
+    assert_eq!(
+        params,
+        ["id=[]&q=[]", "", "", "", "", "k=[]", "", "id=[]&q=[]"]
     );
 }

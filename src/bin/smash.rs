@@ -273,7 +273,8 @@ fn cmd_generate(args: &[String]) -> CliResult {
 /// Loads the trace (strict by default, quarantining with `--lenient`)
 /// plus the optional Whois registry. The third element is the ingest
 /// report when lenient mode ran. Records a `stage/ingest` timing plus
-/// `ingest/records` / `ingest/quarantined` counters into `metrics`.
+/// `ingest/bytes` / `ingest/records` / `ingest/quarantined` counters
+/// into `metrics`.
 fn load(
     args: &[String],
     metrics: &Registry,
@@ -327,9 +328,11 @@ fn load(
             }
         }
         let mut dataset = TraceDataset::default();
+        let file = std::fs::File::open(path)?;
+        metrics.counter("ingest/bytes").add(file.metadata()?.len());
         let report = {
             let mut arena = dataset.appender();
-            io::ingest_jsonl(std::fs::File::open(path)?, &opts, |rec| arena.push(&rec))?
+            io::ingest_jsonl(file, &opts, |f| arena.push_fields(f))?
         };
         if report.bad_lines() > 0 {
             eprintln!(

@@ -159,6 +159,20 @@ fn cli_metrics_dump_parses_and_names_every_stage() {
     assert_stages_once(&snapshot, &expected);
     assert!(snapshot.counters["ingest/records"] > 0);
     assert_eq!(snapshot.counters["ingest/quarantined"], 0);
+    // The bytes ingested are the trace file's, and with them the
+    // profile's ingest row carries its throughput.
+    assert_eq!(
+        snapshot.counters["ingest/bytes"],
+        std::fs::metadata(&trace).unwrap().len()
+    );
+    let ingest_row = stdout
+        .lines()
+        .find(|l| l.starts_with("stage/ingest"))
+        .expect("an ingest row");
+    assert!(
+        ingest_row.contains(" MB/s") && ingest_row.contains(" records/s"),
+        "{ingest_row}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -148,6 +148,11 @@ fn hostile_ingest_is_rejected_quarantined_and_never_wedges_the_miner() {
         "ERR bad-ip"
     );
     assert_eq!(reply(&mut conn, "INGEST {\"host\":\"x\"}"), "ERR bad-field");
+    // 60 KB of `[`: under the 64 KiB wire cap, deeper than any stack.
+    // Before the parser capped nesting this aborted the whole daemon.
+    let deep = "[".repeat(60_000);
+    assert_eq!(reply(&mut conn, &format!("INGEST {deep}")), "ERR bad-json");
+    assert_eq!(reply(&mut conn, "PING"), "PONG");
     match conn.handle(b"INGEST \xff\xfe{\"host\"", false) {
         Response::Reply(r) => assert!(r.starts_with("ERR"), "binary garbage got: {r}"),
         other => panic!("binary garbage got: {other:?}"),
@@ -166,7 +171,8 @@ fn hostile_ingest_is_rejected_quarantined_and_never_wedges_the_miner() {
     let sidecar = String::from_utf8_lossy(&sidecar_bytes);
     assert!(sidecar.contains("{broken"), "sidecar: {sidecar}");
     assert!(sidecar.contains("999.1.2.3"), "sidecar: {sidecar}");
-    assert!(svc.counter("serve/ingest/quarantined") >= 3);
+    assert!(sidecar.contains(&deep), "the deep-nesting line is missing");
+    assert!(svc.counter("serve/ingest/quarantined") >= 4);
 
     // The daemon is not wedged: a full valid epoch still ingests,
     // seals, mines, and answers queries.
