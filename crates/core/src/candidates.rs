@@ -47,6 +47,13 @@
 //! one `u64` bucket key per node, so resident signature state is `O(n)`
 //! regardless of the band count — and since a band only ever needed its
 //! own rows, the total hashing work is the same as filling the table.
+//! Proposed pairs accumulate node-major in a [`CandidateSet`] (row `u`
+//! = partners `v > u`, 4 bytes each) whose rows are deduplicated
+//! whenever they double, so resident pair state stays within about
+//! twice the *distinct* pairs however often the bands re-propose them:
+//! a crowd drawing on few distinct features lands in the same buckets
+//! band after band, and buffering every proposal used to cost
+//! `bands × crowd²`.
 //!
 //! Feature sets arrive as any slice of [`FeatureId`] values (`u32`
 //! arena ids borrowed straight from `TraceDataset` postings, or `u64`
@@ -90,6 +97,9 @@ pub struct CandidateStats {
     pub features: u64,
     /// LSH buckets skipped because they exceeded `bucket_cap`.
     pub capped_buckets: u64,
+    /// Clique entries proposed by the rare path and every band, before
+    /// deduplication; `proposed ÷ pairs` is the duplication factor.
+    pub proposed: u64,
     /// Candidate pairs after deduplication.
     pub pairs: u64,
 }
@@ -202,6 +212,197 @@ pub fn estimate_jaccard(a: &[u64], b: &[u64]) -> f64 {
     agree as f64 / a.len() as f64
 }
 
+/// Bytes one buffered [`CandidateSet`] entry is charged at.
+const ENTRY_BYTES: u64 = 4;
+
+/// Bytes one edge of a finished dimension graph is charged at: two
+/// adjacency entries of `(node, weight)`.
+pub(crate) const EDGE_BYTES: u64 = 24;
+
+/// Entries a row may hold beyond twice its last deduplicated length
+/// before it is deduplicated again — keeps one- and two-partner rows
+/// from being rescanned after every band.
+const ROW_SLACK: usize = 4;
+
+/// The node-major candidate set: row `u` holds the proposed partners
+/// `v > u` of node `u`, so an unordered pair lives in exactly one row
+/// and concatenating the rows of a finished set *is* the sorted,
+/// deduplicated pair list.
+///
+/// Cliques are appended as slices (members arrive ascending, so node
+/// `u`'s share of a clique is the tail behind it). A row is
+/// deduplicated once it has doubled since its last deduplication —
+/// through a reusable `n`-bit mask, never a comparison sort — which
+/// bounds the resident entries by about twice the distinct pairs.
+#[derive(Debug)]
+pub struct CandidateSet {
+    above: Vec<Vec<u32>>,
+    /// Per row, its length after its last deduplication.
+    clean: Vec<usize>,
+    /// Scratch bit per node id; all clear between calls.
+    mask: Mask,
+    /// Σ row lengths.
+    entries: usize,
+    /// How many of `entries` the stage account currently carries.
+    charged: usize,
+}
+
+impl CandidateSet {
+    fn new(nodes: usize) -> Self {
+        Self {
+            above: vec![Vec::new(); nodes],
+            clean: vec![0; nodes],
+            mask: Mask(vec![0; nodes.div_ceil(64)]),
+            entries: 0,
+            charged: 0,
+        }
+    }
+
+    /// Number of pairs in the set.
+    pub fn len(&self) -> usize {
+        self.entries
+    }
+
+    /// Whether the set holds no pair.
+    pub fn is_empty(&self) -> bool {
+        self.entries == 0
+    }
+
+    /// Bytes of the stage account the set still carries; the consumer
+    /// releases them when it drops the set.
+    pub fn charged_bytes(&self) -> u64 {
+        self.charged as u64 * ENTRY_BYTES
+    }
+
+    /// The non-empty rows `(u, partners)` in ascending `u`; every
+    /// partner is `> u`, ascending and distinct.
+    pub fn rows(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        (0u32..)
+            .zip(&self.above)
+            .filter(|(_, row)| !row.is_empty())
+            .map(|(u, row)| (u, row.as_slice()))
+    }
+
+    /// The pairs `(u, v)`, `u < v`, sorted and distinct.
+    pub fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.rows()
+            .flat_map(|(u, row)| row.iter().map(move |&v| (u, v)))
+    }
+
+    /// Proposes every unordered pair of `nodes` (ascending, distinct).
+    fn push_clique(&mut self, nodes: &[u32]) {
+        for (u, tail) in tails(nodes) {
+            if let Some(row) = self.above.get_mut(u as usize) {
+                row.extend_from_slice(tail);
+                self.entries += tail.len();
+            }
+        }
+    }
+
+    /// Drops duplicate entries from every row that has doubled since it
+    /// was last deduplicated — from every row with anything appended
+    /// since when `all` is set (the [`Rung::Compacted`] reclaim).
+    /// Returns how many entries went.
+    fn dedup_rows(&mut self, all: bool) -> usize {
+        let before = self.entries;
+        for (row, clean) in self.above.iter_mut().zip(&mut self.clean) {
+            let due = if all {
+                row.len() > *clean
+            } else {
+                row.len() >= 2 * *clean + ROW_SLACK
+            };
+            if due {
+                let len = row.len();
+                row.retain(|&v| self.mask.mark(v));
+                for &v in row.iter() {
+                    self.mask.clear_word_of(v);
+                }
+                self.entries -= len - row.len();
+                *clean = row.len();
+            }
+        }
+        before - self.entries
+    }
+
+    /// Brings every row to its final form, ascending and distinct: the
+    /// row's ids are marked in the mask and read back in bit order over
+    /// the words they span.
+    fn finish(&mut self) {
+        for row in &mut self.above {
+            let (Some(&lo), Some(&hi)) = (row.iter().min(), row.iter().max()) else {
+                continue;
+            };
+            let len = row.len();
+            for &v in row.iter() {
+                self.mask.mark(v);
+            }
+            row.clear();
+            self.mask.drain_ascending(lo, hi, row);
+            self.entries -= len - row.len();
+        }
+    }
+
+    /// Brings the stage account in line with what is resident:
+    /// [`ENTRY_BYTES`] per buffered entry.
+    fn settle(&mut self, scope: &StageScope) {
+        if self.entries >= self.charged {
+            scope.charge((self.entries - self.charged) as u64 * ENTRY_BYTES);
+        } else {
+            scope.release((self.charged - self.entries) as u64 * ENTRY_BYTES);
+        }
+        self.charged = self.entries;
+    }
+}
+
+/// Every member of `nodes` with the members behind it: the node-major
+/// rows of the clique over `nodes` (ascending).
+pub(crate) fn tails(nodes: &[u32]) -> impl Iterator<Item = (u32, &[u32])> {
+    let mut rest = nodes;
+    std::iter::from_fn(move || {
+        let (&u, tail) = rest.split_first()?;
+        rest = tail;
+        Some((u, tail))
+    })
+}
+
+/// One reusable bit per node id: deduplicates a row without comparing
+/// its entries, and hands the ids back in ascending order.
+#[derive(Debug)]
+struct Mask(Vec<u64>);
+
+impl Mask {
+    /// Sets bit `v`; `true` when it was clear (and in range).
+    fn mark(&mut self, v: u32) -> bool {
+        let Some(word) = self.0.get_mut(v as usize / 64) else {
+            return false;
+        };
+        let bit = 1u64 << (v % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// Clears the whole word holding bit `v`.
+    fn clear_word_of(&mut self, v: u32) {
+        if let Some(word) = self.0.get_mut(v as usize / 64) {
+            *word = 0;
+        }
+    }
+
+    /// Appends every set id of the words spanning `lo..=hi` to `out`,
+    /// ascending, and clears those words.
+    fn drain_ascending(&mut self, lo: u32, hi: u32, out: &mut Vec<u32>) {
+        let (lo, hi) = (lo as usize / 64, hi as usize / 64);
+        let words = self.0.iter_mut().zip((0u32..).step_by(64));
+        for (word, base) in words.skip(lo).take(hi - lo + 1) {
+            while *word != 0 {
+                out.push(base + word.trailing_zeros());
+                *word &= *word - 1;
+            }
+        }
+    }
+}
+
 /// Generates the sorted, deduplicated candidate pairs `(u, v)` with
 /// `u < v` whose feature sets plausibly overlap.
 ///
@@ -211,90 +412,118 @@ pub fn estimate_jaccard(a: &[u64], b: &[u64]) -> f64 {
 /// in MinHash banding, so candidacy tracks the full-set Jaccard the
 /// exact scorer will see.
 ///
-/// This is [`lsh_candidates_governed`] under an inert scope: with no
+/// This is [`lsh_candidates_governed`] under an inert scope — with no
 /// budget a charge is two relaxed adds and a tick one relaxed load, and
-/// no ladder rung can fire.
+/// no ladder rung can fire — flattened into a pair list.
 pub fn lsh_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
     node_features: &[S],
     lsh: &LshConfig,
 ) -> (Vec<(u32, u32)>, CandidateStats) {
     let scope = Governor::unlimited().stage("candidates", 0);
-    lsh_candidates_governed(node_features, lsh, &scope)
+    let (set, stats) = lsh_candidates_governed(node_features, lsh, &scope);
+    (set.pairs().collect(), stats)
 }
 
 /// Candidate generation under governor control.
 ///
 /// The generator is a cancellation point (ticking per node and per
-/// band) and charges its dominant allocations — postings, per-band
-/// bucket keys and buckets, and the candidate-pair buffer — against the
-/// stage's byte account; the returned pairs stay charged (8 bytes each)
-/// until the caller releases them. Under a memory budget it walks the
-/// first five [`Rung`]s in order (DESIGN.md §11.3), each decided
-/// *before* the allocation it guards and from charged bytes only, so a
-/// given (input, budget) pair always degrades identically. A charge
-/// that crosses the hard budget anyway cancels the stage inside
-/// [`StageScope::charge`]; with no budget no rung fires.
+/// band) and charges its dominant allocations — per-band bucket keys
+/// and buckets, postings, and the candidate set — against the stage's
+/// byte account; the returned set stays charged (4 bytes per pair)
+/// until the caller releases it. Banding runs first and the rare path
+/// second — the set is a union, so without a budget the order cannot
+/// show, and with one the rare path's low-similarity pairs get the room
+/// banding left instead of taking it. Under a memory budget the
+/// generator walks the first five [`Rung`]s in order (DESIGN.md
+/// §11.3), each decided *before* the allocation it guards and from
+/// charged bytes only, so a given (input, budget) pair always degrades
+/// identically. A charge that crosses the hard budget anyway cancels
+/// the stage inside [`StageScope::charge`]; with no budget no rung
+/// fires.
 pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
     node_features: &[S],
     lsh: &LshConfig,
     scope: &StageScope,
-) -> (Vec<(u32, u32)>, CandidateStats) {
+) -> (CandidateSet, CandidateStats) {
     let mut stats = CandidateStats::default();
-    let mut pairs = rare_path_pairs(node_features, lsh.rare_cap, scope, &mut stats);
+    let mut set = CandidateSet::new(node_features.len());
 
     // Banding, streamed: each band recomputes only its own signature
     // rows and folds them straight into one bucket key per node, so
     // resident signature state is one u64 per node — the full
     // `nodes × bands·rows` table never exists. A band only ever needed
     // its own rows, so the total hashing work is unchanged.
-    let key_bytes = node_features.len() as u64 * 8;
+    //
+    // A band's buckets are the runs of equal key in `order`, the
+    // eligible nodes (all-MAX signatures would glue every empty node
+    // into one bucket of spurious pairs) sorted by (key, node): each
+    // bucket is a slice of ascending node ids, and one band's state is
+    // exactly the 8 bytes of key per node and 4 bytes of `order` per
+    // eligible node the account carries.
+    let eligible = || {
+        (0u32..)
+            .zip(node_features)
+            .filter(|(_, features)| !features.as_ref().is_empty())
+            .map(|(node, _)| node)
+    };
+    let band_bytes = node_features.len() as u64 * 8 + eligible().count() as u64 * 4;
+    let crosses_hard =
+        |bytes: u64| scope.hard_bytes() > 0 && scope.tracked_bytes() + bytes > scope.hard_bytes();
     let mut bucket_cap = lsh.bucket_cap;
     let abandon = |band: usize, why: &str| {
         let event = format!("banding abandoned at band {band}/{}: {why}", lsh.bands);
         scope.record(Rung::Abandoned, event);
     };
-    // One bucket map per band, reused across bands.
-    let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+    // Rows carry up to twice their distinct entries between
+    // deduplications; those bytes are free to reclaim, so every
+    // decision below that would cost recall reclaims them first. One
+    // summary event: in a dense crowd this fires every band.
+    let (mut compactions, mut reclaimed) = (0u64, 0usize);
+    let mut compact = |set: &mut CandidateSet| {
+        let gone = set.dedup_rows(true);
+        if gone > 0 {
+            set.settle(scope);
+            compactions += 1;
+            reclaimed += gone;
+        }
+    };
+    let mut order: Vec<u32> = Vec::new();
     for band in 0..lsh.bands {
         scope.tick();
-        // A crowd with identical feature sets lands in the same bucket
-        // every band, so its clique is duplicated per band and those
-        // bytes are free to reclaim. If the account is over soft even
-        // without them, every further band could only push it toward
-        // hard: banding stops, the pairs collected keep their recall,
-        // and the stage completes instead of cancelling.
-        if scope.soft_exceeded() {
-            let before = compact(&mut pairs, scope);
-            if pairs.len() < before {
-                scope.record(
-                    Rung::Compacted,
-                    format!("pair buffer compacted: {before} -> {} pairs", pairs.len()),
-                );
-            }
+        // If the account is over soft even without duplicates, every
+        // further band could only push it toward hard — and if this
+        // band's keys and buckets would cross hard, so would every
+        // later band's: banding stops, the pairs collected keep their
+        // recall, and the stage completes instead of cancelling.
+        if scope.soft_exceeded() || crosses_hard(band_bytes) {
+            compact(&mut set);
             if scope.soft_exceeded() {
-                abandon(band, "pair buffer at soft budget");
+                abandon(band, "candidate rows at soft budget");
+                break;
+            }
+            if crosses_hard(band_bytes) {
+                abandon(band, "its keys and buckets would cross the hard budget");
                 break;
             }
         }
-        scope.charge(key_bytes);
+        scope.charge(band_bytes);
         let keys = band_keys(node_features, band, lsh.rows);
-        buckets.clear();
-        let mut bucketed = 0u64;
-        for (node, (&key, features)) in keys.iter().zip(node_features).enumerate() {
-            if features.as_ref().is_empty() {
-                // All-MAX signatures would glue every empty node into
-                // one bucket of spurious pairs.
-                continue;
-            }
-            buckets.entry(key).or_default().push(node as u32);
-            bucketed += 1;
+        let key_of = |node: u32| keys.get(node as usize).copied();
+        order.clear();
+        order.extend(eligible());
+        order.sort_unstable_by_key(|&node| (key_of(node), node));
+        let buckets = || order.chunk_by(|&a, &b| key_of(a) == key_of(b));
+        let sizes = || buckets().map(<[u32]>::len);
+        if scope.soft_bytes() > 0
+            && !fits(scope, clique_pairs(sizes(), bucket_cap), scope.soft_bytes())
+        {
+            compact(&mut set);
         }
-        scope.charge(bucketed * 4);
-        let Some(fitted) = fit_bucket_cap(scope, &buckets, bucket_cap) else {
-            scope.release(bucketed * 4 + key_bytes);
+        let Some(fitted) = fit_bucket_cap(scope, sizes, bucket_cap) else {
+            scope.release(band_bytes);
             abandon(
                 band,
-                "its cliques would cross the hard budget even at the bucket_cap floor",
+                "its cliques would not fit under the hard budget even at the bucket_cap floor",
             );
             break;
         };
@@ -305,43 +534,51 @@ pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
             );
             bucket_cap = fitted;
         }
-        let before = pairs.len();
-        // lint:allow(hash-iter): pairs are sorted+deduped before use.
-        for nodes in buckets.values() {
+        for nodes in buckets() {
             if nodes.len() > bucket_cap {
                 stats.capped_buckets += 1;
             } else {
-                push_clique(&mut pairs, nodes);
+                stats.proposed += pair_universe(nodes.len());
+                set.push_clique(nodes);
             }
         }
-        // Buckets and keys are rebuilt next band; the pair delta
-        // persists.
-        scope.release(bucketed * 4);
-        scope.charge((pairs.len() - before) as u64 * 8);
-        scope.release(key_bytes);
+        // Keys and buckets are rebuilt next band; the rows persist,
+        // less the duplicates of any row that doubled.
+        set.dedup_rows(false);
+        set.settle(scope);
+        scope.release(band_bytes);
     }
 
-    compact(&mut pairs, scope);
-    stats.pairs = pairs.len() as u64;
-    (pairs, stats)
+    if compactions > 0 {
+        let event = format!(
+            "candidate rows compacted {compactions} time(s): {reclaimed} duplicate entries reclaimed"
+        );
+        scope.record(Rung::Compacted, event);
+    }
+    rare_path(node_features, lsh.rare_cap, scope, &mut stats, &mut set);
+    set.finish();
+    set.settle(scope);
+    stats.pairs = set.len() as u64;
+    (set, stats)
 }
 
 /// The rare-feature exact path: every feature shared by 2..=`rare_cap`
-/// nodes contributes its clique. Returns the (unsorted) pairs, charged
-/// to `scope`; the inverted index it reads is charged while it lives.
-fn rare_path_pairs<F: FeatureId, S: AsRef<[F]> + Sync>(
+/// nodes contributes its clique to `set`, charged to `scope`; the
+/// inverted index it reads is charged while it lives.
+fn rare_path<F: FeatureId, S: AsRef<[F]> + Sync>(
     node_features: &[S],
     rare_cap: usize,
     scope: &StageScope,
     stats: &mut CandidateStats,
-) -> Vec<(u32, u32)> {
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    set: &mut CandidateSet,
+) {
     let soft = scope.soft_bytes();
     // The index holds every (feature, node) incidence once, so its size
-    // is known before it is built. If it would not fit under soft the
-    // decision is taken here — banding alone still finds every pair
-    // above the similarity threshold (§10) — rather than by the hard
-    // budget cancelling the stage halfway through the build.
+    // is known before it is built. If it would not fit under soft beside
+    // the banded rows the decision is taken here — banding alone still
+    // finds every pair above the similarity threshold (§10) — rather
+    // than by the hard budget cancelling the stage halfway through the
+    // build.
     let posting_bytes: u64 = node_features
         .iter()
         .map(|f| f.as_ref().len() as u64 * 4)
@@ -351,7 +588,7 @@ fn rare_path_pairs<F: FeatureId, S: AsRef<[F]> + Sync>(
             Rung::RareSkipped,
             format!("rare path skipped: {posting_bytes} posting bytes would not fit under soft"),
         );
-        return pairs;
+        return;
     }
     scope.charge(posting_bytes);
 
@@ -366,37 +603,38 @@ fn rare_path_pairs<F: FeatureId, S: AsRef<[F]> + Sync>(
     }
     stats.features = postings.len() as u64;
 
-    // Project the clique expansion — the whole pair buffer is charged
-    // in one step below — and shed pair-producing postings until it
-    // fits, *shortest first*: a len-2 posting buys one pair whose eq.-1
-    // weight is almost always below the edge threshold, while the
-    // longest rare postings are exactly the herd signal the miner is
-    // after.
-    let pair_bytes = |len: usize| -> u64 {
+    // Project the clique expansion — every proposed entry is resident
+    // until the rows are first deduplicated below — and shed
+    // pair-producing postings until it fits, *shortest first*: a len-2
+    // posting buys one pair whose eq.-1 weight is almost always below
+    // the edge threshold, while the longest rare postings are exactly
+    // the herd signal the miner is after.
+    let pairs_of = |len: usize| -> u64 {
         if len <= rare_cap {
-            pair_universe(len) * 8
+            pair_universe(len)
         } else {
             0
         }
     };
     if soft > 0 {
         // lint:allow(hash-iter): order-independent sum; sheds below are sorted before use
-        let mut projected: u64 = postings.values().map(|n| pair_bytes(n.len())).sum();
+        let mut projected: u64 = postings.values().map(|n| pairs_of(n.len())).sum();
+        // The index is gone again before the pair charge lands.
         let base = scope.tracked_bytes().saturating_sub(posting_bytes);
-        if base + projected > soft {
+        if base + projected * ENTRY_BYTES > soft {
             let mut order: Vec<(usize, u64)> = postings
                 .iter()
-                .filter(|(_, nodes)| pair_bytes(nodes.len()) > 0)
+                .filter(|(_, nodes)| pairs_of(nodes.len()) > 0)
                 .map(|(&f, nodes)| (nodes.len(), f))
                 .collect();
             order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
             let (mut shed, unshed) = (0u64, projected);
             for (len, feature) in order {
-                if base + projected <= soft {
+                if base + projected * ENTRY_BYTES <= soft {
                     break;
                 }
                 postings.remove(&feature);
-                projected -= pair_bytes(len);
+                projected -= pairs_of(len);
                 shed += 1;
             }
             if shed > 0 {
@@ -404,7 +642,7 @@ fn rare_path_pairs<F: FeatureId, S: AsRef<[F]> + Sync>(
                 // of thousands of len-2 postings.
                 let event = format!(
                     "rare-path postings shed shortest-first: {shed} postings, \
-                     {} projected pair bytes",
+                     {} projected pairs",
                     unshed - projected
                 );
                 scope.record(Rung::RareShed, event);
@@ -412,69 +650,64 @@ fn rare_path_pairs<F: FeatureId, S: AsRef<[F]> + Sync>(
         }
     }
 
-    // lint:allow(hash-iter): pairs are sorted+deduped before use.
+    // lint:allow(hash-iter): rows are deduplicated by length and sorted before use.
     for nodes in postings.values() {
         if nodes.len() <= rare_cap {
-            push_clique(&mut pairs, nodes);
+            stats.proposed += pair_universe(nodes.len());
+            set.push_clique(nodes);
         }
     }
     // Only the rare path reads the postings; return their bytes before
     // the pair charge lands so the two don't stack in the account.
     drop(postings);
     scope.release(posting_bytes);
-    scope.charge(pairs.len() as u64 * 8);
-    pairs
+    set.dedup_rows(false);
+    set.settle(scope);
+}
+
+/// Pairs the cliques of one band's buckets (given by size) propose
+/// under `cap`, before any deduplication.
+fn clique_pairs(sizes: impl Iterator<Item = usize>, cap: usize) -> u64 {
+    sizes.filter(|&len| len <= cap).map(pair_universe).sum()
+}
+
+/// Whether a band proposing `pairs` fits under `limit`. Two things
+/// must. The rows: every proposal is
+/// charged [`ENTRY_BYTES`] on top of what the account carries
+/// (duplicates are resident until their row is deduplicated). And the
+/// graph the stage exists to build: a band's cliques are sized as the
+/// [`EDGE_BYTES`] edges they would become, so no single band may
+/// propose more pairs than the budget could keep as edges. A crowd's
+/// clique is near-identical sets — every pair an edge, scoring the same
+/// 1.0 a herd's edges do — so once it is in the set, weight thinning
+/// cannot tell it from a herd; the cap is the only place to refuse it.
+fn fits(scope: &StageScope, pairs: u64, limit: u64) -> bool {
+    scope.tracked_bytes() + pairs * ENTRY_BYTES <= limit && pairs * EDGE_BYTES <= limit
 }
 
 /// Fits `bucket_cap` to one band: the largest cap on the ÷4 ladder
 /// (floor 2) at which the band's cliques, *projected* from its bucket
-/// sizes before any is pushed, fit under the soft budget. At the floor
-/// the band proceeds over soft as long as it stays under hard; `None`
-/// means not even that fits — nor will it for any later band, since the
-/// pair buffer only grows. A lower cap loses pairs inside degenerate
-/// crowds only.
-fn fit_bucket_cap(
+/// `sizes` before any is pushed, [`fits`] under the soft budget. At the
+/// floor the band proceeds over soft as long as it stays under hard;
+/// `None` means not even that fits. A lower cap loses pairs inside
+/// degenerate crowds only.
+fn fit_bucket_cap<I: Iterator<Item = usize>>(
     scope: &StageScope,
-    buckets: &HashMap<u64, Vec<u32>>,
+    sizes: impl Fn() -> I,
     mut cap: usize,
 ) -> Option<usize> {
     if scope.soft_bytes() == 0 {
         return Some(cap);
     }
     loop {
-        // lint:allow(hash-iter): order-independent sum.
-        let projected: u64 = buckets
-            .values()
-            .filter(|nodes| nodes.len() <= cap)
-            .map(|nodes| pair_universe(nodes.len()) * 8)
-            .sum();
-        let after = scope.tracked_bytes() + projected;
-        if after <= scope.soft_bytes() {
+        let pairs = clique_pairs(sizes(), cap);
+        if fits(scope, pairs, scope.soft_bytes()) {
             return Some(cap);
         }
         if cap <= 2 {
-            return (after <= scope.hard_bytes()).then_some(cap);
+            return fits(scope, pairs, scope.hard_bytes()).then_some(cap);
         }
         cap = (cap / 4).max(2);
-    }
-}
-
-/// Sorts and deduplicates the pair buffer, returning the duplicates'
-/// bytes to the account. Returns the length before compaction.
-fn compact(pairs: &mut Vec<(u32, u32)>, scope: &StageScope) -> usize {
-    let before = pairs.len();
-    pairs.sort_unstable();
-    pairs.dedup();
-    scope.release((before - pairs.len()) as u64 * 8);
-    before
-}
-
-/// Appends every unordered pair of `nodes` (already sorted ascending).
-fn push_clique(pairs: &mut Vec<(u32, u32)>, nodes: &[u32]) {
-    for (i, &u) in nodes.iter().enumerate() {
-        for &v in nodes.iter().skip(i + 1) {
-            pairs.push((u, v));
-        }
     }
 }
 
@@ -693,40 +926,266 @@ mod tests {
         assert_eq!(stats.capped_buckets, lsh.bands as u64);
     }
 
+    /// The flat path the node-major set replaced, kept as its oracle:
+    /// every clique is expanded pair by pair into one buffer, which is
+    /// sorted and deduplicated once at the end.
+    fn oracle_candidates(sets: &[Vec<u64>], lsh: &LshConfig) -> (Vec<(u32, u32)>, CandidateStats) {
+        use std::collections::BTreeMap;
+        fn push_clique(pairs: &mut Vec<(u32, u32)>, nodes: &[u32]) {
+            for (i, &u) in nodes.iter().enumerate() {
+                for &v in nodes.iter().skip(i + 1) {
+                    pairs.push((u, v));
+                }
+            }
+        }
+        let mut stats = CandidateStats::default();
+        let mut pairs = Vec::new();
+        let mut postings: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        for (node, features) in sets.iter().enumerate() {
+            for &f in features {
+                postings.entry(f).or_default().push(node as u32);
+            }
+        }
+        stats.features = postings.len() as u64;
+        for nodes in postings
+            .values()
+            .filter(|nodes| nodes.len() <= lsh.rare_cap)
+        {
+            push_clique(&mut pairs, nodes);
+        }
+        for band in 0..lsh.bands {
+            let mut buckets: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            for (node, key) in band_keys(sets, band, lsh.rows).into_iter().enumerate() {
+                if !sets[node].is_empty() {
+                    buckets.entry(key).or_default().push(node as u32);
+                }
+            }
+            for nodes in buckets.values() {
+                if nodes.len() > lsh.bucket_cap {
+                    stats.capped_buckets += 1;
+                } else {
+                    push_clique(&mut pairs, nodes);
+                }
+            }
+        }
+        stats.proposed = pairs.len() as u64;
+        pairs.sort_unstable();
+        pairs.dedup();
+        stats.pairs = pairs.len() as u64;
+        (pairs, stats)
+    }
+
+    /// A crowd drawing on few distinct features: `nodes` servers with up
+    /// to 8 of 45 Zipf-popular features each — the shape of a trace whose
+    /// servers share a small vocabulary of file names, where most pairs
+    /// are genuine candidates and every band re-proposes them.
+    fn dense_crowd(nodes: usize, seed: u64) -> Vec<Vec<u64>> {
+        let pool = smash_synth::Zipf::new(45, 1.0);
+        let mut rng = DetRng::seed_from_u64(seed);
+        (0..nodes)
+            .map(|_| {
+                let mut set: Vec<u64> = (0..8).map(|_| pool.sample(&mut rng) as u64).collect();
+                set.sort_unstable();
+                set.dedup();
+                set
+            })
+            .collect()
+    }
+
     #[test]
-    fn tight_budget_degrades_rung_by_rung_instead_of_cancelling() {
+    fn dense_crowd_costs_its_distinct_pairs_not_its_proposals() {
+        // 600 nodes stay under bucket_cap (every bucket is expanded,
+        // each pair proposed dozens of times); 1 100 nodes push the
+        // hottest buckets over it.
+        let lsh = LshConfig::default();
+        for (nodes, expect_capped) in [(600, false), (1_100, true)] {
+            let sets = dense_crowd(nodes, 0xD0_5E);
+            let (expected, expected_stats) = oracle_candidates(&sets, &lsh);
+
+            let scope = Governor::unlimited().stage("dimension/uri-file", 0);
+            let (set, stats) = lsh_candidates_governed(&sets, &lsh, &scope);
+            assert_eq!(set.pairs().collect::<Vec<_>>(), expected, "{nodes} nodes");
+            assert_eq!(stats, expected_stats, "{nodes} nodes");
+            assert_eq!(stats.capped_buckets > 0, expect_capped, "{nodes} nodes");
+            assert!(
+                stats.proposed > 5 * stats.pairs,
+                "{nodes} nodes: the crowd is not dense: {stats:?}"
+            );
+
+            // The flat buffer held 8 bytes per *proposed* pair; the rows
+            // hold 4 bytes per entry and at most ~2× the distinct pairs.
+            let band = nodes as u64 * 12;
+            assert!(
+                scope.peak_bytes() <= 16 * stats.pairs + band,
+                "{nodes} nodes: peak {} tracked bytes for {} distinct pairs",
+                scope.peak_bytes(),
+                stats.pairs
+            );
+            assert_eq!(scope.tracked_bytes(), set.charged_bytes());
+            assert_eq!(set.charged_bytes(), 4 * stats.pairs);
+        }
+    }
+
+    #[test]
+    fn node_major_set_matches_the_flat_oracle_on_random_cliques() {
+        // Cliques over a small id space so they overlap and nest;
+        // singleton and empty cliques and the last id all occur.
+        const NODES: u32 = 70;
+        check(
+            |g: &mut Gen| {
+                g.vec(0..40, |g| {
+                    let mut clique = g.vec(0..12, |g| {
+                        if g.bool(0.1) {
+                            NODES - 1
+                        } else {
+                            g.range(0..NODES)
+                        }
+                    });
+                    clique.sort_unstable();
+                    clique.dedup();
+                    // What to do after the clique: nothing, the
+                    // per-band doubling pass, or a full compaction.
+                    (clique, g.range(0u8..3))
+                })
+            },
+            |cliques| {
+                let mut set = CandidateSet::new(NODES as usize);
+                let mut flat: Vec<(u32, u32)> = Vec::new();
+                for (clique, then) in cliques {
+                    set.push_clique(clique);
+                    for (i, &u) in clique.iter().enumerate() {
+                        flat.extend(clique.iter().skip(i + 1).map(|&v| (u, v)));
+                    }
+                    match then {
+                        1 => drop(set.dedup_rows(false)),
+                        2 => drop(set.dedup_rows(true)),
+                        _ => {}
+                    }
+                    let resident: usize = set.above.iter().map(Vec::len).sum();
+                    assert_eq!(set.len(), resident, "entry count out of step");
+                }
+                flat.sort_unstable();
+                flat.dedup();
+                set.finish();
+                assert_eq!(set.pairs().collect::<Vec<_>>(), flat);
+                assert_eq!(set.len(), flat.len());
+                assert!(set.mask.0.iter().all(|&word| word == 0), "mask left dirty");
+            },
+        );
+    }
+
+    #[test]
+    fn duplicates_are_reclaimed_before_any_recall_is_given_up() {
         use smash_support::governor::GovernorOptions;
         // 100 twin pairs of nodes, 50 features per twin pair. Under a
-        // 4000-byte budget (soft 3200): the 40 000-byte inverted index
-        // cannot fit, so the rare path is skipped; one band costs 1600
-        // (keys) + 800 (buckets) + 800 (its 100 twin cliques). Band 0
-        // fits under soft, band 1 only under hard at the cap floor, and
-        // band 2 would cross hard — banding stops there, and the twins
-        // found so far are the answer.
+        // 4000-byte budget (soft 3200) the 40 000-byte inverted index
+        // cannot fit, so the rare path is skipped. One band costs 2400
+        // (keys + buckets) and re-proposes the same 100 twin pairs (400
+        // bytes): from band 2 on the copies would cross soft, so each
+        // band first compacts them away — and then fits at the full
+        // bucket_cap. All 64 bands run and nothing is lost.
         let sets: Vec<Vec<u64>> = (0..200u64)
             .map(|node| (0..50).map(|f| (node / 2) * 50 + f).collect())
             .collect();
         let governor = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(4000));
         let scope = governor.stage("dimension/client", 0);
-        let (pairs, stats) = lsh_candidates_governed(&sets, &LshConfig::default(), &scope);
+        let (set, stats) = lsh_candidates_governed(&sets, &LshConfig::default(), &scope);
 
         let twins: Vec<(u32, u32)> = (0..100).map(|i| (2 * i, 2 * i + 1)).collect();
-        assert_eq!(pairs, twins);
+        assert_eq!(set.pairs().collect::<Vec<_>>(), twins);
         assert_eq!(stats.features, 0, "the rare path must not have run");
+        assert_eq!(stats.proposed, 64 * 100);
         assert!(!scope.token().is_cancelled());
         assert_eq!(
             scope.tracked_bytes(),
-            800,
+            400,
             "only the returned pairs stay charged"
         );
         let summary = governor.stage_summaries().remove(0);
         let fired: Vec<Rung> = summary.rungs.keys().copied().collect();
         assert_eq!(
             fired,
-            vec![Rung::RareSkipped, Rung::Tightened, Rung::Abandoned],
+            vec![Rung::Compacted, Rung::RareSkipped],
             "events: {:?}",
             summary.events
         );
+    }
+
+    #[test]
+    fn rare_postings_are_shed_to_fit_beside_the_banded_rows() {
+        use smash_support::governor::GovernorOptions;
+        // Four herds of 16 nodes, 30 features per herd: the index is
+        // 7 680 bytes, but its 120 postings would propose 120 pairs
+        // each — 57 600 bytes of rows before any deduplication. Under a
+        // 40 000-byte budget (soft 32 000) banding fits untouched, the
+        // index fits beside its rows, and postings are shed until the
+        // projection does too. The herds' pairs are all there anyway.
+        let sets: Vec<Vec<u64>> = (0..64u64)
+            .map(|node| (0..30).map(|f| (node / 16) * 30 + f).collect())
+            .collect();
+        let governor =
+            Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(40_000));
+        let scope = governor.stage("dimension/uri-file", 0);
+        let (set, stats) = lsh_candidates_governed(&sets, &LshConfig::default(), &scope);
+        assert_eq!(set.len() as u64, 4 * pair_universe(16));
+        assert_eq!(stats.features, 120);
+        assert!(scope.peak_bytes() <= 32_000, "peak {}", scope.peak_bytes());
+        let summary = governor.stage_summaries().remove(0);
+        let fired: Vec<Rung> = summary.rungs.keys().copied().collect();
+        assert_eq!(fired, vec![Rung::RareShed], "events: {:?}", summary.events);
+    }
+
+    #[test]
+    fn tight_budget_degrades_rung_by_rung_instead_of_cancelling() {
+        use smash_support::governor::GovernorOptions;
+        // The 600-node dense crowd peaks near 1 MB unconstrained; one
+        // band's keys and buckets are 7 200 bytes, the rare index
+        // ~15 KB. A 30 000-byte budget could keep 1 000 edges, so no
+        // band may propose more: bucket_cap drops to 8 in the first two
+        // bands, all 64 run, and the rare index no longer fits beside
+        // the rows. With 7 600 the cap goes straight to its floor and
+        // banding stops once the rows leave no room beside another
+        // band's keys and buckets. Either way duplicates are reclaimed
+        // before recall is given up, and the stage completes with a
+        // subset of the pairs.
+        let sets = dense_crowd(600, 0xD0_5E);
+        let lsh = LshConfig::default();
+        let (all, _) = lsh_candidates(&sets, &lsh);
+        let degrade = |budget: u64| {
+            let governor =
+                Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(budget));
+            let scope = governor.stage("dimension/uri-file", 0);
+            let (set, _) = lsh_candidates_governed(&sets, &lsh, &scope);
+            assert!(!scope.token().is_cancelled(), "budget {budget}");
+            assert!(scope.peak_bytes() <= budget, "budget {budget}");
+            assert_eq!(scope.tracked_bytes(), set.charged_bytes());
+            let pairs: Vec<(u32, u32)> = set.pairs().collect();
+            (pairs, governor.stage_summaries().remove(0))
+        };
+        let mut wider = all.len();
+        for (budget, expected) in [
+            (30_000, vec![Rung::Tightened, Rung::RareSkipped]),
+            (
+                7_600,
+                vec![
+                    Rung::Compacted,
+                    Rung::Tightened,
+                    Rung::Abandoned,
+                    Rung::RareSkipped,
+                ],
+            ),
+        ] {
+            let (pairs, summary) = degrade(budget);
+            assert!(!pairs.is_empty() && pairs.len() < wider, "budget {budget}");
+            assert!(pairs.iter().all(|pair| all.binary_search(pair).is_ok()));
+            let fired: Vec<Rung> = summary.rungs.keys().copied().collect();
+            assert_eq!(fired, expected, "budget {budget}: {:?}", summary.events);
+            // Same input, same budget: same degradation.
+            let (again, repeat) = degrade(budget);
+            assert_eq!(again, pairs, "budget {budget}");
+            assert_eq!(repeat.events, summary.events, "budget {budget}");
+            wider = pairs.len();
+        }
     }
 
     #[test]

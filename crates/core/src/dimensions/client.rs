@@ -13,29 +13,14 @@
 //! recall oracle).
 
 use super::{
-    instrumented_builder, overlap_product, score_candidates, Dimension, DimensionContext,
-    DimensionKind,
+    instrumented_builder, overlap_product, score_candidates, sorted_intersection_len, Dimension,
+    DimensionContext, DimensionKind,
 };
 use smash_graph::Graph;
 
 /// Builder of the client-similarity graph.
 #[derive(Debug, Clone, Default)]
 pub struct ClientDimension;
-
-/// Size of the sorted intersection of two sorted, deduplicated slices.
-/// Index-based two-pointer merge: this runs once per scored candidate
-/// pair, so it stays branch-light instead of juggling peekable
-/// iterators.
-fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
-    let mut shared = 0;
-    let (mut i, mut j) = (0, 0);
-    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
-        shared += usize::from(x == y);
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    shared
-}
 
 impl Dimension for ClientDimension {
     fn kind(&self) -> DimensionKind {
@@ -115,13 +100,6 @@ mod tests {
             metrics: &smash_support::metrics::Registry::new(),
             governor: smash_support::governor::Governor::unlimited(),
         })
-    }
-
-    #[test]
-    fn sorted_intersection_counts() {
-        assert_eq!(sorted_intersection_len(&[1, 3, 5], &[2, 3, 5, 9]), 2);
-        assert_eq!(sorted_intersection_len(&[], &[1]), 0);
-        assert_eq!(sorted_intersection_len(&[7], &[7]), 1);
     }
 
     #[test]

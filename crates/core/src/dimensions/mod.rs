@@ -232,8 +232,11 @@ pub(crate) fn score_cooccurring<K>(
 /// the MinHash/LSH layer, or with `SmashConfig::exact_candidates` the
 /// whole universe over eligible nodes, the recall oracle — and scores
 /// each with the dimension's exact `score`; `Some(weight)` becomes an
-/// edge. The LSH pair buffer, charged by the generator, is released
-/// here before the edge charge lands, so the two don't stack.
+/// edge. Either way the proposals are node-major rows `(u, partners >
+/// u)`, scored in parallel in runs of up to 256 partners and handed to
+/// the builder in ascending `(u, v)` order. The LSH candidate set, charged by the
+/// generator, is released here before the edge charge lands, so the
+/// two don't stack.
 pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
     ctx: &DimensionContext<'_>,
     scope: &StageScope,
@@ -249,43 +252,56 @@ pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
         .collect();
     funnel.pairs_considered = candidates::pair_universe(eligible.len());
 
-    if ctx.config.exact_candidates {
-        // Brute force: one eligible node's upper triangle (`eligible`
-        // ascends) per parallel task.
-        let per_node: Vec<Vec<(u32, u32, f64)>> =
-            par::par_map_cancellable(&eligible, scope.token(), |&u| {
-                eligible
-                    .iter()
-                    .filter(|&&v| v > u)
-                    .filter_map(|&v| score(u, v).map(|sim| (u, v, sim)))
-                    .collect()
-            });
-        funnel.postings = feature_sets
-            .iter()
-            .flat_map(|set| set.as_ref().iter().map(|f| f.widen()))
-            .collect::<HashSet<u64>>()
-            .len() as u64;
-        funnel.pairs_bucketed = funnel.pairs_considered;
-        funnel.pairs_scored = funnel.pairs_considered;
-        for (u, v, sim) in per_node.into_iter().flatten() {
+    let lsh = (!ctx.config.exact_candidates).then(|| {
+        let (set, stats) =
+            candidates::lsh_candidates_governed(feature_sets, &ctx.config.lsh, scope);
+        funnel.postings = stats.features;
+        funnel.pairs_proposed = stats.proposed;
+        funnel.pairs_bucketed = stats.pairs;
+        funnel.pairs_scored = set.len() as u64;
+        set
+    });
+    let rows: Vec<(u32, &[u32])> = match &lsh {
+        Some(set) => set.rows().flat_map(score_tasks).collect(),
+        None => {
+            // Brute force: an eligible node's partners are the eligible
+            // nodes behind it (`eligible` ascends).
+            funnel.postings = feature_sets
+                .iter()
+                .flat_map(|set| set.as_ref().iter().map(|f| f.widen()))
+                .collect::<HashSet<u64>>()
+                .len() as u64;
+            funnel.pairs_proposed = funnel.pairs_considered;
+            funnel.pairs_bucketed = funnel.pairs_considered;
+            funnel.pairs_scored = funnel.pairs_considered;
+            candidates::tails(&eligible).flat_map(score_tasks).collect()
+        }
+    };
+    let scored: Vec<Vec<(u32, f64)>> =
+        par::par_map_cancellable(&rows, scope.token(), |&(u, partners)| {
+            partners
+                .iter()
+                .filter_map(|&v| score(u, v).map(|sim| (v, sim)))
+                .collect()
+        });
+    for (&(u, _), edges) in rows.iter().zip(scored) {
+        for (v, sim) in edges {
             builder.add_edge(u, v, sim);
             funnel.edges += 1;
         }
-    } else {
-        let (pairs, stats) =
-            candidates::lsh_candidates_governed(feature_sets, &ctx.config.lsh, scope);
-        funnel.postings = stats.features;
-        funnel.pairs_bucketed = stats.pairs;
-        funnel.pairs_scored = pairs.len() as u64;
-        let scores = par::par_map_cancellable(&pairs, scope.token(), |&(u, v)| score(u, v));
-        for (&(u, v), sim) in pairs.iter().zip(scores) {
-            if let Some(sim) = sim {
-                builder.add_edge(u, v, sim);
-                funnel.edges += 1;
-            }
-        }
-        scope.release(pairs.len() as u64 * 8);
     }
+    if let Some(set) = lsh {
+        scope.release(set.charged_bytes());
+    }
+}
+
+/// Splits one node's row into parallel scoring tasks of at most 256
+/// partners, in order. A row is as long as its node is popular, and a
+/// popular node's pairs are also the expensive ones to score: left
+/// whole, the few longest rows are most of the work and no claim order
+/// can balance them.
+fn score_tasks((u, partners): (u32, &[u32])) -> impl Iterator<Item = (u32, &[u32])> {
+    partners.chunks(256).map(move |chunk| (u, chunk))
 }
 
 /// Reports one builder's standard `dim/<kind>/*` metrics in a single
@@ -300,6 +316,8 @@ pub(crate) fn record_dimension_metrics(
         .add(funnel.postings);
     m.counter(&format!("dim/{kind}/pairs_considered"))
         .add(funnel.pairs_considered);
+    m.counter(&format!("dim/{kind}/pairs_proposed"))
+        .add(funnel.pairs_proposed);
     m.counter(&format!("dim/{kind}/pairs_bucketed"))
         .add(funnel.pairs_bucketed);
     m.counter(&format!("dim/{kind}/pairs_scored"))
@@ -317,14 +335,19 @@ pub(crate) fn record_dimension_metrics(
 /// and how many edges survived the similarity threshold. For the
 /// [`score_candidates`] dimensions the funnel reconciles:
 /// `pairs_considered ≥ pairs_bucketed ≥ pairs_scored = pairs_pruned +
-/// edges` (`tests/metrics.rs`). The [`score_cooccurring`] dimensions
-/// leave the LSH stages (`pairs_considered`, `pairs_bucketed`) at zero.
+/// edges` and `pairs_proposed ≥ pairs_bucketed` (`tests/metrics.rs`).
+/// The [`score_cooccurring`] dimensions leave the LSH stages
+/// (`pairs_considered`, `pairs_proposed`, `pairs_bucketed`) at zero.
 #[derive(Debug, Default)]
 pub(crate) struct BuilderFunnel {
     /// Inverted-index postings (distinct features) processed.
     pub postings: u64,
     /// Size of the brute-force pair universe over nodes with features.
     pub pairs_considered: u64,
+    /// Clique entries the rare path and every LSH band proposed, before
+    /// deduplication: `pairs_proposed ÷ pairs_bucketed` is how often the
+    /// layer proposed each pair it kept.
+    pub pairs_proposed: u64,
     /// Candidate pairs surviving LSH bucketing (deduplicated).
     pub pairs_bucketed: u64,
     /// Candidate pairs scored.
@@ -361,16 +384,15 @@ where
     let mut builder = GraphBuilder::with_nodes(ctx.nodes.len());
     let mut funnel = BuilderFunnel::default();
     body(&mut builder, &mut funnel, &scope);
-    // Graph edges are the allocation that outlives the builder: an edge
-    // is two adjacency entries of (node, weight) = 2 × 12 bytes. If
-    // that charge would not fit under the soft budget, thin the graph
-    // to its heaviest edges first — campaign herds score near 1.0 while
-    // coincidental overlaps sit just above the edge threshold, so the
-    // lightest edges go first and the stage completes degraded instead
-    // of cancelling on its own output.
+    // Graph edges are the allocation that outlives the builder
+    // (`EDGE_BYTES` each). If that charge would not fit under the soft
+    // budget, thin the graph to its heaviest edges first — campaign
+    // herds score near 1.0 while coincidental overlaps sit just above
+    // the edge threshold, so the lightest edges go first and the stage
+    // completes degraded instead of cancelling on its own output.
     if scope.soft_bytes() > 0 {
         let headroom = scope.soft_bytes().saturating_sub(scope.tracked_bytes());
-        let keep = (headroom / 24) as usize;
+        let keep = (headroom / candidates::EDGE_BYTES) as usize;
         if builder.edge_count() > keep {
             let dropped = builder.thin_to(keep);
             funnel.edges = builder.edge_count() as u64;
@@ -383,7 +405,7 @@ where
             );
         }
     }
-    scope.charge(funnel.edges * 24);
+    scope.charge(funnel.edges * candidates::EDGE_BYTES);
     record_dimension_metrics(ctx, kind, &funnel);
     builder.build()
 }
@@ -405,6 +427,22 @@ pub trait Dimension: Send + Sync {
     fn build_graph(&self, ctx: &DimensionContext<'_>) -> Graph;
 }
 
+/// Size of the intersection of two sorted, deduplicated slices — the
+/// shared-client count of eq. 1 and the exact-match count of eqs. 2/7.
+/// Index-based two-pointer merge: this runs once per scored candidate
+/// pair, so it stays branch-light instead of juggling peekable
+/// iterators.
+pub(crate) fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
+    let mut shared = 0;
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        shared += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    shared
+}
+
 /// Jaccard-style set products used by eqs. 1 and 8:
 /// `(|A∩B| / |A|) · (|A∩B| / |B|)`.
 pub(crate) fn overlap_product(shared: usize, len_a: usize, len_b: usize) -> f64 {
@@ -417,6 +455,13 @@ pub(crate) fn overlap_product(shared: usize, len_a: usize, len_b: usize) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sorted_intersection_counts() {
+        assert_eq!(sorted_intersection_len(&[1, 3, 5], &[2, 3, 5, 9]), 2);
+        assert_eq!(sorted_intersection_len(&[], &[1]), 0);
+        assert_eq!(sorted_intersection_len(&[7], &[7]), 1);
+    }
 
     #[test]
     fn overlap_product_basics() {

@@ -13,18 +13,24 @@
 //! folded into the signature space. Scoring stays the exact eqs. 2–7;
 //! `SmashConfig::exact_candidates` scores every pair instead.
 
-use super::{instrumented_builder, score_candidates, Dimension, DimensionContext, DimensionKind};
+use super::{
+    instrumented_builder, score_candidates, sorted_intersection_len, Dimension, DimensionContext,
+    DimensionKind,
+};
 use smash_graph::Graph;
+use smash_support::ckpt::Fnv1a;
 use smash_trace::uri::charset_vector;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Builder of the URI-file-similarity graph.
 #[derive(Debug, Clone, Default)]
 pub struct UriFileDimension;
 
-struct NodeFiles {
-    files: Vec<u32>,
-    set: HashSet<u32>,
+/// One node's file inventory: the arena's sorted, deduplicated file-id
+/// posting (borrowed) and the subset of it with long names.
+struct NodeFiles<'a> {
+    // lint:allow(index): lifetime-annotated slice type, not an indexing site
+    files: &'a [u32],
     long: Vec<u32>,
 }
 
@@ -38,12 +44,11 @@ impl Dimension for UriFileDimension {
             let len_thresh = ctx.config.filename_len_threshold;
 
             // Per-node file inventories and charset vectors for long names.
-            let mut node_files: Vec<NodeFiles> = Vec::with_capacity(ctx.nodes.len());
+            let mut node_files: Vec<NodeFiles<'_>> = Vec::with_capacity(ctx.nodes.len());
             let mut long_vectors: HashMap<u32, [f64; 256]> = HashMap::new();
             for &server in ctx.nodes {
                 scope.tick();
-                let files = ctx.dataset.files_of(server).to_vec();
-                let set: HashSet<u32> = files.iter().copied().collect();
+                let files = ctx.dataset.files_of(server);
                 let long: Vec<u32> = files
                     .iter()
                     .copied()
@@ -54,7 +59,7 @@ impl Dimension for UriFileDimension {
                         .entry(f)
                         .or_insert_with(|| charset_vector(ctx.dataset.file_name(f)));
                 }
-                node_files.push(NodeFiles { files, set, long });
+                node_files.push(NodeFiles { files, long });
             }
 
             // Feature sets: exact file ids, plus one namespaced charset
@@ -85,17 +90,19 @@ impl Dimension for UriFileDimension {
                 if nu.files.is_empty() || nv.files.is_empty() {
                     return None;
                 }
-                // Cheap zero-score shortcut: with no long names on one
-                // side, only exact id matches can contribute.
-                if (nu.long.is_empty() || nv.long.is_empty())
-                    && !nu.files.iter().any(|f| nv.set.contains(f))
-                {
+                // Identical ids match in both directions (eq. 2); the
+                // count also decides the cheap zero-score shortcut: with
+                // no long names on one side only exact matches can
+                // contribute.
+                let exact = sorted_intersection_len(nu.files, nv.files);
+                if exact == 0 && (nu.long.is_empty() || nv.long.is_empty()) {
                     return None;
                 }
-                let (mu, mv) = matched_counts(nu, nv, &long_vectors, cos_thresh);
+                let mu = exact + fuzzy_matches(nu, nv, &long_vectors, cos_thresh);
                 if mu == 0 {
                     return None;
                 }
+                let mv = exact + fuzzy_matches(nv, nu, &long_vectors, cos_thresh);
                 let sim = (mu as f64 / nu.files.len() as f64) * (mv as f64 / nv.files.len() as f64);
                 (sim >= ctx.config.file_edge_min).then_some(sim)
             };
@@ -104,32 +111,29 @@ impl Dimension for UriFileDimension {
     }
 }
 
-/// eq. 7 numerators: how many of each side's files have a similar file on
-/// the other side (exact id match, or cosine > threshold for long names).
-fn matched_counts(
-    a: &NodeFiles,
-    b: &NodeFiles,
+/// The fuzzy part of one eq. 7 numerator: how many of `from`'s long
+/// names are absent from `to` by id yet have a long name on `to` with
+/// charset cosine above the threshold (eqs. 4–6).
+fn fuzzy_matches(
+    from: &NodeFiles<'_>,
+    to: &NodeFiles<'_>,
     vectors: &HashMap<u32, [f64; 256]>,
     cos_thresh: f64,
-) -> (usize, usize) {
-    let exact = a.files.iter().filter(|f| b.set.contains(f)).count();
-    let fuzzy_side = |from: &NodeFiles, to: &NodeFiles| -> usize {
-        from.long
-            .iter()
-            .filter(|&&f| !to.set.contains(&f))
-            .filter(|&&f| {
-                vectors.get(&f).is_some_and(|va| {
-                    to.long.iter().any(|&g| {
-                        g != f
-                            && vectors
-                                .get(&g)
-                                .is_some_and(|vg| cosine(va, vg) > cos_thresh)
-                    })
+) -> usize {
+    from.long
+        .iter()
+        .filter(|&&f| to.files.binary_search(&f).is_err())
+        .filter(|&&f| {
+            vectors.get(&f).is_some_and(|va| {
+                to.long.iter().any(|&g| {
+                    g != f
+                        && vectors
+                            .get(&g)
+                            .is_some_and(|vg| cosine(va, vg) > cos_thresh)
                 })
             })
-            .count()
-    };
-    (exact + fuzzy_side(a, b), exact + fuzzy_side(b, a))
+        })
+        .count()
 }
 
 fn cosine(a: &[f64; 256], b: &[f64; 256]) -> f64 {
@@ -140,9 +144,17 @@ fn cosine(a: &[f64; 256], b: &[f64; 256]) -> f64 {
 /// sorted distinct bytes, namespaced by the high bit so it can never
 /// collide with an interned file id (a `u32`).
 fn charset_feature(name: &str) -> u64 {
-    let mut chars: Vec<u8> = name.bytes().collect::<HashSet<u8>>().into_iter().collect();
-    chars.sort_unstable();
-    (1 << 63) | (smash_support::ckpt::fnv1a(&chars) >> 1)
+    let mut present = [false; 256];
+    for b in name.bytes() {
+        if let Some(seen) = present.get_mut(usize::from(b)) {
+            *seen = true;
+        }
+    }
+    let mut hash = Fnv1a::new();
+    for (byte, _) in (0..=u8::MAX).zip(present).filter(|&(_, seen)| seen) {
+        hash.write(&[byte]);
+    }
+    (1 << 63) | (hash.finish() >> 1)
 }
 
 #[cfg(test)]
@@ -172,6 +184,37 @@ mod tests {
             governor: smash_support::governor::Governor::unlimited(),
         });
         (ds, g)
+    }
+
+    #[test]
+    fn charset_feature_values_are_pinned() {
+        // The feature space feeds MinHash: a drifting hash silently
+        // changes which pairs are candidates. Values recorded from the
+        // `HashSet<u8>` + sorted `Vec` implementation this replaced.
+        for (name, feature) in [
+            (
+                "abcdefghijklmnopqrstuvwxyz0123456789.php",
+                0x8c28_6810_074a_a2d6_u64,
+            ),
+            (
+                "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa.js",
+                0x8c88_e6d3_b9bc_6203,
+            ),
+            (
+                "zyxwvutsrqponmlkjihgfedcba-ZYXWVUTSRQPONMLKJIHGFEDCBA.html",
+                0xced6_3ff2_9dac_fbff,
+            ),
+            (
+                "файл-с-длинным-именем-для-проверки.php",
+                0xe7e9_f79e_980e_1137,
+            ),
+            (
+                "日本語のとても長いファイル名テスト用データ.html",
+                0xf8d3_eb73_0a6f_0c7e,
+            ),
+        ] {
+            assert_eq!(charset_feature(name), feature, "{name}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use smash_core::ash::{Ash, MinedDimension};
 use smash_core::correlation::correlate;
-use smash_core::dimensions::DimensionKind;
+use smash_core::dimensions::{Dimension, DimensionContext, DimensionKind, UriFileDimension};
 use smash_core::math::{erf, phi};
 use smash_core::pruning::prune;
 use smash_core::{Smash, SmashConfig};
@@ -10,7 +10,7 @@ use smash_graph::{GraphBuilder, Partition};
 use smash_support::check::{cases, Gen};
 use smash_trace::{HttpRecord, TraceDataset};
 use smash_whois::WhoisRegistry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 fn dim_from_herds(kind: DimensionKind, herds: Vec<Vec<u32>>, density: f64) -> MinedDimension {
     let mut ashes = Vec::new();
@@ -224,6 +224,132 @@ fn pipeline_never_panics_on_arbitrary_small_traces() {
             assert_eq!(
                 report.kept_servers + report.dropped_popular,
                 ds.server_count()
+            );
+        },
+    );
+}
+
+/// The eqs. 2–7 scorer the URI-file dimension used before it merged
+/// sorted postings — a `HashSet` of file ids per server, membership
+/// probed per file — kept as the oracle for the merge-based one. Returns
+/// every above-threshold pair `(u, v, weight bits)` over all servers.
+fn uri_file_oracle(ds: &TraceDataset, config: &SmashConfig) -> Vec<(u32, u32, u64)> {
+    struct Inventory {
+        files: Vec<u32>,
+        set: HashSet<u32>,
+        long: Vec<u32>,
+    }
+    let is_long = |f: &u32| ds.file_name(*f).len() > config.filename_len_threshold;
+    let inventories: Vec<Inventory> = ds
+        .server_ids()
+        .map(|server| {
+            let files = ds.files_of(server).to_vec();
+            Inventory {
+                set: files.iter().copied().collect(),
+                long: files.iter().copied().filter(is_long).collect(),
+                files,
+            }
+        })
+        .collect();
+    let vector = |f: u32| smash_trace::uri::charset_vector(ds.file_name(f));
+    let cosine =
+        |a: &[f64; 256], b: &[f64; 256]| -> f64 { a.iter().zip(b).map(|(x, y)| x * y).sum() };
+    let fuzzy = |from: &Inventory, to: &Inventory| -> usize {
+        from.long
+            .iter()
+            .filter(|&&f| !to.set.contains(&f))
+            .filter(|&&f| {
+                to.long.iter().any(|&g| {
+                    g != f && cosine(&vector(f), &vector(g)) > config.charset_cosine_threshold
+                })
+            })
+            .count()
+    };
+    let mut edges = Vec::new();
+    for (u, a) in inventories.iter().enumerate() {
+        for (v, b) in inventories.iter().enumerate().skip(u + 1) {
+            if a.files.is_empty() || b.files.is_empty() {
+                continue;
+            }
+            let exact = a.files.iter().filter(|f| b.set.contains(f)).count();
+            let (ma, mb) = (exact + fuzzy(a, b), exact + fuzzy(b, a));
+            if ma == 0 {
+                continue;
+            }
+            let sim = (ma as f64 / a.files.len() as f64) * (mb as f64 / b.files.len() as f64);
+            if sim >= config.file_edge_min {
+                edges.push((u as u32, v as u32, sim.to_bits()));
+            }
+        }
+    }
+    edges
+}
+
+#[test]
+fn uri_file_merge_scoring_matches_the_hashset_oracle_to_the_bit() {
+    // Short names match by identity only; long names (> 25 bytes) also
+    // by charset cosine — over one shared alphabet they nearly always
+    // do, over a disjoint one never. Inventories repeat files and some
+    // servers request none at all.
+    let short = ["a.php", "b.js", "index.html", "gate.php", "x"];
+    cases(48).run(
+        |g| {
+            let long: Vec<String> = g.vec(2..6, |g| {
+                let alphabet = *g.pick(&["ab", "abc", "xyz", "0123456789abcdef"]);
+                format!("{}.php", g.string(26..=44, alphabet))
+            });
+            g.vec(2..9, |g| {
+                g.vec(0..7, |g| {
+                    if g.bool(0.5) {
+                        (*g.pick(&short)).to_owned()
+                    } else {
+                        g.pick(&long).clone()
+                    }
+                })
+            })
+        },
+        |inventories| {
+            let mut records = Vec::new();
+            for (s, files) in inventories.iter().enumerate() {
+                let (host, ip) = (format!("s{s}.com"), format!("10.0.0.{s}"));
+                // A bare directory carries no file: the server exists
+                // with an empty inventory.
+                records.push(HttpRecord::new(0, "c", &host, &ip, "/dir/"));
+                for file in files {
+                    records.push(HttpRecord::new(0, "c", &host, &ip, &format!("/d/{file}")));
+                }
+            }
+            let ds = TraceDataset::from_records(records);
+            let nodes: Vec<u32> = ds.server_ids().collect();
+            let node_of: HashMap<u32, u32> = nodes.iter().map(|&s| (s, s)).collect();
+            let whois = WhoisRegistry::new();
+            let build = |config: &SmashConfig| -> Vec<(u32, u32, u64)> {
+                UriFileDimension
+                    .build_graph(&DimensionContext {
+                        dataset: &ds,
+                        whois: &whois,
+                        config,
+                        nodes: &nodes,
+                        node_of: &node_of,
+                        metrics: &smash_support::metrics::Registry::new(),
+                        governor: smash_support::governor::Governor::unlimited(),
+                    })
+                    .edges()
+                    .map(|(u, v, w)| (u, v, w.to_bits()))
+                    .collect()
+            };
+            let lsh = SmashConfig::default();
+            let exact = lsh.clone().with_exact_candidates(true);
+            let expected = uri_file_oracle(&ds, &lsh);
+            assert_eq!(build(&exact), expected, "exact mode");
+            // LSH may only ever propose fewer pairs; what it scores, it
+            // scores identically.
+            let proposed = build(&lsh);
+            assert!(
+                proposed
+                    .iter()
+                    .all(|edge| expected.binary_search(edge).is_ok()),
+                "LSH mode: {proposed:?} vs {expected:?}"
             );
         },
     );

@@ -2,7 +2,6 @@
 
 use smash_support::impl_json_struct;
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
-use std::collections::HashMap;
 
 /// Compact node identifier used throughout the graph substrate.
 ///
@@ -48,13 +47,13 @@ impl_json_struct!(Graph {
 
 // Checkpoint wire form: node count + each undirected edge once. The
 // derived state (mirrored adjacency, degrees, total weight) is rebuilt
-// through `GraphBuilder`, whose sorted accumulation makes the decoded
-// graph bit-identical to the one originally built from the same edges.
+// through `GraphBuilder`, whose key-ordered accumulation makes the
+// decoded graph bit-identical to the one originally built from the same
+// edges (which arrive ascending, so decoding neither sorts nor hashes).
 impl ToWire for Graph {
     fn wire(&self, out: &mut Vec<u8>) {
         (self.adj.len() as u64).wire(out);
         (self.edge_count as u64).wire(out);
-        // lint:allow(hash-iter): `edges()` walks the sorted Vec adjacency, not a hash map
         for (u, v, w) in self.edges() {
             u.wire(out);
             v.wire(out);
@@ -160,11 +159,32 @@ impl Graph {
 ///
 /// Nodes are created implicitly by the largest id mentioned; use
 /// [`GraphBuilder::ensure_node`] to add isolated nodes. Duplicate edges are
-/// merged by summing weights.
-#[derive(Debug, Clone, Default)]
+/// merged by summing weights in the order they were added.
+///
+/// Edges accumulate in a plain list. A producer that appends them in
+/// strictly ascending `(min, max)` order — the dimension builders'
+/// candidate frame, a decoded checkpoint — pays no sorting and no
+/// hashing at all; any other arrival order is stable-sorted and merged
+/// once, when the builder is first read.
+#[derive(Debug, Clone)]
 pub struct GraphBuilder {
-    edges: HashMap<(NodeId, NodeId), f64>,
+    /// `((u, v), w)` with `u <= v`.
+    edges: Vec<((NodeId, NodeId), f64)>,
+    /// Whether `edges` is strictly ascending by key (sorted, no
+    /// duplicates) — true of every normalized list and of ascending
+    /// appends to one.
+    ascending: bool,
     max_node: Option<NodeId>,
+}
+
+impl Default for GraphBuilder {
+    fn default() -> Self {
+        Self {
+            edges: Vec::new(),
+            ascending: true,
+            max_node: None,
+        }
+    }
 }
 
 impl GraphBuilder {
@@ -203,12 +223,36 @@ impl GraphBuilder {
         self.ensure_node(u);
         self.ensure_node(v);
         let key = if u <= v { (u, v) } else { (v, u) };
-        *self.edges.entry(key).or_insert(0.0) += weight;
+        self.ascending &= self.edges.last().is_none_or(|&(last, _)| last < key);
+        self.edges.push((key, weight));
         self
     }
 
-    /// Number of distinct edges added so far.
-    pub fn edge_count(&self) -> usize {
+    /// Brings the edge list to its canonical form: ascending by key,
+    /// one entry per distinct edge. The sort is stable and duplicates
+    /// are summed front to back, so a merged weight is the sum of its
+    /// parts **in insertion order** — float addition is not
+    /// associative, and Louvain's aggregated graphs feed these sums
+    /// into `degree`/`total_weight` and from there into tie-breaks.
+    fn normalize(&mut self) {
+        if self.ascending {
+            return;
+        }
+        self.edges.sort_by_key(|&(key, _)| key);
+        self.edges.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        self.ascending = true;
+    }
+
+    /// Number of distinct edges added so far (pending duplicates are
+    /// merged first).
+    pub fn edge_count(&mut self) -> usize {
+        self.normalize();
         self.edges.len()
     }
 
@@ -218,62 +262,67 @@ impl GraphBuilder {
     /// equal-weight edges always survive in the same order. Nodes are
     /// never removed — a thinned node just loses edges.
     pub fn thin_to(&mut self, keep: usize) -> usize {
+        self.normalize();
         if self.edges.len() <= keep {
             return 0;
         }
-        let mut order: Vec<((NodeId, NodeId), f64)> =
-            self.edges.iter().map(|(&k, &w)| (k, w)).collect();
-        order.sort_unstable_by(|a, b| {
+        let dropped = self.edges.len() - keep;
+        self.edges.sort_unstable_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .expect("edge weights are finite")
                 .then(a.0.cmp(&b.0))
         });
-        let dropped = order.len() - keep;
-        self.edges = order.into_iter().take(keep).collect();
+        self.edges.truncate(keep);
+        self.edges.sort_unstable_by_key(|&(key, _)| key);
         dropped
     }
 
     /// Finalizes the graph.
-    pub fn build(&self) -> Graph {
-        // One directed half of an edge: append `(v, w)` to `u`'s row and
-        // add `dw` to `u`'s weighted degree. `u <= max_node < n` by
-        // construction, so the lookups cannot miss.
-        fn add_half(
-            adj: &mut [Vec<(NodeId, f64)>],
-            degree: &mut [f64],
-            u: NodeId,
-            v: NodeId,
-            w: f64,
-            dw: f64,
-        ) {
-            if let Some(row) = adj.get_mut(u as usize) {
-                row.push((v, w));
+    pub fn build(&mut self) -> Graph {
+        self.normalize();
+        let n = self.max_node.map_or(0, |m| m as usize + 1);
+        // Counting pass: every row is allocated once at its final size.
+        // `u <= v <= max_node < n` by construction, so the lookups here
+        // and below cannot miss.
+        let mut row_len = vec![0usize; n];
+        let mut count = |x: NodeId| {
+            if let Some(len) = row_len.get_mut(x as usize) {
+                *len += 1;
             }
-            if let Some(d) = degree.get_mut(u as usize) {
-                *d += dw;
+        };
+        for &((u, v), _) in &self.edges {
+            count(u);
+            if u != v {
+                count(v);
             }
         }
-        let n = self.max_node.map_or(0, |m| m as usize + 1);
-        let mut adj: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
+        let mut adj: Vec<Vec<(NodeId, f64)>> =
+            row_len.into_iter().map(Vec::with_capacity).collect();
         let mut degree = vec![0.0; n];
         let mut total = 0.0;
-        // Sort edges so the float accumulation into `degree`/`total` is
-        // order-stable: float addition is not associative, and HashMap
-        // iteration order must never reach a reported number.
-        let mut edges: Vec<((NodeId, NodeId), f64)> =
-            self.edges.iter().map(|(&k, &w)| (k, w)).collect();
-        edges.sort_unstable_by_key(|e| e.0);
-        for &((u, v), w) in &edges {
+        // One directed half of an edge: append `(to, w)` to `from`'s row
+        // and add `dw` to `from`'s weighted degree.
+        let mut add_half = |from: NodeId, to: NodeId, w: f64, dw: f64| {
+            if let Some(row) = adj.get_mut(from as usize) {
+                row.push((to, w));
+            }
+            if let Some(d) = degree.get_mut(from as usize) {
+                *d += dw;
+            }
+        };
+        // Filling in key order fixes the float accumulation order of
+        // `degree`/`total` and leaves every row ascending: row `x` first
+        // receives its smaller neighbors (keys `(u, x)`, `u` ascending),
+        // then `x` itself and its larger ones (keys `(x, v)`, `v`
+        // ascending).
+        for &((u, v), w) in &self.edges {
             if u == v {
-                add_half(&mut adj, &mut degree, u, v, w, 2.0 * w);
+                add_half(u, v, w, 2.0 * w);
             } else {
-                add_half(&mut adj, &mut degree, u, v, w, w);
-                add_half(&mut adj, &mut degree, v, u, w, w);
+                add_half(u, v, w, w);
+                add_half(v, u, w, w);
             }
             total += w;
-        }
-        for row in &mut adj {
-            row.sort_unstable_by_key(|&(v, _)| v);
         }
         Graph {
             adj,

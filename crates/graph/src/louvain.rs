@@ -124,7 +124,9 @@ impl Louvain {
         let mut rng = DetRng::seed_from_u64(self.seed);
         // node -> community over original nodes, refined level by level.
         let mut membership: Vec<u32> = (0..n as u32).collect();
-        let mut level_graph = graph.clone();
+        // Level 0 runs on the caller's graph; only aggregated levels
+        // are owned.
+        let mut aggregated: Option<Graph> = None;
         let mut stats = LouvainStats {
             levels: 0,
             passes: 0,
@@ -134,7 +136,8 @@ impl Louvain {
             if let Some(t) = &self.cancel {
                 t.bail();
             }
-            let (local, improved, passes) = self.one_level(&level_graph, &mut rng);
+            let level_graph = aggregated.as_ref().unwrap_or(graph);
+            let (local, improved, passes) = self.one_level(level_graph, &mut rng);
             stats.passes += passes;
             if !improved {
                 break;
@@ -148,7 +151,7 @@ impl Louvain {
             if local.community_count() == level_graph.node_count() {
                 break;
             }
-            level_graph = aggregate(&level_graph, &local);
+            aggregated = Some(aggregate(level_graph, &local));
         }
         let partition = Partition::from_assignment(membership);
         stats.modularity = modularity(graph, &partition);

@@ -1,10 +1,12 @@
 //! Property-based tests for the graph substrate invariants.
 
 use smash_graph::{
-    connected_components, density, modularity, CooccurrenceCounter, GraphBuilder, Louvain,
+    connected_components, density, modularity, CooccurrenceCounter, Graph, GraphBuilder, Louvain,
     Partition, UnionFind,
 };
 use smash_support::check::{check, Gen};
+use smash_support::wire::{self, ToWire};
+use std::collections::HashMap;
 
 /// Generator: a random small edge list over up to `n` nodes.
 fn edges(g: &mut Gen, n: u32, max_edges: usize) -> Vec<(u32, u32, f64)> {
@@ -216,4 +218,187 @@ fn graph_degree_symmetry() {
             assert!((deg_sum - 2.0 * g.total_weight()).abs() < 1e-9);
         },
     );
+}
+
+/// The `HashMap`-backed builder `GraphBuilder` replaced, kept as its
+/// reference model: duplicates accumulate in the map in insertion
+/// order, `build` sorts the map's entries by key and then every
+/// adjacency row by neighbor.
+#[derive(Default)]
+struct ModelBuilder {
+    edges: HashMap<(u32, u32), f64>,
+    max_node: Option<u32>,
+}
+
+struct ModelGraph {
+    adj: Vec<Vec<(u32, f64)>>,
+    degree: Vec<f64>,
+    total_weight: f64,
+}
+
+impl ModelBuilder {
+    fn ensure_node(&mut self, u: u32) {
+        self.max_node = Some(self.max_node.map_or(u, |m| m.max(u)));
+    }
+
+    fn add_edge(&mut self, u: u32, v: u32, weight: f64) {
+        self.ensure_node(u);
+        self.ensure_node(v);
+        *self.edges.entry((u.min(v), u.max(v))).or_insert(0.0) += weight;
+    }
+
+    fn thin_to(&mut self, keep: usize) {
+        let mut order: Vec<((u32, u32), f64)> = self.edges.iter().map(|(&k, &w)| (k, w)).collect();
+        order.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        self.edges = order.into_iter().take(keep).collect();
+    }
+
+    fn build(&self) -> ModelGraph {
+        let n = self.max_node.map_or(0, |m| m as usize + 1);
+        let mut g = ModelGraph {
+            adj: vec![Vec::new(); n],
+            degree: vec![0.0; n],
+            total_weight: 0.0,
+        };
+        let mut edges: Vec<((u32, u32), f64)> = self.edges.iter().map(|(&k, &w)| (k, w)).collect();
+        edges.sort_unstable_by_key(|e| e.0);
+        for ((u, v), w) in edges {
+            if u == v {
+                g.adj[u as usize].push((v, w));
+                g.degree[u as usize] += 2.0 * w;
+            } else {
+                g.adj[u as usize].push((v, w));
+                g.degree[u as usize] += w;
+                g.adj[v as usize].push((u, w));
+                g.degree[v as usize] += w;
+            }
+            g.total_weight += w;
+        }
+        for row in &mut g.adj {
+            row.sort_unstable_by_key(|&(v, _)| v);
+        }
+        g
+    }
+}
+
+/// Bit-for-bit equality of a built graph with the reference model's.
+fn assert_same_bits(g: &Graph, model: &ModelGraph) {
+    assert_eq!(g.node_count(), model.adj.len());
+    let bits = |row: &[(u32, f64)]| -> Vec<(u32, u64)> {
+        row.iter().map(|&(v, w)| (v, w.to_bits())).collect()
+    };
+    for (u, row) in model.adj.iter().enumerate() {
+        assert_eq!(bits(g.neighbors(u as u32)), bits(row), "row {u}");
+        assert_eq!(
+            g.degree(u as u32).to_bits(),
+            model.degree[u].to_bits(),
+            "degree of {u}"
+        );
+    }
+    assert_eq!(g.total_weight().to_bits(), model.total_weight.to_bits());
+    let model_edges: usize = model
+        .adj
+        .iter()
+        .enumerate()
+        .map(|(u, row)| row.iter().filter(|&&(v, _)| v as usize >= u).count())
+        .sum();
+    assert_eq!(g.edge_count(), model_edges);
+}
+
+/// Generator: an edge stream over few nodes (so duplicates, both
+/// orientations and self-loops are common) with few distinct weights
+/// (so thinning meets ties), arriving as drawn, sorted by key with its
+/// duplicates, or strictly ascending — the arrival the builder's
+/// no-sort path recognizes.
+fn edge_stream(g: &mut Gen) -> Vec<(u32, u32, f64)> {
+    let mut es = g.vec(0..80, |g| {
+        let w = *g.pick(&[0.1, 0.25, 0.5, 1.0, 1.0 / 3.0, 2.0, 7.5]);
+        (g.range(0u32..12), g.range(0u32..12), w)
+    });
+    let key = |&(u, v, _): &(u32, u32, f64)| (u.min(v), u.max(v));
+    match g.range(0u8..3) {
+        0 => {}
+        1 => es.sort_by_key(key),
+        _ => {
+            es.sort_by_key(key);
+            es.dedup_by_key(|e| key(e));
+        }
+    }
+    es
+}
+
+#[test]
+fn builder_matches_the_hashmap_reference_model_to_the_bit() {
+    check(
+        |g| (edge_stream(g), g.range(0u32..16)),
+        |(es, isolated)| {
+            let mut b = GraphBuilder::new();
+            let mut model = ModelBuilder::default();
+            b.ensure_node(*isolated);
+            model.ensure_node(*isolated);
+            for &(u, v, w) in es {
+                b.add_edge(u, v, w);
+                model.add_edge(u, v, w);
+            }
+            assert_eq!(b.edge_count(), model.edges.len());
+            assert_same_bits(&b.build(), &model.build());
+        },
+    );
+}
+
+#[test]
+fn thinning_keeps_the_reference_models_edges_on_weight_ties() {
+    check(
+        |g| (edge_stream(g), g.range(0usize..40)),
+        |(es, keep)| {
+            let mut b = GraphBuilder::new();
+            let mut model = ModelBuilder::default();
+            for &(u, v, w) in es {
+                b.add_edge(u, v, w);
+                model.add_edge(u, v, w);
+            }
+            let distinct = model.edges.len();
+            assert_eq!(b.thin_to(*keep), distinct.saturating_sub(*keep));
+            model.thin_to(*keep);
+            assert_eq!(b.edge_count(), model.edges.len());
+            assert_same_bits(&b.build(), &model.build());
+            // A thinned builder still accumulates.
+            b.add_edge(3, 1, 0.5);
+            model.add_edge(3, 1, 0.5);
+            assert_same_bits(&b.build(), &model.build());
+        },
+    );
+}
+
+#[test]
+fn wire_round_trip_is_bit_identical_and_duplicates_are_rejected() {
+    check(edge_stream, |es| {
+        let mut b = GraphBuilder::new();
+        for &(u, v, w) in es {
+            b.add_edge(u, v, w);
+        }
+        let g = b.build();
+        let bytes = wire::encode(&g);
+        let back: Graph = wire::decode(&bytes).expect("own encoding decodes");
+        assert_eq!(wire::encode(&back), bytes);
+        assert_eq!(back.total_weight().to_bits(), g.total_weight().to_bits());
+
+        // The same payload with its first edge listed twice — in
+        // either orientation — must not decode.
+        let Some((u, v, w)) = g.edges().next() else {
+            return;
+        };
+        for (a, b) in [(u, v), (v, u)] {
+            let mut forged = Vec::new();
+            (g.node_count() as u64).wire(&mut forged);
+            (g.edge_count() as u64 + 1).wire(&mut forged);
+            for (x, y, weight) in [(a, b, w)].into_iter().chain(g.edges()) {
+                x.wire(&mut forged);
+                y.wire(&mut forged);
+                weight.wire(&mut forged);
+            }
+            let err = wire::decode::<Graph>(&forged).expect_err("duplicate edge accepted");
+            assert!(err.0.contains("duplicate"), "got: {err:?}");
+        }
+    });
 }

@@ -106,16 +106,16 @@ pub const SOFT_DEN: u64 = 5;
 /// Cancellation, the last rung, is [`StageSummary::cancelled`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rung {
-    /// LSH rare-feature path skipped: its index would not fit under soft.
-    RareSkipped,
-    /// LSH rare-path postings shed, shortest first.
-    RareShed,
-    /// Duplicate candidate pairs reclaimed between bands.
+    /// Duplicate candidate pairs reclaimed from the LSH rows.
     Compacted,
     /// `bucket_cap` lowered to fit a band's projected cliques.
     Tightened,
     /// The remaining LSH bands given up.
     Abandoned,
+    /// LSH rare-feature path skipped: its index would not fit under soft.
+    RareSkipped,
+    /// LSH rare-path postings shed, shortest first.
+    RareShed,
     /// A popular co-occurrence posting shed, longest first.
     Shed,
     /// The finished graph thinned to its heaviest edges.
@@ -128,11 +128,11 @@ impl Rung {
     /// The rung's metric name: it is counted under `governor/<name>`.
     pub fn name(self) -> &'static str {
         match self {
-            Rung::RareSkipped => "rare_skipped",
-            Rung::RareShed => "rare_shed",
             Rung::Compacted => "compacted",
             Rung::Tightened => "tightened",
             Rung::Abandoned => "abandoned",
+            Rung::RareSkipped => "rare_skipped",
+            Rung::RareShed => "rare_shed",
             Rung::Shed => "shed",
             Rung::Thinned => "thinned",
             Rung::IngestShed => "ingest_shed",

@@ -1,7 +1,8 @@
 //! Scoped-thread data parallelism without `rayon`.
 //!
 //! Two primitives cover every parallel call site in the workspace:
-//! [`par_map`] (an order-preserving parallel map over a slice) and
+//! [`par_map`] (an order-preserving parallel map over a slice, workers
+//! claiming contiguous blocks) and
 //! [`par_fold_chunks`] (fold fixed-size chunks in parallel, then merge
 //! the partials in chunk order). Both fall back to the plain sequential
 //! path when one thread is requested, and the worker count can be pinned
@@ -32,26 +33,35 @@ pub fn current_num_threads() -> usize {
     }
 }
 
+/// Contiguous blocks each worker can expect to claim. One claim per
+/// *item* made a contended `fetch_add` the unit of work for cheap `f`
+/// (a sub-microsecond pair score); a handful of blocks per worker keeps
+/// the claim off the profile while uneven item costs still balance.
+const BLOCKS_PER_THREAD: usize = 32;
+
 /// Maps `f` over `items` on scoped worker threads, preserving input
 /// order in the output.
 ///
-/// Work is distributed by atomic index stealing, so uneven item costs
-/// balance across workers. A panic in `f` propagates to the caller once
-/// the scope joins.
+/// Workers claim contiguous blocks of `len / (threads · 32)` items
+/// (at least one) from an atomic cursor, so uneven item costs balance
+/// across workers and an input no longer than the thread count still
+/// spreads one item per worker. A panic in `f` propagates to the caller
+/// once the scope joins.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_inner(items, None, f)
+    par_map_inner(items, None, current_num_threads(), f)
 }
 
-/// [`par_map`] with cooperative cancellation: workers stop claiming new
-/// items once `token` is cancelled, and the call then panics with the
-/// cancellation reason (via [`CancelToken::bail`]) instead of returning
-/// a partial result — unwinding into the caller's isolation boundary
-/// exactly like a cancellation point inside `f` would.
+/// [`par_map`] with cooperative cancellation: workers poll `token`
+/// before every item and stop once it is cancelled, and the call then
+/// panics with the cancellation reason (via [`CancelToken::bail`])
+/// instead of returning a partial result — unwinding into the caller's
+/// isolation boundary exactly like a cancellation point inside `f`
+/// would.
 ///
 /// # Panics
 ///
@@ -63,16 +73,16 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_inner(items, Some(token), f)
+    par_map_inner(items, Some(token), current_num_threads(), f)
 }
 
-fn par_map_inner<T, U, F>(items: &[T], token: Option<&CancelToken>, f: F) -> Vec<U>
+fn par_map_inner<T, U, F>(items: &[T], token: Option<&CancelToken>, threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let threads = current_num_threads().min(items.len()).max(1);
+    let threads = threads.min(items.len()).max(1);
     if threads == 1 {
         return items
             .iter()
@@ -84,23 +94,31 @@ where
             })
             .collect();
     }
+    let block = (items.len() / (threads * BLOCKS_PER_THREAD)).max(1);
     let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(items.len()));
+    // (block index, that block's results in item order), one entry per
+    // claimed block.
+    let collected: Mutex<Vec<(usize, Vec<U>)>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
         let worker = || {
             s.spawn(|| {
                 let mut local = Vec::new();
-                loop {
-                    // A cancelled token stops the whole map at the next
-                    // claim; the post-join bail below reports it.
-                    if token.is_some_and(CancelToken::is_cancelled) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else {
+                'claim: loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(claimed) = items.chunks(block).nth(index) else {
                         break;
                     };
-                    local.push((i, f(item)));
+                    let mut out = Vec::with_capacity(claimed.len());
+                    for item in claimed {
+                        // A cancelled token stops the whole map at the
+                        // next item; the post-join bail below reports
+                        // it and the partial results are dropped.
+                        if token.is_some_and(CancelToken::is_cancelled) {
+                            break 'claim;
+                        }
+                        out.push(f(item));
+                    }
+                    local.push((index, out));
                 }
                 collected
                     .lock()
@@ -121,11 +139,15 @@ where
     if let Some(t) = token {
         t.bail();
     }
-    let mut pairs = collected
+    let mut blocks = collected
         .into_inner()
         .expect("collector mutex not poisoned: all workers joined");
-    pairs.sort_by_key(|(i, _)| *i);
-    pairs.into_iter().map(|(_, v)| v).collect()
+    blocks.sort_unstable_by_key(|&(index, _)| index);
+    let mut out = Vec::with_capacity(items.len());
+    for (_, results) in blocks {
+        out.extend(results);
+    }
+    out
 }
 
 /// Runs `f` with panic isolation: a panic inside `f` is caught and
@@ -252,6 +274,102 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         let err = run_isolated(|| par_map_cancellable(&items, &token, |x| *x)).unwrap_err();
         assert!(err.contains("governor: test cancellation"), "got: {err}");
+    }
+
+    #[test]
+    fn output_is_identical_for_every_thread_count_and_length() {
+        for threads in [1usize, 2, 4, 7] {
+            for len in [0, 1, threads - 1, threads, 4097, 100_000] {
+                let items: Vec<u64> = (0..len as u64).collect();
+                let out = par_map_inner(&items, None, threads, |x| x * 3 + 1);
+                let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+                assert_eq!(out, expected, "threads {threads}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn worker_panic_payload_reaches_the_caller_intact() {
+        #[derive(Debug, PartialEq)]
+        struct Payload(u32);
+        let items: Vec<u32> = (0..10_000).collect();
+        let caught = silenced(|| {
+            panic::catch_unwind(|| {
+                par_map_inner(&items, None, 4, |&x| {
+                    if x == 7_777 {
+                        panic::panic_any(Payload(x));
+                    }
+                    x
+                })
+            })
+        });
+        let payload = caught.expect_err("the worker's panic must propagate");
+        assert_eq!(payload.downcast_ref::<Payload>(), Some(&Payload(7_777)));
+    }
+
+    /// Spins until `ready()` holds; panics instead of hanging the suite
+    /// when the interleaving under test never happens.
+    fn wait_until(ready: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !ready() {
+            assert!(
+                start.elapsed().as_secs() < 30,
+                "the workers never reached the awaited state"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn cancellation_from_inside_an_item_stops_workers_within_one_item() {
+        use std::sync::atomic::AtomicBool;
+        const THREADS: usize = 4;
+        // 100 000 items on 4 threads are claimed in blocks of 781: a
+        // per-block poll would run hundreds of items after the cancel.
+        let items: Vec<usize> = (0..100_000).collect();
+        let token = CancelToken::new();
+        let inside = AtomicUsize::new(0);
+        let cancelled = AtomicBool::new(false);
+        let started_after_cancel = AtomicUsize::new(0);
+        let err = run_isolated(|| {
+            par_map_inner(&items, Some(&token), THREADS, |&i| {
+                if cancelled.load(Ordering::SeqCst) {
+                    started_after_cancel.fetch_add(1, Ordering::SeqCst);
+                    return;
+                }
+                if i == 0 {
+                    // Item 0 cancels only once every other worker is
+                    // parked inside an item of its own first block.
+                    wait_until(|| inside.load(Ordering::SeqCst) == THREADS - 1);
+                    token.cancel("governor: cancelled from inside item 0");
+                    cancelled.store(true, Ordering::SeqCst);
+                } else if i % (items.len() / (THREADS * BLOCKS_PER_THREAD)) == 0 {
+                    // First item of a block: park until the cancel.
+                    inside.fetch_add(1, Ordering::SeqCst);
+                    wait_until(|| cancelled.load(Ordering::SeqCst));
+                }
+            })
+        })
+        .unwrap_err();
+        assert!(err.contains("cancelled from inside item 0"), "got: {err}");
+        // A worker polls the token before every item, so at most the one
+        // item it may have been about to start runs after the cancel.
+        let after = started_after_cancel.load(Ordering::SeqCst);
+        assert!(after < THREADS, "{after} items started after the cancel");
+    }
+
+    #[test]
+    fn inputs_no_longer_than_the_thread_count_spread_one_item_per_worker() {
+        // The pipeline maps its three secondary dimensions this way:
+        // each item must be claimable by a worker of its own, so every
+        // item can wait for all three to be running.
+        let running = AtomicUsize::new(0);
+        let out = par_map_inner(&[10u32, 20, 30], None, 4, |&x| {
+            running.fetch_add(1, Ordering::SeqCst);
+            wait_until(|| running.load(Ordering::SeqCst) == 3);
+            x + 1
+        });
+        assert_eq!(out, vec![11, 21, 31]);
     }
 
     #[test]

@@ -80,7 +80,8 @@ fn pipeline_times_every_stage_exactly_once() {
 
 /// The candidate funnel must reconcile for both LSH-routed dimensions,
 /// in both candidate modes: every stage is a subset of the one before,
-/// and every scored pair is either pruned or an edge.
+/// every scored pair is either pruned or an edge, and the layer proposed
+/// each pair it kept at least once (exactly once in exact mode).
 #[test]
 fn candidate_funnel_reconciles_in_lsh_and_exact_mode() {
     let data = Scenario::small_day(3).generate();
@@ -97,11 +98,14 @@ fn candidate_funnel_reconciles_in_lsh_and_exact_mode() {
                 get("pairs_scored"),
             );
             let (pruned, edges) = (get("pairs_pruned"), get("edges"));
+            let proposed = get("pairs_proposed");
             let funnel = format!(
-                "{kind} exact={exact}: considered {considered} bucketed {bucketed} \
-                 scored {scored} pruned {pruned} edges {edges}"
+                "{kind} exact={exact}: considered {considered} proposed {proposed} \
+                 bucketed {bucketed} scored {scored} pruned {pruned} edges {edges}"
             );
             assert!(considered >= bucketed, "{funnel}");
+            assert!(proposed >= bucketed, "{funnel}");
+            assert!(!exact || proposed == bucketed, "{funnel}");
             assert!(bucketed >= scored, "{funnel}");
             assert_eq!(scored, pruned + edges, "{funnel}");
             assert!(edges > 0, "{funnel}");
