@@ -6,8 +6,8 @@
 #
 # Steps:
 #   1. cargo fmt --check                      formatting drift
-#   2. cargo build --release --all-targets    everything compiles, benches
-#                                             included (cargo test skips them)
+#   2. cargo build --release --all-targets    everything compiles: libraries,
+#                                             binaries, examples, test targets
 #   3. cargo test -q                          the full suite: unit tests,
 #                                             doctests, property suites, and
 #                                             the root integration tests
@@ -15,63 +15,39 @@
 #                                             a dimension killed from the
 #                                             environment (SMASH_FAILPOINTS)
 #   5. cargo doc --no-deps                    rustdoc gate, warnings are errors
-#   6. smash-bench --quick                    the benchmark harness runs end to
-#                                             end (writes no file; the committed
-#                                             BENCH_pipeline.json stays clean)
-#   6b. smash-bench --chaos --quick           crash/restart + corruption smoke:
-#                                             kill a dimension, abort after a
-#                                             checkpoint boundary and resume,
-#                                             corrupt a snapshot — resumed
-#                                             reports must match cold ones
-#   6c. LSH recall smoke                      exact vs MinHash/LSH candidate
-#                                             generation must produce identical
-#                                             reports on the small scenario
-#                                             (DESIGN.md §10; the full ≥0.99
-#                                             recall gate runs in step 3)
-#   6d. smash-bench --huge --quick            the streamed ISP-scale scenario
-#                                             ingests lazily and the pipeline
-#                                             completes (writes no file)
-#   6e. smash-bench --pressure --quick        the resource governor's
-#                                             degradation ladder replays the
-#                                             streamed scenario under the peak
-#                                             halved six times; fails when
-#                                             planted-campaign recovery rises
-#                                             under a tighter budget, prints
-#                                             the curve (DESIGN.md §11;
-#                                             writes no file)
-#   6f. preprocess / re-mine diff             `smash preprocess` writes a
+#   6. preprocess / re-mine diff              `smash preprocess` writes a
 #                                             SMSHCOLS day, then analyzing the
 #                                             day must print byte-identical
 #                                             output to analyzing the raw
 #                                             trace (DESIGN.md §12.4)
-#   6g. daemon smoke                          `smash serve --stdio`: ingest a
+#   7. daemon smoke                           `smash serve --stdio`: ingest a
 #                                             generated day, SIGKILL the daemon
 #                                             mid-epoch via a failpoint, restart
 #                                             on the same data dir, and verify
 #                                             the recovered QUERY answer is
 #                                             identical to the no-crash run
 #                                             (DESIGN.md §13)
-#   6h. reference benchmark                   the standalone benchmark/ package
+#   8. reference benchmark                    the standalone benchmark/ package
 #                                             (BENCHMARK.json's command; its own
 #                                             workspace, path-deps on these
 #                                             crates) passes its self-tests and a
 #                                             --smoke run of every workload, so a
 #                                             library API change that breaks it
 #                                             fails here, not in the driver
-#   6i. hostile-line smoke                    one line of 200 000 `[` (deeper
+#   9. hostile-line smoke                     one line of 200 000 `[` (deeper
 #                                             than any stack) is one quarantined
 #                                             line to `smash stats --lenient` and
 #                                             `ERR bad-json` then `PONG` to
 #                                             `smash serve --stdio`; both used to
 #                                             abort the process (DESIGN.md §6)
-#   7. examples                               all four examples/ run to completion
-#   8. cargo clippy -D warnings               lint gate, skipped when the
+#  10. examples                               all four examples/ run to completion
+#  11. cargo clippy -D warnings               lint gate, skipped when the
 #                                             toolchain ships without clippy
-#   9. smash-lint --check-baseline            in-tree invariant linter; hard
+#  12. smash-lint --check-baseline            in-tree invariant linter; hard
 #                                             gate against lint-baseline.json
 #                                             (new violations fail, see
 #                                             DESIGN.md §8)
-#  10. cargo miri test -p smash-support       UB check of the support crate,
+#  13. cargo miri test -p smash-support       UB check of the support crate,
 #                                             skipped with a notice when the
 #                                             nightly/miri toolchain is absent
 set -euo pipefail
@@ -91,24 +67,6 @@ SMASH_FAILPOINTS=dimension/whois=panic cargo test -q --offline --test fault_inje
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
-
-echo "==> smash-bench --quick (benchmark harness smoke)"
-cargo run -q --release --offline -p smash-bench -- --quick >/dev/null
-
-echo "==> smash-bench --chaos --quick (crash/restart + corruption smoke)"
-cargo run -q --release --offline -p smash-bench -- --chaos --quick
-
-echo "==> LSH recall smoke (exact vs LSH report identity, small scenario)"
-cargo test -q --offline --release --test lsh_recall small_scenario
-
-echo "==> smash-bench --huge --quick (streamed ISP-scale smoke)"
-cargo run -q --release --offline -p smash-bench -- --huge --quick >/dev/null
-
-echo "==> smash-bench --pressure --quick (degradation curve: peak/2 .. peak/64, must be monotone)"
-# The sweep exits nonzero when recovery rises as the budget halves; the
-# curve line is the verdict a reader of the CI log should see.
-cargo run -q --release --offline -p smash-bench -- --pressure --quick 2>&1 >/dev/null \
-    | grep 'campaigns recovered as the budget halves'
 
 echo "==> preprocess / re-mine diff (SMSHCOLS day vs raw trace)"
 remine_dir="$(mktemp -d)"

@@ -22,11 +22,11 @@
 //! 3. **Resume must be invisible in the report.** A clean resume
 //!    produces the same `SmashReport` as a cold run, byte for byte once
 //!    the inherently wall-clock fields (`perf`, `elapsed_ms`) are
-//!    stripped — asserted by the chaos harness and `tests/checkpoint.rs`.
+//!    stripped — asserted by `tests/checkpoint.rs`.
 //!
 //! Each successful snapshot write fires the deterministic failpoint
 //! `ckpt/after/<stage>`; arming it with `abort` kills the process right
-//! after the boundary becomes durable, which is how the chaos harness
+//! after the boundary becomes durable, which is how `tests/checkpoint.rs`
 //! enumerates crash/restart cycles.
 
 use crate::ash::MinedDimension;
@@ -51,7 +51,7 @@ pub fn dimension_stage(kind: DimensionKind) -> String {
 }
 
 /// Every checkpoint boundary of a default-config run, in pipeline
-/// order — the enumeration domain of the chaos harness's
+/// order — the enumeration domain of `tests/checkpoint.rs`'s
 /// kill-after-checkpoint-N cycles.
 pub fn default_stages() -> Vec<String> {
     let mut stages = vec![STAGE_PREPROCESS.to_owned()];

@@ -329,10 +329,10 @@ impl SmashConfig {
     /// FNV-1a fingerprint of the canonical JSON of this configuration
     /// (`fnv1a:<16 hex digits>`).
     ///
-    /// Two runs are comparable — and a checkpoint directory reusable —
-    /// only when their config fingerprints match; this is the same value
-    /// `smash-bench` records in `BENCH_pipeline.json` and the checkpoint
-    /// manifest stores to reject snapshots from a different sweep point.
+    /// A checkpoint directory is reusable only when the config
+    /// fingerprints match: the checkpoint manifest, the fingerprint's
+    /// one client, stores it to reject snapshots from a different sweep
+    /// point.
     pub fn fingerprint(&self) -> String {
         use smash_support::ckpt;
         ckpt::fingerprint_string(ckpt::fnv1a(smash_support::json::to_string(self).as_bytes()))

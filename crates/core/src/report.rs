@@ -447,8 +447,8 @@ impl SmashReport {
 /// then re-serializes compactly.
 ///
 /// Two runs over the same inputs and config — cold or resumed from
-/// checkpoints — must produce *identical* canonical reports; the chaos
-/// harness and the checkpoint suite compare them byte-for-byte. Wall
+/// checkpoints — must produce *identical* canonical reports; the
+/// checkpoint suite compares them byte-for-byte. Wall
 /// times are the only sanctioned nondeterminism in a report, and this
 /// is the one place that knows where they live.
 pub fn canonical_report_json(text: &str) -> Result<String, JsonError> {

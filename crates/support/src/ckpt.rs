@@ -31,9 +31,9 @@
 //! atomically (tmp + rename) at its stage boundary, names its stage in
 //! the checksummed envelope, and file names are a pure function of the
 //! stage ([`snapshot_file_name`]). Keeping the manifest out of the
-//! per-stage hot path halves the file operations per boundary, which is
-//! what keeps checkpointing inside its ≤2 % overhead budget
-//! (DESIGN.md §9). The cost is that the fingerprint binding covers the
+//! per-stage hot path halves the file operations per boundary (one of
+//! the three choices behind the cost stated in DESIGN.md §9.4). The
+//! price is that the fingerprint binding covers the
 //! *directory*, not each file — so a run that opens a directory without
 //! resuming must clear stale `*.ckpt` files before its first boundary
 //! (the pipeline's `Checkpointer::open` does).
@@ -64,8 +64,7 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming FNV-1a hasher (the workspace's canonical fingerprint hash,
-/// shared with `smash-bench`'s config fingerprint).
+/// Streaming FNV-1a hasher (the workspace's canonical fingerprint hash).
 #[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 
@@ -108,7 +107,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Renders a hash in the workspace's fingerprint notation
-/// (`fnv1a:<16 hex digits>`), matching `BENCH_pipeline.json`.
+/// (`fnv1a:<16 hex digits>`).
 pub fn fingerprint_string(hash: u64) -> String {
     format!("fnv1a:{hash:016x}")
 }
@@ -173,11 +172,11 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), CkptError> {
     let io = |what: &str, e: std::io::Error| CkptError::Io(format!("{what}: {e}"));
     {
         // No fsync: rename gives atomicity against process crash (the
-        // case the chaos suite exercises), and a snapshot torn by power
-        // loss fails its envelope checksum on resume and is recomputed —
-        // durability comes from detect-and-recompute, not from paying an
-        // fsync per stage (which alone would blow the ≤2% overhead
-        // budget of DESIGN.md §9).
+        // case `tests/checkpoint.rs` exercises), and a snapshot torn by
+        // power loss fails its envelope checksum on resume and is
+        // recomputed — durability comes from detect-and-recompute, not
+        // from paying an fsync per stage (which would cost more than
+        // everything else checkpointing does, DESIGN.md §9.4).
         let mut f =
             fs::File::create(&tmp).map_err(|e| io(&format!("create {}", tmp.display()), e))?;
         f.write_all(contents)
@@ -309,8 +308,8 @@ pub fn snapshot_file_name(stage: &str) -> String {
 /// writes its snapshot, retrying transient I/O failures
 /// ([`write_atomic_retrying`]). JSON is deliberately not used here:
 /// snapshot payloads are the checkpoint layer's hot path, and wire
-/// encode/decode is what keeps the overhead inside the ≤2% budget of
-/// DESIGN.md §9. Returns `(payload_bytes, retries)` so the caller can
+/// encode/decode is most of why the overhead is what DESIGN.md §9.4
+/// states. Returns `(payload_bytes, retries)` so the caller can
 /// account the `ckpt/retried` counter.
 ///
 /// # Errors

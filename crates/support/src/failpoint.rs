@@ -23,8 +23,8 @@
 //! fault, for exercising retry paths), `delay:<ms>` (sleep, for
 //! exercising wall-clock budgets), and `abort` (kill the process
 //! without unwinding — a deterministic stand-in for `kill -9` / OOM,
-//! used by the chaos harness to test checkpoint resume; only meaningful
-//! when the target runs as a subprocess).
+//! used by `tests/checkpoint.rs` and `tests/serve.rs` to test crash
+//! recovery; only meaningful when the target runs as a subprocess).
 //!
 //! ```
 //! use smash_support::failpoint::{self, Action};
@@ -58,7 +58,7 @@ pub enum Action {
     /// Kill the process on the spot — no unwinding, no destructors, no
     /// exit code discipline — simulating `kill -9`, OOM, or node
     /// preemption. Panic isolation cannot catch this, which is the
-    /// point: it is how the chaos harness proves checkpoint resume
+    /// point: it is how `tests/checkpoint.rs` proves checkpoint resume
     /// works after a *real* crash, not a caught panic.
     Abort,
 }
@@ -265,8 +265,8 @@ pub fn fire(site: &str) {
     }
 }
 
-/// The `abort` action: a note on stderr (so chaos logs show *which*
-/// site fired), then `std::process::abort()` — no unwinding, no atexit
+/// The `abort` action: a note on stderr (so a crash test's log shows
+/// *which* site fired), then `std::process::abort()` — no unwinding, no atexit
 /// handlers, the closest deterministic stand-in for `kill -9`.
 fn abort_now(site: &str) -> ! {
     eprintln!("failpoint `{site}` triggered: aborting process");

@@ -34,8 +34,7 @@
 //! deadlines are inherently nondeterministic and only ever map to the
 //! same degraded statuses a wall-clock budget always produced. With no
 //! budgets configured every poll is a pair of relaxed loads and every
-//! charge a pair of atomic adds — within the pipeline's 2%
-//! instrumentation budget, and reports stay byte-identical.
+//! charge a pair of atomic adds, and reports stay byte-identical.
 
 use crate::failpoint;
 use std::collections::BTreeMap;

@@ -3,7 +3,7 @@
 //! The environment SMASH builds in is fully offline: no crates-io
 //! registry, no network. Every external dependency the workspace once
 //! pulled (`rand`, `rand_chacha`, `serde`, `serde_json`, `rayon`,
-//! `parking_lot`, `bytes`, `proptest`, `criterion`) is replaced here by a
+//! `parking_lot`, `bytes`, `proptest`) is replaced here by a
 //! small, purpose-built, dependency-free implementation:
 //!
 //! * [`rng`] — a SplitMix64-based deterministic RNG with the `Rng` /
@@ -30,8 +30,6 @@
 //! * [`retry`] — the shared transient-fault retry policy (deterministic
 //!   backoff jitter, process-wide `retry/*` counters) behind checkpoint,
 //!   quarantine, and epoch-WAL writes.
-//! * [`mod@bench`] — a wall-clock benchmark harness exposing the subset of
-//!   the `criterion` API the bench suite uses.
 //! * [`metrics`] — thread-safe counters, gauges, fixed-bucket duration
 //!   histograms, and scoped stage timers for pipeline observability.
 //!
@@ -41,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod check;
 pub mod ckpt;
 pub mod envelope;

@@ -2,8 +2,8 @@
 //!
 //! The JSON used for reports is the wrong tool for snapshots: a medium
 //! run's dimension graphs serialize to ~700 KB of JSON whose encode and
-//! parse alone cost more than half the pipeline's wall time — far over
-//! the ≤2% checkpoint overhead budget (DESIGN.md §9). This module is a
+//! parse alone cost more than half the pipeline's wall time, where
+//! checkpointing now costs ≈ 3 % (DESIGN.md §9.4). This module is a
 //! minimal little-endian wire format for the handful of types the
 //! checkpoint layer stores: fixed-width integers and floats, length-
 //! prefixed strings and vectors, nothing self-describing. The envelope

@@ -18,9 +18,10 @@
 //! are byte-identical (`tests/stream_scenario.rs`).
 //!
 //! The world model is deliberately simpler than the batch presets (no
-//! Whois, no IDS labels): the huge scenario exists to exercise
-//! *throughput* — the IDF filter dropping hyper-popular servers, the
-//! LSH candidate funnel, and streaming ingest — not evaluation metrics.
+//! Whois, no IDS labels): the huge scenario exists to exercise *scale*
+//! — the IDF filter dropping hyper-popular servers, the LSH candidate
+//! funnel, streaming ingest, and the governor's degradation sweep
+//! (`tests/governor.rs`) — not evaluation metrics.
 
 use crate::scenario::mix;
 use crate::zipf::Zipf;
@@ -70,8 +71,9 @@ impl StreamScenario {
         }
     }
 
-    /// The reduced variant behind `smash-bench --huge --quick`: same
-    /// world shape at 1/25 the client count, for CI smokes.
+    /// The reduced variant: same world shape at 1/25 the client count,
+    /// small enough for the tier-1 suites (`tests/governor.rs`,
+    /// `tests/stream_scenario.rs`).
     pub fn quick(seed: u64) -> Self {
         Self {
             clients: 40_000,
@@ -104,16 +106,6 @@ impl StreamScenario {
     /// and postings, so peak memory is the arena plus one client burst.
     pub fn dataset(&self) -> TraceDataset {
         TraceDataset::from_records(self.records())
-    }
-
-    /// [`dataset`](Self::dataset) with governor byte-accounting: the
-    /// growing arena is charged against `scope` in chunks, so ingest
-    /// shows up in peak-tracked-bytes reports and honors cancellation.
-    pub fn dataset_governed(
-        &self,
-        scope: Option<&smash_support::governor::StageScope>,
-    ) -> TraceDataset {
-        TraceDataset::from_records_governed(self.records(), scope)
     }
 
     /// Counts the planted campaigns (servers `c{campaign}-{n}.bad`)

@@ -161,9 +161,9 @@ impl RecordColumns {
     }
 
     /// Payload bytes the columns hold: `len() · ROW_BYTES`. Exact by
-    /// construction — every cell is fixed width — which is what lets
-    /// the governor charge the arena itself instead of a per-record
-    /// heap estimate.
+    /// construction — every cell is fixed width — which is what makes
+    /// the arena's accounting a count rather than a per-record heap
+    /// estimate.
     pub fn payload_bytes(&self) -> u64 {
         self.len() as u64 * ROW_BYTES
     }

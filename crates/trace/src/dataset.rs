@@ -6,7 +6,6 @@ use crate::interner::Interner;
 use crate::record::{HttpRecord, RecordFields};
 use crate::server::ServerKey;
 use crate::uri::{parameter_pattern, uri_file, uri_path};
-use smash_support::governor::StageScope;
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -45,10 +44,6 @@ pub struct CompactRecord {
     /// Redirect target server, aggregated, if any.
     pub redirect_to: Option<ServerId>,
 }
-
-/// How many records the governed ingest processes between byte-account
-/// reconciliations (and cancellation ticks).
-const INGEST_CHUNK: usize = 4096;
 
 /// A full trace: the columnar record arena, the symbol tables behind its
 /// interned ids, and the per-server postings every dimension shares.
@@ -151,8 +146,6 @@ pub struct Appender<'a> {
     first_new: u32,
     /// Servers that received a record since `first_new`.
     touched: Vec<ServerId>,
-    /// Posting cells pushed so far (pre-dedup), for governed ingest.
-    posting_cells: u64,
     /// Raw host string → server id, for the hosts this appender has
     /// already aggregated: a repeat (nearly every record's host,
     /// referrer and redirect target) skips lowercasing, label splitting
@@ -235,27 +228,16 @@ impl Appender<'_> {
                 self.touched.push(rec.server);
             }
             sc.push(rec.client);
-            self.posting_cells += 2; // client + ip
             if !is_dir {
                 sf.push(rec.file);
-                self.posting_cells += 1;
             }
             si.push(rec.ip);
             sr.push(idx);
-            self.posting_cells += 1;
             if let Some(rf) = rec.referrer {
                 sref.push(rf);
-                self.posting_cells += 1;
             }
             ds.cols.push(rec);
         }
-    }
-
-    /// Bytes this appender has added so far: new column rows plus
-    /// (pre-dedup) posting cells.
-    fn grown_bytes(&self) -> u64 {
-        let rows = self.ds.cols.len() as u64 - u64::from(self.first_new);
-        rows * columns::ROW_BYTES + self.posting_cells * 4
     }
 }
 
@@ -280,43 +262,8 @@ impl TraceDataset {
     /// Builds a dataset from raw records: an empty arena plus one
     /// append.
     pub fn from_records<I: IntoIterator<Item = HttpRecord>>(records: I) -> Self {
-        Self::from_records_governed(records, None)
-    }
-
-    /// [`from_records`](Self::from_records) under governor accounting.
-    ///
-    /// With a scope, ingest charges the growing arena against the
-    /// stage's byte account in 4096-record steps (each step
-    /// is also a cancellation tick) and reconciles to the exact
-    /// [`heap_bytes`](Self::heap_bytes) once the postings are final —
-    /// the account tracks the arena itself, not a per-record estimate.
-    pub fn from_records_governed<I: IntoIterator<Item = HttpRecord>>(
-        records: I,
-        scope: Option<&StageScope>,
-    ) -> Self {
         let mut ds = TraceDataset::default();
-        let mut charged: u64 = 0;
-        let mut appender = ds.appender();
-        for (n, r) in records.into_iter().enumerate() {
-            appender.push(&r);
-            if let (Some(sc), true) = (scope, (n + 1) % INGEST_CHUNK == 0) {
-                sc.tick();
-                let tracked = appender.grown_bytes();
-                sc.charge(tracked.saturating_sub(charged));
-                charged = charged.max(tracked);
-            }
-        }
-        drop(appender);
-        if let Some(sc) = scope {
-            // Dedup shrank the postings and the interner tables were
-            // never charged: settle the account on the exact arena.
-            let exact = ds.heap_bytes();
-            if exact >= charged {
-                sc.charge(exact - charged);
-            } else {
-                sc.release(charged - exact);
-            }
-        }
+        ds.append(records);
         ds
     }
 
@@ -344,7 +291,6 @@ impl TraceDataset {
             first_new: self.cols.len() as u32,
             ds: self,
             touched: Vec::new(),
-            posting_cells: 0,
             server_memo: HashMap::new(),
             ip_memo: HashMap::new(),
         }
@@ -445,8 +391,9 @@ impl TraceDataset {
     /// Payload bytes of the arena: columns, postings, and both resident
     /// copies of every interned string (id table and reverse map key).
     /// Exact for the fixed-width parts; allocator headers and hash-table
-    /// overhead are deliberately not modeled, so the figure is a stable,
-    /// reproducible accounting basis for the governor.
+    /// overhead are deliberately not modeled, so the figure is stable and
+    /// reproducible (the `ingest/arena_bytes` counter and the daemon's
+    /// `serve/arena/bytes` gauge report it).
     pub fn heap_bytes(&self) -> u64 {
         let postings: u64 = [
             &self.server_clients,
@@ -887,26 +834,5 @@ mod tests {
         assert!(ds.validate().is_ok(), "{:?}", ds.validate());
         assert_eq!(ds.record_count(), 4);
         assert_eq!(ds.clients_of(ds.server_id("x.com").unwrap()), &[0, 1]);
-    }
-
-    #[test]
-    fn governed_ingest_matches_plain_and_charges_the_arena() {
-        let records: Vec<HttpRecord> = (0..10_000)
-            .map(|i| {
-                rec(
-                    &format!("c{}", i % 97),
-                    &format!("s{}.com", i % 31),
-                    "9.9.9.9",
-                    &format!("/f{}.php", i % 13),
-                )
-            })
-            .collect();
-        let plain = TraceDataset::from_records(records.clone());
-        let gov = smash_support::governor::Governor::unlimited();
-        let scope = gov.stage("ingest", 0);
-        let governed = TraceDataset::from_records_governed(records, Some(&scope));
-        assert_eq!(governed.fingerprint(), plain.fingerprint());
-        assert_eq!(scope.tracked_bytes(), governed.heap_bytes());
-        assert!(scope.peak_bytes() >= governed.heap_bytes());
     }
 }

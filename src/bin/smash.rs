@@ -104,9 +104,8 @@ environment:
   SMASH_CHECK_CASES, SMASH_CHECK_SEED
                          property-test harness controls (test builds only)
 
-benchmarking:
-  cargo run --release -p smash-bench        # writes BENCH_pipeline.json
-  cargo run --release -p smash-bench -- --quick   # CI smoke variant
+benchmarking (the standalone benchmark/ package; see benchmark/README.md):
+  cargo run --release --manifest-path benchmark/Cargo.toml -- --workload batch_jsonl
 
 linting:
   cargo run -p smash-lint -- --help         # in-tree invariant linter

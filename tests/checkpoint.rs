@@ -7,20 +7,27 @@
 //!    checkpoint-free run).
 //! 2. **A crash at any stage boundary is survivable** — the CLI is
 //!    killed (`abort`, uncatchable) after every checkpoint stage in
-//!    turn via subprocess re-exec, then resumed to the same report.
+//!    turn via subprocess re-exec (an in-process harness cannot survive
+//!    `std::process::abort`), then resumed to the same report — both
+//!    writing the missing snapshots and read-only from the completed
+//!    directory.
 //! 3. **No corruption can poison a resume** — a property test flips or
 //!    truncates one seeded byte of one seeded snapshot; the pipeline
-//!    must recompute-and-warn, never panic and never change the result.
+//!    must recompute-and-warn, never panic and never change the result,
+//!    and the CLI must surface the warning in its `--json` report.
 
+mod common;
+
+use common::{flux_records, flux_recovered, flux_trace, flux_whois, locked, scratch};
 use smash::core::checkpoint::default_stages;
 use smash::core::report::canonical_report_json;
 use smash::core::{CheckpointOptions, Smash, SmashConfig, SmashReport};
 use smash::support::check::cases;
 use smash::support::failpoint;
+use smash::support::json::{self, Json};
 use smash::support::metrics::Registry;
-use smash::trace::{io, HttpRecord, TraceDataset};
-use smash::whois::{WhoisRecord, WhoisRegistry};
-use std::path::{Path, PathBuf};
+use smash::trace::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -28,84 +35,8 @@ use std::sync::Mutex;
 /// could observe an armed spec.
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Unique scratch directory under the target tmpdir; unique per call so
-/// parallel tests never share checkpoint state.
-fn scratch(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("smash-ckpt-test-{}-{tag}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// The planted flux herd from the fault-injection suite: strong in every
-/// dimension so any resume path must reproduce the same campaign.
-fn flux_trace() -> TraceDataset {
-    TraceDataset::from_records(flux_records())
-}
-
-fn flux_records() -> Vec<HttpRecord> {
-    let mut records = Vec::new();
-    let bots = ["bot1", "bot2", "bot3"];
-    for bot in bots {
-        for d in 0..8 {
-            records.push(
-                HttpRecord::new(
-                    0,
-                    bot,
-                    &format!("cc{d}.evil"),
-                    "66.6.6.6",
-                    "/gate/login.php?p=1",
-                )
-                .with_user_agent("BotAgent"),
-            );
-        }
-    }
-    for s in 0..30 {
-        for c in 0..6 {
-            records.push(HttpRecord::new(
-                0,
-                &format!("user{}", (s * 3 + c) % 40),
-                &format!("site{s}.com"),
-                &format!("23.0.0.{s}"),
-                &format!("/page{c}.html"),
-            ));
-        }
-    }
-    for bot in bots {
-        for s in 0..5 {
-            records.push(HttpRecord::new(
-                0,
-                bot,
-                &format!("site{s}.com"),
-                &format!("23.0.0.{s}"),
-                "/index.html",
-            ));
-        }
-    }
-    records
-}
-
-fn flux_whois() -> WhoisRegistry {
-    let mut reg = WhoisRegistry::new();
-    for d in 0..8 {
-        reg.insert(
-            &format!("cc{d}.evil"),
-            WhoisRecord::new()
-                .with_registrant("Evil Holdings")
-                .with_email("ops@evil.example")
-                .with_phone("666")
-                .with_name_server("ns1.evil.example"),
-        );
-    }
-    reg
-}
+/// Prefix of this suite's scratch directories.
+const SCRATCH: &str = "smash-ckpt-test";
 
 fn run_resumable(ckpt: Option<&CheckpointOptions>) -> (SmashReport, Registry) {
     let metrics = Registry::new();
@@ -120,9 +51,9 @@ fn run_resumable(ckpt: Option<&CheckpointOptions>) -> (SmashReport, Registry) {
 
 #[test]
 fn clean_resume_is_byte_identical_to_cold_and_plain_runs() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
-    let dir = scratch("clean");
+    let dir = scratch(SCRATCH, "clean");
 
     let (plain, _) = run_resumable(None);
     let (cold, _) = run_resumable(Some(&CheckpointOptions::new(&dir)));
@@ -132,6 +63,7 @@ fn clean_resume_is_byte_identical_to_cold_and_plain_runs() {
             .with_write(false),
     ));
 
+    assert!(flux_recovered(&plain), "campaigns: {:?}", plain.campaigns);
     assert_eq!(
         warm.canonical_json(),
         cold.canonical_json(),
@@ -153,23 +85,48 @@ fn clean_resume_is_byte_identical_to_cold_and_plain_runs() {
         default_stages().len() as u64
     );
     assert_eq!(metrics.counter("ckpt/rejected").get(), 0);
+    // DESIGN.md §9.4 reads the cost of checkpointing from these rows of
+    // `--profile`; they must not silently vanish.
+    let stage_ms = |report: &SmashReport, stage: &str| {
+        report
+            .perf
+            .stages
+            .iter()
+            .find(|s| s.stage == stage)
+            .map(|s| s.wall_ms)
+    };
+    assert!(
+        stage_ms(&cold, "ckpt/write").is_some_and(|ms| ms > 0.0),
+        "cold run timed no snapshot writes: {:?}",
+        cold.perf.stages
+    );
+    for stage in ["ckpt/read", "ckpt/validate"] {
+        assert!(
+            stage_ms(&warm, stage).is_some(),
+            "resume has no `{stage}` row: {:?}",
+            warm.perf.stages
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Kill the CLI with `abort` (uncatchable — no unwinding, no report)
 /// after each checkpoint stage in turn, then resume the same directory
-/// and require the same canonical report as an uninterrupted run.
+/// — first writing the snapshots the crash never reached, then read-only
+/// from the completed directory — and require the same canonical report
+/// as an uninterrupted run (which also means: no checkpoint warnings).
 #[test]
 fn crash_at_every_stage_boundary_resumes_to_the_cold_report() {
-    let _g = locked();
-    let root = scratch("crash");
+    let _g = locked(&LOCK);
+    let root = scratch(SCRATCH, "crash");
     let trace = root.join("trace.jsonl");
     write_trace_files(&trace);
     let cold_json = root.join("cold.json");
     let out = run_cli(&trace, &cold_json, &[], None);
     assert!(out.status.success(), "cold run failed: {:?}", out);
     let cold = canonical_file(&cold_json);
+    assert!(cold.contains("cc0.evil"), "cold run lost the flux campaign");
 
     for stage in default_stages() {
         let dir = root.join(format!("ck-{}", stage.replace('/', "_")));
@@ -190,24 +147,22 @@ fn crash_at_every_stage_boundary_resumes_to_the_cold_report() {
             "a killed run must not leave a report behind ({stage})"
         );
 
-        let resumed_json = root.join("resumed.json");
-        let out = run_cli(
-            &trace,
-            &resumed_json,
-            &["--checkpoint-dir", &dir_s, "--resume"],
-            None,
-        );
-        assert!(
-            out.status.success(),
-            "resume after {stage} crash failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_eq!(
-            canonical_file(&resumed_json),
-            cold,
-            "resume after {stage} crash diverged from the cold report"
-        );
-        let _ = std::fs::remove_file(&resumed_json);
+        for resume in [&["--resume"][..], &["--resume", "--no-checkpoint"]] {
+            let resumed_json = root.join("resumed.json");
+            let flags = [&["--checkpoint-dir", &dir_s], resume].concat();
+            let out = run_cli(&trace, &resumed_json, &flags, None);
+            assert!(
+                out.status.success(),
+                "{resume:?} after {stage} crash failed: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(
+                canonical_file(&resumed_json),
+                cold,
+                "{resume:?} after {stage} crash diverged from the cold report"
+            );
+            let _ = std::fs::remove_file(&resumed_json);
+        }
     }
 
     let _ = std::fs::remove_dir_all(&root);
@@ -215,14 +170,15 @@ fn crash_at_every_stage_boundary_resumes_to_the_cold_report() {
 
 /// Corrupting any single byte of any snapshot — bit flip or truncation,
 /// position chosen by the property harness — must degrade that stage to
-/// recompute-with-warning and leave the campaigns untouched.
+/// recompute-with-warning and leave the campaigns untouched; and the
+/// binary must put that warning in front of the operator.
 #[test]
 fn corrupted_snapshot_always_recomputes_never_panics_or_lies() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
-    let pristine = scratch("corrupt-src");
+    let pristine = scratch(SCRATCH, "corrupt-src");
     let (reference, _) = run_resumable(Some(&CheckpointOptions::new(&pristine)));
-    let reference_campaigns = smash::support::json::to_string(&reference.campaigns);
+    let reference_campaigns = json::to_string(&reference.campaigns);
 
     // Load the pristine directory once; each case replays it into a
     // fresh dir with one seeded corruption.
@@ -289,7 +245,7 @@ fn corrupted_snapshot_always_recomputes_never_panics_or_lies() {
             let _ = std::fs::remove_dir_all(&dir);
 
             assert_eq!(
-                smash::support::json::to_string(&report.campaigns),
+                json::to_string(&report.campaigns),
                 reference_campaigns,
                 "corruption changed the campaigns"
             );
@@ -302,11 +258,49 @@ fn corrupted_snapshot_always_recomputes_never_panics_or_lies() {
     );
 
     let _ = std::fs::remove_dir_all(&pristine);
+
+    // The same through the CLI: one flipped byte in one snapshot of a
+    // directory the binary wrote itself. `--resume` must exit 0, name
+    // the stage in `health.checkpoint_warnings`, and otherwise report
+    // exactly what the run that wrote the snapshots reported.
+    let root = scratch(SCRATCH, "corrupt-cli");
+    let trace = root.join("trace.jsonl");
+    write_trace_files(&trace);
+    let dir = root.join("ck");
+    let dir_s = dir.to_string_lossy().into_owned();
+    let cold_json = root.join("cold.json");
+    let out = run_cli(&trace, &cold_json, &["--checkpoint-dir", &dir_s], None);
+    assert!(out.status.success(), "checkpointed run failed: {out:?}");
+    let (cold, cold_warnings) = split_warnings(&cold_json);
+    assert_eq!(cold_warnings, Vec::<String>::new());
+
+    let victim = &default_stages()[1];
+    let path = dir.join(smash::support::ckpt::snapshot_file_name(victim));
+    let mut bytes = std::fs::read(&path).expect("read snapshot");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&path, bytes).expect("write corrupted snapshot");
+
+    let resumed_json = root.join("resumed.json");
+    let flags = ["--checkpoint-dir", &dir_s, "--resume"];
+    let out = run_cli(&trace, &resumed_json, &flags, None);
+    assert!(
+        out.status.success(),
+        "resume past a corrupted snapshot failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (resumed, warnings) = split_warnings(&resumed_json);
+    assert!(
+        warnings.iter().any(|w| w.contains(victim.as_str())),
+        "--json does not warn about the corrupted `{victim}` snapshot: {warnings:?}"
+    );
+    assert_eq!(resumed, cold, "corruption changed the CLI's report");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn resume_flags_without_a_directory_are_usage_errors() {
-    let root = scratch("usage");
+    let root = scratch(SCRATCH, "usage");
     let trace = root.join("trace.jsonl");
     write_trace_files(&trace);
     for flag in ["--resume", "--no-checkpoint"] {
@@ -331,7 +325,7 @@ fn write_trace_files(trace: &Path) {
     std::fs::write(trace, &buf).expect("write trace");
     std::fs::write(
         trace.with_extension("whois.json"),
-        smash::support::json::to_string_pretty(&flux_whois()),
+        json::to_string_pretty(&flux_whois()),
     )
     .expect("write whois");
 }
@@ -360,4 +354,22 @@ fn run_cli(
 fn canonical_file(path: &Path) -> String {
     let text = std::fs::read_to_string(path).expect("read report json");
     canonical_report_json(&text).expect("canonicalize report")
+}
+
+/// A written report's canonical JSON without `health.checkpoint_warnings`
+/// — the one sanctioned difference between a cold run and a resume past
+/// a corrupted snapshot — and the warnings it carried.
+fn split_warnings(path: &Path) -> (String, Vec<String>) {
+    let mut doc = json::parse(&canonical_file(path)).expect("parse canonical report");
+    let mut warnings = Vec::new();
+    if let Json::Obj(fields) = &mut doc {
+        if let Some((_, Json::Obj(health))) = fields.iter_mut().find(|(k, _)| k == "health") {
+            if let Some(at) = health.iter().position(|(k, _)| k == "checkpoint_warnings") {
+                let (_, list) = health.remove(at);
+                let items = list.as_arr().unwrap_or_default();
+                warnings.extend(items.iter().filter_map(Json::as_str).map(str::to_owned));
+            }
+        }
+    }
+    (json::to_string(&doc), warnings)
 }

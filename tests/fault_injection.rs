@@ -11,9 +11,12 @@
 //! begins by clearing the process-global failpoint registry and arming
 //! exactly what it needs.
 
+mod common;
+
+use common::{flux_recovered, flux_trace, flux_whois, locked};
 use smash::core::{DimensionKind, DimensionStatus, Smash, SmashConfig};
 use smash::support::failpoint;
-use smash::trace::{io, HttpRecord, IngestError, IngestOptions, TraceDataset};
+use smash::trace::{io, HttpRecord, IngestError, IngestOptions};
 use smash::whois::WhoisRegistry;
 use std::sync::Mutex;
 
@@ -21,67 +24,13 @@ use std::sync::Mutex;
 /// arm it so they cannot observe each other's faults.
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The planted C&C flux herd from the pipeline tests: 3 bots hammering
-/// 8 domains that share an IP and a gate script, over benign background
-/// traffic — strong in every secondary dimension, so losing any one
-/// still leaves enough signal to recover it.
-fn flux_trace() -> TraceDataset {
-    let mut records = Vec::new();
-    for bot in ["bot1", "bot2", "bot3"] {
-        for d in 0..8 {
-            records.push(
-                HttpRecord::new(
-                    0,
-                    bot,
-                    &format!("cc{d}.evil"),
-                    "66.6.6.6",
-                    "/gate/login.php?p=1",
-                )
-                .with_user_agent("BotAgent"),
-            );
-        }
-    }
-    for s in 0..30 {
-        for c in 0..6 {
-            records.push(HttpRecord::new(
-                0,
-                &format!("user{}", (s * 3 + c) % 40),
-                &format!("site{s}.com"),
-                &format!("23.0.0.{s}"),
-                &format!("/page{c}.html"),
-            ));
-        }
-    }
-    for bot in ["bot1", "bot2", "bot3"] {
-        for s in 0..5 {
-            records.push(HttpRecord::new(
-                0,
-                bot,
-                &format!("site{s}.com"),
-                &format!("23.0.0.{s}"),
-                "/index.html",
-            ));
-        }
-    }
-    TraceDataset::from_records(records)
-}
-
-fn flux_recovered(report: &smash::core::SmashReport) -> bool {
-    report.campaigns.iter().any(|c| {
-        c.contains_server("cc0.evil")
-            && c.server_count() == 8
-            && c.servers.iter().all(|s| s.ends_with(".evil"))
-    })
-}
-
 #[test]
 fn killing_any_single_secondary_dimension_still_recovers_the_campaign() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     let ds = flux_trace();
+    // Deliberately an empty registry: whois carries no signal even when
+    // it survives, so killing uri-file or ip-set leaves the campaign to
+    // one informative secondary.
     let whois = WhoisRegistry::new();
     for (site, kind) in [
         ("dimension/uri-file", DimensionKind::UriFile),
@@ -113,37 +62,9 @@ fn killing_any_single_secondary_dimension_still_recovers_the_campaign() {
     }
 }
 
-/// Whois twin of the flux trace: the C&C domains share one registrant
-/// identity, so the whois dimension alone can still tie them together
-/// when both other secondaries are dead.
-fn flux_whois() -> WhoisRegistry {
-    use smash::whois::WhoisRecord;
-    let mut reg = WhoisRegistry::new();
-    for d in 0..8 {
-        reg.insert(
-            &format!("cc{d}.evil"),
-            WhoisRecord::new()
-                .with_registrant("Evil Holdings")
-                .with_email("ops@evil.example")
-                .with_phone("666")
-                .with_name_server("ns1.evil.example"),
-        );
-    }
-    for s in 0..30 {
-        reg.insert(
-            &format!("site{s}.com"),
-            WhoisRecord::new()
-                .with_registrant(&format!("Site {s} LLC"))
-                .with_email(&format!("admin@site{s}.com"))
-                .with_name_server(&format!("ns{s}.hosting.example")),
-        );
-    }
-    reg
-}
-
 #[test]
 fn killing_any_pair_of_secondary_dimensions_still_recovers_the_campaign() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     let ds = flux_trace();
     let whois = flux_whois();
     let sites = [
@@ -196,7 +117,7 @@ fn killing_any_pair_of_secondary_dimensions_still_recovers_the_campaign() {
 
 #[test]
 fn env_armed_spec_degrades_the_run_but_not_the_result() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     // The CI smoke step runs this binary with
     // `SMASH_FAILPOINTS=dimension/whois=panic`. The registry may already
     // have consumed (and a previous test cleared) the env spec, so
@@ -222,7 +143,7 @@ fn env_armed_spec_degrades_the_run_but_not_the_result() {
 
 #[test]
 fn stalled_dimension_times_out_under_budget_and_is_dropped() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
     // Whois stalls 200 ms against a 50 ms budget; the other dimensions
     // finish this tiny trace well inside it.
@@ -265,7 +186,7 @@ fn stalled_dimension_times_out_under_budget_and_is_dropped() {
 /// stage must stop within 2× its 200 ms budget.
 #[test]
 fn stalled_dimension_stops_within_twice_its_budget() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
     let budget_ms = 200;
     let cfg = SmashConfig::default()
@@ -305,7 +226,7 @@ fn stalled_dimension_stops_within_twice_its_budget() {
 
 #[test]
 fn main_dimension_failure_yields_an_empty_report_not_a_panic() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
     let cfg = SmashConfig::default().with_failpoints("dimension/client=panic");
     let report = Smash::new(cfg).run(&flux_trace(), &WhoisRegistry::new());
@@ -325,7 +246,7 @@ fn main_dimension_failure_yields_an_empty_report_not_a_panic() {
 
 #[test]
 fn ingest_failpoint_surfaces_as_an_io_error() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
     failpoint::arm("ingest/jsonl", failpoint::Action::Error);
     let err = io::read_jsonl_lenient(&b"{}\n"[..], &IngestOptions::default()).unwrap_err();
@@ -338,7 +259,7 @@ fn ingest_failpoint_surfaces_as_an_io_error() {
 
 #[test]
 fn dirty_trace_within_budget_analyzes_with_quarantine_counts() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
     // 3 garbage lines over 200 good ones: well under the 5% default.
     let mut buf = Vec::new();

@@ -6,6 +6,9 @@
 //! followed by a restart must serve a valid snapshot that converges to
 //! the no-crash answers.
 
+mod common;
+
+use common::{flux_records, locked, scratch};
 use smash::core::{Smash, SmashConfig};
 use smash::serve::{CampaignService, Response, ServeOptions};
 use smash::support::check::{cases, Gen, Shrink};
@@ -15,7 +18,6 @@ use smash::trace::io::decode_record_line;
 use smash::trace::{io, HttpRecord, TraceDataset};
 use smash::whois::WhoisRegistry;
 use std::io::Write as _;
-use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::Mutex;
 
@@ -23,61 +25,13 @@ use std::sync::Mutex;
 /// arms it or runs a mine that could observe another test's fault.
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+/// Prefix of this suite's scratch directories.
+const SCRATCH: &str = "smash-serve";
 
-/// A fresh scratch directory under the system tempdir.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("smash-serve-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// The planted C&C flux herd from the fault-injection suite, as raw
-/// JSONL lines — 3 bots hammering 8 `.evil` domains on one IP and one
-/// gate script over benign background traffic.
+/// The planted flux herd as raw JSONL lines.
 fn flux_lines() -> Vec<String> {
-    let mut records = Vec::new();
-    for bot in ["bot1", "bot2", "bot3"] {
-        for d in 0..8 {
-            records.push(
-                HttpRecord::new(
-                    0,
-                    bot,
-                    &format!("cc{d}.evil"),
-                    "66.6.6.6",
-                    "/gate/login.php?p=1",
-                )
-                .with_user_agent("BotAgent"),
-            );
-        }
-    }
-    for s in 0..30 {
-        for c in 0..6 {
-            records.push(HttpRecord::new(
-                0,
-                &format!("user{}", (s * 3 + c) % 40),
-                &format!("site{s}.com"),
-                &format!("23.0.0.{s}"),
-                &format!("/page{c}.html"),
-            ));
-        }
-    }
-    for bot in ["bot1", "bot2", "bot3"] {
-        for s in 0..5 {
-            records.push(HttpRecord::new(
-                0,
-                bot,
-                &format!("site{s}.com"),
-                &format!("23.0.0.{s}"),
-                "/index.html",
-            ));
-        }
-    }
     let mut buf = Vec::new();
-    io::write_jsonl(&mut buf, &records).expect("encode flux records");
+    io::write_jsonl(&mut buf, &flux_records()).expect("encode flux records");
     String::from_utf8(buf)
         .expect("jsonl is utf-8")
         .lines()
@@ -134,9 +88,9 @@ fn protocol_parser_never_panics_on_arbitrary_bytes() {
 
 #[test]
 fn hostile_ingest_is_rejected_quarantined_and_never_wedges_the_miner() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
-    let dir = scratch("hostile");
+    let dir = scratch(SCRATCH, "hostile");
     let svc = CampaignService::start(ServeOptions::new(&dir)).expect("start");
     let mut conn = svc.connection();
 
@@ -195,9 +149,9 @@ fn hostile_ingest_is_rejected_quarantined_and_never_wedges_the_miner() {
 
 #[test]
 fn ingest_backpressure_sheds_with_busy_past_the_soft_budget() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
-    let dir = scratch("busy");
+    let dir = scratch(SCRATCH, "busy");
     let mut opts = ServeOptions::new(&dir);
     // A deliberately tiny epoch budget: soft budget = 4/5 of 4096.
     opts.epoch_budget_bytes = 4096;
@@ -228,9 +182,9 @@ fn ingest_backpressure_sheds_with_busy_past_the_soft_budget() {
 
 #[test]
 fn exhausted_mine_marks_the_epoch_failed_then_recovers() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
-    let dir = scratch("minefail");
+    let dir = scratch(SCRATCH, "minefail");
     let svc = CampaignService::start(ServeOptions::new(&dir)).expect("start");
     let mut conn = svc.connection();
 
@@ -263,9 +217,9 @@ fn exhausted_mine_marks_the_epoch_failed_then_recovers() {
 
 #[test]
 fn durable_snapshot_is_served_immediately_on_restart() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
-    let dir = scratch("restart");
+    let dir = scratch(SCRATCH, "restart");
     let report_json;
     {
         let svc = CampaignService::start(ServeOptions::new(&dir)).expect("start");
@@ -331,9 +285,9 @@ fn batch_membership(lines: &[String]) -> Vec<Vec<String>> {
 
 #[test]
 fn uneven_epochs_converge_on_the_sequential_batch_reference() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
-    let dir = scratch("reference");
+    let dir = scratch(SCRATCH, "reference");
     let mut lines = flux_lines();
     let reference = batch_membership(&lines);
     assert!(
@@ -409,9 +363,9 @@ fn uneven_epochs_converge_on_the_sequential_batch_reference() {
 
 #[test]
 fn concurrent_seals_mint_distinct_wal_epochs() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
-    let dir = scratch("seal-race");
+    let dir = scratch(SCRATCH, "seal-race");
     let svc = CampaignService::start(ServeOptions::new(&dir)).expect("start");
     let lines = flux_lines();
 
@@ -475,9 +429,9 @@ fn concurrent_seals_mint_distinct_wal_epochs() {
 
 #[test]
 fn wait_after_shutdown_answers_immediately() {
-    let _g = locked();
+    let _g = locked(&LOCK);
     failpoint::disarm_all();
-    let dir = scratch("wait-shutdown");
+    let dir = scratch(SCRATCH, "wait-shutdown");
     let svc = CampaignService::start(ServeOptions::new(&dir)).expect("start");
     svc.shutdown();
     // A draining service must answer parked-or-new WAITs right away
@@ -495,7 +449,7 @@ fn wait_after_shutdown_answers_immediately() {
 
 #[test]
 fn tcp_shutdown_exits_despite_idle_connected_client() {
-    let dir = scratch("tcp-idle");
+    let dir = scratch(SCRATCH, "tcp-idle");
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_smash"));
     cmd.args(["serve", "--addr", "127.0.0.1:0", "--data-dir"])
         .arg(&dir)
@@ -610,7 +564,7 @@ fn answers(lines: &[String]) -> (String, String) {
 #[test]
 fn sigkill_at_every_failpoint_recovers_to_the_no_crash_answers() {
     // The no-crash run is the golden truth.
-    let golden_dir = scratch("chaos-golden");
+    let golden_dir = scratch(SCRATCH, "chaos-golden");
     let (golden_lines, clean) = run_daemon(&golden_dir, &golden_script(), "");
     assert!(clean, "golden run must exit cleanly: {golden_lines:?}");
     let (golden_hit, golden_report) = answers(&golden_lines);
@@ -620,7 +574,7 @@ fn sigkill_at_every_failpoint_recovers_to_the_no_crash_answers() {
     // Abort (the SIGKILL stand-in: no destructors, no flushes) at each
     // registered failpoint boundary in turn.
     for site in ["serve/after/seal", "serve/mine", "serve/after/publish"] {
-        let dir = scratch(&format!("chaos-{}", site.replace('/', "-")));
+        let dir = scratch(SCRATCH, &format!("chaos-{}", site.replace('/', "-")));
         let (_lines, clean) = run_daemon(&dir, &golden_script(), &format!("{site}=abort"));
         assert!(!clean, "{site}=abort did not kill the daemon");
 
