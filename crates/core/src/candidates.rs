@@ -147,17 +147,22 @@ pub fn minhash_signatures<F: FeatureId, S: AsRef<[F]> + Sync>(
     })
 }
 
-/// One bucket key per node for `band`: the band's `rows` signature rows
-/// (rows `band·rows ..` of the full table), folded with [`mix64`] into
-/// a single `u64`. Identical to folding the same rows out of
-/// [`minhash_signatures`]' table — the table is just never built.
 /// Below this node count one band's keys are computed on the calling
 /// thread: `band_keys` runs once per band, and on small graphs the
 /// per-call fork/join coordination costs more than the hashing it
 /// spreads. Output is identical either way (`par_map` preserves
 /// order); only the wall clock changes.
+///
+/// The gate counts nodes although a band's work is Σ|features|: the
+/// benchmark's wide day has 2 319 nodes — under the gate — holding
+/// 306 018 client incidences, so each of its 64 bands hashes serially
+/// (EXPERIMENTS.md "client scoring", lead 1).
 const PAR_BAND_MIN_NODES: usize = 4096;
 
+/// One bucket key per node for `band`: the band's `rows` signature rows
+/// (rows `band·rows ..` of the full table), folded with [`mix64`] into
+/// a single `u64`. Identical to folding the same rows out of
+/// [`minhash_signatures`]' table — the table is just never built.
 fn band_keys<F: FeatureId, S: AsRef<[F]> + Sync>(
     node_features: &[S],
     band: usize,

@@ -7,16 +7,24 @@
 //!
 //! Candidate pairs come from the MinHash/LSH layer over per-server
 //! client-ID sets (DESIGN.md §10); each candidate is then scored
-//! **exactly** by eq. 1 over the full sorted client lists, so LSH only
-//! prunes the pair universe, never changes a weight. Setting
+//! **exactly** by eq. 1 over the full client sets, so LSH only prunes
+//! the pair universe, never changes a weight. Setting
 //! `SmashConfig::exact_candidates` scores every pair instead (the
 //! recall oracle).
+//!
+//! The shared-client counts come from a row-wise sparse product
+//! (Gustavson): one walk over a client → nodes index per candidate
+//! *row*, costing what the row's window shares, instead of one sorted
+//! merge per candidate *pair*, costing both sets' lengths whatever they
+//! share. The merge remains as the path taken when the index does not
+//! fit the memory budget.
 
 use super::{
     instrumented_builder, overlap_product, score_candidates, sorted_intersection_len, Dimension,
-    DimensionContext, DimensionKind,
+    DimensionContext, DimensionKind, TaskScore,
 };
 use smash_graph::Graph;
+use smash_support::governor::StageScope;
 
 /// Builder of the client-similarity graph.
 #[derive(Debug, Clone, Default)]
@@ -50,21 +58,159 @@ impl Dimension for ClientDimension {
                     }
                 })
                 .collect();
+            let clients_at =
+                |node: u32| feature_sets.get(node as usize).copied().unwrap_or_default();
 
-            // Exact eq. 1 score of one node pair; `None` below threshold
-            // or when either side is ineligible.
-            let score = |u: u32, v: u32| -> Option<f64> {
-                let (su, sv) = (ctx.server_at(u)?, ctx.server_at(v)?);
-                let (cu, cv) = (ctx.dataset.clients_of(su), ctx.dataset.clients_of(sv));
-                if cu.len() < 2 || cv.len() < 2 {
+            // Exact eq. 1 from a pair's shared-client count and set
+            // sizes; `None` below threshold or when either side is
+            // ineligible.
+            let client_edge_min = ctx.config.client_edge_min;
+            let edge = |shared: usize, len_u: usize, len_v: usize| -> Option<f64> {
+                if len_u < 2 || len_v < 2 {
                     return None;
                 }
-                let shared = sorted_intersection_len(cu, cv);
-                let sim = overlap_product(shared, cu.len(), cv.len());
-                (sim >= ctx.config.client_edge_min).then_some(sim)
+                let sim = overlap_product(shared, len_u, len_v);
+                (sim >= client_edge_min).then_some(sim)
             };
-            score_candidates(ctx, scope, builder, funnel, &feature_sets, score);
+
+            let mut index_bytes = 0;
+            score_candidates(ctx, scope, builder, funnel, &feature_sets, || {
+                let index =
+                    ClientIndex::build_if_fits(scope, &feature_sets, ctx.dataset.client_count());
+                index_bytes = index.as_ref().map_or(0, ClientIndex::bytes);
+                move |u: u32, partners: &[u32]| {
+                    let cu = clients_at(u);
+                    match &index {
+                        Some(index) => index.score_task(cu, partners, |v, shared| {
+                            edge(shared, cu.len(), clients_at(v).len())
+                        }),
+                        None => TaskScore::pairwise(u, partners, |_, v| {
+                            let cv = clients_at(v);
+                            edge(sorted_intersection_len(cu, cv), cu.len(), cv.len())
+                        }),
+                    }
+                }
+            });
+            scope.release(index_bytes);
         })
+    }
+}
+
+/// The inverted index client → nodes in CSR form: every eligible node's
+/// client set transposed, each client's nodes ascending.
+struct ClientIndex {
+    /// Client `c`'s nodes are `nodes[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    nodes: Vec<u32>,
+}
+
+impl ClientIndex {
+    /// Transposes `client_sets` (one per node; ids below `clients`) by
+    /// counting sort — if its `4 B × (incidences + clients + 1)`, known
+    /// from the slice lengths alone, fit under the stage's soft budget
+    /// beside what the account already carries. They are then charged,
+    /// for the caller to release as [`bytes`](Self::bytes); with no
+    /// budget the index always fits. Not fitting is not a ladder rung:
+    /// the caller falls back to merging pair by pair, which costs time
+    /// and never recall.
+    fn build_if_fits(scope: &StageScope, client_sets: &[&[u32]], clients: usize) -> Option<Self> {
+        let incidences: usize = client_sets.iter().map(|set| set.len()).sum();
+        let bytes = 4 * (incidences as u64 + clients as u64 + 1);
+        let soft = scope.soft_bytes();
+        if u32::try_from(incidences).is_err() || (soft > 0 && scope.tracked_bytes() + bytes > soft)
+        {
+            return None;
+        }
+        scope.charge(bytes);
+
+        // Count each client's nodes, turn the counts into run starts,
+        // then deal the nodes out in node order — so each run ascends —
+        // advancing the client's start as its cursor.
+        let mut offsets = vec![0u32; clients + 1];
+        for &client in client_sets.iter().copied().flatten() {
+            if let Some(count) = offsets.get_mut(client as usize) {
+                *count += 1;
+            }
+        }
+        let mut start = 0;
+        for slot in &mut offsets {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        let mut nodes = vec![0u32; incidences];
+        for (node, set) in (0u32..).zip(client_sets) {
+            for &client in *set {
+                let Some(cursor) = offsets.get_mut(client as usize) else {
+                    continue;
+                };
+                if let Some(slot) = nodes.get_mut(*cursor as usize) {
+                    *slot = node;
+                }
+                *cursor += 1;
+            }
+        }
+        // Every cursor ended on its run's end, which is the next run's
+        // start: shift them up one client and the table is whole again.
+        offsets.rotate_right(1);
+        if let Some(first) = offsets.first_mut() {
+            *first = 0;
+        }
+        Some(Self { offsets, nodes })
+    }
+
+    /// The bytes [`build_if_fits`](Self::build_if_fits) charged.
+    fn bytes(&self) -> u64 {
+        4 * (self.nodes.len() + self.offsets.len()) as u64
+    }
+
+    /// The nodes `client` was seen on, ascending.
+    fn nodes_of(&self, client: u32) -> &[u32] {
+        let at = client as usize;
+        match self.offsets.get(at..at + 2) {
+            Some(&[lo, hi]) => self.nodes.get(lo as usize..hi as usize),
+            _ => None,
+        }
+        .unwrap_or_default()
+    }
+
+    /// Scores node `u` (client set `cu`) against `partners` (ascending)
+    /// in one pass: each of `u`'s clients bumps, for every node it was
+    /// also seen on inside the window `[partners.first, partners.last]`,
+    /// that node's slot of a window-sized accumulator — not a node-count
+    /// sized one: a task is at most 256 partners, and zeroing a slot per
+    /// kept server per task would dwarf the scan. Afterwards a partner's
+    /// `|Cu ∩ Cv|` is one read, handed to `edge(v, shared)`.
+    fn score_task(
+        &self,
+        cu: &[u32],
+        partners: &[u32],
+        edge: impl Fn(u32, usize) -> Option<f64>,
+    ) -> TaskScore {
+        let (Some(&first), Some(&last)) = (partners.first(), partners.last()) else {
+            return TaskScore::default();
+        };
+        let mut shared = vec![0u32; (last - first) as usize + 1];
+        let mut scan_steps = 0;
+        for &client in cu {
+            let nodes = self.nodes_of(client);
+            let from = nodes.partition_point(|&v| v < first);
+            let inside = nodes.iter().skip(from).take_while(|&&v| v <= last);
+            for &v in inside {
+                if let Some(count) = shared.get_mut((v - first) as usize) {
+                    *count += 1;
+                }
+                scan_steps += 1;
+            }
+        }
+        let scored = partners.iter().filter_map(|&v| {
+            let count = *shared.get((v - first) as usize)?;
+            edge(v, count as usize).map(|sim| (v, sim))
+        });
+        TaskScore {
+            edges: scored.collect(),
+            scan_steps,
+        }
     }
 }
 
@@ -132,7 +278,7 @@ mod tests {
     #[test]
     fn weak_overlap_is_thresholded() {
         // a.com has 10 clients, b.com has 10, sharing exactly one:
-        // sim = 0.1 * 0.1 = 0.01 < default 0.04.
+        // sim = 0.1 * 0.1 = 0.01 < default 0.3.
         let mut records = Vec::new();
         for i in 0..10 {
             records.push(HttpRecord::new(

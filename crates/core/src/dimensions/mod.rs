@@ -5,12 +5,14 @@
 //! dimensions can be intersected directly during correlation.
 //!
 //! Candidate pairs are never enumerated quadratically. Builders supply
-//! features and a pair score; the two candidate frames live here: the
+//! features and a scorer; the two candidate frames live here: the
 //! client and URI-file dimensions route through `score_candidates`
 //! (the MinHash/LSH layer of [`crate::candidates`], DESIGN.md §10, or
-//! the brute-force oracle when `SmashConfig::exact_candidates` is set),
-//! the remaining dimensions through `score_cooccurring` (an inverted
-//! index counted by [`smash_graph::CooccurrenceCounter`]).
+//! the brute-force oracle when `SmashConfig::exact_candidates` is set;
+//! either way the dimension scores whole node-major tasks, URI-file
+//! pair by pair, client by one row-wise scan of a client → nodes
+//! index), the remaining dimensions through `score_cooccurring` (an
+//! inverted index counted by [`smash_graph::CooccurrenceCounter`]).
 
 pub mod client;
 pub mod ip_set;
@@ -230,21 +232,29 @@ pub(crate) fn score_cooccurring<K>(
 /// The candidate frame of the set-similarity dimensions: proposes node
 /// pairs from `feature_sets` (one per node; empty = ineligible) — from
 /// the MinHash/LSH layer, or with `SmashConfig::exact_candidates` the
-/// whole universe over eligible nodes, the recall oracle — and scores
-/// each with the dimension's exact `score`; `Some(weight)` becomes an
-/// edge. Either way the proposals are node-major rows `(u, partners >
-/// u)`, scored in parallel in runs of up to 256 partners and handed to
-/// the builder in ascending `(u, v)` order. The LSH candidate set, charged by the
-/// generator, is released here before the edge charge lands, so the
-/// two don't stack.
-pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
+/// whole universe over eligible nodes, the recall oracle — and has the
+/// dimension score them exactly; every `(v, weight)` it returns becomes
+/// an edge. Either way the proposals are node-major rows `(u, partners >
+/// u)`, cut into tasks of up to 256 partners; a task is the unit handed
+/// to the dimension's scorer, run in parallel, and its edges reach the
+/// builder in ascending `(u, v)` order.
+///
+/// `scorer` is called once, *after* candidate generation: whatever it
+/// allocates (the client dimension's inverted index) is decided against
+/// an account that already carries the candidate set, never against the
+/// generator's own peak. The LSH candidate set, charged by the
+/// generator, is released here before the edge charge lands, so the two
+/// don't stack.
+pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync, T>(
     ctx: &DimensionContext<'_>,
     scope: &StageScope,
     builder: &mut GraphBuilder,
     funnel: &mut BuilderFunnel,
     feature_sets: &[S],
-    score: impl Fn(u32, u32) -> Option<f64> + Sync,
-) {
+    scorer: impl FnOnce() -> T,
+) where
+    T: Fn(u32, &[u32]) -> TaskScore + Sync,
+{
     let eligible: Vec<u32> = (0..feature_sets.len() as u32)
         .zip(feature_sets)
         .filter(|(_, set)| !set.as_ref().is_empty())
@@ -277,21 +287,49 @@ pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
             candidates::tails(&eligible).flat_map(score_tasks).collect()
         }
     };
-    let scored: Vec<Vec<(u32, f64)>> =
+    let score_task = scorer();
+    let scored: Vec<TaskScore> =
         par::par_map_cancellable(&rows, scope.token(), |&(u, partners)| {
-            partners
-                .iter()
-                .filter_map(|&v| score(u, v).map(|sim| (v, sim)))
-                .collect()
+            score_task(u, partners)
         });
-    for (&(u, _), edges) in rows.iter().zip(scored) {
-        for (v, sim) in edges {
+    for (&(u, _), task) in rows.iter().zip(scored) {
+        funnel.scan_steps += task.scan_steps;
+        for (v, sim) in task.edges {
             builder.add_edge(u, v, sim);
             funnel.edges += 1;
         }
     }
     if let Some(set) = lsh {
         scope.release(set.charged_bytes());
+    }
+}
+
+/// What scoring one task `(u, partners)` yields.
+#[derive(Debug, Default)]
+pub(crate) struct TaskScore {
+    /// `(v, weight)` of every partner at or above the dimension's edge
+    /// threshold, in partner order.
+    pub edges: Vec<(u32, f64)>,
+    /// Accumulator increments the task spent (0 when it scored pair by
+    /// pair).
+    pub scan_steps: u64,
+}
+
+impl TaskScore {
+    /// Scores a task one pair at a time: `score(u, v)` for every
+    /// partner, `Some(weight)` becoming an edge.
+    pub(crate) fn pairwise(
+        u: u32,
+        partners: &[u32],
+        score: impl Fn(u32, u32) -> Option<f64>,
+    ) -> Self {
+        let scored = partners
+            .iter()
+            .filter_map(|&v| score(u, v).map(|sim| (v, sim)));
+        Self {
+            edges: scored.collect(),
+            scan_steps: 0,
+        }
     }
 }
 
@@ -322,6 +360,8 @@ pub(crate) fn record_dimension_metrics(
         .add(funnel.pairs_bucketed);
     m.counter(&format!("dim/{kind}/pairs_scored"))
         .add(funnel.pairs_scored);
+    m.counter(&format!("dim/{kind}/scan_steps"))
+        .add(funnel.scan_steps);
     m.counter(&format!("dim/{kind}/pairs_pruned"))
         .add(funnel.pairs_scored - funnel.edges);
     m.counter(&format!("dim/{kind}/edges")).add(funnel.edges);
@@ -352,6 +392,11 @@ pub(crate) struct BuilderFunnel {
     pub pairs_bucketed: u64,
     /// Candidate pairs scored.
     pub pairs_scored: u64,
+    /// Accumulator increments spent scoring whole tasks by a row-wise
+    /// scan (the client dimension, DESIGN.md §10.1); 0 for a dimension
+    /// that scores pair by pair — and for the client dimension when its
+    /// index did not fit the memory budget.
+    pub scan_steps: u64,
     /// Edges that survived the threshold.
     pub edges: u64,
 }
@@ -428,10 +473,10 @@ pub trait Dimension: Send + Sync {
 }
 
 /// Size of the intersection of two sorted, deduplicated slices — the
-/// shared-client count of eq. 1 and the exact-match count of eqs. 2/7.
-/// Index-based two-pointer merge: this runs once per scored candidate
-/// pair, so it stays branch-light instead of juggling peekable
-/// iterators.
+/// exact-match count of eqs. 2/7, and eq. 1's shared-client count when
+/// the client dimension's index does not fit its budget. Index-based
+/// two-pointer merge: this runs once per scored candidate pair, so it
+/// stays branch-light instead of juggling peekable iterators.
 pub(crate) fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
     let mut shared = 0;
     let (mut i, mut j) = (0, 0);

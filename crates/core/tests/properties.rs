@@ -1,13 +1,19 @@
 //! Property-based tests over the pipeline's algorithmic invariants.
 
 use smash_core::ash::{Ash, MinedDimension};
+use smash_core::candidates::lsh_candidates;
 use smash_core::correlation::correlate;
-use smash_core::dimensions::{Dimension, DimensionContext, DimensionKind, UriFileDimension};
+use smash_core::dimensions::{
+    ClientDimension, Dimension, DimensionContext, DimensionKind, UriFileDimension,
+};
 use smash_core::math::{erf, phi};
 use smash_core::pruning::prune;
 use smash_core::{Smash, SmashConfig};
 use smash_graph::{GraphBuilder, Partition};
-use smash_support::check::{cases, Gen};
+use smash_support::check::{cases, Gen, Shrink};
+use smash_support::governor::{Governor, GovernorOptions};
+use smash_support::metrics::Registry;
+use smash_support::par;
 use smash_trace::{HttpRecord, TraceDataset};
 use smash_whois::WhoisRegistry;
 use std::collections::{HashMap, HashSet};
@@ -353,4 +359,190 @@ fn uri_file_merge_scoring_matches_the_hashset_oracle_to_the_bit() {
             );
         },
     );
+}
+
+/// `|a ∩ b|` of two sorted, deduplicated slices, by two-pointer merge —
+/// the pairwise count the client dimension's row scan replaced.
+fn merge_count(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    shared
+}
+
+/// A client id no generated universe reaches: the client seen on every
+/// server.
+const HUB: u32 = u32::MAX;
+
+/// Clients of a popular server outside the node space (what the IDF cut
+/// leaves behind): no node sees them, yet they size the index's offsets
+/// table — 12 KB here, room for the 500 edges the generator stays under,
+/// so a budget the index just fits never thins the graph.
+const DROPPED_SERVER_CLIENTS: usize = 3_000;
+
+/// Per-server client sets for the scan ≡ merge property: small and
+/// dense (up to 31 servers over a few clients: every overlap size
+/// occurs), or `wide` and sparse (four in five servers eligible, so rows
+/// run past one 256-partner task and tasks start and end mid-row;
+/// overlaps only through the hub and through copies).
+fn client_sets(g: &mut Gen, wide: bool) -> Vec<Vec<u32>> {
+    let (servers, universe) = if wide {
+        (g.range(340usize..400), 3_000u32)
+    } else {
+        (g.range(2usize..32), g.range(3u32..30))
+    };
+    let hub = g.bool(0.5);
+    let mut sets: Vec<Vec<u32>> = Vec::with_capacity(servers);
+    for _ in 0..servers {
+        let set = match g.range(0u8..10) {
+            // One client only: ineligible for the general graph.
+            0 | 1 if hub => vec![HUB],
+            0 | 1 => vec![g.range(0..universe)],
+            // The same set as an earlier server.
+            2 if !sets.is_empty() => g.pick(&sets).clone(),
+            _ => {
+                let mut set = g.vec(2..7, |g| g.range(0..universe));
+                set.extend(hub.then_some(HUB));
+                set
+            }
+        };
+        sets.push(set);
+    }
+    sets
+}
+
+/// A wide case, reported as generated: it only fails while rows stay
+/// longer than a task, so shrinking it re-runs hundreds of servers
+/// thousands of times to drop a few.
+#[derive(Debug, Clone)]
+struct Wide(Vec<Vec<u32>>);
+
+impl Shrink for Wide {}
+
+#[test]
+fn client_row_scan_matches_the_pairwise_merge_to_the_bit() {
+    cases(24).run(|g| client_sets(g, false), |sets| scan_matches_merge(sets));
+    cases(6).run(
+        |g| Wide(client_sets(g, true)),
+        |Wide(sets)| scan_matches_merge(sets),
+    );
+}
+
+/// Builds the client graph over `sets` (one server per non-empty set) in
+/// both candidate modes at 1, 2 and 4 threads, and under a budget the
+/// index fits to the byte and misses by one, against eq. 1 computed pair
+/// by pair over the same candidates.
+fn scan_matches_merge(sets: &[Vec<u32>]) {
+    let mut records = Vec::new();
+    let mut hosts = Vec::new();
+    for set in sets.iter().filter(|set| !set.is_empty()) {
+        let host = format!("s{}.com", hosts.len());
+        for client in set {
+            let client = format!("c{client}");
+            records.push(HttpRecord::new(0, &client, &host, "10.0.0.1", "/x"));
+        }
+        hosts.push(host);
+    }
+    for i in 0..DROPPED_SERVER_CLIENTS {
+        let client = format!("p{i}");
+        records.push(HttpRecord::new(0, &client, "popular.com", "10.0.0.2", "/x"));
+    }
+    let ds = TraceDataset::from_records(records);
+    let nodes: Vec<u32> = hosts.iter().filter_map(|h| ds.server_id(h)).collect();
+    let node_of: HashMap<u32, u32> = (0u32..).zip(&nodes).map(|(i, &s)| (s, i)).collect();
+    let whois = WhoisRegistry::new();
+    let build = |config: &SmashConfig, governor: &Governor| {
+        let metrics = Registry::new();
+        let graph = ClientDimension.build_graph(&DimensionContext {
+            dataset: &ds,
+            whois: &whois,
+            config,
+            nodes: &nodes,
+            node_of: &node_of,
+            metrics: &metrics,
+            governor: governor.clone(),
+        });
+        let edges: Vec<(u32, u32, u64)> =
+            graph.edges().map(|(u, v, w)| (u, v, w.to_bits())).collect();
+        (edges, metrics.counter("dim/client/scan_steps").get())
+    };
+
+    // The oracle: eq. 1 pair by pair over the same candidates.
+    let lsh = SmashConfig::default();
+    let exact = lsh.clone().with_exact_candidates(true);
+    let eligible: Vec<&[u32]> = nodes
+        .iter()
+        .map(|&server| ds.clients_of(server))
+        .map(|clients| if clients.len() < 2 { &[] } else { clients })
+        .collect();
+    let oracle = |pairs: &[(u32, u32)]| -> Vec<(u32, u32, u64)> {
+        let scored = pairs.iter().filter_map(|&(u, v)| {
+            let (cu, cv) = (eligible[u as usize], eligible[v as usize]);
+            if cu.is_empty() || cv.is_empty() {
+                return None;
+            }
+            let shared = merge_count(cu, cv) as f64;
+            let sim = (shared / cu.len() as f64) * (shared / cv.len() as f64);
+            (sim >= lsh.client_edge_min).then_some((u, v, sim.to_bits()))
+        });
+        scored.collect()
+    };
+    let n = nodes.len() as u32;
+    let universe: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect();
+    let expected_lsh = oracle(&lsh_candidates(&eligible, &lsh.lsh).0);
+    let expected_exact = oracle(&universe);
+    assert!(expected_exact.len() <= 500, "generator: too dense");
+
+    // Over the whole universe the scan spends one increment per
+    // (client, unordered pair of eligible nodes it was seen on).
+    let mut degree: HashMap<u32, u64> = HashMap::new();
+    for &client in eligible.iter().copied().flatten() {
+        *degree.entry(client).or_default() += 1;
+    }
+    let universe_steps: u64 = degree.values().map(|d| d * (d - 1) / 2).sum();
+
+    for threads in [1, 2, 4] {
+        par::set_thread_count(threads);
+        let unlimited = Governor::unlimited();
+        let (edges, steps) = build(&lsh, &unlimited);
+        assert_eq!(edges, expected_lsh, "LSH mode, {threads} thread(s)");
+        assert!(steps <= universe_steps, "LSH mode: {steps} steps");
+        let scanned = build(&exact, &unlimited);
+        let expected = (expected_exact.clone(), universe_steps);
+        assert_eq!(scanned, expected, "exact mode, {threads} thread(s)");
+    }
+    par::set_thread_count(0);
+
+    // The index is taken when it fits under soft to the byte, and
+    // one byte less room scores the same graph by merging — with
+    // no ladder event either way: not fitting costs no recall.
+    let incidences: usize = eligible.iter().map(|set| set.len()).sum();
+    let index_bytes = 4 * (incidences + ds.client_count() + 1) as u64;
+    let budget = GovernorOptions::unlimited().with_memory_budget_bytes(index_bytes / 4 * 5);
+    for (already_charged, steps) in [(0, universe_steps), (1, 0)] {
+        let governor = Governor::new(&budget);
+        let scope = governor.stage("dimension/client", 0);
+        assert_eq!(scope.soft_bytes(), index_bytes);
+        scope.charge(already_charged);
+        let expected = (expected_exact.clone(), steps);
+        assert_eq!(
+            build(&exact, &governor),
+            expected,
+            "{already_charged} B short"
+        );
+        let summary = governor.stage_summaries().remove(0);
+        assert!(summary.events.is_empty(), "{:?}", summary.events);
+        assert!(!summary.cancelled);
+    }
 }

@@ -3,6 +3,7 @@
 //! must round-trip through `smash::support::json` with the same stage
 //! coverage (DESIGN.md §7).
 
+use smash::core::preprocess::filter_popular;
 use smash::core::{Smash, SmashConfig};
 use smash::support::metrics::{MetricsSnapshot, Registry};
 use smash::synth::Scenario;
@@ -82,9 +83,26 @@ fn pipeline_times_every_stage_exactly_once() {
 /// in both candidate modes: every stage is a subset of the one before,
 /// every scored pair is either pruned or an edge, and the layer proposed
 /// each pair it kept at least once (exactly once in exact mode).
+///
+/// `scan_steps` names the scorer that ran: never the row-wise scan for
+/// uri-file, always for client on an unbudgeted run (a client dimension
+/// silently stuck on its pairwise fallback would pass every identity
+/// test) — and over the whole pair universe the scan spends exactly one
+/// increment per (client, unordered pair of eligible kept servers it
+/// visited), counted here straight from `clients_of`.
 #[test]
 fn candidate_funnel_reconciles_in_lsh_and_exact_mode() {
     let data = Scenario::small_day(3).generate();
+    let kept = filter_popular(&data.dataset, SmashConfig::default().idf_threshold).kept;
+    let mut degree = vec![0u64; data.dataset.client_count()];
+    for clients in kept.iter().map(|&server| data.dataset.clients_of(server)) {
+        if clients.len() >= 2 {
+            for &client in clients {
+                degree[client as usize] += 1;
+            }
+        }
+    }
+    let universe_steps: u64 = degree.iter().map(|d| d * d.saturating_sub(1) / 2).sum();
     for exact in [false, true] {
         let metrics = Registry::new();
         let config = SmashConfig::default().with_exact_candidates(exact);
@@ -109,6 +127,12 @@ fn candidate_funnel_reconciles_in_lsh_and_exact_mode() {
             assert!(bucketed >= scored, "{funnel}");
             assert_eq!(scored, pruned + edges, "{funnel}");
             assert!(edges > 0, "{funnel}");
+        }
+        let client_steps = counters["dim/client/scan_steps"];
+        assert_eq!(counters["dim/uri-file/scan_steps"], 0, "exact={exact}");
+        assert!(client_steps > 0, "exact={exact}: client scored pairwise");
+        if exact {
+            assert_eq!(client_steps, universe_steps, "Σ_c C(deg(c), 2)");
         }
     }
 }
