@@ -50,6 +50,12 @@
 #  13. cargo miri test -p smash-support       UB check of the support crate,
 #                                             skipped with a notice when the
 #                                             nightly/miri toolchain is absent
+#  14. results/ golden                        `repro all --seed 7` regenerated
+#                                             into a temp dir must `diff -r`
+#                                             equal to the committed results/
+#                                             (every table and figure of
+#                                             EXPERIMENTS.md; runs with the
+#                                             examples, before the lint steps)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -123,6 +129,10 @@ for ex in quickstart campaign_discovery weekly_monitoring custom_trace; do
     echo "    --example $ex"
     cargo run -q --release --offline --example "$ex" >/dev/null
 done
+
+echo "==> results/ golden (repro all --seed 7 vs the committed outputs)"
+cargo run -q --release --offline -p smash-eval --bin repro -- all --seed 7 --out "$remine_dir/results" >/dev/null
+diff -r results "$remine_dir/results"
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -D warnings"

@@ -61,9 +61,9 @@
 //! candidate output is independent of the carrier width.
 
 use crate::config::LshConfig;
+use crate::incidence::{self, FeatureIndex};
 use smash_support::governor::{Governor, Rung, StageScope};
 use smash_support::par;
-use std::collections::HashMap;
 
 /// A value usable as an LSH feature: anything losslessly widenable to
 /// the `u64` the hashes consume. Implemented for `u32` (interned arena
@@ -121,32 +121,6 @@ fn row_hash(feature: u64, row: u64) -> u64 {
     mix64(feature ^ mix64(row.wrapping_mul(0xA076_1D64_78BD_642F)))
 }
 
-/// MinHash signatures of length `signature_len` for every node's
-/// feature set, computed in parallel (order-preserving, so the result
-/// is identical across thread counts). An empty set signs as all
-/// `u64::MAX`.
-///
-/// The candidate generator itself never builds this table — it folds
-/// each band's rows into bucket keys directly ([`lsh_candidates`]) —
-/// but the recall harness and the Jaccard estimator read raw rows.
-pub fn minhash_signatures<F: FeatureId, S: AsRef<[F]> + Sync>(
-    node_features: &[S],
-    signature_len: usize,
-) -> Vec<Vec<u64>> {
-    par::par_map(node_features, |features| {
-        let mut sig = vec![u64::MAX; signature_len];
-        for &f in features.as_ref() {
-            for (i, slot) in sig.iter_mut().enumerate() {
-                let h = row_hash(f.widen(), i as u64);
-                if h < *slot {
-                    *slot = h;
-                }
-            }
-        }
-        sig
-    })
-}
-
 /// Below this node count one band's keys are computed on the calling
 /// thread: `band_keys` runs once per band, and on small graphs the
 /// per-call fork/join coordination costs more than the hashing it
@@ -159,10 +133,12 @@ pub fn minhash_signatures<F: FeatureId, S: AsRef<[F]> + Sync>(
 /// (EXPERIMENTS.md "client scoring", lead 1).
 const PAR_BAND_MIN_NODES: usize = 4096;
 
-/// One bucket key per node for `band`: the band's `rows` signature rows
-/// (rows `band·rows ..` of the full table), folded with [`mix64`] into
-/// a single `u64`. Identical to folding the same rows out of
-/// [`minhash_signatures`]' table — the table is just never built.
+/// One bucket key per node for `band`. A node's MinHash signature row
+/// `r` is the minimum of [`row_hash`]`(f, r)` over its features (an
+/// empty set signs as `u64::MAX`); the band's key folds its `rows`
+/// signature rows, `band·rows ..`, with [`mix64`] into a single `u64`.
+/// No other row is computed: the `nodes × bands·rows` table never
+/// exists.
 fn band_keys<F: FeatureId, S: AsRef<[F]> + Sync>(
     node_features: &[S],
     band: usize,
@@ -205,16 +181,6 @@ fn band_keys<F: FeatureId, S: AsRef<[F]> + Sync>(
     } else {
         par::par_map(node_features, key_of)
     }
-}
-
-/// Fraction of agreeing rows between two equal-length signatures — an
-/// unbiased estimator of the Jaccard similarity of the underlying sets.
-pub fn estimate_jaccard(a: &[u64], b: &[u64]) -> f64 {
-    if a.is_empty() || a.len() != b.len() {
-        return 0.0;
-    }
-    let agree = a.iter().zip(b).filter(|(x, y)| x == y).count();
-    agree as f64 / a.len() as f64
 }
 
 /// Bytes one buffered [`CandidateSet`] entry is charged at.
@@ -596,50 +562,42 @@ fn rare_path<F: FeatureId, S: AsRef<[F]> + Sync>(
         return;
     }
     scope.charge(posting_bytes);
+    scope.tick();
 
-    // Inverted index feature → nodes. Input sets are deduplicated and
-    // nodes are visited in order, so each posting is sorted and unique.
-    let mut postings: HashMap<u64, Vec<u32>> = HashMap::new();
-    for (node, features) in node_features.iter().enumerate() {
-        scope.tick();
-        for &f in features.as_ref() {
-            postings.entry(f.widen()).or_default().push(node as u32);
-        }
-    }
-    stats.features = postings.len() as u64;
+    let Some(index) = feature_index(node_features, posting_bytes / 4) else {
+        scope.release(posting_bytes);
+        return;
+    };
+    stats.features = index.postings().filter(|(_, n)| !n.is_empty()).count() as u64;
 
+    // The postings that propose pairs, as `(len, feature)`.
+    let rare = || {
+        let postings = index.postings().map(|(f, nodes)| (nodes.len(), f));
+        postings.filter(|(len, _)| (2..=rare_cap).contains(len))
+    };
     // Project the clique expansion — every proposed entry is resident
     // until the rows are first deduplicated below — and shed
     // pair-producing postings until it fits, *shortest first*: a len-2
     // posting buys one pair whose eq.-1 weight is almost always below
     // the edge threshold, while the longest rare postings are exactly
-    // the herd signal the miner is after.
-    let pairs_of = |len: usize| -> u64 {
-        if len <= rare_cap {
-            pair_universe(len)
-        } else {
-            0
-        }
-    };
+    // the herd signal the miner is after. Sheds are a prefix of the
+    // postings ordered by length, smallest feature breaking ties, so the
+    // last one shed names them all.
+    let mut shed_through: Option<(usize, u32)> = None;
     if soft > 0 {
-        // lint:allow(hash-iter): order-independent sum; sheds below are sorted before use
-        let mut projected: u64 = postings.values().map(|n| pairs_of(n.len())).sum();
+        let mut projected: u64 = rare().map(|(len, _)| pair_universe(len)).sum();
         // The index is gone again before the pair charge lands.
         let base = scope.tracked_bytes().saturating_sub(posting_bytes);
         if base + projected * ENTRY_BYTES > soft {
-            let mut order: Vec<(usize, u64)> = postings
-                .iter()
-                .filter(|(_, nodes)| pairs_of(nodes.len()) > 0)
-                .map(|(&f, nodes)| (nodes.len(), f))
-                .collect();
-            order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut order: Vec<(usize, u32)> = rare().collect();
+            order.sort_unstable();
             let (mut shed, unshed) = (0u64, projected);
             for (len, feature) in order {
                 if base + projected * ENTRY_BYTES <= soft {
                     break;
                 }
-                postings.remove(&feature);
-                projected -= pairs_of(len);
+                shed_through = Some((len, feature));
+                projected -= pair_universe(len);
                 shed += 1;
             }
             if shed > 0 {
@@ -655,19 +613,45 @@ fn rare_path<F: FeatureId, S: AsRef<[F]> + Sync>(
         }
     }
 
-    // lint:allow(hash-iter): rows are deduplicated by length and sorted before use.
-    for nodes in postings.values() {
-        if nodes.len() <= rare_cap {
-            stats.proposed += pair_universe(nodes.len());
-            set.push_clique(nodes);
+    for (len, feature) in rare() {
+        if Some((len, feature)) > shed_through {
+            stats.proposed += pair_universe(len);
+            set.push_clique(index.nodes_of(feature));
         }
     }
-    // Only the rare path reads the postings; return their bytes before
-    // the pair charge lands so the two don't stack in the account.
-    drop(postings);
+    // Only the rare path reads the index; return its bytes before the
+    // pair charge lands so the two don't stack in the account.
+    drop(index);
     scope.release(posting_bytes);
     set.dedup_rows(false);
     set.settle(scope);
+}
+
+/// The feature → nodes index over `node_features` (deduplicated sets
+/// holding `incidences` features between them, so each posting comes
+/// out sorted and unique). Arena ids are their own ranks when they are
+/// dense — none wider than the incidences they index, so the offsets
+/// table is no bigger than the postings; anything sparser, such as the
+/// URI-file dimension's `u64` charset keys, is ranked first.
+fn feature_index<F: FeatureId, S: AsRef<[F]>>(
+    node_features: &[S],
+    incidences: u64,
+) -> Option<FeatureIndex> {
+    let widened = || {
+        let sets = node_features.iter();
+        sets.flat_map(|set| set.as_ref().iter().map(|f| f.widen()))
+    };
+    let bound = widened().max().map_or(0, |max| max.saturating_add(1));
+    let keys = (bound > incidences).then(|| incidence::distinct(widened()));
+    let features = keys.as_ref().map_or(bound as usize, Vec::len);
+    let rank = |f: &F| match &keys {
+        Some(keys) => keys
+            .binary_search(&f.widen())
+            .map_or(u32::MAX, |rank| rank as u32),
+        None => f.widen() as u32,
+    };
+    let rows = node_features.iter();
+    FeatureIndex::transpose(features, rows.map(|set| set.as_ref().iter().map(rank)))
 }
 
 /// Pairs the cliques of one band's buckets (given by size) propose
@@ -745,54 +729,6 @@ mod tests {
         } else {
             inter as f64 / union as f64
         }
-    }
-
-    #[test]
-    fn jaccard_estimate_error_bounded_by_signature_size() {
-        // With k = 256 rows the estimator's standard deviation is
-        // sqrt(J(1−J)/k) ≤ 0.032; a 0.17 tolerance is > 5σ for every
-        // seeded case.
-        const K: usize = 256;
-        check(
-            |g: &mut Gen| {
-                let mut rng = DetRng::seed_from_u64(g.u64());
-                let shared = set_of(&mut rng, 40, 1 << 40);
-                let extra_a = rng.gen_range(0..60);
-                let extra_b = rng.gen_range(0..60);
-                let mut a = shared.clone();
-                a.extend(set_of(&mut rng, extra_a, 1 << 41));
-                let mut b = shared;
-                b.extend(set_of(&mut rng, extra_b, 1 << 42));
-                for s in [&mut a, &mut b] {
-                    s.sort_unstable();
-                    s.dedup();
-                }
-                (a, b)
-            },
-            |(a, b)| {
-                let sigs = minhash_signatures(&[a.clone(), b.clone()], K);
-                let mut it = sigs.iter();
-                let (sa, sb) = (it.next().unwrap(), it.next().unwrap());
-                let est = estimate_jaccard(sa, sb);
-                let truth = true_jaccard(a, b);
-                assert!(
-                    (est - truth).abs() < 0.17,
-                    "estimate {est:.3} vs true {truth:.3} with k={K}"
-                );
-            },
-        );
-    }
-
-    #[test]
-    fn signatures_identical_across_thread_counts() {
-        let mut rng = DetRng::seed_from_u64(0xC0FFEE);
-        let sets: Vec<Vec<u64>> = (0..64).map(|_| set_of(&mut rng, 50, 1 << 32)).collect();
-        par::set_thread_count(1);
-        let single = minhash_signatures(&sets, 64);
-        par::set_thread_count(4);
-        let multi = minhash_signatures(&sets, 64);
-        par::set_thread_count(0);
-        assert_eq!(single, multi);
     }
 
     #[test]
@@ -1002,9 +938,18 @@ mod tests {
         // 600 nodes stay under bucket_cap (every bucket is expanded,
         // each pair proposed dozens of times); 1 100 nodes push the
         // hottest buckets over it.
+        // Either crowd also carries two planted features, on exactly
+        // `rare_cap` and on `rare_cap + 1` nodes — the longest posting
+        // the rare path expands and the shortest it leaves to banding:
+        // small ids (their own ranks) in the one, past 2⁶³ in the other.
         let lsh = LshConfig::default();
-        for (nodes, expect_capped) in [(600, false), (1_100, true)] {
-            let sets = dense_crowd(nodes, 0xD0_5E);
+        for (nodes, expect_capped, planted) in [(600, false, 1_000), (1_100, true, 1 << 63)] {
+            let mut sets = dense_crowd(nodes, 0xD0_5E);
+            for (feature, on) in [(planted, lsh.rare_cap), (planted + 1, lsh.rare_cap + 1)] {
+                for set in sets.iter_mut().step_by(7).take(on) {
+                    set.push(feature);
+                }
+            }
             let (expected, expected_stats) = oracle_candidates(&sets, &lsh);
 
             let scope = Governor::unlimited().stage("dimension/uri-file", 0);
@@ -1138,6 +1083,9 @@ mod tests {
         let summary = governor.stage_summaries().remove(0);
         let fired: Vec<Rung> = summary.rungs.keys().copied().collect();
         assert_eq!(fired, vec![Rung::RareShed], "events: {:?}", summary.events);
+        // 62 of the 120 postings go; each one kept proposes its 120 pairs
+        // once more, beside the 64 bands' 480.
+        assert_eq!(stats.proposed, 64 * 480 + (120 - 62) * 120);
     }
 
     #[test]
@@ -1205,12 +1153,5 @@ mod tests {
         assert_eq!(pair_universe(4), 6);
         assert_eq!(pair_universe(0), 0);
         assert_eq!(pair_universe(1), 0);
-    }
-
-    #[test]
-    fn estimator_edge_cases() {
-        assert_eq!(estimate_jaccard(&[], &[]), 0.0);
-        assert_eq!(estimate_jaccard(&[1, 2], &[1]), 0.0);
-        assert_eq!(estimate_jaccard(&[5, 6], &[5, 6]), 1.0);
     }
 }

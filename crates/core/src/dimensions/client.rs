@@ -12,19 +12,19 @@
 //! `SmashConfig::exact_candidates` scores every pair instead (the
 //! recall oracle).
 //!
-//! The shared-client counts come from a row-wise sparse product
-//! (Gustavson): one walk over a client → nodes index per candidate
-//! *row*, costing what the row's window shares, instead of one sorted
-//! merge per candidate *pair*, costing both sets' lengths whatever they
-//! share. The merge remains as the path taken when the index does not
-//! fit the memory budget.
+//! The shared-client counts come from the row-wise sparse product of
+//! `crate::incidence`: one walk over a client → nodes index per
+//! candidate *row*, costing what the row's window shares, instead of one
+//! sorted merge per candidate *pair*, costing both sets' lengths
+//! whatever they share. The merge remains as the path taken when the
+//! index does not fit the memory budget.
 
 use super::{
     instrumented_builder, overlap_product, score_candidates, sorted_intersection_len, Dimension,
     DimensionContext, DimensionKind, TaskScore,
 };
+use crate::incidence::FeatureIndex;
 use smash_graph::Graph;
-use smash_support::governor::StageScope;
 
 /// Builder of the client-similarity graph.
 #[derive(Debug, Clone, Default)]
@@ -75,19 +75,49 @@ impl Dimension for ClientDimension {
 
             let mut index_bytes = 0;
             score_candidates(ctx, scope, builder, funnel, &feature_sets, || {
-                let index =
-                    ClientIndex::build_if_fits(scope, &feature_sets, ctx.dataset.client_count());
-                index_bytes = index.as_ref().map_or(0, ClientIndex::bytes);
+                // The client → nodes index is taken if its `4 B ×
+                // (incidences + clients + 1)`, known from the slice
+                // lengths alone, fit under the stage's soft budget beside
+                // what the account already carries (always, with no
+                // budget). Not fitting is not a ladder rung: the stage
+                // merges pair by pair instead — slower, same recall.
+                let clients = ctx.dataset.client_count();
+                let incidences: usize = feature_sets.iter().map(|set| set.len()).sum();
+                let bytes = 4 * (incidences as u64 + clients as u64 + 1);
+                let soft = scope.soft_bytes();
+                let index = if soft == 0 || scope.tracked_bytes() + bytes <= soft {
+                    scope.charge(bytes);
+                    index_bytes = bytes;
+                    let rows = feature_sets.iter().map(|set| set.iter().copied());
+                    FeatureIndex::transpose(clients, rows)
+                } else {
+                    None
+                };
                 move |u: u32, partners: &[u32]| {
                     let cu = clients_at(u);
-                    match &index {
-                        Some(index) => index.score_task(cu, partners, |v, shared| {
-                            edge(shared, cu.len(), clients_at(v).len())
-                        }),
-                        None => TaskScore::pairwise(u, partners, |_, v| {
+                    let (Some(index), Some(&first), Some(&last)) =
+                        (&index, partners.first(), partners.last())
+                    else {
+                        return TaskScore::pairwise(u, partners, |_, v| {
                             let cv = clients_at(v);
                             edge(sorted_intersection_len(cu, cv), cu.len(), cv.len())
-                        }),
+                        });
+                    };
+                    // One pass over `u`'s clients fills a window-sized
+                    // accumulator — not a node-count sized one: a task is
+                    // at most 256 partners, and zeroing a slot per kept
+                    // server per task would dwarf the scan — after which
+                    // a partner's `|Cu ∩ Cv|` is one read.
+                    let mut shared = vec![0u32; (last - first) as usize + 1];
+                    let row = cu.iter().copied();
+                    let scan_steps = index.count_shared(row, (first, last), &mut shared, |_| {});
+                    let scored = partners.iter().filter_map(|&v| {
+                        let count = *shared.get((v - first) as usize)?;
+                        edge(count as usize, cu.len(), clients_at(v).len()).map(|sim| (v, sim))
+                    });
+                    TaskScore {
+                        edges: scored.collect(),
+                        scan_steps,
                     }
                 }
             });
@@ -96,131 +126,14 @@ impl Dimension for ClientDimension {
     }
 }
 
-/// The inverted index client → nodes in CSR form: every eligible node's
-/// client set transposed, each client's nodes ascending.
-struct ClientIndex {
-    /// Client `c`'s nodes are `nodes[offsets[c]..offsets[c + 1]]`.
-    offsets: Vec<u32>,
-    nodes: Vec<u32>,
-}
-
-impl ClientIndex {
-    /// Transposes `client_sets` (one per node; ids below `clients`) by
-    /// counting sort — if its `4 B × (incidences + clients + 1)`, known
-    /// from the slice lengths alone, fit under the stage's soft budget
-    /// beside what the account already carries. They are then charged,
-    /// for the caller to release as [`bytes`](Self::bytes); with no
-    /// budget the index always fits. Not fitting is not a ladder rung:
-    /// the caller falls back to merging pair by pair, which costs time
-    /// and never recall.
-    fn build_if_fits(scope: &StageScope, client_sets: &[&[u32]], clients: usize) -> Option<Self> {
-        let incidences: usize = client_sets.iter().map(|set| set.len()).sum();
-        let bytes = 4 * (incidences as u64 + clients as u64 + 1);
-        let soft = scope.soft_bytes();
-        if u32::try_from(incidences).is_err() || (soft > 0 && scope.tracked_bytes() + bytes > soft)
-        {
-            return None;
-        }
-        scope.charge(bytes);
-
-        // Count each client's nodes, turn the counts into run starts,
-        // then deal the nodes out in node order — so each run ascends —
-        // advancing the client's start as its cursor.
-        let mut offsets = vec![0u32; clients + 1];
-        for &client in client_sets.iter().copied().flatten() {
-            if let Some(count) = offsets.get_mut(client as usize) {
-                *count += 1;
-            }
-        }
-        let mut start = 0;
-        for slot in &mut offsets {
-            let count = *slot;
-            *slot = start;
-            start += count;
-        }
-        let mut nodes = vec![0u32; incidences];
-        for (node, set) in (0u32..).zip(client_sets) {
-            for &client in *set {
-                let Some(cursor) = offsets.get_mut(client as usize) else {
-                    continue;
-                };
-                if let Some(slot) = nodes.get_mut(*cursor as usize) {
-                    *slot = node;
-                }
-                *cursor += 1;
-            }
-        }
-        // Every cursor ended on its run's end, which is the next run's
-        // start: shift them up one client and the table is whole again.
-        offsets.rotate_right(1);
-        if let Some(first) = offsets.first_mut() {
-            *first = 0;
-        }
-        Some(Self { offsets, nodes })
-    }
-
-    /// The bytes [`build_if_fits`](Self::build_if_fits) charged.
-    fn bytes(&self) -> u64 {
-        4 * (self.nodes.len() + self.offsets.len()) as u64
-    }
-
-    /// The nodes `client` was seen on, ascending.
-    fn nodes_of(&self, client: u32) -> &[u32] {
-        let at = client as usize;
-        match self.offsets.get(at..at + 2) {
-            Some(&[lo, hi]) => self.nodes.get(lo as usize..hi as usize),
-            _ => None,
-        }
-        .unwrap_or_default()
-    }
-
-    /// Scores node `u` (client set `cu`) against `partners` (ascending)
-    /// in one pass: each of `u`'s clients bumps, for every node it was
-    /// also seen on inside the window `[partners.first, partners.last]`,
-    /// that node's slot of a window-sized accumulator — not a node-count
-    /// sized one: a task is at most 256 partners, and zeroing a slot per
-    /// kept server per task would dwarf the scan. Afterwards a partner's
-    /// `|Cu ∩ Cv|` is one read, handed to `edge(v, shared)`.
-    fn score_task(
-        &self,
-        cu: &[u32],
-        partners: &[u32],
-        edge: impl Fn(u32, usize) -> Option<f64>,
-    ) -> TaskScore {
-        let (Some(&first), Some(&last)) = (partners.first(), partners.last()) else {
-            return TaskScore::default();
-        };
-        let mut shared = vec![0u32; (last - first) as usize + 1];
-        let mut scan_steps = 0;
-        for &client in cu {
-            let nodes = self.nodes_of(client);
-            let from = nodes.partition_point(|&v| v < first);
-            let inside = nodes.iter().skip(from).take_while(|&&v| v <= last);
-            for &v in inside {
-                if let Some(count) = shared.get_mut((v - first) as usize) {
-                    *count += 1;
-                }
-                scan_steps += 1;
-            }
-        }
-        let scored = partners.iter().filter_map(|&v| {
-            let count = *shared.get((v - first) as usize)?;
-            edge(v, count as usize).map(|sim| (v, sim))
-        });
-        TaskScore {
-            edges: scored.collect(),
-            scan_steps,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::tests::build_governed;
     use super::*;
     use crate::config::SmashConfig;
+    use smash_support::governor::Governor;
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;
-    use std::collections::HashMap;
 
     fn ctx_parts(records: Vec<HttpRecord>) -> (TraceDataset, WhoisRegistry, SmashConfig) {
         (
@@ -231,21 +144,7 @@ mod tests {
     }
 
     fn build(ds: &TraceDataset, whois: &WhoisRegistry, config: &SmashConfig) -> Graph {
-        let nodes: Vec<u32> = ds.server_ids().collect();
-        let node_of: HashMap<u32, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
-        ClientDimension.build_graph(&DimensionContext {
-            dataset: ds,
-            whois,
-            config,
-            nodes: &nodes,
-            node_of: &node_of,
-            metrics: &smash_support::metrics::Registry::new(),
-            governor: smash_support::governor::Governor::unlimited(),
-        })
+        build_governed(&ClientDimension, ds, whois, config, &Governor::unlimited())
     }
 
     #[test]

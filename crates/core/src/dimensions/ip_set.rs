@@ -9,7 +9,6 @@ use super::{
     DimensionKind,
 };
 use smash_graph::Graph;
-use std::collections::HashMap;
 
 /// Builder of the IP-set-similarity graph.
 #[derive(Debug, Clone, Default)]
@@ -22,18 +21,19 @@ impl Dimension for IpSetDimension {
 
     fn build_graph(&self, ctx: &DimensionContext<'_>) -> Graph {
         instrumented_builder(ctx, self.kind(), |builder, funnel, scope| {
-            let mut by_ip: HashMap<u32, Vec<u32>> = HashMap::new();
-            for (node, &server) in ctx.nodes.iter().enumerate() {
-                scope.tick();
-                for &ip in ctx.dataset.ips_of(server) {
-                    by_ip.entry(ip).or_default().push(node as u32);
-                }
-            }
+            // Per-node IP-id sets, borrowed from the arena.
+            let node_ips: Vec<&[u32]> = ctx
+                .nodes
+                .iter()
+                .map(|&server| {
+                    scope.tick();
+                    ctx.dataset.ips_of(server)
+                })
+                .collect();
             // Hot IPs (large shared hosters / NATs) carry no herd signal.
-            score_cooccurring(scope, builder, funnel, by_ip, 200, |u, v, shared| {
-                let (su, sv) = (ctx.server_at(u)?, ctx.server_at(v)?);
-                let iu = ctx.dataset.ips_of(su).len();
-                let iv = ctx.dataset.ips_of(sv).len();
+            score_cooccurring(scope, builder, funnel, &node_ips, 200, |u, v, shared| {
+                let iu = node_ips.get(u as usize)?.len();
+                let iv = node_ips.get(v as usize)?.len();
                 let sim = overlap_product(shared as usize, iu, iv);
                 (sim >= ctx.config.ip_edge_min).then_some(sim)
             });
@@ -43,30 +43,14 @@ impl Dimension for IpSetDimension {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::build_unbudgeted;
     use super::*;
-    use crate::config::SmashConfig;
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;
 
     fn build(records: Vec<HttpRecord>) -> (TraceDataset, Graph) {
         let ds = TraceDataset::from_records(records);
-        let whois = WhoisRegistry::new();
-        let config = SmashConfig::default();
-        let nodes: Vec<u32> = ds.server_ids().collect();
-        let node_of: HashMap<u32, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
-        let g = IpSetDimension.build_graph(&DimensionContext {
-            dataset: &ds,
-            whois: &whois,
-            config: &config,
-            nodes: &nodes,
-            node_of: &node_of,
-            metrics: &smash_support::metrics::Registry::new(),
-            governor: smash_support::governor::Governor::unlimited(),
-        });
+        let g = build_unbudgeted(&IpSetDimension, &ds, &WhoisRegistry::new());
         (ds, g)
     }
 

@@ -11,8 +11,9 @@
 //! the brute-force oracle when `SmashConfig::exact_candidates` is set;
 //! either way the dimension scores whole node-major tasks, URI-file
 //! pair by pair, client by one row-wise scan of a client → nodes
-//! index), the remaining dimensions through `score_cooccurring` (an
-//! inverted index counted by [`smash_graph::CooccurrenceCounter`]).
+//! index), the remaining dimensions through `score_cooccurring` (every
+//! node's row scanned against a feature → nodes index: its partners are
+//! whoever shares a feature) — both over `crate::incidence`.
 
 pub mod client;
 pub mod ip_set;
@@ -24,7 +25,8 @@ pub mod whois;
 
 use crate::candidates::{self, FeatureId};
 use crate::config::SmashConfig;
-use smash_graph::{CooccurrenceCounter, Graph, GraphBuilder};
+use crate::incidence::{self, FeatureIndex};
+use smash_graph::{Graph, GraphBuilder};
 use smash_support::governor::{Governor, Rung, StageScope};
 use smash_support::impl_json_enum;
 use smash_support::metrics::Registry;
@@ -32,7 +34,8 @@ use smash_support::par;
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 use smash_trace::{ServerId, TraceDataset};
 use smash_whois::WhoisRegistry;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::fmt;
 
 pub use client::ClientDimension;
@@ -153,76 +156,129 @@ pub struct DimensionContext<'a> {
     pub governor: Governor,
 }
 
-impl DimensionContext<'_> {
-    /// The server behind graph node `u`, if `u` is a valid node index.
-    /// Builders use this instead of indexing `nodes` so a rogue node id
-    /// from a co-occurrence counter can never panic a dimension.
-    pub fn server_at(&self, u: u32) -> Option<ServerId> {
-        self.nodes.get(u as usize).copied()
-    }
-}
-
-/// Charges an inverted index's posting bytes to the stage account and,
-/// on a soft-budget breach, sheds the most popular postings — longest
-/// first, smallest key breaking ties — until the account is back under
-/// the soft budget. Every shed feature is recorded on the scope. A
-/// no-op on unbudgeted runs beyond the byte charge itself.
-fn govern_postings<K>(scope: &StageScope, postings: &mut HashMap<K, Vec<u32>>)
-where
-    K: Clone + Ord + std::hash::Hash + fmt::Display,
-{
-    // lint:allow(hash-iter): summing byte counts is order-independent.
-    let bytes: u64 = postings.values().map(|v| v.len() as u64 * 4).sum();
-    scope.charge(bytes);
+/// Charges `index`'s `4 B` per incidence to the stage account and, on a
+/// soft-budget breach, sheds the most popular postings — longest first,
+/// smallest key breaking ties (`keys` are the features by rank, and rank
+/// order is key order) — until the account is back under the soft
+/// budget. Every shed feature is recorded on the scope. Sheds are a
+/// prefix of that order, so the last one, returned as `(Reverse(len),
+/// feature)`, names them all: a posting was shed iff it does not sort
+/// after it. Without a budget, just the charge.
+fn govern_postings<K: fmt::Display>(
+    scope: &StageScope,
+    index: &FeatureIndex,
+    keys: &[K],
+) -> Option<(Reverse<usize>, u32)> {
+    scope.charge(index.incidences() as u64 * 4);
+    let mut shed = None;
     if !scope.soft_exceeded() {
-        return;
+        return shed;
     }
-    let mut order: Vec<(usize, K)> = postings
-        .iter()
-        .map(|(k, nodes)| (nodes.len(), k.clone()))
+    let keyed = index.postings().zip(keys);
+    let mut order: Vec<(Reverse<usize>, u32, &K)> = keyed
+        .map(|((feature, nodes), key)| (Reverse(nodes.len()), feature, key))
         .collect();
-    order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    for (len, key) in order {
+    order.sort_unstable_by_key(|&(len, feature, _)| (len, feature));
+    for (Reverse(len), feature, key) in order {
         if !scope.soft_exceeded() {
             break;
         }
-        postings.remove(&key);
+        shed = Some((Reverse(len), feature));
         scope.release(len as u64 * 4);
         scope.record(Rung::Shed, format!("shed posting feature={key} len={len}"));
     }
+    shed
 }
 
-/// The candidate frame of the inverted-index dimensions: `postings`
-/// (feature → nodes exhibiting it) are governed, counted into
-/// co-occurring node pairs — postings longer than `posting_cap` carry no
-/// herd signal and are skipped — and every pair `(u, v)` sharing
-/// `shared` features is offered to `score`; `Some(weight)` becomes an
-/// edge.
-pub(crate) fn score_cooccurring<K>(
+/// Nodes one parallel task of [`score_cooccurring`] scores: the task
+/// owns one accumulator as wide as the node space behind its first node,
+/// so the zeroing is paid once per this many rows, not once per row.
+const ROWS_PER_TASK: usize = 256;
+
+/// Accumulator increments below which [`score_cooccurring`] scans every
+/// row in one task, on the calling thread: forking for less costs more
+/// than the scan (with 0 increments to spend, the benchmark's ip-set and
+/// whois stages went from 0.1 to 0.5–3 ms a mine, +1.4 MB daemon RSS).
+const PAR_MIN_SCAN_STEPS: u64 = 4096;
+
+/// The candidate frame of the co-occurrence dimensions: `feature_sets`
+/// (one per node; repeats within a set count once) are ranked and
+/// transposed into a feature → nodes index, which is governed; every
+/// node's row is then scanned against it — postings longer than
+/// `posting_cap` carry no herd signal and are skipped — and every pair
+/// `(u, v)`, `u < v`, sharing `shared` ≥ 1 features is offered to
+/// `score`; `Some(weight)` becomes an edge. Rows are scored in parallel
+/// and reach the builder in ascending `(u, v)` order. The index is the
+/// only allocation charged (for the life of the stage): the counts live
+/// in a per-task accumulator reset through the nodes it touched, so the
+/// work is the incidences walked plus the co-occurring pairs and there
+/// is no pair table whose size is only known once it exists.
+pub(crate) fn score_cooccurring<K, S>(
     scope: &StageScope,
     builder: &mut GraphBuilder,
     funnel: &mut BuilderFunnel,
-    mut postings: HashMap<K, Vec<u32>>,
+    feature_sets: &[S],
     posting_cap: usize,
-    score: impl Fn(u32, u32, u32) -> Option<f64>,
+    score: impl Fn(u32, u32, u32) -> Option<f64> + Sync,
 ) where
-    K: Clone + Ord + std::hash::Hash + fmt::Display,
+    K: Ord + fmt::Display,
+    S: AsRef<[K]>,
 {
-    funnel.postings = postings.len() as u64;
-    govern_postings(scope, &mut postings);
-    let mut counter = CooccurrenceCounter::new().with_max_posting_len(posting_cap);
-    // lint:allow(hash-iter): postings are order-independent; the counter sorts pairs.
-    for (_, nodes) in postings {
-        counter.add_posting(nodes);
-    }
-    let counts = counter.counts_parallel();
-    scope.charge(counts.len() as u64 * 16);
-    for ((u, v), shared) in counts {
-        funnel.pairs_scored += 1;
-        if funnel.pairs_scored.is_multiple_of(1024) {
-            scope.tick();
+    let keys = incidence::distinct(feature_sets.iter().flat_map(|set| set.as_ref()));
+    funnel.postings = keys.len() as u64;
+    let rank = |key: &K| keys.binary_search(&key).ok().map(|rank| rank as u32);
+    let rows: Vec<Vec<u32>> = (feature_sets.iter())
+        .map(|set| incidence::distinct(set.as_ref().iter().filter_map(rank)))
+        .collect();
+    let ranked = rows.iter().map(|row| row.iter().copied());
+    let Some(index) = FeatureIndex::transpose(keys.len(), ranked) else {
+        return;
+    };
+    let shed = govern_postings(scope, &index, &keys);
+    let live = |&feature: &u32| {
+        let len = index.nodes_of(feature).len();
+        len <= posting_cap && Some((Reverse(len), feature)) > shed
+    };
+
+    // The scan's cost is known before it runs: a live posting of `len`
+    // nodes is walked for C(len, 2) increments.
+    let walked = index.postings().filter(|(feature, _)| live(feature));
+    let steps: u64 = walked
+        .map(|(_, n)| candidates::pair_universe(n.len()))
+        .sum();
+    let whole = usize::from(steps < PAR_MIN_SCAN_STEPS) * rows.len();
+    let per_task = ROWS_PER_TASK.max(whole);
+    let last = (rows.len() as u32).saturating_sub(1);
+    let starts = (0..=last).step_by(per_task);
+    let tasks: Vec<(u32, &[Vec<u32>])> = starts.zip(rows.chunks(per_task)).collect();
+    let scored = par::par_map_cancellable(&tasks, scope.token(), |&(start, rows)| {
+        let (mut edges, mut pairs, mut scan_steps) = (Vec::new(), 0, 0);
+        let mut shared = vec![0u32; (last - start) as usize];
+        let mut touched: Vec<u32> = Vec::new();
+        for (u, row) in (start..).zip(rows) {
+            // `u`'s partners are the nodes behind it: the pair belongs
+            // to its smaller end.
+            let first = u + 1;
+            let row = row.iter().copied().filter(&live);
+            scan_steps += index.count_shared(row, (first, last), &mut shared, |v| touched.push(v));
+            touched.sort_unstable();
+            pairs += touched.len() as u64;
+            for v in touched.drain(..) {
+                let Some(count) = shared.get_mut((v - first) as usize) else {
+                    continue;
+                };
+                if let Some(weight) = score(u, v, *count) {
+                    edges.push((u, v, weight));
+                }
+                *count = 0;
+            }
         }
-        if let Some(weight) = score(u, v, shared) {
+        (edges, pairs, scan_steps)
+    });
+    for (edges, pairs, scan_steps) in scored {
+        funnel.pairs_scored += pairs;
+        funnel.scan_steps += scan_steps;
+        for (u, v, weight) in edges {
             builder.add_edge(u, v, weight);
             funnel.edges += 1;
         }
@@ -276,11 +332,9 @@ pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync, T>(
         None => {
             // Brute force: an eligible node's partners are the eligible
             // nodes behind it (`eligible` ascends).
-            funnel.postings = feature_sets
-                .iter()
-                .flat_map(|set| set.as_ref().iter().map(|f| f.widen()))
-                .collect::<HashSet<u64>>()
-                .len() as u64;
+            let sets = feature_sets.iter();
+            let widened = sets.flat_map(|set| set.as_ref().iter().map(|f| f.widen()));
+            funnel.postings = incidence::distinct(widened).len() as u64;
             funnel.pairs_proposed = funnel.pairs_considered;
             funnel.pairs_bucketed = funnel.pairs_considered;
             funnel.pairs_scored = funnel.pairs_considered;
@@ -500,6 +554,38 @@ pub(crate) fn overlap_product(shared: usize, len_a: usize, len_b: usize) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smash_support::governor::GovernorOptions;
+
+    /// `dimension`'s graph over every server of `dataset` (node `i` is
+    /// server `i`).
+    pub(super) fn build_governed(
+        dimension: &dyn Dimension,
+        dataset: &TraceDataset,
+        whois: &WhoisRegistry,
+        config: &SmashConfig,
+        governor: &Governor,
+    ) -> Graph {
+        let nodes: Vec<ServerId> = dataset.server_ids().collect();
+        dimension.build_graph(&DimensionContext {
+            dataset,
+            whois,
+            config,
+            nodes: &nodes,
+            node_of: &nodes.iter().copied().zip(0..).collect(),
+            metrics: &Registry::new(),
+            governor: governor.clone(),
+        })
+    }
+
+    /// [`build_governed`] with no budget, under the default configuration.
+    pub(super) fn build_unbudgeted(
+        dimension: &dyn Dimension,
+        dataset: &TraceDataset,
+        whois: &WhoisRegistry,
+    ) -> Graph {
+        let (config, governor) = (SmashConfig::default(), Governor::unlimited());
+        build_governed(dimension, dataset, whois, &config, &governor)
+    }
 
     #[test]
     fn sorted_intersection_counts() {
@@ -521,22 +607,44 @@ mod tests {
         // 100-byte hard budget, 80 soft; the index charges 4 bytes per
         // posting entry = 96 bytes, so the longest posting (and only
         // it) must go.
-        let governor = Governor::new(
-            &smash_support::governor::GovernorOptions::unlimited().with_memory_budget_bytes(100),
-        );
+        let governor = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(100));
         let scope = governor.stage("dimension/ip-set", 0);
-        let mut postings: HashMap<u32, Vec<u32>> = HashMap::new();
-        postings.insert(7, (0..12).collect());
-        postings.insert(8, (0..8).collect());
-        postings.insert(9, (0..4).collect());
-        govern_postings(&scope, &mut postings);
-        let mut kept: Vec<u32> = postings.keys().copied().collect();
-        kept.sort_unstable();
-        assert_eq!(kept, vec![8, 9]);
+        let keys = [7u32, 8, 9];
+        // Keys 7, 8, 9 on the first 12, 8, 4 nodes.
+        let rows = (0..12u32).map(|node| (0..3u32).filter(move |rank| node < 12 - 4 * rank));
+        let index = FeatureIndex::transpose(keys.len(), rows).expect("24 incidences");
+        let shed = govern_postings(&scope, &index, &keys);
+        let live = |&((f, n), _): &((u32, &[u32]), u32)| Some((Reverse(n.len()), f)) > shed;
+        let kept = index.postings().zip(keys).filter(live).map(|(_, key)| key);
+        assert_eq!(kept.collect::<Vec<u32>>(), vec![8, 9]);
         assert_eq!(scope.tracked_bytes(), 48);
         let summary = governor.stage_summaries().remove(0);
         assert_eq!(summary.events, vec!["shed posting feature=7 len=12"]);
         assert_eq!(summary.rungs.get(&Rung::Shed), Some(&1));
+    }
+
+    #[test]
+    fn a_crowd_on_one_ip_is_thinned_not_cancelled() {
+        // 150 servers on one address: a 600-byte index and 11 175
+        // pairs, every one an eq. 8 edge of weight 1.0. Only the graph
+        // grows with the pairs, and its rung is thinning: what the index
+        // leaves of the 80 000-byte soft budget keeps 3 308 edges. (A
+        // 178 800-byte pair table, charged once it existed, used to
+        // cross the hard budget here with no rung in front.)
+        let records = (0..150)
+            .map(|s| smash_trace::HttpRecord::new(0, "c", &format!("s{s}.com"), "9.9.9.9", "/"));
+        let dataset = TraceDataset::from_records(records);
+        let budget = GovernorOptions::unlimited().with_memory_budget_bytes(100_000);
+        let governor = Governor::new(&budget);
+        let (whois, config) = (WhoisRegistry::new(), SmashConfig::default());
+        let graph = build_governed(&IpSetDimension, &dataset, &whois, &config, &governor);
+        let summary = governor.stage_summaries().remove(0);
+        assert!(!summary.cancelled, "events: {:?}", summary.events);
+        assert_eq!(summary.events.len(), 1, "events: {:?}", summary.events);
+        assert_eq!(summary.rungs, [(Rung::Thinned, 1)].into_iter().collect());
+        let fits = (80_000 - 600) / candidates::EDGE_BYTES;
+        assert_eq!(graph.edge_count() as u64, fits);
+        assert!(graph.edges().all(|(_, _, weight)| weight == 1.0));
     }
 
     #[test]

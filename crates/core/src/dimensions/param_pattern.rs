@@ -10,8 +10,8 @@ use super::{
     instrumented_builder, overlap_product, score_cooccurring, Dimension, DimensionContext,
     DimensionKind,
 };
+use crate::incidence;
 use smash_graph::Graph;
-use std::collections::{HashMap, HashSet};
 
 /// Builder of the parameter-pattern-similarity graph.
 #[derive(Debug, Clone, Default)]
@@ -26,26 +26,19 @@ impl Dimension for ParamPatternDimension {
         instrumented_builder(ctx, self.kind(), |builder, funnel, scope| {
             let empty = ctx.dataset.param_pattern_id("");
             // Per-node sets of distinct non-empty parameter patterns.
-            let mut node_patterns: Vec<HashSet<u32>> = Vec::with_capacity(ctx.nodes.len());
-            let mut by_pattern: HashMap<u32, Vec<u32>> = HashMap::new();
-            for (node, &server) in ctx.nodes.iter().enumerate() {
-                scope.tick();
-                let mut set = HashSet::new();
-                for r in ctx.dataset.records_of(server) {
-                    if Some(r.param_pattern) != empty {
-                        set.insert(r.param_pattern);
-                    }
-                }
-                // lint:allow(hash-iter): postings are appended per pattern id; order-independent.
-                for &p in &set {
-                    by_pattern.entry(p).or_default().push(node as u32);
-                }
-                node_patterns.push(set);
-            }
+            let patterns: Vec<Vec<u32>> = ctx
+                .nodes
+                .iter()
+                .map(|&server| {
+                    scope.tick();
+                    let patterns = ctx.dataset.records_of(server).map(|r| r.param_pattern);
+                    incidence::distinct(patterns.filter(|&p| Some(p) != empty))
+                })
+                .collect();
             let cap = ctx.config.file_posting_cap;
-            score_cooccurring(scope, builder, funnel, by_pattern, cap, |u, v, shared| {
-                let pu = node_patterns.get(u as usize)?.len();
-                let pv = node_patterns.get(v as usize)?.len();
+            score_cooccurring(scope, builder, funnel, &patterns, cap, |u, v, shared| {
+                let pu = patterns.get(u as usize)?.len();
+                let pv = patterns.get(v as usize)?.len();
                 let sim = overlap_product(shared as usize, pu, pv);
                 (sim >= ctx.config.file_edge_min).then_some(sim)
             });
@@ -55,30 +48,14 @@ impl Dimension for ParamPatternDimension {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::build_unbudgeted;
     use super::*;
-    use crate::config::SmashConfig;
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;
 
     fn build(records: Vec<HttpRecord>) -> Graph {
         let ds = TraceDataset::from_records(records);
-        let whois = WhoisRegistry::new();
-        let config = SmashConfig::default();
-        let nodes: Vec<u32> = ds.server_ids().collect();
-        let node_of: HashMap<u32, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
-        ParamPatternDimension.build_graph(&DimensionContext {
-            dataset: &ds,
-            whois: &whois,
-            config: &config,
-            nodes: &nodes,
-            node_of: &node_of,
-            metrics: &smash_support::metrics::Registry::new(),
-            governor: smash_support::governor::Governor::unlimited(),
-        })
+        build_unbudgeted(&ParamPatternDimension, &ds, &WhoisRegistry::new())
     }
 
     #[test]

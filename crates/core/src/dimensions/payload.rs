@@ -12,8 +12,8 @@ use super::{
     instrumented_builder, overlap_product, score_cooccurring, Dimension, DimensionContext,
     DimensionKind,
 };
+use crate::incidence;
 use smash_graph::Graph;
-use std::collections::{HashMap, HashSet};
 
 /// Low bits masked off a size before comparison (64-byte granularity).
 const SIZE_MASK: u32 = !63;
@@ -34,24 +34,17 @@ impl Dimension for PayloadDimension {
     fn build_graph(&self, ctx: &DimensionContext<'_>) -> Graph {
         instrumented_builder(ctx, self.kind(), |builder, funnel, scope| {
             // Per-node sets of masked payload sizes.
-            let mut node_sizes: Vec<HashSet<u32>> = Vec::with_capacity(ctx.nodes.len());
-            let mut by_size: HashMap<u32, Vec<u32>> = HashMap::new();
-            for (node, &server) in ctx.nodes.iter().enumerate() {
-                scope.tick();
-                let mut sizes = HashSet::new();
-                for r in ctx.dataset.records_of(server) {
-                    if r.resp_bytes >= MIN_SIZE {
-                        sizes.insert(r.resp_bytes & SIZE_MASK);
-                    }
-                }
-                // lint:allow(hash-iter): postings are appended per size bucket; order-independent.
-                for &s in &sizes {
-                    by_size.entry(s).or_default().push(node as u32);
-                }
-                node_sizes.push(sizes);
-            }
+            let node_sizes: Vec<Vec<u32>> = ctx
+                .nodes
+                .iter()
+                .map(|&server| {
+                    scope.tick();
+                    let sizes = ctx.dataset.records_of(server).map(|r| r.resp_bytes);
+                    incidence::distinct(sizes.filter(|&b| b >= MIN_SIZE).map(|b| b & SIZE_MASK))
+                })
+                .collect();
             let cap = ctx.config.file_posting_cap;
-            score_cooccurring(scope, builder, funnel, by_size, cap, |u, v, shared| {
+            score_cooccurring(scope, builder, funnel, &node_sizes, cap, |u, v, shared| {
                 let su = node_sizes.get(u as usize)?.len();
                 let sv = node_sizes.get(v as usize)?.len();
                 let sim = overlap_product(shared as usize, su, sv);
@@ -63,30 +56,14 @@ impl Dimension for PayloadDimension {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::build_unbudgeted;
     use super::*;
-    use crate::config::SmashConfig;
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;
 
     fn build(records: Vec<HttpRecord>) -> Graph {
         let ds = TraceDataset::from_records(records);
-        let whois = WhoisRegistry::new();
-        let config = SmashConfig::default();
-        let nodes: Vec<u32> = ds.server_ids().collect();
-        let node_of: HashMap<u32, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
-        PayloadDimension.build_graph(&DimensionContext {
-            dataset: &ds,
-            whois: &whois,
-            config: &config,
-            nodes: &nodes,
-            node_of: &node_of,
-            metrics: &smash_support::metrics::Registry::new(),
-            governor: smash_support::governor::Governor::unlimited(),
-        })
+        build_unbudgeted(&PayloadDimension, &ds, &WhoisRegistry::new())
     }
 
     fn rec(host: &str, uri: &str, bytes: u32) -> HttpRecord {

@@ -13,7 +13,6 @@
 
 use super::{instrumented_builder, score_cooccurring, Dimension, DimensionContext, DimensionKind};
 use smash_graph::Graph;
-use std::collections::HashMap;
 
 /// Number of activity buckets (30-minute windows over a day).
 pub const DEFAULT_BUCKETS: usize = 48;
@@ -49,10 +48,10 @@ impl Dimension for TimingDimension {
         instrumented_builder(ctx, self.kind(), |builder, funnel, scope| {
             let buckets = self.buckets.max(2);
             let bucket_len = (self.span_seconds / buckets as u64).max(1);
-            // Per-node activity histograms; only bursty nodes participate.
+            // Per-node histograms and active buckets; only bursty nodes participate.
             let mut histograms: Vec<Option<Vec<f64>>> = Vec::with_capacity(ctx.nodes.len());
-            let mut by_bucket: HashMap<usize, Vec<u32>> = HashMap::new();
-            for (node, &server) in ctx.nodes.iter().enumerate() {
+            let mut node_buckets: Vec<Vec<usize>> = Vec::with_capacity(ctx.nodes.len());
+            for &server in ctx.nodes {
                 scope.tick();
                 let mut h = vec![0.0f64; buckets];
                 let mut total = 0usize;
@@ -74,19 +73,18 @@ impl Dimension for TimingDimension {
                     && (active.len() as f64) <= BURSTY_FRACTION * buckets as f64;
                 if !bursty {
                     histograms.push(None);
+                    node_buckets.push(Vec::new());
                     continue;
                 }
                 let norm = h.iter().map(|x| x * x).sum::<f64>().sqrt();
                 for x in h.iter_mut() {
                     *x /= norm;
                 }
-                for &bkt in &active {
-                    by_bucket.entry(bkt).or_default().push(node as u32);
-                }
                 histograms.push(Some(h));
+                node_buckets.push(active);
             }
             // Candidate pairs: bursty servers active in a common bucket.
-            score_cooccurring(scope, builder, funnel, by_bucket, 200, |u, v, _| {
+            score_cooccurring(scope, builder, funnel, &node_buckets, 200, |u, v, _| {
                 let hu = histograms.get(u as usize)?.as_ref()?;
                 let hv = histograms.get(v as usize)?.as_ref()?;
                 let cos: f64 = hu.iter().zip(hv.iter()).map(|(a, b)| a * b).sum();
@@ -98,30 +96,14 @@ impl Dimension for TimingDimension {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::build_unbudgeted;
     use super::*;
-    use crate::config::SmashConfig;
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;
 
     fn build(records: Vec<HttpRecord>) -> (TraceDataset, Graph) {
         let ds = TraceDataset::from_records(records);
-        let whois = WhoisRegistry::new();
-        let config = SmashConfig::default();
-        let nodes: Vec<u32> = ds.server_ids().collect();
-        let node_of: HashMap<u32, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
-        let g = TimingDimension::default().build_graph(&DimensionContext {
-            dataset: &ds,
-            whois: &whois,
-            config: &config,
-            nodes: &nodes,
-            node_of: &node_of,
-            metrics: &smash_support::metrics::Registry::new(),
-            governor: smash_support::governor::Governor::unlimited(),
-        });
+        let g = build_unbudgeted(&TimingDimension::default(), &ds, &WhoisRegistry::new());
         (ds, g)
     }
 

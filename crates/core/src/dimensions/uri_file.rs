@@ -161,30 +161,18 @@ fn charset_feature(name: &str) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::build_governed;
     use super::*;
     use crate::candidates;
     use crate::config::SmashConfig;
+    use smash_support::governor::Governor;
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;
 
     fn build(records: Vec<HttpRecord>, config: SmashConfig) -> (TraceDataset, Graph) {
         let ds = TraceDataset::from_records(records);
-        let whois = WhoisRegistry::new();
-        let nodes: Vec<u32> = ds.server_ids().collect();
-        let node_of: HashMap<u32, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
-        let g = UriFileDimension.build_graph(&DimensionContext {
-            dataset: &ds,
-            whois: &whois,
-            config: &config,
-            nodes: &nodes,
-            node_of: &node_of,
-            metrics: &smash_support::metrics::Registry::new(),
-            governor: smash_support::governor::Governor::unlimited(),
-        });
+        let (whois, governor) = (WhoisRegistry::new(), Governor::unlimited());
+        let g = build_governed(&UriFileDimension, &ds, &whois, &config, &governor);
         (ds, g)
     }
 

@@ -9,7 +9,6 @@
 use super::{instrumented_builder, score_cooccurring, Dimension, DimensionContext, DimensionKind};
 use smash_graph::Graph;
 use smash_whois::MIN_SHARED_FIELDS;
-use std::collections::HashMap;
 
 /// Builder of the Whois-similarity graph.
 #[derive(Debug, Clone, Default)]
@@ -22,39 +21,30 @@ impl Dimension for WhoisDimension {
 
     fn build_graph(&self, ctx: &DimensionContext<'_>) -> Graph {
         instrumented_builder(ctx, self.kind(), |builder, funnel, scope| {
-            // Inverted index over field values. Keys are namespaced so a phone
+            // Per-node field values. Keys are namespaced so a phone
             // number never collides with an address string.
-            let mut by_value: HashMap<String, Vec<u32>> = HashMap::new();
+            let mut node_values: Vec<Vec<String>> = Vec::with_capacity(ctx.nodes.len());
             let mut records: Vec<Option<&smash_whois::WhoisRecord>> =
                 Vec::with_capacity(ctx.nodes.len());
-            for (node, &server) in ctx.nodes.iter().enumerate() {
+            for &server in ctx.nodes {
                 scope.tick();
                 let rec = ctx
                     .dataset
                     .server_key(server)
                     .and_then(|k| k.domain())
                     .and_then(|d| ctx.whois.get(d));
+                let mut values = Vec::new();
                 if let Some(r) = rec {
-                    let node = node as u32;
-                    if let Some(v) = &r.registrant {
-                        by_value.entry(format!("r:{v}")).or_default().push(node);
-                    }
-                    if let Some(v) = &r.address {
-                        by_value.entry(format!("a:{v}")).or_default().push(node);
-                    }
-                    if let Some(v) = &r.email {
-                        by_value.entry(format!("e:{v}")).or_default().push(node);
-                    }
-                    if let Some(v) = &r.phone {
-                        by_value.entry(format!("p:{v}")).or_default().push(node);
-                    }
-                    for ns in &r.name_servers {
-                        by_value.entry(format!("n:{ns}")).or_default().push(node);
-                    }
+                    values.extend(r.registrant.iter().map(|v| format!("r:{v}")));
+                    values.extend(r.address.iter().map(|v| format!("a:{v}")));
+                    values.extend(r.email.iter().map(|v| format!("e:{v}")));
+                    values.extend(r.phone.iter().map(|v| format!("p:{v}")));
+                    values.extend(r.name_servers.iter().map(|ns| format!("n:{ns}")));
                 }
+                node_values.push(values);
                 records.push(rec);
             }
-            score_cooccurring(scope, builder, funnel, by_value, 200, |u, v, hits| {
+            score_cooccurring(scope, builder, funnel, &node_values, 200, |u, v, hits| {
                 if (hits as usize) < MIN_SHARED_FIELDS {
                     return None;
                 }
@@ -71,29 +61,17 @@ impl Dimension for WhoisDimension {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::build_unbudgeted;
     use super::*;
-    use crate::config::SmashConfig;
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::{WhoisRecord, WhoisRegistry};
 
     fn build(records: Vec<HttpRecord>, whois: WhoisRegistry) -> Graph {
-        let ds = TraceDataset::from_records(records);
-        let config = SmashConfig::default();
-        let nodes: Vec<u32> = ds.server_ids().collect();
-        let node_of: HashMap<u32, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
-        WhoisDimension.build_graph(&DimensionContext {
-            dataset: &ds,
-            whois: &whois,
-            config: &config,
-            nodes: &nodes,
-            node_of: &node_of,
-            metrics: &smash_support::metrics::Registry::new(),
-            governor: smash_support::governor::Governor::unlimited(),
-        })
+        build_unbudgeted(
+            &WhoisDimension,
+            &TraceDataset::from_records(records),
+            &whois,
+        )
     }
 
     fn two_servers() -> Vec<HttpRecord> {

@@ -42,6 +42,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod correlation;
 pub mod dimensions;
+mod incidence;
 pub mod inference;
 pub mod math;
 pub mod mining;

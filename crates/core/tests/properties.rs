@@ -4,19 +4,20 @@ use smash_core::ash::{Ash, MinedDimension};
 use smash_core::candidates::lsh_candidates;
 use smash_core::correlation::correlate;
 use smash_core::dimensions::{
-    ClientDimension, Dimension, DimensionContext, DimensionKind, UriFileDimension,
+    ClientDimension, Dimension, DimensionContext, DimensionKind, IpSetDimension,
+    ParamPatternDimension, PayloadDimension, TimingDimension, UriFileDimension, WhoisDimension,
 };
 use smash_core::math::{erf, phi};
 use smash_core::pruning::prune;
 use smash_core::{Smash, SmashConfig};
 use smash_graph::{GraphBuilder, Partition};
 use smash_support::check::{cases, Gen, Shrink};
-use smash_support::governor::{Governor, GovernorOptions};
+use smash_support::governor::{Governor, GovernorOptions, Rung};
 use smash_support::metrics::Registry;
 use smash_support::par;
 use smash_trace::{HttpRecord, TraceDataset};
-use smash_whois::WhoisRegistry;
-use std::collections::{HashMap, HashSet};
+use smash_whois::{WhoisRecord, WhoisRegistry};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 fn dim_from_herds(kind: DimensionKind, herds: Vec<Vec<u32>>, density: f64) -> MinedDimension {
     let mut ashes = Vec::new();
@@ -235,6 +236,31 @@ fn pipeline_never_panics_on_arbitrary_small_traces() {
     );
 }
 
+/// Builds `dimension`'s graph over `nodes`: its edges as `(u, v, weight
+/// bits)` in edge order, and the metrics the build reported.
+fn build_dimension(
+    dimension: &dyn Dimension,
+    dataset: &TraceDataset,
+    whois: &WhoisRegistry,
+    config: &SmashConfig,
+    nodes: &[u32],
+    governor: &Governor,
+) -> (Vec<(u32, u32, u64)>, Registry) {
+    let node_of: HashMap<u32, u32> = nodes.iter().copied().zip(0..).collect();
+    let metrics = Registry::new();
+    let graph = dimension.build_graph(&DimensionContext {
+        dataset,
+        whois,
+        config,
+        nodes,
+        node_of: &node_of,
+        metrics: &metrics,
+        governor: governor.clone(),
+    });
+    let edges = graph.edges().map(|(u, v, w)| (u, v, w.to_bits()));
+    (edges.collect(), metrics)
+}
+
 /// The eqs. 2–7 scorer the URI-file dimension used before it merged
 /// sorted postings — a `HashSet` of file ids per server, membership
 /// probed per file — kept as the oracle for the merge-based one. Returns
@@ -327,22 +353,10 @@ fn uri_file_merge_scoring_matches_the_hashset_oracle_to_the_bit() {
             }
             let ds = TraceDataset::from_records(records);
             let nodes: Vec<u32> = ds.server_ids().collect();
-            let node_of: HashMap<u32, u32> = nodes.iter().map(|&s| (s, s)).collect();
             let whois = WhoisRegistry::new();
-            let build = |config: &SmashConfig| -> Vec<(u32, u32, u64)> {
-                UriFileDimension
-                    .build_graph(&DimensionContext {
-                        dataset: &ds,
-                        whois: &whois,
-                        config,
-                        nodes: &nodes,
-                        node_of: &node_of,
-                        metrics: &smash_support::metrics::Registry::new(),
-                        governor: smash_support::governor::Governor::unlimited(),
-                    })
-                    .edges()
-                    .map(|(u, v, w)| (u, v, w.to_bits()))
-                    .collect()
+            let build = |config: &SmashConfig| {
+                let unlimited = Governor::unlimited();
+                build_dimension(&UriFileDimension, &ds, &whois, config, &nodes, &unlimited).0
             };
             let lsh = SmashConfig::default();
             let exact = lsh.clone().with_exact_candidates(true);
@@ -458,21 +472,10 @@ fn scan_matches_merge(sets: &[Vec<u32>]) {
     }
     let ds = TraceDataset::from_records(records);
     let nodes: Vec<u32> = hosts.iter().filter_map(|h| ds.server_id(h)).collect();
-    let node_of: HashMap<u32, u32> = (0u32..).zip(&nodes).map(|(i, &s)| (s, i)).collect();
     let whois = WhoisRegistry::new();
     let build = |config: &SmashConfig, governor: &Governor| {
-        let metrics = Registry::new();
-        let graph = ClientDimension.build_graph(&DimensionContext {
-            dataset: &ds,
-            whois: &whois,
-            config,
-            nodes: &nodes,
-            node_of: &node_of,
-            metrics: &metrics,
-            governor: governor.clone(),
-        });
-        let edges: Vec<(u32, u32, u64)> =
-            graph.edges().map(|(u, v, w)| (u, v, w.to_bits())).collect();
+        let (edges, metrics) =
+            build_dimension(&ClientDimension, &ds, &whois, config, &nodes, governor);
         (edges, metrics.counter("dim/client/scan_steps").get())
     };
 
@@ -545,4 +548,265 @@ fn scan_matches_merge(sets: &[Vec<u32>]) {
         assert!(summary.events.is_empty(), "{:?}", summary.events);
         assert!(!summary.cancelled);
     }
+}
+
+/// The default `file_posting_cap`, the cap of the parameter-pattern and
+/// payload dimensions; IP-set, Whois and timing fix theirs.
+const SMALL_CAP: usize = 100;
+const FIXED_CAP: usize = 200;
+
+/// A dimension's graph as `(u, v, weight bits)` in edge order, then its
+/// `pairs_scored`, `scan_steps` and `postings` counters.
+type Scored = (Vec<(u32, u32, u64)>, [u64; 3]);
+
+/// `dimension` built over every server of `ds`.
+fn scored(
+    dimension: &dyn Dimension,
+    (ds, whois, config): (&TraceDataset, &WhoisRegistry, &SmashConfig),
+    governor: &Governor,
+) -> Scored {
+    let nodes: Vec<u32> = ds.server_ids().collect();
+    let (edges, metrics) = build_dimension(dimension, ds, whois, config, &nodes, governor);
+    let kind = dimension.kind();
+    let counter = |name: &str| metrics.counter(&format!("dim/{kind}/{name}")).get();
+    let counters = ["pairs_scored", "scan_steps", "postings"].map(counter);
+    (edges, counters)
+}
+
+/// Every server's features under `of`, repeats and all.
+fn per_server<I: Iterator<Item = String>>(
+    ds: &TraceDataset,
+    of: impl Fn(u32) -> I,
+) -> Vec<Vec<String>> {
+    ds.server_ids().map(|s| of(s).collect()).collect()
+}
+
+/// The oracle: what a co-occurrence dimension must build over `features`
+/// (one list per node). Shared features are counted by brute force, as
+/// `smash-graph`'s deleted pair counter was: postings over sorted,
+/// deduplicated node lists, those of fewer than 2 or more than `cap`
+/// nodes (or listed in `shed`) skipped, every pair of a posting bumped
+/// once; each pair then goes, ascending, through the `weight` rule.
+fn expected(
+    features: &[Vec<String>],
+    cap: usize,
+    shed: &[String],
+    weight: impl Fn(usize, usize, u32) -> Option<f64>,
+) -> Scored {
+    let mut postings: HashMap<&String, Vec<u32>> = HashMap::new();
+    for (node, set) in (0u32..).zip(features) {
+        for feature in set {
+            postings.entry(feature).or_default().push(node);
+        }
+    }
+    let mut counts: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+    for (feature, nodes) in &mut postings {
+        nodes.sort_unstable();
+        nodes.dedup();
+        if nodes.len() < 2 || nodes.len() > cap || shed.contains(feature) {
+            continue;
+        }
+        for (i, &u) in nodes.iter().enumerate() {
+            for &v in &nodes[i + 1..] {
+                *counts.entry((u, v)).or_insert(0) += 1;
+            }
+        }
+    }
+    let edges = counts.iter().filter_map(|(&(u, v), &shared)| {
+        weight(u as usize, v as usize, shared).map(|w| (u, v, w.to_bits()))
+    });
+    let steps: u64 = counts.values().map(|&shared| u64::from(shared)).sum();
+    let counters = [counts.len() as u64, steps, postings.len() as u64];
+    (edges.collect(), counters)
+}
+
+fn visit(host: &str, ip: &str, timestamp: u64, param: &str, resp_bytes: u32) -> HttpRecord {
+    let uri = match param {
+        "" => "/f.php".to_owned(),
+        key => format!("/f.php?{key}=1"),
+    };
+    HttpRecord::new(timestamp, "c", host, ip, &uri).with_resp_bytes(resp_bytes)
+}
+
+#[test]
+fn cooccurrence_dimensions_match_the_bruteforce_count_to_the_bit() {
+    // Random hosts over small pools, so every overlap size occurs: a
+    // visit is five draws (host, address, time, query key, size), a
+    // registration twelve bits — two a field, up to three name-server
+    // mentions of which the first two are the same, two for the proxy.
+    let generate = |g: &mut Gen| {
+        let visits = g.vec(2..300, |g| g.vec(5..6, |g| g.range(0u8..70)));
+        (visits, g.vec(0..70, |g| g.range(0u16..4_096)))
+    };
+    cases(12).run(generate, |(visits, registrations)| {
+        // A host with no feature but its own address comes first.
+        let mut records = vec![visit("bare.com", "10.1.0.1", 0, "", 0)];
+        let mut whois = WhoisRegistry::new();
+        for draws in visits {
+            let &[host, ip, time, param, size] = &draws[..] else {
+                continue;
+            };
+            let time = [600, 40_000, 41_000, 80_000, 5_000, 70_000][usize::from(time % 6)];
+            let param = ["", "a", "b", "c", "d"][usize::from(param % 5)];
+            let size = [0, 512, 2_048, 2_100, 4_096, 70_000][usize::from(size % 6)];
+            let (host, ip) = (format!("r{host}.com"), format!("10.0.0.{}", ip % 5));
+            records.push(visit(&host, &ip, time, param, size));
+        }
+        for (host, &bits) in registrations.iter().enumerate() {
+            let field = |at: u16| ((bits >> at) & 3 > 0).then(|| ((bits >> at) & 3).to_string());
+            let mentions = (0..(bits >> 8) & 3).map(|i| format!("ns{}", i / 2));
+            let record = WhoisRecord {
+                registrant: field(0),
+                address: field(2),
+                email: field(4),
+                phone: field(6),
+                name_servers: mentions.collect(),
+                privacy_proxy: bits >> 10 == 3,
+            };
+            whois.insert(&format!("r{host}.com"), record);
+        }
+        // Behind them, holding the last node ids, a crowd that pins both
+        // sides of every cap. Member 0 is the odd one out, so each
+        // "wide" feature sits on FIXED_CAP + 1 nodes and each "fits"
+        // feature on exactly FIXED_CAP, the last node among them: an
+        // address, a burst and a phone are wide, a second address, a
+        // second burst, an email and a name server fit — and member 1
+        // names that server twice, so counted per mention its posting
+        // would be over the cap. The first SMALL_CAP + 1 members do the
+        // same to the small cap with query keys and payload sizes.
+        for m in 0..=FIXED_CAP {
+            let (host, fits) = (format!("c{m}.com"), m > 0);
+            let (wide_key, wide_size) = [("", 0), ("wide", 9_000)][usize::from(m <= SMALL_CAP)];
+            let (fits_key, fits_size) = [("", 0), ("fits", 12_000)][usize::from(m < SMALL_CAP)];
+            let (ip, time) = [("10.9.0.1", 20_000), ("10.9.0.2", 30_000)][usize::from(fits)];
+            records.push(visit(&host, "10.9.0.1", 20_000, wide_key, wide_size));
+            records.push(visit(&host, ip, time, fits_key, fits_size));
+            let mut record = WhoisRecord::new().with_phone("crowd");
+            for _ in 0..usize::from(fits) + usize::from(m == 1) {
+                record = record.with_email("crowd@c").with_name_server("ns.crowd");
+            }
+            whois.insert(&host, record);
+        }
+        let (ds, config) = (
+            &TraceDataset::from_records(records),
+            &SmashConfig::default(),
+        );
+        assert_eq!(config.file_posting_cap, SMALL_CAP);
+
+        // Each dimension's features, read back per server, its cap and
+        // its weight rule as the paper and the builders' docs state them.
+        let set_product = |features: &[Vec<String>], cap: usize, min: f64| {
+            let distinct = |f: &Vec<String>| f.iter().collect::<HashSet<_>>().len();
+            let sizes: Vec<usize> = features.iter().map(distinct).collect();
+            expected(features, cap, &[], |u, v, shared| {
+                let shared = f64::from(shared);
+                let sim = (shared / sizes[u] as f64) * (shared / sizes[v] as f64);
+                (sim >= min).then_some(sim)
+            })
+        };
+        let ips = per_server(ds, |s| ds.ips_of(s).iter().map(u32::to_string));
+        let no_query = ds.param_pattern_id("");
+        let patterns = per_server(ds, |s| {
+            let patterns = ds.records_of(s).map(|r| r.param_pattern);
+            let queried = patterns.filter(|&p| Some(p) != no_query);
+            queried.map(|p| p.to_string())
+        });
+        let payloads = per_server(ds, |s| {
+            let sizes = ds.records_of(s).map(|r| r.resp_bytes);
+            sizes.filter(|&b| b >= 1024).map(|b| (b & !63).to_string())
+        });
+        // Whois: one feature per field value, name servers per mention;
+        // two hits admit a pair to the proxy-aware field comparison.
+        let registered = |s: u32| whois.get(ds.server_key(s)?.domain()?);
+        let values = per_server(ds, |s| {
+            let fields = registered(s).into_iter().flat_map(|r| {
+                let scalars = "raep"
+                    .chars()
+                    .zip([&r.registrant, &r.address, &r.email, &r.phone]);
+                let scalars = scalars.flat_map(|(t, v)| v.iter().map(move |v| format!("{t}:{v}")));
+                scalars.chain(r.name_servers.iter().map(|ns| format!("n:{ns}")))
+            });
+            fields.collect::<Vec<_>>().into_iter()
+        });
+        let whois_graph = expected(&values, FIXED_CAP, &[], |u, v, hits| {
+            let (shared, union) = registered(u as u32)?.shared_fields(registered(v as u32)?);
+            (hits >= 2 && shared >= 2 && union > 0).then(|| shared as f64 / union as f64)
+        });
+        // Timing: 48 half-hour buckets; a server is bursty with at least
+        // two requests in at most a quarter of the buckets; bursty
+        // servers sharing a bucket are compared by the cosine of their
+        // normalised histograms.
+        let histograms: Vec<Option<Vec<f64>>> = (ds.server_ids())
+            .map(|s| {
+                let mut h = vec![0.0f64; 48];
+                for r in ds.records_of(s) {
+                    h[(r.timestamp / 1_800) as usize % 48] += 1.0;
+                }
+                let active = h.iter().filter(|&&x| x > 0.0).count();
+                let norm = h.iter().map(|x| x * x).sum::<f64>().sqrt();
+                let bursty = ds.records_of(s).count() >= 2 && active <= 12;
+                bursty.then(|| h.iter().map(|x| x / norm).collect())
+            })
+            .collect();
+        let bursts = per_server(ds, |s| {
+            let buckets = histograms[s as usize].iter().flatten().enumerate();
+            let active = buckets.filter(|(_, &x)| x > 0.0);
+            active.map(|(bucket, _)| bucket.to_string())
+        });
+        let timing = expected(&bursts, FIXED_CAP, &[], |u, v, _| {
+            let (a, b) = (histograms[u].as_ref()?, histograms[v].as_ref()?);
+            let cos: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+            (cos >= config.timing_edge_min).then_some(cos)
+        });
+        let by_ip = set_product(&ips, FIXED_CAP, config.ip_edge_min);
+        let by_pattern = set_product(&patterns, SMALL_CAP, config.file_edge_min);
+        let by_payload = set_product(&payloads, SMALL_CAP, config.file_edge_min);
+        let oracles: [(&dyn Dimension, Scored); 5] = [
+            (&IpSetDimension, by_ip),
+            (&WhoisDimension, whois_graph),
+            (&ParamPatternDimension, by_pattern),
+            (&TimingDimension::default(), timing),
+            (&PayloadDimension, by_payload),
+        ];
+        for threads in [1, 2, 4] {
+            par::set_thread_count(threads);
+            for (dimension, expected) in &oracles {
+                let built = scored(*dimension, (ds, &whois, config), &Governor::unlimited());
+                let kind = dimension.kind();
+                assert_eq!(&built, expected, "{kind}, {threads} thread(s)");
+                assert!(!built.0.is_empty(), "{kind}: the crowd alone has edges");
+            }
+        }
+        par::set_thread_count(0);
+    });
+}
+
+#[test]
+fn shed_postings_leave_the_graph_of_the_features_kept() {
+    // 180 hosts on one address and 20 pairs of hosts on an address of
+    // their own: 220 incidences, 880 bytes of index against an 800-byte
+    // soft budget. The crowd's posting is the longest: it goes, the
+    // account drops to 160 bytes and the 20 edges left (480 bytes) fit
+    // without thinning.
+    let crowd = (0..180).map(|i| visit(&format!("c{i}.com"), "10.9.0.1", 0, "", 0));
+    let pairs =
+        (0..40).map(|i| visit(&format!("p{i}.com"), &format!("10.0.0.{}", i / 2), 0, "", 0));
+    let ds = &TraceDataset::from_records(crowd.chain(pairs));
+    let world = (ds, &WhoisRegistry::new(), &SmashConfig::default());
+    let ips = per_server(ds, |s| ds.ips_of(s).iter().map(u32::to_string));
+    let weigh = |_: usize, _: usize, shared: u32| Some(f64::from(shared * shared));
+
+    let unbudgeted = scored(&IpSetDimension, world, &Governor::unlimited());
+    assert_eq!(unbudgeted, expected(&ips, FIXED_CAP, &[], weigh));
+    assert_eq!(unbudgeted.0.len(), 180 * 179 / 2 + 20);
+    let governor = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(1_000));
+    let budgeted = scored(&IpSetDimension, world, &governor);
+    let crowd_ip = ips[0][0].clone();
+    let summary = governor.stage_summaries().remove(0);
+    let event = format!("shed posting feature={crowd_ip} len=180");
+    assert_eq!(summary.events, vec![event]);
+    assert_eq!(summary.rungs, [(Rung::Shed, 1)].into_iter().collect());
+    assert!(!summary.cancelled);
+    assert_eq!(budgeted, expected(&ips, FIXED_CAP, &[crowd_ip], weigh));
+    assert_eq!(budgeted.0.len(), 20);
 }

@@ -10,10 +10,6 @@
 //!   Server Herds (ASHs) from per-dimension similarity graphs.
 //! * [`mod@modularity`] — the quality measure optimized by Louvain.
 //! * [`components`] — connected components via [`UnionFind`].
-//! * [`cooccurrence`] — an inverted-index sparse pairwise-similarity engine:
-//!   the paper notes that naive pairwise similarity is *O(N²)* and that
-//!   sparse matrix multiplication fixes it; we score only pairs that share
-//!   at least one feature.
 //!
 //! # Example
 //!
@@ -36,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod components;
-pub mod cooccurrence;
 pub mod dot;
 pub mod graph;
 pub mod louvain;
@@ -46,7 +41,6 @@ pub mod partition;
 pub mod union_find;
 
 pub use components::connected_components;
-pub use cooccurrence::CooccurrenceCounter;
 pub use graph::{Graph, GraphBuilder, NodeId};
 pub use louvain::{Louvain, LouvainStats};
 pub use metrics::density;

@@ -1,8 +1,7 @@
 //! Property-based tests for the graph substrate invariants.
 
 use smash_graph::{
-    connected_components, density, modularity, CooccurrenceCounter, Graph, GraphBuilder, Louvain,
-    Partition, UnionFind,
+    connected_components, density, modularity, Graph, GraphBuilder, Louvain, Partition, UnionFind,
 };
 use smash_support::check::{check, Gen};
 use smash_support::wire::{self, ToWire};
@@ -140,48 +139,6 @@ fn union_find_equivalence_is_transitive() {
                     assert!(uf.same(g[0], x));
                 }
             }
-        },
-    );
-}
-
-#[test]
-fn cooccurrence_counts_match_bruteforce() {
-    check(
-        |g| g.vec(0..12, |g| g.vec(0..6, |g| g.range(0u32..12))),
-        |postings| {
-            let mut c = CooccurrenceCounter::new();
-            for p in postings {
-                c.add_posting(p.iter().copied());
-            }
-            let fast = c.counts();
-            // Brute force over all pairs.
-            let mut slow: std::collections::HashMap<(u32, u32), u32> =
-                std::collections::HashMap::new();
-            for p in postings {
-                let mut s: Vec<u32> = p.clone();
-                s.sort_unstable();
-                s.dedup();
-                for i in 0..s.len() {
-                    for j in (i + 1)..s.len() {
-                        *slow.entry((s[i], s[j])).or_insert(0) += 1;
-                    }
-                }
-            }
-            assert_eq!(fast, slow);
-        },
-    );
-}
-
-#[test]
-fn cooccurrence_parallel_matches_sequential() {
-    check(
-        |g| g.vec(70..120, |g| g.vec(2..5, |g| g.range(0u32..20))),
-        |postings| {
-            let mut c = CooccurrenceCounter::new();
-            for p in postings {
-                c.add_posting(p.iter().copied());
-            }
-            assert_eq!(c.counts(), c.counts_parallel());
         },
     );
 }

@@ -1,10 +1,10 @@
 //! Scoped-thread data parallelism without `rayon`.
 //!
-//! Two primitives cover every parallel call site in the workspace:
-//! [`par_map`] (an order-preserving parallel map over a slice, workers
-//! claiming contiguous blocks) and
-//! [`par_fold_chunks`] (fold fixed-size chunks in parallel, then merge
-//! the partials in chunk order). Both fall back to the plain sequential
+//! One primitive covers every parallel call site in the workspace:
+//! [`par_map`], an order-preserving parallel map over a slice, workers
+//! claiming contiguous blocks ([`par_map_cancellable`] and
+//! [`par_map_isolated`] are the same map with a cancellation poll and
+//! with per-item panic isolation). It falls back to the plain sequential
 //! path when one thread is requested, and the worker count can be pinned
 //! globally with [`set_thread_count`] — the hook the determinism
 //! regression test uses to prove single- and multi-threaded runs emit
@@ -19,8 +19,8 @@ use std::sync::Mutex;
 /// 0 means "auto": use the machine's available parallelism.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Pins the number of worker threads used by [`par_map`] and
-/// [`par_fold_chunks`]. Pass 0 to restore auto-detection.
+/// Pins the number of worker threads used by [`par_map`]. Pass 0 to
+/// restore auto-detection.
 pub fn set_thread_count(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
@@ -172,29 +172,6 @@ where
     par_map(items, |item| run_isolated(|| f(item)))
 }
 
-/// Folds `items` in parallel: each `chunk_size`-sized chunk is folded
-/// with `fold` starting from `make()`, and the per-chunk accumulators
-/// are merged sequentially **in chunk order** with `merge`, so the
-/// result is deterministic even when `merge` is order-sensitive.
-pub fn par_fold_chunks<T, A, M, F, G>(
-    items: &[T],
-    chunk_size: usize,
-    make: M,
-    fold: F,
-    merge: G,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    M: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    G: Fn(A, A) -> A,
-{
-    let chunks: Vec<&[T]> = items.chunks(chunk_size.max(1)).collect();
-    let partials = par_map(&chunks, |chunk| chunk.iter().fold(make(), &fold));
-    partials.into_iter().fold(make(), merge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,13 +187,6 @@ mod tests {
     fn par_map_handles_empty_and_single() {
         assert_eq!(par_map(&[] as &[u32], |x| *x), Vec::<u32>::new());
         assert_eq!(par_map(&[7u32], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_fold_chunks_matches_sequential() {
-        let items: Vec<u64> = (1..=500).collect();
-        let total = par_fold_chunks(&items, 37, || 0u64, |acc, x| acc + x, |a, b| a + b);
-        assert_eq!(total, 500 * 501 / 2);
     }
 
     #[test]

@@ -26,20 +26,31 @@ fn fingerprint(report: &SmashReport) -> String {
 #[test]
 fn pipeline_output_is_byte_identical_across_runs_and_thread_counts() {
     let data = Scenario::small_day(42).generate();
+    // The default four dimensions, and all seven: the three opt-in ones
+    // are built from per-record scans nothing else compares across
+    // thread counts.
+    let all_seven = SmashConfig::default()
+        .with_param_pattern_dimension(true)
+        .with_timing_dimension(true)
+        .with_payload_dimension(true);
+    for config in [SmashConfig::default(), all_seven] {
+        let run = || fingerprint(&Smash::new(config.clone()).run(&data.dataset, &data.whois));
+        let first = run();
+        assert_eq!(first, run(), "two identical runs diverged");
 
-    let first = fingerprint(&Smash::new(SmashConfig::default()).run(&data.dataset, &data.whois));
-    let second = fingerprint(&Smash::new(SmashConfig::default()).run(&data.dataset, &data.whois));
-    assert_eq!(first, second, "two identical runs diverged");
+        // Force the parallel dimension fan-out down to a single thread
+        // and up to four: the report must not change with the degree of
+        // parallelism.
+        for threads in [1, 4] {
+            smash::support::par::set_thread_count(threads);
+            let pinned = run();
+            smash::support::par::set_thread_count(0); // restore the default
+            assert_eq!(first, pinned, "{threads} thread(s) changed the report");
+        }
 
-    // Force the parallel dimension fan-out down to a single thread: the
-    // report must not change with the degree of parallelism.
-    smash::support::par::set_thread_count(1);
-    let serial = fingerprint(&Smash::new(SmashConfig::default()).run(&data.dataset, &data.whois));
-    smash::support::par::set_thread_count(0); // restore the default
-    assert_eq!(first, serial, "thread count changed the report");
-
-    // The report is substantial, not vacuously equal.
-    assert!(first.len() > 100, "suspiciously small report: {first}");
+        // The report is substantial, not vacuously equal.
+        assert!(first.len() > 100, "suspiciously small report: {first}");
+    }
 }
 
 #[test]
