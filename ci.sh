@@ -56,11 +56,21 @@
 #                                             (every table and figure of
 #                                             EXPERIMENTS.md; runs with the
 #                                             examples, before the lint steps)
+#  15. CHANGES.md entry length                an entry is one line saying what
+#                                             changed and what was deleted; a
+#                                             line over 2 000 characters fails
+#                                             (numbers live in EXPERIMENTS.md,
+#                                             rationale in DESIGN.md; runs
+#                                             right after the format check)
 set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "==> CHANGES.md entries (at most 2 000 characters a line)"
+long="$(awk 'length($0) > 2000 { printf "CHANGES.md line %d: %d characters\n", NR, length($0) }' CHANGES.md)"
+test -z "$long" || { echo "$long"; exit 1; }
 
 echo "==> cargo build --release --offline --all-targets"
 cargo build --release --offline --workspace --all-targets

@@ -1,13 +1,16 @@
 //! Subquadratic candidate-pair generation via MinHash/LSH banding
 //! (DESIGN.md §10).
 //!
-//! The client (eq. 1) and URI-file (eqs. 2–7) dimensions both reduce to
-//! the same shape: every server owns a feature set (client ids, file
-//! ids), similarity is a monotone function of the sets' overlap, and an
-//! edge requires similarity above a threshold. Enumerating all `N²`
+//! One dimension routes through this layer, URI-file (eqs. 2–7): every
+//! server owns a feature set (file ids plus charset keys), similarity
+//! grows with the sets' overlap, and an edge requires similarity above a
+//! threshold — but long names match *fuzzily*, by charset cosine, so an
+//! inverted index over exact ids does not enumerate the pairs that
+//! score (the client dimension's does, which is why eq. 1 has no
+//! candidate layer: `crate::dimensions::client`). Enumerating all `N²`
 //! pairs is the cost that dominated the benchmark; this module prunes
 //! the pair universe to plausibly-similar candidates while the
-//! dimensions keep scoring **exactly** with the paper's math — LSH only
+//! dimension keeps scoring **exactly** with the paper's math — LSH only
 //! decides which pairs get scored, never what they score.
 //!
 //! Two complementary mechanisms cover the recall spectrum:
@@ -34,8 +37,8 @@
 //!
 //! A candidate is therefore missed only when every shared feature is
 //! popular (> `rare_cap` postings) **and** all bands miss — with the
-//! default 64×1 shape the miss probability at the client dimension's
-//! threshold (J ≥ 0.3) is below 1e-9.
+//! default 64×1 shape a J = 0.1 pair is missed with probability
+//! 0.9⁶⁴ ≈ 1e-3 and a J = 0.3 pair below 1e-9.
 //!
 //! Determinism: signatures are a pure function of the feature values,
 //! computed with the order-preserving [`smash_support::par::par_map`],
@@ -55,22 +58,23 @@
 //! band after band, and buffering every proposal used to cost
 //! `bands × crowd²`.
 //!
-//! Feature sets arrive as any slice of [`FeatureId`] values (`u32`
-//! arena ids borrowed straight from `TraceDataset` postings, or `u64`
-//! synthetic features); ids are widened to `u64` at hash time, so the
-//! candidate output is independent of the carrier width.
+//! Feature sets arrive as any slice of [`FeatureId`] values (`u64`
+//! file ids and charset keys from the URI-file builder; `u32` arena ids
+//! borrowed straight from `TraceDataset` postings from the benchmark's
+//! `core_candidates` layer probe); ids are widened to `u64` at hash
+//! time, so the candidate output is independent of the carrier width.
 
 use crate::config::LshConfig;
-use crate::incidence::{self, FeatureIndex};
+use crate::incidence::IdIndex;
 use smash_support::governor::{Governor, Rung, StageScope};
 use smash_support::par;
 
 /// A value usable as an LSH feature: anything losslessly widenable to
-/// the `u64` the hashes consume. Implemented for `u32` (interned arena
-/// ids) and `u64` (synthetic features like charset buckets), so
-/// dimension builders can hand postings to the generator as borrowed
+/// the `u64` the hashes consume, ordered as its widening is. Implemented
+/// for `u32` (interned arena ids) and `u64` (synthetic features like
+/// charset buckets), so postings can reach the generator as borrowed
 /// `&[u32]` slices without a widening copy.
-pub trait FeatureId: Copy + Send + Sync {
+pub trait FeatureId: Copy + Ord + Send + Sync {
     /// The canonical `u64` this feature hashes as.
     fn widen(self) -> u64;
 }
@@ -127,10 +131,10 @@ fn row_hash(feature: u64, row: u64) -> u64 {
 /// spreads. Output is identical either way (`par_map` preserves
 /// order); only the wall clock changes.
 ///
-/// The gate counts nodes although a band's work is Σ|features|: the
-/// benchmark's wide day has 2 319 nodes — under the gate — holding
-/// 306 018 client incidences, so each of its 64 bands hashes serially
-/// (EXPERIMENTS.md "client scoring", lead 1).
+/// The gate counts nodes although a band's work is Σ|features|; the
+/// URI-file sets it serves hold a handful of features a node (9–29 k
+/// incidences over 1–2 k nodes on the benchmark's inputs), so the two
+/// agree there.
 const PAR_BAND_MIN_NODES: usize = 4096;
 
 /// One bucket key per node for `band`. A node's MinHash signature row
@@ -485,12 +489,10 @@ pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
         order.sort_unstable_by_key(|&node| (key_of(node), node));
         let buckets = || order.chunk_by(|&a, &b| key_of(a) == key_of(b));
         let sizes = || buckets().map(<[u32]>::len);
-        if scope.soft_bytes() > 0
-            && !fits(scope, clique_pairs(sizes(), bucket_cap), scope.soft_bytes())
-        {
+        if fit_bucket_cap(scope, band_bytes, sizes, bucket_cap) != Some(bucket_cap) {
             compact(&mut set);
         }
-        let Some(fitted) = fit_bucket_cap(scope, sizes, bucket_cap) else {
+        let Some(fitted) = fit_bucket_cap(scope, band_bytes, sizes, bucket_cap) else {
             scope.release(band_bytes);
             abandon(
                 band,
@@ -544,12 +546,15 @@ fn rare_path<F: FeatureId, S: AsRef<[F]> + Sync>(
     set: &mut CandidateSet,
 ) {
     let soft = scope.soft_bytes();
-    // The index holds every (feature, node) incidence once, so its size
-    // is known before it is built. If it would not fit under soft beside
-    // the banded rows the decision is taken here — banding alone still
-    // finds every pair above the similarity threshold (§10) — rather
-    // than by the hard budget cancelling the stage halfway through the
-    // build.
+    // The index holds every (feature, node) incidence once, so its node
+    // runs are known before it is built (the table beside them is not
+    // charged: `IdIndex` builds the smaller of the two in the worst
+    // case, at most a key and an offset per incidence, which is what
+    // ranking sparse keys always could take). If they would not fit
+    // under soft beside the banded rows the decision is taken here —
+    // banding alone still finds every pair above the similarity
+    // threshold (§10) — rather than by the hard budget cancelling the
+    // stage halfway through the build.
     let posting_bytes: u64 = node_features
         .iter()
         .map(|f| f.as_ref().len() as u64 * 4)
@@ -564,7 +569,7 @@ fn rare_path<F: FeatureId, S: AsRef<[F]> + Sync>(
     scope.charge(posting_bytes);
     scope.tick();
 
-    let Some(index) = feature_index(node_features, posting_bytes / 4) else {
+    let Some(IdIndex { index, .. }) = IdIndex::over(0, node_features) else {
         scope.release(posting_bytes);
         return;
     };
@@ -627,74 +632,56 @@ fn rare_path<F: FeatureId, S: AsRef<[F]> + Sync>(
     set.settle(scope);
 }
 
-/// The feature → nodes index over `node_features` (deduplicated sets
-/// holding `incidences` features between them, so each posting comes
-/// out sorted and unique). Arena ids are their own ranks when they are
-/// dense — none wider than the incidences they index, so the offsets
-/// table is no bigger than the postings; anything sparser, such as the
-/// URI-file dimension's `u64` charset keys, is ranked first.
-fn feature_index<F: FeatureId, S: AsRef<[F]>>(
-    node_features: &[S],
-    incidences: u64,
-) -> Option<FeatureIndex> {
-    let widened = || {
-        let sets = node_features.iter();
-        sets.flat_map(|set| set.as_ref().iter().map(|f| f.widen()))
-    };
-    let bound = widened().max().map_or(0, |max| max.saturating_add(1));
-    let keys = (bound > incidences).then(|| incidence::distinct(widened()));
-    let features = keys.as_ref().map_or(bound as usize, Vec::len);
-    let rank = |f: &F| match &keys {
-        Some(keys) => keys
-            .binary_search(&f.widen())
-            .map_or(u32::MAX, |rank| rank as u32),
-        None => f.widen() as u32,
-    };
-    let rows = node_features.iter();
-    FeatureIndex::transpose(features, rows.map(|set| set.as_ref().iter().map(rank)))
-}
-
 /// Pairs the cliques of one band's buckets (given by size) propose
 /// under `cap`, before any deduplication.
 fn clique_pairs(sizes: impl Iterator<Item = usize>, cap: usize) -> u64 {
     sizes.filter(|&len| len <= cap).map(pair_universe).sum()
 }
 
-/// Whether a band proposing `pairs` fits under `limit`. Two things
-/// must. The rows: every proposal is
-/// charged [`ENTRY_BYTES`] on top of what the account carries
-/// (duplicates are resident until their row is deduplicated). And the
-/// graph the stage exists to build: a band's cliques are sized as the
-/// [`EDGE_BYTES`] edges they would become, so no single band may
-/// propose more pairs than the budget could keep as edges. A crowd's
-/// clique is near-identical sets — every pair an edge, scoring the same
-/// 1.0 a herd's edges do — so once it is in the set, weight thinning
-/// cannot tell it from a herd; the cap is the only place to refuse it.
-fn fits(scope: &StageScope, pairs: u64, limit: u64) -> bool {
-    scope.tracked_bytes() + pairs * ENTRY_BYTES <= limit && pairs * EDGE_BYTES <= limit
+/// Whether a band proposing `pairs` beside `carried` bytes fits under
+/// `limit`. Two things must. The rows: every proposal is charged
+/// [`ENTRY_BYTES`] on top of what is carried (duplicates are resident
+/// until their row is deduplicated). And the graph the stage exists to
+/// build: a band's cliques are sized as the [`EDGE_BYTES`] edges they
+/// would become, so no single band may propose more pairs than the
+/// budget could keep as edges. A crowd's clique is near-identical sets —
+/// every pair an edge, scoring the same 1.0 a herd's edges do — so once
+/// it is in the set, weight thinning cannot tell it from a herd; the cap
+/// is the only place to refuse it.
+fn fits(carried: u64, pairs: u64, limit: u64) -> bool {
+    carried + pairs * ENTRY_BYTES <= limit && pairs * EDGE_BYTES <= limit
 }
 
-/// Fits `bucket_cap` to one band: the largest cap on the ÷4 ladder
-/// (floor 2) at which the band's cliques, *projected* from its bucket
-/// `sizes` before any is pushed, [`fits`] under the soft budget. At the
-/// floor the band proceeds over soft as long as it stays under hard;
-/// `None` means not even that fits. A lower cap loses pairs inside
-/// degenerate crowds only.
+/// Fits `bucket_cap` to one band, whose `band_bytes` of keys and buckets
+/// are on the account: the largest cap on the ÷4 ladder (floor 2) at
+/// which the band's cliques, *projected* from its bucket `sizes` before
+/// any is pushed, [`fits`] twice — beside what outlives the band, the
+/// rows, under the soft budget, and beside the band at its peak, rows
+/// and keys, under the hard one. The keys are gone when the band is and
+/// no rung can shrink them, so they are not held against soft: a band
+/// whose keys alone pass it would drop to the floor whatever it
+/// proposes. At the floor the band proceeds over soft as long as it
+/// stays under hard; `None` means not even that fits. A lower cap loses
+/// pairs inside degenerate crowds only.
 fn fit_bucket_cap<I: Iterator<Item = usize>>(
     scope: &StageScope,
+    band_bytes: u64,
     sizes: impl Fn() -> I,
     mut cap: usize,
 ) -> Option<usize> {
     if scope.soft_bytes() == 0 {
         return Some(cap);
     }
+    let peak = scope.tracked_bytes();
+    let rows = peak.saturating_sub(band_bytes);
     loop {
         let pairs = clique_pairs(sizes(), cap);
-        if fits(scope, pairs, scope.soft_bytes()) {
+        let under_hard = fits(peak, pairs, scope.hard_bytes());
+        if under_hard && fits(rows, pairs, scope.soft_bytes()) {
             return Some(cap);
         }
         if cap <= 2 {
-            return fits(scope, pairs, scope.hard_bytes()).then_some(cap);
+            return under_hard.then_some(cap);
         }
         cap = (cap / 4).max(2);
     }
@@ -1096,9 +1083,10 @@ mod tests {
         // ~15 KB. A 30 000-byte budget could keep 1 000 edges, so no
         // band may propose more: bucket_cap drops to 8 in the first two
         // bands, all 64 run, and the rare index no longer fits beside
-        // the rows. With 7 600 the cap goes straight to its floor and
-        // banding stops once the rows leave no room beside another
-        // band's keys and buckets. Either way duplicates are reclaimed
+        // the rows. With 8 400 — the keys and buckets alone pass soft,
+        // so only hard sizes a band — the cap is at its floor by band 3
+        // and banding stops once a band's cliques leave no room beside
+        // its keys and buckets. Either way duplicates are reclaimed
         // before recall is given up, and the stage completes with a
         // subset of the pairs.
         let sets = dense_crowd(600, 0xD0_5E);
@@ -1119,7 +1107,7 @@ mod tests {
         for (budget, expected) in [
             (30_000, vec![Rung::Tightened, Rung::RareSkipped]),
             (
-                7_600,
+                8_400,
                 vec![
                     Rung::Compacted,
                     Rung::Tightened,
@@ -1139,6 +1127,29 @@ mod tests {
             assert_eq!(repeat.events, summary.events, "budget {budget}");
             wider = pairs.len();
         }
+    }
+
+    #[test]
+    fn band_keys_over_soft_do_not_floor_the_cap() {
+        use smash_support::governor::GovernorOptions;
+        // 7 600 bytes hold one band's 7 200 bytes of keys and buckets,
+        // which alone pass the 6 080-byte soft budget. They are gone when
+        // the band is, so they are held against hard only: the first
+        // band's cap is fitted to the 100 entries there is room for
+        // beside them (cap 8), not dropped to the floor whatever the
+        // band proposes — which used to lose every pair of a 12-server
+        // herd at ISP scale (DESIGN.md §11.4).
+        let sets = dense_crowd(600, 0xD0_5E);
+        let budget = GovernorOptions::unlimited().with_memory_budget_bytes(7_600);
+        let governor = Governor::new(&budget);
+        let scope = governor.stage("dimension/uri-file", 0);
+        let (set, _) = lsh_candidates_governed(&sets, &LshConfig::default(), &scope);
+        assert!(!scope.token().is_cancelled());
+        assert!(scope.peak_bytes() <= 7_600);
+        assert_eq!(set.len(), 100, "the room beside a band's keys, filled");
+        let events = governor.stage_summaries().remove(0).events;
+        let first = "bucket_cap tightened 512 -> 8 at band 0";
+        assert_eq!(events.first().map(String::as_str), Some(first));
     }
 
     #[test]

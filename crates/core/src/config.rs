@@ -15,8 +15,8 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// MinHash/LSH candidate-generation knobs for the client and URI-file
-/// dimensions (DESIGN.md §10).
+/// MinHash/LSH candidate-generation knobs — URI-file dimension only
+/// (DESIGN.md §10); no other dimension has a candidate layer.
 ///
 /// Candidate pairs are found by banding MinHash signatures of length
 /// `bands · rows`: two servers collide in one band with probability
@@ -162,12 +162,14 @@ pub struct SmashConfig {
     /// the pipeline runs. Empty = none. Fault injection for resilience
     /// tests; never set this in production.
     pub failpoints: String,
-    /// Force brute-force all-pairs candidate enumeration in the client
-    /// and URI-file dimensions instead of MinHash/LSH. Quadratic in the
-    /// number of kept servers — the ground-truth oracle the LSH recall
-    /// suite compares against, and an escape hatch for small traces.
+    /// URI-file dimension only: force brute-force all-pairs candidate
+    /// enumeration instead of MinHash/LSH. Quadratic in the number of
+    /// kept servers — the ground-truth oracle the LSH recall suite
+    /// compares against, and an escape hatch for small traces. (The
+    /// client dimension enumerates its pairs exactly in either mode.)
     pub exact_candidates: bool,
-    /// MinHash/LSH banding knobs (ignored when `exact_candidates`).
+    /// MinHash/LSH banding knobs, URI-file dimension only (ignored when
+    /// `exact_candidates`).
     pub lsh: LshConfig,
 }
 
@@ -313,13 +315,14 @@ impl SmashConfig {
     }
 
     /// Forces brute-force all-pairs candidate enumeration (the LSH
-    /// recall oracle) instead of MinHash/LSH.
+    /// recall oracle) instead of MinHash/LSH — URI-file dimension only.
     pub fn with_exact_candidates(mut self, on: bool) -> Self {
         self.exact_candidates = on;
         self
     }
 
-    /// Sets the MinHash/LSH banding shape (signature length `bands·rows`).
+    /// Sets the URI-file dimension's MinHash/LSH banding shape
+    /// (signature length `bands·rows`).
     pub fn with_lsh_bands(mut self, bands: usize, rows: usize) -> Self {
         self.lsh.bands = bands;
         self.lsh.rows = rows;

@@ -5,26 +5,27 @@
 //! Malicious servers of one campaign are contacted by the same small set
 //! of infected clients; benign servers serve diverse crowds.
 //!
-//! Candidate pairs come from the MinHash/LSH layer over per-server
-//! client-ID sets (DESIGN.md §10); each candidate is then scored
-//! **exactly** by eq. 1 over the full client sets, so LSH only prunes
-//! the pair universe, never changes a weight. Setting
-//! `SmashConfig::exact_candidates` scores every pair instead (the
-//! recall oracle).
+//! There is no candidate layer: a pair with no client in common scores
+//! 0, and the pairs that have one are exactly what an inverted index
+//! enumerates — §VI's sparse product `A·Aᵀ`, eq. 8's frame
+//! (`super::scan_rows`). One client → nodes index over the arena's
+//! borrowed `clients_of` slices, one scan per node over the nodes behind
+//! it, eq. 1 on every touched pair: work is `Σ_c C(deg(c), 2)`
+//! accumulator increments (`dim/client/scan_steps`) plus the incidences
+//! walked, and the graph is the exact one by construction.
 //!
-//! The shared-client counts come from the row-wise sparse product of
-//! `crate::incidence`: one walk over a client → nodes index per
-//! candidate *row*, costing what the row's window shares, instead of one
-//! sorted merge per candidate *pair*, costing both sets' lengths
-//! whatever they share. The merge remains as the path taken when the
-//! index does not fit the memory budget.
+//! The index is the stage's one charge, and its ladder is *windows*
+//! (DESIGN.md §11.3): when the whole index does not fit under the soft
+//! budget it is built over one run of partner nodes at a time, each
+//! sized from slice lengths before it is allocated. More windows cost
+//! passes over the rows, never recall — W windows build the graph of one
+//! to the bit.
 
-use super::{
-    instrumented_builder, overlap_product, score_candidates, sorted_intersection_len, Dimension,
-    DimensionContext, DimensionKind, TaskScore,
-};
-use crate::incidence::FeatureIndex;
+use super::DimensionKind;
+use super::{instrumented_builder, overlap_product, scan_rows, Dimension, DimensionContext};
+use crate::incidence::IdIndex;
 use smash_graph::Graph;
+use smash_support::governor::Rung;
 
 /// Builder of the client-similarity graph.
 #[derive(Debug, Clone, Default)]
@@ -37,91 +38,75 @@ impl Dimension for ClientDimension {
 
     fn build_graph(&self, ctx: &DimensionContext<'_>) -> Graph {
         instrumented_builder(ctx, self.kind(), |builder, funnel, scope| {
-            // Per-node feature sets: the server's client ids.
+            // Per-node rows: the server's client ids, borrowed straight
+            // from the arena's postings (sorted, so a row's widest id is
+            // its last).
             //
-            // Servers visited by exactly one client get an empty set: the
+            // Servers visited by exactly one client get an empty row: the
             // paper handles them in a separate per-client pass (Appendix C),
             // and letting them into the general graph glues each bot's
             // private long-tail browsing onto campaign herds, diluting herd
             // density. The pipeline adds their per-client herds after mining.
-            // Borrowed straight from the arena's postings — no widening
-            // copy; the LSH layer hashes the `u32` ids directly.
-            let feature_sets: Vec<&[u32]> = ctx
-                .nodes
-                .iter()
-                .map(|&server| {
-                    let clients = ctx.dataset.clients_of(server);
-                    if clients.len() < 2 {
-                        [].as_slice()
-                    } else {
-                        clients
-                    }
-                })
+            let rows: Vec<&[u32]> = (ctx.nodes.iter())
+                .map(|&server| ctx.dataset.clients_of(server))
+                .map(|clients| if clients.len() < 2 { &[] } else { clients })
                 .collect();
-            let clients_at =
-                |node: u32| feature_sets.get(node as usize).copied().unwrap_or_default();
-
-            // Exact eq. 1 from a pair's shared-client count and set
-            // sizes; `None` below threshold or when either side is
-            // ineligible.
-            let client_edge_min = ctx.config.client_edge_min;
-            let edge = |shared: usize, len_u: usize, len_v: usize| -> Option<f64> {
-                if len_u < 2 || len_v < 2 {
-                    return None;
-                }
-                let sim = overlap_product(shared, len_u, len_v);
-                (sim >= client_edge_min).then_some(sim)
+            // Exact eq. 1 from a pair's shared-client count and set sizes.
+            let score = |u: u32, v: u32, shared: u32| {
+                let (cu, cv) = (rows.get(u as usize)?, rows.get(v as usize)?);
+                let sim = overlap_product(shared as usize, cu.len(), cv.len());
+                (sim >= ctx.config.client_edge_min).then_some(sim)
             };
 
-            let mut index_bytes = 0;
-            score_candidates(ctx, scope, builder, funnel, &feature_sets, || {
-                // The client → nodes index is taken if its `4 B ×
-                // (incidences + clients + 1)`, known from the slice
-                // lengths alone, fit under the stage's soft budget beside
-                // what the account already carries (always, with no
-                // budget). Not fitting is not a ladder rung: the stage
-                // merges pair by pair instead — slower, same recall.
-                let clients = ctx.dataset.client_count();
-                let incidences: usize = feature_sets.iter().map(|set| set.len()).sum();
-                let bytes = 4 * (incidences as u64 + clients as u64 + 1);
-                let soft = scope.soft_bytes();
-                let index = if soft == 0 || scope.tracked_bytes() + bytes <= soft {
-                    scope.charge(bytes);
-                    index_bytes = bytes;
-                    let rows = feature_sets.iter().map(|set| set.iter().copied());
-                    FeatureIndex::transpose(clients, rows)
-                } else {
-                    None
-                };
-                move |u: u32, partners: &[u32]| {
-                    let cu = clients_at(u);
-                    let (Some(index), Some(&first), Some(&last)) =
-                        (&index, partners.first(), partners.last())
-                    else {
-                        return TaskScore::pairwise(u, partners, |_, v| {
-                            let cv = clients_at(v);
-                            edge(sorted_intersection_len(cu, cv), cu.len(), cv.len())
-                        });
-                    };
-                    // One pass over `u`'s clients fills a window-sized
-                    // accumulator — not a node-count sized one: a task is
-                    // at most 256 partners, and zeroing a slot per kept
-                    // server per task would dwarf the scan — after which
-                    // a partner's `|Cu ∩ Cv|` is one read.
-                    let mut shared = vec![0u32; (last - first) as usize + 1];
-                    let row = cu.iter().copied();
-                    let scan_steps = index.count_shared(row, (first, last), &mut shared, |_| {});
-                    let scored = partners.iter().filter_map(|&v| {
-                        let count = *shared.get((v - first) as usize)?;
-                        edge(count as usize, cu.len(), clients_at(v).len()).map(|sim| (v, sim))
-                    });
-                    TaskScore {
-                        edges: scored.collect(),
-                        scan_steps,
+            // Dense ids are their own ranks, so the whole index holds one
+            // posting per id up to the widest the rows see, whatever the
+            // windows it is built in.
+            let widest = rows.iter().filter_map(|row| row.last()).max();
+            funnel.postings = widest.map_or(0, |&widest| u64::from(widest) + 1);
+
+            // Every row is scanned against the client → nodes index of
+            // the rows behind it, one window of partner nodes at a time.
+            // A window is the longest run of nodes whose index — sized by
+            // `IdIndex::max_bytes` from slice lengths, before anything is
+            // allocated — fits under the soft budget beside what the
+            // account carries: without a budget, all of them. It is
+            // charged while it lives and gone before the next one is
+            // sized. A single node's index is taken even over soft; the
+            // hard budget cancels the stage if it cannot hold that.
+            let soft = scope.soft_bytes();
+            let (mut windows, mut lo) = (0u64, 0);
+            while let Some(behind) = rows.get(lo..).filter(|behind| !behind.is_empty()) {
+                scope.tick();
+                let room = soft.saturating_sub(scope.tracked_bytes());
+                let (mut len, mut bytes) = (0, 0);
+                let (mut incidences, mut bound) = (0u64, 0u64);
+                for row in behind {
+                    incidences += row.len() as u64;
+                    bound = bound.max(row.last().map_or(0, |&widest| u64::from(widest) + 1));
+                    let grown = IdIndex::<u32>::max_bytes(incidences, bound);
+                    if len > 0 && soft > 0 && grown > room {
+                        break;
                     }
+                    (len, bytes) = (len + 1, grown);
                 }
-            });
-            scope.release(index_bytes);
+                scope.charge(bytes);
+                let window = behind.get(..len).unwrap_or_default();
+                if let Some(ids) = IdIndex::over(lo as u32, window) {
+                    let row_of = |u: u32| {
+                        let row = rows.get(u as usize).copied().unwrap_or_default();
+                        row.iter().filter_map(|&client| ids.rank(client))
+                    };
+                    scan_rows(scope, builder, funnel, &ids.index, row_of, |_| true, score);
+                }
+                scope.release(bytes);
+                windows += 1;
+                lo += len;
+            }
+            if windows > 1 {
+                let event = format!("client index built over {windows} windows of partner nodes");
+                scope.record(Rung::Windowed, event);
+            }
+            ctx.metrics.gauge("dim/client/windows").set(windows as f64);
         })
     }
 }
@@ -131,7 +116,7 @@ mod tests {
     use super::super::tests::build_governed;
     use super::*;
     use crate::config::SmashConfig;
-    use smash_support::governor::Governor;
+    use smash_support::governor::{Governor, GovernorOptions};
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;
 
@@ -226,8 +211,11 @@ mod tests {
 
     #[test]
     fn exact_mode_matches_lsh_on_small_graphs() {
-        // 6 servers with assorted client overlaps: both candidate modes
-        // must build the identical graph.
+        // The dimension has one mode and it is the exact one: 6 servers
+        // with assorted client overlaps must get eq. 1 of every pair of
+        // them, whether the index is built whole or — under a 100-byte
+        // budget, whose 80 soft bytes hold two rows of 4 of the 8
+        // clients (4 B × (8 + 8 + 1)) — a window at a time.
         let mut records = Vec::new();
         for s in 0..6u32 {
             for k in 0..4u32 {
@@ -241,12 +229,28 @@ mod tests {
                 ));
             }
         }
-        let (ds, w, lsh_cfg) = ctx_parts(records);
-        let exact_cfg = lsh_cfg.clone().with_exact_candidates(true);
-        let g_lsh = build(&ds, &w, &lsh_cfg);
-        let g_exact = build(&ds, &w, &exact_cfg);
-        let edges = |g: &Graph| g.edges().collect::<Vec<_>>();
-        assert_eq!(edges(&g_lsh), edges(&g_exact));
-        assert!(g_lsh.edge_count() > 0, "overlapping servers must connect");
+        let (ds, w, config) = ctx_parts(records);
+        let mut expected = Vec::new();
+        for u in 0..6u32 {
+            for v in u + 1..6 {
+                let (cu, cv) = (ds.clients_of(u), ds.clients_of(v));
+                let shared = cu.iter().filter(|c| cv.contains(c)).count();
+                let sim = overlap_product(shared, cu.len(), cv.len());
+                if sim >= config.client_edge_min {
+                    expected.push((u, v, sim));
+                }
+            }
+        }
+        assert!(!expected.is_empty(), "overlapping servers must connect");
+        let whole = build(&ds, &w, &config);
+        assert_eq!(whole.edges().collect::<Vec<_>>(), expected);
+
+        let budget = GovernorOptions::unlimited().with_memory_budget_bytes(100);
+        let governor = Governor::new(&budget);
+        let windowed = build_governed(&ClientDimension, &ds, &w, &config, &governor);
+        assert_eq!(windowed.edges().collect::<Vec<_>>(), expected);
+        let summary = governor.stage_summaries().remove(0);
+        let event = "client index built over 3 windows of partner nodes";
+        assert_eq!(summary.events, vec![event]);
     }
 }

@@ -4,16 +4,19 @@
 //! the servers that survived preprocessing — so that herds from different
 //! dimensions can be intersected directly during correlation.
 //!
-//! Candidate pairs are never enumerated quadratically. Builders supply
-//! features and a scorer; the two candidate frames live here: the
-//! client and URI-file dimensions route through `score_candidates`
-//! (the MinHash/LSH layer of [`crate::candidates`], DESIGN.md §10, or
-//! the brute-force oracle when `SmashConfig::exact_candidates` is set;
-//! either way the dimension scores whole node-major tasks, URI-file
-//! pair by pair, client by one row-wise scan of a client → nodes
-//! index), the remaining dimensions through `score_cooccurring` (every
-//! node's row scanned against a feature → nodes index: its partners are
-//! whoever shares a feature) — both over `crate::incidence`.
+//! Candidate pairs are never enumerated quadratically, and two frames
+//! over `crate::incidence` find them. The co-occurrence frame needs no
+//! proposer: every node's row is scanned against a feature → nodes
+//! index (`scan_rows`), so a node's partners are whoever shares a
+//! feature with it. The client dimension (eq. 1) runs there over the
+//! arena's client ids, the IP-set, Whois and the three opt-in
+//! dimensions through `score_cooccurring`, which ranks their keys and
+//! governs the index first. The URI-file dimension matches *different*
+//! long names by charset cosine, which no exact-match index
+//! enumerates: it routes through `score_candidates` (the MinHash/LSH
+//! layer of [`crate::candidates`], DESIGN.md §10, or the brute-force
+//! oracle when `SmashConfig::exact_candidates` is set) and scores pair
+//! by pair.
 
 pub mod client;
 pub mod ip_set;
@@ -190,77 +193,57 @@ fn govern_postings<K: fmt::Display>(
     shed
 }
 
-/// Nodes one parallel task of [`score_cooccurring`] scores: the task
-/// owns one accumulator as wide as the node space behind its first node,
-/// so the zeroing is paid once per this many rows, not once per row.
+/// Rows one parallel task of [`scan_rows`] scans: the task owns one
+/// accumulator as wide as the partner nodes behind its first row, so the
+/// zeroing is paid once per this many rows, not once per row.
 const ROWS_PER_TASK: usize = 256;
 
-/// Accumulator increments below which [`score_cooccurring`] scans every
-/// row in one task, on the calling thread: forking for less costs more
-/// than the scan (with 0 increments to spend, the benchmark's ip-set and
-/// whois stages went from 0.1 to 0.5–3 ms a mine, +1.4 MB daemon RSS).
+/// Accumulator increments below which [`scan_rows`] scans every row in
+/// one task, on the calling thread: forking for less costs more than the
+/// scan (with 0 increments to spend, the benchmark's ip-set and whois
+/// stages went from 0.1 to 0.5–3 ms a mine, +1.4 MB daemon RSS).
 const PAR_MIN_SCAN_STEPS: u64 = 4096;
 
-/// The candidate frame of the co-occurrence dimensions: `feature_sets`
-/// (one per node; repeats within a set count once) are ranked and
-/// transposed into a feature → nodes index, which is governed; every
-/// node's row is then scanned against it — postings longer than
-/// `posting_cap` carry no herd signal and are skipped — and every pair
-/// `(u, v)`, `u < v`, sharing `shared` ≥ 1 features is offered to
-/// `score`; `Some(weight)` becomes an edge. Rows are scored in parallel
-/// and reach the builder in ascending `(u, v)` order. The index is the
-/// only allocation charged (for the life of the stage): the counts live
-/// in a per-task accumulator reset through the nodes it touched, so the
-/// work is the incidences walked plus the co-occurring pairs and there
-/// is no pair table whose size is only known once it exists.
-pub(crate) fn score_cooccurring<K, S>(
+/// The scan of the co-occurrence frame. `index` holds the partner
+/// nodes, `lo..=hi` being its window; the row of every node `u < hi` —
+/// `row_of(u)`, its feature ranks in that index, less the postings
+/// `live` rejects — is counted against it, and every pair `(u, v)`,
+/// `u < v`, sharing `shared` ≥ 1 live features is offered to `score`;
+/// `Some(weight)` becomes an edge. Rows are scanned in parallel (unless
+/// the live postings promise fewer than [`PAR_MIN_SCAN_STEPS`]
+/// increments), the stage token cancels between tasks, and the edges
+/// reach the builder in ascending `(u, v)` order. The counts live in a
+/// per-task accumulator reset through the nodes it touched, so the work
+/// is the incidences walked plus the co-occurring pairs and there is no
+/// pair table whose size is only known once it exists.
+pub(crate) fn scan_rows<R: Iterator<Item = u32>>(
     scope: &StageScope,
     builder: &mut GraphBuilder,
     funnel: &mut BuilderFunnel,
-    feature_sets: &[S],
-    posting_cap: usize,
+    index: &FeatureIndex,
+    row_of: impl Fn(u32) -> R + Sync,
+    live: impl Fn(&u32) -> bool + Sync,
     score: impl Fn(u32, u32, u32) -> Option<f64> + Sync,
-) where
-    K: Ord + fmt::Display,
-    S: AsRef<[K]>,
-{
-    let keys = incidence::distinct(feature_sets.iter().flat_map(|set| set.as_ref()));
-    funnel.postings = keys.len() as u64;
-    let rank = |key: &K| keys.binary_search(&key).ok().map(|rank| rank as u32);
-    let rows: Vec<Vec<u32>> = (feature_sets.iter())
-        .map(|set| incidence::distinct(set.as_ref().iter().filter_map(rank)))
-        .collect();
-    let ranked = rows.iter().map(|row| row.iter().copied());
-    let Some(index) = FeatureIndex::transpose(keys.len(), ranked) else {
-        return;
-    };
-    let shed = govern_postings(scope, &index, &keys);
-    let live = |&feature: &u32| {
-        let len = index.nodes_of(feature).len();
-        len <= posting_cap && Some((Reverse(len), feature)) > shed
-    };
-
+) {
+    // `u`'s partners are the indexed nodes behind it: the pair belongs
+    // to its smaller end.
+    let (lo, hi) = index.window();
+    let first_of = |u: u32| (u + 1).max(lo);
     // The scan's cost is known before it runs: a live posting of `len`
-    // nodes is walked for C(len, 2) increments.
-    let walked = index.postings().filter(|(feature, _)| live(feature));
-    let steps: u64 = walked
-        .map(|(_, n)| candidates::pair_universe(n.len()))
-        .sum();
-    let whole = usize::from(steps < PAR_MIN_SCAN_STEPS) * rows.len();
+    // nodes is walked for at most C(len, 2) increments.
+    let walk = |(f, nodes): (u32, &[u32])| live(&f).then(|| candidates::pair_universe(nodes.len()));
+    let steps: u64 = index.postings().filter_map(walk).sum();
+    let whole = usize::from(steps < PAR_MIN_SCAN_STEPS) * hi as usize;
     let per_task = ROWS_PER_TASK.max(whole);
-    let last = (rows.len() as u32).saturating_sub(1);
-    let starts = (0..=last).step_by(per_task);
-    let tasks: Vec<(u32, &[Vec<u32>])> = starts.zip(rows.chunks(per_task)).collect();
-    let scored = par::par_map_cancellable(&tasks, scope.token(), |&(start, rows)| {
+    let tasks: Vec<u32> = (0..hi).step_by(per_task).collect();
+    let scored = par::par_map_cancellable(&tasks, scope.token(), |&start| {
         let (mut edges, mut pairs, mut scan_steps) = (Vec::new(), 0, 0);
-        let mut shared = vec![0u32; (last - start) as usize];
+        let mut shared = vec![0u32; (hi - first_of(start)) as usize + 1];
         let mut touched: Vec<u32> = Vec::new();
-        for (u, row) in (start..).zip(rows) {
-            // `u`'s partners are the nodes behind it: the pair belongs
-            // to its smaller end.
-            let first = u + 1;
-            let row = row.iter().copied().filter(&live);
-            scan_steps += index.count_shared(row, (first, last), &mut shared, |v| touched.push(v));
+        for u in (start..hi).take(per_task) {
+            let first = first_of(u);
+            let row = row_of(u).filter(&live);
+            scan_steps += index.count_shared(row, (first, hi), &mut shared, |v| touched.push(v));
             touched.sort_unstable();
             pairs += touched.len() as u64;
             for v in touched.drain(..) {
@@ -285,32 +268,60 @@ pub(crate) fn score_cooccurring<K, S>(
     }
 }
 
-/// The candidate frame of the set-similarity dimensions: proposes node
-/// pairs from `feature_sets` (one per node; empty = ineligible) — from
-/// the MinHash/LSH layer, or with `SmashConfig::exact_candidates` the
-/// whole universe over eligible nodes, the recall oracle — and has the
-/// dimension score them exactly; every `(v, weight)` it returns becomes
-/// an edge. Either way the proposals are node-major rows `(u, partners >
-/// u)`, cut into tasks of up to 256 partners; a task is the unit handed
-/// to the dimension's scorer, run in parallel, and its edges reach the
-/// builder in ascending `(u, v)` order.
-///
-/// `scorer` is called once, *after* candidate generation: whatever it
-/// allocates (the client dimension's inverted index) is decided against
-/// an account that already carries the candidate set, never against the
-/// generator's own peak. The LSH candidate set, charged by the
-/// generator, is released here before the edge charge lands, so the two
-/// don't stack.
-pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync, T>(
+/// The co-occurrence frame for features that are not dense ids:
+/// `feature_sets` (one per node; repeats within a set count once) are
+/// ranked and transposed into a feature → nodes index, which is
+/// governed — the only allocation charged, for the life of the stage —
+/// and scanned by [`scan_rows`]; postings longer than `posting_cap`
+/// carry no herd signal and are skipped.
+pub(crate) fn score_cooccurring<K, S>(
+    scope: &StageScope,
+    builder: &mut GraphBuilder,
+    funnel: &mut BuilderFunnel,
+    feature_sets: &[S],
+    posting_cap: usize,
+    score: impl Fn(u32, u32, u32) -> Option<f64> + Sync,
+) where
+    K: Ord + fmt::Display,
+    S: AsRef<[K]>,
+{
+    let keys = incidence::distinct(feature_sets.iter().flat_map(|set| set.as_ref()));
+    funnel.postings = keys.len() as u64;
+    let rank = |key: &K| keys.binary_search(&key).ok().map(|rank| rank as u32);
+    let rows: Vec<Vec<u32>> = (feature_sets.iter())
+        .map(|set| incidence::distinct(set.as_ref().iter().filter_map(rank)))
+        .collect();
+    let ranked = rows.iter().map(|row| row.iter().copied());
+    let Some(index) = FeatureIndex::transpose(keys.len(), 0, ranked) else {
+        return;
+    };
+    let shed = govern_postings(scope, &index, &keys);
+    let live = |&feature: &u32| {
+        let len = index.nodes_of(feature).len();
+        len <= posting_cap && Some((Reverse(len), feature)) > shed
+    };
+    let row_of = |u: u32| rows.get(u as usize).into_iter().flatten().copied();
+    scan_rows(scope, builder, funnel, &index, row_of, live, score);
+}
+
+/// The candidate frame of the URI-file dimension: proposes node pairs
+/// from `feature_sets` (one per node; empty = ineligible) — from the
+/// MinHash/LSH layer, or with `SmashConfig::exact_candidates` the whole
+/// universe over eligible nodes, the recall oracle — and scores each
+/// exactly: `score(u, v)` returning `Some(weight)` becomes an edge.
+/// Either way the proposals are node-major rows `(u, partners > u)`, cut
+/// into tasks of up to 256 partners that are scored in parallel, and the
+/// edges reach the builder in ascending `(u, v)` order. The LSH
+/// candidate set, charged by the generator, is released here before the
+/// edge charge lands, so the two don't stack.
+pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
     ctx: &DimensionContext<'_>,
     scope: &StageScope,
     builder: &mut GraphBuilder,
     funnel: &mut BuilderFunnel,
     feature_sets: &[S],
-    scorer: impl FnOnce() -> T,
-) where
-    T: Fn(u32, &[u32]) -> TaskScore + Sync,
-{
+    score: impl Fn(u32, u32) -> Option<f64> + Sync,
+) {
     let eligible: Vec<u32> = (0..feature_sets.len() as u32)
         .zip(feature_sets)
         .filter(|(_, set)| !set.as_ref().is_empty())
@@ -332,58 +343,26 @@ pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync, T>(
         None => {
             // Brute force: an eligible node's partners are the eligible
             // nodes behind it (`eligible` ascends).
-            let sets = feature_sets.iter();
-            let widened = sets.flat_map(|set| set.as_ref().iter().map(|f| f.widen()));
-            funnel.postings = incidence::distinct(widened).len() as u64;
+            let ids = feature_sets.iter().flat_map(|set| set.as_ref());
+            funnel.postings = incidence::distinct(ids).len() as u64;
             funnel.pairs_proposed = funnel.pairs_considered;
             funnel.pairs_bucketed = funnel.pairs_considered;
             funnel.pairs_scored = funnel.pairs_considered;
             candidates::tails(&eligible).flat_map(score_tasks).collect()
         }
     };
-    let score_task = scorer();
-    let scored: Vec<TaskScore> =
-        par::par_map_cancellable(&rows, scope.token(), |&(u, partners)| {
-            score_task(u, partners)
-        });
-    for (&(u, _), task) in rows.iter().zip(scored) {
-        funnel.scan_steps += task.scan_steps;
-        for (v, sim) in task.edges {
+    let scored = par::par_map_cancellable(&rows, scope.token(), |&(u, partners)| {
+        let edges = partners.iter().filter_map(|&v| Some((v, score(u, v)?)));
+        edges.collect::<Vec<(u32, f64)>>()
+    });
+    for (&(u, _), edges) in rows.iter().zip(scored) {
+        for (v, sim) in edges {
             builder.add_edge(u, v, sim);
             funnel.edges += 1;
         }
     }
     if let Some(set) = lsh {
         scope.release(set.charged_bytes());
-    }
-}
-
-/// What scoring one task `(u, partners)` yields.
-#[derive(Debug, Default)]
-pub(crate) struct TaskScore {
-    /// `(v, weight)` of every partner at or above the dimension's edge
-    /// threshold, in partner order.
-    pub edges: Vec<(u32, f64)>,
-    /// Accumulator increments the task spent (0 when it scored pair by
-    /// pair).
-    pub scan_steps: u64,
-}
-
-impl TaskScore {
-    /// Scores a task one pair at a time: `score(u, v)` for every
-    /// partner, `Some(weight)` becoming an edge.
-    pub(crate) fn pairwise(
-        u: u32,
-        partners: &[u32],
-        score: impl Fn(u32, u32) -> Option<f64>,
-    ) -> Self {
-        let scored = partners
-            .iter()
-            .filter_map(|&v| score(u, v).map(|sim| (v, sim)));
-        Self {
-            edges: scored.collect(),
-            scan_steps: 0,
-        }
     }
 }
 
@@ -427,14 +406,17 @@ pub(crate) fn record_dimension_metrics(
 /// postings it processed, the candidate funnel from the all-pairs
 /// universe through LSH bucketing down to the pairs actually scored,
 /// and how many edges survived the similarity threshold. For the
-/// [`score_candidates`] dimensions the funnel reconciles:
+/// [`score_candidates`] dimension (URI-file) the funnel reconciles:
 /// `pairs_considered ≥ pairs_bucketed ≥ pairs_scored = pairs_pruned +
 /// edges` and `pairs_proposed ≥ pairs_bucketed` (`tests/metrics.rs`).
-/// The [`score_cooccurring`] dimensions leave the LSH stages
-/// (`pairs_considered`, `pairs_proposed`, `pairs_bucketed`) at zero.
+/// The [`scan_rows`] dimensions — every other one — have no proposer and
+/// leave the LSH stages (`pairs_considered`, `pairs_proposed`,
+/// `pairs_bucketed`) at zero.
 #[derive(Debug, Default)]
 pub(crate) struct BuilderFunnel {
-    /// Inverted-index postings (distinct features) processed.
+    /// Inverted-index postings (distinct features) processed; for the
+    /// client dimension, whose dense ids are their own ranks, the id
+    /// range its index spans — the same however many windows it took.
     pub postings: u64,
     /// Size of the brute-force pair universe over nodes with features.
     pub pairs_considered: u64,
@@ -446,10 +428,10 @@ pub(crate) struct BuilderFunnel {
     pub pairs_bucketed: u64,
     /// Candidate pairs scored.
     pub pairs_scored: u64,
-    /// Accumulator increments spent scoring whole tasks by a row-wise
-    /// scan (the client dimension, DESIGN.md §10.1); 0 for a dimension
-    /// that scores pair by pair — and for the client dimension when its
-    /// index did not fit the memory budget.
+    /// Accumulator increments [`scan_rows`] spent: one per (feature,
+    /// unordered pair of nodes it was seen on) — for the client
+    /// dimension `Σ_c C(deg(c), 2)`, however many windows it took. 0 for
+    /// URI-file, which scores pair by pair.
     pub scan_steps: u64,
     /// Edges that survived the threshold.
     pub edges: u64,
@@ -527,10 +509,9 @@ pub trait Dimension: Send + Sync {
 }
 
 /// Size of the intersection of two sorted, deduplicated slices — the
-/// exact-match count of eqs. 2/7, and eq. 1's shared-client count when
-/// the client dimension's index does not fit its budget. Index-based
-/// two-pointer merge: this runs once per scored candidate pair, so it
-/// stays branch-light instead of juggling peekable iterators.
+/// exact-match count of eqs. 2/7. Index-based two-pointer merge: this
+/// runs once per scored candidate pair, so it stays branch-light instead
+/// of juggling peekable iterators.
 pub(crate) fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
     let mut shared = 0;
     let (mut i, mut j) = (0, 0);
@@ -612,7 +593,7 @@ mod tests {
         let keys = [7u32, 8, 9];
         // Keys 7, 8, 9 on the first 12, 8, 4 nodes.
         let rows = (0..12u32).map(|node| (0..3u32).filter(move |rank| node < 12 - 4 * rank));
-        let index = FeatureIndex::transpose(keys.len(), rows).expect("24 incidences");
+        let index = FeatureIndex::transpose(keys.len(), 0, rows).expect("24 incidences");
         let shed = govern_postings(&scope, &index, &keys);
         let live = |&((f, n), _): &((u32, &[u32]), u32)| Some((Reverse(n.len()), f)) > shed;
         let kept = index.postings().zip(keys).filter(live).map(|(_, key)| key);

@@ -15,7 +15,7 @@
 
 use super::{
     instrumented_builder, score_candidates, sorted_intersection_len, Dimension, DimensionContext,
-    DimensionKind, TaskScore,
+    DimensionKind,
 };
 use smash_graph::Graph;
 use smash_support::ckpt::Fnv1a;
@@ -106,9 +106,7 @@ impl Dimension for UriFileDimension {
                 let sim = (mu as f64 / nu.files.len() as f64) * (mv as f64 / nv.files.len() as f64);
                 (sim >= ctx.config.file_edge_min).then_some(sim)
             };
-            score_candidates(ctx, scope, builder, funnel, &feature_sets, || {
-                |u: u32, partners: &[u32]| TaskScore::pairwise(u, partners, score)
-            });
+            score_candidates(ctx, scope, builder, funnel, &feature_sets, score);
         })
     }
 }

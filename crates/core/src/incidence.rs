@@ -6,10 +6,18 @@
 //! sparse product `A·Aᵀ` of the incidence matrix `A`. [`FeatureIndex`]
 //! is `Aᵀ`, built by the one transposition routine; its
 //! [`count_shared`](FeatureIndex::count_shared) is one row of the
-//! product, the one shared-count kernel. The LSH rare path walks the
-//! index's short postings, the client dimension scores each candidate
-//! row against it, the co-occurrence dimensions every row: who proposes
-//! the partners differs, the counting does not.
+//! product, the one shared-count kernel. The client dimension (eq. 1)
+//! and the co-occurrence dimensions scan every node's row against it —
+//! a node's partners are whoever shares a feature with it, so there is
+//! no candidate layer — and the URI-file dimension's LSH rare path walks
+//! its short postings.
+//!
+//! Features enter as ranks. [`distinct`] ranks keys that are not ids at
+//! all (strings, size buckets); [`IdIndex`] takes sets of numeric ids
+//! and decides whether they need ranking: dense ids are their own
+//! ranks.
+
+use crate::candidates::FeatureId;
 
 /// Feature → nodes in CSR form: every node's feature row transposed,
 /// each feature's nodes ascending. (Not the arena's "postings",
@@ -22,12 +30,13 @@ pub(crate) struct FeatureIndex {
 }
 
 impl FeatureIndex {
-    /// Transposes `rows` — one per node, node id = position, each a
+    /// Transposes `rows` — one per node from `first_node` up, each a
     /// duplicate-free run of feature ranks below `features` — by
     /// counting sort. `None` when the incidences outnumber what the
     /// `u32` offsets can address.
     pub(crate) fn transpose<R: IntoIterator<Item = u32>>(
         features: usize,
+        first_node: u32,
         rows: impl Iterator<Item = R> + Clone,
     ) -> Option<Self> {
         // Count each feature's nodes, turn the counts into run starts,
@@ -46,7 +55,7 @@ impl FeatureIndex {
             start = start.checked_add(count)?;
         }
         let mut nodes = vec![0u32; start as usize];
-        for (node, row) in (0u32..).zip(rows) {
+        for (node, row) in (first_node..).zip(rows) {
             for feature in row {
                 let Some(cursor) = offsets.get_mut(feature as usize) else {
                     continue;
@@ -64,6 +73,14 @@ impl FeatureIndex {
             *first = 0;
         }
         Some(Self { offsets, nodes })
+    }
+
+    /// The first and last node any feature was seen on: every run
+    /// ascends, so they are a run's first and a run's last.
+    pub(crate) fn window(&self) -> (u32, u32) {
+        let lo = self.postings().filter_map(|(_, nodes)| nodes.first()).min();
+        let hi = self.postings().filter_map(|(_, nodes)| nodes.last()).max();
+        (lo.map_or(0, |&lo| lo), hi.map_or(0, |&hi| hi))
     }
 
     /// The (feature, node) incidences held.
@@ -122,6 +139,65 @@ impl FeatureIndex {
     }
 }
 
+/// A [`FeatureIndex`] over sets of feature *ids*. Dense ids are their
+/// own ranks: the index is one counting sort over the borrowed sets, its
+/// offsets table as long as the ids' range. Ids sparser than that — the
+/// URI-file dimension's `u64` charset keys, a window of the client
+/// dimension's nodes that sees few of the clients — are ranked first, so
+/// the table is as long as the distinct ids and their keys ride along.
+/// Whichever table is smaller in the worst case (every id distinct) is
+/// the one built.
+#[derive(Debug)]
+pub(crate) struct IdIndex<F> {
+    /// The distinct ids, ascending, when they were ranked.
+    keys: Option<Vec<F>>,
+    pub(crate) index: FeatureIndex,
+}
+
+impl<F: FeatureId> IdIndex<F> {
+    /// The most bytes ranking `incidences` ids takes: an offset and a
+    /// key per distinct id.
+    fn ranked_bytes(incidences: u64) -> u64 {
+        incidences * (4 + std::mem::size_of::<F>() as u64)
+    }
+
+    /// The most bytes the index over `incidences` ids below `bound` can
+    /// hold — its node runs and the smaller table — known from slice
+    /// lengths before it is built, and monotone in both.
+    pub(crate) fn max_bytes(incidences: u64, bound: u64) -> u64 {
+        4 * (incidences + 1) + Self::ranked_bytes(incidences).min(bound.saturating_mul(4))
+    }
+
+    /// The index over `sets` — one per node from `first_node` up, each
+    /// duplicate-free, so every posting comes out sorted and unique.
+    pub(crate) fn over<S: AsRef<[F]>>(first_node: u32, sets: &[S]) -> Option<Self> {
+        let ids = || sets.iter().flat_map(|set| set.as_ref().iter().copied());
+        let incidences: u64 = sets.iter().map(|set| set.as_ref().len() as u64).sum();
+        let widest = ids().map(F::widen).max();
+        let bound = widest.map_or(0, |max| max.saturating_add(1));
+        let ranked = Self::ranked_bytes(incidences) < bound.saturating_mul(4);
+        let keys = ranked.then(|| distinct(ids()));
+        let features = keys.as_ref().map_or(bound as usize, Vec::len);
+        let rank = |&id: &F| rank_in(&keys, id).unwrap_or(u32::MAX);
+        let rows = sets.iter().map(|set| set.as_ref().iter().map(rank));
+        let index = FeatureIndex::transpose(features, first_node, rows)?;
+        Some(Self { keys, index })
+    }
+
+    /// The rank `id` is indexed under; `None` for a ranked id the sets
+    /// never held (a dense one past them ranks, onto an empty posting).
+    pub(crate) fn rank(&self, id: F) -> Option<u32> {
+        rank_in(&self.keys, id)
+    }
+}
+
+fn rank_in<F: FeatureId>(keys: &Option<Vec<F>>, id: F) -> Option<u32> {
+    match keys {
+        Some(keys) => keys.binary_search(&id).ok().map(|rank| rank as u32),
+        None => u32::try_from(id.widen()).ok(),
+    }
+}
+
 /// The ranking helper for features that are not dense ids (`u64` charset
 /// keys, size buckets, namespaced strings): the distinct keys, ascending.
 /// A key's rank is its position (`binary_search`), so rank order *is*
@@ -138,7 +214,7 @@ mod tests {
     use super::*;
 
     fn index_of(features: usize, rows: &[Vec<u32>]) -> FeatureIndex {
-        FeatureIndex::transpose(features, rows.iter().map(|row| row.iter().copied()))
+        FeatureIndex::transpose(features, 0, rows.iter().map(|row| row.iter().copied()))
             .expect("a handful of incidences")
     }
 
@@ -151,6 +227,8 @@ mod tests {
         let expected: [(u32, &[u32]); 4] = [(0, &[0, 2, 3]), (1, &[]), (2, &[2]), (3, &[0])];
         assert_eq!(postings, expected);
         assert_eq!(index.incidences(), 5);
+        assert_eq!(index.window(), (0, 3));
+        assert_eq!(index_of(2, &[vec![], vec![1], vec![]]).window(), (1, 1));
         assert_eq!(index.nodes_of(4), &[] as &[u32], "past the last rank");
         assert_eq!(index_of(0, &[]).postings().count(), 0);
     }
@@ -167,6 +245,36 @@ mod tests {
         assert_eq!(steps, 3);
         // An empty window (first > last: the last node's later nodes).
         assert_eq!(index.count_shared([0, 1], (5, 4), &mut [], |_| {}), 0);
+    }
+
+    #[test]
+    fn ids_are_their_own_ranks_until_they_are_sparse() {
+        // Six incidences of ids below 5: a 5-slot offsets table beats
+        // ranking, and an id the sets never held still has a (empty)
+        // posting. Nodes count from `first_node`.
+        let sets: [&[u32]; 3] = [&[0, 4], &[1, 4], &[0, 4]];
+        let dense = IdIndex::over(7, &sets).expect("6 incidences");
+        assert_eq!(dense.rank(4), Some(4));
+        assert_eq!(dense.index.nodes_of(4), &[7, 8, 9]);
+        assert_eq!(dense.index.window(), (7, 9));
+        assert_eq!(
+            dense.rank(3).map(|r| dense.index.nodes_of(r).len()),
+            Some(0)
+        );
+        assert_eq!(IdIndex::<u32>::max_bytes(6, 5), 4 * (6 + 5 + 1));
+        // The same shape over ids up to 4 000: ranked, three postings,
+        // and an absent id has no rank at all.
+        let sets: [&[u32]; 3] = [&[0, 4_000], &[100, 4_000], &[0, 4_000]];
+        let ranked = IdIndex::over(7, &sets).expect("6 incidences");
+        assert_eq!(ranked.index.postings().count(), 3);
+        assert_eq!(ranked.rank(4_000), Some(2));
+        assert_eq!(ranked.index.nodes_of(2), &[7, 8, 9]);
+        assert_eq!(ranked.index.nodes_of(1), &[8]);
+        assert_eq!(ranked.rank(3), None);
+        // Sized for the worst case: every id distinct, a key and an
+        // offset each.
+        assert_eq!(IdIndex::<u32>::max_bytes(6, 4_001), 4 * (6 + 1) + 6 * 8);
+        assert_eq!(IdIndex::<u64>::max_bytes(6, 4_001), 4 * (6 + 1) + 6 * 12);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property-based tests over the pipeline's algorithmic invariants.
 
 use smash_core::ash::{Ash, MinedDimension};
-use smash_core::candidates::lsh_candidates;
 use smash_core::correlation::correlate;
 use smash_core::dimensions::{
     ClientDimension, Dimension, DimensionContext, DimensionKind, IpSetDimension,
@@ -12,7 +11,7 @@ use smash_core::pruning::prune;
 use smash_core::{Smash, SmashConfig};
 use smash_graph::{GraphBuilder, Partition};
 use smash_support::check::{cases, Gen, Shrink};
-use smash_support::governor::{Governor, GovernorOptions, Rung};
+use smash_support::governor::{parse_deadline_message, Governor, GovernorOptions, Rung};
 use smash_support::metrics::Registry;
 use smash_support::par;
 use smash_trace::{HttpRecord, TraceDataset};
@@ -397,22 +396,28 @@ fn merge_count(a: &[u32], b: &[u32]) -> usize {
 /// server.
 const HUB: u32 = u32::MAX;
 
-/// Clients of a popular server outside the node space (what the IDF cut
-/// leaves behind): no node sees them, yet they size the index's offsets
-/// table — 12 KB here, room for the 500 edges the generator stays under,
-/// so a budget the index just fits never thins the graph.
-const DROPPED_SERVER_CLIENTS: usize = 3_000;
+/// The shapes of the scan ≡ merge property.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Up to 31 servers over a few clients: every overlap size occurs.
+    Dense,
+    /// Hundreds of servers, four in five eligible, so the scan runs past
+    /// one 256-row task; overlaps only through the hub and through
+    /// copies.
+    Wide,
+    /// Dozens of servers of 30–60 clients out of 200: every pair shares
+    /// clients, few pairs are edges — an index many times the bytes of
+    /// the graph, which is what lets a budget cut it into many windows
+    /// without thinning an edge.
+    Fat,
+}
 
-/// Per-server client sets for the scan ≡ merge property: small and
-/// dense (up to 31 servers over a few clients: every overlap size
-/// occurs), or `wide` and sparse (four in five servers eligible, so rows
-/// run past one 256-partner task and tasks start and end mid-row;
-/// overlaps only through the hub and through copies).
-fn client_sets(g: &mut Gen, wide: bool) -> Vec<Vec<u32>> {
-    let (servers, universe) = if wide {
-        (g.range(340usize..400), 3_000u32)
-    } else {
-        (g.range(2usize..32), g.range(3u32..30))
+/// Per-server client sets for the scan ≡ merge property.
+fn client_sets(g: &mut Gen, shape: Shape) -> Vec<Vec<u32>> {
+    let (servers, universe, sizes) = match shape {
+        Shape::Dense => (g.range(2usize..32), g.range(3u32..30), 2..7),
+        Shape::Wide => (g.range(340usize..400), 3_000u32, 2..7),
+        Shape::Fat => (g.range(30usize..60), 200u32, 30..60),
     };
     let hub = g.bool(0.5);
     let mut sets: Vec<Vec<u32>> = Vec::with_capacity(servers);
@@ -424,7 +429,7 @@ fn client_sets(g: &mut Gen, wide: bool) -> Vec<Vec<u32>> {
             // The same set as an earlier server.
             2 if !sets.is_empty() => g.pick(&sets).clone(),
             _ => {
-                let mut set = g.vec(2..7, |g| g.range(0..universe));
+                let mut set = g.vec(sizes.clone(), |g| g.range(0..universe));
                 set.extend(hub.then_some(HUB));
                 set
             }
@@ -434,28 +439,32 @@ fn client_sets(g: &mut Gen, wide: bool) -> Vec<Vec<u32>> {
     sets
 }
 
-/// A wide case, reported as generated: it only fails while rows stay
-/// longer than a task, so shrinking it re-runs hundreds of servers
-/// thousands of times to drop a few.
+/// A case reported as generated: a wide one only fails while rows run
+/// past a task and a fat one while the index outweighs the graph, so
+/// shrinking re-runs hundreds of servers thousands of times to drop a
+/// few.
 #[derive(Debug, Clone)]
-struct Wide(Vec<Vec<u32>>);
+struct Unshrunk(Vec<Vec<u32>>);
 
-impl Shrink for Wide {}
+impl Shrink for Unshrunk {}
 
 #[test]
 fn client_row_scan_matches_the_pairwise_merge_to_the_bit() {
-    cases(24).run(|g| client_sets(g, false), |sets| scan_matches_merge(sets));
-    cases(6).run(
-        |g| Wide(client_sets(g, true)),
-        |Wide(sets)| scan_matches_merge(sets),
+    cases(24).run(
+        |g| client_sets(g, Shape::Dense),
+        |sets| scan_matches_merge(sets),
     );
+    for (shape, count) in [(Shape::Wide, 6), (Shape::Fat, 6)] {
+        cases(count).run(
+            |g| Unshrunk(client_sets(g, shape)),
+            |Unshrunk(sets)| scan_matches_merge(sets),
+        );
+    }
 }
 
-/// Builds the client graph over `sets` (one server per non-empty set) in
-/// both candidate modes at 1, 2 and 4 threads, and under a budget the
-/// index fits to the byte and misses by one, against eq. 1 computed pair
-/// by pair over the same candidates.
-fn scan_matches_merge(sets: &[Vec<u32>]) {
+/// The client dataset of `sets` (one server per non-empty set, in
+/// order), and its servers as nodes.
+fn client_dataset(sets: &[Vec<u32>]) -> (TraceDataset, Vec<u32>) {
     let mut records = Vec::new();
     let mut hosts = Vec::new();
     for set in sets.iter().filter(|set| !set.is_empty()) {
@@ -466,88 +475,172 @@ fn scan_matches_merge(sets: &[Vec<u32>]) {
         }
         hosts.push(host);
     }
-    for i in 0..DROPPED_SERVER_CLIENTS {
-        let client = format!("p{i}");
-        records.push(HttpRecord::new(0, &client, "popular.com", "10.0.0.2", "/x"));
-    }
     let ds = TraceDataset::from_records(records);
-    let nodes: Vec<u32> = hosts.iter().filter_map(|h| ds.server_id(h)).collect();
-    let whois = WhoisRegistry::new();
-    let build = |config: &SmashConfig, governor: &Governor| {
-        let (edges, metrics) =
-            build_dimension(&ClientDimension, &ds, &whois, config, &nodes, governor);
-        (edges, metrics.counter("dim/client/scan_steps").get())
-    };
+    let nodes = hosts.iter().filter_map(|h| ds.server_id(h)).collect();
+    (ds, nodes)
+}
 
-    // The oracle: eq. 1 pair by pair over the same candidates.
-    let lsh = SmashConfig::default();
-    let exact = lsh.clone().with_exact_candidates(true);
+/// What the client dimension must build over `nodes`, by the path it
+/// replaced: eq. 1 of every pair of the universe, shared clients counted
+/// by one sorted merge per pair. Returns the edges as `(u, v, weight
+/// bits)`, the scan's cost `Σ_c C(deg(c), 2)` — one increment per
+/// (client, unordered pair of eligible nodes it was seen on) — the
+/// clients' id range (`dim/client/postings`) and the bytes of the whole
+/// index, `4 B × (incidences + 1)` of node runs plus the smaller of an
+/// offsets table over that range and a key and an offset per incidence.
+fn merge_oracle(ds: &TraceDataset, nodes: &[u32]) -> (Vec<(u32, u32, u64)>, [u64; 2], u64) {
     let eligible: Vec<&[u32]> = nodes
         .iter()
         .map(|&server| ds.clients_of(server))
         .map(|clients| if clients.len() < 2 { &[] } else { clients })
         .collect();
-    let oracle = |pairs: &[(u32, u32)]| -> Vec<(u32, u32, u64)> {
-        let scored = pairs.iter().filter_map(|&(u, v)| {
-            let (cu, cv) = (eligible[u as usize], eligible[v as usize]);
+    let edge_min = SmashConfig::default().client_edge_min;
+    let mut edges = Vec::new();
+    for (u, cu) in (0u32..).zip(&eligible) {
+        for (v, cv) in (0u32..).zip(&eligible).skip(u as usize + 1) {
             if cu.is_empty() || cv.is_empty() {
-                return None;
+                continue;
             }
             let shared = merge_count(cu, cv) as f64;
             let sim = (shared / cu.len() as f64) * (shared / cv.len() as f64);
-            (sim >= lsh.client_edge_min).then_some((u, v, sim.to_bits()))
-        });
-        scored.collect()
-    };
-    let n = nodes.len() as u32;
-    let universe: Vec<(u32, u32)> = (0..n)
-        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
-        .collect();
-    let expected_lsh = oracle(&lsh_candidates(&eligible, &lsh.lsh).0);
-    let expected_exact = oracle(&universe);
-    assert!(expected_exact.len() <= 500, "generator: too dense");
-
-    // Over the whole universe the scan spends one increment per
-    // (client, unordered pair of eligible nodes it was seen on).
+            if sim >= edge_min {
+                edges.push((u, v, sim.to_bits()));
+            }
+        }
+    }
     let mut degree: HashMap<u32, u64> = HashMap::new();
     for &client in eligible.iter().copied().flatten() {
         *degree.entry(client).or_default() += 1;
     }
-    let universe_steps: u64 = degree.values().map(|d| d * (d - 1) / 2).sum();
+    let steps = degree.values().map(|d| d * (d - 1) / 2).sum();
+    let incidences: u64 = eligible.iter().map(|set| set.len() as u64).sum();
+    let range = degree
+        .keys()
+        .max()
+        .map_or(0, |&widest| u64::from(widest) + 1);
+    let index_bytes = 4 * (incidences + 1) + (8 * incidences).min(4 * range);
+    (edges, [steps, range], index_bytes)
+}
 
+/// Builds the client graph over `sets` at 1, 2 and 4 threads — in both
+/// candidate modes, which must not show, and with the index cut into
+/// ever more windows — against eq. 1 merged pair by pair over the whole
+/// universe.
+fn scan_matches_merge(sets: &[Vec<u32>]) {
+    let (ds, nodes) = client_dataset(sets);
+    let whois = WhoisRegistry::new();
+    let (expected, universe, index_bytes) = merge_oracle(&ds, &nodes);
+    assert!(expected.len() <= 500, "generator: too dense");
+    // (edges, [scan_steps, postings], windows) of one build, and the
+    // stage's account.
+    let build = |config: &SmashConfig, governor: &Governor| {
+        let (edges, metrics) =
+            build_dimension(&ClientDimension, &ds, &whois, config, &nodes, governor);
+        let counter = |name: &str| metrics.counter(&format!("dim/client/{name}")).get();
+        let steps = ["scan_steps", "postings"].map(counter);
+        let windows = metrics.gauge("dim/client/windows").get() as u64;
+        let summary = governor.stage_summaries().remove(0);
+        assert!(!summary.cancelled, "{:?}", summary.events);
+        ((edges, steps, windows), summary)
+    };
+
+    // Soft budgets, descending: the whole index to the byte, one word
+    // short of it, a seventh of it, and the floor — the widest single
+    // row (a window is never less than a node; 25 % over soft is still
+    // under hard). None may be too small for the graph itself, or
+    // rung 7 would thin it.
+    let graph_bytes = 24 * expected.len() as u64;
+    let widest = nodes.iter().map(|&s| ds.clients_of(s).len() as u64).max();
+    let floor = widest.map_or(0, |row| 4 * (row + 1) + 8 * row);
+    let softs = [index_bytes, index_bytes - 4, index_bytes / 7, floor]
+        .map(|soft| soft.max(graph_bytes).max(floor).next_multiple_of(4));
+
+    let lsh = SmashConfig::default();
+    let exact = lsh.clone().with_exact_candidates(true);
     for threads in [1, 2, 4] {
         par::set_thread_count(threads);
-        let unlimited = Governor::unlimited();
-        let (edges, steps) = build(&lsh, &unlimited);
-        assert_eq!(edges, expected_lsh, "LSH mode, {threads} thread(s)");
-        assert!(steps <= universe_steps, "LSH mode: {steps} steps");
-        let scanned = build(&exact, &unlimited);
-        let expected = (expected_exact.clone(), universe_steps);
-        assert_eq!(scanned, expected, "exact mode, {threads} thread(s)");
+        // Unbudgeted: one window, and the stage's tracked peak is the
+        // index alone (or the graph, where that is the larger).
+        for config in [&lsh, &exact] {
+            let (built, summary) = build(config, &Governor::unlimited());
+            let whole = (expected.clone(), universe, 1);
+            assert_eq!(built, whole, "{threads} thread(s)");
+            assert_eq!(summary.peak_bytes, index_bytes.max(graph_bytes));
+            assert!(summary.events.is_empty(), "{:?}", summary.events);
+        }
+        // W windows ≡ 1 window: same graph to the bit, same steps and
+        // postings; one summary event says how many, and a tighter
+        // budget never takes fewer.
+        let mut fewest = 1;
+        for soft in softs {
+            let budget = GovernorOptions::unlimited().with_memory_budget_bytes(soft / 4 * 5);
+            let ((edges, steps, windows), summary) = build(&lsh, &Governor::new(&budget));
+            let context = format!("soft {soft} of {index_bytes}, {threads} thread(s)");
+            assert_eq!((edges, steps), (expected.clone(), universe), "{context}");
+            assert_eq!(
+                windows == 1,
+                soft >= index_bytes,
+                "{context}: {windows} windows"
+            );
+            assert!(windows >= fewest, "{context}: {windows} < {fewest} windows");
+            let event = format!("client index built over {windows} windows of partner nodes");
+            let events = if windows > 1 { vec![event] } else { vec![] };
+            assert_eq!(summary.events, events, "{context}");
+            assert!(summary.peak_bytes <= soft.max(graph_bytes), "{context}");
+            fewest = windows;
+        }
     }
     par::set_thread_count(0);
+}
 
-    // The index is taken when it fits under soft to the byte, and
-    // one byte less room scores the same graph by merging — with
-    // no ladder event either way: not fitting costs no recall.
-    let incidences: usize = eligible.iter().map(|set| set.len()).sum();
-    let index_bytes = 4 * (incidences + ds.client_count() + 1) as u64;
-    let budget = GovernorOptions::unlimited().with_memory_budget_bytes(index_bytes / 4 * 5);
-    for (already_charged, steps) in [(0, universe_steps), (1, 0)] {
-        let governor = Governor::new(&budget);
-        let scope = governor.stage("dimension/client", 0);
-        assert_eq!(scope.soft_bytes(), index_bytes);
-        scope.charge(already_charged);
-        let expected = (expected_exact.clone(), steps);
-        assert_eq!(
-            build(&exact, &governor),
-            expected,
-            "{already_charged} B short"
-        );
-        let summary = governor.stage_summaries().remove(0);
-        assert!(summary.events.is_empty(), "{:?}", summary.events);
-        assert!(!summary.cancelled);
-    }
+#[test]
+fn heavy_hitter_client_costs_its_pairs_and_nothing_else() {
+    // The worst case of index enumeration (ROADMAP #1): a NAT or a
+    // crawler seen on every one of 3 000 kept servers puts C(3 000, 2)
+    // pairs in front of eq. 1, beside two planted herds of 12 servers
+    // sharing 20 bots each. Every server also has three visitors of its
+    // own, so the crawler alone is no edge (1/4 · 1/4).
+    const SERVERS: u32 = 3_000;
+    let sets: Vec<Vec<u32>> = (0..SERVERS)
+        .map(|s| {
+            let own = (0..3).map(|k| 10_000 + 3 * s + k);
+            let herd = [100, 700]
+                .iter()
+                .position(|first| (*first..first + 12).contains(&s));
+            let bots = herd
+                .into_iter()
+                .flat_map(|h| (0..20).map(move |b| 20 * h as u32 + b));
+            own.chain(bots).chain([HUB]).collect()
+        })
+        .collect();
+    let (ds, nodes) = client_dataset(&sets);
+    let whois = WhoisRegistry::new();
+    let (expected, [steps, _], _) = merge_oracle(&ds, &nodes);
+    let crawler = u64::from(SERVERS) * u64::from(SERVERS - 1) / 2;
+    assert_eq!(steps, crawler + 2 * 20 * (12 * 11 / 2), "Σ_c C(deg(c), 2)");
+    assert_eq!(expected.len(), 2 * (12 * 11 / 2), "the herds, nothing else");
+
+    let config = SmashConfig::default();
+    let unlimited = Governor::unlimited();
+    let (edges, metrics) =
+        build_dimension(&ClientDimension, &ds, &whois, &config, &nodes, &unlimited);
+    assert_eq!(edges, expected);
+    assert_eq!(metrics.counter("dim/client/scan_steps").get(), steps);
+    assert_eq!(metrics.counter("dim/client/pairs_scored").get(), crawler);
+
+    // No valve caps the mass; the stage's wall-clock budget is what
+    // bounds it: the scan polls the stage token between tasks, so a
+    // 1 ms `--dimension-budget-ms` stops the 4.5 M-increment scan
+    // part-way instead of after it.
+    let hurried = config.with_dimension_budget_ms(1);
+    let cancelled = par::run_isolated(|| {
+        let fresh = Governor::unlimited();
+        build_dimension(&ClientDimension, &ds, &whois, &hurried, &nodes, &fresh).0
+    });
+    let reason = cancelled.expect_err("a 1 ms budget cannot hold the scan");
+    let (elapsed_ms, budget_ms) = parse_deadline_message(&reason).expect(&reason);
+    assert_eq!(budget_ms, 1, "{reason}");
+    assert!(elapsed_ms >= 1, "{reason}");
 }
 
 /// The default `file_posting_cap`, the cap of the parameter-pattern and

@@ -117,6 +117,9 @@ pub enum Rung {
     RareShed,
     /// A popular co-occurrence posting shed, longest first.
     Shed,
+    /// The client index built over several windows of partner nodes
+    /// because the whole did not fit under soft: costs time, no recall.
+    Windowed,
     /// The finished graph thinned to its heaviest edges.
     Thinned,
     /// `smash serve` refused ingest: the open epoch is at its budget.
@@ -133,6 +136,7 @@ impl Rung {
             Rung::RareSkipped => "rare_skipped",
             Rung::RareShed => "rare_shed",
             Rung::Shed => "shed",
+            Rung::Windowed => "windowed",
             Rung::Thinned => "thinned",
             Rung::IngestShed => "ingest_shed",
         }

@@ -56,9 +56,10 @@ analyze flags:
   --threshold <t>        eq. 9 acceptance threshold
   --idf <n>              popularity (IDF) filter threshold
   --param-dimension      enable the URI parameter-pattern dimension
-  --exact                brute-force candidate pairs instead of
-                         MinHash/LSH (the recall oracle; see DESIGN.md
-                         §10 — slow on large traces)
+  --exact                URI-file dimension only: brute-force candidate
+                         pairs instead of MinHash/LSH (the recall
+                         oracle; see DESIGN.md §10 — slow on large
+                         traces)
   --dimension-budget-ms <ms>  per-dimension wall-clock budget (0 = off)
   --memory-budget-mb <mb>  per-stage tracked-memory hard budget; the
                          degradation ladder engages at 80% (0 = off;

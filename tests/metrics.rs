@@ -108,32 +108,37 @@ fn candidate_funnel_reconciles_in_lsh_and_exact_mode() {
         let config = SmashConfig::default().with_exact_candidates(exact);
         Smash::new(config).run_with_metrics(&data.dataset, &data.whois, &metrics);
         let counters = metrics.snapshot().counters;
-        for kind in ["client", "uri-file"] {
-            let get = |name: &str| counters[&format!("dim/{kind}/{name}")];
-            let (considered, bucketed, scored) = (
-                get("pairs_considered"),
-                get("pairs_bucketed"),
-                get("pairs_scored"),
-            );
-            let (pruned, edges) = (get("pairs_pruned"), get("edges"));
-            let proposed = get("pairs_proposed");
-            let funnel = format!(
+        let get = |kind: &str, name: &str| counters[&format!("dim/{kind}/{name}")];
+        let funnel = |kind: &str| {
+            let stages = ["considered", "proposed", "bucketed", "scored", "pruned"];
+            let [considered, proposed, bucketed, scored, pruned] =
+                stages.map(|stage| get(kind, &format!("pairs_{stage}")));
+            let edges = get(kind, "edges");
+            let line = format!(
                 "{kind} exact={exact}: considered {considered} proposed {proposed} \
                  bucketed {bucketed} scored {scored} pruned {pruned} edges {edges}"
             );
-            assert!(considered >= bucketed, "{funnel}");
-            assert!(proposed >= bucketed, "{funnel}");
-            assert!(!exact || proposed == bucketed, "{funnel}");
-            assert!(bucketed >= scored, "{funnel}");
-            assert_eq!(scored, pruned + edges, "{funnel}");
-            assert!(edges > 0, "{funnel}");
-        }
-        let client_steps = counters["dim/client/scan_steps"];
-        assert_eq!(counters["dim/uri-file/scan_steps"], 0, "exact={exact}");
-        assert!(client_steps > 0, "exact={exact}: client scored pairwise");
-        if exact {
-            assert_eq!(client_steps, universe_steps, "Σ_c C(deg(c), 2)");
-        }
+            assert_eq!(scored, pruned + edges, "{line}");
+            assert!(edges > 0, "{line}");
+            ([considered, proposed, bucketed, scored], line)
+        };
+        // URI-file goes through the candidate layer, whichever mode
+        // proposes: the funnel narrows stage by stage, and the oracle
+        // proposes each pair once.
+        let ([considered, proposed, bucketed, scored], line) = funnel("uri-file");
+        assert!(considered >= bucketed, "{line}");
+        assert!(proposed >= bucketed, "{line}");
+        assert!(!exact || proposed == bucketed, "{line}");
+        assert!(bucketed >= scored, "{line}");
+        assert_eq!(get("uri-file", "scan_steps"), 0, "exact={exact}");
+        // The client dimension has no proposer in either mode, like the
+        // other co-occurrence dimensions: it scores the pairs that share
+        // a client, at one increment per client they share.
+        let ([considered, proposed, bucketed, scored], line) = funnel("client");
+        assert_eq!([considered, proposed, bucketed], [0; 3], "{line}");
+        let steps = get("client", "scan_steps");
+        assert_eq!(steps, universe_steps, "exact={exact}: Σ_c C(deg(c), 2)");
+        assert!(scored <= steps, "{line}: a scored pair shares a client");
     }
 }
 
