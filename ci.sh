@@ -19,7 +19,12 @@
 #                                             SMSHCOLS day, then analyzing the
 #                                             day must print byte-identical
 #                                             output to analyzing the raw
-#                                             trace (DESIGN.md §12.4)
+#                                             trace; then the day must fail
+#                                             closed at the CLI: one flipped
+#                                             payload byte, one byte cut off,
+#                                             or the previous version number
+#                                             are each refused by name, never
+#                                             mined (DESIGN.md §12.4)
 #   7. daemon smoke                           `smash serve --stdio`: ingest a
 #                                             generated day, SIGKILL the daemon
 #                                             mid-epoch via a failpoint, restart
@@ -92,11 +97,30 @@ cargo run -q --release --offline --bin smash -- preprocess "$remine_dir/trace.js
 cargo run -q --release --offline --bin smash -- analyze "$remine_dir/trace.jsonl" >"$remine_dir/raw.out"
 cargo run -q --release --offline --bin smash -- analyze "$remine_dir/trace.day" >"$remine_dir/day.out"
 diff -u "$remine_dir/raw.out" "$remine_dir/day.out"
+smash_bin="$(pwd)/target/release/smash"
+# refused <file> <message>: `smash analyze` must exit non-zero saying so.
+refused() {
+    if "$smash_bin" analyze "$1" >/dev/null 2>"$remine_dir/refused.err"; then
+        echo "day smoke: $1 was analyzed, expected: $2"; exit 1
+    fi
+    grep -qF "$2" "$remine_dir/refused.err" \
+        || { echo "day smoke: $1 refused without \"$2\":"; cat "$remine_dir/refused.err"; exit 1; }
+}
+day_bytes="$(wc -c <"$remine_dir/trace.day")"
+last="$(od -An -tu1 -j"$((day_bytes - 1))" -N1 "$remine_dir/trace.day")"
+cp "$remine_dir/trace.day" "$remine_dir/flipped.day"
+printf "\\$(printf '%03o' "$((last ^ 1))")" \
+    | dd of="$remine_dir/flipped.day" bs=1 seek="$((day_bytes - 1))" conv=notrunc status=none
+refused "$remine_dir/flipped.day" "day file corrupt: checksum mismatch"
+head -c "$((day_bytes - 1))" "$remine_dir/trace.day" >"$remine_dir/short.day"
+refused "$remine_dir/short.day" "day file corrupt"
+cp "$remine_dir/trace.day" "$remine_dir/v2.day"
+printf '\002\000\000\000' | dd of="$remine_dir/v2.day" bs=1 seek=8 conv=notrunc status=none
+refused "$remine_dir/v2.day" "version 2 not supported (this build reads 3)"
 
 echo "==> daemon smoke (smash serve: crash mid-epoch, restart, identical answers)"
 serve_dir="$remine_dir/serve"
 mkdir -p "$serve_dir"
-smash_bin="$(pwd)/target/release/smash"
 # Reference run: ingest the generated day, seal, wait for the publish,
 # query one planted campaign member, exit cleanly.
 { sed 's/^/INGEST /' "$remine_dir/trace.jsonl"; printf 'SEAL\nWAIT\nREPORT\nSHUTDOWN\n'; } \

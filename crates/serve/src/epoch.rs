@@ -13,7 +13,10 @@
 //! instant restarts to a prefix of the acknowledged epochs — never a
 //! torn one. Corrupt files (disk rot, foreign bytes) are skipped with a
 //! warning, exactly like a corrupt checkpoint snapshot degrades to
-//! recompute (DESIGN.md §9).
+//! recompute (DESIGN.md §9). An *intact* file of another envelope
+//! version is not rot: another build acknowledged those epochs, and
+//! dropping them with a warning would lose data the client was told is
+//! safe — so it stops the start-up instead (DESIGN.md §13.4).
 
 use smash_support::ckpt::{self, CkptError};
 use std::fs;
@@ -74,8 +77,10 @@ pub struct Replay {
 ///
 /// # Errors
 ///
-/// Only a real I/O error listing the directory; per-file read errors
-/// are downgraded to skips.
+/// A real I/O error listing the directory (per-file read errors are
+/// downgraded to skips), or [`io::ErrorKind::InvalidData`] naming both
+/// versions when a WAL file is a well-formed envelope of a format
+/// version this build does not read.
 pub fn replay(dir: &Path) -> io::Result<Replay> {
     let mut found: Vec<(u64, PathBuf)> = Vec::new();
     let mut out = Replay::default();
@@ -100,6 +105,18 @@ pub fn replay(dir: &Path) -> io::Result<Replay> {
     for (seq, path) in found {
         match ckpt::read_value_snapshot::<Vec<String>>(&path, &wal_stage(seq)) {
             Ok(lines) => out.epochs.push(ReplayedEpoch { seq, lines }),
+            Err(CkptError::Version(found)) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} is envelope format version {found}; this build reads version {} \
+                         and will not drop the acknowledged epochs of another — replay them \
+                         with the build that wrote them, or start on a fresh data directory",
+                        path.display(),
+                        ckpt::FORMAT_VERSION
+                    ),
+                ))
+            }
             Err(e) => out.skipped.push((path, e.to_string())),
         }
     }
@@ -143,6 +160,30 @@ mod tests {
         assert_eq!(replay.epochs.len(), 1);
         assert_eq!(replay.epochs[0].seq, 1);
         assert_eq!(replay.skipped.len(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wal_of_another_envelope_version_stops_the_replay() {
+        use smash_support::envelope;
+        use smash_support::wire;
+        let dir = tmp_dir("version");
+        write_epoch(&dir, 1, &["acknowledged".to_owned()]).expect("write");
+        let lines = wire::encode(&vec!["also acknowledged".to_owned()]);
+        for other in [ckpt::FORMAT_VERSION - 1, ckpt::FORMAT_VERSION + 1] {
+            let foreign =
+                envelope::frame(ckpt::MAGIC, other, &wal_stage(2), &lines).expect("frame");
+            fs::write(wal_path(&dir, 2), foreign).expect("write foreign WAL");
+            let err = replay(&dir).expect_err("another build's WAL must not be skipped");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let said = err.to_string();
+            assert!(
+                said.contains("epoch-00000002.wal")
+                    && said.contains(&format!("format version {other}"))
+                    && said.contains(&format!("reads version {}", ckpt::FORMAT_VERSION)),
+                "{said}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -179,9 +179,12 @@ impl CampaignService {
     ///
     /// # Errors
     ///
-    /// Only real I/O errors creating or scanning the data directory;
-    /// corrupt snapshot or WAL files degrade to recompute with a
-    /// warning, never to a failed start.
+    /// Real I/O errors creating or scanning the data directory, and a
+    /// WAL file written under another envelope version
+    /// ([`epoch::replay`]: acknowledged epochs are never dropped with a
+    /// warning). Corrupt snapshot or WAL files — and a snapshot of
+    /// another version, which the WAL regenerates — degrade to
+    /// recompute with a warning, never to a failed start.
     pub fn start(opts: ServeOptions) -> io::Result<CampaignService> {
         fs::create_dir_all(&opts.data_dir)?;
         let metrics = Registry::new();

@@ -55,8 +55,10 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: &[u8; 8] = b"SMSHCKPT";
 
 /// Current snapshot format version. Bump on any envelope change; old
-/// snapshots then fail validation and are recomputed.
-pub const FORMAT_VERSION: u32 = 2;
+/// snapshots then fail validation and are recomputed. (3 is the
+/// word-wise envelope checksum; `smash-trace::day::VERSION` moved with
+/// it, because it is the one checksum of the one envelope.)
+pub const FORMAT_VERSION: u32 = 3;
 
 /// File name of the checkpoint manifest inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -64,7 +66,8 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming FNV-1a hasher (the workspace's canonical fingerprint hash).
+/// Streaming FNV-1a hasher (the workspace's canonical fingerprint hash;
+/// file integrity is [`crate::envelope`]'s checksum, not this).
 #[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 
@@ -112,9 +115,11 @@ pub fn fingerprint_string(hash: u64) -> String {
     format!("fnv1a:{hash:016x}")
 }
 
-/// Why a snapshot or manifest could not be used. Every variant is a
-/// *degradation* signal — callers recompute the stage and warn, they do
-/// not fail the run.
+/// Why a snapshot or manifest could not be used. For a checkpoint
+/// every variant is a *degradation* signal — callers recompute the
+/// stage and warn, they do not fail the run. A carrier whose files are
+/// not regenerable (the serve layer's WAL) tells [`CkptError::Version`]
+/// — another build's intact file — from damage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
     /// The file is missing or the OS refused the read/write.
@@ -122,9 +127,12 @@ pub enum CkptError {
     /// The bytes are not a valid snapshot: bad magic, truncated header,
     /// short payload, or checksum mismatch.
     Corrupt(String),
-    /// The snapshot is well-formed but from a different format version,
-    /// stage, or (for manifests) config/input fingerprint.
+    /// The snapshot is well-formed but for a different stage, or (for
+    /// manifests) schema or config/input fingerprint.
     Mismatch(String),
+    /// The snapshot opens like one but carries this format version, not
+    /// [`FORMAT_VERSION`]: another build wrote it.
+    Version(u32),
 }
 
 impl fmt::Display for CkptError {
@@ -133,6 +141,10 @@ impl fmt::Display for CkptError {
             CkptError::Io(m) => write!(f, "checkpoint io error: {m}"),
             CkptError::Corrupt(m) => write!(f, "corrupt checkpoint: {m}"),
             CkptError::Mismatch(m) => write!(f, "stale checkpoint: {m}"),
+            CkptError::Version(v) => write!(
+                f,
+                "stale checkpoint: format version {v}, expected {FORMAT_VERSION}"
+            ),
         }
     }
 }
@@ -146,15 +158,13 @@ impl std::error::Error for CkptError {}
 /// # Errors
 ///
 /// [`CkptError::Corrupt`] on any framing/checksum violation,
-/// [`CkptError::Mismatch`] when the snapshot is valid but for a
-/// different version or stage.
+/// [`CkptError::Version`] / [`CkptError::Mismatch`] when the snapshot
+/// is for another format version or stage.
 // lint:allow(index): lifetime-annotated slice types, not an indexing site
 pub fn parse_snapshot<'a>(bytes: &'a [u8], expected_stage: &str) -> Result<&'a [u8], CkptError> {
     envelope::parse(bytes, MAGIC, FORMAT_VERSION, expected_stage).map_err(|e| match e {
         EnvelopeError::Corrupt(m) => CkptError::Corrupt(m),
-        EnvelopeError::Version(v) => {
-            CkptError::Mismatch(format!("format version {v}, expected {FORMAT_VERSION}"))
-        }
+        EnvelopeError::Version(v) => CkptError::Version(v),
         EnvelopeError::Stage(s) => CkptError::Mismatch(format!(
             "snapshot is for stage `{s}`, expected `{expected_stage}`"
         )),
@@ -321,11 +331,11 @@ pub fn write_value_snapshot<T: ToWire + ?Sized>(
     stage: &str,
     value: &T,
 ) -> Result<(u64, u32), CkptError> {
-    let payload = wire::encode(value);
-    let framed = envelope::frame(MAGIC, FORMAT_VERSION, stage, &payload)
+    let framed = envelope::frame_with(MAGIC, FORMAT_VERSION, stage, |out| value.wire(out))
         .map_err(|e| CkptError::Corrupt(e.to_string()))?;
     let retries = write_atomic_retrying(path, &framed)?;
-    Ok((payload.len() as u64, retries))
+    let payload_bytes = framed.len() - envelope::HEADER_BYTES - stage.len();
+    Ok((payload_bytes as u64, retries))
 }
 
 /// Reads, validates, and deserializes a stage snapshot.
@@ -384,10 +394,15 @@ mod tests {
             }
             other => panic!("expected stage mismatch, got {other:?}"),
         }
-        let future = envelope::frame(MAGIC, FORMAT_VERSION + 1, "s", b"").expect("frame");
-        match parse_snapshot(&future, "s") {
-            Err(CkptError::Mismatch(m)) => assert!(m.contains("version"), "got: {m}"),
-            other => panic!("expected version mismatch, got {other:?}"),
+        for other in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+            let foreign = envelope::frame(MAGIC, other, "s", b"").expect("frame");
+            let err = parse_snapshot(&foreign, "s").expect_err("another version");
+            assert_eq!(err, CkptError::Version(other));
+            let said = err.to_string();
+            assert!(
+                said.contains(&format!("version {other}, expected {FORMAT_VERSION}")),
+                "{said}"
+            );
         }
         // Another format's file (a day, say) is not a stale snapshot —
         // it is not a snapshot at all.

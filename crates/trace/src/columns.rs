@@ -16,7 +16,7 @@
 
 use crate::dataset::CompactRecord;
 use smash_support::impl_wire_struct;
-use smash_support::wire::{FromWire, Reader, WireError};
+use smash_support::wire::{self, FromWire, Reader, WireError};
 
 /// Sentinel in optional id columns (`referrers`, `redirects`) meaning
 /// "no value". Interners can never issue it: they refuse to allocate
@@ -169,7 +169,23 @@ impl RecordColumns {
     }
 }
 
-impl_wire_struct!(RecordColumns {
+/// The wire form is the columns in this order, whole
+/// ([`impl_wire_struct!`]) or a bounded piece at a time.
+macro_rules! wire_columns {
+    ($($column:ident),+ $(,)?) => {
+        impl_wire_struct!(RecordColumns { $($column),+ });
+
+        impl RecordColumns {
+            /// The wire form handed to `sink` through `buf`, never
+            /// whole ([`wire::wire_pieces`] per column).
+            pub(crate) fn wire_pieces(&self, buf: &mut Vec<u8>, sink: &mut impl FnMut(&[u8])) {
+                $( wire::wire_pieces(&self.$column, buf, sink); )+
+            }
+        }
+    };
+}
+
+wire_columns!(
     timestamps,
     clients,
     servers,
@@ -183,7 +199,7 @@ impl_wire_struct!(RecordColumns {
     statuses,
     resp_bytes,
     redirects,
-});
+);
 
 /// Decodes the columns and rejects ragged lengths — a corrupted but
 /// checksum-colliding envelope must not produce a half-readable arena.
@@ -211,7 +227,6 @@ pub fn decode_validated(r: &mut Reader<'_>) -> Result<RecordColumns, WireError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smash_support::wire;
 
     fn sample(i: u64) -> CompactRecord {
         CompactRecord {
@@ -255,6 +270,9 @@ mod tests {
         let bytes = wire::encode(&cols);
         let back: RecordColumns = wire::decode(&bytes).unwrap();
         assert_eq!(back, cols);
+        let (mut buf, mut pieces) = (Vec::new(), Vec::new());
+        cols.wire_pieces(&mut buf, &mut |piece| pieces.extend_from_slice(piece));
+        assert_eq!(pieces, bytes);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::interner::Interner;
 use crate::record::{HttpRecord, RecordFields};
 use crate::server::ServerKey;
 use crate::uri::{parameter_pattern, uri_file, uri_path};
-use smash_support::wire::{FromWire, Reader, ToWire, WireError};
+use smash_support::wire::{self, FromWire, Reader, ToWire, WireError};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -388,12 +388,26 @@ impl TraceDataset {
         &self.cols
     }
 
-    /// Payload bytes of the arena: columns, postings, and both resident
-    /// copies of every interned string (id table and reverse map key).
-    /// Exact for the fixed-width parts; allocator headers and hash-table
-    /// overhead are deliberately not modeled, so the figure is stable and
-    /// reproducible (the `ingest/arena_bytes` counter and the daemon's
-    /// `serve/arena/bytes` gauge report it).
+    /// The eight symbol tables, in wire order.
+    fn tables(&self) -> [&Interner; 8] {
+        [
+            &self.clients,
+            &self.servers,
+            &self.hosts,
+            &self.ips,
+            &self.files,
+            &self.paths,
+            &self.params,
+            &self.user_agents,
+        ]
+    }
+
+    /// Payload bytes of the arena: columns, postings, and the symbol
+    /// tables ([`Interner::heap_bytes`]: every string once, 4 B per
+    /// offset, 8 B per probe slot). Exact for the fixed-width parts;
+    /// allocator headers and slack are deliberately not modeled, so the
+    /// figure is a function of the trace alone (the `ingest/arena_bytes`
+    /// counter and the daemon's `serve/arena/bytes` gauge report it).
     pub fn heap_bytes(&self) -> u64 {
         let postings: u64 = [
             &self.server_clients,
@@ -405,55 +419,29 @@ impl TraceDataset {
         .iter()
         .map(|t| t.iter().map(|v| v.len() as u64 * 4).sum::<u64>())
         .sum();
-        let strings: u64 = [
-            &self.clients,
-            &self.servers,
-            &self.hosts,
-            &self.ips,
-            &self.files,
-            &self.paths,
-            &self.params,
-            &self.user_agents,
-        ]
-        .iter()
-        .map(|i| i.string_bytes() * 2)
-        .sum();
-        self.cols.payload_bytes() + postings + strings
+        let tables: u64 = self.tables().iter().map(|t| t.heap_bytes()).sum();
+        self.cols.payload_bytes() + postings + tables
     }
 
     /// FNV-1a fingerprint of the dataset (`fnv1a:<16 hex digits>`).
     ///
     /// Hashes the wire form of the symbol tables, server keys, and the
-    /// column arena in one streaming pass — no serialized copy of the
-    /// dataset is materialized. The postings are derived from the
-    /// columns deterministically, so they contribute nothing new and
-    /// are skipped. The checkpoint manifest stores this so `--resume`
-    /// rejects snapshots computed from another trace.
+    /// column arena in one streaming pass through a buffer of a few
+    /// KiB — no serialized copy of the dataset is materialized. The
+    /// postings are derived from the columns deterministically, so they
+    /// contribute nothing new and are skipped. The checkpoint manifest
+    /// stores this so `--resume` rejects snapshots computed from
+    /// another trace.
     pub fn fingerprint(&self) -> String {
         use smash_support::ckpt::{fingerprint_string, Fnv1a};
         let mut h = Fnv1a::new();
         let mut buf = Vec::new();
-        let tables = [
-            &self.clients,
-            &self.servers,
-            &self.hosts,
-            &self.ips,
-            &self.files,
-            &self.paths,
-            &self.params,
-            &self.user_agents,
-        ];
-        for table in tables {
-            buf.clear();
-            table.wire(&mut buf);
-            h.write(&buf);
+        let mut sink = |piece: &[u8]| h.write(piece);
+        for table in self.tables() {
+            table.wire_pieces(&mut buf, &mut sink);
         }
-        buf.clear();
-        self.server_keys.wire(&mut buf);
-        h.write(&buf);
-        buf.clear();
-        self.cols.wire(&mut buf);
-        h.write(&buf);
+        wire::wire_pieces(&self.server_keys, &mut buf, &mut sink);
+        self.cols.wire_pieces(&mut buf, &mut sink);
         fingerprint_string(h.finish())
     }
 
@@ -818,6 +806,32 @@ mod tests {
             back.clients_of(sid),
             ds.clients_of(ds.server_id("x.com").unwrap())
         );
+    }
+
+    #[test]
+    fn fingerprint_is_the_hash_of_the_wire_form_and_has_not_moved() {
+        let ds = TraceDataset::from_records(vec![
+            rec("c1", "a.x.com", "1.1.1.1", "/f.php?k=1").with_referrer("r.com"),
+            HttpRecord::new(9, "c2", "1.2.3.4", "1.2.3.4", "/dir/").with_status(404),
+            HttpRecord::new(11, "c2", "b.x.com", "1.1.1.2", "/g.gif").with_redirect_to("z.com"),
+        ]);
+        // Streamed in pieces, it is still FNV-1a over the tables, the
+        // server keys and the columns as `wire` lays them out whole…
+        let mut whole = Vec::new();
+        for table in ds.tables() {
+            table.wire(&mut whole);
+        }
+        ds.server_keys.wire(&mut whole);
+        ds.cols.wire(&mut whole);
+        let hashed = smash_support::ckpt::fnv1a(&whole);
+        assert_eq!(
+            ds.fingerprint(),
+            smash_support::ckpt::fingerprint_string(hashed)
+        );
+        // …and pinned: checkpoint manifests store it, so a layout or
+        // codec change that moves it orphans every checkpoint directory
+        // and must not land unnoticed.
+        assert_eq!(ds.fingerprint(), "fnv1a:c580ce26925ce738");
     }
 
     #[test]

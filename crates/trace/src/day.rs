@@ -16,14 +16,17 @@
 //! Version policy: readers accept exactly [`VERSION`]; any other is
 //! [`DayError::Version`] carrying the number the file held, never a
 //! best-effort parse. Layout changes bump the version (v1 was a
-//! hand-rolled frame with a trailing checksum; v2 is the shared
-//! envelope) and same-version additions are forbidden (the wire codec
-//! rejects trailing bytes). A day file is a regenerable cache.
+//! hand-rolled frame with a trailing checksum, v2 the shared envelope
+//! under a byte-serial checksum; v3 is v2's payload, byte for byte,
+//! under the envelope's word-wise checksum) and same-version additions
+//! are forbidden (the wire codec rejects trailing bytes). A day file is
+//! a regenerable cache: an older one is refused by number and
+//! `smash preprocess` writes it again.
 
 use crate::dataset::TraceDataset;
 use smash_support::ckpt;
 use smash_support::envelope::{self, EnvelopeError};
-use smash_support::wire;
+use smash_support::wire::{self, ToWire};
 use std::fmt;
 use std::path::Path;
 
@@ -31,7 +34,7 @@ use std::path::Path;
 pub const MAGIC: &[u8; 8] = b"SMSHCOLS";
 
 /// Current (and only) layout version this reader/writer speaks.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// The envelope stage name of a day payload.
 pub const STAGE: &str = "day";
@@ -66,9 +69,10 @@ impl fmt::Display for DayError {
 
 impl std::error::Error for DayError {}
 
-/// Frames a dataset into `SMSHCOLS` envelope bytes.
+/// Frames a dataset into `SMSHCOLS` envelope bytes, serializing it
+/// straight into the frame.
 pub fn frame_day(ds: &TraceDataset) -> Vec<u8> {
-    envelope::frame(MAGIC, VERSION, STAGE, &wire::encode(ds))
+    envelope::frame_with(MAGIC, VERSION, STAGE, |out| ds.wire(out))
         .expect("the constant stage name always frames")
 }
 
@@ -144,7 +148,7 @@ mod tests {
     fn v1_files_fail_closed_with_their_version() {
         // v1 (the pre-envelope layout: magic, version, payload,
         // trailing checksum) kept its version at the same offset, so an
-        // old cache is refused by number, not misparsed. Future
+        // old cache is refused by number, not misparsed. v2 and future
         // versions: `tests/day_remine.rs`.
         let mut v1 = MAGIC.to_vec();
         v1.extend_from_slice(&1u32.to_le_bytes());

@@ -1,12 +1,35 @@
-//! String interning: map strings to dense `u32` ids and back.
+//! String interning: map strings to dense `u32` ids and back
+//! (DESIGN.md §12.1).
 
 use smash_support::wire::{FromWire, Reader, ToWire, WireError};
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
+
+/// The id of a vacant slot. Never issued to a string (it is also
+/// `columns::NO_ID`), so an id column can use it for "no value".
+const VACANT: u32 = u32::MAX;
+
+/// One cell of the open-addressing table: the string's id and the 32
+/// hash bits it was placed by.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: u32,
+    id: u32,
+}
 
 /// A bidirectional string ↔ dense-id table.
 ///
 /// Interning keeps the dataset columnar and lets the pipeline operate on
 /// `u32` ids (which the graph substrate requires) instead of strings.
+///
+/// Every string is resident once: the id table is one `String` slab of
+/// all strings in id order plus a `u32` end offset each, and the
+/// string → id direction is a linear-probing table of `(hash tag, id)`
+/// slots that compares a candidate against the slab instead of holding
+/// a key of its own. A hit allocates nothing; a miss is one `push_str`.
+/// The probe hash is keyed per table (`RandomState`): the strings come
+/// from untrusted traces, and an unkeyed hash would let one crafted
+/// file turn every probe into a scan. The keys reach no output — ids
+/// are insertion-ordered — so runs stay byte-identical.
 ///
 /// # Example
 ///
@@ -22,35 +45,73 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    map: HashMap<String, u32>,
-    strings: Vec<String>,
+    /// Every interned string, concatenated in id order.
+    slab: String,
+    /// `ends[id]`: where string `id` ends in `slab` (it starts where
+    /// its predecessor ends).
+    ends: Vec<u32>,
+    /// Power-of-two table, `slots_for(len)` long, at most ¾ full.
+    slots: Vec<Slot>,
+    keys: RandomState,
 }
 
-/// Wire form: the id-ordered string table only; the reverse map is
-/// rebuilt on read.
+/// Table size for `strings` entries: a power of two at least 4⁄3 of
+/// them, so there is always a vacant slot to stop a probe. A function
+/// of the count alone — an interner grown one `intern` at a time and
+/// one decoded from a day file account the same [`Interner::heap_bytes`].
+fn slots_for(strings: usize) -> usize {
+    match strings {
+        0 => 0,
+        n => (n + n / 3 + 1).next_power_of_two().max(8),
+    }
+}
+
+/// Wire form: the id-ordered string table only (a count, then each
+/// string length-prefixed); offsets and slots are rebuilt on read.
 /// Decoding rejects duplicate strings — a table where two ids resolve to
-/// the same string cannot have come from an interner.
+/// the same string cannot have come from an interner — by the same
+/// probe that interns them.
 impl ToWire for Interner {
     fn wire(&self, out: &mut Vec<u8>) {
-        self.strings.wire(out);
+        self.len().wire(out);
+        for (_, s) in self.iter() {
+            s.wire(out);
+        }
+    }
+}
+
+impl Interner {
+    /// The wire form handed to `sink` one string at a time through
+    /// `buf` (see [`smash_support::wire::wire_pieces`]).
+    pub(crate) fn wire_pieces(&self, buf: &mut Vec<u8>, sink: &mut impl FnMut(&[u8])) {
+        buf.clear();
+        self.len().wire(buf);
+        sink(buf);
+        for (_, s) in self.iter() {
+            buf.clear();
+            s.wire(buf);
+            sink(buf);
+        }
     }
 }
 
 impl FromWire for Interner {
     fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let strings = Vec::<String>::from_wire(r)?;
-        if strings.len() > u32::MAX as usize {
-            return Err(WireError("interner table exceeds u32 id space".to_owned()));
+        let count = r.length()?;
+        let mut out = Interner::default();
+        // A string is at least its 8-byte length on the wire.
+        out.ends.reserve_exact(r.capacity_for::<u64>(count));
+        for _ in 0..count {
+            let len = r.length()?;
+            let s = std::str::from_utf8(r.take(len)?)
+                .map_err(|_| WireError("string is not UTF-8".to_owned()))?;
+            let tag = out.tag(s);
+            if out.find(s, tag).is_some() {
+                return Err(WireError("duplicate string in interner table".to_owned()));
+            }
+            out.push_new(s, tag).map_err(|e| WireError(e.to_owned()))?;
         }
-        let map: HashMap<String, u32> = strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i as u32))
-            .collect();
-        if map.len() != strings.len() {
-            return Err(WireError("duplicate string in interner table".to_owned()));
-        }
-        Ok(Self { map, strings })
+        Ok(out)
     }
 }
 
@@ -64,20 +125,78 @@ impl Interner {
     ///
     /// # Panics
     ///
-    /// Panics if more than `u32::MAX` distinct strings are interned.
+    /// Panics if more than `u32::MAX` distinct strings, or more than
+    /// 4 GiB of them, are interned.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
+        let tag = self.tag(s);
+        match self.find(s, tag) {
+            Some(id) => id,
+            None => self.push_new(s, tag).expect("interner overflow"),
         }
-        let id = u32::try_from(self.strings.len()).expect("interner overflow");
-        self.map.insert(s.to_owned(), id);
-        self.strings.push(s.to_owned());
-        id
     }
 
     /// Looks up the id of `s` without interning it.
     pub fn get(&self, s: &str) -> Option<u32> {
-        self.map.get(s).copied()
+        self.find(s, self.tag(s))
+    }
+
+    /// The hash bits `s` is placed and recognised by.
+    fn tag(&self, s: &str) -> u32 {
+        (self.keys.hash_one(s) >> 32) as u32
+    }
+
+    /// Probes for `s` from its home slot to the first vacant one.
+    fn find(&self, s: &str, tag: u32) -> Option<u32> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut at = tag as usize & mask;
+        loop {
+            let slot = self.slots.get(at)?;
+            if slot.id == VACANT {
+                return None;
+            }
+            if slot.tag == tag && self.resolve_checked(slot.id) == Some(s) {
+                return Some(slot.id);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Appends a string [`find`](Self::find) did not find and issues
+    /// its id, or says which bound it would pass.
+    fn push_new(&mut self, s: &str, tag: u32) -> Result<u32, &'static str> {
+        let id = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id != VACANT)
+            .ok_or("interner table exceeds u32 id space")?;
+        let end = u32::try_from(self.slab.len() + s.len())
+            .map_err(|_| "interner strings exceed 4 GiB")?;
+        let slots = slots_for(self.ends.len() + 1);
+        if slots > self.slots.len() {
+            let vacant = Slot { tag: 0, id: VACANT };
+            for slot in std::mem::replace(&mut self.slots, vec![vacant; slots]) {
+                if slot.id != VACANT {
+                    self.place(slot);
+                }
+            }
+        }
+        self.slab.push_str(s);
+        self.ends.push(end);
+        self.place(Slot { tag, id });
+        Ok(id)
+    }
+
+    /// Puts `slot` in the first vacant cell from its home (there is
+    /// one: the table is never full).
+    fn place(&mut self, slot: Slot) {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = slot.tag as usize & mask;
+        while let Some(cell) = self.slots.get_mut(at) {
+            if cell.id == VACANT {
+                *cell = slot;
+                return;
+            }
+            at = (at + 1) & mask;
+        }
     }
 
     /// Resolves an id back to its string.
@@ -93,37 +212,49 @@ impl Interner {
     /// Resolves an id back to its string, or `None` for an id this
     /// interner never issued.
     pub fn resolve_checked(&self, id: u32) -> Option<&str> {
-        self.strings.get(id as usize).map(String::as_str)
+        let id = id as usize;
+        let end = *self.ends.get(id)? as usize;
+        let start = match id.checked_sub(1) {
+            Some(before) => *self.ends.get(before)? as usize,
+            None => 0,
+        };
+        self.slab.get(start..end)
     }
 
-    /// Total bytes of string payload in the id table (one copy; the
-    /// reverse map holds a second).
-    pub fn string_bytes(&self) -> u64 {
-        self.strings.iter().map(|s| s.len() as u64).sum()
+    /// Bytes the table holds: every string once, 4 per end offset and
+    /// 8 per probe slot. Exact for this layout and a function of the
+    /// interned strings alone (allocator slack is not modeled).
+    pub fn heap_bytes(&self) -> u64 {
+        (self.slab.len() + 4 * self.ends.len() + 8 * self.slots.len()) as u64
     }
 
     /// Number of distinct strings interned.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// Returns `true` if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates over `(id, string)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u32, s.as_str()))
+        let mut start = 0;
+        self.ends.iter().enumerate().map(move |(id, &end)| {
+            let s = self.slab.get(start..end as usize).unwrap_or_default();
+            start = end as usize;
+            (id as u32, s)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smash_support::check::{cases, Gen, Shrink};
+    use smash_support::wire;
+    use std::collections::HashMap;
 
     #[test]
     fn ids_are_dense_and_stable() {
@@ -164,6 +295,7 @@ mod tests {
         let i = Interner::new();
         assert!(i.is_empty());
         assert_eq!(i.len(), 0);
+        assert_eq!(i.heap_bytes(), 0);
     }
 
     #[test]
@@ -172,7 +304,24 @@ mod tests {
         i.intern("a");
         assert_eq!(i.resolve_checked(0), Some("a"));
         assert_eq!(i.resolve_checked(1), None);
-        assert_eq!(i.string_bytes(), 1);
+        assert_eq!(i.resolve_checked(VACANT), None);
+    }
+
+    #[test]
+    fn heap_bytes_counts_each_string_once() {
+        let mut i = Interner::new();
+        i.intern("abc");
+        i.intern("");
+        i.intern("de");
+        i.intern("abc");
+        // 5 string bytes, 3 offsets, the 8-slot starting table.
+        assert_eq!(i.heap_bytes(), 5 + 3 * 4 + 8 * 8);
+        // The table is sized by the count alone, however it got there.
+        let back: Interner = wire::decode(&wire::encode(&i)).unwrap();
+        assert_eq!(back.heap_bytes(), i.heap_bytes());
+        for n in 1..200 {
+            assert!(slots_for(n).is_power_of_two() && slots_for(n) * 3 >= n * 4);
+        }
     }
 
     #[test]
@@ -180,8 +329,12 @@ mod tests {
         let mut i = Interner::new();
         i.intern("b");
         i.intern("a");
-        let bytes = smash_support::wire::encode(&i);
-        let back: Interner = smash_support::wire::decode(&bytes).unwrap();
+        let bytes = wire::encode(&i);
+        assert_eq!(bytes, wire::encode(&vec!["b".to_owned(), "a".to_owned()]));
+        let (mut buf, mut pieces) = (Vec::new(), Vec::new());
+        i.wire_pieces(&mut buf, &mut |piece| pieces.extend_from_slice(piece));
+        assert_eq!(pieces, bytes);
+        let back: Interner = wire::decode(&bytes).unwrap();
         assert_eq!(back.get("b"), Some(0));
         assert_eq!(back.get("a"), Some(1));
         assert_eq!(back.len(), 2);
@@ -190,7 +343,76 @@ mod tests {
     #[test]
     fn wire_rejects_duplicate_strings() {
         let dupes = vec!["x".to_owned(), "x".to_owned()];
-        let bytes = smash_support::wire::encode(&dupes);
-        assert!(smash_support::wire::decode::<Interner>(&bytes).is_err());
+        let bytes = wire::encode(&dupes);
+        assert!(wire::decode::<Interner>(&bytes).is_err());
+        let empties = vec![String::new(), "y".to_owned(), String::new()];
+        assert!(wire::decode::<Interner>(&wire::encode(&empties)).is_err());
+    }
+
+    #[test]
+    fn wire_rejects_non_utf8_and_impossible_counts() {
+        // Each string alone is checked, so a multi-byte character split
+        // across two entries does not slip through as valid slab bytes.
+        let mut split = wire::encode(&2usize);
+        for half in ["é".as_bytes().split_at(1).0, "é".as_bytes().split_at(1).1] {
+            split.extend_from_slice(&wire::encode(&half.len()));
+            split.extend_from_slice(half);
+        }
+        let err = wire::decode::<Interner>(&split).unwrap_err();
+        assert!(err.0.contains("UTF-8"), "{err}");
+        // 16 bytes follow: two empty strings, not the sixteen declared
+        // (and the second is a duplicate before the third is missing).
+        let mut lie = wire::encode(&16usize);
+        lie.extend_from_slice(&[0u8; 16]);
+        assert!(wire::decode::<Interner>(&lie).is_err());
+    }
+
+    /// A script of strings to intern or look up, drawn from a small
+    /// pool so hits are as common as misses.
+    #[derive(Debug, Clone)]
+    struct Script(Vec<(bool, String)>);
+    impl Shrink for Script {}
+
+    #[test]
+    fn behaves_like_a_hash_map_through_growth_and_round_trips() {
+        cases(64).run(
+            |g: &mut Gen| {
+                let mut pool = g.vec(1..=600usize, |g| g.string(0..=12usize, "abé漢.-/0🦀"));
+                pool.push(String::new());
+                let steps = g.range(0..=1500usize);
+                Script(g.vec(steps..=steps, |g| (g.bool(0.7), g.pick(&pool).clone())))
+            },
+            |Script(steps): &Script| {
+                let mut model: HashMap<String, u32> = HashMap::new();
+                let mut order: Vec<&str> = Vec::new();
+                let mut table = Interner::new();
+                for (k, (intern, s)) in steps.iter().enumerate() {
+                    if *intern {
+                        let next = model.len() as u32;
+                        let want = *model.entry(s.clone()).or_insert(next);
+                        if want == next {
+                            order.push(s);
+                        }
+                        assert_eq!(table.intern(s), want);
+                    } else {
+                        assert_eq!(table.get(s), model.get(s).copied());
+                    }
+                    assert_eq!(table.len(), model.len());
+                    // Now and then the table goes through the wire and
+                    // the script carries on with what came back.
+                    if k % 97 == 96 {
+                        table = wire::decode(&wire::encode(&table)).expect("round trip");
+                    }
+                }
+                let listed: Vec<(u32, &str)> = table.iter().collect();
+                let wanted: Vec<(u32, &str)> = (0..).zip(order.iter().copied()).collect();
+                assert_eq!(listed, wanted);
+                for (id, s) in wanted {
+                    assert_eq!(table.resolve_checked(id), Some(s));
+                    assert_eq!(table.get(s), Some(id));
+                }
+                assert_eq!(table.resolve_checked(model.len() as u32), None);
+            },
+        );
     }
 }

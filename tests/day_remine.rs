@@ -7,11 +7,13 @@
 
 use smash::core::{Smash, SmashConfig, SmashReport};
 use smash::support::check::{cases, Gen, Shrink};
+use smash::support::ckpt::{fnv1a, Fnv1a};
 use smash::support::envelope;
 use smash::support::json::{self, ToJson};
+use smash::support::wire;
 use smash::synth::Scenario;
 use smash::trace::day::{frame_day, parse_day, MAGIC, STAGE, VERSION};
-use smash::trace::{load_day, save_day, DayError, TraceDataset};
+use smash::trace::{load_day, save_day, DayError, HttpRecord, TraceDataset};
 
 /// The report's serializable surface, as one canonical JSON string
 /// (the determinism suite's fingerprint).
@@ -54,6 +56,72 @@ fn hostile_payload_in_a_valid_envelope_never_panics_or_parses() {
                 Err(DayError::Corrupt(_) | DayError::Invalid(_))
             ));
         },
+    );
+
+    // The envelope checksum is not keyed, so a crafted file can carry
+    // any count it likes. An empty day is 27 zero counts: 9 tables, 13
+    // columns, 5 posting tables. Padded with a MiB of zeros, the first
+    // column (`Vec<u64>`) and the first posting table (`Vec<Vec<u32>>`)
+    // each claim one element per byte that follows — which passes the
+    // count check — and must be refused for their *size* before 8 MiB
+    // resp. 24 MiB are reserved on the file's say-so.
+    let empty = wire::encode(&TraceDataset::default());
+    assert_eq!(empty, vec![0u8; 27 * 8]);
+    for (count_at, complaint) in [(9 * 8, "cells of 8 bytes exceed"), (22 * 8, "need 8 byte")] {
+        let mut payload = empty.clone();
+        payload.resize(empty.len() + (1 << 20), 0);
+        let claimed = (payload.len() - count_at - 8) as u64;
+        payload[count_at..count_at + 8].copy_from_slice(&claimed.to_le_bytes());
+        let framed = envelope::frame(MAGIC, VERSION, STAGE, &payload).expect("frame");
+        match parse_day(&framed) {
+            Err(DayError::Corrupt(m)) => assert!(m.contains(complaint), "{m}"),
+            other => panic!("hostile count at {count_at} must not parse: {other:?}"),
+        }
+    }
+}
+
+/// Three records that touch every optional field.
+fn three_records() -> TraceDataset {
+    TraceDataset::from_records(vec![
+        HttpRecord::new(0, "c1", "a.x.com", "1.1.1.1", "/f.php?k=1").with_referrer("r.com"),
+        HttpRecord::new(9, "c2", "1.2.3.4", "1.2.3.4", "/dir/").with_status(404),
+        HttpRecord::new(11, "c2", "b.x.com", "1.1.1.2", "/g.gif").with_redirect_to("z.com"),
+    ])
+}
+
+#[test]
+fn payload_layout_is_pinned() {
+    // Versions guard the layout only if a layout change comes with a
+    // bump. The payload of a fixed dataset is pinned to its bytes'
+    // hash, so drift inside a version cannot land silently: whoever
+    // moves this value owes `VERSION` an increment.
+    let framed = frame_day(&three_records());
+    let payload = envelope::parse(&framed, MAGIC, VERSION, STAGE).expect("own frame");
+    assert_eq!(payload.len(), 912);
+    assert_eq!(fnv1a(payload), 0x8c0d_b5d4_c53a_0733);
+}
+
+#[test]
+fn v2_day_files_fail_closed_by_number() {
+    // A version-2 file as its writer made it: the same header and
+    // payload, checksummed byte-serially (FNV-1a over version ‖ stage ‖
+    // payload). Nothing behind the version field is looked at.
+    let payload = wire::encode(&three_records());
+    let mut sum = Fnv1a::new();
+    sum.write(&2u32.to_le_bytes());
+    sum.write(STAGE.as_bytes());
+    sum.write(&payload);
+    let mut v2 = MAGIC.to_vec();
+    v2.extend_from_slice(&2u32.to_le_bytes());
+    v2.extend_from_slice(&(STAGE.len() as u16).to_le_bytes());
+    v2.extend_from_slice(STAGE.as_bytes());
+    v2.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    v2.extend_from_slice(&sum.finish().to_le_bytes());
+    v2.extend_from_slice(&payload);
+    assert_eq!(parse_day(&v2).unwrap_err(), DayError::Version(2));
+    assert_eq!(
+        DayError::Version(2).to_string(),
+        "day file version 2 not supported (this build reads 3)"
     );
 }
 

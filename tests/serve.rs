@@ -215,23 +215,27 @@ fn exhausted_mine_marks_the_epoch_failed_then_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One daemon life on `dir`: the flux herd ingested, sealed as epoch 1,
+/// mined and published, then a clean shutdown. Returns its `REPORT`.
+fn one_published_epoch(dir: &std::path::Path) -> String {
+    let svc = CampaignService::start(ServeOptions::new(dir)).expect("start");
+    let mut conn = svc.connection();
+    for line in flux_lines() {
+        assert_eq!(reply(&mut conn, &format!("INGEST {line}")), "OK");
+    }
+    assert!(reply(&mut conn, "SEAL").starts_with("OK epoch=1"));
+    assert_eq!(reply(&mut conn, "WAIT"), "OK epoch=1");
+    let report_json = reply(&mut conn, "REPORT");
+    svc.shutdown();
+    report_json
+}
+
 #[test]
 fn durable_snapshot_is_served_immediately_on_restart() {
     let _g = locked(&LOCK);
     failpoint::disarm_all();
     let dir = scratch(SCRATCH, "restart");
-    let report_json;
-    {
-        let svc = CampaignService::start(ServeOptions::new(&dir)).expect("start");
-        let mut conn = svc.connection();
-        for line in flux_lines() {
-            assert_eq!(reply(&mut conn, &format!("INGEST {line}")), "OK");
-        }
-        assert!(reply(&mut conn, "SEAL").starts_with("OK epoch=1"));
-        assert_eq!(reply(&mut conn, "WAIT"), "OK epoch=1");
-        report_json = reply(&mut conn, "REPORT");
-        svc.shutdown();
-    }
+    let report_json = one_published_epoch(&dir);
     // A clean restart serves the durable snapshot without re-mining:
     // the published epoch equals the sealed epoch from the start.
     let svc = CampaignService::start(ServeOptions::new(&dir)).expect("restart");
@@ -246,6 +250,54 @@ fn durable_snapshot_is_served_immediately_on_restart() {
         "first-seen must survive restart: {hit}"
     );
     svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restart_on_another_builds_files_recomputes_a_snapshot_but_refuses_a_wal() {
+    use smash::serve::epoch::{wal_path, wal_stage};
+    use smash::serve::snapshot::{SNAPSHOT_FILE, SNAPSHOT_STAGE};
+    use smash::support::{ckpt, envelope};
+    let _g = locked(&LOCK);
+    failpoint::disarm_all();
+    let dir = scratch(SCRATCH, "foreign-version");
+    let report_json = one_published_epoch(&dir);
+    // The same file as the previous envelope version would carry it:
+    // intact, checksummed for the version it names.
+    let previous = ckpt::FORMAT_VERSION - 1;
+    let reframe = |path: &std::path::Path, stage: &str| {
+        let bytes = std::fs::read(path).expect("read");
+        let payload = ckpt::parse_snapshot(&bytes, stage).expect("own file");
+        let older = envelope::frame(ckpt::MAGIC, previous, stage, payload).expect("frame");
+        std::fs::write(path, older).expect("rewrite");
+    };
+
+    // A snapshot is regenerable: refused by number, rebuilt from the WAL.
+    reframe(&dir.join(SNAPSHOT_FILE), SNAPSHOT_STAGE);
+    {
+        let svc = CampaignService::start(ServeOptions::new(&dir)).expect("restart");
+        let mut conn = svc.connection();
+        assert_eq!(reply(&mut conn, "WAIT"), "OK epoch=1");
+        assert_eq!(reply(&mut conn, "REPORT"), report_json);
+        svc.shutdown();
+    }
+
+    // A WAL is not: it is the only copy of an acknowledged epoch, so the
+    // daemon says whose file it is and does not start — and does not
+    // touch the file.
+    let wal = wal_path(&dir, 1);
+    reframe(&wal, &wal_stage(1));
+    let before = std::fs::read(&wal).expect("read");
+    let err = match CampaignService::start(ServeOptions::new(&dir)) {
+        Ok(_) => panic!("started over a WAL of envelope version {previous}"),
+        Err(e) => e.to_string(),
+    };
+    assert!(
+        err.contains(&format!("format version {previous}"))
+            && err.contains(&format!("reads version {}", ckpt::FORMAT_VERSION)),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(&wal).expect("read"), before);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
