@@ -30,8 +30,9 @@
 #                                             mid-epoch via a failpoint, restart
 #                                             on the same data dir, and verify
 #                                             the recovered QUERY answer is
-#                                             identical to the no-crash run
-#                                             (DESIGN.md §13)
+#                                             identical to the no-crash run,
+#                                             and that every request line got
+#                                             exactly one reply (DESIGN.md §13)
 #   8. reference benchmark                    the standalone benchmark/ package
 #                                             (BENCHMARK.json's command; its own
 #                                             workspace, path-deps on these
@@ -124,7 +125,14 @@ mkdir -p "$serve_dir"
 # Reference run: ingest the generated day, seal, wait for the publish,
 # query one planted campaign member, exit cleanly.
 { sed 's/^/INGEST /' "$remine_dir/trace.jsonl"; printf 'SEAL\nWAIT\nREPORT\nSHUTDOWN\n'; } \
-    | "$smash_bin" serve --stdio --data-dir "$serve_dir/ref" >"$serve_dir/ref.out"
+    >"$serve_dir/ref.in"
+"$smash_bin" serve --stdio --data-dir "$serve_dir/ref" <"$serve_dir/ref.in" >"$serve_dir/ref.out"
+# Replies are coalesced, never dropped or doubled: exactly one reply
+# line per non-blank request line.
+requests="$(grep -c '[^[:space:]]' "$serve_dir/ref.in")"
+replies="$(wc -l <"$serve_dir/ref.out")"
+test "$requests" -eq "$replies" \
+    || { echo "daemon smoke: $requests requests got $replies replies"; exit 1; }
 member="$(sed -n 's/.*"servers":\["\([^"]*\)".*/\1/p' "$serve_dir/ref.out" | head -1)"
 test -n "$member" || { echo "daemon smoke: no campaign member in reference run"; exit 1; }
 printf 'QUERY %s\nSHUTDOWN\n' "$member" \

@@ -25,26 +25,37 @@ use std::io::{self, BufRead};
 /// that keeps a hostile client from ballooning daemon memory.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// A parsed request line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+/// A parsed request line, borrowing its argument from the raw line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Request<'a> {
     /// Liveness probe.
     Ping,
     /// One raw JSONL record for the open epoch (payload kept verbatim —
     /// it becomes the WAL line on seal).
-    Ingest(String),
+    Ingest(&'a str),
     /// Seal the open epoch: persist its WAL and hand it to the miner.
     Seal,
     /// Block until every sealed epoch is published (or mining failed).
     Wait,
     /// Look a server up in the published snapshot.
-    Query(String),
+    Query(&'a str),
     /// Service counters as one JSON line.
     Stats,
     /// The published campaign list as canonical JSON.
     Report,
     /// Graceful drain and exit.
     Shutdown,
+}
+
+impl Request<'_> {
+    /// Whether the reply may wait in the connection's write buffer
+    /// behind later replies. Only the streaming requests coalesce;
+    /// every other request is answered only after all earlier replies
+    /// are on the wire, so a client never waits on a `SEAL`, `WAIT`,
+    /// `STATS`, `REPORT` or `SHUTDOWN` reply stuck behind unsent ones.
+    pub fn coalesces(&self) -> bool {
+        matches!(self, Request::Ping | Request::Ingest(_) | Request::Query(_))
+    }
 }
 
 /// Why a request line was rejected. Every variant maps to an `ERR`
@@ -88,7 +99,7 @@ impl ParseError {
 ///
 /// A [`ParseError`] naming the rejection class; never panics, whatever
 /// the bytes.
-pub fn parse_line(raw: &[u8]) -> Result<Option<Request>, ParseError> {
+pub fn parse_line(raw: &[u8]) -> Result<Option<Request<'_>>, ParseError> {
     if raw.len() > MAX_LINE_BYTES {
         return Err(ParseError::Oversized(raw.len()));
     }
@@ -111,7 +122,7 @@ pub fn parse_line(raw: &[u8]) -> Result<Option<Request>, ParseError> {
             if rest.is_empty() {
                 return Err(ParseError::MissingArg("record"));
             }
-            Request::Ingest(rest.to_owned())
+            Request::Ingest(rest)
         }
         "SEAL" => Request::Seal,
         "WAIT" => Request::Wait,
@@ -119,7 +130,7 @@ pub fn parse_line(raw: &[u8]) -> Result<Option<Request>, ParseError> {
             if rest.is_empty() {
                 return Err(ParseError::MissingArg("server"));
             }
-            Request::Query(rest.to_owned())
+            Request::Query(rest)
         }
         "STATS" => Request::Stats,
         "REPORT" => Request::Report,
@@ -139,7 +150,7 @@ pub struct RawLine {
     pub oversized: bool,
 }
 
-/// Partial-line state carried across [`read_bounded_line_into`] calls.
+/// Partial-line state carried across [`read_bounded_line`] calls.
 ///
 /// Lets a transport read with a socket timeout: a `WouldBlock` /
 /// `TimedOut` error surfaces to the caller (to re-check its stop flag)
@@ -176,27 +187,17 @@ impl LineAccumulator {
 /// unterminated fragment (mid-record disconnect) is returned as a
 /// normal line for the caller to reject or parse.
 ///
-/// # Errors
-///
-/// Only real I/O errors from the underlying reader.
-pub fn read_bounded_line<R: BufRead>(
-    reader: &mut R,
-    max_bytes: usize,
-) -> io::Result<Option<RawLine>> {
-    read_bounded_line_into(reader, max_bytes, &mut LineAccumulator::new())
-}
-
-/// [`read_bounded_line`] with caller-owned partial-line state: on a
-/// timeout-class error (`WouldBlock`/`TimedOut` from a socket read
-/// deadline) the bytes consumed so far stay in `acc`, and calling again
-/// with the same `acc` resumes the same line. Any returned line resets
-/// `acc` for the next one.
+/// Partial-line state is the caller's `acc`: on a timeout-class error
+/// (`WouldBlock`/`TimedOut` from a socket read deadline) the bytes
+/// consumed so far stay in it, and calling again with the same `acc`
+/// resumes the same line. Any returned line resets `acc` for the next
+/// one.
 ///
 /// # Errors
 ///
 /// I/O errors from the underlying reader; timeout-class errors are
 /// resumable, anything else should end the connection.
-pub fn read_bounded_line_into<R: BufRead>(
+pub fn read_bounded_line<R: BufRead>(
     reader: &mut R,
     max_bytes: usize,
     acc: &mut LineAccumulator,
@@ -249,11 +250,11 @@ mod tests {
         assert_eq!(parse_line(b"  \r\n"), Ok(None));
         assert_eq!(
             parse_line(b"QUERY cc0.evil"),
-            Ok(Some(Request::Query("cc0.evil".to_owned())))
+            Ok(Some(Request::Query("cc0.evil")))
         );
         assert_eq!(
             parse_line(b"INGEST {\"x\":1}"),
-            Ok(Some(Request::Ingest("{\"x\":1}".to_owned())))
+            Ok(Some(Request::Ingest("{\"x\":1}")))
         );
         assert_eq!(parse_line(b"QUERY"), Err(ParseError::MissingArg("server")));
         assert_eq!(parse_line(&[0xff, 0xfe]), Err(ParseError::BadUtf8));
@@ -261,6 +262,12 @@ mod tests {
             parse_line(b"FROB x"),
             Err(ParseError::UnknownCommand(_))
         ));
+        let coalescing: Vec<bool> = ["PING", "INGEST {}", "QUERY x", "SEAL", "WAIT", "STATS"]
+            .iter()
+            .filter_map(|line| parse_line(line.as_bytes()).ok().flatten())
+            .map(|req| req.coalesces())
+            .collect();
+        assert_eq!(coalescing, [true, true, true, false, false, false]);
     }
 
     #[test]
@@ -270,25 +277,27 @@ mod tests {
         input.push(b'\n');
         input.extend_from_slice(b"PING\n");
         let mut r = BufReader::with_capacity(64, &input[..]);
-        let first = read_bounded_line(&mut r, MAX_LINE_BYTES)
+        let first = read_bounded_line(&mut r, MAX_LINE_BYTES, &mut LineAccumulator::new())
             .expect("read")
             .expect("line");
         assert!(first.oversized);
         assert!(first.bytes.len() <= MAX_LINE_BYTES);
-        let second = read_bounded_line(&mut r, MAX_LINE_BYTES)
+        let second = read_bounded_line(&mut r, MAX_LINE_BYTES, &mut LineAccumulator::new())
             .expect("read")
             .expect("line");
         assert!(!second.oversized);
         assert_eq!(second.bytes, b"PING");
-        assert!(read_bounded_line(&mut r, MAX_LINE_BYTES)
-            .expect("read")
-            .is_none());
+        assert!(
+            read_bounded_line(&mut r, MAX_LINE_BYTES, &mut LineAccumulator::new())
+                .expect("read")
+                .is_none()
+        );
     }
 
     #[test]
     fn unterminated_fragment_is_returned_at_eof() {
         let mut r = BufReader::new(&b"QUERY partial"[..]);
-        let line = read_bounded_line(&mut r, MAX_LINE_BYTES)
+        let line = read_bounded_line(&mut r, MAX_LINE_BYTES, &mut LineAccumulator::new())
             .expect("read")
             .expect("fragment");
         assert_eq!(line.bytes, b"QUERY partial");
@@ -339,7 +348,7 @@ mod tests {
         let mut lines = Vec::new();
         let mut timeouts = 0u32;
         loop {
-            match read_bounded_line_into(&mut r, MAX_LINE_BYTES, &mut acc) {
+            match read_bounded_line(&mut r, MAX_LINE_BYTES, &mut acc) {
                 Ok(Some(line)) => {
                     assert!(!line.oversized);
                     lines.push(line.bytes);

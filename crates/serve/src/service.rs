@@ -38,18 +38,19 @@ use smash_core::Smash;
 use smash_support::ckpt;
 use smash_support::governor::{self, CancelToken, Governor, GovernorOptions, Rung, StageScope};
 use smash_support::json::{self, ToJson};
-use smash_support::metrics::Registry;
+use smash_support::metrics::{Counter, Histogram, HistogramSnapshot, Registry, Span};
 use smash_support::retry;
 use smash_support::{failpoint, par};
 use smash_trace::io::decode_record_line;
 use smash_trace::{HttpRecord, TraceDataset};
 use smash_whois::WhoisRegistry;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -120,6 +121,64 @@ struct Progress {
     published: u64,
     /// Highest epoch whose mine exhausted supervision.
     failed: u64,
+    /// Runs from the first seal not yet visible to queries until the
+    /// publish that makes every sealed epoch visible (what `WAIT`
+    /// waits for); recorded into `serve/latency/mine` when dropped.
+    unpublished_since: Option<Span>,
+}
+
+/// Histogram of `QUERY` handling time on the protocol path.
+const QUERY_LATENCY: &str = "serve/latency/query";
+/// Histogram of seal → publish time (see [`Progress::unpublished_since`]).
+const MINE_LATENCY: &str = "serve/latency/mine";
+/// `STATS`' `latency` keys and the histograms behind them.
+const LATENCIES: [(&str, &str); 2] = [("query", QUERY_LATENCY), ("mine", MINE_LATENCY)];
+
+/// A registry counter the request path bumps once per line: resolved
+/// on first use, then reached without the registry lock or a name
+/// allocation. First use rather than start, so `STATS` lists a counter
+/// only once it has been touched — exactly as a per-call lookup did.
+struct HotCounter {
+    name: &'static str,
+    cell: OnceLock<Arc<Counter>>,
+}
+
+impl HotCounter {
+    const fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            cell: OnceLock::new(),
+        }
+    }
+
+    fn of(&self, metrics: &Registry) -> &Counter {
+        self.cell.get_or_init(|| metrics.counter(self.name))
+    }
+}
+
+/// The counters the `INGEST`, `QUERY` and protocol-reject paths bump.
+struct HotCounters {
+    ingest_ok: HotCounter,
+    ingest_busy: HotCounter,
+    ingest_rejected: HotCounter,
+    query: HotCounter,
+    query_hit: HotCounter,
+    proto_rejected: HotCounter,
+    proto_oversized: HotCounter,
+}
+
+impl HotCounters {
+    const fn new() -> Self {
+        Self {
+            ingest_ok: HotCounter::new("serve/ingest/ok"),
+            ingest_busy: HotCounter::new("serve/ingest/busy"),
+            ingest_rejected: HotCounter::new("serve/ingest/rejected"),
+            query: HotCounter::new("serve/query"),
+            query_hit: HotCounter::new("serve/query_hit"),
+            proto_rejected: HotCounter::new("serve/proto/rejected"),
+            proto_oversized: HotCounter::new("serve/proto/oversized"),
+        }
+    }
 }
 
 struct Inner {
@@ -127,6 +186,9 @@ struct Inner {
     smash: Smash,
     whois: WhoisRegistry,
     metrics: Registry,
+    hot: HotCounters,
+    query_latency: Arc<Histogram>,
+    mine_latency: Arc<Histogram>,
     state: Mutex<State>,
     progress: Mutex<Progress>,
     progress_cv: Condvar,
@@ -140,11 +202,11 @@ struct Inner {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// Write this reply line.
-    Reply(String),
+    Reply(Cow<'static, str>),
     /// Blank input: write nothing.
     Quiet,
     /// Write this reply line, then drain and stop the daemon.
-    Shutdown(String),
+    Shutdown(Cow<'static, str>),
 }
 
 /// The outcome of a `WAIT`.
@@ -231,12 +293,16 @@ impl CampaignService {
             smash: Smash::new(opts.config.clone()),
             whois: WhoisRegistry::new(),
             opts,
+            hot: HotCounters::new(),
+            query_latency: metrics.histogram(QUERY_LATENCY),
+            mine_latency: metrics.histogram(MINE_LATENCY),
             metrics,
             state: Mutex::new(state),
             progress: Mutex::new(Progress {
                 sealed,
                 published,
                 failed: 0,
+                unpublished_since: None,
             }),
             progress_cv: Condvar::new(),
             cell: SnapshotCell::new(Arc::new(initial)),
@@ -278,11 +344,12 @@ impl CampaignService {
         server: &str,
         reader: &mut SnapshotReader,
     ) -> Option<crate::snapshot::QueryHit> {
-        self.inner.metrics.counter("serve/query").inc();
-        let snap = self.inner.cell.read(reader);
+        let inner = &*self.inner;
+        inner.hot.query.of(&inner.metrics).inc();
+        let snap = inner.cell.read(reader);
         let hit = snap.lookup(server);
         if hit.is_some() {
-            self.inner.metrics.counter("serve/query_hit").inc();
+            inner.hot.query_hit.of(&inner.metrics).inc();
         }
         hit
     }
@@ -393,7 +460,7 @@ impl CampaignService {
         if payload.len() > inner.opts.max_line_bytes {
             inner.metrics.counter("serve/ingest/oversized").inc();
             self.quarantine_line(payload.as_bytes());
-            return Response::Reply("ERR oversized".to_owned());
+            return Response::Reply("ERR oversized".into());
         }
         let mut state = inner.state.lock().expect("state mutex not poisoned");
         let bytes = payload.len() as u64;
@@ -402,7 +469,8 @@ impl CampaignService {
         {
             // Governor-driven load shedding: the open epoch crossed its
             // soft budget; the client must SEAL (or back off) first.
-            if inner.metrics.counter("serve/ingest/busy").get() == 0 {
+            let busy = inner.hot.ingest_busy.of(&inner.metrics);
+            if busy.get() == 0 {
                 inner.epoch_scope.record(
                     Rung::IngestShed,
                     format!(
@@ -411,8 +479,8 @@ impl CampaignService {
                     ),
                 );
             }
-            inner.metrics.counter("serve/ingest/busy").inc();
-            return Response::Reply("BUSY".to_owned());
+            busy.inc();
+            return Response::Reply("BUSY".into());
         }
         match decode_record_line(payload.as_bytes()) {
             Ok(record) => {
@@ -420,18 +488,18 @@ impl CampaignService {
                 state.buffer_bytes += bytes;
                 state.buffer_lines.push(payload.to_owned());
                 state.buffer_records.push(record);
-                inner.metrics.counter("serve/ingest/ok").inc();
-                Response::Reply("OK".to_owned())
+                inner.hot.ingest_ok.of(&inner.metrics).inc();
+                Response::Reply("OK".into())
             }
             Err(e) => {
                 drop(state);
-                inner.metrics.counter("serve/ingest/rejected").inc();
+                inner.hot.ingest_rejected.of(&inner.metrics).inc();
                 inner
                     .metrics
                     .counter(&format!("serve/ingest/{}", e.class()))
                     .inc();
                 self.quarantine_line(payload.as_bytes());
-                Response::Reply(format!("ERR {}", e.class()))
+                Response::Reply(format!("ERR {}", e.class()).into())
             }
         }
     }
@@ -480,7 +548,7 @@ impl CampaignService {
         let mut state = inner.state.lock().expect("state mutex not poisoned");
         if state.buffer_records.is_empty() {
             inner.metrics.counter("serve/seal/empty").inc();
-            return Response::Reply("ERR empty-epoch".to_owned());
+            return Response::Reply("ERR empty-epoch".into());
         }
         // The epoch number is allocated *and committed* under the state
         // lock, which is held across the WAL write: a concurrent SEAL
@@ -493,7 +561,7 @@ impl CampaignService {
         if let Err(e) = epoch::write_epoch(&inner.opts.data_dir, seq, &state.buffer_lines) {
             eprintln!("serve: epoch {seq} WAL write failed: {e}");
             inner.metrics.counter("serve/seal/wal_failed").inc();
-            return Response::Reply("ERR wal-write".to_owned());
+            return Response::Reply("ERR wal-write".into());
         }
         state.sealed_seq = seq;
         failpoint::fire("serve/after/seal");
@@ -524,10 +592,13 @@ impl CampaignService {
         // `max`, not assignment: two seals that raced past the state
         // lock may reach this update out of order.
         progress.sealed = progress.sealed.max(seq);
+        progress
+            .unpublished_since
+            .get_or_insert_with(|| inner.mine_latency.span());
         inner.progress_cv.notify_all();
         drop(progress);
         inner.metrics.counter("serve/seal/ok").inc();
-        Response::Reply(format!("OK epoch={seq} records={records}"))
+        Response::Reply(format!("OK epoch={seq} records={records}").into())
     }
 
     fn stats_json(&self) -> String {
@@ -554,6 +625,13 @@ impl CampaignService {
             "snapshot_epoch".to_owned(),
             self.inner.cell.peek().epoch.to_json(),
         );
+        let mut latency: BTreeMap<String, json::Json> = BTreeMap::new();
+        for (key, name) in LATENCIES {
+            if let Some(histogram) = snapshot.histograms.get(name) {
+                latency.insert(key.to_owned(), latency_json(histogram));
+            }
+        }
+        root.insert("latency".to_owned(), latency.to_json());
         root.insert("counters".to_owned(), own(snapshot.counters));
         root.insert("gauges".to_owned(), own(snapshot.gauges));
         let mut retry_obj: BTreeMap<String, json::Json> = BTreeMap::new();
@@ -563,6 +641,17 @@ impl CampaignService {
         root.insert("retry".to_owned(), retry_obj.to_json());
         json::to_string(&root.to_json())
     }
+}
+
+/// `{count, p50_us, p99_us}` of one latency histogram (quantiles are
+/// bucket upper bounds, [`HistogramSnapshot::quantile_ns`]).
+fn latency_json(histogram: &HistogramSnapshot) -> json::Json {
+    let us = |q: f64| histogram.quantile_ns(q) as f64 / 1e3;
+    let mut obj: BTreeMap<String, json::Json> = BTreeMap::new();
+    obj.insert("count".to_owned(), histogram.count.to_json());
+    obj.insert("p50_us".to_owned(), us(0.5).to_json());
+    obj.insert("p99_us".to_owned(), us(0.99).to_json());
+    obj.to_json()
 }
 
 /// One protocol connection: a service handle plus its snapshot cache.
@@ -576,49 +665,66 @@ impl Connection {
     /// reader). Total: every input maps to a [`Response`]; nothing
     /// panics and nothing wedges the daemon.
     pub fn handle(&mut self, raw: &[u8], oversized: bool) -> Response {
-        if oversized {
-            self.svc
-                .inner
-                .metrics
-                .counter("serve/proto/oversized")
-                .inc();
-            return Response::Reply("ERR oversized".to_owned());
+        match self.parse(raw, oversized) {
+            Ok(Some(request)) => self.respond(request),
+            Ok(None) => Response::Quiet,
+            Err(rejected) => rejected,
         }
-        let request = match protocol::parse_line(raw) {
-            Ok(Some(req)) => req,
-            Ok(None) => return Response::Quiet,
-            Err(e) => {
-                self.svc.inner.metrics.counter("serve/proto/rejected").inc();
-                if matches!(e, ParseError::BadUtf8) {
-                    // Binary garbage aimed at INGEST still deserves a
-                    // quarantine entry for offline inspection.
-                    self.svc.quarantine_line(raw);
-                }
-                return Response::Reply(e.reply());
+    }
+
+    /// The request on one raw line: `Ok(None)` for a blank line, `Err`
+    /// with the `ERR` reply (already counted, binary garbage already
+    /// quarantined) for a rejected one.
+    pub(crate) fn parse<'a>(
+        &self,
+        raw: &'a [u8], // lint:allow(index): a lifetime-annotated slice type, not an index
+        oversized: bool,
+    ) -> Result<Option<Request<'a>>, Response> {
+        let inner = &*self.svc.inner;
+        if oversized {
+            inner.hot.proto_oversized.of(&inner.metrics).inc();
+            return Err(Response::Reply("ERR oversized".into()));
+        }
+        protocol::parse_line(raw).map_err(|e| {
+            inner.hot.proto_rejected.of(&inner.metrics).inc();
+            if matches!(e, ParseError::BadUtf8) {
+                // Binary garbage aimed at INGEST still deserves a
+                // quarantine entry for offline inspection.
+                self.svc.quarantine_line(raw);
             }
-        };
+            Response::Reply(e.reply().into())
+        })
+    }
+
+    /// Carries out one parsed request.
+    pub(crate) fn respond(&mut self, request: Request<'_>) -> Response {
         match request {
-            Request::Ping => Response::Reply("PONG".to_owned()),
-            Request::Ingest(payload) => self.svc.ingest(&payload),
+            Request::Ping => Response::Reply("PONG".into()),
+            Request::Ingest(payload) => self.svc.ingest(payload),
             Request::Seal => self.svc.seal(),
             Request::Wait => match self.svc.wait_published(Duration::from_secs(120)) {
-                WaitOutcome::Published(epoch) => Response::Reply(format!("OK epoch={epoch}")),
-                WaitOutcome::MineFailed(epoch) => {
-                    Response::Reply(format!("ERR mine-failed epoch={epoch}"))
+                WaitOutcome::Published(epoch) => {
+                    Response::Reply(format!("OK epoch={epoch}").into())
                 }
-                WaitOutcome::TimedOut => Response::Reply("ERR timeout".to_owned()),
-                WaitOutcome::ShuttingDown => Response::Reply("ERR shutdown".to_owned()),
+                WaitOutcome::MineFailed(epoch) => {
+                    Response::Reply(format!("ERR mine-failed epoch={epoch}").into())
+                }
+                WaitOutcome::TimedOut => Response::Reply("ERR timeout".into()),
+                WaitOutcome::ShuttingDown => Response::Reply("ERR shutdown".into()),
             },
-            Request::Query(server) => match self.svc.query(&server, &mut self.reader) {
-                Some(hit) => Response::Reply(hit.reply()),
-                None => Response::Reply("MISS".to_owned()),
-            },
-            Request::Stats => Response::Reply(self.svc.stats_json()),
+            Request::Query(server) => {
+                let _timer = self.svc.inner.query_latency.span();
+                match self.svc.query(server, &mut self.reader) {
+                    Some(hit) => Response::Reply(hit.reply().into()),
+                    None => Response::Reply("MISS".into()),
+                }
+            }
+            Request::Stats => Response::Reply(self.svc.stats_json().into()),
             Request::Report => {
                 let snap = self.svc.inner.cell.read(&mut self.reader);
-                Response::Reply(snap.campaigns_canonical_json())
+                Response::Reply(snap.campaigns_canonical_json().into())
             }
-            Request::Shutdown => Response::Shutdown("OK".to_owned()),
+            Request::Shutdown => Response::Shutdown("OK".into()),
         }
     }
 }
@@ -748,8 +854,13 @@ fn mine_worker(inner: &Inner, replayed: Vec<epoch::ReplayedEpoch>) {
                         let mut progress =
                             inner.progress.lock().expect("progress mutex not poisoned");
                         progress.published = progress.published.max(target);
+                        // Every sealed epoch is visible: stop (and so
+                        // record) the seal → publish clock.
+                        let caught_up = (progress.published >= progress.sealed)
+                            .then(|| progress.unpublished_since.take());
                         inner.progress_cv.notify_all();
                         drop(progress);
+                        drop(caught_up);
                         inner.metrics.counter("serve/publish/ok").inc();
                     }
                     Err(e) => {

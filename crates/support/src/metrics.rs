@@ -165,6 +165,15 @@ impl Histogram {
         self.sum_ns.load(Ordering::Relaxed)
     }
 
+    /// Starts a scoped timer feeding this histogram — [`Registry::span`]
+    /// for a handle resolved once, with no registry lookup per call.
+    pub fn span(self: &Arc<Self>) -> Span {
+        Span {
+            histogram: Arc::clone(self),
+            start: Instant::now(),
+        }
+    }
+
     fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count();
         HistogramSnapshot {
@@ -213,6 +222,15 @@ struct Inner {
     histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
+/// The metric named `name` in `map`, created on first use. A hit is
+/// looked up by `&str`; only the first insert allocates the name.
+fn lookup<T: Default>(map: &mut BTreeMap<String, Arc<T>>, name: &str) -> Arc<T> {
+    if let Some(found) = map.get(name) {
+        return Arc::clone(found);
+    }
+    Arc::clone(map.entry(name.to_owned()).or_default())
+}
+
 /// The metrics registry: named counters, gauges, and histograms.
 ///
 /// `Sync` by construction — dimension builders running on parallel worker
@@ -233,28 +251,25 @@ impl Registry {
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.counters.entry(name.to_owned()).or_default().clone()
+        lookup(&mut inner.counters, name)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.gauges.entry(name.to_owned()).or_default().clone()
+        lookup(&mut inner.gauges, name)
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.histograms.entry(name.to_owned()).or_default().clone()
+        lookup(&mut inner.histograms, name)
     }
 
     /// Starts a scoped timer feeding the histogram named `name`; the
     /// elapsed wall time is recorded when the returned [`Span`] drops.
     pub fn span(&self, name: &str) -> Span {
-        Span {
-            histogram: self.histogram(name),
-            start: Instant::now(),
-        }
+        self.histogram(name).span()
     }
 
     /// A point-in-time copy of every metric, with sorted names.
@@ -313,6 +328,30 @@ impl HistogramSnapshot {
     /// Mean observation in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> u64 {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
+    }
+
+    /// The `q`-quantile (`q` in `[0, 1]`) as the upper bound of the
+    /// bucket holding the `⌈q·count⌉`-th smallest observation — exact
+    /// to within one log bucket (a factor of 4). The catch-all last
+    /// bucket has no finite bound, so a quantile landing there is the
+    /// exact maximum. 0 when empty.
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return match Histogram::bucket_bounds_ns(i) {
+                    u64::MAX => self.max_ns,
+                    bound => bound,
+                };
+            }
+        }
+        // Only a snapshot torn by concurrent recording gets here.
+        self.max_ns
     }
 }
 
@@ -493,6 +532,63 @@ mod tests {
         // Bounds are monotonically increasing.
         for i in 1..HISTOGRAM_BUCKETS {
             assert!(Histogram::bucket_bounds_ns(i) > Histogram::bucket_bounds_ns(i - 1));
+        }
+    }
+
+    #[test]
+    fn repeated_lookups_share_one_metric() {
+        let m = Registry::new();
+        m.counter("a/count").add(3);
+        m.gauge("b/level").set(1.5);
+        m.histogram("c/latency").record_ns(10);
+        let before = m.snapshot();
+        for _ in 0..3 {
+            assert!(Arc::ptr_eq(&m.counter("a/count"), &m.counter("a/count")));
+            assert!(Arc::ptr_eq(&m.gauge("b/level"), &m.gauge("b/level")));
+            assert!(Arc::ptr_eq(
+                &m.histogram("c/latency"),
+                &m.histogram("c/latency")
+            ));
+        }
+        assert_eq!(m.snapshot(), before);
+    }
+
+    #[test]
+    fn histogram_span_records_into_its_handle() {
+        let m = Registry::new();
+        let h = m.histogram("serve/latency/x");
+        drop(h.span());
+        drop(h.span());
+        assert_eq!(m.snapshot().histograms["serve/latency/x"].count, 2);
+    }
+
+    #[test]
+    fn quantiles_name_the_bucket_holding_the_rank() {
+        let h = Histogram::default();
+        assert_eq!(h.snapshot().quantile_ns(0.5), 0);
+        // 90 observations in bucket 0 (≤ 1 µs), 9 in bucket 2
+        // (≤ 16 µs), 1 in the catch-all.
+        for _ in 0..90 {
+            h.record_ns(500);
+        }
+        for _ in 0..9 {
+            h.record_ns(10_000);
+        }
+        let huge = 1u64 << 62;
+        h.record_ns(huge);
+        let s = h.snapshot();
+        assert_eq!(s.quantile_ns(0.0), 1_000);
+        assert_eq!(s.quantile_ns(0.5), 1_000);
+        assert_eq!(s.quantile_ns(0.90), 1_000);
+        assert_eq!(s.quantile_ns(0.91), 16_000);
+        assert_eq!(s.quantile_ns(0.99), 16_000);
+        assert_eq!(s.quantile_ns(1.0), huge);
+        assert_eq!(s.quantile_ns(7.0), huge, "q is clamped to 1");
+        let mut last = 0;
+        for step in 0..=100 {
+            let v = s.quantile_ns(f64::from(step) / 100.0);
+            assert!(v >= last, "quantiles must be monotone in q");
+            last = v;
         }
     }
 

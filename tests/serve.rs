@@ -48,7 +48,7 @@ fn jsonl_line(record: &HttpRecord) -> String {
 
 fn reply(conn: &mut smash::serve::Connection, line: &str) -> String {
     match conn.handle(line.as_bytes(), false) {
-        Response::Reply(r) | Response::Shutdown(r) => r,
+        Response::Reply(r) | Response::Shutdown(r) => r.into_owned(),
         Response::Quiet => String::new(),
     }
 }
@@ -500,15 +500,55 @@ fn wait_after_shutdown_answers_immediately() {
 }
 
 #[test]
-fn tcp_shutdown_exits_despite_idle_connected_client() {
-    let dir = scratch(SCRATCH, "tcp-idle");
+fn stats_reports_query_and_mine_latency() {
+    let _g = locked(&LOCK);
+    failpoint::disarm_all();
+    let dir = scratch(SCRATCH, "latency");
+    let svc = CampaignService::start(ServeOptions::new(&dir)).expect("start");
+    let mut conn = svc.connection();
+    for line in flux_lines() {
+        assert_eq!(reply(&mut conn, &format!("INGEST {line}")), "OK");
+    }
+    assert!(reply(&mut conn, "SEAL").starts_with("OK epoch=1 "));
+    assert_eq!(reply(&mut conn, "WAIT"), "OK epoch=1");
+    const QUERIES: u64 = 37;
+    for i in 0..QUERIES {
+        let server = if i % 2 == 0 { "cc0.evil" } else { "site0.com" };
+        reply(&mut conn, &format!("QUERY {server}"));
+    }
+    let stats = json::parse(&reply(&mut conn, "STATS")).expect("STATS is JSON");
+    let field = |kind: &str, name: &str| {
+        stats
+            .get("latency")
+            .and_then(|l| l.get(kind))
+            .and_then(|h| h.get(name))
+            .and_then(|v| f64::from_json(v).ok())
+            .unwrap_or_else(|| panic!("latency.{kind}.{name} missing: {stats:?}"))
+    };
+    assert_eq!(field("query", "count"), QUERIES as f64);
+    assert!(field("query", "p50_us") > 0.0);
+    assert!(field("query", "p50_us") <= field("query", "p99_us"));
+    // One seal, one publish that made it visible.
+    assert_eq!(field("mine", "count"), 1.0);
+    assert!(field("mine", "p50_us") <= field("mine", "p99_us"));
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Spawns `smash serve` on an ephemeral TCP port with `failpoints`
+/// armed in its environment; returns the child and the bound address.
+fn spawn_tcp_daemon(data_dir: &std::path::Path, failpoints: &str) -> (std::process::Child, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_smash"));
     cmd.args(["serve", "--addr", "127.0.0.1:0", "--data-dir"])
-        .arg(&dir)
+        .arg(data_dir)
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
-    cmd.env_remove("SMASH_FAILPOINTS");
+    if failpoints.is_empty() {
+        cmd.env_remove("SMASH_FAILPOINTS");
+    } else {
+        cmd.env("SMASH_FAILPOINTS", failpoints);
+    }
     let mut child = cmd.spawn().expect("spawn smash serve");
     let mut stdout = child.stdout.take().expect("stdout piped");
     let addr = {
@@ -525,6 +565,67 @@ fn tcp_shutdown_exits_despite_idle_connected_client() {
             .trim()
             .to_owned()
     };
+    (child, addr)
+}
+
+#[test]
+fn pipelined_tcp_replies_arrive_before_a_parked_wait_and_in_order() {
+    use std::io::BufRead as _;
+    let dir = scratch(SCRATCH, "tcp-coalesce");
+    // Every mine attempt sleeps first, so WAIT stays parked for seconds.
+    let (mut child, addr) = spawn_tcp_daemon(&dir, "serve/mine=delay:2000");
+    let lines = flux_lines();
+    let mut script = String::new();
+    for line in &lines {
+        script.push_str(&format!("INGEST {line}\n"));
+    }
+    script.push_str("SEAL\nWAIT\nQUERY cc0.evil\n");
+
+    let mut client = std::net::TcpStream::connect(&addr).expect("connect");
+    client
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("read timeout");
+    client
+        .write_all(script.as_bytes())
+        .expect("one pipelined write");
+    let mut replies = std::io::BufReader::new(client.try_clone().expect("clone"));
+    let mut next = || {
+        let mut reply = String::new();
+        replies.read_line(&mut reply).expect("reply line");
+        reply.trim_end().to_owned()
+    };
+    // The k INGEST acks and the SEAL ack must not wait behind WAIT...
+    for _ in &lines {
+        assert_eq!(next(), "OK");
+    }
+    let seal = next();
+    assert!(seal.starts_with("OK epoch=1 records="), "seal: {seal}");
+    // ...which is provably still parked: nothing is published yet.
+    let mut probe = std::net::TcpStream::connect(&addr).expect("probe connect");
+    probe.write_all(b"STATS\n").expect("send STATS");
+    let mut stats = String::new();
+    std::io::BufReader::new(&probe)
+        .read_line(&mut stats)
+        .expect("STATS reply");
+    let stats = json::parse(&stats).expect("STATS is JSON");
+    let published = stats.get("published").and_then(|v| u64::from_json(v).ok());
+    assert_eq!(published, Some(0), "mine finished before the acks arrived");
+    // Then exactly one reply per remaining request, in request order.
+    assert_eq!(next(), "OK epoch=1");
+    let hit = next();
+    assert!(hit.starts_with("HIT campaign="), "query: {hit}");
+    client.write_all(b"SHUTDOWN\n").expect("send SHUTDOWN");
+    assert_eq!(next(), "OK");
+    assert_eq!(next(), "", "a reply beyond the requests sent");
+    let status = child.wait().expect("daemon exit");
+    assert!(status.success(), "daemon exited uncleanly: {status:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn tcp_shutdown_exits_despite_idle_connected_client() {
+    let dir = scratch(SCRATCH, "tcp-idle");
+    let (mut child, addr) = spawn_tcp_daemon(&dir, "");
 
     // This client connects and then never sends a byte: its connection
     // thread must not park the daemon's exit in a blocking read.
