@@ -29,8 +29,9 @@
 #                                             generated day, SIGKILL the daemon
 #                                             mid-epoch via a failpoint, restart
 #                                             on the same data dir, and verify
-#                                             the recovered QUERY answer is
-#                                             identical to the no-crash run,
+#                                             the recovered QUERY answer and
+#                                             the whole REPORT are identical
+#                                             to the no-crash run,
 #                                             and that every request line got
 #                                             exactly one reply (DESIGN.md §13)
 #   8. reference benchmark                    the standalone benchmark/ package
@@ -146,10 +147,14 @@ if { sed 's/^/INGEST /' "$remine_dir/trace.jsonl"; printf 'SEAL\nWAIT\n'; } \
     echo "daemon smoke: crash run did not crash"; exit 1
 fi
 # Restart on the crashed data dir: the WAL replays, the miner re-mines,
-# and the recovered answer must be identical to the reference.
-printf 'WAIT\nQUERY %s\nSHUTDOWN\n' "$member" \
-    | "$smash_bin" serve --stdio --data-dir "$serve_dir/crash" | grep '^HIT ' >"$serve_dir/crash.hit"
+# and the recovered answers must be identical to the reference: the
+# queried member's HIT and the whole campaign list (REPORT), so a replay
+# that absorbs differently from live ingest fails on any campaign.
+printf 'WAIT\nQUERY %s\nREPORT\nSHUTDOWN\n' "$member" \
+    | "$smash_bin" serve --stdio --data-dir "$serve_dir/crash" >"$serve_dir/crash.out"
+grep '^HIT ' "$serve_dir/crash.out" >"$serve_dir/crash.hit"
 diff -u "$serve_dir/ref.hit" "$serve_dir/crash.hit"
+diff -u <(grep '^\[' "$serve_dir/ref.out") <(grep '^\[' "$serve_dir/crash.out")
 
 echo "==> reference benchmark (benchmark/: self-tests + --smoke)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml

@@ -3,24 +3,32 @@
 //! [`CampaignService`] owns the daemon's whole lifecycle (DESIGN.md
 //! §13):
 //!
-//! * **Ingest** — `INGEST` lines are decoded by the same lenient
-//!   per-line core as file ingest ([`smash_trace::io::decode_record_line`]);
-//!   rejects get an `ERR` class and a quarantine sidecar entry, and a
-//!   governor [`StageScope`] accounts every buffered byte so the
-//!   service answers `BUSY` (sheds load) once the open epoch crosses
-//!   its soft budget instead of growing without bound.
+//! * **Ingest** — `INGEST` lines are validated by the same lenient
+//!   per-line core as file ingest ([`decode_fields`]), and only the line
+//!   itself is kept: it is the daemon's one record form. Rejects get an
+//!   `ERR` class and a quarantine sidecar entry, and a governor
+//!   [`StageScope`] accounts every buffered byte so the service answers
+//!   `BUSY` (sheds load) once the open epoch crosses its soft budget
+//!   instead of growing without bound.
 //! * **Seal** — the buffer becomes epoch *N*: WAL first
-//!   ([`crate::epoch`]), acknowledgment second, miner wake-up third. A
-//!   seal also cancels any in-flight mine through its [`CancelToken`] —
-//!   the stale mine's result would cover a strict prefix of the data.
+//!   ([`crate::epoch`]), acknowledgment second, and the very lines the
+//!   WAL holds are moved to the miner third. A seal also cancels any
+//!   in-flight mine through its [`CancelToken`] — the stale mine's
+//!   result would cover a strict prefix of the data.
 //! * **Mine** — one background worker owns the cumulative trace as an
-//!   interned arena ([`TraceDataset`]): each wake drains the newly
-//!   sealed records out of the shared state and appends them, and the
+//!   interned arena ([`TraceDataset`]) and feeds it through one
+//!   `absorb(lines)`: the replayed WAL at start-up, then each wake's
+//!   newly sealed lines, so replay cannot diverge from live ingest. The
 //!   mine borrows the arena — nothing is cloned or re-interned, and a
 //!   failed mine cannot leave it half-updated. Mines are panic-isolated
 //!   via [`par::run_isolated`] and supervised by the shared [`retry`]
 //!   backoff schedule; one that survives neither marks the epoch failed
 //!   (visible to `WAIT`) without taking the daemon down.
+//! * **Hand-off** — one mutex and one condvar (`Progress`) carry every
+//!   signal between seals, `WAIT`s, shutdown and the miner: epoch
+//!   numbers, the shutdown flag, and the in-flight mine's token, which
+//!   the worker installs in the same critical section that picks its
+//!   target — so no seal or shutdown can slip between the two.
 //! * **Publish** — durable snapshot write, then the lock-free
 //!   [`SnapshotCell`] swap ([`crate::snapshot`]).
 //!
@@ -41,15 +49,14 @@ use smash_support::json::{self, ToJson};
 use smash_support::metrics::{Counter, Histogram, HistogramSnapshot, Registry, Span};
 use smash_support::retry;
 use smash_support::{failpoint, par};
-use smash_trace::io::decode_record_line;
-use smash_trace::{HttpRecord, TraceDataset};
+use smash_trace::io::decode_fields;
+use smash_trace::TraceDataset;
 use smash_whois::WhoisRegistry;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -71,9 +78,6 @@ pub struct ServeOptions {
     pub mine_memory_budget_bytes: u64,
     /// Wall-clock deadline handed to each mine (0 = none).
     pub mine_deadline_ms: u64,
-    /// Per-line size cap on the wire (defaults to
-    /// [`protocol::MAX_LINE_BYTES`]).
-    pub max_line_bytes: usize,
 }
 
 impl ServeOptions {
@@ -86,7 +90,6 @@ impl ServeOptions {
             epoch_budget_bytes: 64 << 20,
             mine_memory_budget_bytes: 0,
             mine_deadline_ms: 0,
-            max_line_bytes: protocol::MAX_LINE_BYTES,
         }
     }
 }
@@ -95,15 +98,13 @@ impl ServeOptions {
 /// seal, and the miner's drain).
 #[derive(Default)]
 struct State {
-    /// Raw accepted lines of the open epoch (the future WAL payload).
-    buffer_lines: Vec<String>,
-    /// Decoded twins of `buffer_lines`.
-    buffer_records: Vec<HttpRecord>,
+    /// Accepted lines of the open epoch (the future WAL payload).
+    buffer: Vec<String>,
     /// Bytes charged against the epoch scope for the open buffer.
     buffer_bytes: u64,
-    /// Sealed records the mine worker has not yet drained into its
-    /// arena (where the cumulative trace lives), in seal order.
-    unabsorbed: Vec<HttpRecord>,
+    /// Sealed epochs' lines the mine worker has not yet absorbed into
+    /// its arena (where the cumulative trace lives), in seal order.
+    unabsorbed: Vec<Vec<String>>,
     /// Highest epoch number ever allocated to a seal. Epoch numbers are
     /// minted under this (the state) lock — held from allocation through
     /// the WAL write — so two concurrent `SEAL`s can never observe the
@@ -111,8 +112,10 @@ struct State {
     sealed_seq: u64,
 }
 
-/// Epoch progress (separate mutex so `WAIT` and the worker never
-/// contend with bulk ingest). Lock order: `State` before `Progress`.
+/// Epoch progress and the seal → miner hand-off (separate mutex so
+/// `WAIT` and the worker never contend with bulk ingest; its one
+/// condvar is notified on every change). Lock order: `State` before
+/// `Progress`.
 #[derive(Default)]
 struct Progress {
     /// Highest sealed (WAL-durable) epoch.
@@ -125,6 +128,21 @@ struct Progress {
     /// publish that makes every sealed epoch visible (what `WAIT`
     /// waits for); recorded into `serve/latency/mine` when dropped.
     unpublished_since: Option<Span>,
+    /// Set once by shutdown: no further publishes will happen.
+    shutdown: bool,
+    /// The in-flight mine's token, installed with its target and
+    /// cleared when it returns; a seal or shutdown cancels it.
+    mine: Option<CancelToken>,
+}
+
+impl Progress {
+    /// Cancels the in-flight mine, if any; whether this call did it.
+    fn cancel_mine(&self, reason: &str) -> bool {
+        let Some(token) = &self.mine else {
+            return false;
+        };
+        token.cancel(&format!("{}{reason}", governor::CANCEL_PREFIX))
+    }
 }
 
 /// Histogram of `QUERY` handling time on the protocol path.
@@ -193,8 +211,6 @@ struct Inner {
     progress: Mutex<Progress>,
     progress_cv: Condvar,
     cell: SnapshotCell,
-    shutdown: AtomicBool,
-    current_mine: Mutex<Option<CancelToken>>,
     epoch_scope: Arc<StageScope>,
 }
 
@@ -276,7 +292,10 @@ impl CampaignService {
             );
             metrics.counter("serve/recovery/wal_skipped").inc();
         }
-        let sealed = replay.epochs.iter().map(|ep| ep.seq).max().unwrap_or(0);
+        // Never below the snapshot's epoch: a skipped (corrupt) newest
+        // WAL must not let the next seal reuse a published number.
+        let replayed = replay.epochs.iter().map(|ep| ep.seq).max().unwrap_or(0);
+        let sealed = replayed.max(published);
         let state = State {
             sealed_seq: sealed,
             ..State::default()
@@ -301,13 +320,10 @@ impl CampaignService {
             progress: Mutex::new(Progress {
                 sealed,
                 published,
-                failed: 0,
-                unpublished_since: None,
+                ..Progress::default()
             }),
             progress_cv: Condvar::new(),
             cell: SnapshotCell::new(Arc::new(initial)),
-            shutdown: AtomicBool::new(false),
-            current_mine: Mutex::new(None),
             epoch_scope,
         });
         let worker = {
@@ -367,10 +383,9 @@ impl CampaignService {
             // Shutdown first: a draining daemon answers every waiter
             // immediately instead of parking them for up to the WAIT
             // timeout while the transport tries to join their threads.
-            // The flag is stored under this mutex (see
-            // [`CampaignService::begin_shutdown`]), so the check and the
+            // The flag lives under this mutex, so the check and the
             // condvar wait below cannot race with the notification.
-            if self.inner.shutdown.load(Ordering::Acquire) {
+            if progress.shutdown {
                 return WaitOutcome::ShuttingDown;
             }
             if progress.published >= progress.sealed {
@@ -409,31 +424,17 @@ impl CampaignService {
     /// transport calls this on `SHUTDOWN` so parked connections unblock
     /// before their threads are joined.
     ///
-    /// The flag is stored while the progress mutex is held: a waiter is
-    /// either about to check the flag (and sees it) or already parked
-    /// on the condvar (and receives the notify) — the store can never
-    /// land in the gap between a waiter's check and its wait, so no
-    /// wake-up is lost and the mine worker cannot sleep through
-    /// shutdown.
+    /// The flag lives under the progress mutex: a waiter is either
+    /// about to check it (and sees it) or already parked on the condvar
+    /// (and receives the notify), so no wake-up is lost and the mine
+    /// worker cannot sleep through shutdown — nor start a mine whose
+    /// token this section could not reach.
     pub(crate) fn begin_shutdown(&self) {
-        {
-            let _progress = self
-                .inner
-                .progress
-                .lock()
-                .expect("progress mutex not poisoned");
-            self.inner.shutdown.store(true, Ordering::Release);
-        }
-        if let Some(token) = self
-            .inner
-            .current_mine
-            .lock()
-            .expect("mine token mutex not poisoned")
-            .as_ref()
-        {
-            token.cancel(&format!("{}service shutdown", governor::CANCEL_PREFIX));
-        }
-        self.inner.progress_cv.notify_all();
+        let inner = &*self.inner;
+        let mut progress = inner.progress.lock().expect("progress mutex not poisoned");
+        progress.shutdown = true;
+        progress.cancel_mine("service shutdown");
+        inner.progress_cv.notify_all();
     }
 
     /// Stops the mine worker: cancels any in-flight mine, wakes every
@@ -455,13 +456,11 @@ impl CampaignService {
         self.inner.metrics.counter(name).get()
     }
 
+    /// Validates one payload and keeps the line itself — the WAL's and
+    /// the miner's one record form; the protocol layer has already
+    /// refused lines over [`protocol::MAX_LINE_BYTES`].
     fn ingest(&self, payload: &str) -> Response {
         let inner = &*self.inner;
-        if payload.len() > inner.opts.max_line_bytes {
-            inner.metrics.counter("serve/ingest/oversized").inc();
-            self.quarantine_line(payload.as_bytes());
-            return Response::Reply("ERR oversized".into());
-        }
         let mut state = inner.state.lock().expect("state mutex not poisoned");
         let bytes = payload.len() as u64;
         if inner.opts.epoch_budget_bytes > 0
@@ -482,12 +481,11 @@ impl CampaignService {
             busy.inc();
             return Response::Reply("BUSY".into());
         }
-        match decode_record_line(payload.as_bytes()) {
-            Ok(record) => {
+        match decode_fields(payload.as_bytes()) {
+            Ok(_) => {
                 inner.epoch_scope.charge(bytes);
                 state.buffer_bytes += bytes;
-                state.buffer_lines.push(payload.to_owned());
-                state.buffer_records.push(record);
+                state.buffer.push(payload.to_owned());
                 inner.hot.ingest_ok.of(&inner.metrics).inc();
                 Response::Reply("OK".into())
             }
@@ -546,7 +544,7 @@ impl CampaignService {
     fn seal(&self) -> Response {
         let inner = &*self.inner;
         let mut state = inner.state.lock().expect("state mutex not poisoned");
-        if state.buffer_records.is_empty() {
+        if state.buffer.is_empty() {
             inner.metrics.counter("serve/seal/empty").inc();
             return Response::Reply("ERR empty-epoch".into());
         }
@@ -558,40 +556,30 @@ impl CampaignService {
         let seq = state.sealed_seq + 1;
         // WAL first: the epoch is durable before it is acknowledged or
         // mined. A crash past this point replays identically.
-        if let Err(e) = epoch::write_epoch(&inner.opts.data_dir, seq, &state.buffer_lines) {
+        if let Err(e) = epoch::write_epoch(&inner.opts.data_dir, seq, &state.buffer) {
             eprintln!("serve: epoch {seq} WAL write failed: {e}");
             inner.metrics.counter("serve/seal/wal_failed").inc();
             return Response::Reply("ERR wal-write".into());
         }
         state.sealed_seq = seq;
         failpoint::fire("serve/after/seal");
-        let records = state.buffer_records.len();
-        state.buffer_lines.clear();
-        let sealed_now = std::mem::take(&mut state.buffer_records);
-        state.unabsorbed.extend(sealed_now);
+        // The miner gets the very lines the WAL now holds — moved.
+        let lines = std::mem::take(&mut state.buffer);
+        let records = lines.len();
+        state.unabsorbed.push(lines);
         let freed = std::mem::take(&mut state.buffer_bytes);
         inner.epoch_scope.release(freed);
         drop(state);
-        // A fresh epoch supersedes any in-flight mine: cancel it so the
-        // worker converges on the newest data instead of finishing a
-        // stale pass.
-        if let Some(token) = inner
-            .current_mine
-            .lock()
-            .expect("mine token mutex not poisoned")
-            .as_ref()
-        {
-            if token.cancel(&format!(
-                "{}superseded by epoch {seq}",
-                governor::CANCEL_PREFIX
-            )) {
-                inner.metrics.counter("serve/mine/superseded").inc();
-            }
-        }
         let mut progress = inner.progress.lock().expect("progress mutex not poisoned");
         // `max`, not assignment: two seals that raced past the state
         // lock may reach this update out of order.
         progress.sealed = progress.sealed.max(seq);
+        // A fresh epoch supersedes any in-flight mine: cancel it so the
+        // worker converges on the newest data instead of finishing a
+        // stale pass.
+        if progress.cancel_mine(&format!("superseded by epoch {seq}")) {
+            inner.metrics.counter("serve/mine/superseded").inc();
+        }
         progress
             .unpublished_since
             .get_or_insert_with(|| inner.mine_latency.span());
@@ -606,7 +594,7 @@ impl CampaignService {
         let (sealed, published, failed) = self.epochs();
         let (buffer_records, buffer_bytes) = {
             let state = inner.state.lock().expect("state mutex not poisoned");
-            (state.buffer_records.len(), state.buffer_bytes)
+            (state.buffer.len(), state.buffer_bytes)
         };
         let retry = retry::counters();
         // The service's own (`serve/…`) slice of one metric family.
@@ -729,16 +717,21 @@ impl Connection {
     }
 }
 
-/// Waits for work; returns the target epoch, or `None` on shutdown.
-fn next_target(inner: &Inner) -> Option<u64> {
+/// Waits for work and claims it: returns the target epoch with the
+/// token the new mine runs under — installed in the same critical
+/// section that picked the target, so a seal or shutdown landing just
+/// after the pick still cancels it — or `None` on shutdown.
+fn next_target(inner: &Inner) -> Option<(u64, CancelToken)> {
     let mut progress: MutexGuard<Progress> =
         inner.progress.lock().expect("progress mutex not poisoned");
     loop {
-        if inner.shutdown.load(Ordering::Acquire) {
+        if progress.shutdown {
             return None;
         }
         if progress.sealed > progress.published.max(progress.failed) {
-            return Some(progress.sealed);
+            let token = CancelToken::new();
+            progress.mine = Some(token.clone());
+            return Some((progress.sealed, token));
         }
         progress = inner
             .progress_cv
@@ -747,51 +740,50 @@ fn next_target(inner: &Inner) -> Option<u64> {
     }
 }
 
-/// Appends `records` to the worker's arena and publishes its new size
-/// (`serve/arena/*`), so `STATS` shows the cumulative trace.
-fn absorb(
-    inner: &Inner,
-    dataset: &mut TraceDataset,
-    records: impl IntoIterator<Item = HttpRecord>,
-) {
-    dataset.append(records);
+/// The one way lines enter the worker's arena, for the replayed WAL and
+/// every live epoch alike: [`decode_fields`] then
+/// [`Appender::push_fields`](smash_trace::Appender::push_fields).
+/// Publishes the arena's new size (`serve/arena/*`), so `STATS` shows
+/// the cumulative trace.
+fn absorb(inner: &Inner, dataset: &mut TraceDataset, lines: impl IntoIterator<Item = String>) {
+    let mut appender = dataset.appender();
+    for line in lines {
+        match decode_fields(line.as_bytes()) {
+            Ok(fields) => appender.push_fields(&fields),
+            // Lines were validated at ingest; only disk rot inside a
+            // checksummed envelope fails here.
+            Err(_) => inner
+                .metrics
+                .counter("serve/recovery/bad_replay_line")
+                .inc(),
+        }
+    }
+    drop(appender);
     let gauge = |name: &str, value: u64| inner.metrics.gauge(name).set(value as f64);
     gauge("serve/arena/records", dataset.record_count() as u64);
     gauge("serve/arena/bytes", dataset.heap_bytes());
 }
 
 /// The supervised background miner (one per service), owner of the
-/// arena: built here once per process by appending the replayed WAL,
+/// arena: built here once per process by absorbing the replayed WAL,
 /// then each newly sealed epoch, and only ever borrowed by a mine.
 fn mine_worker(inner: &Inner, replayed: Vec<epoch::ReplayedEpoch>) {
     let mut dataset = TraceDataset::default();
-    let metrics = &inner.metrics;
-    let lines = replayed.into_iter().flat_map(|ep| ep.lines);
-    let decoded = lines.filter_map(|line| {
-        // Lines were validated at ingest; only disk rot inside a
-        // checksummed envelope fails here.
-        let rec = decode_record_line(line.as_bytes());
-        if rec.is_err() {
-            metrics.counter("serve/recovery/bad_replay_line").inc();
-        }
-        rec.ok()
-    });
-    absorb(inner, &mut dataset, decoded);
-    let replayed = dataset.record_count() as u64;
-    metrics
+    absorb(
+        inner,
+        &mut dataset,
+        replayed.into_iter().flat_map(|ep| ep.lines),
+    );
+    inner
+        .metrics
         .counter("serve/recovery/records_replayed")
-        .add(replayed);
-    while let Some(target) = next_target(inner) {
+        .add(dataset.record_count() as u64);
+    while let Some((target, token)) = next_target(inner) {
         let fresh = {
             let mut state = inner.state.lock().expect("state mutex not poisoned");
             std::mem::take(&mut state.unabsorbed)
         };
-        absorb(inner, &mut dataset, fresh);
-        let token = CancelToken::new();
-        *inner
-            .current_mine
-            .lock()
-            .expect("mine token mutex not poisoned") = Some(token.clone());
+        absorb(inner, &mut dataset, fresh.into_iter().flatten());
         inner.metrics.counter("serve/mine/started").inc();
         let gov = GovernorOptions {
             memory_budget_bytes: inner.opts.mine_memory_budget_bytes,
@@ -823,15 +815,15 @@ fn mine_worker(inner: &Inner, replayed: Vec<epoch::ReplayedEpoch>) {
                 .counter("serve/mine/restarts")
                 .add(u64::from(retries));
         }
-        *inner
-            .current_mine
-            .lock()
-            .expect("mine token mutex not poisoned") = None;
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
+        // Only shutdown and newer seals cancel the token (a deadline
+        // cancels the run's child token), and both act in this mutex:
+        // past this section nothing can cancel the finished mine.
         let superseded = {
-            let progress = inner.progress.lock().expect("progress mutex not poisoned");
+            let mut progress = inner.progress.lock().expect("progress mutex not poisoned");
+            progress.mine = None;
+            if progress.shutdown {
+                return;
+            }
             progress.sealed > target
         };
         if superseded {
@@ -841,9 +833,6 @@ fn mine_worker(inner: &Inner, replayed: Vec<epoch::ReplayedEpoch>) {
         }
         match result {
             Ok(report) => {
-                if token.is_cancelled() {
-                    continue;
-                }
                 let prev = inner.cell.peek();
                 let snap = ServeSnapshot::from_report(target, &report, &prev);
                 let path = inner.opts.data_dir.join(SNAPSHOT_FILE);

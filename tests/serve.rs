@@ -119,6 +119,13 @@ fn hostile_ingest_is_rejected_quarantined_and_never_wedges_the_miner() {
         Response::Reply(r) => assert_eq!(r, "ERR oversized"),
         other => panic!("oversized got: {other:?}"),
     }
+    // So is an over-cap line handed over whole: the protocol layer is
+    // the one line cap, before any INGEST payload exists.
+    let over_cap = format!(
+        "INGEST {}",
+        "x".repeat(smash::serve::protocol::MAX_LINE_BYTES)
+    );
+    assert_eq!(reply(&mut conn, &over_cap), "ERR oversized");
     // Every hostile payload landed in the quarantine sidecar.
     // Bytes, not a String: the binary-garbage line is in there too.
     let sidecar_bytes = std::fs::read(dir.join("quarantine.jsonl")).expect("sidecar");
@@ -335,6 +342,19 @@ fn batch_membership(lines: &[String]) -> Vec<Vec<String>> {
     membership(&json::to_string(&batch.campaigns.to_json()))
 }
 
+/// `STATS`' `serve/arena/records` and `serve/arena/bytes` gauges.
+fn arena_gauges(conn: &mut smash::serve::Connection) -> (f64, f64) {
+    let stats = json::parse(&reply(conn, "STATS")).expect("STATS is JSON");
+    let gauge = |name: &str| {
+        stats
+            .get("gauges")
+            .and_then(|g| g.get(name))
+            .and_then(|v| f64::from_json(v).ok())
+            .unwrap_or_else(|| panic!("gauge {name} missing: {stats:?}"))
+    };
+    (gauge("serve/arena/records"), gauge("serve/arena/bytes"))
+}
+
 #[test]
 fn uneven_epochs_converge_on_the_sequential_batch_reference() {
     let _g = locked(&LOCK);
@@ -379,24 +399,29 @@ fn uneven_epochs_converge_on_the_sequential_batch_reference() {
         }
     }
     assert_eq!(svc.counter("serve/mine/superseded"), 1);
-    assert_eq!(membership(&reply(&mut conn, "REPORT")), reference);
+    let live_report = reply(&mut conn, "REPORT");
+    assert_eq!(membership(&live_report), reference);
     // The operator still sees the cumulative trace: the arena gauges
     // count every sealed record, absorbed exactly once.
-    let stats = json::parse(&reply(&mut conn, "STATS")).expect("STATS is JSON");
-    let arena_records = stats
-        .get("gauges")
-        .and_then(|g| g.get("serve/arena/records"))
-        .and_then(|v| f64::from_json(v).ok());
-    assert_eq!(arena_records, Some(lines.len() as f64), "stats: {stats:?}");
+    let live_arena = arena_gauges(&mut conn);
+    assert_eq!(live_arena.0, lines.len() as f64);
     svc.shutdown();
 
     // Restart on the same data dir: the recovered snapshot answers at
-    // once, and one more epoch — mined over the arena rebuilt from the
-    // WAL — still matches the batch pipeline over everything.
+    // once, byte for byte, and replay — one absorb of the whole WAL —
+    // builds the arena the four live absorbs built.
     let svc = CampaignService::start(ServeOptions::new(&dir)).expect("restart");
     let mut conn = svc.connection();
     assert_eq!(reply(&mut conn, "WAIT"), "OK epoch=4");
-    assert_eq!(membership(&reply(&mut conn, "REPORT")), reference);
+    assert_eq!(reply(&mut conn, "REPORT"), live_report);
+    let patience = std::time::Instant::now();
+    while svc.counter("serve/recovery/records_replayed") < lines.len() as u64 {
+        assert!(patience.elapsed().as_secs() < 60, "the WAL never replayed");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert_eq!(arena_gauges(&mut conn), live_arena);
+    // One more epoch, mined over the replayed arena, still matches the
+    // batch pipeline over everything.
     let late = HttpRecord::new(1, "bot1", "late.evil", "66.6.6.6", "/gate/login.php?p=1");
     lines.push(jsonl_line(&late));
     assert_eq!(
@@ -409,6 +434,35 @@ fn uneven_epochs_converge_on_the_sequential_batch_reference() {
         membership(&reply(&mut conn, "REPORT")),
         batch_membership(&lines)
     );
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_seal_after_a_skipped_wal_never_reuses_a_published_epoch() {
+    let _g = locked(&LOCK);
+    failpoint::disarm_all();
+    let dir = scratch(SCRATCH, "skipped-wal");
+    one_published_epoch(&dir);
+    // Disk rot in the newest WAL: replay skips it, but the snapshot
+    // still serves epoch 1.
+    let wal = smash::serve::epoch::wal_path(&dir, 1);
+    let mut bytes = std::fs::read(&wal).expect("read WAL");
+    *bytes.last_mut().expect("non-empty WAL") ^= 0x01;
+    std::fs::write(&wal, bytes).expect("rot WAL");
+
+    let svc = CampaignService::start(ServeOptions::new(&dir)).expect("restart");
+    assert_eq!(svc.counter("serve/recovery/wal_skipped"), 1);
+    let mut conn = svc.connection();
+    let late = HttpRecord::new(1, "bot1", "late.evil", "66.6.6.6", "/gate/login.php?p=1");
+    assert_eq!(
+        reply(&mut conn, &format!("INGEST {}", jsonl_line(&late))),
+        "OK"
+    );
+    // A fresh number, so a real mine runs and WAIT waits for it.
+    assert_eq!(reply(&mut conn, "SEAL"), "OK epoch=2 records=1");
+    assert_eq!(reply(&mut conn, "WAIT"), "OK epoch=2");
+    assert_eq!(svc.counter("serve/mine/started"), 1);
     svc.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
