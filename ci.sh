@@ -69,6 +69,13 @@
 #                                             (numbers live in EXPERIMENTS.md,
 #                                             rationale in DESIGN.md; runs
 #                                             right after the format check)
+#  16. exact-vs-LSH smoke                     the campaigns `smash analyze`
+#                                             prints for the step-6 trace are
+#                                             identical with and without
+#                                             `--exact` (one bucket of every
+#                                             server against the MinHash
+#                                             bands, DESIGN.md §10; runs
+#                                             right after step 6)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -119,6 +126,13 @@ refused "$remine_dir/short.day" "day file corrupt"
 cp "$remine_dir/trace.day" "$remine_dir/v2.day"
 printf '\002\000\000\000' | dd of="$remine_dir/v2.day" bs=1 seek=8 conv=notrunc status=none
 refused "$remine_dir/v2.day" "version 2 not supported (this build reads 3)"
+
+echo "==> exact-vs-LSH smoke (the same campaigns with and without --exact)"
+"$smash_bin" analyze "$remine_dir/trace.jsonl" --exact >"$remine_dir/exact.out"
+grep -E '^(campaign #|  )' "$remine_dir/raw.out" >"$remine_dir/raw.campaigns"
+grep -E '^(campaign #|  )' "$remine_dir/exact.out" >"$remine_dir/exact.campaigns"
+test -s "$remine_dir/raw.campaigns" || { echo "exact smoke: no campaign inferred"; exit 1; }
+diff -u "$remine_dir/raw.campaigns" "$remine_dir/exact.campaigns"
 
 echo "==> daemon smoke (smash serve: crash mid-epoch, restart, identical answers)"
 serve_dir="$remine_dir/serve"

@@ -40,23 +40,22 @@
 //! default 64×1 shape a J = 0.1 pair is missed with probability
 //! 0.9⁶⁴ ≈ 1e-3 and a J = 0.3 pair below 1e-9.
 //!
-//! Determinism: signatures are a pure function of the feature values,
-//! computed with the order-preserving [`smash_support::par::par_map`],
-//! and the returned pair list is sorted and deduplicated — identical
-//! across runs and thread counts.
+//! Candidates are scanned, never accumulated. Each band keeps its
+//! buckets resident as a `BandTable` — the eligible nodes sorted by
+//! `(bucket key, node)`, every node's position in that order and one
+//! bucket-start bit per position, ≈ 8⅛ bytes per node — and the rare
+//! path keeps its inverted index. One parallel pass over the rows then
+//! gathers row `u`'s partners `v > u`: its bucket tail in every band,
+//! plus the tail of each of its rare postings, marked in a per-task bit
+//! mask that deduplicates them and hands them back ascending. However
+//! often the bands re-propose a pair (a crowd drawing on few distinct
+//! features lands in the same buckets band after band), nothing
+//! resident grows with the proposals or with the pairs; the caller
+//! scores each pair where it is found.
 //!
-//! Memory: the full `nodes × bands·rows` signature table is never
-//! materialized. Each band recomputes its own rows and folds them into
-//! one `u64` bucket key per node, so resident signature state is `O(n)`
-//! regardless of the band count — and since a band only ever needed its
-//! own rows, the total hashing work is the same as filling the table.
-//! Proposed pairs accumulate node-major in a [`CandidateSet`] (row `u`
-//! = partners `v > u`, 4 bytes each) whose rows are deduplicated
-//! whenever they double, so resident pair state stays within about
-//! twice the *distinct* pairs however often the bands re-propose them:
-//! a crowd drawing on few distinct features lands in the same buckets
-//! band after band, and buffering every proposal used to cost
-//! `bands × crowd²`.
+//! Determinism: signatures are a pure function of the feature values,
+//! and the scan hands out its pairs in ascending `(u, v)` order —
+//! identical across runs and thread counts.
 //!
 //! Feature sets arrive as any slice of [`FeatureId`] values (`u64`
 //! file ids and charset keys from the URI-file builder; `u32` arena ids
@@ -65,9 +64,10 @@
 //! time, so the candidate output is independent of the carrier width.
 
 use crate::config::LshConfig;
-use crate::incidence::IdIndex;
-use smash_support::governor::{Governor, Rung, StageScope};
+use crate::incidence::{self, IdIndex};
+use smash_support::governor::{CancelToken, Governor, Rung, StageScope};
 use smash_support::par;
+use std::ops::Range;
 
 /// A value usable as an LSH feature: anything losslessly widenable to
 /// the `u64` the hashes consume, ordered as its widening is. Implemented
@@ -101,10 +101,11 @@ pub struct CandidateStats {
     pub features: u64,
     /// LSH buckets skipped because they exceeded `bucket_cap`.
     pub capped_buckets: u64,
-    /// Clique entries proposed by the rare path and every band, before
-    /// deduplication; `proposed ÷ pairs` is the duplication factor.
+    /// Clique entries of the rare path and every band, duplicates
+    /// included — the tail entries the scan walks; `proposed ÷ pairs` is
+    /// the duplication factor.
     pub proposed: u64,
-    /// Candidate pairs after deduplication.
+    /// Distinct candidate pairs.
     pub pairs: u64,
 }
 
@@ -125,257 +126,502 @@ fn row_hash(feature: u64, row: u64) -> u64 {
     mix64(feature ^ mix64(row.wrapping_mul(0xA076_1D64_78BD_642F)))
 }
 
-/// Below this node count one band's keys are computed on the calling
-/// thread: `band_keys` runs once per band, and on small graphs the
-/// per-call fork/join coordination costs more than the hashing it
-/// spreads. Output is identical either way (`par_map` preserves
-/// order); only the wall clock changes.
-///
-/// The gate counts nodes although a band's work is Σ|features|; the
-/// URI-file sets it serves hold a handful of features a node (9–29 k
-/// incidences over 1–2 k nodes on the benchmark's inputs), so the two
-/// agree there.
-const PAR_BAND_MIN_NODES: usize = 4096;
-
 /// One bucket key per node for `band`. A node's MinHash signature row
 /// `r` is the minimum of [`row_hash`]`(f, r)` over its features (an
 /// empty set signs as `u64::MAX`); the band's key folds its `rows`
 /// signature rows, `band·rows ..`, with [`mix64`] into a single `u64`.
-/// No other row is computed: the `nodes × bands·rows` table never
-/// exists.
-fn band_keys<F: FeatureId, S: AsRef<[F]> + Sync>(
+/// No other row is computed — the `nodes × bands·rows` table never
+/// exists — and the band's rows share one buffer.
+fn band_keys<F: FeatureId, S: AsRef<[F]>>(
     node_features: &[S],
     band: usize,
     rows: usize,
 ) -> Vec<u64> {
     let seed = mix64(0xB00C_0000 ^ band as u64);
-    let first_row = band * rows;
-    let key_of = |features: &S| {
-        let features = features.as_ref();
-        if rows == 1 {
-            // Default shape (64 bands × 1 row): one minimum, no
-            // per-node signature buffer at all.
-            let mut min = u64::MAX;
-            for &f in features {
-                let h = row_hash(f.widen(), first_row as u64);
-                if h < min {
-                    min = h;
-                }
+    let first_row = (band * rows) as u64;
+    let mut sig = vec![u64::MAX; rows];
+    let mut key_of = |features: &S| {
+        sig.fill(u64::MAX);
+        for &f in features.as_ref() {
+            for (row, slot) in (first_row..).zip(sig.iter_mut()) {
+                *slot = (*slot).min(row_hash(f.widen(), row));
             }
-            mix64(seed ^ min)
-        } else {
-            let mut sig = vec![u64::MAX; rows];
-            for &f in features {
-                for (i, slot) in sig.iter_mut().enumerate() {
-                    let h = row_hash(f.widen(), (first_row + i) as u64);
-                    if h < *slot {
-                        *slot = h;
-                    }
-                }
-            }
-            let mut key = seed;
-            for row in sig {
-                key = mix64(key ^ row);
-            }
-            key
         }
+        sig.iter().fold(seed, |key, &row| mix64(key ^ row))
     };
-    if node_features.len() < PAR_BAND_MIN_NODES {
-        node_features.iter().map(key_of).collect()
-    } else {
-        par::par_map(node_features, key_of)
-    }
+    node_features.iter().map(&mut key_of).collect()
 }
-
-/// Bytes one buffered [`CandidateSet`] entry is charged at.
-const ENTRY_BYTES: u64 = 4;
 
 /// Bytes one edge of a finished dimension graph is charged at: two
 /// adjacency entries of `(node, weight)`.
 pub(crate) const EDGE_BYTES: u64 = 24;
 
-/// Entries a row may hold beyond twice its last deduplicated length
-/// before it is deduplicated again — keeps one- and two-partner rows
-/// from being rescanned after every band.
-const ROW_SLACK: usize = 4;
+/// [`BandTable::pos`] of a node the band never pairs: ineligible, or in
+/// a bucket over the cap.
+const UNPAIRED: u32 = u32::MAX;
 
-/// The node-major candidate set: row `u` holds the proposed partners
-/// `v > u` of node `u`, so an unordered pair lives in exactly one row
-/// and concatenating the rows of a finished set *is* the sorted,
-/// deduplicated pair list.
-///
-/// Cliques are appended as slices (members arrive ascending, so node
-/// `u`'s share of a clique is the tail behind it). A row is
-/// deduplicated once it has doubled since its last deduplication —
-/// through a reusable `n`-bit mask, never a comparison sort — which
-/// bounds the resident entries by about twice the distinct pairs.
+/// One band's buckets, resident for the scan: the eligible nodes sorted
+/// by `(key, node)` — each bucket a run of ascending node ids, no hash
+/// map — every node's position in that order, and one bit per position
+/// set where a bucket starts. A node's partners in the band are the
+/// members behind it in its run, its *tail*.
 #[derive(Debug)]
-pub struct CandidateSet {
-    above: Vec<Vec<u32>>,
-    /// Per row, its length after its last deduplication.
-    clean: Vec<usize>,
-    /// Scratch bit per node id; all clear between calls.
-    mask: Mask,
-    /// Σ row lengths.
-    entries: usize,
-    /// How many of `entries` the stage account currently carries.
-    charged: usize,
+struct BandTable {
+    order: Vec<u32>,
+    pos: Vec<u32>,
+    starts: Vec<u64>,
 }
 
-impl CandidateSet {
-    fn new(nodes: usize) -> Self {
-        Self {
-            above: vec![Vec::new(); nodes],
-            clean: vec![0; nodes],
-            mask: Mask(vec![0; nodes.div_ceil(64)]),
-            entries: 0,
-            charged: 0,
-        }
+impl BandTable {
+    /// Bytes of `order` and `starts` over `eligible` nodes.
+    fn run_bytes(eligible: u64) -> u64 {
+        4 * eligible + 8 * eligible.div_ceil(64)
     }
 
-    /// Number of pairs in the set.
-    pub fn len(&self) -> usize {
-        self.entries
+    /// Resident bytes of a table over `nodes` nodes, `eligible` of them
+    /// in `order`: 8⅛ per node when every node is eligible.
+    fn bytes(nodes: u64, eligible: u64) -> u64 {
+        4 * nodes + Self::run_bytes(eligible)
     }
 
-    /// Whether the set holds no pair.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
+    /// Bytes building one band takes at its peak: a key per node beside
+    /// the runs. The keys are dropped before `pos` is allocated, so the
+    /// build never holds both and always outweighs the table it leaves.
+    fn build_bytes(nodes: u64, eligible: u64) -> u64 {
+        8 * nodes + Self::run_bytes(eligible)
     }
 
-    /// Bytes of the stage account the set still carries; the consumer
-    /// releases them when it drops the set.
-    pub fn charged_bytes(&self) -> u64 {
-        self.charged as u64 * ENTRY_BYTES
+    /// The MinHash buckets of `band` over the `eligible` nodes.
+    fn band<F: FeatureId, S: AsRef<[F]>>(
+        node_features: &[S],
+        eligible: &[u32],
+        band: usize,
+        rows: usize,
+    ) -> Self {
+        let keys = band_keys(node_features, band, rows);
+        let key_of = |node: u32| keys.get(node as usize).copied();
+        let mut order = eligible.to_vec();
+        order.sort_unstable_by_key(|&node| (key_of(node), node));
+        let starts = bucket_starts(&order, |a, b| key_of(a) != key_of(b));
+        drop(keys);
+        Self::new(order, starts, node_features.len())
     }
 
-    /// The non-empty rows `(u, partners)` in ascending `u`; every
-    /// partner is `> u`, ascending and distinct.
-    pub fn rows(&self) -> impl Iterator<Item = (u32, &[u32])> {
-        (0u32..)
-            .zip(&self.above)
-            .filter(|(_, row)| !row.is_empty())
-            .map(|(u, row)| (u, row.as_slice()))
+    /// One bucket holding every `eligible` node: the `--exact` universe.
+    fn whole(eligible: Vec<u32>, nodes: usize) -> Self {
+        let starts = bucket_starts(&eligible, |_, _| false);
+        Self::new(eligible, starts, nodes)
     }
 
-    /// The pairs `(u, v)`, `u < v`, sorted and distinct.
-    pub fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.rows()
-            .flat_map(|(u, row)| row.iter().map(move |&v| (u, v)))
-    }
-
-    /// Proposes every unordered pair of `nodes` (ascending, distinct).
-    fn push_clique(&mut self, nodes: &[u32]) {
-        for (u, tail) in tails(nodes) {
-            if let Some(row) = self.above.get_mut(u as usize) {
-                row.extend_from_slice(tail);
-                self.entries += tail.len();
+    /// The table over `order` and its bucket `starts`.
+    fn new(order: Vec<u32>, starts: Vec<u64>, nodes: usize) -> Self {
+        let mut pos = vec![UNPAIRED; nodes];
+        for (at, &node) in (0u32..).zip(&order) {
+            if let Some(slot) = pos.get_mut(node as usize) {
+                *slot = at;
             }
         }
+        Self { order, pos, starts }
     }
 
-    /// Drops duplicate entries from every row that has doubled since it
-    /// was last deduplicated — from every row with anything appended
-    /// since when `all` is set (the [`Rung::Compacted`] reclaim).
-    /// Returns how many entries went.
-    fn dedup_rows(&mut self, all: bool) -> usize {
-        let before = self.entries;
-        for (row, clean) in self.above.iter_mut().zip(&mut self.clean) {
-            let due = if all {
-                row.len() > *clean
-            } else {
-                row.len() >= 2 * *clean + ROW_SLACK
-            };
-            if due {
-                let len = row.len();
-                row.retain(|&v| self.mask.mark(v));
-                for &v in row.iter() {
-                    self.mask.clear_word_of(v);
-                }
-                self.entries -= len - row.len();
-                *clean = row.len();
-            }
-        }
-        before - self.entries
+    /// Every bucket, as its run of positions in `order`.
+    fn buckets(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        bucket_runs(&self.starts, self.order.len())
     }
 
-    /// Brings every row to its final form, ascending and distinct: the
-    /// row's ids are marked in the mask and read back in bit order over
-    /// the words they span.
-    fn finish(&mut self) {
-        for row in &mut self.above {
-            let (Some(&lo), Some(&hi)) = (row.iter().min(), row.iter().max()) else {
+    /// Unpairs every member of a bucket over `cap`; returns the buckets
+    /// capped and the clique entries the others propose. Walks the runs
+    /// in place: nothing beside the table is allocated.
+    fn cap(&mut self, cap: usize) -> (u64, u64) {
+        let (mut capped, mut proposed) = (0, 0);
+        let Self { order, pos, starts } = self;
+        for run in bucket_runs(starts, order.len()) {
+            if run.len() <= cap {
+                proposed += pair_universe(run.len());
                 continue;
-            };
-            let len = row.len();
-            for &v in row.iter() {
-                self.mask.mark(v);
             }
-            row.clear();
-            self.mask.drain_ascending(lo, hi, row);
-            self.entries -= len - row.len();
+            capped += 1;
+            for &node in order.get(run).unwrap_or_default() {
+                if let Some(slot) = pos.get_mut(node as usize) {
+                    *slot = UNPAIRED;
+                }
+            }
         }
+        (capped, proposed)
     }
 
-    /// Brings the stage account in line with what is resident:
-    /// [`ENTRY_BYTES`] per buffered entry.
-    fn settle(&mut self, scope: &StageScope) {
-        if self.entries >= self.charged {
-            scope.charge((self.entries - self.charged) as u64 * ENTRY_BYTES);
-        } else {
-            scope.release((self.charged - self.entries) as u64 * ENTRY_BYTES);
+    /// The members behind `u` in its bucket: its partners `v > u`.
+    fn tail(&self, u: u32) -> &[u32] {
+        match self.pos.get(u as usize) {
+            Some(&at) if at != UNPAIRED => {
+                let from = at as usize + 1;
+                let end = next_set_bit(&self.starts, from).unwrap_or(self.order.len());
+                self.order.get(from..end).unwrap_or_default()
+            }
+            _ => &[],
         }
-        self.charged = self.entries;
     }
 }
 
-/// Every member of `nodes` with the members behind it: the node-major
-/// rows of the clique over `nodes` (ascending).
-pub(crate) fn tails(nodes: &[u32]) -> impl Iterator<Item = (u32, &[u32])> {
-    let mut rest = nodes;
+/// One bit per position of `order`, set where a bucket starts: at the
+/// first node and wherever `split` tells two neighbours apart.
+fn bucket_starts(order: &[u32], split: impl Fn(u32, u32) -> bool) -> Vec<u64> {
+    let mut starts = vec![0u64; order.len().div_ceil(64)];
+    let mut prev = None;
+    for (at, &node) in order.iter().enumerate() {
+        if prev.is_none_or(|prev| split(prev, node)) {
+            if let Some(word) = starts.get_mut(at / 64) {
+                *word |= 1 << (at % 64);
+            }
+        }
+        prev = Some(node);
+    }
+    starts
+}
+
+/// The buckets that `starts` marks over `len` positions, as runs.
+fn bucket_runs(starts: &[u64], len: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut starts = set_bits(starts).peekable();
     std::iter::from_fn(move || {
-        let (&u, tail) = rest.split_first()?;
-        rest = tail;
-        Some((u, tail))
+        let start = starts.next()?;
+        Some(start..starts.peek().copied().unwrap_or(len))
     })
 }
 
-/// One reusable bit per node id: deduplicates a row without comparing
-/// its entries, and hands the ids back in ascending order.
+/// The set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    (0usize..).step_by(64).zip(words).flat_map(|(base, &word)| {
+        let next = |&w: &u64| Some(w & w.wrapping_sub(1)).filter(|&w| w != 0);
+        let bits = std::iter::successors(Some(word).filter(|&w| w != 0), next);
+        bits.map(move |w| base + w.trailing_zeros() as usize)
+    })
+}
+
+/// The first set bit of `words` at or after `from`.
+fn next_set_bit(words: &[u64], from: usize) -> Option<usize> {
+    let mut at = from / 64;
+    let mut word = words.get(at)? & (u64::MAX << (from % 64));
+    while word == 0 {
+        at += 1;
+        word = *words.get(at)?;
+    }
+    Some(at * 64 + word.trailing_zeros() as usize)
+}
+
+/// One reusable bit per node id: deduplicates a row's partners without
+/// comparing them, and hands them back in ascending order.
 #[derive(Debug)]
-struct Mask(Vec<u64>);
+struct Mask {
+    words: Vec<u64>,
+    /// The words marked since the last drain, as `lo..hi`.
+    lo: usize,
+    hi: usize,
+}
 
 impl Mask {
-    /// Sets bit `v`; `true` when it was clear (and in range).
-    fn mark(&mut self, v: u32) -> bool {
-        let Some(word) = self.0.get_mut(v as usize / 64) else {
-            return false;
-        };
-        let bit = 1u64 << (v % 64);
-        let fresh = *word & bit == 0;
-        *word |= bit;
-        fresh
-    }
-
-    /// Clears the whole word holding bit `v`.
-    fn clear_word_of(&mut self, v: u32) {
-        if let Some(word) = self.0.get_mut(v as usize / 64) {
-            *word = 0;
+    fn new(nodes: usize) -> Self {
+        Self {
+            words: vec![0; nodes.div_ceil(64)],
+            lo: usize::MAX,
+            hi: 0,
         }
     }
 
-    /// Appends every set id of the words spanning `lo..=hi` to `out`,
-    /// ascending, and clears those words.
-    fn drain_ascending(&mut self, lo: u32, hi: u32, out: &mut Vec<u32>) {
-        let (lo, hi) = (lo as usize / 64, hi as usize / 64);
-        let words = self.0.iter_mut().zip((0u32..).step_by(64));
-        for (word, base) in words.skip(lo).take(hi - lo + 1) {
+    /// Marks every node of `nodes` (ascending).
+    fn mark(&mut self, nodes: &[u32]) {
+        let (Some(&first), Some(&last)) = (nodes.first(), nodes.last()) else {
+            return;
+        };
+        self.lo = self.lo.min(first as usize / 64);
+        self.hi = self.hi.max(last as usize / 64 + 1);
+        for &v in nodes {
+            if let Some(word) = self.words.get_mut(v as usize / 64) {
+                *word |= 1 << (v % 64);
+            }
+        }
+    }
+
+    /// Moves every marked node into `out`, ascending, and clears the
+    /// mask.
+    fn drain(&mut self, out: &mut Vec<u32>) {
+        if self.lo >= self.hi {
+            return;
+        }
+        let marked = self.words.get_mut(self.lo..self.hi).unwrap_or_default();
+        for (word, base) in marked.iter_mut().zip((self.lo as u32 * 64..).step_by(64)) {
             while *word != 0 {
                 out.push(base + word.trailing_zeros());
                 *word &= *word - 1;
             }
         }
+        (self.lo, self.hi) = (usize::MAX, 0);
     }
+}
+
+/// Bands [`CandidateScan::lsh`] builds at once at most. The account
+/// charges every build of a batch, so it bounds what is alive whatever
+/// the worker count, and a given budget holds the same bands on every
+/// thread count.
+const BUILD_BATCH: usize = 8;
+
+/// Rows one task of [`CandidateScan::run`] gathers; the task's mask is
+/// reused across them. A row's work is its tails, longest for the
+/// smallest ids, so the tasks stay short enough to balance.
+const ROWS_PER_TASK: usize = 32;
+
+/// The resident candidate state of one stage: the held bands' tables
+/// and the rare path's index, over the borrowed feature sets.
+/// [`run`](Self::run) scans it; the stage account carries
+/// [`charged_bytes`](Self::charged_bytes) until the caller releases
+/// them.
+#[derive(Debug)]
+pub(crate) struct CandidateScan<'a, F, S> {
+    // lint:allow(index): lifetime-annotated slice type, not an indexing site
+    sets: &'a [S],
+    bands: Vec<BandTable>,
+    /// The rare path's index and its posting-length cap.
+    rare: Option<(IdIndex<F>, usize)>,
+    eligible: usize,
+    stats: CandidateStats,
+    charged: u64,
+}
+
+/// The nodes with a non-empty set — empty ones would all sign alike and
+/// glue into one bucket of spurious pairs.
+fn eligible_nodes<F, S: AsRef<[F]>>(sets: &[S]) -> Vec<u32> {
+    let nodes = (0u32..).zip(sets);
+    let eligible = nodes.filter(|(_, set)| !set.as_ref().is_empty());
+    eligible.map(|(node, _)| node).collect()
+}
+
+impl<'a, F: FeatureId, S: AsRef<[F]> + Sync> CandidateScan<'a, F, S> {
+    /// The `--exact` oracle: one bucket of every eligible node, no cap.
+    // lint:allow(index): lifetime-annotated slice type, not an indexing site
+    pub(crate) fn exact(sets: &'a [S]) -> Self {
+        let eligible = eligible_nodes(sets);
+        let ids = sets.iter().flat_map(|set| set.as_ref());
+        let stats = CandidateStats {
+            features: incidence::distinct(ids).len() as u64,
+            proposed: pair_universe(eligible.len()),
+            ..CandidateStats::default()
+        };
+        Self {
+            sets,
+            eligible: eligible.len(),
+            bands: vec![BandTable::whole(eligible, sets.len())],
+            rare: None,
+            stats,
+            charged: 0,
+        }
+    }
+
+    /// MinHash/LSH candidates under governor control. Every feature of
+    /// a node takes part in banding, however popular; features shared
+    /// by 2..=`lsh.rare_cap` nodes also pair exactly.
+    ///
+    /// The generator charges every band build while it runs and what
+    /// the scan keeps resident — the band tables and the rare index —
+    /// and under a memory budget walks the first three [`Rung`]s
+    /// (DESIGN.md §11.3), each decided *before*
+    /// the allocation it guards and from charged bytes only, so a given
+    /// (input, budget) pair always degrades identically: it holds as
+    /// many bands as fit ([`Rung::Abandoned`]), fits each band's
+    /// `bucket_cap` to the edges its cliques would become
+    /// ([`Rung::Tightened`]), and skips the rare index when it would not
+    /// fit beside the bands ([`Rung::RareSkipped`]). With no budget no
+    /// rung fires.
+    // lint:allow(index): lifetime-annotated slice type, not an indexing site
+    pub(crate) fn lsh(sets: &'a [S], lsh: &LshConfig, scope: &StageScope) -> Self {
+        let eligible = eligible_nodes(sets);
+        let (nodes, count) = (sets.len() as u64, eligible.len() as u64);
+        let build_bytes = BandTable::build_bytes(nodes, count);
+        let table_bytes = BandTable::bytes(nodes, count);
+        let abandon = |band: usize, why: &str| {
+            let event = format!("banding abandoned at band {band}/{}: {why}", lsh.bands);
+            scope.record(Rung::Abandoned, event);
+        };
+        // Why `more` bands built at once beside what the account carries
+        // would not fit: every build of a batch is alive at once, and
+        // each leaves its table behind.
+        let refusal = |more: u64| {
+            let tracked = scope.tracked_bytes();
+            let (soft, hard) = (scope.soft_bytes(), scope.hard_bytes());
+            if hard > 0 && tracked + more * build_bytes > hard {
+                Some("its keys and buckets would cross the hard budget")
+            } else if soft > 0 && tracked + more * table_bytes > soft {
+                Some("its table would not fit under soft beside the bands held")
+            } else {
+                None
+            }
+        };
+
+        // Hold as many bands as fit, built in batches of at most
+        // BUILD_BATCH: a batch is as many more bands as fit built at
+        // once, its builds are charged together and shrink to their
+        // tables once it is done. Fit the cap band by band, in band
+        // order: a lowered cap stays lowered.
+        let mut stats = CandidateStats::default();
+        let mut bucket_cap = lsh.bucket_cap;
+        let mut bands: Vec<BandTable> = Vec::with_capacity(lsh.bands);
+        'hold: while bands.len() < lsh.bands {
+            scope.tick();
+            let room = BUILD_BATCH.min(lsh.bands - bands.len()) as u64;
+            let batch = (1..=room)
+                .take_while(|&more| refusal(more).is_none())
+                .count();
+            if batch == 0 {
+                abandon(bands.len(), refusal(1).unwrap_or_default());
+                break;
+            }
+            let ids: Vec<usize> = (bands.len()..).take(batch).collect();
+            scope.charge(batch as u64 * build_bytes);
+            let built = par::par_map_cancellable(&ids, scope.token(), |&band| {
+                BandTable::band(sets, &eligible, band, lsh.rows)
+            });
+            scope.release(batch as u64 * (build_bytes - table_bytes));
+            for (left, (band, mut table)) in (0..batch).rev().zip(ids.into_iter().zip(built)) {
+                let sizes = || table.buckets().map(|run| run.len());
+                let Some(fitted) = fit_bucket_cap(scope, sizes, bucket_cap) else {
+                    abandon(
+                        band,
+                        "its cliques would not fit under the hard budget even at the bucket_cap floor",
+                    );
+                    scope.release((left as u64 + 1) * table_bytes);
+                    break 'hold;
+                };
+                if fitted < bucket_cap {
+                    scope.record(
+                        Rung::Tightened,
+                        format!("bucket_cap tightened {bucket_cap} -> {fitted} at band {band}"),
+                    );
+                    bucket_cap = fitted;
+                }
+                let (capped, proposed) = table.cap(bucket_cap);
+                stats.capped_buckets += capped;
+                stats.proposed += proposed;
+                bands.push(table);
+            }
+        }
+        let charged = bands.len() as u64 * table_bytes;
+        let rare = rare_index(sets, lsh.rare_cap, scope, &mut stats);
+        Self {
+            sets,
+            eligible: eligible.len(),
+            bands,
+            charged: charged + rare.as_ref().map_or(0, |(_, bytes)| *bytes),
+            rare: rare.map(|(index, _)| (index, lsh.rare_cap)),
+            stats,
+        }
+    }
+
+    /// Nodes with a non-empty feature set: the pair universe is over
+    /// them.
+    pub(crate) fn eligible(&self) -> usize {
+        self.eligible
+    }
+
+    /// Bytes of the stage account the scan's state carries; the caller
+    /// releases them once the scan has run.
+    pub(crate) fn charged_bytes(&self) -> u64 {
+        self.charged
+    }
+
+    /// The scan: gathers every row's partners in parallel tasks of rows
+    /// (the token cancels between tasks), offers each distinct pair
+    /// `(u, v)` to `visit` on the worker that found it, and hands what
+    /// `visit` returned to `sink` in ascending `(u, v)` order. Returns
+    /// the pass's statistics, `pairs` being the distinct pairs visited.
+    pub(crate) fn run<T: Send>(
+        &self,
+        token: &CancelToken,
+        visit: impl Fn(u32, u32) -> Option<T> + Sync,
+        mut sink: impl FnMut(u32, u32, T),
+    ) -> CandidateStats {
+        let rows = self.sets.len() as u32;
+        let tasks: Vec<u32> = (0..rows).step_by(ROWS_PER_TASK).collect();
+        let found = par::par_map_cancellable(&tasks, token, |&start| {
+            let mut mask = Mask::new(rows as usize);
+            let (mut partners, mut out, mut pairs) = (Vec::new(), Vec::new(), 0);
+            for u in (start..rows).take(ROWS_PER_TASK) {
+                for band in &self.bands {
+                    mask.mark(band.tail(u));
+                }
+                self.mark_rare(u, &mut mask);
+                mask.drain(&mut partners);
+                pairs += partners.len() as u64;
+                out.extend(
+                    partners
+                        .drain(..)
+                        .filter_map(|v| Some((u, v, visit(u, v)?))),
+                );
+            }
+            (out, pairs)
+        });
+        let mut stats = self.stats;
+        for (out, pairs) in found {
+            stats.pairs += pairs;
+            for (u, v, found) in out {
+                sink(u, v, found);
+            }
+        }
+        stats
+    }
+
+    /// Marks `u`'s partners on the rare path: the nodes behind it in each
+    /// of its postings of 2..=`rare_cap` nodes.
+    fn mark_rare(&self, u: u32, mask: &mut Mask) {
+        let Some((rare, cap)) = &self.rare else {
+            return;
+        };
+        let features = self.sets.get(u as usize).map(AsRef::as_ref);
+        for &feature in features.unwrap_or_default() {
+            let nodes = rare.rank(feature).map(|f| rare.index.nodes_of(f));
+            let nodes = nodes.unwrap_or_default();
+            if (2..=*cap).contains(&nodes.len()) {
+                let behind = nodes.partition_point(|&v| v <= u);
+                mask.mark(nodes.get(behind..).unwrap_or_default());
+            }
+        }
+    }
+}
+
+/// The rare path's inverted index, charged `Σ|features|·4` — its node
+/// runs, known from slice lengths before it is built (the table beside
+/// them is not charged: `IdIndex` builds the smaller of the two in the
+/// worst case, at most a key and an offset per incidence, which is what
+/// ranking sparse keys always could take). If that would not fit under
+/// soft beside the bands it is never built — banding alone still finds
+/// every pair above the similarity threshold (§10). Counts the index's
+/// features and the clique entries its postings of 2..=`rare_cap` nodes
+/// propose into `stats`; returns the index with its charge.
+fn rare_index<F: FeatureId, S: AsRef<[F]>>(
+    sets: &[S],
+    rare_cap: usize,
+    scope: &StageScope,
+    stats: &mut CandidateStats,
+) -> Option<(IdIndex<F>, u64)> {
+    let bytes: u64 = sets.iter().map(|set| set.as_ref().len() as u64 * 4).sum();
+    let soft = scope.soft_bytes();
+    if soft > 0 && scope.tracked_bytes() + bytes > soft {
+        scope.record(
+            Rung::RareSkipped,
+            format!("rare path skipped: {bytes} posting bytes would not fit under soft"),
+        );
+        return None;
+    }
+    scope.charge(bytes);
+    scope.tick();
+    let Some(rare) = IdIndex::over(0, sets) else {
+        scope.release(bytes);
+        return None;
+    };
+    for (_, nodes) in rare.index.postings().filter(|(_, nodes)| !nodes.is_empty()) {
+        stats.features += 1;
+        if (2..=rare_cap).contains(&nodes.len()) {
+            stats.proposed += pair_universe(nodes.len());
+        }
+    }
+    Some((rare, bytes))
 }
 
 /// Generates the sorted, deduplicated candidate pairs `(u, v)` with
@@ -387,301 +633,55 @@ impl Mask {
 /// in MinHash banding, so candidacy tracks the full-set Jaccard the
 /// exact scorer will see.
 ///
-/// This is [`lsh_candidates_governed`] under an inert scope — with no
+/// This is the URI-file dimension's scan under an inert scope — with no
 /// budget a charge is two relaxed adds and a tick one relaxed load, and
-/// no ladder rung can fire — flattened into a pair list.
+/// no ladder rung can fire — collecting the pairs it visits.
 pub fn lsh_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
     node_features: &[S],
     lsh: &LshConfig,
 ) -> (Vec<(u32, u32)>, CandidateStats) {
     let scope = Governor::unlimited().stage("candidates", 0);
-    let (set, stats) = lsh_candidates_governed(node_features, lsh, &scope);
-    (set.pairs().collect(), stats)
-}
-
-/// Candidate generation under governor control.
-///
-/// The generator is a cancellation point (ticking per node and per
-/// band) and charges its dominant allocations — per-band bucket keys
-/// and buckets, postings, and the candidate set — against the stage's
-/// byte account; the returned set stays charged (4 bytes per pair)
-/// until the caller releases it. Banding runs first and the rare path
-/// second — the set is a union, so without a budget the order cannot
-/// show, and with one the rare path's low-similarity pairs get the room
-/// banding left instead of taking it. Under a memory budget the
-/// generator walks the first five [`Rung`]s in order (DESIGN.md
-/// §11.3), each decided *before* the allocation it guards and from
-/// charged bytes only, so a given (input, budget) pair always degrades
-/// identically. A charge that crosses the hard budget anyway cancels
-/// the stage inside [`StageScope::charge`]; with no budget no rung
-/// fires.
-pub fn lsh_candidates_governed<F: FeatureId, S: AsRef<[F]> + Sync>(
-    node_features: &[S],
-    lsh: &LshConfig,
-    scope: &StageScope,
-) -> (CandidateSet, CandidateStats) {
-    let mut stats = CandidateStats::default();
-    let mut set = CandidateSet::new(node_features.len());
-
-    // Banding, streamed: each band recomputes only its own signature
-    // rows and folds them straight into one bucket key per node, so
-    // resident signature state is one u64 per node — the full
-    // `nodes × bands·rows` table never exists. A band only ever needed
-    // its own rows, so the total hashing work is unchanged.
-    //
-    // A band's buckets are the runs of equal key in `order`, the
-    // eligible nodes (all-MAX signatures would glue every empty node
-    // into one bucket of spurious pairs) sorted by (key, node): each
-    // bucket is a slice of ascending node ids, and one band's state is
-    // exactly the 8 bytes of key per node and 4 bytes of `order` per
-    // eligible node the account carries.
-    let eligible = || {
-        (0u32..)
-            .zip(node_features)
-            .filter(|(_, features)| !features.as_ref().is_empty())
-            .map(|(node, _)| node)
-    };
-    let band_bytes = node_features.len() as u64 * 8 + eligible().count() as u64 * 4;
-    let crosses_hard =
-        |bytes: u64| scope.hard_bytes() > 0 && scope.tracked_bytes() + bytes > scope.hard_bytes();
-    let mut bucket_cap = lsh.bucket_cap;
-    let abandon = |band: usize, why: &str| {
-        let event = format!("banding abandoned at band {band}/{}: {why}", lsh.bands);
-        scope.record(Rung::Abandoned, event);
-    };
-    // Rows carry up to twice their distinct entries between
-    // deduplications; those bytes are free to reclaim, so every
-    // decision below that would cost recall reclaims them first. One
-    // summary event: in a dense crowd this fires every band.
-    let (mut compactions, mut reclaimed) = (0u64, 0usize);
-    let mut compact = |set: &mut CandidateSet| {
-        let gone = set.dedup_rows(true);
-        if gone > 0 {
-            set.settle(scope);
-            compactions += 1;
-            reclaimed += gone;
-        }
-    };
-    let mut order: Vec<u32> = Vec::new();
-    for band in 0..lsh.bands {
-        scope.tick();
-        // If the account is over soft even without duplicates, every
-        // further band could only push it toward hard — and if this
-        // band's keys and buckets would cross hard, so would every
-        // later band's: banding stops, the pairs collected keep their
-        // recall, and the stage completes instead of cancelling.
-        if scope.soft_exceeded() || crosses_hard(band_bytes) {
-            compact(&mut set);
-            if scope.soft_exceeded() {
-                abandon(band, "candidate rows at soft budget");
-                break;
-            }
-            if crosses_hard(band_bytes) {
-                abandon(band, "its keys and buckets would cross the hard budget");
-                break;
-            }
-        }
-        scope.charge(band_bytes);
-        let keys = band_keys(node_features, band, lsh.rows);
-        let key_of = |node: u32| keys.get(node as usize).copied();
-        order.clear();
-        order.extend(eligible());
-        order.sort_unstable_by_key(|&node| (key_of(node), node));
-        let buckets = || order.chunk_by(|&a, &b| key_of(a) == key_of(b));
-        let sizes = || buckets().map(<[u32]>::len);
-        if fit_bucket_cap(scope, band_bytes, sizes, bucket_cap) != Some(bucket_cap) {
-            compact(&mut set);
-        }
-        let Some(fitted) = fit_bucket_cap(scope, band_bytes, sizes, bucket_cap) else {
-            scope.release(band_bytes);
-            abandon(
-                band,
-                "its cliques would not fit under the hard budget even at the bucket_cap floor",
-            );
-            break;
-        };
-        if fitted < bucket_cap {
-            scope.record(
-                Rung::Tightened,
-                format!("bucket_cap tightened {bucket_cap} -> {fitted} at band {band}"),
-            );
-            bucket_cap = fitted;
-        }
-        for nodes in buckets() {
-            if nodes.len() > bucket_cap {
-                stats.capped_buckets += 1;
-            } else {
-                stats.proposed += pair_universe(nodes.len());
-                set.push_clique(nodes);
-            }
-        }
-        // Keys and buckets are rebuilt next band; the rows persist,
-        // less the duplicates of any row that doubled.
-        set.dedup_rows(false);
-        set.settle(scope);
-        scope.release(band_bytes);
-    }
-
-    if compactions > 0 {
-        let event = format!(
-            "candidate rows compacted {compactions} time(s): {reclaimed} duplicate entries reclaimed"
-        );
-        scope.record(Rung::Compacted, event);
-    }
-    rare_path(node_features, lsh.rare_cap, scope, &mut stats, &mut set);
-    set.finish();
-    set.settle(scope);
-    stats.pairs = set.len() as u64;
-    (set, stats)
-}
-
-/// The rare-feature exact path: every feature shared by 2..=`rare_cap`
-/// nodes contributes its clique to `set`, charged to `scope`; the
-/// inverted index it reads is charged while it lives.
-fn rare_path<F: FeatureId, S: AsRef<[F]> + Sync>(
-    node_features: &[S],
-    rare_cap: usize,
-    scope: &StageScope,
-    stats: &mut CandidateStats,
-    set: &mut CandidateSet,
-) {
-    let soft = scope.soft_bytes();
-    // The index holds every (feature, node) incidence once, so its node
-    // runs are known before it is built (the table beside them is not
-    // charged: `IdIndex` builds the smaller of the two in the worst
-    // case, at most a key and an offset per incidence, which is what
-    // ranking sparse keys always could take). If they would not fit
-    // under soft beside the banded rows the decision is taken here —
-    // banding alone still finds every pair above the similarity
-    // threshold (§10) — rather than by the hard budget cancelling the
-    // stage halfway through the build.
-    let posting_bytes: u64 = node_features
-        .iter()
-        .map(|f| f.as_ref().len() as u64 * 4)
-        .sum();
-    if soft > 0 && scope.tracked_bytes() + posting_bytes > soft {
-        scope.record(
-            Rung::RareSkipped,
-            format!("rare path skipped: {posting_bytes} posting bytes would not fit under soft"),
-        );
-        return;
-    }
-    scope.charge(posting_bytes);
-    scope.tick();
-
-    let Some(IdIndex { index, .. }) = IdIndex::over(0, node_features) else {
-        scope.release(posting_bytes);
-        return;
-    };
-    stats.features = index.postings().filter(|(_, n)| !n.is_empty()).count() as u64;
-
-    // The postings that propose pairs, as `(len, feature)`.
-    let rare = || {
-        let postings = index.postings().map(|(f, nodes)| (nodes.len(), f));
-        postings.filter(|(len, _)| (2..=rare_cap).contains(len))
-    };
-    // Project the clique expansion — every proposed entry is resident
-    // until the rows are first deduplicated below — and shed
-    // pair-producing postings until it fits, *shortest first*: a len-2
-    // posting buys one pair whose eq.-1 weight is almost always below
-    // the edge threshold, while the longest rare postings are exactly
-    // the herd signal the miner is after. Sheds are a prefix of the
-    // postings ordered by length, smallest feature breaking ties, so the
-    // last one shed names them all.
-    let mut shed_through: Option<(usize, u32)> = None;
-    if soft > 0 {
-        let mut projected: u64 = rare().map(|(len, _)| pair_universe(len)).sum();
-        // The index is gone again before the pair charge lands.
-        let base = scope.tracked_bytes().saturating_sub(posting_bytes);
-        if base + projected * ENTRY_BYTES > soft {
-            let mut order: Vec<(usize, u32)> = rare().collect();
-            order.sort_unstable();
-            let (mut shed, unshed) = (0u64, projected);
-            for (len, feature) in order {
-                if base + projected * ENTRY_BYTES <= soft {
-                    break;
-                }
-                shed_through = Some((len, feature));
-                projected -= pair_universe(len);
-                shed += 1;
-            }
-            if shed > 0 {
-                // One summary event: this rung routinely sheds hundreds
-                // of thousands of len-2 postings.
-                let event = format!(
-                    "rare-path postings shed shortest-first: {shed} postings, \
-                     {} projected pairs",
-                    unshed - projected
-                );
-                scope.record(Rung::RareShed, event);
-            }
-        }
-    }
-
-    for (len, feature) in rare() {
-        if Some((len, feature)) > shed_through {
-            stats.proposed += pair_universe(len);
-            set.push_clique(index.nodes_of(feature));
-        }
-    }
-    // Only the rare path reads the index; return its bytes before the
-    // pair charge lands so the two don't stack in the account.
-    drop(index);
-    scope.release(posting_bytes);
-    set.dedup_rows(false);
-    set.settle(scope);
+    let scan = CandidateScan::lsh(node_features, lsh, &scope);
+    let mut pairs = Vec::new();
+    let stats = scan.run(
+        scope.token(),
+        |_, _| Some(()),
+        |u, v, ()| pairs.push((u, v)),
+    );
+    (pairs, stats)
 }
 
 /// Pairs the cliques of one band's buckets (given by size) propose
-/// under `cap`, before any deduplication.
+/// under `cap`.
 fn clique_pairs(sizes: impl Iterator<Item = usize>, cap: usize) -> u64 {
     sizes.filter(|&len| len <= cap).map(pair_universe).sum()
 }
 
-/// Whether a band proposing `pairs` beside `carried` bytes fits under
-/// `limit`. Two things must. The rows: every proposal is charged
-/// [`ENTRY_BYTES`] on top of what is carried (duplicates are resident
-/// until their row is deduplicated). And the graph the stage exists to
-/// build: a band's cliques are sized as the [`EDGE_BYTES`] edges they
-/// would become, so no single band may propose more pairs than the
-/// budget could keep as edges. A crowd's clique is near-identical sets —
-/// every pair an edge, scoring the same 1.0 a herd's edges do — so once
-/// it is in the set, weight thinning cannot tell it from a herd; the cap
-/// is the only place to refuse it.
-fn fits(carried: u64, pairs: u64, limit: u64) -> bool {
-    carried + pairs * ENTRY_BYTES <= limit && pairs * EDGE_BYTES <= limit
-}
-
-/// Fits `bucket_cap` to one band, whose `band_bytes` of keys and buckets
-/// are on the account: the largest cap on the ÷4 ladder (floor 2) at
-/// which the band's cliques, *projected* from its bucket `sizes` before
-/// any is pushed, [`fits`] twice — beside what outlives the band, the
-/// rows, under the soft budget, and beside the band at its peak, rows
-/// and keys, under the hard one. The keys are gone when the band is and
-/// no rung can shrink them, so they are not held against soft: a band
-/// whose keys alone pass it would drop to the floor whatever it
-/// proposes. At the floor the band proceeds over soft as long as it
-/// stays under hard; `None` means not even that fits. A lower cap loses
-/// pairs inside degenerate crowds only.
+/// Fits `bucket_cap` to one band: the largest cap on the ÷4 ladder
+/// (floor 2) at which the band's cliques, *projected* from its bucket
+/// `sizes`, fit under the soft budget as the [`EDGE_BYTES`] edges they
+/// would become — no single band may propose more pairs than the budget
+/// could keep as edges. A crowd's clique is near-identical sets — every
+/// pair an edge, scoring the same 1.0 a herd's edges do — so once it is
+/// scanned, weight thinning cannot tell it from a herd; the cap is the
+/// only place to refuse it. At the floor the band is kept over soft as
+/// long as it stays under hard; `None` means not even that fits. A lower
+/// cap loses pairs inside degenerate crowds only.
 fn fit_bucket_cap<I: Iterator<Item = usize>>(
     scope: &StageScope,
-    band_bytes: u64,
     sizes: impl Fn() -> I,
     mut cap: usize,
 ) -> Option<usize> {
     if scope.soft_bytes() == 0 {
         return Some(cap);
     }
-    let peak = scope.tracked_bytes();
-    let rows = peak.saturating_sub(band_bytes);
     loop {
-        let pairs = clique_pairs(sizes(), cap);
-        let under_hard = fits(peak, pairs, scope.hard_bytes());
-        if under_hard && fits(rows, pairs, scope.soft_bytes()) {
+        let edges = clique_pairs(sizes(), cap) * EDGE_BYTES;
+        if edges <= scope.soft_bytes() {
             return Some(cap);
         }
         if cap <= 2 {
-            return under_hard.then_some(cap);
+            return (edges <= scope.hard_bytes()).then_some(cap);
         }
         cap = (cap / 4).max(2);
     }
@@ -697,6 +697,7 @@ pub fn pair_universe(n: usize) -> u64 {
 mod tests {
     use super::*;
     use smash_support::check::{check, Gen};
+    use smash_support::governor::GovernorOptions;
     use smash_support::rng::{DetRng, Rng, SeedableRng};
 
     fn set_of(rng: &mut DetRng, len: usize, universe: u64) -> Vec<u64> {
@@ -716,6 +717,24 @@ mod tests {
         } else {
             inter as f64 / union as f64
         }
+    }
+
+    /// The dimension's scan of `sets` under `scope`, every pair visited.
+    fn scanned<F: FeatureId, S: AsRef<[F]> + Sync>(
+        sets: &[S],
+        lsh: &LshConfig,
+        scope: &StageScope,
+    ) -> (Vec<(u32, u32)>, CandidateStats) {
+        let scan = CandidateScan::lsh(sets, lsh, scope);
+        assert_eq!(scope.tracked_bytes(), scan.charged_bytes(), "a fresh scope");
+        let mut pairs = Vec::new();
+        let stats = scan.run(
+            scope.token(),
+            |u, v| Some((u, v)),
+            |_, _, pair| pairs.push(pair),
+        );
+        scope.release(scan.charged_bytes());
+        (pairs, stats)
     }
 
     #[test]
@@ -854,9 +873,9 @@ mod tests {
         assert_eq!(stats.capped_buckets, lsh.bands as u64);
     }
 
-    /// The flat path the node-major set replaced, kept as its oracle:
-    /// every clique is expanded pair by pair into one buffer, which is
-    /// sorted and deduplicated once at the end.
+    /// The flat path the scan replaced, kept as its oracle: every clique
+    /// is expanded pair by pair into one buffer, which is sorted and
+    /// deduplicated once at the end.
     fn oracle_candidates(sets: &[Vec<u64>], lsh: &LshConfig) -> (Vec<(u32, u32)>, CandidateStats) {
         use std::collections::BTreeMap;
         fn push_clique(pairs: &mut Vec<(u32, u32)>, nodes: &[u32]) {
@@ -903,6 +922,97 @@ mod tests {
         (pairs, stats)
     }
 
+    /// Random feature sets over a small universe, so they overlap and
+    /// nest (empty and singleton sets included), and a random shape; the
+    /// property plants the boundary cases on top.
+    fn sets_and_shape(g: &mut Gen) -> (Vec<Vec<u32>>, (usize, usize, usize, usize)) {
+        let shape = (
+            g.range(1..=8),
+            g.range(1..=3),
+            g.range(0..=5),
+            g.range(2..=6),
+        );
+        let sets = g.vec(0..40, |g| {
+            let mut set = g.vec(0..6, |g| g.range(0..30u32));
+            set.sort_unstable();
+            set.dedup();
+            set
+        });
+        (sets, shape)
+    }
+
+    #[test]
+    fn scan_matches_the_flat_oracle() {
+        // Planted on top of the random sets: buckets of exactly
+        // `bucket_cap` and `bucket_cap + 1` identical sets (identical
+        // sets share every band's bucket), and features on exactly
+        // `rare_cap` and `rare_cap + 1` of the random nodes — the
+        // longest posting the rare path expands and the shortest it
+        // leaves to banding. Both carriers, every entry point, at 1, 2
+        // and 4 threads.
+        check(
+            sets_and_shape,
+            |(random, (bands, rows, rare_cap, bucket_cap))| {
+                // Shrinking ignores the generator's ranges.
+                let lsh = LshConfig {
+                    bands: (*bands).max(1),
+                    rows: (*rows).max(1),
+                    rare_cap: *rare_cap,
+                    bucket_cap: (*bucket_cap).max(2),
+                };
+                let mut sets = random.clone();
+                for (feature, on) in [(1_000, lsh.rare_cap), (1_001, lsh.rare_cap + 1)] {
+                    for set in sets.iter_mut().take(on) {
+                        set.push(feature);
+                    }
+                }
+                for (feature, crowd) in [(2_000, lsh.bucket_cap), (2_001, lsh.bucket_cap + 1)] {
+                    sets.extend(std::iter::repeat_n(vec![feature], crowd));
+                }
+                let wide: Vec<Vec<u64>> = sets
+                    .iter()
+                    .map(|set| set.iter().map(|&f| u64::from(f)).collect())
+                    .collect();
+                let (expected, expected_stats) = oracle_candidates(&wide, &lsh);
+                assert!(expected_stats.capped_buckets >= lsh.bands as u64);
+
+                let eligible: Vec<u32> = eligible_nodes(&wide);
+                let universe: Vec<(u32, u32)> = (eligible.iter().enumerate())
+                    .flat_map(|(i, &u)| eligible.iter().skip(i + 1).map(move |&v| (u, v)))
+                    .collect();
+                for threads in [1, 2, 4] {
+                    par::set_thread_count(threads);
+                    let scope = Governor::unlimited().stage("dimension/uri-file", 0);
+                    for (pairs, stats) in [
+                        lsh_candidates(&sets, &lsh),
+                        lsh_candidates(&wide, &lsh),
+                        scanned(&sets, &lsh, &scope),
+                        scanned(&wide, &lsh, &scope),
+                    ] {
+                        assert_eq!(pairs, expected, "{threads} threads");
+                        assert_eq!(stats, expected_stats, "{threads} threads");
+                    }
+
+                    // `--exact`: one bucket, the whole eligible universe.
+                    let exact = CandidateScan::exact(&sets);
+                    let mut pairs = Vec::new();
+                    let stats = exact.run(
+                        scope.token(),
+                        |_, _| Some(()),
+                        |u, v, ()| {
+                            pairs.push((u, v));
+                        },
+                    );
+                    assert_eq!(pairs, universe, "{threads} threads");
+                    let count = universe.len() as u64;
+                    assert_eq!((stats.proposed, stats.pairs), (count, count));
+                    assert_eq!(stats.features, expected_stats.features);
+                }
+                par::set_thread_count(0);
+            },
+        );
+    }
+
     /// A crowd drawing on few distinct features: `nodes` servers with up
     /// to 8 of 45 Zipf-popular features each — the shape of a trace whose
     /// servers share a small vocabulary of file names, where most pairs
@@ -940,8 +1050,8 @@ mod tests {
             let (expected, expected_stats) = oracle_candidates(&sets, &lsh);
 
             let scope = Governor::unlimited().stage("dimension/uri-file", 0);
-            let (set, stats) = lsh_candidates_governed(&sets, &lsh, &scope);
-            assert_eq!(set.pairs().collect::<Vec<_>>(), expected, "{nodes} nodes");
+            let (pairs, stats) = scanned(&sets, &lsh, &scope);
+            assert_eq!(pairs, expected, "{nodes} nodes");
             assert_eq!(stats, expected_stats, "{nodes} nodes");
             assert_eq!(stats.capped_buckets > 0, expect_capped, "{nodes} nodes");
             assert!(
@@ -949,146 +1059,31 @@ mod tests {
                 "{nodes} nodes: the crowd is not dense: {stats:?}"
             );
 
-            // The flat buffer held 8 bytes per *proposed* pair; the rows
-            // hold 4 bytes per entry and at most ~2× the distinct pairs.
-            let band = nodes as u64 * 12;
-            assert!(
-                scope.peak_bytes() <= 16 * stats.pairs + band,
-                "{nodes} nodes: peak {} tracked bytes for {} distinct pairs",
-                scope.peak_bytes(),
-                stats.pairs
-            );
-            assert_eq!(scope.tracked_bytes(), set.charged_bytes());
-            assert_eq!(set.charged_bytes(), 4 * stats.pairs);
+            // Resident: the band tables and the rare index, whatever the
+            // pairs — or the last batch's builds beside the tables
+            // before it, if that is more.
+            let (n, batch) = (nodes as u64, BUILD_BATCH as u64);
+            let postings: u64 = sets.iter().map(|set| 4 * set.len() as u64).sum();
+            let table = BandTable::bytes(n, n);
+            let resident = 64 * table + postings;
+            let building = (64 - batch) * table + batch * BandTable::build_bytes(n, n);
+            let peak = resident.max(building);
+            assert_eq!(scope.peak_bytes(), peak, "{nodes} nodes");
+            assert!(peak < 4 * stats.pairs, "{nodes} nodes: {peak} B");
         }
     }
 
     #[test]
-    fn node_major_set_matches_the_flat_oracle_on_random_cliques() {
-        // Cliques over a small id space so they overlap and nest;
-        // singleton and empty cliques and the last id all occur.
-        const NODES: u32 = 70;
-        check(
-            |g: &mut Gen| {
-                g.vec(0..40, |g| {
-                    let mut clique = g.vec(0..12, |g| {
-                        if g.bool(0.1) {
-                            NODES - 1
-                        } else {
-                            g.range(0..NODES)
-                        }
-                    });
-                    clique.sort_unstable();
-                    clique.dedup();
-                    // What to do after the clique: nothing, the
-                    // per-band doubling pass, or a full compaction.
-                    (clique, g.range(0u8..3))
-                })
-            },
-            |cliques| {
-                let mut set = CandidateSet::new(NODES as usize);
-                let mut flat: Vec<(u32, u32)> = Vec::new();
-                for (clique, then) in cliques {
-                    set.push_clique(clique);
-                    for (i, &u) in clique.iter().enumerate() {
-                        flat.extend(clique.iter().skip(i + 1).map(|&v| (u, v)));
-                    }
-                    match then {
-                        1 => drop(set.dedup_rows(false)),
-                        2 => drop(set.dedup_rows(true)),
-                        _ => {}
-                    }
-                    let resident: usize = set.above.iter().map(Vec::len).sum();
-                    assert_eq!(set.len(), resident, "entry count out of step");
-                }
-                flat.sort_unstable();
-                flat.dedup();
-                set.finish();
-                assert_eq!(set.pairs().collect::<Vec<_>>(), flat);
-                assert_eq!(set.len(), flat.len());
-                assert!(set.mask.0.iter().all(|&word| word == 0), "mask left dirty");
-            },
-        );
-    }
-
-    #[test]
-    fn duplicates_are_reclaimed_before_any_recall_is_given_up() {
-        use smash_support::governor::GovernorOptions;
-        // 100 twin pairs of nodes, 50 features per twin pair. Under a
-        // 4000-byte budget (soft 3200) the 40 000-byte inverted index
-        // cannot fit, so the rare path is skipped. One band costs 2400
-        // (keys + buckets) and re-proposes the same 100 twin pairs (400
-        // bytes): from band 2 on the copies would cross soft, so each
-        // band first compacts them away — and then fits at the full
-        // bucket_cap. All 64 bands run and nothing is lost.
-        let sets: Vec<Vec<u64>> = (0..200u64)
-            .map(|node| (0..50).map(|f| (node / 2) * 50 + f).collect())
-            .collect();
-        let governor = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(4000));
-        let scope = governor.stage("dimension/client", 0);
-        let (set, stats) = lsh_candidates_governed(&sets, &LshConfig::default(), &scope);
-
-        let twins: Vec<(u32, u32)> = (0..100).map(|i| (2 * i, 2 * i + 1)).collect();
-        assert_eq!(set.pairs().collect::<Vec<_>>(), twins);
-        assert_eq!(stats.features, 0, "the rare path must not have run");
-        assert_eq!(stats.proposed, 64 * 100);
-        assert!(!scope.token().is_cancelled());
-        assert_eq!(
-            scope.tracked_bytes(),
-            400,
-            "only the returned pairs stay charged"
-        );
-        let summary = governor.stage_summaries().remove(0);
-        let fired: Vec<Rung> = summary.rungs.keys().copied().collect();
-        assert_eq!(
-            fired,
-            vec![Rung::Compacted, Rung::RareSkipped],
-            "events: {:?}",
-            summary.events
-        );
-    }
-
-    #[test]
-    fn rare_postings_are_shed_to_fit_beside_the_banded_rows() {
-        use smash_support::governor::GovernorOptions;
-        // Four herds of 16 nodes, 30 features per herd: the index is
-        // 7 680 bytes, but its 120 postings would propose 120 pairs
-        // each — 57 600 bytes of rows before any deduplication. Under a
-        // 40 000-byte budget (soft 32 000) banding fits untouched, the
-        // index fits beside its rows, and postings are shed until the
-        // projection does too. The herds' pairs are all there anyway.
-        let sets: Vec<Vec<u64>> = (0..64u64)
-            .map(|node| (0..30).map(|f| (node / 16) * 30 + f).collect())
-            .collect();
-        let governor =
-            Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(40_000));
-        let scope = governor.stage("dimension/uri-file", 0);
-        let (set, stats) = lsh_candidates_governed(&sets, &LshConfig::default(), &scope);
-        assert_eq!(set.len() as u64, 4 * pair_universe(16));
-        assert_eq!(stats.features, 120);
-        assert!(scope.peak_bytes() <= 32_000, "peak {}", scope.peak_bytes());
-        let summary = governor.stage_summaries().remove(0);
-        let fired: Vec<Rung> = summary.rungs.keys().copied().collect();
-        assert_eq!(fired, vec![Rung::RareShed], "events: {:?}", summary.events);
-        // 62 of the 120 postings go; each one kept proposes its 120 pairs
-        // once more, beside the 64 bands' 480.
-        assert_eq!(stats.proposed, 64 * 480 + (120 - 62) * 120);
-    }
-
-    #[test]
     fn tight_budget_degrades_rung_by_rung_instead_of_cancelling() {
-        use smash_support::governor::GovernorOptions;
-        // The 600-node dense crowd peaks near 1 MB unconstrained; one
-        // band's keys and buckets are 7 200 bytes, the rare index
-        // ~15 KB. A 30 000-byte budget could keep 1 000 edges, so no
-        // band may propose more: bucket_cap drops to 8 in the first two
-        // bands, all 64 run, and the rare index no longer fits beside
-        // the rows. With 8 400 — the keys and buckets alone pass soft,
-        // so only hard sizes a band — the cap is at its floor by band 3
-        // and banding stops once a band's cliques leave no room beside
-        // its keys and buckets. Either way duplicates are reclaimed
-        // before recall is given up, and the stage completes with a
-        // subset of the pairs.
+        // The 600-node dense crowd holds 64 band tables of 4 880 bytes
+        // and a 15 376-byte rare index unconstrained; building a band
+        // takes 7 280. A 30 000-byte budget (soft 24 000) builds four
+        // bands at once (a fifth build would cross hard) and then holds
+        // no fifth table under soft; the cap is fitted to the 1 000
+        // edges soft could keep, and the rare index no longer fits.
+        // With 8 400 one build fits under hard, and its cap is fitted
+        // to 280 edges. Either way the stage completes with a subset of
+        // the pairs, in the same events every time.
         let sets = dense_crowd(600, 0xD0_5E);
         let lsh = LshConfig::default();
         let (all, _) = lsh_candidates(&sets, &lsh);
@@ -1096,31 +1091,38 @@ mod tests {
             let governor =
                 Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(budget));
             let scope = governor.stage("dimension/uri-file", 0);
-            let (set, _) = lsh_candidates_governed(&sets, &lsh, &scope);
+            let (pairs, _) = scanned(&sets, &lsh, &scope);
             assert!(!scope.token().is_cancelled(), "budget {budget}");
             assert!(scope.peak_bytes() <= budget, "budget {budget}");
-            assert_eq!(scope.tracked_bytes(), set.charged_bytes());
-            let pairs: Vec<(u32, u32)> = set.pairs().collect();
             (pairs, governor.stage_summaries().remove(0))
         };
         let mut wider = all.len();
-        for (budget, expected) in [
-            (30_000, vec![Rung::Tightened, Rung::RareSkipped]),
+        for (budget, expected, events) in [
+            (
+                30_000,
+                814,
+                vec![
+                    "bucket_cap tightened 512 -> 32 at band 0",
+                    "bucket_cap tightened 32 -> 8 at band 1",
+                    "banding abandoned at band 4/64: its table would not fit under soft beside the bands held",
+                    "rare path skipped: 15376 posting bytes would not fit under soft",
+                ],
+            ),
             (
                 8_400,
+                90,
                 vec![
-                    Rung::Compacted,
-                    Rung::Tightened,
-                    Rung::Abandoned,
-                    Rung::RareSkipped,
+                    "bucket_cap tightened 512 -> 8 at band 0",
+                    "banding abandoned at band 1/64: its keys and buckets would cross the hard budget",
+                    "rare path skipped: 15376 posting bytes would not fit under soft",
                 ],
             ),
         ] {
             let (pairs, summary) = degrade(budget);
-            assert!(!pairs.is_empty() && pairs.len() < wider, "budget {budget}");
+            assert!(pairs.len() < wider, "budget {budget}");
             assert!(pairs.iter().all(|pair| all.binary_search(pair).is_ok()));
-            let fired: Vec<Rung> = summary.rungs.keys().copied().collect();
-            assert_eq!(fired, expected, "budget {budget}: {:?}", summary.events);
+            let fired: Vec<&str> = summary.events.iter().map(String::as_str).collect();
+            assert_eq!((pairs.len(), fired), (expected, events), "budget {budget}");
             // Same input, same budget: same degradation.
             let (again, repeat) = degrade(budget);
             assert_eq!(again, pairs, "budget {budget}");
@@ -1131,25 +1133,29 @@ mod tests {
 
     #[test]
     fn band_keys_over_soft_do_not_floor_the_cap() {
-        use smash_support::governor::GovernorOptions;
-        // 7 600 bytes hold one band's 7 200 bytes of keys and buckets,
-        // which alone pass the 6 080-byte soft budget. They are gone when
-        // the band is, so they are held against hard only: the first
-        // band's cap is fitted to the 100 entries there is room for
-        // beside them (cap 8), not dropped to the floor whatever the
-        // band proposes — which used to lose every pair of a 12-server
-        // herd at ISP scale (DESIGN.md §11.4).
+        // 7 600 bytes hold one band's 7 280-byte build, which alone
+        // passes the 6 080-byte soft budget. The keys are gone once the
+        // band's 4 880-byte table is built, so the build is held against
+        // hard only: band 0 is kept and its cap fitted to the 253 edges
+        // soft could keep (cap 8: 90 pairs), not dropped to the floor
+        // whatever the band proposes — which used to lose every pair of
+        // a 12-server herd at ISP scale (DESIGN.md §11.4).
         let sets = dense_crowd(600, 0xD0_5E);
         let budget = GovernorOptions::unlimited().with_memory_budget_bytes(7_600);
         let governor = Governor::new(&budget);
         let scope = governor.stage("dimension/uri-file", 0);
-        let (set, _) = lsh_candidates_governed(&sets, &LshConfig::default(), &scope);
+        let (pairs, stats) = scanned(&sets, &LshConfig::default(), &scope);
         assert!(!scope.token().is_cancelled());
         assert!(scope.peak_bytes() <= 7_600);
-        assert_eq!(set.len(), 100, "the room beside a band's keys, filled");
+        assert_eq!(pairs.len() as u64, stats.pairs);
+        assert_eq!(stats.pairs, 90, "{stats:?}");
         let events = governor.stage_summaries().remove(0).events;
-        let first = "bucket_cap tightened 512 -> 8 at band 0";
-        assert_eq!(events.first().map(String::as_str), Some(first));
+        let expected = [
+            "bucket_cap tightened 512 -> 8 at band 0",
+            "banding abandoned at band 1/64: its keys and buckets would cross the hard budget",
+            "rare path skipped: 15376 posting bytes would not fit under soft",
+        ];
+        assert_eq!(events, expected);
     }
 
     #[test]

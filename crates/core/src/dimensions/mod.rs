@@ -13,10 +13,11 @@
 //! dimensions through `score_cooccurring`, which ranks their keys and
 //! governs the index first. The URI-file dimension matches *different*
 //! long names by charset cosine, which no exact-match index
-//! enumerates: it routes through `score_candidates` (the MinHash/LSH
-//! layer of [`crate::candidates`], DESIGN.md §10, or the brute-force
-//! oracle when `SmashConfig::exact_candidates` is set) and scores pair
-//! by pair.
+//! enumerates: it routes through `score_candidates`, a scan of the
+//! MinHash/LSH layer's resident buckets ([`crate::candidates`],
+//! DESIGN.md §10; one bucket of every node when
+//! `SmashConfig::exact_candidates` is set) that scores each pair where
+//! it finds it.
 
 pub mod client;
 pub mod ip_set;
@@ -26,7 +27,7 @@ pub mod timing;
 pub mod uri_file;
 pub mod whois;
 
-use crate::candidates::{self, FeatureId};
+use crate::candidates::{self, CandidateScan, FeatureId};
 use crate::config::SmashConfig;
 use crate::incidence::{self, FeatureIndex};
 use smash_graph::{Graph, GraphBuilder};
@@ -304,16 +305,15 @@ pub(crate) fn score_cooccurring<K, S>(
     scan_rows(scope, builder, funnel, &index, row_of, live, score);
 }
 
-/// The candidate frame of the URI-file dimension: proposes node pairs
-/// from `feature_sets` (one per node; empty = ineligible) — from the
-/// MinHash/LSH layer, or with `SmashConfig::exact_candidates` the whole
-/// universe over eligible nodes, the recall oracle — and scores each
-/// exactly: `score(u, v)` returning `Some(weight)` becomes an edge.
-/// Either way the proposals are node-major rows `(u, partners > u)`, cut
-/// into tasks of up to 256 partners that are scored in parallel, and the
-/// edges reach the builder in ascending `(u, v)` order. The LSH
-/// candidate set, charged by the generator, is released here before the
-/// edge charge lands, so the two don't stack.
+/// The candidate frame of the URI-file dimension: scans node pairs of
+/// `feature_sets` (one per node; empty = ineligible) — the MinHash/LSH
+/// layer's band tables and rare postings, or with
+/// `SmashConfig::exact_candidates` one bucket of every eligible node,
+/// the recall oracle — and scores each distinct pair exactly where the
+/// scan finds it: `score(u, v)` returning `Some(weight)` becomes an
+/// edge, and the edges reach the builder in ascending `(u, v)` order.
+/// The scan's resident state, charged by the generator, is released
+/// here before the edge charge lands, so the two don't stack.
 pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
     ctx: &DimensionContext<'_>,
     scope: &StageScope,
@@ -322,57 +322,21 @@ pub(crate) fn score_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
     feature_sets: &[S],
     score: impl Fn(u32, u32) -> Option<f64> + Sync,
 ) {
-    let eligible: Vec<u32> = (0..feature_sets.len() as u32)
-        .zip(feature_sets)
-        .filter(|(_, set)| !set.as_ref().is_empty())
-        .map(|(node, _)| node)
-        .collect();
-    funnel.pairs_considered = candidates::pair_universe(eligible.len());
-
-    let lsh = (!ctx.config.exact_candidates).then(|| {
-        let (set, stats) =
-            candidates::lsh_candidates_governed(feature_sets, &ctx.config.lsh, scope);
-        funnel.postings = stats.features;
-        funnel.pairs_proposed = stats.proposed;
-        funnel.pairs_bucketed = stats.pairs;
-        funnel.pairs_scored = set.len() as u64;
-        set
-    });
-    let rows: Vec<(u32, &[u32])> = match &lsh {
-        Some(set) => set.rows().flat_map(score_tasks).collect(),
-        None => {
-            // Brute force: an eligible node's partners are the eligible
-            // nodes behind it (`eligible` ascends).
-            let ids = feature_sets.iter().flat_map(|set| set.as_ref());
-            funnel.postings = incidence::distinct(ids).len() as u64;
-            funnel.pairs_proposed = funnel.pairs_considered;
-            funnel.pairs_bucketed = funnel.pairs_considered;
-            funnel.pairs_scored = funnel.pairs_considered;
-            candidates::tails(&eligible).flat_map(score_tasks).collect()
-        }
+    let scan = if ctx.config.exact_candidates {
+        CandidateScan::exact(feature_sets)
+    } else {
+        CandidateScan::lsh(feature_sets, &ctx.config.lsh, scope)
     };
-    let scored = par::par_map_cancellable(&rows, scope.token(), |&(u, partners)| {
-        let edges = partners.iter().filter_map(|&v| Some((v, score(u, v)?)));
-        edges.collect::<Vec<(u32, f64)>>()
+    let stats = scan.run(scope.token(), score, |u, v, sim| {
+        builder.add_edge(u, v, sim);
+        funnel.edges += 1;
     });
-    for (&(u, _), edges) in rows.iter().zip(scored) {
-        for (v, sim) in edges {
-            builder.add_edge(u, v, sim);
-            funnel.edges += 1;
-        }
-    }
-    if let Some(set) = lsh {
-        scope.release(set.charged_bytes());
-    }
-}
-
-/// Splits one node's row into parallel scoring tasks of at most 256
-/// partners, in order. A row is as long as its node is popular, and a
-/// popular node's pairs are also the expensive ones to score: left
-/// whole, the few longest rows are most of the work and no claim order
-/// can balance them.
-fn score_tasks((u, partners): (u32, &[u32])) -> impl Iterator<Item = (u32, &[u32])> {
-    partners.chunks(256).map(move |chunk| (u, chunk))
+    scope.release(scan.charged_bytes());
+    funnel.postings = stats.features;
+    funnel.pairs_considered = candidates::pair_universe(scan.eligible());
+    funnel.pairs_proposed = stats.proposed;
+    funnel.pairs_bucketed = stats.pairs;
+    funnel.pairs_scored = stats.pairs;
 }
 
 /// Reports one builder's standard `dim/<kind>/*` metrics in a single
@@ -420,18 +384,20 @@ pub(crate) struct BuilderFunnel {
     pub postings: u64,
     /// Size of the brute-force pair universe over nodes with features.
     pub pairs_considered: u64,
-    /// Clique entries the rare path and every LSH band proposed, before
-    /// deduplication: `pairs_proposed ÷ pairs_bucketed` is how often the
+    /// Clique entries the rare path and every LSH band proposed,
+    /// duplicates included — the bucket and posting tails the URI-file
+    /// scan walks: `pairs_proposed ÷ pairs_bucketed` is how often the
     /// layer proposed each pair it kept.
     pub pairs_proposed: u64,
-    /// Candidate pairs surviving LSH bucketing (deduplicated).
+    /// Distinct candidate pairs the scan found.
     pub pairs_bucketed: u64,
     /// Candidate pairs scored.
     pub pairs_scored: u64,
     /// Accumulator increments [`scan_rows`] spent: one per (feature,
     /// unordered pair of nodes it was seen on) — for the client
     /// dimension `Σ_c C(deg(c), 2)`, however many windows it took. 0 for
-    /// URI-file, which scores pair by pair.
+    /// URI-file, which has no accumulator: the tails its scan walks are
+    /// `pairs_proposed`.
     pub scan_steps: u64,
     /// Edges that survived the threshold.
     pub edges: u64,

@@ -10,8 +10,11 @@
 //! Candidate pairs come from the MinHash/LSH layer (DESIGN.md §10) over
 //! each server's file-id set extended with charset-bucket keys for long
 //! (obfuscated) names — the same fuzzy buckets the inverted index used,
-//! folded into the signature space. Scoring stays the exact eqs. 2–7;
-//! `SmashConfig::exact_candidates` scores every pair instead.
+//! folded into the signature space. One parallel scan over the layer's
+//! resident bucket runs finds each row's partners, and every distinct
+//! pair is scored with the exact eqs. 2–7 where it is found;
+//! `SmashConfig::exact_candidates` makes every server with files one
+//! bucket, so the same scan scores every pair.
 
 use super::{
     instrumented_builder, score_candidates, sorted_intersection_len, Dimension, DimensionContext,

@@ -9,8 +9,8 @@
 //! product, the one shared-count kernel. The client dimension (eq. 1)
 //! and the co-occurrence dimensions scan every node's row against it —
 //! a node's partners are whoever shares a feature with it, so there is
-//! no candidate layer — and the URI-file dimension's LSH rare path walks
-//! its short postings.
+//! no candidate layer — and the URI-file dimension's row scan reads a
+//! row's short postings from one as its LSH rare path.
 //!
 //! Features enter as ranks. [`distinct`] ranks keys that are not ids at
 //! all (strings, size buckets); [`IdIndex`] takes sets of numeric ids

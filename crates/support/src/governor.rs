@@ -13,9 +13,8 @@
 //!    failpoint), so deadline and budget violations stop work mid-stage
 //!    instead of after the stage burned its full wall time;
 //! 2. **charge** — [`StageScope::charge`] / [`release`](StageScope::release)
-//!    account the bytes of the dominant allocations (postings, MinHash
-//!    signature tables, LSH buckets, candidate-pair buffers, graph
-//!    edges) against per-stage soft and hard budgets;
+//!    account the bytes of the dominant allocations (postings, LSH band
+//!    tables, graph edges) against per-stage soft and hard budgets;
 //! 3. **degrade** — on a soft-budget breach the *caller* walks the
 //!    deterministic ladder (DESIGN.md §11.3; the rungs are the [`Rung`]
 //!    variants, in ladder order), recording every rung that fires with
@@ -105,16 +104,13 @@ pub const SOFT_DEN: u64 = 5;
 /// Cancellation, the last rung, is [`StageSummary::cancelled`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rung {
-    /// Duplicate candidate pairs reclaimed from the LSH rows.
-    Compacted,
+    /// The remaining LSH bands given up: their tables would not fit.
+    Abandoned,
     /// `bucket_cap` lowered to fit a band's projected cliques.
     Tightened,
-    /// The remaining LSH bands given up.
-    Abandoned,
-    /// LSH rare-feature path skipped: its index would not fit under soft.
+    /// LSH rare-feature path skipped: its index would not fit under soft
+    /// beside the band tables.
     RareSkipped,
-    /// LSH rare-path postings shed, shortest first.
-    RareShed,
     /// A popular co-occurrence posting shed, longest first.
     Shed,
     /// The client index built over several windows of partner nodes
@@ -130,11 +126,9 @@ impl Rung {
     /// The rung's metric name: it is counted under `governor/<name>`.
     pub fn name(self) -> &'static str {
         match self {
-            Rung::Compacted => "compacted",
-            Rung::Tightened => "tightened",
             Rung::Abandoned => "abandoned",
+            Rung::Tightened => "tightened",
             Rung::RareSkipped => "rare_skipped",
-            Rung::RareShed => "rare_shed",
             Rung::Shed => "shed",
             Rung::Windowed => "windowed",
             Rung::Thinned => "thinned",

@@ -199,11 +199,20 @@ fn assert_degradation_is_monotone(scenario: &StreamScenario) {
     let dataset = scenario.dataset();
     let whois = WhoisRegistry::new();
     let smash = Smash::new(SmashConfig::default());
+    // The report and the URI-file stage's distinct candidate pairs and
+    // kept edges: their shares of the unconstrained run's are the
+    // stage's pair recall (a budget only drops bands, caps buckets and
+    // skips the rare path, so its candidates are a subset) and what
+    // survived thinning.
     let run = |resources: Option<&GovernorOptions>| {
-        smash.run_governed(&dataset, &whois, &Registry::new(), None, resources)
+        let metrics = Registry::new();
+        let report = smash.run_governed(&dataset, &whois, &metrics, None, resources);
+        let count = |name: &str| metrics.counter(&format!("dim/uri-file/{name}")).get();
+        (report, count("pairs_bucketed"), count("edges"))
     };
+    let share = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
 
-    let unconstrained = run(None);
+    let (unconstrained, all_pairs, all_edges) = run(None);
     let peak = unconstrained.perf.peak_tracked_bytes;
     assert!(peak > 0, "the unconstrained run charged no bytes");
     let mut wider = scenario.recovered_campaigns(&unconstrained.campaign_server_names());
@@ -212,7 +221,7 @@ fn assert_degradation_is_monotone(scenario: &StreamScenario) {
         "unconstrained run lost campaigns"
     );
     eprintln!(
-        "{} records, {} servers ({} kept): unconstrained peak {peak} tracked bytes, {wider}/{} campaigns",
+        "{} records, {} servers ({} kept): unconstrained peak {peak} tracked bytes, {wider}/{} campaigns, uri-file {all_pairs} pairs and {all_edges} edges",
         dataset.record_count(),
         dataset.server_count(),
         unconstrained.kept_servers,
@@ -223,7 +232,7 @@ fn assert_degradation_is_monotone(scenario: &StreamScenario) {
     for divisor in [2u64, 4, 8, 16, 32, 64] {
         let budget = peak / divisor;
         let opts = GovernorOptions::unlimited().with_memory_budget_bytes(budget);
-        let report = run(Some(&opts));
+        let (report, pairs, edges) = run(Some(&opts));
         let recovered = scenario.recovered_campaigns(&report.campaign_server_names());
         let events = &report.health.governor;
         let client = report
@@ -233,10 +242,12 @@ fn assert_degradation_is_monotone(scenario: &StreamScenario) {
             .find(|d| d.kind.to_string() == "client")
             .expect("client dimension health present");
         eprintln!(
-            "budget peak/{divisor} = {budget} bytes -> peak {} bytes, {} governor event(s), {recovered}/{} campaigns",
+            "budget peak/{divisor} = {budget} bytes -> peak {} bytes, {} governor event(s), {recovered}/{} campaigns, uri-file pair recall {:.1} %, edges kept {:.1} %",
             report.perf.peak_tracked_bytes,
             events.len(),
-            scenario.campaigns
+            scenario.campaigns,
+            share(pairs, all_pairs),
+            share(edges, all_edges)
         );
         for event in events.iter().take(12) {
             eprintln!("  {event}");
@@ -247,13 +258,13 @@ fn assert_degradation_is_monotone(scenario: &StreamScenario) {
             recovered <= wider,
             "peak/{divisor}: recovered {recovered} > {wider} at twice the budget; {events:?}"
         );
-        // (b) While one LSH band is guaranteed to fit under the hard
-        // budget — its keys and buckets (12 bytes per kept server) plus
-        // the rows it can propose at the bucket_cap floor (cap 2: at
-        // most one 4-byte entry per two servers) — the URI-file
-        // secondary can band, and the main dimension needs far less (one
-        // node's window: 12 bytes per client of its widest row): it must
-        // complete and something must be found.
+        // (b) While one LSH band's build is guaranteed to fit under the
+        // hard budget — its keys beside its order and bucket bits (≈ 12⅛
+        // bytes per kept server), and the scan needs no room for pairs
+        // beside the table it leaves — the URI-file secondary can band,
+        // and the main dimension needs far less (one node's window: 12
+        // bytes per client of its widest row): it must complete and
+        // something must be found.
         if 14 * report.kept_servers as u64 <= budget {
             assert!(
                 !matches!(client.status, DimensionStatus::Cancelled { .. }),
@@ -333,14 +344,14 @@ fn degradation_is_monotone_as_the_budget_halves() {
     assert_degradation_is_monotone(&StreamScenario::quick(7));
 }
 
-/// The same sweep at ISP scale (12 M records; ≈ 40 s and ≈ 1.1 GB in release): how
+/// The same sweep at ISP scale (12 M records; ≈ 60 s and ≈ 1.1 GB in release): how
 /// DESIGN.md §11.4's degradation table is re-recorded.
 ///
 /// ```text
 /// cargo test --release --offline --test governor -- --ignored --nocapture
 /// ```
 #[test]
-#[ignore = "12 M records, ~40 s and ~1.1 GB in release; re-records the DESIGN.md §11.4 table"]
+#[ignore = "12 M records, ~60 s and ~1.1 GB in release; re-records the DESIGN.md §11.4 table"]
 fn degradation_is_monotone_at_isp_scale() {
     assert_degradation_is_monotone(&StreamScenario::huge(7));
 }

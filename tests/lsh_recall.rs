@@ -178,9 +178,9 @@ fn flat_popularity_client_edges_equal_the_exact_oracle() {
 
 #[test]
 fn small_scenario_reports_are_identical() {
-    // The cheap variant ci.sh runs as a smoke: exact-vs-LSH report
-    // identity on the small scenario (URI-file is the dimension the
-    // mode reaches).
+    // The cheap variant: exact-vs-LSH report identity on the small
+    // scenario (URI-file is the dimension the mode reaches). ci.sh
+    // runs the same comparison through the CLI as a smoke (step 16).
     let data = Scenario::small_day(7).generate();
     let report_lsh = Smash::new(SmashConfig::default()).run(&data.dataset, &data.whois);
     let report_exact = Smash::new(SmashConfig::default().with_exact_candidates(true))

@@ -124,13 +124,27 @@ fn candidate_funnel_reconciles_in_lsh_and_exact_mode() {
         };
         // URI-file goes through the candidate layer, whichever mode
         // proposes: the funnel narrows stage by stage, and the oracle
-        // proposes each pair once.
+        // proposes each pair once. The counts are pinned so that no
+        // rewrite of the candidate layer can drift one. `scan_steps` stays 0:
+        // URI-file has no accumulator, and the tails its scan walks are
+        // `pairs_proposed`.
         let ([considered, proposed, bucketed, scored], line) = funnel("uri-file");
         assert!(considered >= bucketed, "{line}");
         assert!(proposed >= bucketed, "{line}");
         assert!(!exact || proposed == bucketed, "{line}");
         assert!(bucketed >= scored, "{line}");
         assert_eq!(get("uri-file", "scan_steps"), 0, "exact={exact}");
+        let pinned = if exact {
+            [8_646, 8_646, 8_646, 8_646, 392]
+        } else {
+            [8_646, 7_671, 434, 434, 390]
+        };
+        let edges = get("uri-file", "edges");
+        assert_eq!(
+            [considered, proposed, bucketed, scored, edges],
+            pinned,
+            "{line}"
+        );
         // The client dimension has no proposer in either mode, like the
         // other co-occurrence dimensions: it scores the pairs that share
         // a client, at one increment per client they share.
