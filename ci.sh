@@ -33,7 +33,12 @@
 #                                             the whole REPORT are identical
 #                                             to the no-crash run,
 #                                             and that every request line got
-#                                             exactly one reply (DESIGN.md §13)
+#                                             exactly one reply; then delete
+#                                             the no-crash run's snapshot.ckpt
+#                                             and restart on its data dir: the
+#                                             REPORT rebuilt from the WAL alone
+#                                             must be identical too (DESIGN.md
+#                                             §13.4)
 #   8. reference benchmark                    the standalone benchmark/ package
 #                                             (BENCHMARK.json's command; its own
 #                                             workspace, path-deps on these
@@ -134,7 +139,7 @@ grep -E '^(campaign #|  )' "$remine_dir/exact.out" >"$remine_dir/exact.campaigns
 test -s "$remine_dir/raw.campaigns" || { echo "exact smoke: no campaign inferred"; exit 1; }
 diff -u "$remine_dir/raw.campaigns" "$remine_dir/exact.campaigns"
 
-echo "==> daemon smoke (smash serve: crash mid-epoch, restart, identical answers)"
+echo "==> daemon smoke (smash serve: WAL-only rebuild, crash mid-epoch, restart, identical answers)"
 serve_dir="$remine_dir/serve"
 mkdir -p "$serve_dir"
 # Reference run: ingest the generated day, seal, wait for the publish,
@@ -152,6 +157,12 @@ member="$(sed -n 's/.*"servers":\["\([^"]*\)".*/\1/p' "$serve_dir/ref.out" | hea
 test -n "$member" || { echo "daemon smoke: no campaign member in reference run"; exit 1; }
 printf 'QUERY %s\nSHUTDOWN\n' "$member" \
     | "$smash_bin" serve --stdio --data-dir "$serve_dir/ref" | grep '^HIT ' >"$serve_dir/ref.hit"
+# WAL-only rebuild: without the durable snapshot, the restart re-mines
+# every sealed epoch from the WAL and must publish the same campaigns.
+rm "$serve_dir/ref/snapshot.ckpt"
+printf 'WAIT\nREPORT\nSHUTDOWN\n' \
+    | "$smash_bin" serve --stdio --data-dir "$serve_dir/ref" >"$serve_dir/rebuilt.out"
+diff -u <(grep '^\[' "$serve_dir/ref.out") <(grep '^\[' "$serve_dir/rebuilt.out")
 # Crash run: the armed failpoint aborts the daemon right after the epoch
 # WAL becomes durable (the SIGKILL stand-in) — the seal is never
 # acknowledged and no snapshot is written.

@@ -2,9 +2,6 @@
 
 use crate::dimensions::DimensionKind;
 use smash_graph::{Graph, Partition};
-use smash_support::json::{self, FromJson, Json, JsonError, ToJson};
-use smash_support::wire::{FromWire, Reader, ToWire, WireError};
-use smash_support::{impl_json_struct, impl_wire_struct};
 use smash_trace::ServerId;
 use std::collections::HashMap;
 
@@ -18,9 +15,6 @@ pub struct Ash {
     /// (`2|e| / (|v|(|v|−1))`) — the weight `w` of eq. 9.
     pub density: f64,
 }
-
-impl_json_struct!(Ash { members, density });
-impl_wire_struct!(Ash { members, density });
 
 impl Ash {
     /// Number of member servers.
@@ -70,30 +64,6 @@ pub struct MinedDimension {
 }
 
 impl MinedDimension {
-    /// Assembles a mining result, rebuilding the `membership` index from
-    /// the herd lists (it is fully derived state — this is also how a
-    /// deserialized checkpoint snapshot reconstitutes it).
-    pub fn from_parts(
-        kind: DimensionKind,
-        graph: Graph,
-        partition: Partition,
-        ashes: Vec<Ash>,
-    ) -> Self {
-        let mut membership = HashMap::new();
-        for (i, ash) in ashes.iter().enumerate() {
-            for &s in &ash.members {
-                membership.insert(s, i);
-            }
-        }
-        Self {
-            kind,
-            graph,
-            partition,
-            ashes,
-            membership,
-        }
-    }
-
     /// The herd containing `server`, if any.
     pub fn ash_of(&self, server: ServerId) -> Option<&Ash> {
         self.membership
@@ -109,55 +79,6 @@ impl MinedDimension {
     /// Total servers across all herds.
     pub fn herded_server_count(&self) -> usize {
         self.ashes.iter().map(Ash::len).sum()
-    }
-}
-
-// Checkpoint serialization: `membership` is derived from `ashes`, so the
-// wire form carries only the four source fields and `from_json` rebuilds
-// the index via `from_parts` — smaller snapshots, and no HashMap order
-// can ever reach the bytes.
-impl ToJson for MinedDimension {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("kind".to_owned(), self.kind.to_json()),
-            ("graph".to_owned(), self.graph.to_json()),
-            ("partition".to_owned(), self.partition.to_json()),
-            ("ashes".to_owned(), self.ashes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MinedDimension {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let Json::Obj(fields) = v else {
-            return Err(JsonError("MinedDimension: expected object".to_owned()));
-        };
-        Ok(MinedDimension::from_parts(
-            json::req_field(fields, "kind")?,
-            json::req_field(fields, "graph")?,
-            json::req_field(fields, "partition")?,
-            json::req_field(fields, "ashes")?,
-        ))
-    }
-}
-
-impl ToWire for MinedDimension {
-    fn wire(&self, out: &mut Vec<u8>) {
-        self.kind.wire(out);
-        self.graph.wire(out);
-        self.partition.wire(out);
-        self.ashes.wire(out);
-    }
-}
-
-impl FromWire for MinedDimension {
-    fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(MinedDimension::from_parts(
-            FromWire::from_wire(r)?,
-            FromWire::from_wire(r)?,
-            FromWire::from_wire(r)?,
-            FromWire::from_wire(r)?,
-        ))
     }
 }
 
@@ -194,30 +115,5 @@ mod tests {
     #[test]
     fn disjoint_intersection_is_zero() {
         assert_eq!(ash(&[1, 2]).intersection_size(&ash(&[3, 4])), 0);
-    }
-
-    #[test]
-    fn mined_dimension_round_trips_and_rebuilds_membership() {
-        let mut b = smash_graph::GraphBuilder::new();
-        b.add_edge(0, 1, 0.5);
-        b.add_edge(2, 3, 0.9);
-        let md = MinedDimension::from_parts(
-            DimensionKind::Client,
-            b.build(),
-            Partition::singletons(4),
-            vec![ash(&[0, 1]), ash(&[2, 3])],
-        );
-        assert_eq!(md.membership.get(&3), Some(&1));
-        let text = json::to_string(&md);
-        assert!(
-            !text.contains("membership"),
-            "derived index must not be serialized"
-        );
-        let back: MinedDimension = json::from_str(&text).expect("round trip");
-        assert_eq!(back.kind, md.kind);
-        assert_eq!(back.ashes, md.ashes);
-        assert_eq!(back.membership, md.membership);
-        assert_eq!(back.graph.edge_count(), md.graph.edge_count());
-        assert_eq!(json::to_string(&back), text);
     }
 }

@@ -329,18 +329,6 @@ impl SmashConfig {
         self
     }
 
-    /// FNV-1a fingerprint of the canonical JSON of this configuration
-    /// (`fnv1a:<16 hex digits>`).
-    ///
-    /// A checkpoint directory is reusable only when the config
-    /// fingerprints match: the checkpoint manifest, the fingerprint's
-    /// one client, stores it to reject snapshots from a different sweep
-    /// point.
-    pub fn fingerprint(&self) -> String {
-        use smash_support::ckpt;
-        ckpt::fingerprint_string(ckpt::fnv1a(smash_support::json::to_string(self).as_bytes()))
-    }
-
     /// Validates field ranges and cross-field constraints.
     ///
     /// # Errors
@@ -412,16 +400,6 @@ impl SmashConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fingerprint_is_stable_and_config_sensitive() {
-        let a = SmashConfig::default().fingerprint();
-        let b = SmashConfig::default().fingerprint();
-        let c = SmashConfig::default().with_threshold(1.5).fingerprint();
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert!(a.starts_with("fnv1a:"));
-    }
 
     #[test]
     fn defaults_match_paper() {

@@ -12,7 +12,6 @@ use crate::config::SmashConfig;
 use crate::dimensions::DimensionKind;
 use crate::math::phi;
 use smash_support::metrics::Registry;
-use smash_support::{impl_json_struct, impl_wire_struct};
 use smash_trace::{ServerId, TraceDataset};
 use std::collections::BTreeSet;
 
@@ -34,23 +33,6 @@ pub struct CorrelatedAsh {
     /// (the paper's Appendix C regime, judged at threshold 1.0).
     pub single_client: bool,
 }
-
-impl_json_struct!(CorrelatedAsh {
-    servers,
-    scores,
-    dimensions,
-    main_ash,
-    client_count,
-    single_client,
-});
-impl_wire_struct!(CorrelatedAsh {
-    servers,
-    scores,
-    dimensions,
-    main_ash,
-    client_count,
-    single_client,
-});
 
 /// Runs eq. 9 over all main herds.
 ///

@@ -35,7 +35,6 @@ use smash_support::governor::{Governor, Rung, StageScope};
 use smash_support::impl_json_enum;
 use smash_support::metrics::Registry;
 use smash_support::par;
-use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 use smash_trace::{ServerId, TraceDataset};
 use smash_whois::WhoisRegistry;
 use std::cmp::Reverse;
@@ -79,39 +78,6 @@ impl_json_enum!(DimensionKind {
     Timing,
     Payload,
 });
-
-// Checkpoint wire form: a one-byte tag. Tags are append-only — never
-// renumber; stale snapshots are caught by the envelope format version,
-// not by tag reshuffling.
-impl ToWire for DimensionKind {
-    fn wire(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            DimensionKind::Client => 0,
-            DimensionKind::UriFile => 1,
-            DimensionKind::IpSet => 2,
-            DimensionKind::Whois => 3,
-            DimensionKind::ParamPattern => 4,
-            DimensionKind::Timing => 5,
-            DimensionKind::Payload => 6,
-        };
-        out.push(tag);
-    }
-}
-
-impl FromWire for DimensionKind {
-    fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.array::<1>()? {
-            [0] => Ok(DimensionKind::Client),
-            [1] => Ok(DimensionKind::UriFile),
-            [2] => Ok(DimensionKind::IpSet),
-            [3] => Ok(DimensionKind::Whois),
-            [4] => Ok(DimensionKind::ParamPattern),
-            [5] => Ok(DimensionKind::Timing),
-            [6] => Ok(DimensionKind::Payload),
-            [tag] => Err(WireError(format!("unknown dimension tag {tag}"))),
-        }
-    }
-}
 
 impl DimensionKind {
     /// `true` for the main (client) dimension.

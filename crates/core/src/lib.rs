@@ -38,7 +38,6 @@
 pub mod ash;
 pub mod baseline;
 pub mod candidates;
-pub mod checkpoint;
 pub mod config;
 pub mod correlation;
 pub mod dimensions;
@@ -53,7 +52,6 @@ pub mod report;
 pub mod tracker;
 
 pub use ash::{Ash, MinedDimension};
-pub use checkpoint::CheckpointOptions;
 pub use config::{ConfigError, LshConfig, SmashConfig};
 pub use dimensions::DimensionKind;
 pub use pipeline::Smash;

@@ -2,11 +2,6 @@
 //! ASH mining → correlation → pruning → campaign inference.
 
 use crate::ash::MinedDimension;
-use crate::checkpoint::{
-    correlate_inputs_fingerprint, dimension_stage, CheckpointOptions, Checkpointer,
-    CorrelateSnapshot, CorrelateSnapshotRef, DimensionSnapshot, DimensionSnapshotRef,
-    STAGE_CORRELATE, STAGE_PREPROCESS,
-};
 use crate::config::SmashConfig;
 use crate::correlation::correlate_with_metrics;
 use crate::correlation::CorrelatedAsh;
@@ -17,7 +12,6 @@ use crate::dimensions::{
 use crate::inference::merge_by_main_herd;
 use crate::mining::mine_governed;
 use crate::preprocess::filter_popular;
-use crate::preprocess::Preprocessed;
 use crate::pruning::prune;
 use crate::report::{
     DimensionHealth, DimensionStatus, DimensionSummary, InferredCampaign, PerfReport, RunHealth,
@@ -100,34 +94,11 @@ impl Smash {
         whois: &WhoisRegistry,
         metrics: &Registry,
     ) -> SmashReport {
-        self.run_resumable(dataset, whois, metrics, None)
+        self.run_governed(dataset, whois, metrics, None)
     }
 
-    /// [`run_with_metrics`](Self::run_with_metrics) with stage-boundary
-    /// checkpointing (DESIGN.md §9).
-    ///
-    /// With `checkpoints` set, every completed stage boundary —
-    /// preprocess, each mined dimension, correlation — is snapshotted
-    /// atomically into the checkpoint directory, and (with
-    /// [`CheckpointOptions::resume`]) stages whose validated snapshots
-    /// are already present are skipped. Checkpointing never fails or
-    /// alters a run: unusable snapshots degrade to recompute with a note
-    /// in [`RunHealth::checkpoint_warnings`](crate::report::RunHealth),
-    /// and a clean resume's report matches a cold run's byte for byte
-    /// once the inherently wall-clock fields (`perf`, `elapsed_ms`) are
-    /// stripped.
-    pub fn run_resumable(
-        &self,
-        dataset: &TraceDataset,
-        whois: &WhoisRegistry,
-        metrics: &Registry,
-        checkpoints: Option<&CheckpointOptions>,
-    ) -> SmashReport {
-        self.run_governed(dataset, whois, metrics, checkpoints, None)
-    }
-
-    /// [`run_resumable`](Self::run_resumable) under a resource governor
-    /// (DESIGN.md §11).
+    /// [`run_with_metrics`](Self::run_with_metrics) under a resource
+    /// governor (DESIGN.md §11).
     ///
     /// With `resources` set, every stage runs against a cooperative
     /// [`Governor`]: dimension builders, LSH bucketing, Louvain mining,
@@ -138,18 +109,17 @@ impl Smash {
     /// cheapest recall left *before* the allocation it guards — so it
     /// completes degraded; a hard breach or deadline cancels the stage
     /// through the same panic-isolation boundary used for crashes, so
-    /// the run degrades (eq. 9 renormalized) instead of dying, and
-    /// checkpoint state stays resumable. Every rung that fires is
-    /// recorded in [`RunHealth::governor`](crate::report::RunHealth)
-    /// and counted under `governor/<rung>`. With `resources` unset (or unlimited), the
-    /// governor is inert and the report is byte-identical to an
+    /// the run degrades (eq. 9 renormalized) instead of dying. Every
+    /// rung that fires is recorded in
+    /// [`RunHealth::governor`](crate::report::RunHealth) and counted
+    /// under `governor/<rung>`. With `resources` unset (or unlimited),
+    /// the governor is inert and the report is byte-identical to an
     /// ungoverned run.
     pub fn run_governed(
         &self,
         dataset: &TraceDataset,
         whois: &WhoisRegistry,
         metrics: &Registry,
-        checkpoints: Option<&CheckpointOptions>,
         resources: Option<&GovernorOptions>,
     ) -> SmashReport {
         let cfg = &self.config;
@@ -160,27 +130,11 @@ impl Smash {
             // Validated by `try_new`; arming is process-global.
             smash_support::failpoint::arm_spec(&cfg.failpoints).expect("validated failpoints spec");
         }
-        let mut cp: Option<Checkpointer> = checkpoints.map(|opts| {
-            // The manifest is keyed by config AND inputs: snapshots from a
-            // different sweep point or another trace must never be reused.
-            let input_fp = format!("{}+{}", dataset.fingerprint(), whois.fingerprint());
-            Checkpointer::open(opts, &cfg.fingerprint(), &input_fp, metrics)
-        });
         // 1. Preprocessing: IDF popularity filter (SLD aggregation already
         //    happened when the dataset was interned).
-        let pre = match cp
-            .as_mut()
-            .and_then(|c| c.load::<Preprocessed>(STAGE_PREPROCESS, metrics))
-        {
-            Some(pre) => pre,
-            None => {
-                let _span = metrics.span("stage/preprocess");
-                let pre = filter_popular(dataset, cfg.idf_threshold);
-                if let Some(c) = cp.as_mut() {
-                    c.store(STAGE_PREPROCESS, &pre, metrics);
-                }
-                pre
-            }
+        let pre = {
+            let _span = metrics.span("stage/preprocess");
+            filter_popular(dataset, cfg.idf_threshold)
         };
         let nodes: Vec<ServerId> = pre.kept.clone();
         let node_of: HashMap<ServerId, u32> = nodes
@@ -210,51 +164,29 @@ impl Smash {
         // 2. ASH mining per dimension. The client graph covers servers
         //    with ≥ 2 clients; single-client servers get their per-client
         //    herds appended below (paper Appendix C).
-        let main_stage = dimension_stage(DimensionKind::Client);
-        let (main_result, main_elapsed) = match cp
-            .as_mut()
-            .and_then(|c| c.load::<DimensionSnapshot>(&main_stage, metrics))
-        {
-            // Resumed: the snapshot carries the original build time so
-            // the health entry reflects real work, not the load.
-            Some(snap) => (Ok(snap.mined), snap.elapsed_ms),
-            None => {
-                // lint:allow(wallclock): measures stage duration for the perf block; never in report ordering.
-                let main_start = Instant::now();
-                let result = par::run_isolated(|| {
-                    let _span = metrics.span("stage/dimension/client");
-                    // Created before the builder so the wall budget also
-                    // covers graph construction, and mining polls the
-                    // same token the builder's inner loops do.
-                    let scope = ctx
-                        .governor
-                        .stage("dimension/client", cfg.dimension_budget_ms);
-                    let main_graph = ClientDimension.build_graph(&ctx);
-                    let mut main = mine_governed(
-                        DimensionKind::Client,
-                        main_graph,
-                        &nodes,
-                        cfg.louvain_seed,
-                        metrics,
-                        Some(scope.token()),
-                    );
-                    append_single_client_herds(&mut main, dataset, &nodes);
-                    main
-                });
-                let elapsed = main_start.elapsed().as_millis() as u64;
-                if let (Some(c), Ok(main)) = (cp.as_mut(), &result) {
-                    c.store(
-                        &main_stage,
-                        &DimensionSnapshotRef {
-                            mined: main,
-                            elapsed_ms: elapsed,
-                        },
-                        metrics,
-                    );
-                }
-                (result, elapsed)
-            }
-        };
+        // lint:allow(wallclock): measures stage duration for the perf block; never in report ordering.
+        let main_start = Instant::now();
+        let main_result = par::run_isolated(|| {
+            let _span = metrics.span("stage/dimension/client");
+            // Created before the builder so the wall budget also covers
+            // graph construction, and mining polls the same token the
+            // builder's inner loops do.
+            let scope = ctx
+                .governor
+                .stage("dimension/client", cfg.dimension_budget_ms);
+            let main_graph = ClientDimension.build_graph(&ctx);
+            let mut main = mine_governed(
+                DimensionKind::Client,
+                main_graph,
+                &nodes,
+                cfg.louvain_seed,
+                metrics,
+                Some(scope.token()),
+            );
+            append_single_client_herds(&mut main, dataset, &nodes);
+            main
+        });
+        let main_elapsed = main_start.elapsed().as_millis() as u64;
         governor.close_stage("dimension/client");
         let main = match main_result {
             Ok(main) => main,
@@ -266,7 +198,6 @@ impl Smash {
                     &pre.kept,
                     pre.dropped_popular.len(),
                     triage_failure(reason),
-                    cp.map(Checkpointer::into_warnings).unwrap_or_default(),
                     harvest_governor(&governor, metrics),
                 );
             }
@@ -304,39 +235,8 @@ impl Smash {
                     .then(|| Box::new(PayloadDimension) as Box<dyn Dimension>),
             ),
         ];
-        // Resume loads completed dimension snapshots up front; only the
-        // remainder is built. A snapshotted dimension was Ok within
-        // budget when it was stored, so it rejoins as Ok directly.
-        enum Slot<'a> {
-            Disabled,
-            Loaded(Box<DimensionSnapshot>),
-            Build(&'a dyn Dimension),
-        }
-        let mut slots: Vec<(DimensionKind, Slot<'_>)> = Vec::new();
-        for (kind, dim) in &planned {
-            let slot = match dim {
-                None => Slot::Disabled,
-                Some(d) => match cp
-                    .as_mut()
-                    .and_then(|c| c.load::<DimensionSnapshot>(&dimension_stage(*kind), metrics))
-                {
-                    Some(snap) => Slot::Loaded(Box::new(snap)),
-                    None => Slot::Build(d.as_ref()),
-                },
-            };
-            slots.push((*kind, slot));
-        }
-        let enabled_count = slots
-            .iter()
-            .filter(|(_, s)| !matches!(s, Slot::Disabled))
-            .count();
-        let to_build: Vec<&dyn Dimension> = slots
-            .iter()
-            .filter_map(|(_, s)| match s {
-                Slot::Build(d) => Some(*d),
-                _ => None,
-            })
-            .collect();
+        let to_build: Vec<&dyn Dimension> =
+            planned.iter().filter_map(|(_, d)| d.as_deref()).collect();
         // Dimension graphs are independent: build and mine them in
         // parallel (the paper's answer to the pairwise-similarity cost is
         // parallel sparse multiplication [18]) — each under panic
@@ -365,14 +265,11 @@ impl Smash {
                 (mined, start.elapsed().as_millis() as u64)
             });
 
-        // Triage: a dimension either completed inside its budget (kept,
-        // and snapshotted), was cancelled cooperatively by the governor
-        // (dropped, TimedOut for deadlines / Cancelled for memory),
-        // overran the wall-clock budget between polls (dropped,
-        // TimedOut via the post-hoc backstop), or panicked (dropped,
-        // Failed). Only kept dimensions are checkpointed: a failed,
-        // cancelled, or over-budget build must re-run on resume, not be
-        // resurrected from disk.
+        // Triage: a dimension either completed inside its budget (kept),
+        // was cancelled cooperatively by the governor (dropped, TimedOut
+        // for deadlines / Cancelled for memory), overran the wall-clock
+        // budget between polls (dropped, TimedOut via the post-hoc
+        // backstop), or panicked (dropped, Failed).
         let mut secondaries: Vec<MinedDimension> = Vec::new();
         let mut dimension_health = vec![DimensionHealth {
             kind: DimensionKind::Client,
@@ -380,135 +277,72 @@ impl Smash {
             elapsed_ms: main_elapsed,
         }];
         let mut results = isolated.into_iter();
-        for (kind, slot) in slots {
-            let health = match slot {
-                Slot::Disabled => DimensionHealth {
+        for (kind, dim) in &planned {
+            let kind = *kind;
+            if dim.is_none() {
+                dimension_health.push(DimensionHealth {
                     kind,
                     status: DimensionStatus::Disabled,
                     elapsed_ms: 0,
-                },
-                Slot::Loaded(snap) => {
-                    let elapsed_ms = snap.elapsed_ms;
-                    secondaries.push(snap.mined);
+                });
+                continue;
+            }
+            let health = match results.next().expect("one result per built dimension") {
+                Ok((mined, elapsed_ms))
+                    if cfg.dimension_budget_ms > 0 && elapsed_ms > cfg.dimension_budget_ms =>
+                {
+                    // Post-hoc backstop: the build finished but overran
+                    // the budget between token polls.
+                    drop(mined);
+                    DimensionHealth {
+                        kind,
+                        status: DimensionStatus::TimedOut {
+                            elapsed_ms,
+                            budget_ms: cfg.dimension_budget_ms,
+                        },
+                        elapsed_ms,
+                    }
+                }
+                Ok((mined, elapsed_ms)) => {
+                    secondaries.push(mined);
                     DimensionHealth {
                         kind,
                         status: DimensionStatus::Ok,
                         elapsed_ms,
                     }
                 }
-                Slot::Build(_) => {
-                    let triaged = match results.next().expect("one result per built dimension") {
-                        Ok((mined, elapsed_ms))
-                            if cfg.dimension_budget_ms > 0
-                                && elapsed_ms > cfg.dimension_budget_ms =>
-                        {
-                            // Post-hoc backstop: the build finished but
-                            // overran the budget between token polls.
-                            drop(mined);
-                            DimensionHealth {
-                                kind,
-                                status: DimensionStatus::TimedOut {
-                                    elapsed_ms,
-                                    budget_ms: cfg.dimension_budget_ms,
-                                },
-                                elapsed_ms,
-                            }
-                        }
-                        Ok((mined, elapsed_ms)) => {
-                            if let Some(c) = cp.as_mut() {
-                                c.store(
-                                    &dimension_stage(kind),
-                                    &DimensionSnapshotRef {
-                                        mined: &mined,
-                                        elapsed_ms,
-                                    },
-                                    metrics,
-                                );
-                            }
-                            secondaries.push(mined);
-                            DimensionHealth {
-                                kind,
-                                status: DimensionStatus::Ok,
-                                elapsed_ms,
-                            }
-                        }
-                        Err(reason) => {
-                            let status = triage_failure(reason);
-                            let elapsed_ms = match &status {
-                                DimensionStatus::TimedOut { elapsed_ms, .. } => *elapsed_ms,
-                                _ => 0,
-                            };
-                            DimensionHealth {
-                                kind,
-                                status,
-                                elapsed_ms,
-                            }
-                        }
+                Err(reason) => {
+                    let status = triage_failure(reason);
+                    let elapsed_ms = match &status {
+                        DimensionStatus::TimedOut { elapsed_ms, .. } => *elapsed_ms,
+                        _ => 0,
                     };
-                    governor.close_stage(&format!("dimension/{kind}"));
-                    triaged
+                    DimensionHealth {
+                        kind,
+                        status,
+                        elapsed_ms,
+                    }
                 }
             };
+            governor.close_stage(&format!("dimension/{kind}"));
             dimension_health.push(health);
         }
 
         // 3. Correlation (eq. 9) + thresholding, renormalized over the
         //    dimensions that actually completed.
-        let scale = if secondaries.is_empty() || secondaries.len() == enabled_count {
+        let scale = if secondaries.is_empty() || secondaries.len() == to_build.len() {
             1.0
         } else {
-            enabled_count as f64 / secondaries.len() as f64
+            to_build.len() as f64 / secondaries.len() as f64
         };
-        // A correlation snapshot is only as good as its inputs: it
-        // embeds a fingerprint of the exact mining results it consumed,
-        // so a resume that rebuilt any dimension recomputes eq. 9
-        // instead of reusing a stale result.
-        let loaded_correlated: Option<Vec<CorrelatedAsh>> = cp.as_mut().and_then(|c| {
-            let snap = c.load::<CorrelateSnapshot>(STAGE_CORRELATE, metrics)?;
-            if snap.inputs_fingerprint == correlate_inputs_fingerprint(&main, &secondaries, scale) {
-                Some(snap.correlated)
-            } else {
-                c.reject(
-                    STAGE_CORRELATE,
-                    "inputs changed since the snapshot was taken",
-                    metrics,
-                );
-                None
-            }
-        });
-        let correlated = match loaded_correlated {
-            Some(correlated) => correlated,
-            None => {
-                let computed = {
-                    let _span = metrics.span("stage/correlate");
-                    correlate_with_metrics(dataset, &main, &secondaries, cfg, scale, metrics)
-                };
-                if let Some(c) = cp.as_mut() {
-                    c.store(
-                        STAGE_CORRELATE,
-                        &CorrelateSnapshotRef {
-                            inputs_fingerprint: &correlate_inputs_fingerprint(
-                                &main,
-                                &secondaries,
-                                scale,
-                            ),
-                            scale,
-                            correlated: &computed,
-                        },
-                        metrics,
-                    );
-                }
-                computed
-            }
+        let correlated = {
+            let _span = metrics.span("stage/correlate");
+            correlate_with_metrics(dataset, &main, &secondaries, cfg, scale, metrics)
         };
         let health = RunHealth {
             dimensions: dimension_health,
             ingest: None,
             score_renormalization: scale,
-            checkpoint_warnings: cp
-                .take()
-                .map(Checkpointer::into_warnings)
-                .unwrap_or_default(),
             governor: harvest_governor(&governor, metrics),
         };
 
@@ -644,13 +478,11 @@ impl Smash {
 
     /// The empty report returned when the main dimension itself failed:
     /// no campaigns, every secondary marked as not run, and the failure
-    /// status (plus any checkpoint warnings and governor events)
-    /// preserved in `RunHealth`.
+    /// status (plus any governor events) preserved in `RunHealth`.
     fn aborted_report(
         kept: &[ServerId],
         dropped_popular: usize,
         status: DimensionStatus,
-        checkpoint_warnings: Vec<String>,
         governor_events: Vec<String>,
     ) -> SmashReport {
         let mut dimensions = vec![DimensionHealth {
@@ -692,7 +524,6 @@ impl Smash {
                 dimensions,
                 ingest: None,
                 score_renormalization: 1.0,
-                checkpoint_warnings,
                 governor: governor_events,
             },
             perf: PerfReport::default(),
@@ -757,7 +588,7 @@ fn harvest_governor(governor: &Governor, metrics: &Registry) -> Vec<String> {
 /// Pipeline-order rank of a `stage/*` histogram name (unknown stages
 /// sort after the known ones, alphabetically).
 fn stage_rank(name: &str) -> usize {
-    const ORDER: [&str; 15] = [
+    const ORDER: [&str; 12] = [
         "ingest",
         "preprocess",
         "dimension/client",
@@ -770,9 +601,6 @@ fn stage_rank(name: &str) -> usize {
         "correlate",
         "prune",
         "infer",
-        "ckpt/read",
-        "ckpt/validate",
-        "ckpt/write",
     ];
     ORDER
         .iter()

@@ -8,7 +8,6 @@
 //! themselves, and their traffic dominates cost while carrying no herd
 //! signal.
 
-use smash_support::{impl_json_struct, impl_wire_struct};
 use smash_trace::{ServerId, TraceDataset};
 
 /// Result of preprocessing.
@@ -19,15 +18,6 @@ pub struct Preprocessed {
     /// Servers dropped for popularity, ascending.
     pub dropped_popular: Vec<ServerId>,
 }
-
-impl_json_struct!(Preprocessed {
-    kept,
-    dropped_popular
-});
-impl_wire_struct!(Preprocessed {
-    kept,
-    dropped_popular
-});
 
 impl Preprocessed {
     /// Fraction of servers dropped.

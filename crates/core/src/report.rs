@@ -213,12 +213,6 @@ pub struct RunHealth {
     /// Factor applied to eq. 9 scores to renormalize over the secondary
     /// dimensions that completed (1.0 when nothing was lost).
     pub score_renormalization: f64,
-    /// One entry per checkpoint snapshot that was *present but
-    /// unusable* on resume (corrupt, truncated, wrong version, stale
-    /// fingerprint) — the stage was recomputed from scratch. Empty for
-    /// cold runs and clean resumes, so a clean resume's report matches a
-    /// cold run's byte-for-byte (modulo wall times).
-    pub checkpoint_warnings: Vec<String>,
     /// Every degradation-ladder rung the resource governor took, in
     /// stage order (`<stage>: <event>` — skipped or shed postings,
     /// tightened caps, abandoned bands, thinned graphs, cancellations;
@@ -240,10 +234,6 @@ impl ToJson for RunHealth {
                 "score_renormalization".to_owned(),
                 self.score_renormalization.to_json(),
             ),
-            (
-                "checkpoint_warnings".to_owned(),
-                self.checkpoint_warnings.to_json(),
-            ),
         ];
         if !self.governor.is_empty() {
             fields.push(("governor".to_owned(), self.governor.to_json()));
@@ -261,7 +251,6 @@ impl smash_support::json::FromJson for RunHealth {
             dimensions: smash_support::json::req_field(obj, "dimensions")?,
             ingest: smash_support::json::req_field(obj, "ingest")?,
             score_renormalization: smash_support::json::req_field(obj, "score_renormalization")?,
-            checkpoint_warnings: smash_support::json::opt_field(obj, "checkpoint_warnings")?,
             governor: smash_support::json::opt_field(obj, "governor")?,
         })
     }
@@ -273,7 +262,6 @@ impl Default for RunHealth {
             dimensions: Vec::new(),
             ingest: None,
             score_renormalization: 1.0,
-            checkpoint_warnings: Vec::new(),
             governor: Vec::new(),
         }
     }
@@ -446,9 +434,9 @@ impl SmashReport {
 /// drops the top-level `perf` section and every `elapsed_ms` field,
 /// then re-serializes compactly.
 ///
-/// Two runs over the same inputs and config — cold or resumed from
-/// checkpoints — must produce *identical* canonical reports; the
-/// checkpoint suite compares them byte-for-byte. Wall
+/// Two runs over the same inputs and config must produce *identical*
+/// canonical reports, so a report the CLI wrote compares byte-for-byte
+/// against [`SmashReport::canonical_json`] of an in-process run. Wall
 /// times are the only sanctioned nondeterminism in a report, and this
 /// is the one place that knows where they live.
 pub fn canonical_report_json(text: &str) -> Result<String, JsonError> {
@@ -575,7 +563,6 @@ mod tests {
             ],
             ingest: None,
             score_renormalization: 1.5,
-            checkpoint_warnings: vec!["corrupt checkpoint: checksum mismatch".to_owned()],
             governor: vec!["dimension/whois: shed posting feature=as1 len=900".to_owned()],
         };
         assert!(!health.fully_healthy());
@@ -587,6 +574,9 @@ mod tests {
         assert_eq!(health.status_of(DimensionKind::Payload), None);
         let back: RunHealth = from_str(&to_string(&health)).unwrap();
         assert_eq!(back, health);
+        // Older reports carry a `checkpoint_warnings` list: still readable.
+        let older = to_string(&health).replacen('{', r#"{"checkpoint_warnings":["stale"],"#, 1);
+        assert_eq!(from_str::<RunHealth>(&older).unwrap(), health);
         assert!(RunHealth::default().fully_healthy());
     }
 

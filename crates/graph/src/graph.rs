@@ -1,8 +1,5 @@
 //! Weighted undirected graphs with compact node ids.
 
-use smash_support::impl_json_struct;
-use smash_support::wire::{FromWire, Reader, ToWire, WireError};
-
 /// Compact node identifier used throughout the graph substrate.
 ///
 /// Callers map their own entities (server ids, domains, …) to dense
@@ -36,62 +33,6 @@ pub struct Graph {
     /// Sum of all edge weights (each undirected edge once; self-loops once).
     total_weight: f64,
     edge_count: usize,
-}
-
-impl_json_struct!(Graph {
-    adj,
-    degree,
-    total_weight,
-    edge_count
-});
-
-// Checkpoint wire form: node count + each undirected edge once. The
-// derived state (mirrored adjacency, degrees, total weight) is rebuilt
-// through `GraphBuilder`, whose key-ordered accumulation makes the
-// decoded graph bit-identical to the one originally built from the same
-// edges (which arrive ascending, so decoding neither sorts nor hashes).
-impl ToWire for Graph {
-    fn wire(&self, out: &mut Vec<u8>) {
-        (self.adj.len() as u64).wire(out);
-        (self.edge_count as u64).wire(out);
-        for (u, v, w) in self.edges() {
-            u.wire(out);
-            v.wire(out);
-            w.wire(out);
-        }
-    }
-}
-
-impl FromWire for Graph {
-    fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = usize::from_wire(r)?;
-        let m = usize::from_wire(r)?;
-        // Each edge consumes 16 bytes; reject an impossible count before
-        // looping (a corrupted header must not drive a huge allocation).
-        if m > r.remaining() / 16 {
-            return Err(WireError(format!(
-                "edge count {m} exceeds payload ({} bytes remain)",
-                r.remaining()
-            )));
-        }
-        let mut b = GraphBuilder::with_nodes(n);
-        for _ in 0..m {
-            let u = u32::from_wire(r)?;
-            let v = u32::from_wire(r)?;
-            let w = f64::from_wire(r)?;
-            if (u as usize) >= n || (v as usize) >= n {
-                return Err(WireError(format!("edge ({u}, {v}) outside {n} node(s)")));
-            }
-            if !w.is_finite() {
-                return Err(WireError(format!("non-finite edge weight {w}")));
-            }
-            b.add_edge(u, v, w);
-        }
-        if b.edge_count() != m {
-            return Err(WireError("duplicate edges in payload".to_owned()));
-        }
-        Ok(b.build())
-    }
 }
 
 impl Graph {
@@ -163,7 +104,7 @@ impl Graph {
 ///
 /// Edges accumulate in a plain list. A producer that appends them in
 /// strictly ascending `(min, max)` order — the dimension builders'
-/// candidate frame, a decoded checkpoint — pays no sorting and no
+/// candidate frame — pays no sorting and no
 /// hashing at all; any other arrival order is stable-sorted and merged
 /// once, when the builder is first read.
 #[derive(Debug, Clone)]

@@ -1,8 +1,6 @@
 //! Node-to-community assignments produced by community detection.
 
 use crate::graph::NodeId;
-use smash_support::impl_json_struct;
-use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 
 /// An assignment of every node to exactly one community.
 ///
@@ -12,27 +10,6 @@ use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 pub struct Partition {
     assignment: Vec<u32>,
     community_count: usize,
-}
-
-impl_json_struct!(Partition {
-    assignment,
-    community_count
-});
-
-// Checkpoint wire form: the assignment vector alone. Stored partitions
-// are already densely renumbered, so rebuilding through
-// `from_assignment` is the identity on them — and it revalidates the
-// density invariant on anything a corrupted payload smuggles in.
-impl ToWire for Partition {
-    fn wire(&self, out: &mut Vec<u8>) {
-        self.assignment.wire(out);
-    }
-}
-
-impl FromWire for Partition {
-    fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Partition::from_assignment(Vec::from_wire(r)?))
-    }
 }
 
 impl Partition {

@@ -4,7 +4,6 @@ use smash_graph::{
     connected_components, density, modularity, Graph, GraphBuilder, Louvain, Partition, UnionFind,
 };
 use smash_support::check::{check, Gen};
-use smash_support::wire::{self, ToWire};
 use std::collections::HashMap;
 
 /// Generator: a random small edge list over up to `n` nodes.
@@ -325,37 +324,4 @@ fn thinning_keeps_the_reference_models_edges_on_weight_ties() {
             assert_same_bits(&b.build(), &model.build());
         },
     );
-}
-
-#[test]
-fn wire_round_trip_is_bit_identical_and_duplicates_are_rejected() {
-    check(edge_stream, |es| {
-        let mut b = GraphBuilder::new();
-        for &(u, v, w) in es {
-            b.add_edge(u, v, w);
-        }
-        let g = b.build();
-        let bytes = wire::encode(&g);
-        let back: Graph = wire::decode(&bytes).expect("own encoding decodes");
-        assert_eq!(wire::encode(&back), bytes);
-        assert_eq!(back.total_weight().to_bits(), g.total_weight().to_bits());
-
-        // The same payload with its first edge listed twice — in
-        // either orientation — must not decode.
-        let Some((u, v, w)) = g.edges().next() else {
-            return;
-        };
-        for (a, b) in [(u, v), (v, u)] {
-            let mut forged = Vec::new();
-            (g.node_count() as u64).wire(&mut forged);
-            (g.edge_count() as u64 + 1).wire(&mut forged);
-            for (x, y, weight) in [(a, b, w)].into_iter().chain(g.edges()) {
-                x.wire(&mut forged);
-                y.wire(&mut forged);
-                weight.wire(&mut forged);
-            }
-            let err = wire::decode::<Graph>(&forged).expect_err("duplicate edge accepted");
-            assert!(err.0.contains("duplicate"), "got: {err:?}");
-        }
-    });
 }

@@ -12,8 +12,8 @@
 //! complete-and-checksummed or not at all, so a process killed at *any*
 //! instant restarts to a prefix of the acknowledged epochs — never a
 //! torn one. Corrupt files (disk rot, foreign bytes) are skipped with a
-//! warning, exactly like a corrupt checkpoint snapshot degrades to
-//! recompute (DESIGN.md §9). An *intact* file of another envelope
+//! warning and counted (`serve/recovery/wal_skipped`; DESIGN.md §9). An
+//! *intact* file of another envelope
 //! version is not rot: another build acknowledged those epochs, and
 //! dropping them with a warning would lose data the client was told is
 //! safe — so it stops the start-up instead (DESIGN.md §13.4).

@@ -22,8 +22,10 @@
 //!   mine borrows the arena — nothing is cloned or re-interned, and a
 //!   failed mine cannot leave it half-updated. Mines are panic-isolated
 //!   via [`par::run_isolated`] and supervised by the shared [`retry`]
-//!   backoff schedule; one that survives neither marks the epoch failed
-//!   (visible to `WAIT`) without taking the daemon down.
+//!   backoff schedule; one that survives neither, or whose client
+//!   dimension did not complete, marks the epoch failed (visible to
+//!   `WAIT`) without taking the daemon down, and the previous snapshot
+//!   keeps serving.
 //! * **Hand-off** — one mutex and one condvar (`Progress`) carry every
 //!   signal between seals, `WAIT`s, shutdown and the miner: epoch
 //!   numbers, the shutdown flag, and the in-flight mine's token, which
@@ -42,7 +44,7 @@ use crate::epoch;
 use crate::protocol::{self, ParseError, Request};
 use crate::snapshot::{ServeSnapshot, SnapshotCell, SnapshotReader, SNAPSHOT_FILE};
 use smash_core::config::SmashConfig;
-use smash_core::Smash;
+use smash_core::{DimensionKind, DimensionStatus, Smash};
 use smash_support::ckpt;
 use smash_support::governor::{self, CancelToken, Governor, GovernorOptions, Rung, StageScope};
 use smash_support::json::{self, ToJson};
@@ -792,9 +794,8 @@ fn mine_worker(inner: &Inner, replayed: Vec<epoch::ReplayedEpoch>) {
         };
         // Supervision: panic isolation inside, the shared deterministic
         // backoff schedule outside. A mine that dies (injected fault,
-        // real bug, governor cancellation) is retried up to the retry
-        // budget; exhaustion marks the epoch failed and keeps serving
-        // the previous snapshot.
+        // real bug) is retried up to the retry budget; exhaustion marks
+        // the epoch failed and keeps serving the previous snapshot.
         let seed = ckpt::fnv1a(format!("serve/mine/{target}").as_bytes());
         let (result, retries) = retry::retry_transient(seed, || {
             failpoint::check("serve/mine")?;
@@ -806,7 +807,7 @@ fn mine_worker(inner: &Inner, replayed: Vec<epoch::ReplayedEpoch>) {
             par::run_isolated(|| {
                 inner
                     .smash
-                    .run_governed(&dataset, &inner.whois, &inner.metrics, None, Some(&gov))
+                    .run_governed(&dataset, &inner.whois, &inner.metrics, Some(&gov))
             })
         });
         if retries > 0 {
@@ -831,6 +832,16 @@ fn mine_worker(inner: &Inner, replayed: Vec<epoch::ReplayedEpoch>) {
             // covers a strict prefix; loop and mine the new target.
             continue;
         }
+        // A mine whose main dimension did not complete (a governor
+        // budget cancelled it, or it panicked) found nothing to
+        // correlate: its empty report is no answer for the epoch.
+        let result =
+            result.and_then(
+                |report| match report.health.status_of(DimensionKind::Client) {
+                    Some(DimensionStatus::Ok) => Ok(report),
+                    status => Err(format!("client dimension did not complete: {status:?}")),
+                },
+            );
         match result {
             Ok(report) => {
                 let prev = inner.cell.peek();
@@ -860,7 +871,7 @@ fn mine_worker(inner: &Inner, replayed: Vec<epoch::ReplayedEpoch>) {
                 }
             }
             Err(msg) => {
-                eprintln!("serve: mine for epoch {target} exhausted supervision: {msg}");
+                eprintln!("serve: mine for epoch {target} failed: {msg}");
                 inner.metrics.counter("serve/mine/failed").inc();
                 mark_failed(inner, target);
             }

@@ -1,49 +1,22 @@
-//! Crash-safe checkpoint snapshots: versioned, checksummed, atomic.
-//!
-//! A long batch run (paper §III: a full day of ISP traffic) must not
-//! lose every completed stage to a mid-pipeline crash. This module is
-//! the storage half of the checkpoint/resume layer (DESIGN.md §9): a
-//! small binary *snapshot envelope* plus a JSON *manifest* that together
-//! guarantee a resumed run never trusts a stale, truncated, or corrupted
-//! snapshot.
-//!
-//! # Snapshot envelope
+//! Crash-safe value snapshots: versioned, checksummed, atomic.
 //!
 //! A snapshot is the workspace's shared checksummed frame
 //! ([`crate::envelope`]) under the magic `SMSHCKPT`; the payload is the
-//! binary wire encoding of the stage value. A snapshot renamed to the
-//! wrong stage — or rewritten by a different format version — fails
-//! validation exactly like a bit flip. Writes go through a temp file in
-//! the same directory followed by `rename`, so a crash mid-write leaves
-//! either the old snapshot or none, never a torn one.
+//! binary wire encoding of the framed value. Two files of the always-on
+//! service are snapshots: each sealed epoch of the write-ahead log and
+//! the published campaign snapshot (DESIGN.md §9, §13.4). A snapshot
+//! renamed to the wrong stage — or rewritten by a different format
+//! version — fails validation exactly like a bit flip. Writes go through
+//! a temp file in the same directory followed by `rename`, so a crash
+//! mid-write leaves either the old file or none, never a torn one.
 //!
-//! # Manifest
-//!
-//! The manifest (`manifest.json`) binds a checkpoint directory to one
-//! (config, input) pair via the workspace's FNV-1a fingerprints. A
-//! resume whose fingerprints differ rejects the whole directory —
-//! checkpoints from a different threshold sweep or a different trace are
-//! recomputed, not silently reused.
-//!
-//! The manifest is written **once**, when a checkpointed run opens its
-//! directory; it does not track per-stage completion. The snapshot
-//! files themselves are the durable completion markers: each appears
-//! atomically (tmp + rename) at its stage boundary, names its stage in
-//! the checksummed envelope, and file names are a pure function of the
-//! stage ([`snapshot_file_name`]). Keeping the manifest out of the
-//! per-stage hot path halves the file operations per boundary (one of
-//! the three choices behind the cost stated in DESIGN.md §9.4). The
-//! price is that the fingerprint binding covers the
-//! *directory*, not each file — so a run that opens a directory without
-//! resuming must clear stale `*.ckpt` files before its first boundary
-//! (the pipeline's `Checkpointer::open` does).
+//! The module also owns the workspace's FNV-1a hash ([`Fnv1a`],
+//! [`fnv1a`], [`fingerprint_string`]).
 //!
 //! Every failure is an [`CkptError`] value; nothing in this module
-//! panics on untrusted bytes (property-tested in `tests/checkpoint.rs`).
+//! panics on untrusted bytes.
 
 use crate::envelope::{self, EnvelopeError};
-use crate::impl_json_struct;
-use crate::json::{self, JsonError};
 use crate::retry::write_atomic_retrying;
 use crate::wire::{self, FromWire, ToWire};
 use std::fmt;
@@ -59,9 +32,6 @@ pub const MAGIC: &[u8; 8] = b"SMSHCKPT";
 /// word-wise envelope checksum; `smash-trace::day::VERSION` moved with
 /// it, because it is the one checksum of the one envelope.)
 pub const FORMAT_VERSION: u32 = 3;
-
-/// File name of the checkpoint manifest inside a checkpoint directory.
-pub const MANIFEST_FILE: &str = "manifest.json";
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -115,11 +85,11 @@ pub fn fingerprint_string(hash: u64) -> String {
     format!("fnv1a:{hash:016x}")
 }
 
-/// Why a snapshot or manifest could not be used. For a checkpoint
-/// every variant is a *degradation* signal — callers recompute the
-/// stage and warn, they do not fail the run. A carrier whose files are
-/// not regenerable (the serve layer's WAL) tells [`CkptError::Version`]
-/// — another build's intact file — from damage.
+/// Why a snapshot could not be used. For a regenerable file (the serve
+/// snapshot) every variant is a *degradation* signal — the caller
+/// recomputes and warns. A carrier whose files are not regenerable (the
+/// serve layer's WAL) tells [`CkptError::Version`] — another build's
+/// intact file — from damage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
     /// The file is missing or the OS refused the read/write.
@@ -127,8 +97,7 @@ pub enum CkptError {
     /// The bytes are not a valid snapshot: bad magic, truncated header,
     /// short payload, or checksum mismatch.
     Corrupt(String),
-    /// The snapshot is well-formed but for a different stage, or (for
-    /// manifests) schema or config/input fingerprint.
+    /// The snapshot is well-formed but for a different stage.
     Mismatch(String),
     /// The snapshot opens like one but carries this format version, not
     /// [`FORMAT_VERSION`]: another build wrote it.
@@ -138,12 +107,12 @@ pub enum CkptError {
 impl fmt::Display for CkptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CkptError::Io(m) => write!(f, "checkpoint io error: {m}"),
-            CkptError::Corrupt(m) => write!(f, "corrupt checkpoint: {m}"),
-            CkptError::Mismatch(m) => write!(f, "stale checkpoint: {m}"),
+            CkptError::Io(m) => write!(f, "snapshot io error: {m}"),
+            CkptError::Corrupt(m) => write!(f, "corrupt snapshot: {m}"),
+            CkptError::Mismatch(m) => write!(f, "stale snapshot: {m}"),
             CkptError::Version(v) => write!(
                 f,
-                "stale checkpoint: format version {v}, expected {FORMAT_VERSION}"
+                "stale snapshot: format version {v}, expected {FORMAT_VERSION}"
             ),
         }
     }
@@ -171,8 +140,8 @@ pub fn parse_snapshot<'a>(bytes: &'a [u8], expected_stage: &str) -> Result<&'a [
     })
 }
 
-/// Atomic file write shared by snapshots and the manifest: write to a
-/// sibling temp file, then `rename` into place.
+/// Atomic file write shared by every snapshot and the day file: write to
+/// a sibling temp file, then `rename` into place.
 ///
 /// # Errors
 ///
@@ -182,11 +151,10 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), CkptError> {
     let io = |what: &str, e: std::io::Error| CkptError::Io(format!("{what}: {e}"));
     {
         // No fsync: rename gives atomicity against process crash (the
-        // case `tests/checkpoint.rs` exercises), and a snapshot torn by
-        // power loss fails its envelope checksum on resume and is
-        // recomputed — durability comes from detect-and-recompute, not
-        // from paying an fsync per stage (which would cost more than
-        // everything else checkpointing does, DESIGN.md §9.4).
+        // case `tests/checkpoint.rs` and `tests/serve.rs` exercise), and
+        // a file torn by power loss fails its envelope checksum when read
+        // back: a serve snapshot is then rebuilt from the WAL, a WAL
+        // epoch is skipped and counted (DESIGN.md §13.4).
         let mut f =
             fs::File::create(&tmp).map_err(|e| io(&format!("create {}", tmp.display()), e))?;
         f.write_all(contents)
@@ -207,120 +175,10 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// The checkpoint directory's binding: which (config, input) pair its
-/// snapshots belong to. Which stages have completed is read off the
-/// directory itself — a stage is done iff its [`snapshot_file_name`]
-/// exists and its envelope validates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Manifest {
-    /// Schema tag (`smash-ckpt/manifest/v2`).
-    pub schema: String,
-    /// FNV-1a fingerprint of the pipeline configuration.
-    pub config_fingerprint: String,
-    /// FNV-1a fingerprint of the inputs (trace dataset + whois registry).
-    pub input_fingerprint: String,
-}
-
-impl_json_struct!(Manifest {
-    schema,
-    config_fingerprint,
-    input_fingerprint
-});
-
-/// Manifest schema tag. v1 carried a per-stage entry list; v2 binds
-/// fingerprints only (stage completion lives in the snapshot files).
-pub const MANIFEST_SCHEMA: &str = "smash-ckpt/manifest/v2";
-
-impl Manifest {
-    /// A fresh manifest for the given fingerprints.
-    pub fn new(config_fingerprint: &str, input_fingerprint: &str) -> Self {
-        Manifest {
-            schema: MANIFEST_SCHEMA.to_owned(),
-            config_fingerprint: config_fingerprint.to_owned(),
-            input_fingerprint: input_fingerprint.to_owned(),
-        }
-    }
-
-    /// Loads `manifest.json` from `dir`.
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Io`] when unreadable, [`CkptError::Corrupt`] when the
-    /// JSON does not parse as a manifest, [`CkptError::Mismatch`] on an
-    /// unknown schema tag.
-    pub fn load(dir: &Path) -> Result<Self, CkptError> {
-        let path = dir.join(MANIFEST_FILE);
-        let text = fs::read_to_string(&path)
-            .map_err(|e| CkptError::Io(format!("read {}: {e}", path.display())))?;
-        let manifest: Manifest = json::from_str(&text)
-            .map_err(|e: JsonError| CkptError::Corrupt(format!("manifest does not parse: {e}")))?;
-        if manifest.schema != MANIFEST_SCHEMA {
-            return Err(CkptError::Mismatch(format!(
-                "manifest schema `{}`, expected `{MANIFEST_SCHEMA}`",
-                manifest.schema
-            )));
-        }
-        Ok(manifest)
-    }
-
-    /// Writes the manifest to `dir` atomically.
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Io`] on any filesystem failure.
-    pub fn store(&self, dir: &Path) -> Result<(), CkptError> {
-        write_atomic(&dir.join(MANIFEST_FILE), json::to_string(self).as_bytes())
-    }
-
-    /// Checks the manifest against the current run's fingerprints.
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Mismatch`] naming whichever fingerprint differs.
-    pub fn check_fingerprints(
-        &self,
-        config_fingerprint: &str,
-        input_fingerprint: &str,
-    ) -> Result<(), CkptError> {
-        if self.config_fingerprint != config_fingerprint {
-            return Err(CkptError::Mismatch(format!(
-                "config fingerprint {} differs from current {config_fingerprint}",
-                self.config_fingerprint
-            )));
-        }
-        if self.input_fingerprint != input_fingerprint {
-            return Err(CkptError::Mismatch(format!(
-                "input fingerprint {} differs from current {input_fingerprint}",
-                self.input_fingerprint
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Maps a stage name to its snapshot file name (`/` is not valid in a
-/// file name; stages like `dimension/client` become `dimension_client.ckpt`).
-pub fn snapshot_file_name(stage: &str) -> String {
-    let safe: String = stage
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    format!("{safe}.ckpt")
-}
-
 /// Serializes `value` in the binary wire format ([`crate::wire`]) and
 /// writes its snapshot, retrying transient I/O failures
-/// ([`write_atomic_retrying`]). JSON is deliberately not used here:
-/// snapshot payloads are the checkpoint layer's hot path, and wire
-/// encode/decode is most of why the overhead is what DESIGN.md §9.4
-/// states. Returns `(payload_bytes, retries)` so the caller can
-/// account the `ckpt/retried` counter.
+/// ([`write_atomic_retrying`]). Returns `(payload_bytes, retries)` so
+/// the caller can account its retries.
 ///
 /// # Errors
 ///
@@ -338,7 +196,7 @@ pub fn write_value_snapshot<T: ToWire + ?Sized>(
     Ok((payload_bytes as u64, retries))
 }
 
-/// Reads, validates, and deserializes a stage snapshot.
+/// Reads, validates, and deserializes a snapshot.
 ///
 /// # Errors
 ///
@@ -426,48 +284,6 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["s.ckpt"]);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_round_trips_and_checks_fingerprints() {
-        let dir = tmp_dir("manifest");
-        let m = Manifest::new("fnv1a:aaaa", "fnv1a:bbbb");
-        m.store(&dir).expect("store");
-        let back = Manifest::load(&dir).expect("load");
-        assert_eq!(back, m);
-        assert!(back.check_fingerprints("fnv1a:aaaa", "fnv1a:bbbb").is_ok());
-        assert!(matches!(
-            back.check_fingerprints("fnv1a:other", "fnv1a:bbbb"),
-            Err(CkptError::Mismatch(_))
-        ));
-        assert!(matches!(
-            back.check_fingerprints("fnv1a:aaaa", "fnv1a:other"),
-            Err(CkptError::Mismatch(_))
-        ));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn garbage_manifest_is_corrupt_not_panic() {
-        let dir = tmp_dir("badmanifest");
-        fs::write(dir.join(MANIFEST_FILE), b"not json at all").expect("write");
-        assert!(matches!(Manifest::load(&dir), Err(CkptError::Corrupt(_))));
-        fs::write(
-            dir.join(MANIFEST_FILE),
-            br#"{"schema":"other/v9","config_fingerprint":"a","input_fingerprint":"b","entries":[]}"#,
-        )
-        .expect("write");
-        assert!(matches!(Manifest::load(&dir), Err(CkptError::Mismatch(_))));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn snapshot_file_names_are_flat() {
-        assert_eq!(snapshot_file_name("preprocess"), "preprocess.ckpt");
-        assert_eq!(
-            snapshot_file_name("dimension/uri-file"),
-            "dimension_uri-file.ckpt"
-        );
     }
 
     #[test]

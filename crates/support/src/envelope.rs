@@ -1,8 +1,8 @@
 //! The one checksummed envelope behind every binary file SMASH writes
 //! (DESIGN.md §9.1).
 //!
-//! Checkpoint snapshots, the serve layer's epoch WAL and published
-//! snapshot (`SMSHCKPT`, through [`crate::ckpt`]) and preprocessed days
+//! The serve layer's epoch WAL and published snapshot (`SMSHCKPT`,
+//! through [`crate::ckpt`]) and preprocessed days
 //! (`SMSHCOLS`, through `smash-trace::day`) are the same frame around
 //! different payloads. The magic and the version are arguments; the
 //! layout, the checksum, the validation order, and the fail-closed

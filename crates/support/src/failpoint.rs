@@ -23,8 +23,9 @@
 //! fault, for exercising retry paths), `delay:<ms>` (sleep, for
 //! exercising wall-clock budgets), and `abort` (kill the process
 //! without unwinding — a deterministic stand-in for `kill -9` / OOM,
-//! used by `tests/checkpoint.rs` and `tests/serve.rs` to test crash
-//! recovery; only meaningful when the target runs as a subprocess).
+//! used by `tests/checkpoint.rs` and `tests/serve.rs` to test the
+//! daemon's crash recovery; only meaningful when the target runs as a
+//! subprocess).
 //!
 //! ```
 //! use smash_support::failpoint::{self, Action};
@@ -58,8 +59,8 @@ pub enum Action {
     /// Kill the process on the spot — no unwinding, no destructors, no
     /// exit code discipline — simulating `kill -9`, OOM, or node
     /// preemption. Panic isolation cannot catch this, which is the
-    /// point: it is how `tests/checkpoint.rs` proves checkpoint resume
-    /// works after a *real* crash, not a caught panic.
+    /// point: it is how `tests/serve.rs` and `tests/checkpoint.rs` prove
+    /// the daemon recovers from a *real* crash, not a caught panic.
     Abort,
 }
 
@@ -383,7 +384,7 @@ mod tests {
     #[test]
     fn abort_action_parses() {
         assert_eq!(Action::parse("abort"), Ok(Action::Abort));
-        assert!(parse_spec("ckpt/after/preprocess=abort").is_ok());
+        assert!(parse_spec("serve/after/seal=abort").is_ok());
     }
 
     #[test]

@@ -45,10 +45,9 @@ use std::time::Instant; // lint:allow(wallclock): deadline enforcement is inhere
 /// pipeline's triage recognizes cancelled stages by it.
 pub const CANCEL_PREFIX: &str = "governor: ";
 
-/// Run-scoped governor knobs. Deliberately *not* part of the pipeline
-/// config (mirroring `CheckpointOptions`): budgets must not change the
-/// config fingerprint, or a budgeted run could never resume as an
-/// unbudgeted one.
+/// Run-scoped governor knobs, kept out of the pipeline config: they
+/// bound what one run may spend, not what it computes, and the daemon
+/// sets them per mine (`ServeOptions::mine_memory_budget_bytes`).
 #[derive(Debug, Clone, Default)]
 pub struct GovernorOptions {
     /// Hard per-stage memory budget in bytes (0 = unlimited). The soft

@@ -23,13 +23,13 @@
 //! * [`check`] — a seeded property-test harness with shrink-on-failure
 //!   and failure-seed reporting, replacing `proptest`.
 //! * [`envelope`] — the one versioned, checksummed, fail-closed frame
-//!   every binary file shares (checkpoints, the serve WAL and snapshot,
-//!   preprocessed days); the magic and version are arguments.
-//! * [`ckpt`] — atomically-written checkpoint snapshots in that
-//!   envelope, plus the fingerprinted manifest behind `--resume`.
+//!   every binary file shares (the serve WAL and snapshot, preprocessed
+//!   days); the magic and version are arguments.
+//! * [`ckpt`] — atomically-written value snapshots in that envelope
+//!   (the serve WAL and snapshot), plus the workspace's FNV-1a hash.
 //! * [`retry`] — the shared transient-fault retry policy (deterministic
-//!   backoff jitter, process-wide `retry/*` counters) behind checkpoint,
-//!   quarantine, and epoch-WAL writes.
+//!   backoff jitter, process-wide `retry/*` counters) behind quarantine,
+//!   epoch-WAL and snapshot writes.
 //! * [`metrics`] — thread-safe counters, gauges, fixed-bucket duration
 //!   histograms, and scoped stage timers for pipeline observability.
 //!

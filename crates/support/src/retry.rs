@@ -1,8 +1,9 @@
 //! Transient-fault retry with a deterministic backoff schedule.
 //!
 //! One retry policy serves every durable write in the workspace: the
-//! checkpoint envelope ([`crate::ckpt`]), the lenient-ingest quarantine
-//! sidecar, and the serve layer's epoch WAL and snapshot publishes. A
+//! snapshot envelope ([`crate::ckpt`]) behind the serve layer's epoch
+//! WAL and snapshot publishes, and the lenient-ingest quarantine
+//! sidecar. A
 //! transient `EINTR`-class failure costs a short, exponentially-growing
 //! backoff instead of a forfeited artifact; a fault that persists across
 //! all [`RETRY_ATTEMPTS`] attempts is treated as real and surfaced.
@@ -57,7 +58,7 @@ pub fn counters() -> RetryCounters {
 /// exponentially-growing backoff (with deterministic jitter drawn from
 /// a [`DetRng`] seeded by `seed`) between failures. Returns the final
 /// result plus how many retries were spent — a transient `EINTR`-class
-/// write failure no longer forfeits a checkpoint or a quarantine line.
+/// write failure no longer forfeits a WAL epoch or a quarantine line.
 ///
 /// The jitter seed should be a stable function of the destination (e.g.
 /// [`crate::ckpt::fnv1a`] of the path), so the backoff schedule is

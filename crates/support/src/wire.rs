@@ -1,12 +1,9 @@
-//! Compact binary serialization for checkpoint snapshot payloads.
+//! Compact binary serialization for envelope payloads: the preprocessed
+//! day (`smash-trace::day`), the serve WAL and the serve snapshot.
 //!
-//! The JSON used for reports is the wrong tool for snapshots: a medium
-//! run's dimension graphs serialize to ~700 KB of JSON whose encode and
-//! parse alone cost more than half the pipeline's wall time, where
-//! checkpointing now costs ≈ 3 % (DESIGN.md §9.4). This module is a
-//! minimal little-endian wire format for the handful of types the
-//! checkpoint layer stores: fixed-width integers and floats, length-
-//! prefixed strings and vectors, nothing self-describing. The envelope
+//! A minimal little-endian wire format for the handful of types those
+//! files store: fixed-width integers and floats, length-prefixed
+//! strings and vectors, nothing self-describing. The envelope
 //! around a payload ([`crate::envelope`]) carries the format version
 //! and a checksum, so decoders here only ever see bytes that already
 //! checksummed clean — but the checksum is not keyed, so a crafted file

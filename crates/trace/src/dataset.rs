@@ -429,9 +429,8 @@ impl TraceDataset {
     /// column arena in one streaming pass through a buffer of a few
     /// KiB — no serialized copy of the dataset is materialized. The
     /// postings are derived from the columns deterministically, so they
-    /// contribute nothing new and are skipped. The checkpoint manifest
-    /// stores this so `--resume` rejects snapshots computed from
-    /// another trace.
+    /// contribute nothing new and are skipped. A day file's round trip
+    /// is checked against it (`load_day(save_day(ds))`).
     pub fn fingerprint(&self) -> String {
         use smash_support::ckpt::{fingerprint_string, Fnv1a};
         let mut h = Fnv1a::new();
@@ -828,9 +827,8 @@ mod tests {
             ds.fingerprint(),
             smash_support::ckpt::fingerprint_string(hashed)
         );
-        // …and pinned: checkpoint manifests store it, so a layout or
-        // codec change that moves it orphans every checkpoint directory
-        // and must not land unnoticed.
+        // …and pinned, so a layout or codec change that moves it cannot
+        // land unnoticed.
         assert_eq!(ds.fingerprint(), "fnv1a:c580ce26925ce738");
     }
 

@@ -90,7 +90,8 @@ pub fn parse_day(bytes: &[u8]) -> Result<TraceDataset, DayError> {
 }
 
 /// Writes a preprocessed day to `path` atomically (tmp + rename, like
-/// checkpoint snapshots), so a crash mid-write never leaves a torn file.
+/// the serve WAL and snapshot), so a crash mid-write never leaves a torn
+/// file.
 pub fn save_day(path: &Path, ds: &TraceDataset) -> Result<(), DayError> {
     ckpt::write_atomic(path, &frame_day(ds)).map_err(|e| DayError::Io(e.to_string()))
 }
@@ -159,7 +160,7 @@ mod tests {
 
     #[test]
     fn foreign_and_damaged_envelopes_are_corrupt() {
-        // A checkpoint snapshot is a valid envelope of another format.
+        // A serve snapshot is a valid envelope of another format.
         let snapshot = envelope::frame(ckpt::MAGIC, ckpt::FORMAT_VERSION, STAGE, b"x").unwrap();
         assert!(matches!(parse_day(&snapshot), Err(DayError::Corrupt(_))));
         let bytes = frame_day(&dataset());

@@ -212,7 +212,7 @@ impl<'a> Quarantine<'a> {
     }
 
     /// Appends one bad line, retrying transient I/O errors with the
-    /// same bounded deterministic backoff the checkpoint layer uses
+    /// same bounded deterministic backoff the serve WAL uses
     /// (the jitter seed is a function of the sidecar path). A flaky
     /// filesystem costs a retry, not the quarantined evidence.
     fn spill(&mut self, raw: &[u8], report: &mut IngestReport) -> io::Result<()> {

@@ -45,15 +45,6 @@ impl WhoisRegistry {
         self.records.is_empty()
     }
 
-    /// FNV-1a fingerprint of the registry's canonical JSON
-    /// (`fnv1a:<16 hex digits>`; map keys serialize sorted, so the value
-    /// is deterministic). Combined with the trace fingerprint to key the
-    /// checkpoint manifest — a resumed run must see the same registry.
-    pub fn fingerprint(&self) -> String {
-        use smash_support::ckpt;
-        ckpt::fingerprint_string(ckpt::fnv1a(smash_support::json::to_string(self).as_bytes()))
-    }
-
     /// Whois similarity between two domains (paper §III-B2), or `0` when
     /// either domain is unregistered.
     pub fn similarity(&self, a: &str, b: &str) -> f64 {

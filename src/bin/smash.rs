@@ -23,7 +23,7 @@
 //! testing (see `smash::support::failpoint`).
 
 use smash::core::baseline::ReputationBaseline;
-use smash::core::{CheckpointOptions, DimensionStatus, Smash, SmashConfig};
+use smash::core::{DimensionStatus, Smash, SmashConfig};
 use smash::support::metrics::Registry;
 use smash::synth::Scenario;
 use smash::trace::{io, IngestOptions, IngestReport, TraceDataset, TraceStats};
@@ -71,12 +71,6 @@ analyze flags:
   --dot <path>           write the client-similarity graph as Graphviz DOT
   --metrics <path>       dump the full metrics registry snapshot as JSON
   --profile              print a per-stage wall-time table to stdout
-  --checkpoint-dir <dir> snapshot each completed stage into <dir>
-                         (atomic, checksummed; see DESIGN.md §9)
-  --resume               load validated snapshots from --checkpoint-dir
-                         instead of recomputing completed stages
-  --no-checkpoint        with --checkpoint-dir: do not write new
-                         snapshots (read-only resume)
 
 serve flags (the always-on campaign daemon; see DESIGN.md §13):
   --data-dir <dir>       epoch WAL + snapshot directory (required)
@@ -402,35 +396,7 @@ const ANALYZE_FLAGS: &[FlagSpec] = &[
     ("--dot", true),
     ("--metrics", true),
     ("--profile", false),
-    ("--checkpoint-dir", true),
-    ("--resume", false),
-    ("--no-checkpoint", false),
 ];
-
-/// Resolves the three checkpoint flags into [`CheckpointOptions`].
-///
-/// `--resume` and `--no-checkpoint` both require `--checkpoint-dir`:
-/// silently accepting them alone would pretend durability that is not
-/// there.
-fn checkpoint_options(args: &[String]) -> Result<Option<CheckpointOptions>, UsageError> {
-    let dir = flag_value(args, "--checkpoint-dir");
-    let resume = args.iter().any(|a| a == "--resume");
-    let no_write = args.iter().any(|a| a == "--no-checkpoint");
-    match dir {
-        Some(dir) => Ok(Some(
-            CheckpointOptions::new(dir)
-                .with_resume(resume)
-                .with_write(!no_write),
-        )),
-        None if resume => Err(UsageError(
-            "`--resume` needs `--checkpoint-dir <dir>`".to_owned(),
-        )),
-        None if no_write => Err(UsageError(
-            "`--no-checkpoint` needs `--checkpoint-dir <dir>`".to_owned(),
-        )),
-        None => Ok(None),
-    }
-}
 
 /// The pipeline knobs `analyze` and `serve` share.
 fn pipeline_config(args: &[String]) -> Result<SmashConfig, Box<dyn std::error::Error>> {
@@ -458,7 +424,6 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     let metrics = Registry::new();
     let (dataset, whois, ingest) = load(args, &metrics)?;
     let config = pipeline_config(args)?;
-    let checkpoints = checkpoint_options(args)?;
     let mut resources = smash::support::governor::GovernorOptions::unlimited();
     if let Some(mb) = flag_value(args, "--memory-budget-mb") {
         resources = resources.with_memory_budget_bytes(mb.parse::<u64>()? << 20);
@@ -468,21 +433,10 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     }
     let governed =
         (resources.memory_budget_bytes > 0 || resources.deadline_ms > 0).then_some(&resources);
-    let mut report =
-        Smash::new(config).run_governed(&dataset, &whois, &metrics, checkpoints.as_ref(), governed);
+    let mut report = Smash::new(config).run_governed(&dataset, &whois, &metrics, governed);
     report.health.ingest = ingest;
     for note in &report.health.governor {
         eprintln!("governor: {note}");
-    }
-    for warning in &report.health.checkpoint_warnings {
-        eprintln!("warning: {warning}");
-    }
-    if checkpoints.is_some() {
-        let loaded = metrics.counter("ckpt/loaded").get();
-        let written = metrics.counter("ckpt/written").get();
-        if loaded > 0 || written > 0 {
-            eprintln!("note: checkpoints — {loaded} stage(s) resumed, {written} written");
-        }
     }
     if !report.health.fully_healthy() {
         for kind in report.health.degraded_dimensions() {

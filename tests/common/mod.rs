@@ -1,12 +1,18 @@
 //! Fixtures shared by the root suites that plant the same C&C flux herd
-//! (`checkpoint.rs`, `fault_injection.rs`, `governor.rs`, `serve.rs`).
-//! Each suite compiles this module on its own and uses a subset.
+//! (`checkpoint.rs`, `fault_injection.rs`, `governor.rs`, `serve.rs`),
+//! and the daemon drivers the three `smash serve` suites share. Each
+//! suite compiles this module on its own and uses a subset.
 #![allow(dead_code)]
 
-use smash::core::SmashReport;
+use smash::core::{Smash, SmashConfig, SmashReport};
+use smash::serve::{Connection, Response};
+use smash::support::json::{self, ToJson};
+use smash::trace::io::{self, decode_record_line};
 use smash::trace::{HttpRecord, TraceDataset};
 use smash::whois::{WhoisRecord, WhoisRegistry};
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -115,4 +121,94 @@ pub fn flux_recovered(report: &SmashReport) -> bool {
             && c.server_count() == 8
             && c.servers.iter().all(|s| s.ends_with(".evil"))
     })
+}
+
+/// The planted flux herd as raw JSONL lines.
+pub fn flux_lines() -> Vec<String> {
+    let mut buf = Vec::new();
+    io::write_jsonl(&mut buf, &flux_records()).expect("encode flux records");
+    String::from_utf8(buf)
+        .expect("jsonl is utf-8")
+        .lines()
+        .map(str::to_owned)
+        .collect()
+}
+
+/// One record as its JSONL wire line.
+pub fn jsonl_line(record: &HttpRecord) -> String {
+    let mut buf = Vec::new();
+    io::write_jsonl(&mut buf, std::slice::from_ref(record)).expect("encode");
+    String::from_utf8(buf).expect("utf-8").trim_end().to_owned()
+}
+
+/// The reply an in-process connection gives to one request line.
+pub fn reply(conn: &mut Connection, line: &str) -> String {
+    match conn.handle(line.as_bytes(), false) {
+        Response::Reply(r) | Response::Shutdown(r) => r.into_owned(),
+        Response::Quiet => String::new(),
+    }
+}
+
+/// Sorted member lists of a campaign list: what "the same campaigns"
+/// means when the daemon's `REPORT` is held against the batch pipeline.
+pub fn membership(campaigns_json: &str) -> Vec<Vec<String>> {
+    let parsed = json::parse(campaigns_json).expect("campaign list parses");
+    let mut out: Vec<Vec<String>> = parsed
+        .as_arr()
+        .expect("campaign list is an array")
+        .iter()
+        .map(|campaign| {
+            let servers = campaign.get("servers").and_then(json::Json::as_arr);
+            let mut names: Vec<String> = servers
+                .expect("campaign has a server list")
+                .iter()
+                .map(|s| s.as_str().expect("server name is a string").to_owned())
+                .collect();
+            names.sort();
+            names
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// The sequential reference: campaign membership from the batch
+/// pipeline over one-shot interning of every accepted line.
+pub fn batch_membership(lines: &[String]) -> Vec<Vec<String>> {
+    let records = lines
+        .iter()
+        .map(|l| decode_record_line(l.as_bytes()).expect("accepted line decodes"));
+    let batch = Smash::new(SmashConfig::default())
+        .run(&TraceDataset::from_records(records), &WhoisRegistry::new());
+    membership(&json::to_string(&batch.campaigns.to_json()))
+}
+
+/// Runs `smash serve --stdio` as a subprocess over `script`, with
+/// `failpoints` armed in its environment, and returns
+/// `(reply lines, clean exit)`.
+pub fn run_daemon(data_dir: &Path, script: &str, failpoints: &str) -> (Vec<String>, bool) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_smash"));
+    cmd.args(["serve", "--stdio", "--data-dir"])
+        .arg(data_dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null());
+    if failpoints.is_empty() {
+        cmd.env_remove("SMASH_FAILPOINTS");
+    } else {
+        cmd.env("SMASH_FAILPOINTS", failpoints);
+    }
+    let mut child = cmd.spawn().expect("spawn smash serve");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(script.as_bytes())
+        .expect("write script");
+    let out = child.wait_with_output().expect("daemon exit");
+    let lines = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(str::to_owned)
+        .collect();
+    (lines, out.status.success())
 }

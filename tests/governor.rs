@@ -9,9 +9,10 @@
 //!    budget cancels the offending dimension through the degradation
 //!    ladder and the report says so (`Cancelled` status, ladder events
 //!    in `RunHealth`), instead of panicking or lying.
-//! 3. **A governor abort leaves resumable state** — `--resume` from the
-//!    checkpoint directory of an aborted run, with the budget lifted,
-//!    reproduces the unconstrained report exactly.
+//! 3. **A governor abort is never published** — a daemon mine whose
+//!    client dimension the budget cancelled fails its epoch instead of
+//!    making an empty campaign list durable, and a restart with the
+//!    budget lifted serves the unconstrained daemon's report.
 //! 4. **Degradation is monotone** — halving the budget may lose planted
 //!    campaigns, never find more, and never loses everything while the
 //!    input still fits.
@@ -21,8 +22,9 @@
 
 mod common;
 
-use common::{flux_trace, flux_whois, locked, scratch};
-use smash::core::{CheckpointOptions, Smash, SmashConfig, SmashReport};
+use common::{flux_lines, flux_trace, flux_whois, locked, reply, scratch};
+use smash::core::{Smash, SmashConfig, SmashReport};
+use smash::serve::{CampaignService, ServeOptions};
 use smash::support::failpoint;
 use smash::support::governor::GovernorOptions;
 use smash::support::metrics::Registry;
@@ -34,16 +36,12 @@ use std::sync::Mutex;
 /// could observe an armed spec.
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn run(
-    checkpoints: Option<&CheckpointOptions>,
-    resources: Option<&GovernorOptions>,
-) -> SmashReport {
+fn run(resources: Option<&GovernorOptions>) -> SmashReport {
     let metrics = Registry::new();
     Smash::new(SmashConfig::default()).run_governed(
         &flux_trace(),
         &flux_whois(),
         &metrics,
-        checkpoints,
         resources,
     )
 }
@@ -56,9 +54,9 @@ fn ungoverned_and_unbudgeted_runs_are_byte_identical_to_plain() {
     let plain =
         Smash::new(SmashConfig::default()).run_with_metrics(&flux_trace(), &flux_whois(), &metrics);
 
-    let ungoverned = run(None, None);
+    let ungoverned = run(None);
     let unlimited = GovernorOptions::unlimited();
-    let unbudgeted = run(None, Some(&unlimited));
+    let unbudgeted = run(Some(&unlimited));
 
     assert_eq!(
         ungoverned.canonical_json(),
@@ -86,7 +84,6 @@ fn impossible_memory_budget_cancels_through_the_ladder() {
         &flux_trace(),
         &flux_whois(),
         &metrics,
-        None,
         Some(&tight),
     );
 
@@ -120,38 +117,64 @@ fn impossible_memory_budget_cancels_through_the_ladder() {
     assert!(metrics.counter("governor/cancelled").get() >= 1);
 }
 
+/// One daemon life on `dir` with the given per-mine memory budget:
+/// the flux lines ingested and sealed as epoch 1. Returns the `WAIT`
+/// reply, the `REPORT` and the service's `(sealed, published, failed)`.
+fn daemon_epoch(
+    dir: &std::path::Path,
+    mine_memory_budget_bytes: u64,
+) -> (String, String, (u64, u64, u64)) {
+    let mut opts = ServeOptions::new(dir);
+    opts.mine_memory_budget_bytes = mine_memory_budget_bytes;
+    let svc = CampaignService::start(opts).expect("start");
+    let mut conn = svc.connection();
+    for line in flux_lines() {
+        assert_eq!(reply(&mut conn, &format!("INGEST {line}")), "OK");
+    }
+    assert!(reply(&mut conn, "SEAL").starts_with("OK epoch=1 "));
+    let wait = reply(&mut conn, "WAIT");
+    let report = reply(&mut conn, "REPORT");
+    let epochs = svc.epochs();
+    assert_eq!(
+        svc.counter("serve/mine/failed"),
+        u64::from(epochs.2 > 0),
+        "a failed epoch is counted once"
+    );
+    svc.shutdown();
+    (wait, report, epochs)
+}
+
 #[test]
 fn resume_after_governor_abort_reproduces_the_unconstrained_report() {
     let _g = locked(&LOCK);
     failpoint::disarm_all();
-    let dir = scratch("smash-governor-test", "abort-resume");
+    let clean = scratch("smash-governor-test", "daemon-unbudgeted");
+    let (wait, unconstrained, epochs) = daemon_epoch(&clean, 0);
+    assert_eq!(wait, "OK epoch=1");
+    assert_eq!(epochs, (1, 1, 0));
+    assert_ne!(unconstrained, "[]", "the unbudgeted daemon found nothing");
 
-    let unconstrained = run(None, None);
-
-    // Aborted run: the budget kills the main dimension, but whatever
-    // reached the checkpoint directory first (preprocess) is durable.
-    let tight = GovernorOptions::unlimited().with_memory_budget_bytes(1);
-    let aborted = run(Some(&CheckpointOptions::new(&dir)), Some(&tight));
+    // A 1-byte budget cancels the client dimension. The empty report
+    // that mine returns is no answer: the epoch fails, and nothing is
+    // made durable in its name.
+    let dir = scratch("smash-governor-test", "daemon-abort");
+    let (wait, report, epochs) = daemon_epoch(&dir, 1);
+    assert_eq!(wait, "ERR mine-failed epoch=1");
+    assert_eq!(report, "[]", "the cold snapshot keeps serving");
+    assert_eq!(epochs, (1, 0, 1));
     assert!(
-        aborted.campaigns.is_empty(),
-        "the impossible budget should abort the run"
+        !dir.join(smash::serve::snapshot::SNAPSHOT_FILE).exists(),
+        "a budget-aborted mine was published"
     );
 
-    // Resume with the budget lifted: the surviving snapshots are
-    // reused, the cancelled work recomputes, and the report matches an
-    // unconstrained cold run exactly.
-    let resumed = run(Some(&CheckpointOptions::new(&dir).with_resume(true)), None);
-    assert_eq!(
-        resumed.canonical_json(),
-        unconstrained.canonical_json(),
-        "resume after a governor abort diverged from the unconstrained run"
-    );
-    assert!(
-        resumed.health.checkpoint_warnings.is_empty(),
-        "resume after abort warned: {:?}",
-        resumed.health.checkpoint_warnings
-    );
-
+    // Restart with the budget lifted: the WAL replays, the epoch is
+    // mined again, and the answer is the unconstrained daemon's.
+    let svc = CampaignService::start(ServeOptions::new(&dir)).expect("restart");
+    let mut conn = svc.connection();
+    assert_eq!(reply(&mut conn, "WAIT"), "OK epoch=1");
+    assert_eq!(reply(&mut conn, "REPORT"), unconstrained);
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&clean);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -162,7 +185,7 @@ fn soft_budget_engages_the_ladder_but_still_completes() {
     // Size the budget off the unconstrained run's biggest stage: a hard
     // budget just above that peak puts the soft threshold (80%) below
     // it, so the ladder must engage without ever reaching hard.
-    let unconstrained = run(None, None);
+    let unconstrained = run(None);
     let biggest = unconstrained
         .perf
         .stages
@@ -173,7 +196,7 @@ fn soft_budget_engages_the_ladder_but_still_completes() {
     assert!(biggest > 0, "no stage charged any bytes");
 
     let snug = GovernorOptions::unlimited().with_memory_budget_bytes(biggest + biggest / 8);
-    let report = run(None, Some(&snug));
+    let report = run(Some(&snug));
     assert!(
         report.health.dimensions.iter().all(|d| !matches!(
             d.status,
@@ -206,7 +229,7 @@ fn assert_degradation_is_monotone(scenario: &StreamScenario) {
     // survived thinning.
     let run = |resources: Option<&GovernorOptions>| {
         let metrics = Registry::new();
-        let report = smash.run_governed(&dataset, &whois, &metrics, None, resources);
+        let report = smash.run_governed(&dataset, &whois, &metrics, resources);
         let count = |name: &str| metrics.counter(&format!("dim/uri-file/{name}")).get();
         (report, count("pairs_bucketed"), count("edges"))
     };
@@ -316,7 +339,6 @@ fn client_index_over_budget_is_windowed_not_cancelled() {
         &dataset,
         &WhoisRegistry::new(),
         &metrics,
-        None,
         Some(&budget),
     );
     let client = report.health.dimensions.iter().find(|d| d.kind.is_main());

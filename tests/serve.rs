@@ -8,15 +8,14 @@
 
 mod common;
 
-use common::{flux_records, locked, scratch};
-use smash::core::{Smash, SmashConfig};
+use common::{
+    batch_membership, flux_lines, jsonl_line, locked, membership, reply, run_daemon, scratch,
+};
 use smash::serve::{CampaignService, Response, ServeOptions};
 use smash::support::check::{cases, Gen, Shrink};
 use smash::support::failpoint;
-use smash::support::json::{self, FromJson, ToJson};
-use smash::trace::io::decode_record_line;
-use smash::trace::{io, HttpRecord, TraceDataset};
-use smash::whois::WhoisRegistry;
+use smash::support::json::{self, FromJson};
+use smash::trace::HttpRecord;
 use std::io::Write as _;
 use std::process::{Command, Stdio};
 use std::sync::Mutex;
@@ -27,31 +26,6 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 /// Prefix of this suite's scratch directories.
 const SCRATCH: &str = "smash-serve";
-
-/// The planted flux herd as raw JSONL lines.
-fn flux_lines() -> Vec<String> {
-    let mut buf = Vec::new();
-    io::write_jsonl(&mut buf, &flux_records()).expect("encode flux records");
-    String::from_utf8(buf)
-        .expect("jsonl is utf-8")
-        .lines()
-        .map(str::to_owned)
-        .collect()
-}
-
-/// One record as its JSONL wire line.
-fn jsonl_line(record: &HttpRecord) -> String {
-    let mut buf = Vec::new();
-    io::write_jsonl(&mut buf, std::slice::from_ref(record)).expect("encode");
-    String::from_utf8(buf).expect("utf-8").trim_end().to_owned()
-}
-
-fn reply(conn: &mut smash::serve::Connection, line: &str) -> String {
-    match conn.handle(line.as_bytes(), false) {
-        Response::Reply(r) | Response::Shutdown(r) => r.into_owned(),
-        Response::Quiet => String::new(),
-    }
-}
 
 /// Arbitrary bytes fed straight to the protocol parser. No shrinking:
 /// every case is cheap and the seed replays it exactly.
@@ -306,40 +280,6 @@ fn restart_on_another_builds_files_recomputes_a_snapshot_but_refuses_a_wal() {
     );
     assert_eq!(std::fs::read(&wal).expect("read"), before);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Sorted member lists of a campaign list: what "the same campaigns"
-/// means when the daemon's `REPORT` is held against the batch pipeline.
-fn membership(campaigns_json: &str) -> Vec<Vec<String>> {
-    let parsed = json::parse(campaigns_json).expect("campaign list parses");
-    let mut out: Vec<Vec<String>> = parsed
-        .as_arr()
-        .expect("campaign list is an array")
-        .iter()
-        .map(|campaign| {
-            let servers = campaign.get("servers").and_then(json::Json::as_arr);
-            let mut names: Vec<String> = servers
-                .expect("campaign has a server list")
-                .iter()
-                .map(|s| s.as_str().expect("server name is a string").to_owned())
-                .collect();
-            names.sort();
-            names
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// The sequential reference: campaign membership from the batch
-/// pipeline over one-shot interning of every accepted line.
-fn batch_membership(lines: &[String]) -> Vec<Vec<String>> {
-    let records = lines
-        .iter()
-        .map(|l| decode_record_line(l.as_bytes()).expect("accepted line decodes"));
-    let batch = Smash::new(SmashConfig::default())
-        .run(&TraceDataset::from_records(records), &WhoisRegistry::new());
-    membership(&json::to_string(&batch.campaigns.to_json()))
 }
 
 /// `STATS`' `serve/arena/records` and `serve/arena/bytes` gauges.
@@ -706,36 +646,6 @@ fn tcp_shutdown_exits_despite_idle_connected_client() {
 // ---------------------------------------------------------------------
 // Chaos gate: SIGKILL at every serve failpoint, then restart.
 // ---------------------------------------------------------------------
-
-/// Runs `smash serve --stdio` as a subprocess over `script`, with
-/// `failpoints` armed in its environment, and returns
-/// `(reply lines, clean exit)`.
-fn run_daemon(data_dir: &std::path::Path, script: &str, failpoints: &str) -> (Vec<String>, bool) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_smash"));
-    cmd.args(["serve", "--stdio", "--data-dir"])
-        .arg(data_dir)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null());
-    if failpoints.is_empty() {
-        cmd.env_remove("SMASH_FAILPOINTS");
-    } else {
-        cmd.env("SMASH_FAILPOINTS", failpoints);
-    }
-    let mut child = cmd.spawn().expect("spawn smash serve");
-    child
-        .stdin
-        .take()
-        .expect("stdin piped")
-        .write_all(script.as_bytes())
-        .expect("write script");
-    let out = child.wait_with_output().expect("daemon exit");
-    let lines = String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .map(str::to_owned)
-        .collect();
-    (lines, out.status.success())
-}
 
 /// The full golden script: ingest the flux day, seal, wait for the
 /// publish, query a planted member, dump the report.
