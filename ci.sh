@@ -24,7 +24,12 @@
 #                                             payload byte, one byte cut off,
 #                                             or the previous version number
 #                                             are each refused by name, never
-#                                             mined (DESIGN.md §12.4)
+#                                             mined (DESIGN.md §12.4); and a
+#                                             trace of many reader chunks
+#                                             (day2011, ≈ 7.4 MB) preprocesses
+#                                             to the same day file bytes as its
+#                                             CRLF copy with blank lines added
+#                                             (DESIGN.md §12.1)
 #   7. daemon smoke                           `smash serve --stdio`: ingest a
 #                                             generated day, SIGKILL the daemon
 #                                             mid-epoch via a failpoint, restart
@@ -131,6 +136,15 @@ refused "$remine_dir/short.day" "day file corrupt"
 cp "$remine_dir/trace.day" "$remine_dir/v2.day"
 printf '\002\000\000\000' | dd of="$remine_dir/v2.day" bs=1 seek=8 conv=notrunc status=none
 refused "$remine_dir/v2.day" "version 2 not supported (this build reads 3)"
+# The step's trace is one 256 KiB reader chunk; day2011 is ≈ 30. Its
+# CRLF copy, with a blank and a whitespace-only line every 100 records,
+# moves every chunk edge, and must still give the same day, byte for byte.
+"$smash_bin" generate day2011 "$remine_dir/day2011.jsonl" --seed 7 >/dev/null
+awk '{ printf "%s\r\n", $0 } NR % 100 == 0 { printf "\r\n \t\n" }' \
+    "$remine_dir/day2011.jsonl" >"$remine_dir/day2011.crlf.jsonl"
+"$smash_bin" preprocess "$remine_dir/day2011.jsonl" "$remine_dir/day2011.day" >/dev/null
+"$smash_bin" preprocess "$remine_dir/day2011.crlf.jsonl" "$remine_dir/day2011.crlf.day" >/dev/null
+cmp "$remine_dir/day2011.day" "$remine_dir/day2011.crlf.day"
 
 echo "==> exact-vs-LSH smoke (the same campaigns with and without --exact)"
 "$smash_bin" analyze "$remine_dir/trace.jsonl" --exact >"$remine_dir/exact.out"

@@ -588,8 +588,9 @@ fn harvest_governor(governor: &Governor, metrics: &Registry) -> Vec<String> {
 /// Pipeline-order rank of a `stage/*` histogram name (unknown stages
 /// sort after the known ones, alphabetically).
 fn stage_rank(name: &str) -> usize {
-    const ORDER: [&str; 12] = [
+    const ORDER: [&str; 13] = [
         "ingest",
+        "ingest/merge",
         "preprocess",
         "dimension/client",
         "dimension/uri-file",

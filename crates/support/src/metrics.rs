@@ -215,6 +215,33 @@ impl Drop for Span {
     }
 }
 
+/// A timer for a stage whose work comes in pieces: each
+/// [`time`](Self::time) adds its interval to a running total, and
+/// dropping the stopwatch records that total as *one* observation — so
+/// a stage run in many short bursts (the ingest merge, once per chunk)
+/// still shows once, with its whole wall time, beside the others.
+#[derive(Debug)]
+pub struct Stopwatch {
+    histogram: Arc<Histogram>,
+    total: Duration,
+}
+
+impl Stopwatch {
+    /// Runs `f`, adding its wall time to the total.
+    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        self.total += start.elapsed();
+        out
+    }
+}
+
+impl Drop for Stopwatch {
+    fn drop(&mut self) {
+        self.histogram.record(self.total);
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<Counter>>,
@@ -270,6 +297,16 @@ impl Registry {
     /// elapsed wall time is recorded when the returned [`Span`] drops.
     pub fn span(&self, name: &str) -> Span {
         self.histogram(name).span()
+    }
+
+    /// A [`Stopwatch`] feeding the histogram named `name`: one
+    /// observation, the sum of every interval it timed, recorded when
+    /// it drops.
+    pub fn stopwatch(&self, name: &str) -> Stopwatch {
+        Stopwatch {
+            histogram: self.histogram(name),
+            total: Duration::ZERO,
+        }
     }
 
     /// A point-in-time copy of every metric, with sorted names.
@@ -619,6 +656,25 @@ mod tests {
         m.counter("ingest/records").add(130_000);
         let table = m.snapshot().render_table();
         assert!(table.contains("52.0 MB/s  260000 records/s"), "{table}");
+    }
+
+    #[test]
+    fn a_stopwatch_is_one_observation_of_everything_it_timed() {
+        let m = Registry::new();
+        {
+            let mut watch = m.stopwatch("stage/pieces");
+            for _ in 0..3 {
+                watch.time(|| std::thread::sleep(Duration::from_millis(2)));
+            }
+            assert_eq!(m.snapshot().histograms["stage/pieces"].count, 0);
+        }
+        let h = &m.snapshot().histograms["stage/pieces"];
+        assert_eq!(h.count, 1);
+        assert!(h.sum_ns >= 6_000_000, "{h:?}");
+        // Never timing anything still records the stage, at zero.
+        drop(m.stopwatch("stage/idle"));
+        let idle = &m.snapshot().histograms["stage/idle"];
+        assert_eq!((idle.count, idle.sum_ns), (1, 0));
     }
 
     #[test]

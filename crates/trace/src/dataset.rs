@@ -134,11 +134,12 @@ impl FromWire for TraceDataset {
 }
 
 /// An in-progress append: records go in through
-/// [`push_fields`](Self::push_fields) (or [`push`](Self::push)),
-/// and dropping the appender re-sorts and deduplicates the postings of
-/// the servers it touched. It holds the dataset's one mutable borrow
-/// while those are unsorted, so no reader sees the intermediate state —
-/// even when the feeding loop bails out early or unwinds.
+/// [`push_fields`](Self::push_fields) (or [`push`](Self::push), or a
+/// whole decoded chunk at a time from the JSONL reader), and dropping
+/// the appender re-sorts and deduplicates the postings of the servers
+/// it touched. It holds the dataset's one mutable borrow while those
+/// are unsorted, so no reader sees the intermediate state — even when
+/// the feeding loop bails out early or unwinds.
 #[derive(Debug)]
 pub struct Appender<'a> {
     ds: &'a mut TraceDataset,
@@ -175,40 +176,101 @@ impl Appender<'_> {
         id
     }
 
-    /// Interns one record into the arena and its server's postings —
-    /// the one interning routine. Only the first sight of a symbol
-    /// allocates; a record whose strings are all known costs hash
-    /// lookups and column pushes.
+    /// The IP-table id of a server address.
+    fn ip_of(&mut self, ip: Ipv4Addr) -> u32 {
+        let ips = &mut self.ds.ips;
+        *self
+            .ip_memo
+            .entry(ip)
+            .or_insert_with(|| ips.intern(&ip.to_string()))
+    }
+
+    /// Interns one record into the arena and its server's postings.
+    /// Only the first sight of a symbol allocates; a record whose
+    /// strings are all known costs hash lookups and column pushes.
     pub fn push_fields(&mut self, r: &RecordFields<'_>) {
         let server = self.server_of(&r.host);
         let referrer = r.referrer.as_deref().map(|h| self.server_of(h));
         let redirect_to = r.redirect_to.as_deref().map(|h| self.server_of(h));
+        let ip = self.ip_of(r.server_ip);
         let ds = &mut *self.ds;
-        let ip = *self
-            .ip_memo
-            .entry(r.server_ip)
-            .or_insert_with(|| ds.ips.intern(&r.server_ip.to_string()));
-        let file_str = uri_file(&r.uri);
-        let is_dir = file_str.is_empty();
+        let file = uri_file(&r.uri);
         let rec = CompactRecord {
             timestamp: r.timestamp,
             client: ds.clients.intern(&r.client),
             server,
             host: ds.hosts.intern(&r.host),
             ip,
-            file: ds.files.intern(file_str),
+            file: ds.files.intern(file),
             path: ds.paths.intern(uri_path(&r.uri)),
-            param_pattern: if r.uri.contains('?') {
-                ds.params.intern(&parameter_pattern(&r.uri))
-            } else {
-                ds.params.intern("")
-            },
+            param_pattern: intern_param_pattern(&mut ds.params, &r.uri),
             user_agent: ds.user_agents.intern(&r.user_agent),
             referrer,
             status: r.status,
             resp_bytes: r.resp_bytes,
             redirect_to,
         };
+        self.push_compact(rec, file.is_empty());
+    }
+
+    /// Merges one decoded chunk, whose records follow every record
+    /// already pushed. The chunk's symbols are interned table by table
+    /// in its local-id order — which is the order the chunk first saw
+    /// them — so every table issues its new ids exactly as pushing the
+    /// chunk's records one by one would have; then the rows, remapped
+    /// to those ids, go through the same [`push_compact`](Self::push_compact).
+    pub(crate) fn merge_chunk(&mut self, chunk: &ChunkArena) {
+        let servers: Vec<ServerId> = chunk.names.iter().map(|(_, h)| self.server_of(h)).collect();
+        let ips: Vec<u32> = chunk.ips.iter().map(|&ip| self.ip_of(ip)).collect();
+        let ds = &mut *self.ds;
+        let remap = |local: &Interner, global: &mut Interner| -> Vec<u32> {
+            local.iter().map(|(_, s)| global.intern(s)).collect()
+        };
+        let clients = remap(&chunk.clients, &mut ds.clients);
+        let hosts = remap(&chunk.hosts, &mut ds.hosts);
+        let files = remap(&chunk.files, &mut ds.files);
+        let paths = remap(&chunk.paths, &mut ds.paths);
+        let params = remap(&chunk.params, &mut ds.params);
+        let user_agents = remap(&chunk.user_agents, &mut ds.user_agents);
+        let no_file = chunk.files.get("");
+        let global = |ids: &[u32], local: u32| ids.get(local as usize).copied();
+        for row in &chunk.rows {
+            let server = |local: Option<u32>| match local {
+                Some(id) => global(&servers, id).map(Some),
+                None => Some(None),
+            };
+            // Every local id was issued by the chunk's own tables; a
+            // miss would be a chunk-arena bug, and skipping the record
+            // beats panicking mid-ingest.
+            let rec = (|| {
+                Some(CompactRecord {
+                    timestamp: row.timestamp,
+                    client: global(&clients, row.client)?,
+                    server: global(&servers, row.server)?,
+                    host: global(&hosts, row.host)?,
+                    ip: global(&ips, row.ip)?,
+                    file: global(&files, row.file)?,
+                    path: global(&paths, row.path)?,
+                    param_pattern: global(&params, row.param_pattern)?,
+                    user_agent: global(&user_agents, row.user_agent)?,
+                    referrer: server(row.referrer)?,
+                    status: row.status,
+                    resp_bytes: row.resp_bytes,
+                    redirect_to: server(row.redirect_to)?,
+                })
+            })();
+            if let Some(rec) = rec {
+                self.push_compact(rec, Some(row.file) == no_file);
+            }
+        }
+    }
+
+    /// Appends one interned record to the columns and its server's
+    /// postings — the one routine both [`push_fields`](Self::push_fields)
+    /// and a chunk merge end in. `is_dir` says the request named no
+    /// file, so the server's file posting skips it.
+    fn push_compact(&mut self, rec: CompactRecord, is_dir: bool) {
+        let ds = &mut *self.ds;
         let idx = ds.cols.len() as u32;
         ds.grow_postings();
         let s = rec.server as usize;
@@ -255,6 +317,88 @@ impl Drop for Appender<'_> {
                 posting.dedup();
             }
         }
+    }
+}
+
+/// The parameter-pattern id of a URI: a URI without `?` — the common
+/// case — interns `""` without building a pattern.
+fn intern_param_pattern(params: &mut Interner, uri: &str) -> u32 {
+    if uri.contains('?') {
+        params.intern(&parameter_pattern(uri))
+    } else {
+        params.intern("")
+    }
+}
+
+/// One chunk of a JSONL trace, decoded and interned on its own: the
+/// chunk's symbol tables in the order the chunk first saw each string,
+/// and its rows as [`CompactRecord`]s of *local* ids. Worker threads
+/// build these side by side; [`Appender::merge_chunk`] folds them into
+/// the arena in input order. It holds no postings and does no
+/// [`ServerKey`] work: `names` keeps each raw host, referrer and
+/// redirect string as written (a row's `server`, `referrer` and
+/// `redirect_to` index it), and aggregation happens once per distinct
+/// string at the merge, through the appender's memo.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkArena {
+    clients: Interner,
+    names: Interner,
+    hosts: Interner,
+    ips: Vec<Ipv4Addr>,
+    ip_ids: HashMap<Ipv4Addr, u32>,
+    files: Interner,
+    paths: Interner,
+    params: Interner,
+    user_agents: Interner,
+    rows: Vec<CompactRecord>,
+}
+
+impl ChunkArena {
+    /// Empties the chunk for the next one, keeping its allocations.
+    pub(crate) fn clear(&mut self) {
+        let tables = [
+            &mut self.clients,
+            &mut self.names,
+            &mut self.hosts,
+            &mut self.files,
+            &mut self.paths,
+            &mut self.params,
+            &mut self.user_agents,
+        ];
+        for table in tables {
+            table.clear();
+        }
+        self.ips.clear();
+        self.ip_ids.clear();
+        self.rows.clear();
+    }
+
+    /// Interns one record into the chunk, in the same table order as
+    /// [`Appender::push_fields`].
+    pub(crate) fn push(&mut self, r: &RecordFields<'_>) {
+        let server = self.names.intern(&r.host);
+        let referrer = r.referrer.as_deref().map(|h| self.names.intern(h));
+        let redirect_to = r.redirect_to.as_deref().map(|h| self.names.intern(h));
+        let next = self.ips.len() as u32;
+        let ip = *self.ip_ids.entry(r.server_ip).or_insert(next);
+        if ip == next {
+            self.ips.push(r.server_ip);
+        }
+        self.rows.push(CompactRecord {
+            timestamp: r.timestamp,
+            client: self.clients.intern(&r.client),
+            server,
+            host: self.hosts.intern(&r.host),
+            ip,
+            file: self.files.intern(uri_file(&r.uri)),
+            path: self.paths.intern(uri_path(&r.uri)),
+            param_pattern: intern_param_pattern(&mut self.params, &r.uri),
+            user_agent: self.user_agents.intern(&r.user_agent),
+            referrer,
+            status: r.status,
+            resp_bytes: r.resp_bytes,
+            redirect_to,
+        });
     }
 }
 

@@ -135,6 +135,16 @@ impl Interner {
         }
     }
 
+    /// Forgets every string but keeps the allocations, table size
+    /// included — for scratch tables refilled over and over (a reader's
+    /// chunk-local tables), whose [`heap_bytes`](Self::heap_bytes) is
+    /// then no longer a function of the count alone.
+    pub(crate) fn clear(&mut self) {
+        self.slab.clear();
+        self.ends.clear();
+        self.slots.fill(Slot { tag: 0, id: VACANT });
+    }
+
     /// Looks up the id of `s` without interning it.
     pub fn get(&self, s: &str) -> Option<u32> {
         self.find(s, self.tag(s))

@@ -3,30 +3,40 @@
 //! The paper's input is PCAP; our portable interchange format is one JSON
 //! object per line, which is trivially produced from any flow log.
 //!
-//! There is one reader, [`ingest_jsonl`]: it decodes each line into
-//! borrowed fields ([`decode_fields`] — no JSON tree, no owned strings)
-//! and streams them into a sink (the CLI's is the arena's appender — no
-//! row buffer), counts bad lines per error class in an [`IngestReport`]
-//! (optionally spilling them to a quarantine sidecar), and lets an
-//! *error budget* tell a dirty trace (ingest what you can) from the
-//! wrong file entirely ([`IngestError::BudgetExceeded`]). Dirty
-//! edge-of-ISP flow logs want the default 5%; files we wrote ourselves
-//! want *strict* — the same loop at budget 0, failing on the first
-//! malformed line ([`read_jsonl`], [`read_jsonl_file`]).
+//! There is one reader. It cuts the byte stream into chunks of
+//! [`CHUNK_BYTES`], each ending at its last `\n`, and worker threads
+//! decode the chunks side by side: each line into borrowed fields
+//! ([`decode_fields`] — no JSON tree, no owned strings), bad lines
+//! counted per error class in an [`IngestReport`], good ones built into
+//! a per-chunk form — a chunk-local interned arena for
+//! [`read_jsonl_into`] (the CLI's path), owned rows for
+//! [`read_jsonl_lenient`]. One ordered merge folds the chunks into the
+//! caller in input order, spilling bad lines to an optional quarantine
+//! sidecar, and an *error budget* tells a dirty trace (ingest what you
+//! can) from the wrong file entirely ([`IngestError::BudgetExceeded`]).
+//! Dirty edge-of-ISP flow logs want the default 5%; files we wrote
+//! ourselves want *strict* — the same reader at budget 0, failing on the
+//! first malformed line ([`read_jsonl`], [`read_jsonl_file`]).
 
+use crate::dataset::{Appender, ChunkArena};
 use crate::record::{HttpRecord, RecordFields};
 use smash_support::ckpt;
 use smash_support::failpoint;
 use smash_support::governor::CancelToken;
 use smash_support::impl_json_struct;
 use smash_support::json::{self, FromJson, Json, Scalar};
+use smash_support::metrics::Registry;
+use smash_support::par;
 use smash_support::retry;
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::Ipv4Addr;
+use std::panic;
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Mutex, PoisonError};
 
 /// Per-error-class counts from one ingest.
 ///
@@ -68,6 +78,17 @@ impl IngestReport {
         self.oversized + self.bad_json + self.bad_ip + self.bad_field
     }
 
+    /// Adds another part of the same ingest's tally.
+    fn add(&mut self, part: &IngestReport) {
+        self.lines += part.lines;
+        self.records += part.records;
+        self.oversized += part.oversized;
+        self.bad_json += part.bad_json;
+        self.bad_ip += part.bad_ip;
+        self.bad_field += part.bad_field;
+        self.quarantined += part.quarantined;
+    }
+
     /// Fraction of input lines rejected (0 for an empty input).
     pub fn bad_fraction(&self) -> f64 {
         if self.lines == 0 {
@@ -81,8 +102,13 @@ impl IngestReport {
 /// Tuning knobs for ingest.
 #[derive(Debug, Clone)]
 pub struct IngestOptions {
-    /// Lines longer than this are rejected unread (guards against
-    /// pathological inputs blowing up memory). Default 1 MiB.
+    /// Lines longer than this are rejected without being held: the
+    /// reader keeps at most this many bytes plus one chunk of any line
+    /// (see [`CHUNK_BYTES`]) and reads the rest through to its `\n`,
+    /// streaming it to the quarantine sidecar if there is one. The one
+    /// exception is a line that is still all whitespace past the cap
+    /// while a sidecar is set: it is held until it proves blank
+    /// (skipped) or not (spilled). Default 1 MiB.
     pub max_line_bytes: usize,
     /// Maximum tolerated [`IngestReport::bad_fraction`]; exceeding it
     /// fails the whole ingest with [`IngestError::BudgetExceeded`].
@@ -92,10 +118,11 @@ pub struct IngestOptions {
     /// When set, raw rejected lines are appended to this sidecar file
     /// for offline inspection.
     pub quarantine: Option<PathBuf>,
-    /// When set, the reader polls this token every
-    /// [`CANCEL_POLL_LINES`] lines and aborts with
-    /// [`IngestError::Cancelled`] once it fires (governor deadlines and
-    /// run-level cancellation reach ingest through here).
+    /// When set, the reader polls this token once per chunk it reads,
+    /// before cutting it, and aborts with [`IngestError::Cancelled`]
+    /// once it fires — so nothing read after the firing is merged
+    /// (governor deadlines and run-level cancellation reach ingest
+    /// through here).
     pub cancel: Option<CancelToken>,
 }
 
@@ -136,10 +163,18 @@ impl IngestOptions {
     }
 }
 
-/// Lines between cancellation-token polls: frequent
-/// enough that a cancelled ingest stops within milliseconds, rare enough
-/// that the poll never shows up in a profile.
-pub const CANCEL_POLL_LINES: usize = 4096;
+/// Bytes the reader takes in one read: each chunk is the partial line
+/// the last one left over plus the next `CHUNK_BYTES` of input, cut at
+/// its last `\n`. Big enough that a chunk's strings repeat (a chunk of
+/// a generated day holds about a thousand records) and the cancellation
+/// poll and per-chunk hand-off never show in a profile; small enough
+/// that the chunks in flight cost a few MiB. A constant, not an option.
+pub const CHUNK_BYTES: usize = 256 << 10;
+
+/// Chunks cut but not yet merged, per worker thread: enough that a
+/// worker finding its next chunk never waits on the merge, few enough
+/// that memory stays a handful of chunks.
+const IN_FLIGHT_PER_WORKER: usize = 2;
 
 /// Returns [`IngestError::Cancelled`] if the optional token has fired.
 fn check_cancel(cancel: Option<&CancelToken>) -> Result<(), IngestError> {
@@ -211,12 +246,17 @@ impl<'a> Quarantine<'a> {
         Self { path, file: None }
     }
 
-    /// Appends one bad line, retrying transient I/O errors with the
-    /// same bounded deterministic backoff the serve WAL uses
-    /// (the jitter seed is a function of the sidecar path). A flaky
+    /// Whether bad lines are kept at all.
+    fn is_on(&self) -> bool {
+        self.path.is_some()
+    }
+
+    /// Appends bad-line bytes, retrying transient I/O errors with the
+    /// same bounded deterministic backoff the serve WAL uses (the
+    /// jitter seed is a function of the sidecar path). A flaky
     /// filesystem costs a retry, not the quarantined evidence.
-    fn spill(&mut self, raw: &[u8], report: &mut IngestReport) -> io::Result<()> {
-        let Some(path) = self.path else {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let Some(path) = self.path.filter(|_| !bytes.is_empty()) else {
             return Ok(());
         };
         let file = &mut self.file;
@@ -228,14 +268,10 @@ impl<'a> Quarantine<'a> {
                     *file = Some(BufWriter::new(File::create(path)?));
                 }
                 let f = file.as_mut().expect("just created");
-                f.write_all(raw)?;
-                f.write_all(b"\n")?;
-                Ok(())
+                f.write_all(bytes)
             },
         );
-        res?;
-        report.quarantined += 1;
-        Ok(())
+        res
     }
 
     fn finish(self) -> io::Result<()> {
@@ -412,8 +448,386 @@ pub fn decode_record_line(raw: &[u8]) -> Result<HttpRecord, LineError> {
     decode_fields(raw).map(RecordFields::into_record)
 }
 
-/// The one JSONL reader: streams every decodable record of `r` into
-/// `sink`, counting (and optionally quarantining) malformed lines
+/// A line without its trailing `\r`s (the `\n` is already cut).
+fn trim_line(line: &[u8]) -> &[u8] {
+    let end = line.iter().rposition(|&b| b != b'\r').map_or(0, |i| i + 1);
+    line.get(..end).unwrap_or_default()
+}
+
+/// Blank lines (nothing but ASCII whitespace) are skipped, not counted.
+fn is_blank(line: &[u8]) -> bool {
+    line.iter().all(u8::is_ascii_whitespace)
+}
+
+/// The per-chunk form a reader builds good records into: filled on a
+/// worker, merged in input order, then handed back to be emptied and
+/// filled again, so each chunk's tables and rows reuse the last one's
+/// allocations.
+trait Chunk: Default + Send {
+    /// Adds one decoded record.
+    fn push(&mut self, fields: RecordFields<'_>);
+    /// Empties the chunk, keeping its allocations.
+    fn clear(&mut self);
+}
+
+/// [`read_jsonl_into`]'s chunks: interned on the worker.
+impl Chunk for ChunkArena {
+    fn push(&mut self, fields: RecordFields<'_>) {
+        ChunkArena::push(self, &fields);
+    }
+
+    fn clear(&mut self) {
+        ChunkArena::clear(self);
+    }
+}
+
+/// [`read_jsonl_lenient`]'s chunks: owned rows.
+impl Chunk for Vec<HttpRecord> {
+    fn push(&mut self, fields: RecordFields<'_>) {
+        Vec::push(self, fields.into_record());
+    }
+
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+}
+
+/// One chunk, decoded: its good records in the caller's per-chunk form,
+/// its tally, and — when a sidecar wants them — its bad lines, each
+/// followed by `\n`.
+struct Decoded<T> {
+    out: T,
+    report: IngestReport,
+    bad: Vec<u8>,
+    /// The chunk's bytes, handed back for the reader to refill.
+    bytes: Vec<u8>,
+}
+
+/// The per-chunk half of the reader, run on a worker: frames the chunk
+/// into lines, classifies each, and pushes the good ones into `out`.
+/// Strict mode stops at the chunk's first bad line, so the tally counts
+/// up to and including it.
+fn decode_chunk<T: Chunk>(bytes: Vec<u8>, mut out: T, opts: &IngestOptions) -> Decoded<T> {
+    let lenient = opts.error_budget > 0.0;
+    let keep_bad = opts.quarantine.is_some();
+    out.clear();
+    let mut report = IngestReport::default();
+    let mut bad = Vec::new();
+    for line in bytes.split(|&b| b == b'\n') {
+        if !lenient && report.bad_lines() > 0 {
+            break;
+        }
+        // Byte-oriented framing: invalid UTF-8 must be a counted error
+        // class, not an abort.
+        let raw = trim_line(line);
+        if is_blank(raw) {
+            continue;
+        }
+        report.lines += 1;
+        let class = if raw.len() > opts.max_line_bytes {
+            &mut report.oversized
+        } else {
+            match decode_fields(raw) {
+                Ok(fields) => {
+                    report.records += 1;
+                    out.push(fields);
+                    continue;
+                }
+                Err(LineError::BadJson) => &mut report.bad_json,
+                Err(LineError::BadIp) => &mut report.bad_ip,
+                Err(LineError::BadField) => &mut report.bad_field,
+            }
+        };
+        *class += 1;
+        if keep_bad {
+            bad.extend_from_slice(raw);
+            bad.push(b'\n');
+            report.quarantined += 1;
+        }
+    }
+    Decoded {
+        out,
+        report,
+        bad,
+        bytes,
+    }
+}
+
+/// A chunk on its way to a worker, with the spent chunk form to refill
+/// and the slot its result comes back in.
+struct Job<T> {
+    bytes: Vec<u8>,
+    out: T,
+    done: mpsc::SyncSender<Decoded<T>>,
+}
+
+/// The worker pool's end of the reader: the job queue and, in cut
+/// order, the result slots of the chunks in flight.
+struct Pool<T> {
+    jobs: mpsc::Sender<Job<T>>,
+    in_flight: VecDeque<mpsc::Receiver<Decoded<T>>>,
+    depth: usize,
+}
+
+/// The reader's in-order half: cut chunks go in through
+/// [`submit`](Self::submit) and come out of [`absorb`](Self::absorb)
+/// in the order they were cut — decoded on the spot with one thread,
+/// by the pool otherwise — their bad lines spilled, their tallies
+/// summed and their records handed to `merge`.
+struct Pipeline<'o, T, M> {
+    opts: &'o IngestOptions,
+    merge: M,
+    pool: Option<Pool<T>>,
+    report: IngestReport,
+    quarantine: Quarantine<'o>,
+    /// Buffers of merged chunks, for the reader to refill.
+    spare: Vec<Vec<u8>>,
+    /// Chunk forms already merged, to be filled again.
+    spent: Vec<T>,
+}
+
+impl<T: Chunk, M: FnMut(&mut T)> Pipeline<'_, T, M> {
+    /// `false` once strict mode has met its bad line: nothing after it
+    /// is read.
+    fn going(&self) -> bool {
+        self.report.bad_lines() == 0 || self.opts.error_budget > 0.0
+    }
+
+    /// Hands one cut chunk on: to the pool, merging the oldest chunk
+    /// once `depth` are in flight, or straight through with no pool.
+    fn submit(&mut self, bytes: Vec<u8>) -> Result<(), IngestError> {
+        let out = self.spent.pop().unwrap_or_default();
+        let Some(pool) = &mut self.pool else {
+            let decoded = decode_chunk(bytes, out, self.opts);
+            return self.absorb(decoded);
+        };
+        let (done, result) = mpsc::sync_channel(1);
+        if pool.jobs.send(Job { bytes, out, done }).is_err() {
+            return Err(worker_lost());
+        }
+        pool.in_flight.push_back(result);
+        if pool.in_flight.len() >= pool.depth {
+            self.absorb_oldest()?;
+        }
+        Ok(())
+    }
+
+    /// Merges every chunk in flight, oldest first, stopping early only
+    /// where strict mode stops.
+    fn drain(&mut self) -> Result<(), IngestError> {
+        while self.going() && self.pool.as_ref().is_some_and(|p| !p.in_flight.is_empty()) {
+            self.absorb_oldest()?;
+        }
+        Ok(())
+    }
+
+    /// Waits for the oldest chunk in flight and merges it.
+    fn absorb_oldest(&mut self) -> Result<(), IngestError> {
+        let Some(result) = self.pool.as_mut().and_then(|p| p.in_flight.pop_front()) else {
+            return Ok(());
+        };
+        let decoded = result.recv().map_err(|_| worker_lost())?;
+        self.absorb(decoded)
+    }
+
+    /// Merges one decoded chunk; past strict mode's stop, drops it.
+    fn absorb(&mut self, mut d: Decoded<T>) -> Result<(), IngestError> {
+        if self.going() {
+            self.quarantine.write(&d.bad)?;
+            self.report.add(&d.report);
+            (self.merge)(&mut d.out);
+        }
+        self.spare.push(d.bytes);
+        self.spent.push(d.out);
+        Ok(())
+    }
+}
+
+/// A worker that died mid-chunk: its panic is re-raised when the pool
+/// is joined, so this error never reaches the caller.
+fn worker_lost() -> IngestError {
+    IngestError::Io(io::Error::other("ingest worker exited"))
+}
+
+/// Appends up to `n` more bytes of `r` to `buf`; `true` when the input
+/// ended first.
+fn read_more(r: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> io::Result<bool> {
+    buf.reserve(n);
+    let got = r.by_ref().take(n as u64).read_to_end(buf)?;
+    Ok(got < n)
+}
+
+/// The reader's front: reads `r` a chunk at a time, cuts each at its
+/// last `\n` and submits it, carrying the partial line into the next
+/// read. A partial line past `max_line_bytes` goes to [`long_line`].
+fn cut<R: Read, T: Chunk, M: FnMut(&mut T)>(
+    r: &mut R,
+    chunk_bytes: usize,
+    p: &mut Pipeline<'_, T, M>,
+) -> Result<(), IngestError> {
+    let opts = p.opts;
+    let mut buf = Vec::new();
+    // `buf[..clear]` is known to hold no `\n`.
+    let mut clear = 0;
+    while p.going() {
+        let eof = read_more(r, &mut buf, chunk_bytes)?;
+        // The one cancellation poll per chunk, before it is cut: no
+        // chunk holding a byte read after the token fired is merged.
+        check_cancel(opts.cancel.as_ref())?;
+        if eof {
+            // What is left, a last line without `\n` included.
+            if !buf.is_empty() {
+                p.submit(buf)?;
+            }
+            break;
+        }
+        let unscanned = buf.get(clear..).unwrap_or_default();
+        match unscanned.iter().rposition(|&b| b == b'\n') {
+            Some(at) => {
+                let end = clear + at + 1;
+                let mut next = p.spare.pop().unwrap_or_default();
+                next.clear();
+                next.extend_from_slice(buf.get(end..).unwrap_or_default());
+                buf.truncate(end);
+                p.submit(std::mem::replace(&mut buf, next))?;
+            }
+            None if buf.len() > opts.max_line_bytes => {
+                // The line reaches the sidecar, if at all, after every
+                // line before it.
+                p.drain()?;
+                if p.going() {
+                    long_line(r, chunk_bytes, &mut buf, p)?;
+                }
+                // What followed the long line is unscanned.
+                clear = 0;
+                continue;
+            }
+            None => {}
+        }
+        clear = buf.len();
+    }
+    p.drain()
+}
+
+/// How a line too long to hold is being read.
+#[derive(Debug, Default, PartialEq, Eq)]
+enum Keep {
+    /// Every byte so far is in `head`: the line may yet fit under the
+    /// cap (trailing `\r`s are trimmed) or prove blank.
+    #[default]
+    Hold,
+    /// Oversized, and the sidecar has its bytes so far.
+    Spill,
+    /// Oversized or blank, with no sidecar: only counted.
+    Count,
+}
+
+/// A line read through without being held: its trimmed length, whether
+/// it is blank, and its first bytes while they may still be needed.
+#[derive(Debug, Default)]
+struct LongLine {
+    head: Vec<u8>,
+    len: usize,
+    /// Trailing `\r`s seen but not yet part of the line: they are
+    /// trimmed unless a later byte follows them.
+    crs: usize,
+    nonblank: bool,
+    keep: Keep,
+}
+
+impl LongLine {
+    /// Takes the next bytes of the line (none of them `\n`).
+    fn feed(&mut self, piece: &[u8], max: usize, q: &mut Quarantine<'_>) -> io::Result<()> {
+        const CRS: [u8; 4096] = [b'\r'; 4096];
+        let Some(last) = piece.iter().rposition(|&b| b != b'\r') else {
+            self.crs += piece.len();
+            return Ok(());
+        };
+        while self.crs > 0 {
+            let n = self.crs.min(CRS.len());
+            self.crs -= n;
+            self.push(CRS.get(..n).unwrap_or_default(), max, q)?;
+        }
+        self.push(piece.get(..=last).unwrap_or_default(), max, q)?;
+        self.crs = piece.len() - last - 1;
+        Ok(())
+    }
+
+    /// Appends bytes that are part of the line for good.
+    fn push(&mut self, bytes: &[u8], max: usize, q: &mut Quarantine<'_>) -> io::Result<()> {
+        if !self.nonblank {
+            self.nonblank = !is_blank(bytes);
+        }
+        self.len += bytes.len();
+        match self.keep {
+            Keep::Hold => {
+                self.head.extend_from_slice(bytes);
+                if self.len > max && !q.is_on() {
+                    self.head = Vec::new();
+                    self.keep = Keep::Count;
+                } else if self.len > max && self.nonblank {
+                    // Oversized for good: a line only grows.
+                    q.write(&self.head)?;
+                    self.head = Vec::new();
+                    self.keep = Keep::Spill;
+                }
+                Ok(())
+            }
+            Keep::Spill => q.write(bytes),
+            Keep::Count => Ok(()),
+        }
+    }
+}
+
+/// Reads a line that outgrew `max_line_bytes` before its `\n` through
+/// to the end, holding at most the cap plus one read of it: `buf` holds
+/// its start on entry and whatever follows its `\n` on return. A line
+/// that trims back under the cap is submitted as a chunk of its own; an
+/// oversized one is counted here, its bytes already streamed to the
+/// sidecar piece by piece.
+fn long_line<R: Read, T: Chunk, M: FnMut(&mut T)>(
+    r: &mut R,
+    chunk_bytes: usize,
+    buf: &mut Vec<u8>,
+    p: &mut Pipeline<'_, T, M>,
+) -> Result<(), IngestError> {
+    let max = p.opts.max_line_bytes;
+    let mut line = LongLine::default();
+    line.feed(buf, max, &mut p.quarantine)?;
+    loop {
+        buf.clear();
+        let eof = read_more(r, buf, chunk_bytes)?;
+        check_cancel(p.opts.cancel.as_ref())?;
+        if let Some(at) = buf.iter().position(|&b| b == b'\n') {
+            line.feed(buf.get(..at).unwrap_or_default(), max, &mut p.quarantine)?;
+            buf.drain(..=at);
+            break;
+        }
+        line.feed(buf, max, &mut p.quarantine)?;
+        if eof {
+            buf.clear();
+            break;
+        }
+    }
+    if !line.nonblank {
+        return Ok(());
+    }
+    if line.len <= max {
+        return p.submit(line.head);
+    }
+    p.report.lines += 1;
+    p.report.oversized += 1;
+    if line.keep == Keep::Spill {
+        p.quarantine.write(b"\n")?;
+        p.report.quarantined += 1;
+    }
+    Ok(())
+}
+
+/// The one JSONL reader, in chunks of `chunk_bytes`: cuts the stream,
+/// decodes each chunk into a `T` on [`par::current_num_threads`]
+/// workers (inline on one), and hands the `T`s to `merge` in input
+/// order, counting (and optionally quarantining) malformed lines
 /// instead of aborting. Blank lines are skipped. A zero error budget
 /// cannot recover from a bad line, so strict mode stops at the first
 /// one rather than reading on.
@@ -423,57 +837,70 @@ pub fn decode_record_line(raw: &[u8]) -> Result<HttpRecord, LineError> {
 /// Returns [`IngestError::Io`] on I/O failure,
 /// [`IngestError::Cancelled`] when [`IngestOptions::cancel`] fires, and
 /// [`IngestError::BudgetExceeded`] when more than
-/// [`IngestOptions::error_budget`] of the lines were bad. `sink` may
-/// already have received records by then; the caller discards them.
-pub fn ingest_jsonl<R: Read>(
-    r: R,
+/// [`IngestOptions::error_budget`] of the lines were bad. `merge` may
+/// already have received chunks by then; the caller discards them.
+fn ingest<R: Read, T: Chunk>(
+    mut r: R,
     opts: &IngestOptions,
-    mut sink: impl FnMut(&RecordFields<'_>),
+    chunk_bytes: usize,
+    merge: impl FnMut(&mut T),
 ) -> Result<IngestReport, IngestError> {
     failpoint::check("ingest/jsonl").map_err(io::Error::other)?;
     check_cancel(opts.cancel.as_ref())?;
-    let mut report = IngestReport::default();
-    let mut quarantine = Quarantine::new(opts.quarantine.as_deref());
-    let mut reader = BufReader::new(r);
-    let mut raw: Vec<u8> = Vec::new();
-    // Strict mode: the first bad line has already blown a zero budget.
-    while report.bad_lines() == 0 || opts.error_budget > 0.0 {
-        raw.clear();
-        // Byte-oriented reading: invalid UTF-8 must be a counted error
-        // class, not an abort (BufRead::lines would error out).
-        if reader.read_until(b'\n', &mut raw)? == 0 {
-            break;
-        }
-        while raw.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-            raw.pop();
-        }
-        if raw.iter().all(|b| b.is_ascii_whitespace()) {
-            continue;
-        }
-        report.lines += 1;
-        if report.lines % CANCEL_POLL_LINES == 0 {
-            check_cancel(opts.cancel.as_ref())?;
-        }
-        if raw.len() > opts.max_line_bytes {
-            report.oversized += 1;
-            quarantine.spill(&raw, &mut report)?;
-            continue;
-        }
-        match decode_fields(&raw) {
-            Ok(fields) => {
-                report.records += 1;
-                sink(&fields);
-            }
-            Err(e) => {
-                match e {
-                    LineError::BadJson => report.bad_json += 1,
-                    LineError::BadIp => report.bad_ip += 1,
-                    LineError::BadField => report.bad_field += 1,
+    let chunk_bytes = chunk_bytes.max(1);
+    let mut p = Pipeline {
+        opts,
+        merge,
+        pool: None,
+        report: IngestReport::default(),
+        quarantine: Quarantine::new(opts.quarantine.as_deref()),
+        spare: Vec::new(),
+        spent: Vec::new(),
+    };
+    let workers = par::current_num_threads();
+    if workers <= 1 {
+        cut(&mut r, chunk_bytes, &mut p)?;
+    } else {
+        let (jobs, queue) = mpsc::channel::<Job<T>>();
+        let queue = Mutex::new(queue);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| loop {
+                        // The guard is a temporary: released as soon as
+                        // a job (or the closed queue) comes out. Nothing
+                        // panics while holding it, and a receiver has no
+                        // state to leave half-updated.
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                        let Ok(Job { bytes, out, done }) = next else {
+                            break;
+                        };
+                        // A reader that has stopped listening no longer
+                        // wants the chunk.
+                        let _ = done.send(decode_chunk(bytes, out, opts));
+                    })
+                })
+                .collect();
+            p.pool = Some(Pool {
+                jobs,
+                in_flight: VecDeque::new(),
+                depth: workers * IN_FLIGHT_PER_WORKER,
+            });
+            let res = cut(&mut r, chunk_bytes, &mut p);
+            // Closing the queue lets each worker finish its chunk and
+            // exit; a worker's own panic reaches the caller intact.
+            p.pool = None;
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    panic::resume_unwind(payload);
                 }
-                quarantine.spill(&raw, &mut report)?;
             }
-        }
+            res
+        })?;
     }
+    let Pipeline {
+        report, quarantine, ..
+    } = p;
     quarantine.finish()?;
     if report.bad_fraction() > opts.error_budget {
         return Err(IngestError::BudgetExceeded {
@@ -484,17 +911,51 @@ pub fn ingest_jsonl<R: Read>(
     Ok(report)
 }
 
-/// [`ingest_jsonl`] into a row vector.
+/// Reads a JSONL trace into the arena behind `arena`: each chunk is
+/// decoded and interned on its own (a chunk-local arena, built on a
+/// worker) and merged into the arena in input order — the same ids,
+/// postings and bytes as pushing every record through
+/// [`Appender::push_fields`]. Counts the chunks in `ingest/chunks` and
+/// times the ordered merge, the reader's one serial step, as
+/// `stage/ingest/merge` (one observation per call).
 ///
 /// # Errors
 ///
-/// See [`ingest_jsonl`].
+/// See [`read_jsonl_lenient`]; records of a failed ingest may already be
+/// in the arena, and the caller discards it.
+pub fn read_jsonl_into<R: Read>(
+    r: R,
+    opts: &IngestOptions,
+    arena: &mut Appender<'_>,
+    metrics: &Registry,
+) -> Result<IngestReport, IngestError> {
+    let chunks = metrics.counter("ingest/chunks");
+    let mut merge = metrics.stopwatch("stage/ingest/merge");
+    ingest(r, opts, CHUNK_BYTES, |chunk: &mut ChunkArena| {
+        chunks.inc();
+        merge.time(|| arena.merge_chunk(chunk));
+    })
+}
+
+/// Reads JSONL records into a row vector, counting (and optionally
+/// quarantining) malformed lines instead of aborting. Blank lines are
+/// skipped. A zero error budget cannot recover from a bad line, so
+/// strict mode stops at the first one rather than reading on.
+///
+/// # Errors
+///
+/// Returns [`IngestError::Io`] on I/O failure,
+/// [`IngestError::Cancelled`] when [`IngestOptions::cancel`] fires, and
+/// [`IngestError::BudgetExceeded`] when more than
+/// [`IngestOptions::error_budget`] of the lines were bad.
 pub fn read_jsonl_lenient<R: Read>(
     r: R,
     opts: &IngestOptions,
 ) -> Result<(Vec<HttpRecord>, IngestReport), IngestError> {
     let mut out = Vec::new();
-    let report = ingest_jsonl(r, opts, |f| out.push(f.clone().into_record()))?;
+    let report = ingest(r, opts, CHUNK_BYTES, |rows: &mut Vec<HttpRecord>| {
+        out.append(rows);
+    })?;
     Ok((out, report))
 }
 
@@ -551,6 +1012,8 @@ pub fn read_jsonl_file<P: AsRef<Path>>(path: P) -> io::Result<Vec<HttpRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceDataset;
+    use smash_support::wire;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A fresh directory per call: the process id plus a counter keep
@@ -632,6 +1095,249 @@ mod tests {
         let back = read_jsonl_file(&path).unwrap();
         assert_eq!(recs, back);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The reader's meaning, one line at a time — what cutting the
+    /// input into chunks must never change: the arena, the tally (strict
+    /// mode stops after its first bad line) and the sidecar bytes.
+    fn per_line_oracle(
+        input: &[u8],
+        opts: &IngestOptions,
+    ) -> (TraceDataset, IngestReport, Vec<u8>) {
+        let mut ds = TraceDataset::default();
+        let mut report = IngestReport::default();
+        let mut sidecar = Vec::new();
+        let mut arena = ds.appender();
+        for line in input.split(|&b| b == b'\n') {
+            if report.bad_lines() > 0 && opts.error_budget <= 0.0 {
+                break;
+            }
+            let end = line.iter().rposition(|&b| b != b'\r').map_or(0, |i| i + 1);
+            let raw = &line[..end];
+            if raw.iter().all(u8::is_ascii_whitespace) {
+                continue;
+            }
+            report.lines += 1;
+            match (raw.len() > opts.max_line_bytes, decode_fields(raw)) {
+                (true, _) => report.oversized += 1,
+                (false, Ok(fields)) => {
+                    report.records += 1;
+                    arena.push_fields(&fields);
+                    continue;
+                }
+                (false, Err(LineError::BadJson)) => report.bad_json += 1,
+                (false, Err(LineError::BadIp)) => report.bad_ip += 1,
+                (false, Err(LineError::BadField)) => report.bad_field += 1,
+            }
+            sidecar.extend_from_slice(raw);
+            sidecar.push(b'\n');
+            report.quarantined += 1;
+        }
+        drop(arena);
+        (ds, report, sidecar)
+    }
+
+    /// The chunked reader into an arena, at one chunk size: the arena,
+    /// the tally (from the error, for a blown budget) and the sidecar.
+    fn chunked(
+        input: &[u8],
+        opts: &IngestOptions,
+        chunk_bytes: usize,
+    ) -> (TraceDataset, IngestReport, Vec<u8>) {
+        let sidecar = opts.quarantine.as_deref().unwrap();
+        std::fs::remove_file(sidecar).ok();
+        let mut ds = TraceDataset::default();
+        let mut arena = ds.appender();
+        let res = ingest(input, opts, chunk_bytes, |chunk: &mut ChunkArena| {
+            arena.merge_chunk(chunk)
+        });
+        drop(arena);
+        let report = match res {
+            Ok(report) | Err(IngestError::BudgetExceeded { report, .. }) => report,
+            Err(e) => panic!("chunk {chunk_bytes}: {e}"),
+        };
+        (ds, report, std::fs::read(sidecar).unwrap_or_default())
+    }
+
+    #[test]
+    fn streamed_fields_build_the_same_arena_as_owned_records() {
+        // Hosts the appender's memo must not conflate or split — one
+        // server's spellings, a multi-label suffix, IP literals, hosts
+        // seen only as referrer or redirect target, every `?` shape —
+        // and every framing case a chunk edge can land in: CRLF, blank
+        // and whitespace-only lines, a bare `\r` line, bad lines of each
+        // class, and a last line without `\n`.
+        let records = vec![
+            HttpRecord::new(0, "c1", "WWW.Shop.COM", "9.9.9.9", "/buy.php?id=4&q=x"),
+            HttpRecord::new(1, "c2", "shop.com.", "9.9.9.8", "/buy.php?"),
+            HttpRecord::new(2, "c1", "img.shop.com", "9.9.9.9", "/logo.png")
+                .with_referrer("Shop.com"),
+            HttpRecord::new(3, "c3", "a.b.co.uk", "8.8.8.8", "/dir/")
+                .with_referrer("only-ref.org."),
+            HttpRecord::new(4, "c3", "x.b.co.uk", "8.8.8.8", "/")
+                .with_redirect_to("ONLY-TARGET.net"),
+            HttpRecord::new(5, "c2", "1.2.3.4", "1.2.3.4", "/?k").with_referrer("1.2.3.4"),
+            HttpRecord::new(6, "c4", "5.6.7.8", "1.2.3.4", "/a\"b\\é.php")
+                .with_redirect_to("5.6.7.8"),
+            HttpRecord::new(7, "c4", "www.shop.com", "9.9.9.9", "/buy.php?id=5&q=y")
+                .with_referrer("a.b.co.uk"),
+        ];
+        let mut jsonl = Vec::new();
+        write_jsonl(&mut jsonl, &records).unwrap();
+        let owned = TraceDataset::from_records(read_jsonl(&jsonl[..]).unwrap());
+        let names: Vec<&str> = owned.server_ids().map(|s| owned.server_name(s)).collect();
+        assert_eq!(
+            names,
+            [
+                "shop.com",
+                "b.co.uk",
+                "only-ref.org",
+                "only-target.net",
+                "1.2.3.4",
+                "5.6.7.8"
+            ]
+        );
+        let params: Vec<&str> = owned
+            .records()
+            .map(|r| owned.param_pattern_name(r.param_pattern))
+            .collect();
+        assert_eq!(
+            params,
+            ["id=[]&q=[]", "", "", "", "", "k=[]", "", "id=[]&q=[]"]
+        );
+
+        let mut clean = Vec::new();
+        for (i, line) in jsonl.split_inclusive(|&b| b == b'\n').enumerate() {
+            let line = line.strip_suffix(b"\n").unwrap();
+            clean.extend_from_slice(line);
+            clean.extend_from_slice(if i % 2 == 0 { b"\r\n" } else { b"\n" });
+            clean.extend_from_slice([&b""[..], b"\n", b" \t\r\n", b"\r\r\n"][i % 4]);
+        }
+        let mut dirty = clean.clone();
+        dirty.extend_from_slice(&dirty_buffer(4, 3));
+        // Lines that outgrow a 100-byte cap before their `\n`: one that
+        // trims back under it, one that is blank, one whose whitespace
+        // run ends in a record, and one with a `\r` run inside.
+        let cr = |n| b"\r".repeat(n);
+        dirty.extend_from_slice(&[&b"{}"[..], &cr(300), b"\n"].concat());
+        dirty.extend_from_slice(&[&b" \t".repeat(150)[..], &cr(3), b"\n"].concat());
+        dirty.extend_from_slice(&[&b" ".repeat(150)[..], &jsonl].concat());
+        dirty.extend_from_slice(&[&b"{\"a\":"[..], &cr(200), b"1}", &cr(2), b"\n"].concat());
+        dirty.extend_from_slice(&clean);
+        let mut hostile = dirty.clone();
+        hostile.extend_from_slice(&b"[".repeat(200_000));
+        hostile.extend_from_slice(b"\r\n");
+        hostile.extend_from_slice(&clean);
+        hostile.extend_from_slice(&b"{".repeat(300));
+        // …and the last line of each input has no `\n`.
+        for input in [&mut clean, &mut dirty, &mut hostile] {
+            input.extend_from_slice(jsonl.split(|&b| b == b'\n').next().unwrap());
+        }
+
+        let dir = unique_test_dir("chunk-oracle");
+        let sidecar = dir.join("oracle.quarantine");
+        let lenient = IngestOptions::default()
+            .with_error_budget(1.0)
+            .with_quarantine(&sidecar);
+        let strict = lenient.clone().with_error_budget(0.0);
+        let narrow = lenient.clone().with_max_line_bytes(100);
+        let cases: [(&[u8], Vec<usize>); 3] = [
+            (&clean, (1..=48).chain([CHUNK_BYTES]).collect()),
+            (&dirty, vec![1, 2, 5, 13, 64, 333, CHUNK_BYTES]),
+            (&hostile, vec![7, 4096, CHUNK_BYTES]),
+        ];
+        for threads in [1, 2, 4] {
+            smash_support::par::set_thread_count(threads);
+            for (input, chunk_sizes) in &cases {
+                for opts in [&lenient, &strict, &narrow] {
+                    let (want, want_report, want_sidecar) = per_line_oracle(input, opts);
+                    for &chunk_bytes in chunk_sizes {
+                        let at = format!("{threads} threads, {chunk_bytes} B chunks");
+                        let (got, report, spilled) = chunked(input, opts, chunk_bytes);
+                        assert_eq!(report, want_report, "{at}");
+                        assert_eq!(spilled, want_sidecar, "{at}");
+                        assert_eq!(got.validate(), Ok(()), "{at}");
+                        assert_eq!(wire::encode(&got), wire::encode(&want), "{at}");
+                        assert_eq!(
+                            crate::day::frame_day(&got),
+                            crate::day::frame_day(&want),
+                            "{at}"
+                        );
+                        assert_eq!(got.fingerprint(), want.fingerprint(), "{at}");
+                    }
+                }
+            }
+            // The owned rows of the other chunk form build the same arena.
+            let (rows, _) = read_jsonl_lenient(&hostile[..], &lenient).unwrap();
+            let want = per_line_oracle(&hostile, &lenient).0;
+            assert_eq!(
+                TraceDataset::from_records(rows).fingerprint(),
+                want.fingerprint()
+            );
+        }
+        smash_support::par::set_thread_count(0);
+        let (clean_ds, ..) = per_line_oracle(&clean, &strict);
+        assert_eq!(clean_ds.record_count(), records.len() + 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Reads through to `inner`, firing `token` once `after` bytes have
+    /// gone by; remembers how much had been read before the read that
+    /// fired it.
+    struct FiresAfter<'a> {
+        inner: &'a [u8],
+        read: usize,
+        after: usize,
+        token: CancelToken,
+        before_firing: Option<usize>,
+    }
+
+    impl Read for FiresAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            if self.before_firing.is_none() && self.read + n >= self.after {
+                self.before_firing = Some(self.read);
+                self.token.cancel("governor: run deadline exceeded");
+            }
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn cancellation_merges_no_chunk_cut_after_the_firing() {
+        let records: Vec<HttpRecord> = (0..3000)
+            .map(|i| HttpRecord::new(i, &format!("c{}", i % 50), "ok.com", "1.1.1.1", "/"))
+            .collect();
+        let mut input = Vec::new();
+        write_jsonl(&mut input, &records).unwrap();
+        for threads in [1, 2, 4] {
+            smash_support::par::set_thread_count(threads);
+            for after in [1, 5000, 70_000, input.len() - 1] {
+                let token = CancelToken::new();
+                let mut reader = FiresAfter {
+                    inner: &input,
+                    read: 0,
+                    after,
+                    token: token.clone(),
+                    before_firing: None,
+                };
+                let opts = IngestOptions::default().with_cancel(token);
+                let mut merged = 0;
+                let res = ingest(&mut reader, &opts, 4096, |rows: &mut Vec<HttpRecord>| {
+                    merged += rows.len()
+                });
+                assert!(matches!(res, Err(IngestError::Cancelled(_))), "{res:?}");
+                // Every record merged ended before the read that fired.
+                let before = reader.before_firing.unwrap();
+                let complete = input[..before].iter().filter(|&&b| b == b'\n').count();
+                assert!(
+                    merged <= complete,
+                    "{threads} threads: {merged} > {complete}"
+                );
+            }
+        }
+        smash_support::par::set_thread_count(0);
     }
 
     /// A buffer of `good` valid lines with `bad` malformed ones mixed in.

@@ -515,64 +515,3 @@ fn deep_nesting_is_one_quarantined_line() {
         (4, 2, 2)
     );
 }
-
-#[test]
-fn streamed_fields_build_the_same_arena_as_owned_records() {
-    // The borrowed path (`ingest_jsonl` → `push_fields`, one appender,
-    // one host memo) against the owned one (`read_jsonl` →
-    // `from_records`), on hosts the memo must not conflate or split:
-    // spellings of one server, a multi-label suffix, IP literals, hosts
-    // seen only as referrer or redirect target, and every `?` shape.
-    let records = vec![
-        HttpRecord::new(0, "c1", "WWW.Shop.COM", "9.9.9.9", "/buy.php?id=4&q=x"),
-        HttpRecord::new(1, "c2", "shop.com.", "9.9.9.8", "/buy.php?"),
-        HttpRecord::new(2, "c1", "img.shop.com", "9.9.9.9", "/logo.png").with_referrer("Shop.com"),
-        HttpRecord::new(3, "c3", "a.b.co.uk", "8.8.8.8", "/dir/").with_referrer("only-ref.org."),
-        HttpRecord::new(4, "c3", "x.b.co.uk", "8.8.8.8", "/").with_redirect_to("ONLY-TARGET.net"),
-        HttpRecord::new(5, "c2", "1.2.3.4", "1.2.3.4", "/?k").with_referrer("1.2.3.4"),
-        HttpRecord::new(6, "c4", "5.6.7.8", "1.2.3.4", "/a\"b\\é.php").with_redirect_to("5.6.7.8"),
-        HttpRecord::new(7, "c4", "www.shop.com", "9.9.9.9", "/buy.php?id=5&q=y")
-            .with_referrer("a.b.co.uk"),
-    ];
-    let mut jsonl = Vec::new();
-    smash_trace::io::write_jsonl(&mut jsonl, &records).unwrap();
-
-    let owned = TraceDataset::from_records(smash_trace::io::read_jsonl(&jsonl[..]).unwrap());
-    let mut streamed = TraceDataset::default();
-    {
-        let mut arena = streamed.appender();
-        let strict = smash_trace::IngestOptions::default().with_error_budget(0.0);
-        smash_trace::io::ingest_jsonl(&jsonl[..], &strict, |f| arena.push_fields(f)).unwrap();
-    }
-    assert_eq!(streamed.validate(), Ok(()));
-    assert_eq!(
-        smash_support::wire::encode(&streamed),
-        smash_support::wire::encode(&owned)
-    );
-    assert_eq!(
-        smash_trace::day::frame_day(&streamed),
-        smash_trace::day::frame_day(&owned)
-    );
-    assert_eq!(streamed.fingerprint(), owned.fingerprint());
-    // And the aggregation is the intended one.
-    let names: Vec<&str> = owned.server_ids().map(|s| owned.server_name(s)).collect();
-    assert_eq!(
-        names,
-        [
-            "shop.com",
-            "b.co.uk",
-            "only-ref.org",
-            "only-target.net",
-            "1.2.3.4",
-            "5.6.7.8"
-        ]
-    );
-    let params: Vec<&str> = owned
-        .records()
-        .map(|r| owned.param_pattern_name(r.param_pattern))
-        .collect();
-    assert_eq!(
-        params,
-        ["id=[]&q=[]", "", "", "", "", "k=[]", "", "id=[]&q=[]"]
-    );
-}

@@ -266,9 +266,9 @@ fn cmd_generate(args: &[String]) -> CliResult {
 
 /// Loads the trace (strict by default, quarantining with `--lenient`)
 /// plus the optional Whois registry. The third element is the ingest
-/// report when lenient mode ran. Records a `stage/ingest` timing plus
-/// `ingest/bytes` / `ingest/records` / `ingest/quarantined` counters
-/// into `metrics`.
+/// report when lenient mode ran. Records `stage/ingest` and
+/// `stage/ingest/merge` timings plus `ingest/bytes` / `ingest/chunks` /
+/// `ingest/records` / `ingest/quarantined` counters into `metrics`.
 fn load(
     args: &[String],
     metrics: &Registry,
@@ -313,7 +313,7 @@ fn load(
             opts = opts.with_error_budget(0.0);
         }
         // A run deadline covers ingest too: the reader polls the token
-        // and aborts instead of parsing past the deadline.
+        // once per chunk and aborts instead of parsing past the deadline.
         if let Some(ms) = flag_value(args, "--deadline-ms") {
             let ms: u64 = ms.parse()?;
             if ms > 0 {
@@ -324,10 +324,7 @@ fn load(
         let mut dataset = TraceDataset::default();
         let file = std::fs::File::open(path)?;
         metrics.counter("ingest/bytes").add(file.metadata()?.len());
-        let report = {
-            let mut arena = dataset.appender();
-            io::ingest_jsonl(file, &opts, |f| arena.push_fields(f))?
-        };
+        let report = io::read_jsonl_into(file, &opts, &mut dataset.appender(), metrics)?;
         if report.bad_lines() > 0 {
             eprintln!(
                 "note: quarantined {} of {} lines ({} oversized, {} bad JSON, {} bad IP, {} bad field)",

@@ -200,11 +200,17 @@ fn cli_metrics_dump_parses_and_names_every_stage() {
 
     let raw = std::fs::read_to_string(&metrics_out).unwrap();
     let snapshot: MetricsSnapshot = smash::support::json::from_str(&raw).unwrap();
-    // The CLI path adds the ingest stage in front of the pipeline's own.
-    let mut expected = vec!["stage/ingest"];
+    // The CLI path adds the ingest stage, and the reader's ordered
+    // merge timed on its own, in front of the pipeline's own.
+    let mut expected = vec!["stage/ingest", "stage/ingest/merge"];
     expected.extend_from_slice(PIPELINE_STAGES);
     assert_stages_once(&snapshot, &expected);
     assert!(snapshot.counters["ingest/records"] > 0);
+    assert!(snapshot.counters["ingest/chunks"] > 0);
+    assert!(
+        snapshot.histograms["stage/ingest/merge"].sum_ns
+            <= snapshot.histograms["stage/ingest"].sum_ns
+    );
     assert_eq!(snapshot.counters["ingest/quarantined"], 0);
     // The bytes ingested are the trace file's, and with them the
     // profile's ingest row carries its throughput.
