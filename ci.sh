@@ -29,7 +29,14 @@
 #                                             (day2011, ≈ 7.4 MB) preprocesses
 #                                             to the same day file bytes as its
 #                                             CRLF copy with blank lines added
-#                                             (DESIGN.md §12.1)
+#                                             (DESIGN.md §12.1); that day is
+#                                             analyzed pinned to one CPU
+#                                             (`taskset -c 0`: the loader's
+#                                             threads all run inline) and
+#                                             unpinned, with identical stdout
+#                                             and report, and the three
+#                                             refusals repeat pinned
+#                                             (DESIGN.md §12.4)
 #   7. daemon smoke                           `smash serve --stdio`: ingest a
 #                                             generated day, SIGKILL the daemon
 #                                             mid-epoch via a failpoint, restart
@@ -117,9 +124,11 @@ cargo run -q --release --offline --bin smash -- analyze "$remine_dir/trace.jsonl
 cargo run -q --release --offline --bin smash -- analyze "$remine_dir/trace.day" >"$remine_dir/day.out"
 diff -u "$remine_dir/raw.out" "$remine_dir/day.out"
 smash_bin="$(pwd)/target/release/smash"
-# refused <file> <message>: `smash analyze` must exit non-zero saying so.
+# refused <file> <message>: `smash analyze` must exit non-zero saying so
+# (run under `$pin`, a CPU-pinning prefix, when one is set).
+pin=""
 refused() {
-    if "$smash_bin" analyze "$1" >/dev/null 2>"$remine_dir/refused.err"; then
+    if $pin "$smash_bin" analyze "$1" >/dev/null 2>"$remine_dir/refused.err"; then
         echo "day smoke: $1 was analyzed, expected: $2"; exit 1
     fi
     grep -qF "$2" "$remine_dir/refused.err" \
@@ -145,6 +154,25 @@ awk '{ printf "%s\r\n", $0 } NR % 100 == 0 { printf "\r\n \t\n" }' \
 "$smash_bin" preprocess "$remine_dir/day2011.jsonl" "$remine_dir/day2011.day" >/dev/null
 "$smash_bin" preprocess "$remine_dir/day2011.crlf.jsonl" "$remine_dir/day2011.crlf.day" >/dev/null
 cmp "$remine_dir/day2011.day" "$remine_dir/day2011.crlf.day"
+# Loading a day spreads the read, the checksum, the section decode and
+# the validation over threads. Pinned to one CPU they all run inline: the
+# output, the report (minus its timings) and every refusal must not move.
+if command -v taskset >/dev/null; then
+    for run in unpinned pinned; do
+        if [ "$run" = pinned ]; then pin="taskset -c 0"; fi
+        $pin "$smash_bin" analyze "$remine_dir/day2011.day" --json "$remine_dir/$run.json" \
+            | sed "s|$remine_dir/$run.json|<report>|" >"$remine_dir/$run.out"
+        sed -e '/^  "perf": {/,$d' -e '/"elapsed_ms":/d' "$remine_dir/$run.json" >"$remine_dir/$run.untimed"
+    done
+    cmp "$remine_dir/unpinned.out" "$remine_dir/pinned.out"
+    cmp "$remine_dir/unpinned.untimed" "$remine_dir/pinned.untimed"
+    refused "$remine_dir/flipped.day" "day file corrupt: checksum mismatch"
+    refused "$remine_dir/short.day" "day file corrupt"
+    refused "$remine_dir/v2.day" "version 2 not supported (this build reads 3)"
+    pin=""
+else
+    echo "day smoke: taskset not found, skipping the one-CPU load comparison"
+fi
 
 echo "==> exact-vs-LSH smoke (the same campaigns with and without --exact)"
 "$smash_bin" analyze "$remine_dir/trace.jsonl" --exact >"$remine_dir/exact.out"

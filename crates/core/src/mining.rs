@@ -2,7 +2,7 @@
 
 use crate::ash::{Ash, MinedDimension};
 use crate::dimensions::DimensionKind;
-use smash_graph::{density, Graph, Louvain};
+use smash_graph::{Graph, Louvain};
 use smash_support::governor::CancelToken;
 use smash_support::metrics::Registry;
 use smash_trace::ServerId;
@@ -62,12 +62,25 @@ pub fn mine_governed(
     metrics
         .gauge(&format!("louvain/{kind}/modularity"))
         .set(stats.modularity);
+    // Every community's internal edges (self-loops excluded), counted in
+    // one pass over the graph: `smash_graph::density`'s numerator for all
+    // herds at once, as the same integers.
+    let assignment = partition.assignment();
+    let mut internal = vec![0usize; partition.community_count()];
+    for (u, v, _) in graph.edges() {
+        let (cu, cv) = (assignment.get(u as usize), assignment.get(v as usize));
+        if u != v && cu == cv {
+            if let Some(count) = cu.and_then(|&c| internal.get_mut(c as usize)) {
+                *count += 1;
+            }
+        }
+    }
     let mut ashes = Vec::new();
     let mut membership = HashMap::new();
-    for community in partition.communities_min_size(2) {
+    for (community, &edges) in partition.communities().iter().zip(&internal) {
         // Keep only members with at least one edge inside the community —
         // Louvain can only group connected nodes, but guard anyway.
-        let d = density(&graph, &community);
+        let d = density_of(community.len(), edges);
         if d <= 0.0 {
             continue;
         }
@@ -95,6 +108,16 @@ pub fn mine_governed(
         ashes,
         membership,
     }
+}
+
+/// [`smash_graph::density`] of a group of `nodes` with `edges` edges
+/// inside it: `2·|e| / (|v|·(|v|−1))`, the same float expression, and
+/// `0` below two nodes.
+fn density_of(nodes: usize, edges: usize) -> f64 {
+    if nodes < 2 {
+        return 0.0;
+    }
+    (2.0 * edges as f64) / (nodes as f64 * (nodes as f64 - 1.0))
 }
 
 #[cfg(test)]
@@ -129,6 +152,42 @@ mod tests {
         assert_eq!(md.ash_count(), 1);
         // Path of 3 nodes: 2 edges of 3 possible → density 2/3.
         assert!((md.ashes[0].density - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn herd_densities_are_the_reference_density_bit_for_bit() {
+        use smash_support::check::{check, Gen};
+        check(
+            |g: &mut Gen| {
+                let n = g.range(1..40u32);
+                let edges = g.vec(0..120usize, |g| {
+                    (g.range(0..n), g.range(0..n), g.range(0.01f64..2.0))
+                });
+                (n, edges, g.range(0..1000u64))
+            },
+            |(n, edges, seed)| {
+                let mut b = GraphBuilder::new();
+                b.ensure_node(n - 1);
+                for &(u, v, w) in edges {
+                    b.add_edge(u, v, w);
+                }
+                let graph = b.build();
+                let nodes: Vec<u32> = (0..*n).collect();
+                let md = mine(DimensionKind::Client, graph.clone(), &nodes, *seed);
+                let herds: Vec<_> = md
+                    .partition
+                    .communities_min_size(2)
+                    .into_iter()
+                    .map(|c| (c.clone(), smash_graph::density(&graph, &c)))
+                    .filter(|&(_, d)| d > 0.0)
+                    .collect();
+                assert_eq!(md.ashes.len(), herds.len());
+                for (ash, (members, d)) in md.ashes.iter().zip(&herds) {
+                    assert_eq!(&ash.members, members);
+                    assert_eq!(ash.density.to_bits(), d.to_bits());
+                }
+            },
+        );
     }
 
     #[test]

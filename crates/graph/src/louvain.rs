@@ -10,6 +10,7 @@ use crate::modularity::modularity;
 use crate::partition::Partition;
 use smash_support::governor::CancelToken;
 use smash_support::rng::{DetRng, SeedableRng, SliceRandom};
+use std::collections::HashMap;
 
 /// How many local moves run between cancellation polls: frequent enough
 /// that a deadline stops a huge level promptly, rare enough that the
@@ -262,11 +263,29 @@ pub struct LouvainStats {
 /// Builds the aggregated graph of a partition: one node per community,
 /// intra-community weight becomes a self-loop, inter-community weights sum
 /// into single edges.
+///
+/// Each community pair's weight is summed in [`Graph::edges`] order —
+/// the order a [`GraphBuilder`] fed every edge would sum it in, so the
+/// floats are the same — and only the distinct pairs, ascending, reach
+/// the builder: a level of 300 000 edges that collapses to a dozen
+/// sorts a dozen.
 fn aggregate(g: &Graph, p: &Partition) -> Graph {
-    let mut b = GraphBuilder::with_nodes(p.community_count());
+    let mut slot_of: HashMap<(NodeId, NodeId), usize> = HashMap::new();
+    let mut pairs: Vec<((NodeId, NodeId), f64)> = Vec::new();
     for (u, v, w) in g.edges() {
-        let cu = p.community_of(u);
-        let cv = p.community_of(v);
+        let (cu, cv) = (p.community_of(u), p.community_of(v));
+        let key = (cu.min(cv), cu.max(cv));
+        match slot_of.get(&key).and_then(|&slot| pairs.get_mut(slot)) {
+            Some((_, sum)) => *sum += w,
+            None => {
+                slot_of.insert(key, pairs.len());
+                pairs.push((key, w));
+            }
+        }
+    }
+    pairs.sort_unstable_by_key(|&(key, _)| key);
+    let mut b = GraphBuilder::with_nodes(p.community_count());
+    for ((cu, cv), w) in pairs {
         b.add_edge(cu, cv, w);
     }
     b.build()
@@ -373,6 +392,58 @@ mod tests {
         let agg = aggregate(&g, &p);
         assert!((agg.total_weight() - g.total_weight()).abs() < 1e-9);
         assert_eq!(agg.node_count(), 2);
+    }
+
+    /// The route `aggregate` replaced: every level edge into one
+    /// builder, which stable-sorts them and sums duplicates front to
+    /// back.
+    fn aggregate_through_the_builder(g: &Graph, p: &Partition) -> Graph {
+        let mut b = GraphBuilder::with_nodes(p.community_count());
+        for (u, v, w) in g.edges() {
+            b.add_edge(p.community_of(u), p.community_of(v), w);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn aggregate_is_the_builder_route_bit_for_bit() {
+        use smash_support::check::{check, Gen};
+        check(
+            |g: &mut Gen| {
+                let n = g.range(1..40u32);
+                let edges = g.vec(0..150usize, |g| {
+                    (g.range(0..n), g.range(0..n), g.range(0.001f64..3.0))
+                });
+                let communities = g.range(1..=n);
+                let labels = g.vec(n as usize..=n as usize, |g| g.range(0..communities));
+                (n, edges, labels)
+            },
+            |(n, edges, labels)| {
+                let mut b = GraphBuilder::new();
+                b.ensure_node(n - 1);
+                for &(u, v, w) in edges {
+                    b.add_edge(u, v, w);
+                }
+                let g = b.build();
+                let p = Partition::from_assignment(labels.clone());
+                let (got, want) = (aggregate(&g, &p), aggregate_through_the_builder(&g, &p));
+                let bits = |g: &Graph| {
+                    let rows: Vec<Vec<(NodeId, u64)>> = (0..g.node_count() as NodeId)
+                        .map(|u| {
+                            g.neighbors(u)
+                                .iter()
+                                .map(|&(v, w)| (v, w.to_bits()))
+                                .collect()
+                        })
+                        .collect();
+                    let degrees: Vec<u64> = (0..g.node_count() as NodeId)
+                        .map(|u| g.degree(u).to_bits())
+                        .collect();
+                    (rows, degrees, g.total_weight().to_bits(), g.edge_count())
+                };
+                assert_eq!(bits(&got), bits(&want));
+            },
+        );
     }
 
     #[test]

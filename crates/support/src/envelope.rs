@@ -52,15 +52,22 @@
 //! checksum detects rot and mix-ups, not adversaries: it is unkeyed, so
 //! decoders behind it stay total ([`crate::wire`]).
 //!
-//! [`parse`] checks, in order: magic, version (so a reader can always
-//! say *which* writer produced a file it refuses), stage name, declared
-//! payload length against the bytes present, checksum. Nothing panics
-//! on untrusted bytes or is parsed best-effort: the payload comes back
-//! (borrowed, never copied) only when every check passed. [`frame_with`]
-//! is the one writer: the caller serializes straight into the frame, so
-//! a payload is never held twice.
+//! [`parse_with`] checks, in order: magic, version (so a reader can
+//! always say *which* writer produced a file it refuses), stage name,
+//! declared payload length against the bytes present, checksum. The
+//! caller's decode of the payload runs on the caller's thread beside the
+//! checksum ([`par::join`]), so a large payload costs the longer of the
+//! two rather than their sum; the checksum's verdict still comes first,
+//! and a decode result is handed back only when every check passed. The
+//! decoders behind it are total, so decoding bytes a moment before they
+//! verify can neither panic nor over-allocate. [`parse`] is the same
+//! entry with an identity decode: the payload comes back borrowed,
+//! never copied. Nothing panics on untrusted bytes or is parsed
+//! best-effort. [`frame_with`] is the one writer: the caller serializes
+//! straight into the frame, so a payload is never held twice.
 
 use crate::ckpt::Fnv1a;
+use crate::par;
 use crate::wire::Reader;
 use std::fmt;
 
@@ -178,13 +185,12 @@ pub fn frame(
 }
 
 /// Validates `bytes` as a `magic`/`version` envelope for `stage` and
-/// returns the payload, borrowed from `bytes`.
+/// returns the payload, borrowed from `bytes` ([`parse_with`] with an
+/// identity decode).
 ///
 /// # Errors
 ///
-/// [`EnvelopeError::Corrupt`] on any framing or checksum violation,
-/// [`EnvelopeError::Version`] / [`EnvelopeError::Stage`] when the frame
-/// is for another format version or stage.
+/// As [`parse_with`].
 pub fn parse<'a>(
     // lint:allow(index): lifetime-annotated slice type, not an indexing site
     bytes: &'a [u8],
@@ -193,6 +199,30 @@ pub fn parse<'a>(
     stage: &str,
     // lint:allow(index): lifetime-annotated slice type, not an indexing site
 ) -> Result<&'a [u8], EnvelopeError> {
+    parse_with(bytes, magic, version, stage, |payload| payload)
+}
+
+/// Validates `bytes` as a `magic`/`version` envelope for `stage` and
+/// returns `decode` of its payload, run on the caller's thread while
+/// the checksum runs beside it. `decode` sees the payload once the
+/// header checks have passed and before the checksum has: it must be
+/// total on arbitrary bytes. Its result is dropped unless the checksum
+/// verifies.
+///
+/// # Errors
+///
+/// [`EnvelopeError::Corrupt`] on any framing or checksum violation,
+/// [`EnvelopeError::Version`] / [`EnvelopeError::Stage`] when the frame
+/// is for another format version or stage.
+pub fn parse_with<'a, T>(
+    // lint:allow(index): lifetime-annotated slice type, not an indexing site
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    version: u32,
+    stage: &str,
+    // lint:allow(index): lifetime-annotated slice type, not an indexing site
+    decode: impl FnOnce(&'a [u8]) -> T,
+) -> Result<T, EnvelopeError> {
     let rest = bytes
         .strip_prefix(magic.as_slice())
         .ok_or_else(|| EnvelopeError::Corrupt("bad magic (not this kind of file)".to_owned()))?;
@@ -220,10 +250,16 @@ pub fn parse<'a>(
             payload.len()
         )));
     }
-    if checksum(version, stage_bytes, payload) != declared_sum {
+    // The decode on the caller's thread, where its allocations belong;
+    // the checksum allocates nothing.
+    let (decoded, sum) = par::join(
+        || decode(payload),
+        || checksum(version, stage_bytes, payload),
+    );
+    if sum != declared_sum {
         return Err(EnvelopeError::Corrupt("checksum mismatch".to_owned()));
     }
-    Ok(payload)
+    Ok(decoded)
 }
 
 /// Whether `bytes` open with `magic` — lets a loader tell one format
@@ -315,6 +351,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn parse_with_hands_back_the_decode_only_under_a_good_checksum() {
+        let decode = |payload: &[u8]| payload.len();
+        assert_eq!(
+            parse_with(&good(), MAGIC, VERSION, "s/1", decode),
+            Ok(PAYLOAD.len())
+        );
+        // The decode runs, but a stale checksum is the verdict …
+        let mut stale = good();
+        let last = stale.len() - 1;
+        stale[last] ^= 1;
+        let ran = std::sync::atomic::AtomicBool::new(false);
+        let verdict = parse_with(&stale, MAGIC, VERSION, "s/1", |payload| {
+            ran.store(true, std::sync::atomic::Ordering::SeqCst);
+            payload.len()
+        });
+        assert_eq!(
+            verdict,
+            Err(EnvelopeError::Corrupt("checksum mismatch".to_owned()))
+        );
+        assert!(ran.into_inner());
+        // … and a header that fails never reaches it.
+        let never = |_: &[u8]| -> usize { panic!("decoded a frame whose header failed") };
+        assert!(parse_with(&stale[..20], MAGIC, VERSION, "s/1", never).is_err());
+        assert_eq!(
+            parse_with(&good(), MAGIC, VERSION, "s/2", never),
+            Err(EnvelopeError::Stage("s/1".to_owned()))
+        );
     }
 
     #[test]

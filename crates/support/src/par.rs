@@ -1,14 +1,14 @@
 //! Scoped-thread data parallelism without `rayon`.
 //!
-//! One primitive covers every parallel call site in the workspace:
+//! Two primitives cover every parallel call site in the workspace:
 //! [`par_map`], an order-preserving parallel map over a slice, workers
 //! claiming contiguous blocks ([`par_map_cancellable`] and
 //! [`par_map_isolated`] are the same map with a cancellation poll and
-//! with per-item panic isolation). It falls back to the plain sequential
-//! path when one thread is requested, and the worker count can be pinned
-//! globally with [`set_thread_count`] — the hook the determinism
-//! regression test uses to prove single- and multi-threaded runs emit
-//! byte-identical reports.
+//! with per-item panic isolation), and [`join`], two different jobs side
+//! by side. Both fall back to the plain sequential path when one thread
+//! is requested, and the worker count can be pinned globally with
+//! [`set_thread_count`] — the hook the determinism regression test uses
+//! to prove single- and multi-threaded runs emit byte-identical reports.
 
 use crate::governor::CancelToken;
 use crate::quiet::{panic_message, silenced};
@@ -148,6 +148,42 @@ where
         out.extend(results);
     }
     out
+}
+
+/// Runs `a` and `b` concurrently and returns both results: `b` on a
+/// scoped thread of its own, `a` on the caller's. At one thread
+/// ([`current_num_threads`]) nothing is spawned and `a` runs before
+/// `b`. A panic in either propagates to the caller with its own
+/// payload, `a`'s first when both panic.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    join_inner(current_num_threads(), a, b)
+}
+
+fn join_inner<A, B, RA, RB>(threads: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if threads <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|s| {
+        let other = s.spawn(b);
+        let ra = a();
+        // Joined by hand, like `par_map`'s workers, so `b`'s payload
+        // reaches the caller instead of the scope's generic one.
+        match other.join() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => panic::resume_unwind(payload),
+        }
+    })
 }
 
 /// Runs `f` with panic isolation: a panic inside `f` is caught and
@@ -340,6 +376,51 @@ mod tests {
             x + 1
         });
         assert_eq!(out, vec![11, 21, 31]);
+    }
+
+    #[test]
+    fn join_returns_each_result_in_its_place() {
+        for threads in [1, 2, 4] {
+            let (a, b) = join_inner(threads, || "a".repeat(3), || vec![2u32; 2]);
+            assert_eq!((a.as_str(), b.as_slice()), ("aaa", &[2, 2][..]));
+        }
+    }
+
+    #[test]
+    fn join_at_one_thread_runs_inline_and_in_order() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let record = |name: &'static str| {
+            order.lock().expect("not poisoned").push(name);
+            std::thread::current().id()
+        };
+        let (a, b) = join_inner(1, || record("a"), || record("b"));
+        assert_eq!((a, b), (caller, caller));
+        assert_eq!(*order.lock().expect("not poisoned"), ["a", "b"]);
+        // Above one thread `b` runs beside the caller, not on it.
+        let (a, b) = join_inner(2, || record("a"), || record("b"));
+        assert_eq!(a, caller);
+        assert_ne!(b, caller);
+    }
+
+    #[test]
+    fn join_hands_the_caller_either_sides_panic_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Payload(&'static str);
+        for threads in [1, 2] {
+            let caught = silenced(|| {
+                panic::catch_unwind(|| join_inner(threads, || 1, || panic::panic_any(Payload("b"))))
+            });
+            let payload = caught.expect_err("b's panic must propagate");
+            assert_eq!(payload.downcast_ref::<Payload>(), Some(&Payload("b")));
+            let caught = silenced(|| {
+                panic::catch_unwind(|| {
+                    join_inner(threads, || -> u32 { panic::panic_any(Payload("a")) }, || 2)
+                })
+            });
+            let payload = caught.expect_err("a's panic must propagate");
+            assert_eq!(payload.downcast_ref::<Payload>(), Some(&Payload("a")));
+        }
     }
 
     #[test]

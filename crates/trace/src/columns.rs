@@ -15,8 +15,7 @@
 //! scenarios never materialize a row-struct buffer.
 
 use crate::dataset::CompactRecord;
-use smash_support::impl_wire_struct;
-use smash_support::wire::{self, FromWire, Reader, WireError};
+use smash_support::wire::{self, ToWire, WireError};
 
 /// Sentinel in optional id columns (`referrers`, `redirects`) meaning
 /// "no value". Interners can never issue it: they refuse to allocate
@@ -34,7 +33,7 @@ fn col_to_opt(v: u32) -> Option<u32> {
 /// Column-per-field storage of interned HTTP records.
 ///
 /// Invariant: every column has the same length (the record count);
-/// [`FromWire`] enforces it, so a decoded value is never ragged.
+/// the day decoder enforces it, so a decoded value is never ragged.
 ///
 /// # Example
 ///
@@ -169,11 +168,17 @@ impl RecordColumns {
     }
 }
 
-/// The wire form is the columns in this order, whole
-/// ([`impl_wire_struct!`]) or a bounded piece at a time.
+/// The wire form is the columns in this order, each a `Vec` (a count,
+/// then its cells), written whole or a bounded piece at a time. The
+/// day decoder reads each column as a section of its own and hands them
+/// back through [`RecordColumns::from_wire_columns`].
 macro_rules! wire_columns {
     ($($column:ident),+ $(,)?) => {
-        impl_wire_struct!(RecordColumns { $($column),+ });
+        impl ToWire for RecordColumns {
+            fn wire(&self, out: &mut Vec<u8>) {
+                $( self.$column.wire(out); )+
+            }
+        }
 
         impl RecordColumns {
             /// The wire form handed to `sink` through `buf`, never
@@ -201,27 +206,65 @@ wire_columns!(
     redirects,
 );
 
-/// Decodes the columns and rejects ragged lengths — a corrupted but
-/// checksum-colliding envelope must not produce a half-readable arena.
-pub fn decode_validated(r: &mut Reader<'_>) -> Result<RecordColumns, WireError> {
-    let cols = RecordColumns::from_wire(r)?;
-    let n = cols.timestamps.len();
-    let ok = cols.clients.len() == n
-        && cols.servers.len() == n
-        && cols.hosts.len() == n
-        && cols.ips.len() == n
-        && cols.files.len() == n
-        && cols.paths.len() == n
-        && cols.param_patterns.len() == n
-        && cols.user_agents.len() == n
-        && cols.referrers.len() == n
-        && cols.statuses.len() == n
-        && cols.resp_bytes.len() == n
-        && cols.redirects.len() == n;
-    if !ok {
-        return Err(WireError("ragged record columns".to_owned()));
+impl RecordColumns {
+    /// The arena from its thirteen decoded columns in wire order (the
+    /// nine id columns from `clients` to `referrers` as `ids`), refusing
+    /// ragged lengths — a corrupted but checksum-colliding envelope must
+    /// not produce a half-readable arena.
+    pub(crate) fn from_wire_columns(
+        timestamps: Vec<u64>,
+        ids: [Vec<u32>; 9],
+        statuses: Vec<u16>,
+        resp_bytes: Vec<u32>,
+        redirects: Vec<u32>,
+    ) -> Result<Self, WireError> {
+        let n = timestamps.len();
+        let ragged = ids
+            .iter()
+            .chain([&resp_bytes, &redirects])
+            .any(|c| c.len() != n)
+            || statuses.len() != n;
+        if ragged {
+            return Err(WireError("ragged record columns".to_owned()));
+        }
+        // lint:allow(index): an array pattern, not an indexing site
+        let [clients, servers, hosts, ips, files, paths, param_patterns, user_agents, referrers] =
+            ids;
+        Ok(RecordColumns {
+            timestamps,
+            clients,
+            servers,
+            hosts,
+            ips,
+            files,
+            paths,
+            param_patterns,
+            user_agents,
+            referrers,
+            statuses,
+            resp_bytes,
+            redirects,
+        })
     }
-    Ok(cols)
+
+    /// The ten id columns in wire order: clients, servers, hosts, IPs,
+    /// files, paths, parameter patterns, user agents, then the two
+    /// optional server ids — referrers and redirect targets — which
+    /// hold [`NO_ID`] where a record has none.
+    pub(crate) fn id_columns(&self) -> [&[u32]; 10] {
+        [
+            &self.clients,
+            &self.servers,
+            &self.hosts,
+            &self.ips,
+            &self.files,
+            &self.paths,
+            &self.param_patterns,
+            &self.user_agents,
+            &self.referrers,
+            &self.redirects,
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -262,27 +305,56 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip() {
+    fn wire_form_is_the_columns_in_order() {
         let mut cols = RecordColumns::default();
         for i in 0..9 {
             cols.push(sample(i));
         }
         let bytes = wire::encode(&cols);
-        let back: RecordColumns = wire::decode(&bytes).unwrap();
-        assert_eq!(back, cols);
+        let mut whole = wire::encode(&cols.timestamps);
+        let ids = [
+            &cols.clients,
+            &cols.servers,
+            &cols.hosts,
+            &cols.ips,
+            &cols.files,
+            &cols.paths,
+            &cols.param_patterns,
+            &cols.user_agents,
+            &cols.referrers,
+        ];
+        for column in ids {
+            column.wire(&mut whole);
+        }
+        cols.statuses.wire(&mut whole);
+        cols.resp_bytes.wire(&mut whole);
+        cols.redirects.wire(&mut whole);
+        assert_eq!(bytes, whole);
         let (mut buf, mut pieces) = (Vec::new(), Vec::new());
         cols.wire_pieces(&mut buf, &mut |piece| pieces.extend_from_slice(piece));
         assert_eq!(pieces, bytes);
+        let back = RecordColumns::from_wire_columns(
+            cols.timestamps.clone(),
+            ids.map(Vec::clone),
+            cols.statuses.clone(),
+            cols.resp_bytes.clone(),
+            cols.redirects.clone(),
+        );
+        assert_eq!(back, Ok(cols));
     }
 
     #[test]
     fn ragged_columns_rejected() {
-        let mut cols = RecordColumns::default();
-        cols.push(sample(0));
-        cols.timestamps.push(99); // corrupt: one column longer
-        let bytes = wire::encode(&cols);
-        let mut r = Reader::new(&bytes);
-        assert!(decode_validated(&mut r).is_err());
+        let column = |n: usize| vec![0u32; n];
+        let ids = || std::array::from_fn(|_| column(1));
+        let ragged = [
+            RecordColumns::from_wire_columns(vec![0, 99], ids(), vec![0], column(1), column(1)),
+            RecordColumns::from_wire_columns(vec![0], ids(), vec![], column(1), column(1)),
+            RecordColumns::from_wire_columns(vec![0], ids(), vec![0], column(1), column(2)),
+        ];
+        for cols in ragged {
+            assert_eq!(cols, Err(WireError("ragged record columns".to_owned())));
+        }
     }
 
     #[test]

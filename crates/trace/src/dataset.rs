@@ -1,11 +1,12 @@
 //! Columnar, interned trace datasets with the inverted indexes the SMASH
 //! pipeline consumes (the in-memory half of DESIGN.md §12).
 
-use crate::columns::{self, RecordColumns};
+use crate::columns::{RecordColumns, NO_ID};
 use crate::interner::Interner;
 use crate::record::{HttpRecord, RecordFields};
 use crate::server::ServerKey;
 use crate::uri::{parameter_pattern, uri_file, uri_path};
+use smash_support::par;
 use smash_support::wire::{self, FromWire, Reader, ToWire, WireError};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -111,26 +112,151 @@ impl ToWire for TraceDataset {
     }
 }
 
+/// The sequential reader: every section of the payload decoded inline,
+/// in wire order — the same decoders the day loader spreads over
+/// threads (DESIGN.md §12.4).
 impl FromWire for TraceDataset {
     fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TraceDataset {
-            clients: Interner::from_wire(r)?,
-            servers: Interner::from_wire(r)?,
-            server_keys: Vec::from_wire(r)?,
-            hosts: Interner::from_wire(r)?,
-            ips: Interner::from_wire(r)?,
-            files: Interner::from_wire(r)?,
-            paths: Interner::from_wire(r)?,
-            params: Interner::from_wire(r)?,
-            user_agents: Interner::from_wire(r)?,
-            cols: columns::decode_validated(r)?,
-            server_clients: Vec::from_wire(r)?,
-            server_files: Vec::from_wire(r)?,
-            server_ips: Vec::from_wire(r)?,
-            server_records: Vec::from_wire(r)?,
-            server_referrers: Vec::from_wire(r)?,
+        assemble(SECTIONS.iter().map(|section| section.decode(r)))
+    }
+}
+
+/// One section of a dataset's wire form: a unit the day loader can find
+/// the end of from its length prefixes alone and decode on its own.
+#[derive(Debug, Clone, Copy)]
+enum Section {
+    /// A symbol table ([`Interner`]).
+    Table,
+    /// The server keys.
+    Keys,
+    /// The `u64` timestamp column.
+    Wide,
+    /// A `u32` column.
+    Cells,
+    /// The `u16` status column.
+    Narrow,
+    /// A posting table (`Vec<Vec<u32>>`).
+    Postings,
+}
+
+/// The 27 sections of a dataset payload, in wire order: the eight
+/// symbol tables with the server keys third, the thirteen record
+/// columns, the five posting tables.
+const SECTIONS: [Section; 27] = {
+    use Section::{Cells, Keys, Narrow, Postings, Table, Wide};
+    [
+        Table, Table, Keys, Table, Table, Table, Table, Table, Table, //
+        Wide, Cells, Cells, Cells, Cells, Cells, Cells, Cells, Cells, Cells, Narrow, Cells, Cells,
+        Postings, Postings, Postings, Postings, Postings,
+    ]
+};
+
+/// A decoded [`Section`].
+#[derive(Debug)]
+enum Decoded {
+    Table(Interner),
+    Keys(Vec<ServerKey>),
+    Wide(Vec<u64>),
+    Cells(Vec<u32>),
+    Narrow(Vec<u16>),
+    Postings(Vec<Vec<u32>>),
+}
+
+impl Section {
+    /// Whether this is one of the thirteen record columns.
+    fn is_column(self) -> bool {
+        matches!(self, Section::Wide | Section::Cells | Section::Narrow)
+    }
+
+    /// Decodes one section.
+    fn decode(self, r: &mut Reader<'_>) -> Result<Decoded, WireError> {
+        Ok(match self {
+            Section::Table => Decoded::Table(Interner::from_wire(r)?),
+            Section::Keys => Decoded::Keys(Vec::from_wire(r)?),
+            Section::Wide => Decoded::Wide(Vec::from_wire(r)?),
+            Section::Cells => Decoded::Cells(Vec::from_wire(r)?),
+            Section::Narrow => Decoded::Narrow(Vec::from_wire(r)?),
+            Section::Postings => Decoded::Postings(Vec::from_wire(r)?),
         })
     }
+
+    /// Steps over one section reading only its length prefixes (the
+    /// server keys, a few thousand, are decoded: their tags decide their
+    /// lengths). Fails wherever [`decode`](Self::decode) would fail on
+    /// the structure; content checks are left to the decode.
+    fn skip(self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        let cells = |r: &mut Reader<'_>, width: usize| {
+            let len = r.length()?;
+            r.slab(len, width).map(drop)
+        };
+        match self {
+            Section::Table => {
+                for _ in 0..r.length()? {
+                    cells(r, 1)?;
+                }
+            }
+            Section::Keys => drop(Vec::<ServerKey>::from_wire(r)?),
+            Section::Wide => cells(r, 8)?,
+            Section::Cells => cells(r, 4)?,
+            Section::Narrow => cells(r, 2)?,
+            Section::Postings => {
+                for _ in 0..r.length()? {
+                    cells(r, 4)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Builds a dataset from its sections' decode results in wire order.
+/// The first error in that order is the verdict, and the record
+/// columns' length check falls between the columns and the postings —
+/// exactly where a reader going front to back meets each.
+fn assemble(
+    mut sections: impl Iterator<Item = Result<Decoded, WireError>>,
+) -> Result<TraceDataset, WireError> {
+    let mut next = || {
+        sections
+            .next()
+            .unwrap_or_else(|| Err(WireError("missing section".to_owned())))
+    };
+    let misplaced = || WireError("section out of wire order".to_owned());
+    macro_rules! take {
+        ($variant:ident) => {
+            match next()? {
+                Decoded::$variant(value) => value,
+                _ => return Err(misplaced()),
+            }
+        };
+    }
+    Ok(TraceDataset {
+        clients: take!(Table),
+        servers: take!(Table),
+        server_keys: take!(Keys),
+        hosts: take!(Table),
+        ips: take!(Table),
+        files: take!(Table),
+        paths: take!(Table),
+        params: take!(Table),
+        user_agents: take!(Table),
+        cols: {
+            let timestamps = take!(Wide);
+            let mut ids: [Vec<u32>; 9] = Default::default();
+            for id in &mut ids {
+                *id = take!(Cells);
+            }
+            let statuses = take!(Narrow);
+            let resp_bytes = take!(Cells);
+            let redirects = take!(Cells);
+            RecordColumns::from_wire_columns(timestamps, ids, statuses, resp_bytes, redirects)?
+        },
+        server_clients: take!(Postings),
+        server_files: take!(Postings),
+        server_ips: take!(Postings),
+        server_records: take!(Postings),
+        server_referrers: take!(Postings),
+    })
 }
 
 /// An in-progress append: records go in through
@@ -437,6 +563,62 @@ impl TraceDataset {
             touched: Vec::new(),
             server_memo: HashMap::new(),
             ip_memo: HashMap::new(),
+        }
+    }
+
+    /// Decodes a day payload — all of it, trailing bytes refused — on
+    /// two threads (DESIGN.md §12.4). One pass over the length prefixes
+    /// finds where each [`Section`] ends; the record columns then decode
+    /// beside the symbol tables, keys and postings ([`par::join`]), each
+    /// section from its start exactly as the sequential reader would
+    /// meet it, and [`assemble`] takes the results in wire order, so the
+    /// verdict is the sequential reader's: the first failing section's
+    /// error, then trailing bytes. A payload whose prefixes do not chain
+    /// goes to the sequential reader whole.
+    pub(crate) fn from_payload(payload: &[u8]) -> Result<Self, WireError> {
+        let at = |r: &Reader<'_>| payload.len() - r.remaining();
+        let mut r = Reader::new(payload);
+        let mut bounds = Vec::with_capacity(SECTIONS.len());
+        for section in SECTIONS {
+            let start = at(&r);
+            if section.skip(&mut r).is_err() {
+                return wire::decode(payload);
+            }
+            bounds.push((section, start, at(&r)));
+        }
+        let end = at(&r);
+        // Each section reads everything from its start on, as it would
+        // in line, and must stop where the scan said it ends. A group
+        // decodes its own sections and leaves the other's positions
+        // empty.
+        let decode = |columns: bool| -> Vec<_> {
+            let one = |&(section, start, end): &(Section, usize, usize)| {
+                let mut r = Reader::new(payload.get(start..).unwrap_or_default());
+                let out = section.decode(&mut r);
+                (out.is_err() || at(&r) == end).then_some(out)
+            };
+            bounds
+                .iter()
+                .map(|bound| (bound.0.is_column() == columns).then(|| one(bound)))
+                .collect()
+        };
+        // The record columns — most of a day's bytes — decode on the
+        // calling thread, everything else beside them: what a helper
+        // thread allocates comes from an allocator arena of its own, and
+        // a process that loads day after day would keep a high-water
+        // mark in each arena.
+        let (columns, others) = par::join(|| decode(true), || decode(false));
+        let in_order = columns
+            .into_iter()
+            .zip(others)
+            .map(|(c, o)| c.or(o).flatten());
+        let Some(decoded) = in_order.collect::<Option<Vec<_>>>() else {
+            return wire::decode(payload);
+        };
+        let ds = assemble(decoded.into_iter())?;
+        match payload.len() - end {
+            0 => Ok(ds),
+            trailing => Err(WireError(format!("{trailing} trailing byte(s)"))),
         }
     }
 
@@ -765,24 +947,39 @@ impl TraceDataset {
                 None => Ok(()),
             }
         };
+        // The id columns are swept whole, side by side ([`par`]), for
+        // each one's first out-of-range id; the last two (referrers,
+        // redirect targets) are out of range only when not `NO_ID`.
         let c = &self.cols;
-        in_range(c.clients(), self.clients.len(), "client")?;
-        in_range(c.servers(), n_servers, "server")?;
-        for i in 0..c.len() {
-            let Some(r) = c.get(i) else {
-                return Err(format!("record {i} unreadable"));
-            };
-            let ok = (r.host as usize) < self.hosts.len()
-                && (r.ip as usize) < self.ips.len()
-                && (r.file as usize) < self.files.len()
-                && (r.path as usize) < self.paths.len()
-                && (r.param_pattern as usize) < self.params.len()
-                && (r.user_agent as usize) < self.user_agents.len()
-                && r.referrer.is_none_or(|id| (id as usize) < n_servers)
-                && r.redirect_to.is_none_or(|id| (id as usize) < n_servers);
-            if !ok {
-                return Err(format!("record {i} has an out-of-range interned id"));
+        let limits = [
+            self.clients.len(),
+            n_servers,
+            self.hosts.len(),
+            self.ips.len(),
+            self.files.len(),
+            self.paths.len(),
+            self.params.len(),
+            self.user_agents.len(),
+            n_servers,
+            n_servers,
+        ];
+        let columns: Vec<_> = c.id_columns().into_iter().zip(limits).enumerate().collect();
+        let flagged = par::par_map(&columns, |&(i, (col, len))| {
+            let optional = i >= 8;
+            col.iter()
+                .position(|&id| id as usize >= len && !(optional && id == NO_ID))
+        });
+        // Reported in the order the checks have always run: a bad
+        // client id, a bad server id, then the smallest record index
+        // holding any other out-of-range id.
+        let named = ["client", "server"];
+        for (what, (at, &(_, (col, len)))) in named.into_iter().zip(flagged.iter().zip(&columns)) {
+            if let Some(&bad) = at.and_then(|i| col.get(i)) {
+                return Err(format!("{what} id {bad} out of range (table len {len})"));
             }
+        }
+        if let Some(i) = flagged.iter().skip(named.len()).flatten().min() {
+            return Err(format!("record {i} has an out-of-range interned id"));
         }
         let tables: [(&str, &Vec<Vec<u32>>, usize, bool); 5] = [
             ("clients", &self.server_clients, self.clients.len(), true),
@@ -791,7 +988,9 @@ impl TraceDataset {
             ("records", &self.server_records, c.len(), false),
             ("referrers", &self.server_referrers, n_servers, true),
         ];
-        for (what, table, id_range, sorted) in tables {
+        // Each table checked on its own thread; the first failure in
+        // table order is the verdict, as when they ran one by one.
+        let checked = par::par_map(&tables, |&(what, table, id_range, sorted)| {
             if table.len() != n_servers {
                 return Err(format!(
                     "{} {what} postings for {n_servers} servers",
@@ -800,14 +999,15 @@ impl TraceDataset {
             }
             for (server, posting) in table.iter().enumerate() {
                 in_range(posting, id_range, what)?;
-                if sorted && posting.windows(2).any(|w| w.first() >= w.last()) {
+                if sorted && !posting.is_sorted_by(|a, b| a < b) {
                     return Err(format!(
                         "{what} posting of server {server} is not sorted+deduplicated"
                     ));
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        });
+        checked.into_iter().collect()
     }
 }
 
@@ -931,6 +1131,45 @@ mod tests {
         ]);
         assert!(ds.validate().is_ok());
         assert!(ds.heap_bytes() > 0);
+    }
+
+    #[test]
+    fn validate_reports_the_smallest_bad_record_across_columns() {
+        let ds = TraceDataset::from_records(vec![
+            rec("c1", "a.x.com", "1.1.1.1", "/f.php").with_referrer("r.com"),
+            rec("c2", "b.y.com", "1.1.1.2", "/g/"),
+            rec("c3", "b.y.com", "1.1.1.3", "/h.gif").with_redirect_to("z.com"),
+        ]);
+        let c = &ds.cols;
+        let with = |patch: &[(usize, usize, u32)]| {
+            let mut ids: Vec<Vec<u32>> = c.id_columns().map(<[u32]>::to_vec).to_vec();
+            for &(column, record, id) in patch {
+                ids[column][record] = id;
+            }
+            let redirects = ids.pop().unwrap();
+            let mut bad = ds.clone();
+            bad.cols = RecordColumns::from_wire_columns(
+                c.timestamps().to_vec(),
+                ids.try_into().unwrap(),
+                c.statuses().to_vec(),
+                c.resp_bytes().to_vec(),
+                redirects,
+            )
+            .unwrap();
+            bad.validate()
+        };
+        assert_eq!(with(&[]), Ok(()));
+        // A late column's early record beats an early column's late one,
+        // and a redirect past the server table counts like any id.
+        let record = |i: usize| Err(format!("record {i} has an out-of-range interned id"));
+        assert_eq!(with(&[(2, 2, 99), (7, 1, 99)]), record(1));
+        assert_eq!(with(&[(4, 2, 99), (9, 0, 99)]), record(0));
+        assert_eq!(with(&[(9, 1, NO_ID)]), Ok(()));
+        // The client and server columns are checked first and by value.
+        assert_eq!(
+            with(&[(7, 0, 99), (1, 2, 77)]),
+            Err("server id 77 out of range (table len 4)".to_owned())
+        );
     }
 
     #[test]

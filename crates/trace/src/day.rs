@@ -13,6 +13,13 @@
 //! never a panic, and a payload that checksums clean is still run
 //! through [`TraceDataset::validate`] before it is handed to the miner.
 //!
+//! A load keeps two threads busy ([`smash_support::par`]; DESIGN.md
+//! §12.4): [`read_day`] reads the file's two halves side by side, and
+//! [`parse_day`] decodes the payload's record columns on the calling
+//! thread while its other sections and the envelope checksum run beside
+//! them. Neither changes a verdict: every bad file is refused with the
+//! error the one-thread path gives.
+//!
 //! Version policy: readers accept exactly [`VERSION`]; any other is
 //! [`DayError::Version`] carrying the number the file held, never a
 //! best-effort parse. Layout changes bump the version (v1 was a
@@ -26,8 +33,11 @@
 use crate::dataset::TraceDataset;
 use smash_support::ckpt;
 use smash_support::envelope::{self, EnvelopeError};
-use smash_support::wire::{self, ToWire};
+use smash_support::par;
+use smash_support::wire::ToWire;
 use std::fmt;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// Magic prefix of every day file.
@@ -77,14 +87,17 @@ pub fn frame_day(ds: &TraceDataset) -> Vec<u8> {
 }
 
 /// Parses `SMSHCOLS` envelope bytes back into a dataset, verifying the
-/// envelope (magic, version, checksum) and every dataset invariant.
+/// envelope (magic, version, checksum) and every dataset invariant. The
+/// payload decodes beside its checksum
+/// ([`envelope::parse_with`]); a checksum mismatch is the verdict even
+/// when the payload would not have decoded either.
 pub fn parse_day(bytes: &[u8]) -> Result<TraceDataset, DayError> {
-    let payload = envelope::parse(bytes, MAGIC, VERSION, STAGE).map_err(|e| match e {
-        EnvelopeError::Version(v) => DayError::Version(v),
-        other => DayError::Corrupt(other.to_string()),
-    })?;
-    let ds: TraceDataset =
-        wire::decode(payload).map_err(|e| DayError::Corrupt(format!("payload: {}", e.0)))?;
+    let decoded = envelope::parse_with(bytes, MAGIC, VERSION, STAGE, TraceDataset::from_payload)
+        .map_err(|e| match e {
+            EnvelopeError::Version(v) => DayError::Version(v),
+            other => DayError::Corrupt(other.to_string()),
+        })?;
+    let ds = decoded.map_err(|e| DayError::Corrupt(format!("payload: {}", e.0)))?;
     ds.validate().map_err(DayError::Invalid)?;
     Ok(ds)
 }
@@ -96,11 +109,64 @@ pub fn save_day(path: &Path, ds: &TraceDataset) -> Result<(), DayError> {
     ckpt::write_atomic(path, &frame_day(ds)).map_err(|e| DayError::Io(e.to_string()))
 }
 
-/// Loads a day written by [`save_day`], rejecting anything corrupt.
+/// Loads a day written by [`save_day`], rejecting anything corrupt:
+/// [`read_day`] then [`parse_day`].
 pub fn load_day(path: &Path) -> Result<TraceDataset, DayError> {
-    let bytes =
-        std::fs::read(path).map_err(|e| DayError::Io(format!("{}: {e}", path.display())))?;
-    parse_day(&bytes)
+    parse_day(&read_day(path)?)
+}
+
+/// Reads a day file's bytes — what `std::fs::read` returns, read as two
+/// halves side by side ([`par::join`]), each through a `File` of its
+/// own, into one zeroed buffer whose pages fault on both threads. A
+/// file that is not the length its metadata said by the time it is read
+/// gets exactly `std::fs::read`'s bytes. Anything but a regular file
+/// (a pipe has no length and cannot seek) is read in one piece.
+pub fn read_day(path: &Path) -> Result<Vec<u8>, DayError> {
+    let read = || -> io::Result<Vec<u8>> {
+        let mut file = File::open(path)?;
+        let meta = file.metadata()?;
+        match usize::try_from(meta.len()) {
+            Ok(len) if meta.is_file() => read_halves(file, path, len),
+            _ => {
+                let mut bytes = Vec::new();
+                file.read_to_end(&mut bytes)?;
+                Ok(bytes)
+            }
+        }
+    };
+    read().map_err(|e| DayError::Io(format!("{}: {e}", path.display())))
+}
+
+/// [`read_day`]'s split read of a file opened as `head` and expected to
+/// be `len` bytes long.
+fn read_halves(mut head: File, path: &Path, len: usize) -> io::Result<Vec<u8>> {
+    // `vec!` aborts on a length the allocator refuses, where `fs::read`
+    // returns the error: ask first.
+    Vec::<u8>::new().try_reserve_exact(len)?;
+    let mut bytes = vec![0u8; len];
+    let half = len / 2;
+    let (front, back) = bytes.split_at_mut(half);
+    let (front_read, back_read) = par::join(
+        || head.read_exact(front),
+        || -> io::Result<Vec<u8>> {
+            let mut tail = File::open(path)?;
+            tail.seek(SeekFrom::Start(half as u64))?;
+            tail.read_exact(back)?;
+            // Whatever follows the expected end: the file grew.
+            let mut grown = Vec::new();
+            tail.read_to_end(&mut grown)?;
+            Ok(grown)
+        },
+    );
+    match front_read.and(back_read) {
+        Ok(grown) => {
+            bytes.extend_from_slice(&grown);
+            Ok(bytes)
+        }
+        // The file shrank under the read: take what is there now.
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => std::fs::read(path),
+        Err(e) => Err(e),
+    }
 }
 
 /// Sniffs whether `bytes` begin with the `SMSHCOLS` magic — lets the
@@ -113,6 +179,7 @@ pub fn is_day_file(bytes: &[u8]) -> bool {
 mod tests {
     use super::*;
     use crate::record::HttpRecord;
+    use smash_support::wire;
 
     fn dataset() -> TraceDataset {
         TraceDataset::from_records(vec![
@@ -140,6 +207,32 @@ mod tests {
         let back = load_day(&path).unwrap();
         assert_eq!(back.fingerprint(), ds.fingerprint());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_split_read_returns_what_fs_read_does_whatever_the_length_said() {
+        let dir = std::env::temp_dir().join(format!("smash_day_split_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bytes");
+        for len in [0usize, 1, 2, 7, 4096, 100_001] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            std::fs::write(&path, &bytes).unwrap();
+            // Told the truth, and told the file is shorter or longer
+            // than it is — it grew or shrank after its metadata was read.
+            for said in [len, len.saturating_sub(3), len + 5, len / 2] {
+                let file = File::open(&path).unwrap();
+                let read = read_halves(file, &path, said).unwrap();
+                assert!(read == bytes, "{len}-byte file read as if {said}");
+            }
+        }
+        assert_eq!(read_day(&path).unwrap().len(), 100_001);
+        // A length no allocation can back is an error, as from
+        // `fs::read`, not an abort.
+        let file = File::open(&path).unwrap();
+        assert!(read_halves(file, &path, usize::MAX).is_err());
+        let missing = read_day(&dir.join("missing")).unwrap_err();
+        assert!(matches!(missing, DayError::Io(m) if m.contains("missing")));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     // Truncation, bit flips and length lies: the shared suite in

@@ -8,6 +8,9 @@ use std::hash::{BuildHasher, RandomState};
 /// `columns::NO_ID`), so an id column can use it for "no value".
 const VACANT: u32 = u32::MAX;
 
+/// A slot no string occupies.
+const VACANT_SLOT: Slot = Slot { tag: 0, id: VACANT };
+
 /// One cell of the open-addressing table: the string's id and the 32
 /// hash bits it was placed by.
 #[derive(Debug, Clone, Copy)]
@@ -101,6 +104,13 @@ impl FromWire for Interner {
         let mut out = Interner::default();
         // A string is at least its 8-byte length on the wire.
         out.ends.reserve_exact(r.capacity_for::<u64>(count));
+        // The probe table goes in at its final size, so no slot is
+        // placed twice — when the unread bytes could hold it. A count
+        // the bytes cannot back grows the table as interning does.
+        let slots = slots_for(count);
+        if r.capacity_for::<Slot>(slots) == slots {
+            out.slots = vec![VACANT_SLOT; slots];
+        }
         for _ in 0..count {
             let len = r.length()?;
             let s = std::str::from_utf8(r.take(len)?)
@@ -142,7 +152,7 @@ impl Interner {
     pub(crate) fn clear(&mut self) {
         self.slab.clear();
         self.ends.clear();
-        self.slots.fill(Slot { tag: 0, id: VACANT });
+        self.slots.fill(VACANT_SLOT);
     }
 
     /// Looks up the id of `s` without interning it.
@@ -182,8 +192,7 @@ impl Interner {
             .map_err(|_| "interner strings exceed 4 GiB")?;
         let slots = slots_for(self.ends.len() + 1);
         if slots > self.slots.len() {
-            let vacant = Slot { tag: 0, id: VACANT };
-            for slot in std::mem::replace(&mut self.slots, vec![vacant; slots]) {
+            for slot in std::mem::replace(&mut self.slots, vec![VACANT_SLOT; slots]) {
                 if slot.id != VACANT {
                     self.place(slot);
                 }
@@ -263,7 +272,7 @@ impl Interner {
 mod tests {
     use super::*;
     use smash_support::check::{cases, Gen, Shrink};
-    use smash_support::wire;
+    use smash_support::wire::{self, Reader};
     use std::collections::HashMap;
 
     #[test]
@@ -332,6 +341,32 @@ mod tests {
         for n in 1..200 {
             assert!(slots_for(n).is_power_of_two() && slots_for(n) * 3 >= n * 4);
         }
+    }
+
+    #[test]
+    fn a_decoded_table_is_sized_once_unless_its_bytes_cannot_back_it() {
+        let mut grown = Interner::new();
+        for k in 0..1000 {
+            grown.intern(&format!("client-{k}"));
+        }
+        // Enough bytes behind the count: the table is allocated at its
+        // final size before the first string is placed.
+        let bytes = wire::encode(&grown);
+        let mut r = Reader::new(&bytes);
+        let decoded = Interner::from_wire(&mut r).unwrap();
+        assert_eq!(decoded.slots.capacity(), slots_for(1000));
+        assert_eq!(decoded.heap_bytes(), grown.heap_bytes());
+        // Three one-byte strings are 27 wire bytes, too few to back the
+        // 64-byte table their count asks for: it grows as they arrive
+        // and ends the same size.
+        let small: Vec<String> = ["a", "b", "c"].map(str::to_owned).to_vec();
+        let bytes = wire::encode(&small);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.length(), Ok(3));
+        assert!(r.capacity_for::<Slot>(slots_for(3)) < slots_for(3));
+        let decoded: Interner = wire::decode(&bytes).unwrap();
+        assert_eq!(decoded.slots.len(), slots_for(3));
+        assert_eq!(decoded.get("c"), Some(2));
     }
 
     #[test]

@@ -268,7 +268,8 @@ fn cmd_generate(args: &[String]) -> CliResult {
 /// plus the optional Whois registry. The third element is the ingest
 /// report when lenient mode ran. Records `stage/ingest` and
 /// `stage/ingest/merge` timings plus `ingest/bytes` / `ingest/chunks` /
-/// `ingest/records` / `ingest/quarantined` counters into `metrics`.
+/// `ingest/records` / `ingest/quarantined` counters into `metrics` — or,
+/// for a day file, `stage/load_day` and its `read` and `parse` parts.
 fn load(
     args: &[String],
     metrics: &Registry,
@@ -293,8 +294,12 @@ fn load(
     });
     let (dataset, ingest) = if let Some(day) = day_path {
         let _span = metrics.span("stage/load_day");
-        let dataset = smash::trace::day::load_day(std::path::Path::new(day))?;
-        (dataset, None)
+        let bytes = {
+            let _read = metrics.span("stage/load_day/read");
+            smash::trace::day::read_day(std::path::Path::new(day))?
+        };
+        let _parse = metrics.span("stage/load_day/parse");
+        (smash::trace::day::parse_day(&bytes)?, None)
     } else {
         let path = positional.ok_or("missing trace path")?;
         let _span = metrics.span("stage/ingest");

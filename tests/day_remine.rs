@@ -3,17 +3,62 @@
 //! panic on hostile bytes and must reject every structural lie, and a
 //! dataset mined after a save/load round trip
 //! must produce a byte-identical campaign report — the guarantee that
-//! lets `smash preprocess` + `--load-day` replace re-ingesting.
+//! lets `smash preprocess` + `--load-day` replace re-ingesting. The
+//! loader spreads its read, checksum, decode and validation over
+//! threads, so every verdict here is checked at 1, 2 and 4 of them.
 
 use smash::core::{Smash, SmashConfig, SmashReport};
 use smash::support::check::{cases, Gen, Shrink};
 use smash::support::ckpt::{fnv1a, Fnv1a};
 use smash::support::envelope;
 use smash::support::json::{self, ToJson};
-use smash::support::wire;
+use smash::support::{par, wire};
 use smash::synth::Scenario;
 use smash::trace::day::{frame_day, parse_day, MAGIC, STAGE, VERSION};
 use smash::trace::{load_day, save_day, DayError, HttpRecord, TraceDataset};
+use std::fmt::Debug;
+use std::sync::Mutex;
+
+/// `par::set_thread_count` is process-wide: a test that sweeps it holds
+/// this lock, so two sweeps never interleave.
+static THREAD_SWEEP: Mutex<()> = Mutex::new(());
+
+/// Restores the automatic thread count however the sweep ends.
+struct AutoThreads;
+impl Drop for AutoThreads {
+    fn drop(&mut self) {
+        par::set_thread_count(0);
+    }
+}
+
+/// Runs `f` at 1, 2 and 4 threads, asserts the three results are equal
+/// and returns the one-thread result.
+fn same_at_every_thread_count<T: PartialEq + Debug>(f: impl Fn() -> T) -> T {
+    let _sweep = THREAD_SWEEP.lock().unwrap_or_else(|e| e.into_inner());
+    let _auto = AutoThreads;
+    par::set_thread_count(1);
+    let one = f();
+    for threads in [2, 4] {
+        par::set_thread_count(threads);
+        assert_eq!(f(), one, "{threads} threads disagree with one");
+    }
+    one
+}
+
+/// What the load path must answer for `framed`, as comparable values:
+/// the dataset's fingerprint or the error.
+fn verdict(framed: &[u8]) -> Result<String, DayError> {
+    parse_day(framed).map(|ds| ds.fingerprint())
+}
+
+/// The verdict of the reader the sections spread over threads: the
+/// wire decode front to back on this thread, then `validate`.
+fn sequential_verdict(payload: &[u8]) -> Result<String, DayError> {
+    let ds: TraceDataset =
+        wire::decode(payload).map_err(|e| DayError::Corrupt(format!("payload: {}", e.0)))?;
+    ds.validate().map_err(DayError::Invalid)?;
+    Ok(ds.fingerprint())
+}
 
 /// The report's serializable surface, as one canonical JSON string
 /// (the determinism suite's fingerprint).
@@ -51,10 +96,12 @@ fn hostile_payload_in_a_valid_envelope_never_panics_or_parses() {
         },
         |case: &Hostile| {
             let framed = envelope::frame(MAGIC, VERSION, STAGE, &case.0).expect("frame");
+            let verdict = same_at_every_thread_count(|| verdict(&framed));
             assert!(matches!(
-                parse_day(&framed),
+                verdict,
                 Err(DayError::Corrupt(_) | DayError::Invalid(_))
             ));
+            assert_eq!(verdict, sequential_verdict(&case.0));
         },
     );
 
@@ -73,11 +120,127 @@ fn hostile_payload_in_a_valid_envelope_never_panics_or_parses() {
         let claimed = (payload.len() - count_at - 8) as u64;
         payload[count_at..count_at + 8].copy_from_slice(&claimed.to_le_bytes());
         let framed = envelope::frame(MAGIC, VERSION, STAGE, &payload).expect("frame");
-        match parse_day(&framed) {
+        match same_at_every_thread_count(|| parse_day(&framed).map(|ds| ds.fingerprint())) {
             Err(DayError::Corrupt(m)) => assert!(m.contains(complaint), "{m}"),
             other => panic!("hostile count at {count_at} must not parse: {other:?}"),
         }
     }
+}
+
+/// A real day's payload with bytes overwritten somewhere inside it.
+#[derive(Debug, Clone)]
+struct Damage(Vec<(usize, u8)>);
+impl Shrink for Damage {}
+
+#[test]
+fn damaged_real_payloads_get_the_sequential_readers_verdict() {
+    // Random bytes fail at the first count; damage to a real payload
+    // reaches every section — strings, keys, columns, postings — and
+    // may decode clean yet fail validation. Reframed under a valid
+    // checksum, each must get the verdict the front-to-back reader
+    // gives, with the same message, at every thread count.
+    let payload = wire::encode(&Scenario::small_day(5).generate().dataset);
+    cases(96).run(
+        |g: &mut Gen| {
+            Damage(g.vec(1..=3usize, |g| {
+                (g.range(0..payload.len()), g.range(0..=255u32) as u8)
+            }))
+        },
+        |Damage(damage): &Damage| {
+            let mut bad = payload.clone();
+            for &(at, byte) in damage {
+                bad[at] = byte;
+            }
+            let framed = envelope::frame(MAGIC, VERSION, STAGE, &bad).expect("frame");
+            let verdict = same_at_every_thread_count(|| verdict(&framed));
+            assert_eq!(verdict, sequential_verdict(&bad));
+        },
+    );
+}
+
+#[test]
+fn an_undecodable_payload_under_a_stale_checksum_reports_the_checksum() {
+    // The decode runs beside the checksum, but the checksum speaks
+    // first: garbage behind a wrong sum is a checksum mismatch, not a
+    // decode error.
+    let garbage = vec![0xFFu8; 4096];
+    let mut framed = envelope::frame(MAGIC, VERSION, STAGE, &garbage).expect("frame");
+    let sum_at = envelope::HEADER_BYTES + STAGE.len() - 8;
+    framed[sum_at] ^= 1;
+    assert_eq!(
+        same_at_every_thread_count(|| verdict(&framed)),
+        Err(DayError::Corrupt("checksum mismatch".to_owned()))
+    );
+}
+
+/// Byte offset of record `record`'s cell in column `column` (0 =
+/// timestamps … 12 = redirects) of a dataset payload, found by walking
+/// the length prefixes in front of it.
+fn column_cell(payload: &[u8], column: usize, record: usize) -> usize {
+    const WIDTHS: [usize; 13] = [8, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2, 4, 4];
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+    let mut at = 0;
+    // Eight symbol tables, the server keys third.
+    for section in 0..9 {
+        let count = word(at);
+        at += 8;
+        for _ in 0..count {
+            if section == 2 {
+                let tag = payload[at];
+                at += 4;
+                at += if tag == 0 { 8 + word(at) } else { 4 };
+            } else {
+                at += 8 + word(at);
+            }
+        }
+    }
+    for width in &WIDTHS[..column] {
+        at += 8 + word(at) * width;
+    }
+    at + 8 + record * WIDTHS[column]
+}
+
+#[test]
+fn bad_ids_in_two_columns_report_the_smaller_record_index() {
+    let mut payload = wire::encode(&three_records());
+    // Record 2's user agent (column 8) and record 1's file (column 5)
+    // point past their tables; the sweep reports record 1 whichever
+    // column it finishes first.
+    for (column, record) in [(8, 2), (5, 1)] {
+        let at = column_cell(&payload, column, record);
+        payload[at..at + 4].copy_from_slice(&1000u32.to_le_bytes());
+    }
+    let framed = envelope::frame(MAGIC, VERSION, STAGE, &payload).expect("frame");
+    assert_eq!(
+        same_at_every_thread_count(|| verdict(&framed)),
+        Err(DayError::Invalid(
+            "record 1 has an out-of-range interned id".to_owned()
+        ))
+    );
+}
+
+#[test]
+fn a_day_cut_short_on_disk_is_corrupt_and_a_whole_one_loads_alike_everywhere() {
+    let data = Scenario::small_day(42).generate();
+    let dir = std::env::temp_dir().join(format!("smash-day-cut-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("day.smshcols");
+    save_day(&path, &data.dataset).expect("save day");
+    let len = std::fs::metadata(&path).unwrap().len();
+    let loaded = same_at_every_thread_count(|| load_day(&path).map(|ds| ds.fingerprint()));
+    assert_eq!(loaded, Ok(data.dataset.fingerprint()));
+    for keep in [len - 1, len / 2 + 1, len / 2, 40] {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_len(keep))
+            .unwrap();
+        match same_at_every_thread_count(|| load_day(&path).map(|ds| ds.fingerprint())) {
+            Err(DayError::Corrupt(m)) => assert!(m.contains("declares"), "cut to {keep}: {m}"),
+            other => panic!("a day cut to {keep} of {len} bytes loaded: {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Three records that touch every optional field.

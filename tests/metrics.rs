@@ -227,5 +227,44 @@ fn cli_metrics_dump_parses_and_names_every_stage() {
         "{ingest_row}"
     );
 
+    // A preprocessed day loads instead of ingesting: `stage/load_day`,
+    // with the file read and the parse (checksum, decode, validation)
+    // timed as its two parts.
+    let day: PathBuf = dir.join("trace.day");
+    let day_metrics: PathBuf = dir.join("day-metrics.json");
+    let preprocess = Command::new(smash)
+        .args(["preprocess", trace.to_str().unwrap(), day.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        preprocess.status.success(),
+        "preprocess failed: {preprocess:?}"
+    );
+    let analyze_day = Command::new(smash)
+        .args([
+            "analyze",
+            day.to_str().unwrap(),
+            "--metrics",
+            day_metrics.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        analyze_day.status.success(),
+        "analyze failed: {analyze_day:?}"
+    );
+    let raw = std::fs::read_to_string(&day_metrics).unwrap();
+    let snapshot: MetricsSnapshot = smash::support::json::from_str(&raw).unwrap();
+    let parts = ["stage/load_day/read", "stage/load_day/parse"];
+    let mut expected = vec!["stage/load_day"];
+    expected.extend_from_slice(&parts);
+    expected.extend_from_slice(PIPELINE_STAGES);
+    assert_stages_once(&snapshot, &expected);
+    let whole = snapshot.histograms["stage/load_day"].sum_ns;
+    for part in parts {
+        let sum = snapshot.histograms[part].sum_ns;
+        assert!(sum <= whole, "{part} took {sum} ns of a {whole} ns load");
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }
