@@ -13,7 +13,13 @@
 #                                             the root integration tests
 #   4. fault-injection smoke                  the resilience suite re-run with
 #                                             a dimension killed from the
-#                                             environment (SMASH_FAILPOINTS)
+#                                             environment (SMASH_FAILPOINTS);
+#                                             then `smash analyze` with the
+#                                             client dimension killed exits 0
+#                                             with 0 campaigns and seven
+#                                             dimension warnings, and with
+#                                             whois killed still infers
+#                                             campaigns, with one warning
 #   5. cargo doc --no-deps                    rustdoc gate, warnings are errors
 #   6. preprocess / re-mine diff              `smash preprocess` writes a
 #                                             SMSHCOLS day, then analyzing the
@@ -36,7 +42,10 @@
 #                                             unpinned, with identical stdout
 #                                             and report, and the three
 #                                             refusals repeat pinned
-#                                             (DESIGN.md §12.4)
+#                                             (DESIGN.md §12.4); and under
+#                                             `--idf 20` every server of every
+#                                             multi-client campaign is a label
+#                                             of the `--dot` graph
 #   7. daemon smoke                           `smash serve --stdio`: ingest a
 #                                             generated day, SIGKILL the daemon
 #                                             mid-epoch via a failpoint, restart
@@ -111,19 +120,49 @@ cargo test -q --offline --workspace
 
 echo "==> fault-injection smoke (SMASH_FAILPOINTS=dimension/whois=panic)"
 SMASH_FAILPOINTS=dimension/whois=panic cargo test -q --offline --test fault_injection
+remine_dir="$(mktemp -d)"
+trap 'rm -rf "$remine_dir"' EXIT
+smash_bin="$(pwd)/target/release/smash"
+"$smash_bin" generate small "$remine_dir/fault.jsonl" --seed 42 >/dev/null
+# killed <site> <campaigns grep> <warnings>: analyze with <site> panicking
+# exits 0, its stdout matches <campaigns grep>, and stderr names
+# <warnings> dropped dimensions.
+killed() {
+    SMASH_FAILPOINTS="$1=panic" "$smash_bin" analyze "$remine_dir/fault.jsonl" \
+        >"$remine_dir/fault.out" 2>"$remine_dir/fault.err" \
+        || { echo "fault smoke: $1 killed the process"; cat "$remine_dir/fault.err"; exit 1; }
+    grep -qE "$2" "$remine_dir/fault.out" \
+        || { echo "fault smoke: $1: stdout lacks /$2/"; cat "$remine_dir/fault.out"; exit 1; }
+    warnings="$(grep -c '^warning: dimension ' "$remine_dir/fault.err" || true)"
+    test "$warnings" -eq "$3" \
+        || { echo "fault smoke: $1: $warnings dimension warnings, expected $3"; exit 1; }
+}
+killed dimension/client '; 0 campaigns inferred$' 7
+killed dimension/whois '; [1-9][0-9]* campaigns inferred$' 1
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
 echo "==> preprocess / re-mine diff (SMSHCOLS day vs raw trace)"
-remine_dir="$(mktemp -d)"
-trap 'rm -rf "$remine_dir"' EXIT
 cargo run -q --release --offline --bin smash -- generate small "$remine_dir/trace.jsonl" --seed 42
 cargo run -q --release --offline --bin smash -- preprocess "$remine_dir/trace.jsonl" "$remine_dir/trace.day"
 cargo run -q --release --offline --bin smash -- analyze "$remine_dir/trace.jsonl" >"$remine_dir/raw.out"
 cargo run -q --release --offline --bin smash -- analyze "$remine_dir/trace.day" >"$remine_dir/day.out"
 diff -u "$remine_dir/raw.out" "$remine_dir/day.out"
-smash_bin="$(pwd)/target/release/smash"
+# The DOT graph labels its nodes by the run's own IDF filter: under
+# `--idf 20` every server of a multi-client campaign is a label.
+"$smash_bin" analyze "$remine_dir/trace.jsonl" --idf 20 \
+    --json "$remine_dir/idf20.json" --dot "$remine_dir/idf20.dot" >/dev/null
+awk '/"servers": \[$/ { listing = 1; n = 0; next }
+     listing && /\]/ { listing = 0; next }
+     listing { gsub(/[ ",]/, ""); server[++n] = $0; next }
+     /"client_count":/ { gsub(/[^0-9]/, ""); if ($0 > 1) for (i = 1; i <= n; i++) print server[i] }' \
+    "$remine_dir/idf20.json" >"$remine_dir/idf20.multi"
+sed -n 's/.*label="\([^"]*\)".*/\1/p' "$remine_dir/idf20.dot" >"$remine_dir/idf20.labels"
+test -s "$remine_dir/idf20.multi" || { echo "dot smoke: no multi-client campaign"; exit 1; }
+if grep -vxFf "$remine_dir/idf20.labels" "$remine_dir/idf20.multi"; then
+    echo "dot smoke: the servers above are not labels of the --dot graph"; exit 1
+fi
 # refused <file> <message>: `smash analyze` must exit non-zero saying so
 # (run under `$pin`, a CPU-pinning prefix, when one is set).
 pin=""

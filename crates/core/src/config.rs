@@ -1,6 +1,6 @@
 //! Pipeline configuration with the paper's published defaults.
 
-use smash_support::impl_json_struct;
+use crate::dimensions::DimensionKind;
 use std::fmt;
 
 /// A configuration rejected by [`SmashConfig::validate`].
@@ -40,13 +40,6 @@ pub struct LshConfig {
     /// degenerate bucket would reintroduce the quadratic blowup).
     pub bucket_cap: usize,
 }
-
-impl_json_struct!(LshConfig {
-    bands,
-    rows,
-    rare_cap,
-    bucket_cap,
-});
 
 impl Default for LshConfig {
     fn default() -> Self {
@@ -157,11 +150,6 @@ pub struct SmashConfig {
     /// (the default — budgets introduce wall-clock sensitivity, so they
     /// are opt-in for production deployments).
     pub dimension_budget_ms: u64,
-    /// Failpoint spec (`site=action[,…]`, same grammar as the
-    /// `SMASH_FAILPOINTS` environment variable) armed process-wide when
-    /// the pipeline runs. Empty = none. Fault injection for resilience
-    /// tests; never set this in production.
-    pub failpoints: String,
     /// URI-file dimension only: force brute-force all-pairs candidate
     /// enumeration instead of MinHash/LSH. Quadratic in the number of
     /// kept servers — the ground-truth oracle the LSH recall suite
@@ -172,34 +160,6 @@ pub struct SmashConfig {
     /// `exact_candidates`).
     pub lsh: LshConfig,
 }
-
-impl_json_struct!(SmashConfig {
-    idf_threshold,
-    filename_len_threshold,
-    charset_cosine_threshold,
-    client_edge_min,
-    file_edge_min,
-    ip_edge_min,
-    file_posting_cap,
-    mu,
-    sigma,
-    threshold,
-    single_client_threshold,
-    min_campaign_size,
-    louvain_seed,
-    uri_file_dimension,
-    ip_set_dimension,
-    whois_dimension,
-    param_pattern_dimension,
-    timing_dimension,
-    timing_edge_min,
-    payload_dimension,
-    pruning_enabled,
-    dimension_budget_ms?,
-    failpoints?,
-    exact_candidates?,
-    lsh?,
-});
 
 impl Default for SmashConfig {
     fn default() -> Self {
@@ -226,7 +186,6 @@ impl Default for SmashConfig {
             payload_dimension: false,
             pruning_enabled: true,
             dimension_budget_ms: 0,
-            failpoints: String::new(),
             exact_candidates: false,
             lsh: LshConfig::default(),
         }
@@ -289,6 +248,20 @@ impl SmashConfig {
         self
     }
 
+    /// Whether the pipeline builds `kind`: the client dimension always,
+    /// every other one as its switch says.
+    pub fn enables(&self, kind: DimensionKind) -> bool {
+        match kind {
+            DimensionKind::Client => true,
+            DimensionKind::UriFile => self.uri_file_dimension,
+            DimensionKind::IpSet => self.ip_set_dimension,
+            DimensionKind::Whois => self.whois_dimension,
+            DimensionKind::ParamPattern => self.param_pattern_dimension,
+            DimensionKind::Timing => self.timing_dimension,
+            DimensionKind::Payload => self.payload_dimension,
+        }
+    }
+
     /// Enables/disables pruning.
     pub fn with_pruning(mut self, on: bool) -> Self {
         self.pruning_enabled = on;
@@ -304,13 +277,6 @@ impl SmashConfig {
     /// Sets the per-dimension wall-clock budget (0 = unlimited).
     pub fn with_dimension_budget_ms(mut self, ms: u64) -> Self {
         self.dimension_budget_ms = ms;
-        self
-    }
-
-    /// Sets the failpoint spec armed when the pipeline runs (see
-    /// [`smash_support::failpoint`]).
-    pub fn with_failpoints(mut self, spec: &str) -> Self {
-        self.failpoints = spec.to_owned();
         self
     }
 
@@ -372,9 +338,6 @@ impl SmashConfig {
         if self.file_posting_cap == 0 {
             return Err(ConfigError("file_posting_cap must be positive".into()));
         }
-        if let Err(e) = smash_support::failpoint::parse_spec(&self.failpoints) {
-            return Err(ConfigError(format!("bad failpoints spec: {e}")));
-        }
         if self.lsh.bands == 0 || self.lsh.rows == 0 {
             return Err(ConfigError(format!(
                 "lsh bands and rows must be positive, got {}x{}",
@@ -424,12 +387,14 @@ mod tests {
             .with_single_client_threshold(0.5)
             .with_idf_threshold(50)
             .with_pruning(false)
-            .with_louvain_seed(9);
+            .with_louvain_seed(9)
+            .with_dimension_budget_ms(250);
         assert_eq!(c.threshold, 1.5);
         assert_eq!(c.single_client_threshold, 0.5);
         assert_eq!(c.idf_threshold, 50);
         assert!(!c.pruning_enabled);
         assert_eq!(c.louvain_seed, 9);
+        assert_eq!(c.dimension_budget_ms, 250);
     }
 
     #[test]
@@ -474,36 +439,6 @@ mod tests {
             ..SmashConfig::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn resilience_knobs() {
-        let c = SmashConfig::default()
-            .with_dimension_budget_ms(250)
-            .with_failpoints("dimension/whois=panic");
-        assert_eq!(c.dimension_budget_ms, 250);
-        c.validate().unwrap();
-        let bad = SmashConfig::default().with_failpoints("dimension/whois=explode");
-        assert!(bad.validate().unwrap_err().to_string().contains("explode"));
-    }
-
-    #[test]
-    fn config_json_without_new_fields_still_parses() {
-        // Configs serialized before the resilience fields existed must
-        // keep loading with the defaults.
-        let mut json = smash_support::json::to_string(&SmashConfig::default());
-        json = json
-            .replace(r#","dimension_budget_ms":0"#, "")
-            .replace(r#","failpoints":"""#, "")
-            .replace(r#","exact_candidates":false"#, "");
-        let lsh_json = format!(
-            r#","lsh":{}"#,
-            smash_support::json::to_string(&LshConfig::default())
-        );
-        json = json.replace(&lsh_json, "");
-        assert!(!json.contains("lsh"), "lsh field not stripped: {json}");
-        let c: SmashConfig = smash_support::json::from_str(&json).unwrap();
-        assert_eq!(c, SmashConfig::default());
     }
 
     #[test]

@@ -80,9 +80,36 @@ impl_json_enum!(DimensionKind {
 });
 
 impl DimensionKind {
+    /// The roster: every dimension, in pipeline order — the main
+    /// (client) dimension first, then the secondaries in the order their
+    /// stages, health records and summaries are reported. The pipeline
+    /// runs the ones [`SmashConfig::enables`] turns on.
+    pub const ALL: [DimensionKind; 7] = [
+        DimensionKind::Client,
+        DimensionKind::UriFile,
+        DimensionKind::IpSet,
+        DimensionKind::Whois,
+        DimensionKind::ParamPattern,
+        DimensionKind::Timing,
+        DimensionKind::Payload,
+    ];
+
     /// `true` for the main (client) dimension.
     pub fn is_main(self) -> bool {
         self == DimensionKind::Client
+    }
+
+    /// The builder of this dimension's graph.
+    pub fn dimension(self) -> &'static dyn Dimension {
+        match self {
+            DimensionKind::Client => &ClientDimension,
+            DimensionKind::UriFile => &UriFileDimension,
+            DimensionKind::IpSet => &IpSetDimension,
+            DimensionKind::Whois => &WhoisDimension,
+            DimensionKind::ParamPattern => &ParamPatternDimension,
+            DimensionKind::Timing => &TimingDimension,
+            DimensionKind::Payload => &PayloadDimension,
+        }
     }
 }
 

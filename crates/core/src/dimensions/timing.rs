@@ -14,30 +14,19 @@
 use super::{instrumented_builder, score_cooccurring, Dimension, DimensionContext, DimensionKind};
 use smash_graph::Graph;
 
-/// Number of activity buckets (30-minute windows over a day).
-pub const DEFAULT_BUCKETS: usize = 48;
+/// Number of activity buckets: 30-minute windows over a day.
+const BUCKETS: usize = 48;
+
+/// Seconds one bucket covers; requests past the day wrap around.
+const BUCKET_SECONDS: u64 = 86_400 / BUCKETS as u64;
 
 /// A server qualifies as *bursty* when at most this fraction of its
 /// buckets are active.
 const BURSTY_FRACTION: f64 = 0.25;
 
 /// Builder of the timing-similarity graph.
-#[derive(Debug, Clone)]
-pub struct TimingDimension {
-    /// Number of time buckets.
-    pub buckets: usize,
-    /// Seconds covered by the histogram (requests beyond it wrap).
-    pub span_seconds: u64,
-}
-
-impl Default for TimingDimension {
-    fn default() -> Self {
-        Self {
-            buckets: DEFAULT_BUCKETS,
-            span_seconds: 86_400,
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct TimingDimension;
 
 impl Dimension for TimingDimension {
     fn kind(&self) -> DimensionKind {
@@ -46,17 +35,15 @@ impl Dimension for TimingDimension {
 
     fn build_graph(&self, ctx: &DimensionContext<'_>) -> Graph {
         instrumented_builder(ctx, self.kind(), |builder, funnel, scope| {
-            let buckets = self.buckets.max(2);
-            let bucket_len = (self.span_seconds / buckets as u64).max(1);
             // Per-node histograms and active buckets; only bursty nodes participate.
             let mut histograms: Vec<Option<Vec<f64>>> = Vec::with_capacity(ctx.nodes.len());
             let mut node_buckets: Vec<Vec<usize>> = Vec::with_capacity(ctx.nodes.len());
             for &server in ctx.nodes {
                 scope.tick();
-                let mut h = vec![0.0f64; buckets];
+                let mut h = vec![0.0f64; BUCKETS];
                 let mut total = 0usize;
                 for r in ctx.dataset.records_of(server) {
-                    let bucket = ((r.timestamp / bucket_len) as usize) % buckets;
+                    let bucket = ((r.timestamp / BUCKET_SECONDS) as usize) % BUCKETS;
                     if let Some(slot) = h.get_mut(bucket) {
                         *slot += 1.0;
                     }
@@ -70,7 +57,7 @@ impl Dimension for TimingDimension {
                     .collect();
                 let bursty = total >= 2
                     && !active.is_empty()
-                    && (active.len() as f64) <= BURSTY_FRACTION * buckets as f64;
+                    && (active.len() as f64) <= BURSTY_FRACTION * BUCKETS as f64;
                 if !bursty {
                     histograms.push(None);
                     node_buckets.push(Vec::new());
@@ -103,7 +90,7 @@ mod tests {
 
     fn build(records: Vec<HttpRecord>) -> (TraceDataset, Graph) {
         let ds = TraceDataset::from_records(records);
-        let g = build_unbudgeted(&TimingDimension::default(), &ds, &WhoisRegistry::new());
+        let g = build_unbudgeted(&TimingDimension, &ds, &WhoisRegistry::new());
         (ds, g)
     }
 

@@ -5,10 +5,7 @@ use crate::ash::MinedDimension;
 use crate::config::SmashConfig;
 use crate::correlation::correlate_with_metrics;
 use crate::correlation::CorrelatedAsh;
-use crate::dimensions::{
-    ClientDimension, Dimension, DimensionContext, DimensionKind, IpSetDimension,
-    ParamPatternDimension, PayloadDimension, TimingDimension, UriFileDimension, WhoisDimension,
-};
+use crate::dimensions::{DimensionContext, DimensionKind};
 use crate::inference::merge_by_main_herd;
 use crate::mining::mine_governed;
 use crate::preprocess::filter_popular;
@@ -126,10 +123,6 @@ impl Smash {
         let governor = resources.map(Governor::new).unwrap_or_default();
         // lint:allow(wallclock): measures run duration for the perf block; never in report ordering.
         let run_start = Instant::now();
-        if !cfg.failpoints.is_empty() {
-            // Validated by `try_new`; arming is process-global.
-            smash_support::failpoint::arm_spec(&cfg.failpoints).expect("validated failpoints spec");
-        }
         // 1. Preprocessing: IDF popularity filter (SLD aggregation already
         //    happened when the dataset was interned).
         let pre = {
@@ -161,179 +154,77 @@ impl Smash {
             governor: governor.clone(),
         };
 
-        // 2. ASH mining per dimension. The client graph covers servers
-        //    with ≥ 2 clients; single-client servers get their per-client
-        //    herds appended below (paper Appendix C).
-        // lint:allow(wallclock): measures stage duration for the perf block; never in report ordering.
-        let main_start = Instant::now();
-        let main_result = par::run_isolated(|| {
-            let _span = metrics.span("stage/dimension/client");
+        // 2. ASH mining per dimension: every dimension is built, mined
+        //    and timed by this one routine, under its governor stage.
+        let mine = |kind: DimensionKind| {
+            // lint:allow(wallclock): measures stage duration for the perf block; never in report ordering.
+            let start = Instant::now();
+            let stage = format!("dimension/{kind}");
+            let _span = metrics.span(&format!("stage/{stage}"));
             // Created before the builder so the wall budget also covers
             // graph construction, and mining polls the same token the
             // builder's inner loops do.
-            let scope = ctx
-                .governor
-                .stage("dimension/client", cfg.dimension_budget_ms);
-            let main_graph = ClientDimension.build_graph(&ctx);
-            let mut main = mine_governed(
-                DimensionKind::Client,
-                main_graph,
-                &nodes,
-                cfg.louvain_seed,
-                metrics,
-                Some(scope.token()),
-            );
-            append_single_client_herds(&mut main, dataset, &nodes);
-            main
-        });
-        let main_elapsed = main_start.elapsed().as_millis() as u64;
-        governor.close_stage("dimension/client");
-        let main = match main_result {
-            Ok(main) => main,
-            Err(reason) => {
-                // Without the main dimension there is nothing to
-                // correlate against: degrade to an empty report that
-                // names the failure instead of unwinding.
-                return Self::aborted_report(
-                    &pre.kept,
-                    pre.dropped_popular.len(),
-                    triage_failure(reason),
-                    harvest_governor(&governor, metrics),
-                );
+            let scope = ctx.governor.stage(&stage, cfg.dimension_budget_ms);
+            let graph = kind.dimension().build_graph(&ctx);
+            let token = Some(scope.token());
+            let mut mined = mine_governed(kind, graph, &nodes, cfg.louvain_seed, metrics, token);
+            if kind.is_main() {
+                // The client graph covers servers with ≥ 2 clients; the
+                // single-client ones get their per-client herds here
+                // (paper Appendix C).
+                append_single_client_herds(&mut mined, dataset, &nodes);
             }
+            (mined, start.elapsed().as_millis() as u64)
         };
 
-        let planned: Vec<(DimensionKind, Option<Box<dyn Dimension>>)> = vec![
-            (
-                DimensionKind::UriFile,
-                cfg.uri_file_dimension
-                    .then(|| Box::new(UriFileDimension) as Box<dyn Dimension>),
-            ),
-            (
-                DimensionKind::IpSet,
-                cfg.ip_set_dimension
-                    .then(|| Box::new(IpSetDimension) as Box<dyn Dimension>),
-            ),
-            (
-                DimensionKind::Whois,
-                cfg.whois_dimension
-                    .then(|| Box::new(WhoisDimension) as Box<dyn Dimension>),
-            ),
-            (
-                DimensionKind::ParamPattern,
-                cfg.param_pattern_dimension
-                    .then(|| Box::new(ParamPatternDimension) as Box<dyn Dimension>),
-            ),
-            (
-                DimensionKind::Timing,
-                cfg.timing_dimension
-                    .then(|| Box::new(TimingDimension::default()) as Box<dyn Dimension>),
-            ),
-            (
-                DimensionKind::Payload,
-                cfg.payload_dimension
-                    .then(|| Box::new(PayloadDimension) as Box<dyn Dimension>),
-            ),
-        ];
-        let to_build: Vec<&dyn Dimension> =
-            planned.iter().filter_map(|(_, d)| d.as_deref()).collect();
-        // Dimension graphs are independent: build and mine them in
-        // parallel (the paper's answer to the pairwise-similarity cost is
-        // parallel sparse multiplication [18]) — each under panic
-        // isolation so one crashing builder degrades the run instead of
-        // ending it.
-        let isolated: Vec<Result<(MinedDimension, u64), String>> =
-            par::par_map_isolated(&to_build, |d| {
-                // lint:allow(wallclock): measures stage duration for the perf block; never in report ordering.
-                let start = Instant::now();
-                let _span = metrics.span(&format!("stage/dimension/{}", d.kind()));
-                // Created before the builder so the wall budget also
-                // covers graph construction (cooperative, not post-hoc),
-                // and mining polls the same token.
-                let scope = ctx
-                    .governor
-                    .stage(&format!("dimension/{}", d.kind()), cfg.dimension_budget_ms);
-                let g = d.build_graph(&ctx);
-                let mined = mine_governed(
-                    d.kind(),
-                    g,
-                    &nodes,
-                    cfg.louvain_seed,
-                    metrics,
-                    Some(scope.token()),
-                );
-                (mined, start.elapsed().as_millis() as u64)
-            });
+        // The client dimension runs alone, before any secondary starts,
+        // and its stage closes right after its mine.
+        let client = par::run_isolated(|| mine(DimensionKind::Client));
+        governor.close_stage("dimension/client");
+        // A finished client dimension is never dropped by the post-hoc
+        // budget backstop (budget 0 here): that would turn a complete run
+        // into an empty one.
+        let (main, client_health) = settle(DimensionKind::Client, client, 0);
+        let Some(main) = main else {
+            // Without the main dimension there is nothing to correlate
+            // against: degrade to an empty report that names the failure
+            // instead of unwinding.
+            return Self::aborted_report(
+                &pre.kept,
+                pre.dropped_popular.len(),
+                client_health,
+                harvest_governor(&governor, metrics),
+            );
+        };
 
-        // Triage: a dimension either completed inside its budget (kept),
-        // was cancelled cooperatively by the governor (dropped, TimedOut
-        // for deadlines / Cancelled for memory), overran the wall-clock
-        // budget between polls (dropped, TimedOut via the post-hoc
-        // backstop), or panicked (dropped, Failed).
+        // The secondary graphs are independent: build and mine them in
+        // parallel (the paper's answer to the pairwise-similarity cost is
+        // parallel sparse multiplication [18]), each under panic
+        // isolation so one crashing builder degrades the run instead of
+        // ending it. Their stages close once all of them have joined.
+        let secondary_kinds = || DimensionKind::ALL.into_iter().filter(|k| !k.is_main());
+        let planned: Vec<DimensionKind> = secondary_kinds().filter(|&k| cfg.enables(k)).collect();
+        let mut isolated = par::par_map_isolated(&planned, |&kind| mine(kind)).into_iter();
         let mut secondaries: Vec<MinedDimension> = Vec::new();
-        let mut dimension_health = vec![DimensionHealth {
-            kind: DimensionKind::Client,
-            status: DimensionStatus::Ok,
-            elapsed_ms: main_elapsed,
-        }];
-        let mut results = isolated.into_iter();
-        for (kind, dim) in &planned {
-            let kind = *kind;
-            if dim.is_none() {
-                dimension_health.push(DimensionHealth {
-                    kind,
-                    status: DimensionStatus::Disabled,
-                    elapsed_ms: 0,
-                });
+        let mut dimension_health = vec![client_health];
+        for kind in secondary_kinds() {
+            if !cfg.enables(kind) {
+                dimension_health.push(unfinished(kind, DimensionStatus::Disabled));
                 continue;
             }
-            let health = match results.next().expect("one result per built dimension") {
-                Ok((mined, elapsed_ms))
-                    if cfg.dimension_budget_ms > 0 && elapsed_ms > cfg.dimension_budget_ms =>
-                {
-                    // Post-hoc backstop: the build finished but overran
-                    // the budget between token polls.
-                    drop(mined);
-                    DimensionHealth {
-                        kind,
-                        status: DimensionStatus::TimedOut {
-                            elapsed_ms,
-                            budget_ms: cfg.dimension_budget_ms,
-                        },
-                        elapsed_ms,
-                    }
-                }
-                Ok((mined, elapsed_ms)) => {
-                    secondaries.push(mined);
-                    DimensionHealth {
-                        kind,
-                        status: DimensionStatus::Ok,
-                        elapsed_ms,
-                    }
-                }
-                Err(reason) => {
-                    let status = triage_failure(reason);
-                    let elapsed_ms = match &status {
-                        DimensionStatus::TimedOut { elapsed_ms, .. } => *elapsed_ms,
-                        _ => 0,
-                    };
-                    DimensionHealth {
-                        kind,
-                        status,
-                        elapsed_ms,
-                    }
-                }
-            };
+            let result = isolated.next().expect("one result per planned dimension");
+            let (mined, health) = settle(kind, result, cfg.dimension_budget_ms);
             governor.close_stage(&format!("dimension/{kind}"));
+            secondaries.extend(mined);
             dimension_health.push(health);
         }
 
         // 3. Correlation (eq. 9) + thresholding, renormalized over the
         //    dimensions that actually completed.
-        let scale = if secondaries.is_empty() || secondaries.len() == to_build.len() {
+        let scale = if secondaries.is_empty() || secondaries.len() == planned.len() {
             1.0
         } else {
-            to_build.len() as f64 / secondaries.len() as f64
+            planned.len() as f64 / secondaries.len() as f64
         };
         let correlated = {
             let _span = metrics.span("stage/correlate");
@@ -428,39 +319,28 @@ impl Smash {
             .collect();
         campaigns.sort_by_key(|c| std::cmp::Reverse(c.server_count()));
 
-        let mut dimension_summaries = vec![DimensionSummary {
-            kind: main.kind,
-            edges: main.graph.edge_count(),
-            ashes: main.ash_count(),
-            herded_servers: main.herded_server_count(),
-        }];
-        dimension_summaries.extend(secondaries.iter().map(|d| DimensionSummary {
-            kind: d.kind,
-            edges: d.graph.edge_count(),
-            ashes: d.ash_count(),
-            herded_servers: d.herded_server_count(),
-        }));
+        let all_mined = || std::iter::once(&main).chain(&secondaries);
+        let dimension_summaries = all_mined()
+            .map(|d| DimensionSummary {
+                kind: d.kind,
+                edges: d.graph.edge_count(),
+                ashes: d.ash_count(),
+                herded_servers: d.herded_server_count(),
+            })
+            .collect();
         metrics
             .counter("infer/campaigns")
             .add(campaigns.len() as u64);
         drop(assemble_span);
 
-        let peak_graph_nodes = std::iter::once(&main)
-            .chain(&secondaries)
-            .map(|d| d.graph.node_count() as u64)
-            .max()
-            .unwrap_or(0);
-        let peak_graph_edges = std::iter::once(&main)
-            .chain(&secondaries)
-            .map(|d| d.graph.edge_count() as u64)
-            .max()
-            .unwrap_or(0);
+        let peak_graph_nodes = all_mined().map(|d| d.graph.node_count() as u64).max();
+        let peak_graph_edges = all_mined().map(|d| d.graph.edge_count() as u64).max();
         let perf = assemble_perf(
             metrics,
             run_start.elapsed().as_secs_f64() * 1000.0,
             dataset.record_count() as u64,
-            peak_graph_nodes,
-            peak_graph_edges,
+            peak_graph_nodes.unwrap_or(0),
+            peak_graph_edges.unwrap_or(0),
             &governor,
         );
 
@@ -477,36 +357,21 @@ impl Smash {
     }
 
     /// The empty report returned when the main dimension itself failed:
-    /// no campaigns, every secondary marked as not run, and the failure
-    /// status (plus any governor events) preserved in `RunHealth`.
+    /// no campaigns, `client`'s failure, every other dimension —
+    /// disabled ones included — marked as not run, and any governor
+    /// events preserved in `RunHealth`.
     fn aborted_report(
         kept: &[ServerId],
         dropped_popular: usize,
-        status: DimensionStatus,
+        client: DimensionHealth,
         governor_events: Vec<String>,
     ) -> SmashReport {
-        let mut dimensions = vec![DimensionHealth {
-            kind: DimensionKind::Client,
-            status,
-            elapsed_ms: 0,
-        }];
-        // lint:allow(index): array literal, not an indexing expression
-        for kind in [
-            DimensionKind::UriFile,
-            DimensionKind::IpSet,
-            DimensionKind::Whois,
-            DimensionKind::ParamPattern,
-            DimensionKind::Timing,
-            DimensionKind::Payload,
-        ] {
-            dimensions.push(DimensionHealth {
-                kind,
-                status: DimensionStatus::Failed {
-                    reason: "not run: main dimension failed".to_owned(),
-                },
-                elapsed_ms: 0,
-            });
-        }
+        let not_run = |kind| {
+            let reason = "not run: main dimension failed".to_owned();
+            unfinished(kind, DimensionStatus::Failed { reason })
+        };
+        let others = DimensionKind::ALL.into_iter().filter(|k| !k.is_main());
+        let dimensions = std::iter::once(client).chain(others.map(not_run)).collect();
         SmashReport {
             campaigns: Vec::new(),
             kept_servers: kept.len(),
@@ -528,6 +393,53 @@ impl Smash {
             },
             perf: PerfReport::default(),
         }
+    }
+}
+
+/// Triage of one dimension's isolated build-and-mine: it completed
+/// inside its budget (kept, `Ok`), was cancelled cooperatively by the
+/// governor (dropped, `TimedOut` for deadlines / `Cancelled` for
+/// memory), overran `budget_ms` between polls (dropped, `TimedOut` via
+/// the post-hoc backstop; `0` = no backstop), or panicked (dropped,
+/// `Failed`). Returns the mined dimension when it is kept, and its
+/// health record.
+fn settle(
+    kind: DimensionKind,
+    result: Result<(MinedDimension, u64), String>,
+    budget_ms: u64,
+) -> (Option<MinedDimension>, DimensionHealth) {
+    match result {
+        Ok((_, elapsed_ms)) if budget_ms > 0 && elapsed_ms > budget_ms => {
+            let status = DimensionStatus::TimedOut {
+                elapsed_ms,
+                budget_ms,
+            };
+            (None, unfinished(kind, status))
+        }
+        Ok((mined, elapsed_ms)) => {
+            let status = DimensionStatus::Ok;
+            let health = DimensionHealth {
+                kind,
+                status,
+                elapsed_ms,
+            };
+            (Some(mined), health)
+        }
+        Err(reason) => (None, unfinished(kind, triage_failure(reason))),
+    }
+}
+
+/// The health record of a dimension that left no result: its elapsed
+/// time is a `TimedOut` status's own, else 0.
+fn unfinished(kind: DimensionKind, status: DimensionStatus) -> DimensionHealth {
+    let elapsed_ms = match &status {
+        DimensionStatus::TimedOut { elapsed_ms, .. } => *elapsed_ms,
+        _ => 0,
+    };
+    DimensionHealth {
+        kind,
+        status,
+        elapsed_ms,
     }
 }
 
@@ -585,28 +497,20 @@ fn harvest_governor(governor: &Governor, metrics: &Registry) -> Vec<String> {
     events
 }
 
-/// Pipeline-order rank of a `stage/*` histogram name (unknown stages
-/// sort after the known ones, alphabetically).
+/// Pipeline-order rank of a `stage/*` histogram name: ingest,
+/// preprocessing, the `dimension/<kind>` stages in roster order, then
+/// the tail (unknown stages sort after the known ones, alphabetically).
 fn stage_rank(name: &str) -> usize {
-    const ORDER: [&str; 13] = [
-        "ingest",
-        "ingest/merge",
-        "preprocess",
-        "dimension/client",
-        "dimension/uri-file",
-        "dimension/ip-set",
-        "dimension/whois",
-        "dimension/param-pattern",
-        "dimension/timing",
-        "dimension/payload",
-        "correlate",
-        "prune",
-        "infer",
-    ];
-    ORDER
+    let dimensions = DimensionKind::ALL.map(|kind| format!("dimension/{kind}"));
+    let order: Vec<&str> = ["ingest", "ingest/merge", "preprocess"]
+        .into_iter()
+        .chain(dimensions.iter().map(String::as_str))
+        .chain(["correlate", "prune", "infer"])
+        .collect();
+    order
         .iter()
         .position(|&s| s == name)
-        .unwrap_or(ORDER.len() + usize::from(name != "assemble"))
+        .unwrap_or(order.len() + usize::from(name != "assemble"))
 }
 
 /// Distills the registry's `stage/*` histograms into the report's
@@ -639,11 +543,7 @@ fn assemble_perf(
             })
         })
         .collect();
-    stages.sort_by(|a, b| {
-        stage_rank(&a.stage)
-            .cmp(&stage_rank(&b.stage))
-            .then_with(|| a.stage.cmp(&b.stage))
-    });
+    stages.sort_by_cached_key(|s| (stage_rank(&s.stage), s.stage.clone()));
     let records_per_sec = if total_wall_ms > 0.0 {
         records as f64 * 1000.0 / total_wall_ms
     } else {
@@ -826,6 +726,26 @@ mod tests {
         let with_param = Smash::new(SmashConfig::default().with_param_pattern_dimension(true))
             .run(&ds, &WhoisRegistry::new());
         assert_eq!(with_param.dimension_summaries.len(), 5);
+    }
+
+    #[test]
+    fn roster_names_each_builder_and_orders_the_stages() {
+        for kind in DimensionKind::ALL {
+            assert_eq!(kind.dimension().kind(), kind);
+        }
+        let mut stages: Vec<String> = DimensionKind::ALL
+            .iter()
+            .rev()
+            .map(|kind| format!("dimension/{kind}"))
+            .chain(["infer", "preprocess", "assemble", "zzz"].map(String::from))
+            .collect();
+        stages.sort_by_cached_key(|s| (stage_rank(s), s.clone()));
+        let roster = DimensionKind::ALL.map(|kind| format!("dimension/{kind}"));
+        let expected: Vec<&str> = std::iter::once("preprocess")
+            .chain(roster.iter().map(String::as_str))
+            .chain(["infer", "assemble", "zzz"])
+            .collect();
+        assert_eq!(stages, expected);
     }
 
     #[test]

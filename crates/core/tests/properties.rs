@@ -858,7 +858,7 @@ fn cooccurrence_dimensions_match_the_bruteforce_count_to_the_bit() {
             (&IpSetDimension, by_ip),
             (&WhoisDimension, whois_graph),
             (&ParamPatternDimension, by_pattern),
-            (&TimingDimension::default(), timing),
+            (&TimingDimension, timing),
             (&PayloadDimension, by_payload),
         ];
         for threads in [1, 2, 4] {

@@ -17,6 +17,16 @@ use std::collections::HashMap;
 /// atomic load never shows up in a profile.
 const CANCEL_POLL_STRIDE: usize = 1024;
 
+/// Modularity gain a move must beat to count as an improvement; gains
+/// within it of each other tie, and the smaller community id wins.
+const MIN_GAIN: f64 = 1e-9;
+
+/// Aggregation levels a run climbs at most.
+const MAX_LEVELS: usize = 32;
+
+/// Local-move passes one level runs at most.
+const MAX_PASSES: usize = 64;
+
 /// Configurable Louvain runner.
 ///
 /// Deterministic for a fixed seed: node visit order inside each local-move
@@ -37,29 +47,14 @@ const CANCEL_POLL_STRIDE: usize = 1024;
 /// assert_eq!(p.community_count(), 2);
 /// assert!(modularity(&g, &p) > 0.3);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Louvain {
     seed: u64,
-    min_gain: f64,
-    max_levels: usize,
-    max_passes: usize,
     cancel: Option<CancelToken>,
 }
 
-impl Default for Louvain {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            min_gain: 1e-9,
-            max_levels: 32,
-            max_passes: 64,
-            cancel: None,
-        }
-    }
-}
-
 impl Louvain {
-    /// Creates a runner with default parameters (seed 0, gain ε = 1e-9).
+    /// Creates a runner with seed 0 and no cancellation token.
     pub fn new() -> Self {
         Self::default()
     }
@@ -67,26 +62,6 @@ impl Louvain {
     /// Sets the RNG seed controlling node visit order.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the minimum modularity gain required to keep iterating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_gain` is negative or not finite.
-    pub fn with_min_gain(mut self, min_gain: f64) -> Self {
-        assert!(
-            min_gain.is_finite() && min_gain >= 0.0,
-            "min_gain must be a non-negative finite value"
-        );
-        self.min_gain = min_gain;
-        self
-    }
-
-    /// Caps the number of aggregation levels (default 32).
-    pub fn with_max_levels(mut self, max_levels: usize) -> Self {
-        self.max_levels = max_levels.max(1);
         self
     }
 
@@ -133,7 +108,7 @@ impl Louvain {
             passes: 0,
             modularity: 0.0,
         };
-        for _level in 0..self.max_levels {
+        for _level in 0..MAX_LEVELS {
             if let Some(t) = &self.cancel {
                 t.bail();
             }
@@ -181,7 +156,7 @@ impl Louvain {
         // All community ids stay < n (they start as node ids and only ever
         // take values of existing communities), so every `[..]` below is in
         // bounds by construction; the allows record that invariant.
-        for _pass in 0..self.max_passes {
+        for _pass in 0..MAX_PASSES {
             passes += 1;
             if let Some(t) = &self.cancel {
                 t.bail();
@@ -223,8 +198,8 @@ impl Louvain {
                     }
                     let gain = neigh_weight[c as usize] - ku * tot[c as usize] / two_m; // lint:allow(index): community ids are < n
                                                                                         // Deterministic tie-break: prefer the smaller community id.
-                    let better = gain > best_gain + self.min_gain
-                        || ((gain - best_gain).abs() <= self.min_gain && c < best_c);
+                    let better = gain > best_gain + MIN_GAIN
+                        || ((gain - best_gain).abs() <= MIN_GAIN && c < best_c);
                     if better {
                         best_gain = best_gain.max(gain);
                         best_c = c;

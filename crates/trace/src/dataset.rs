@@ -672,10 +672,12 @@ impl TraceDataset {
     }
 
     /// Re-emits raw records from the arena, in input order — the
-    /// inverse of ingest, up to what interning keeps: hosts come back
-    /// aggregated, and the value-blanked parameter pattern
-    /// (`p=[]&id=[]`) is refilled with placeholder values so the
-    /// query-key structure survives.
+    /// inverse of ingest, up to what interning keeps. Three things are
+    /// lost: hosts come back aggregated to their server; the
+    /// value-blanked parameter pattern (`p=[]&id=[]`) is refilled with
+    /// the placeholder value `0`, so only the query-key structure
+    /// survives; and `method`, which the arena does not keep, comes back
+    /// as `GET`.
     pub fn raw_records(&self) -> impl Iterator<Item = HttpRecord> + '_ {
         self.records().map(|r| {
             let path = self.path_name(r.path);
@@ -693,7 +695,8 @@ impl TraceDataset {
                 &uri,
             )
             .with_user_agent(self.user_agent_name(r.user_agent))
-            .with_status(r.status);
+            .with_status(r.status)
+            .with_resp_bytes(r.resp_bytes);
             if let Some(rf) = r.referrer {
                 rec = rec.with_referrer(self.server_name(rf));
             }

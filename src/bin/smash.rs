@@ -435,7 +435,8 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     }
     let governed =
         (resources.memory_budget_bytes > 0 || resources.deadline_ms > 0).then_some(&resources);
-    let mut report = Smash::new(config).run_governed(&dataset, &whois, &metrics, governed);
+    let smash = Smash::new(config);
+    let mut report = smash.run_governed(&dataset, &whois, &metrics, governed);
     report.health.ingest = ingest;
     for note in &report.health.governor {
         eprintln!("governor: {note}");
@@ -510,11 +511,8 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     if let Some(out) = flag_value(args, "--dot") {
         // The main (client-similarity) graph, colored by herd — the
         // paper's Fig. 3 view. Node i of the graph is the i-th kept
-        // server; resolve labels through the preprocessing order.
-        let pre = smash::core::preprocess::filter_popular(
-            &dataset,
-            Smash::new(SmashConfig::default()).config().idf_threshold,
-        );
+        // server; resolve labels through the run's preprocessing order.
+        let pre = smash::core::preprocess::filter_popular(&dataset, smash.config().idf_threshold);
         let label = |u: u32| {
             pre.kept
                 .get(u as usize)

@@ -141,6 +141,51 @@ fn cli_no_args_prints_usage_to_stderr() {
     assert!(!out.stderr.is_empty(), "usage text goes to stderr");
 }
 
+/// `analyze --dot` labels the client graph's nodes by the run's own
+/// preprocessing: under `--idf 20` every server of every multi-client
+/// campaign is a DOT label.
+#[test]
+fn cli_dot_labels_follow_the_runs_idf_threshold() {
+    use smash::core::InferredCampaign;
+    use smash::support::json::{self, FromJson};
+    let dir = std::env::temp_dir().join(format!("smash-dot-idf-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let smash = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_smash"))
+            .args(args)
+            .output()
+            .expect("smash binary runs");
+        assert!(out.status.success(), "smash {args:?} failed: {out:?}");
+    };
+    let trace = path("trace.jsonl");
+    smash(&["generate", "small", &trace, "--seed", "42"]);
+    let (report, dot) = (path("report.json"), path("herds.dot"));
+    smash(&[
+        "analyze", &trace, "--idf", "20", "--json", &report, "--dot", &dot,
+    ]);
+
+    let doc = json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let campaigns = Vec::<InferredCampaign>::from_json(doc.get("campaigns").unwrap()).unwrap();
+    let dot = std::fs::read_to_string(&dot).unwrap();
+    let labels: Vec<&str> = dot
+        .split("label=\"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    let multi: Vec<&String> = (campaigns.iter())
+        .filter(|c| c.client_count > 1)
+        .flat_map(|c| &c.servers)
+        .collect();
+    assert!(!multi.is_empty(), "no multi-client campaign inferred");
+    let missing: Vec<&&String> = multi
+        .iter()
+        .filter(|s| !labels.contains(&s.as_str()))
+        .collect();
+    assert!(missing.is_empty(), "not DOT labels: {missing:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn facade_reexports_compose() {
     // The facade's modules interoperate without importing sub-crates.

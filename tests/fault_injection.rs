@@ -14,15 +14,30 @@
 mod common;
 
 use common::{flux_recovered, flux_trace, flux_whois, locked};
-use smash::core::{DimensionKind, DimensionStatus, Smash, SmashConfig};
+use smash::core::{DimensionKind, DimensionStatus, Smash, SmashConfig, SmashReport};
 use smash::support::failpoint;
-use smash::trace::{io, HttpRecord, IngestError, IngestOptions};
+use smash::trace::{io, HttpRecord, IngestError, IngestOptions, TraceDataset};
 use smash::whois::WhoisRegistry;
 use std::sync::Mutex;
 
 /// The failpoint registry is process-global; serialize the tests that
 /// arm it so they cannot observe each other's faults.
 static LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs the pipeline under `cfg` with exactly the failpoint `spec`
+/// armed, and leaves the registry empty again.
+fn run_armed(
+    spec: &str,
+    cfg: SmashConfig,
+    ds: &TraceDataset,
+    whois: &WhoisRegistry,
+) -> SmashReport {
+    failpoint::disarm_all();
+    failpoint::arm_spec(spec).expect("failpoint spec parses");
+    let report = Smash::new(cfg).run(ds, whois);
+    failpoint::disarm_all();
+    report
+}
 
 #[test]
 fn killing_any_single_secondary_dimension_still_recovers_the_campaign() {
@@ -37,10 +52,8 @@ fn killing_any_single_secondary_dimension_still_recovers_the_campaign() {
         ("dimension/ip-set", DimensionKind::IpSet),
         ("dimension/whois", DimensionKind::Whois),
     ] {
-        failpoint::disarm_all();
-        let cfg = SmashConfig::default().with_failpoints(&format!("{site}=panic"));
-        let report = Smash::new(cfg).run(&ds, &whois);
-        failpoint::disarm_all();
+        let spec = format!("{site}=panic");
+        let report = run_armed(&spec, SmashConfig::default(), &ds, &whois);
 
         assert!(
             flux_recovered(&report),
@@ -75,11 +88,8 @@ fn killing_any_pair_of_secondary_dimensions_still_recovers_the_campaign() {
     for i in 0..sites.len() {
         for j in (i + 1)..sites.len() {
             let ((site_a, kind_a), (site_b, kind_b)) = (sites[i], sites[j]);
-            failpoint::disarm_all();
-            let cfg =
-                SmashConfig::default().with_failpoints(&format!("{site_a}=panic,{site_b}=panic"));
-            let report = Smash::new(cfg).run(&ds, &whois);
-            failpoint::disarm_all();
+            let spec = format!("{site_a}=panic,{site_b}=panic");
+            let report = run_armed(&spec, SmashConfig::default(), &ds, &whois);
 
             // With two of three secondaries dead, precision degrades (a
             // benign server may tag along at ×3 renormalization) but the
@@ -144,14 +154,11 @@ fn env_armed_spec_degrades_the_run_but_not_the_result() {
 #[test]
 fn stalled_dimension_times_out_under_budget_and_is_dropped() {
     let _g = locked(&LOCK);
-    failpoint::disarm_all();
     // Whois stalls 200 ms against a 50 ms budget; the other dimensions
     // finish this tiny trace well inside it.
-    let cfg = SmashConfig::default()
-        .with_failpoints("dimension/whois=delay:200")
-        .with_dimension_budget_ms(50);
-    let report = Smash::new(cfg).run(&flux_trace(), &WhoisRegistry::new());
-    failpoint::disarm_all();
+    let cfg = SmashConfig::default().with_dimension_budget_ms(50);
+    let spec = "dimension/whois=delay:200";
+    let report = run_armed(spec, cfg, &flux_trace(), &WhoisRegistry::new());
 
     assert!(flux_recovered(&report), "campaigns: {:?}", report.campaigns);
     match report.health.status_of(DimensionKind::Whois) {
@@ -187,15 +194,12 @@ fn stalled_dimension_times_out_under_budget_and_is_dropped() {
 #[test]
 fn stalled_dimension_stops_within_twice_its_budget() {
     let _g = locked(&LOCK);
-    failpoint::disarm_all();
     let budget_ms = 200;
-    let cfg = SmashConfig::default()
-        .with_failpoints("dimension/whois/tick=delay:50")
-        .with_dimension_budget_ms(budget_ms);
+    let cfg = SmashConfig::default().with_dimension_budget_ms(budget_ms);
+    let (ds, whois) = (flux_trace(), flux_whois());
     let started = std::time::Instant::now();
-    let report = Smash::new(cfg).run(&flux_trace(), &flux_whois());
+    let report = run_armed("dimension/whois/tick=delay:50", cfg, &ds, &whois);
     let run_wall_ms = started.elapsed().as_millis() as u64;
-    failpoint::disarm_all();
 
     assert!(flux_recovered(&report), "campaigns: {:?}", report.campaigns);
     match report.health.status_of(DimensionKind::Whois) {
@@ -227,10 +231,13 @@ fn stalled_dimension_stops_within_twice_its_budget() {
 #[test]
 fn main_dimension_failure_yields_an_empty_report_not_a_panic() {
     let _g = locked(&LOCK);
-    failpoint::disarm_all();
-    let cfg = SmashConfig::default().with_failpoints("dimension/client=panic");
-    let report = Smash::new(cfg).run(&flux_trace(), &WhoisRegistry::new());
-    failpoint::disarm_all();
+    let spec = "dimension/client=panic";
+    let report = run_armed(
+        spec,
+        SmashConfig::default(),
+        &flux_trace(),
+        &WhoisRegistry::new(),
+    );
 
     assert!(report.campaigns.is_empty());
     assert!(report.kept_servers > 0, "preprocessing still ran");
@@ -242,6 +249,53 @@ fn main_dimension_failure_yields_an_empty_report_not_a_panic() {
     }
     // Every secondary is accounted for as not-run.
     assert_eq!(report.health.degraded_dimensions().len(), 7);
+}
+
+/// `RunHealth` lists the whole roster, in pipeline order, whichever way
+/// the run went: a default run, a run with the three §VI extensions on,
+/// and a run whose main dimension died.
+#[test]
+fn health_lists_every_dimension_in_roster_order() {
+    use DimensionKind::*;
+    use DimensionStatus::{Disabled, Failed, Ok};
+    let _g = locked(&LOCK);
+    let (ds, whois) = (flux_trace(), flux_whois());
+    let statuses = |report: SmashReport| -> Vec<(DimensionKind, DimensionStatus)> {
+        let health = report.health.dimensions.into_iter();
+        health.map(|d| (d.kind, d.status)).collect()
+    };
+
+    let default = run_armed("", SmashConfig::default(), &ds, &whois);
+    let base = vec![(Client, Ok), (UriFile, Ok), (IpSet, Ok), (Whois, Ok)];
+    let off = [
+        (ParamPattern, Disabled),
+        (Timing, Disabled),
+        (Payload, Disabled),
+    ];
+    assert_eq!(statuses(default), [base.clone(), off.to_vec()].concat());
+
+    let extended = SmashConfig::default()
+        .with_param_pattern_dimension(true)
+        .with_timing_dimension(true)
+        .with_payload_dimension(true);
+    let extended = run_armed("", extended, &ds, &whois);
+    let on = [(ParamPattern, Ok), (Timing, Ok), (Payload, Ok)];
+    assert_eq!(statuses(extended), [base, on.to_vec()].concat());
+
+    // Disabled dimensions are reported as not run too.
+    let aborted = run_armed(
+        "dimension/client=panic",
+        SmashConfig::default(),
+        &ds,
+        &whois,
+    );
+    let reason = "failpoint `dimension/client` triggered: injected panic".to_owned();
+    let mut expected = vec![(Client, Failed { reason })];
+    for kind in [UriFile, IpSet, Whois, ParamPattern, Timing, Payload] {
+        let reason = "not run: main dimension failed".to_owned();
+        expected.push((kind, Failed { reason }));
+    }
+    assert_eq!(statuses(aborted), expected);
 }
 
 #[test]

@@ -85,3 +85,20 @@ fn payload_dimension_is_a_pure_addition() {
         .any(|dims| dims.contains(&DimensionKind::Payload));
     assert!(payload_touched, "payload dimension never contributed");
 }
+
+/// `smash generate` writes `raw_records()`: re-ingesting them must keep
+/// the response sizes the payload dimension reads.
+#[test]
+fn raw_records_keep_a_generated_scenarios_response_sizes() {
+    let data = Scenario::small_day(7).generate();
+    let sizes = data.dataset.columns().resp_bytes();
+    assert!(sizes.iter().any(|&b| b > 0), "the scenario carries sizes");
+    let again = TraceDataset::from_records(data.dataset.raw_records());
+    let kept = again.columns().resp_bytes();
+    let lost = sizes.iter().zip(kept).filter(|(a, b)| a != b).count();
+    assert_eq!(
+        (kept.len(), lost),
+        (sizes.len(), 0),
+        "sizes lost on re-ingest"
+    );
+}
