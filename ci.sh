@@ -28,8 +28,9 @@
 #                                             trace; then the day must fail
 #                                             closed at the CLI: one flipped
 #                                             payload byte, one byte cut off,
-#                                             or the previous version number
-#                                             are each refused by name, never
+#                                             or either of the two previous
+#                                             version numbers are each
+#                                             refused by name, never
 #                                             mined (DESIGN.md §12.4); and a
 #                                             trace of many reader chunks
 #                                             (day2011, ≈ 7.4 MB) preprocesses
@@ -40,7 +41,7 @@
 #                                             (`taskset -c 0`: the loader's
 #                                             threads all run inline) and
 #                                             unpinned, with identical stdout
-#                                             and report, and the three
+#                                             and report, and the four
 #                                             refusals repeat pinned
 #                                             (DESIGN.md §12.4); and under
 #                                             `--idf 20` every server of every
@@ -181,9 +182,12 @@ printf "\\$(printf '%03o' "$((last ^ 1))")" \
 refused "$remine_dir/flipped.day" "day file corrupt: checksum mismatch"
 head -c "$((day_bytes - 1))" "$remine_dir/trace.day" >"$remine_dir/short.day"
 refused "$remine_dir/short.day" "day file corrupt"
-cp "$remine_dir/trace.day" "$remine_dir/v2.day"
-printf '\002\000\000\000' | dd of="$remine_dir/v2.day" bs=1 seek=8 conv=notrunc status=none
-refused "$remine_dir/v2.day" "version 2 not supported (this build reads 3)"
+for old in 2 3; do
+    cp "$remine_dir/trace.day" "$remine_dir/v$old.day"
+    printf "\\00$old\\000\\000\\000" \
+        | dd of="$remine_dir/v$old.day" bs=1 seek=8 conv=notrunc status=none
+    refused "$remine_dir/v$old.day" "version $old not supported (this build reads 4)"
+done
 # The step's trace is one 256 KiB reader chunk; day2011 is ≈ 30. Its
 # CRLF copy, with a blank and a whitespace-only line every 100 records,
 # moves every chunk edge, and must still give the same day, byte for byte.
@@ -207,7 +211,8 @@ if command -v taskset >/dev/null; then
     cmp "$remine_dir/unpinned.untimed" "$remine_dir/pinned.untimed"
     refused "$remine_dir/flipped.day" "day file corrupt: checksum mismatch"
     refused "$remine_dir/short.day" "day file corrupt"
-    refused "$remine_dir/v2.day" "version 2 not supported (this build reads 3)"
+    refused "$remine_dir/v2.day" "version 2 not supported (this build reads 4)"
+    refused "$remine_dir/v3.day" "version 3 not supported (this build reads 4)"
     pin=""
 else
     echo "day smoke: taskset not found, skipping the one-CPU load comparison"

@@ -51,7 +51,7 @@ impl ServerFeatures {
         let (label, risky_zone) = match dataset.server_key(server) {
             None => (String::new(), false),
             Some(ServerKey::Domain(d)) => {
-                let label = d.split('.').next().unwrap_or(d).to_string();
+                let label = d.split('.').next().unwrap_or_default().to_string();
                 let risky = d.ends_with(".info")
                     || d.ends_with(".biz")
                     || d.ends_with(".cc")

@@ -31,8 +31,7 @@ impl Dimension for WhoisDimension {
                 let rec = ctx
                     .dataset
                     .server_key(server)
-                    .and_then(|k| k.domain())
-                    .and_then(|d| ctx.whois.get(d));
+                    .and_then(|k| ctx.whois.get(k.domain()?));
                 let mut values = Vec::new();
                 if let Some(r) = rec {
                     values.extend(r.registrant.iter().map(|v| format!("r:{v}")));

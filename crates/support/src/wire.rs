@@ -2,8 +2,8 @@
 //! day (`smash-trace::day`), the serve WAL and the serve snapshot.
 //!
 //! A minimal little-endian wire format for the handful of types those
-//! files store: fixed-width integers and floats, length-prefixed
-//! strings and vectors, nothing self-describing. The envelope
+//! files store: fixed-width integers, length-prefixed strings and
+//! vectors, nothing self-describing. The envelope
 //! around a payload ([`crate::envelope`]) carries the format version
 //! and a checksum, so decoders here only ever see bytes that already
 //! checksummed clean — but the checksum is not keyed, so a crafted file
@@ -12,9 +12,8 @@
 //! the bytes it was given could encode.
 //!
 //! Layout rules:
-//! - `u16`/`u32`/`u64`/`f64` (via `to_bits`): fixed-width little-endian.
+//! - `u16`/`u32`/`u64`: fixed-width little-endian.
 //! - `usize`: encoded as `u64`.
-//! - `bool`: one byte, `0` or `1`; anything else is an error.
 //! - `String`: `u64` byte length, then UTF-8 bytes.
 //! - `Vec<T>`: `u64` element count, then each element in order. The
 //!   elements go through [`ToWire::wire_all`] / [`FromWire::read_all`],
@@ -280,34 +279,6 @@ impl FromWire for usize {
     }
 }
 
-impl ToWire for f64 {
-    fn wire(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-}
-
-impl FromWire for f64 {
-    fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(f64::from_bits(u64::from_le_bytes(r.array::<8>()?)))
-    }
-}
-
-impl ToWire for bool {
-    fn wire(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
-    }
-}
-
-impl FromWire for bool {
-    fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.array::<1>()? {
-            [0] => Ok(false),
-            [1] => Ok(true),
-            [b] => Err(WireError(format!("bool byte {b:#04x}"))),
-        }
-    }
-}
-
 impl ToWire for str {
     fn wire(&self, out: &mut Vec<u8>) {
         (self.len() as u64).wire(out);
@@ -348,30 +319,6 @@ impl<T: FromWire> FromWire for Vec<T> {
         let len = r.length()?;
         T::read_all(r, len)
     }
-}
-
-/// Implements [`ToWire`]/[`FromWire`] for a struct by encoding its
-/// fields in declaration order — the wire twin of `impl_json_struct!`,
-/// for types whose fields are all wire-encodable source data (no
-/// derived state).
-#[macro_export]
-macro_rules! impl_wire_struct {
-    ($name:ident { $($field:ident),+ $(,)? }) => {
-        impl $crate::wire::ToWire for $name {
-            fn wire(&self, out: &mut Vec<u8>) {
-                $( $crate::wire::ToWire::wire(&self.$field, out); )+
-            }
-        }
-        impl $crate::wire::FromWire for $name {
-            fn from_wire(
-                r: &mut $crate::wire::Reader<'_>,
-            ) -> Result<Self, $crate::wire::WireError> {
-                Ok($name {
-                    $( $field: $crate::wire::FromWire::from_wire(r)?, )+
-                })
-            }
-        }
-    };
 }
 
 #[cfg(test)]
@@ -468,9 +415,6 @@ mod tests {
         assert_eq!(decode::<u32>(&encode(&7u32)).unwrap(), 7);
         assert_eq!(decode::<u64>(&encode(&u64::MAX)).unwrap(), u64::MAX);
         assert_eq!(decode::<usize>(&encode(&42usize)).unwrap(), 42);
-        assert!(decode::<bool>(&encode(&true)).unwrap());
-        let x = -0.125f64;
-        assert_eq!(decode::<f64>(&encode(&x)).unwrap().to_bits(), x.to_bits());
     }
 
     #[test]
@@ -508,27 +452,9 @@ mod tests {
     }
 
     #[test]
-    fn invalid_bool_and_utf8_are_errors() {
-        assert!(decode::<bool>(&[2]).is_err());
+    fn invalid_utf8_is_an_error() {
         let mut bytes = 2u64.to_le_bytes().to_vec();
         bytes.extend_from_slice(&[0xff, 0xfe]);
         assert!(decode::<String>(&bytes).is_err());
-    }
-
-    struct Pair {
-        a: u32,
-        b: String,
-    }
-    impl_wire_struct!(Pair { a, b });
-
-    #[test]
-    fn struct_macro_round_trips() {
-        let p = Pair {
-            a: 9,
-            b: "x".to_owned(),
-        };
-        let back: Pair = decode(&encode(&p)).unwrap();
-        assert_eq!(back.a, 9);
-        assert_eq!(back.b, "x");
     }
 }

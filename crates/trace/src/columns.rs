@@ -46,7 +46,6 @@ fn col_to_opt(v: u32) -> Option<u32> {
 ///     timestamp: 7,
 ///     client: 0,
 ///     server: 0,
-///     host: 0,
 ///     ip: 0,
 ///     file: 0,
 ///     path: 0,
@@ -66,7 +65,6 @@ pub struct RecordColumns {
     timestamps: Vec<u64>,
     clients: Vec<u32>,
     servers: Vec<u32>,
-    hosts: Vec<u32>,
     ips: Vec<u32>,
     files: Vec<u32>,
     paths: Vec<u32>,
@@ -79,8 +77,8 @@ pub struct RecordColumns {
 }
 
 /// Payload bytes of one record across all columns: one `u64`, one
-/// `u16`, and eleven `u32` cells.
-pub const ROW_BYTES: u64 = 8 + 2 + 11 * 4;
+/// `u16`, and ten `u32` cells.
+pub const ROW_BYTES: u64 = 8 + 2 + 10 * 4;
 
 impl RecordColumns {
     /// Number of records stored.
@@ -98,7 +96,6 @@ impl RecordColumns {
         self.timestamps.push(r.timestamp);
         self.clients.push(r.client);
         self.servers.push(r.server);
-        self.hosts.push(r.host);
         self.ips.push(r.ip);
         self.files.push(r.file);
         self.paths.push(r.path);
@@ -116,7 +113,6 @@ impl RecordColumns {
             timestamp: *self.timestamps.get(i)?,
             client: *self.clients.get(i)?,
             server: *self.servers.get(i)?,
-            host: *self.hosts.get(i)?,
             ip: *self.ips.get(i)?,
             file: *self.files.get(i)?,
             path: *self.paths.get(i)?,
@@ -194,7 +190,6 @@ wire_columns!(
     timestamps,
     clients,
     servers,
-    hosts,
     ips,
     files,
     paths,
@@ -207,13 +202,13 @@ wire_columns!(
 );
 
 impl RecordColumns {
-    /// The arena from its thirteen decoded columns in wire order (the
-    /// nine id columns from `clients` to `referrers` as `ids`), refusing
+    /// The arena from its twelve decoded columns in wire order (the
+    /// eight id columns from `clients` to `referrers` as `ids`), refusing
     /// ragged lengths — a corrupted but checksum-colliding envelope must
     /// not produce a half-readable arena.
     pub(crate) fn from_wire_columns(
         timestamps: Vec<u64>,
-        ids: [Vec<u32>; 9],
+        ids: [Vec<u32>; 8],
         statuses: Vec<u16>,
         resp_bytes: Vec<u32>,
         redirects: Vec<u32>,
@@ -228,13 +223,11 @@ impl RecordColumns {
             return Err(WireError("ragged record columns".to_owned()));
         }
         // lint:allow(index): an array pattern, not an indexing site
-        let [clients, servers, hosts, ips, files, paths, param_patterns, user_agents, referrers] =
-            ids;
+        let [clients, servers, ips, files, paths, param_patterns, user_agents, referrers] = ids;
         Ok(RecordColumns {
             timestamps,
             clients,
             servers,
-            hosts,
             ips,
             files,
             paths,
@@ -247,15 +240,14 @@ impl RecordColumns {
         })
     }
 
-    /// The ten id columns in wire order: clients, servers, hosts, IPs,
+    /// The nine id columns in wire order: clients, servers, IPs,
     /// files, paths, parameter patterns, user agents, then the two
     /// optional server ids — referrers and redirect targets — which
     /// hold [`NO_ID`] where a record has none.
-    pub(crate) fn id_columns(&self) -> [&[u32]; 10] {
+    pub(crate) fn id_columns(&self) -> [&[u32]; 9] {
         [
             &self.clients,
             &self.servers,
-            &self.hosts,
             &self.ips,
             &self.files,
             &self.paths,
@@ -276,7 +268,6 @@ mod tests {
             timestamp: i,
             client: i as u32,
             server: 0,
-            host: 1,
             ip: 2,
             file: 3,
             path: 4,
@@ -315,7 +306,6 @@ mod tests {
         let ids = [
             &cols.clients,
             &cols.servers,
-            &cols.hosts,
             &cols.ips,
             &cols.files,
             &cols.paths,

@@ -24,8 +24,6 @@ pub struct CompactRecord {
     pub client: u32,
     /// Aggregated server id (second-level domain or IP).
     pub server: ServerId,
-    /// Interned full host name (pre-aggregation).
-    pub host: u32,
     /// Interned server IP.
     pub ip: u32,
     /// Interned URI file (`""` for directory requests).
@@ -75,8 +73,6 @@ pub struct CompactRecord {
 pub struct TraceDataset {
     clients: Interner,
     servers: Interner,
-    server_keys: Vec<ServerKey>,
-    hosts: Interner,
     ips: Interner,
     files: Interner,
     paths: Interner,
@@ -96,8 +92,6 @@ impl ToWire for TraceDataset {
     fn wire(&self, out: &mut Vec<u8>) {
         self.clients.wire(out);
         self.servers.wire(out);
-        self.server_keys.wire(out);
-        self.hosts.wire(out);
         self.ips.wire(out);
         self.files.wire(out);
         self.paths.wire(out);
@@ -127,8 +121,6 @@ impl FromWire for TraceDataset {
 enum Section {
     /// A symbol table ([`Interner`]).
     Table,
-    /// The server keys.
-    Keys,
     /// The `u64` timestamp column.
     Wide,
     /// A `u32` column.
@@ -139,14 +131,13 @@ enum Section {
     Postings,
 }
 
-/// The 27 sections of a dataset payload, in wire order: the eight
-/// symbol tables with the server keys third, the thirteen record
-/// columns, the five posting tables.
-const SECTIONS: [Section; 27] = {
-    use Section::{Cells, Keys, Narrow, Postings, Table, Wide};
+/// The 24 sections of a dataset payload, in wire order: the seven
+/// symbol tables, the twelve record columns, the five posting tables.
+const SECTIONS: [Section; 24] = {
+    use Section::{Cells, Narrow, Postings, Table, Wide};
     [
-        Table, Table, Keys, Table, Table, Table, Table, Table, Table, //
-        Wide, Cells, Cells, Cells, Cells, Cells, Cells, Cells, Cells, Cells, Narrow, Cells, Cells,
+        Table, Table, Table, Table, Table, Table, Table, //
+        Wide, Cells, Cells, Cells, Cells, Cells, Cells, Cells, Cells, Narrow, Cells, Cells,
         Postings, Postings, Postings, Postings, Postings,
     ]
 };
@@ -155,7 +146,6 @@ const SECTIONS: [Section; 27] = {
 #[derive(Debug)]
 enum Decoded {
     Table(Interner),
-    Keys(Vec<ServerKey>),
     Wide(Vec<u64>),
     Cells(Vec<u32>),
     Narrow(Vec<u16>),
@@ -163,7 +153,7 @@ enum Decoded {
 }
 
 impl Section {
-    /// Whether this is one of the thirteen record columns.
+    /// Whether this is one of the twelve record columns.
     fn is_column(self) -> bool {
         matches!(self, Section::Wide | Section::Cells | Section::Narrow)
     }
@@ -172,7 +162,6 @@ impl Section {
     fn decode(self, r: &mut Reader<'_>) -> Result<Decoded, WireError> {
         Ok(match self {
             Section::Table => Decoded::Table(Interner::from_wire(r)?),
-            Section::Keys => Decoded::Keys(Vec::from_wire(r)?),
             Section::Wide => Decoded::Wide(Vec::from_wire(r)?),
             Section::Cells => Decoded::Cells(Vec::from_wire(r)?),
             Section::Narrow => Decoded::Narrow(Vec::from_wire(r)?),
@@ -180,10 +169,9 @@ impl Section {
         })
     }
 
-    /// Steps over one section reading only its length prefixes (the
-    /// server keys, a few thousand, are decoded: their tags decide their
-    /// lengths). Fails wherever [`decode`](Self::decode) would fail on
-    /// the structure; content checks are left to the decode.
+    /// Steps over one section reading only its length prefixes. Fails
+    /// wherever [`decode`](Self::decode) would fail on the structure;
+    /// content checks are left to the decode.
     fn skip(self, r: &mut Reader<'_>) -> Result<(), WireError> {
         let cells = |r: &mut Reader<'_>, width: usize| {
             let len = r.length()?;
@@ -195,7 +183,6 @@ impl Section {
                     cells(r, 1)?;
                 }
             }
-            Section::Keys => drop(Vec::<ServerKey>::from_wire(r)?),
             Section::Wide => cells(r, 8)?,
             Section::Cells => cells(r, 4)?,
             Section::Narrow => cells(r, 2)?,
@@ -233,8 +220,6 @@ fn assemble(
     Ok(TraceDataset {
         clients: take!(Table),
         servers: take!(Table),
-        server_keys: take!(Keys),
-        hosts: take!(Table),
         ips: take!(Table),
         files: take!(Table),
         paths: take!(Table),
@@ -242,7 +227,7 @@ fn assemble(
         user_agents: take!(Table),
         cols: {
             let timestamps = take!(Wide);
-            let mut ids: [Vec<u32>; 9] = Default::default();
+            let mut ids: [Vec<u32>; 8] = Default::default();
             for id in &mut ids {
                 *id = take!(Cells);
             }
@@ -325,7 +310,6 @@ impl Appender<'_> {
             timestamp: r.timestamp,
             client: ds.clients.intern(&r.client),
             server,
-            host: ds.hosts.intern(&r.host),
             ip,
             file: ds.files.intern(file),
             path: ds.paths.intern(uri_path(&r.uri)),
@@ -353,7 +337,6 @@ impl Appender<'_> {
             local.iter().map(|(_, s)| global.intern(s)).collect()
         };
         let clients = remap(&chunk.clients, &mut ds.clients);
-        let hosts = remap(&chunk.hosts, &mut ds.hosts);
         let files = remap(&chunk.files, &mut ds.files);
         let paths = remap(&chunk.paths, &mut ds.paths);
         let params = remap(&chunk.params, &mut ds.params);
@@ -373,7 +356,6 @@ impl Appender<'_> {
                     timestamp: row.timestamp,
                     client: global(&clients, row.client)?,
                     server: global(&servers, row.server)?,
-                    host: global(&hosts, row.host)?,
                     ip: global(&ips, row.ip)?,
                     file: global(&files, row.file)?,
                     path: global(&paths, row.path)?,
@@ -469,7 +451,6 @@ fn intern_param_pattern(params: &mut Interner, uri: &str) -> u32 {
 pub(crate) struct ChunkArena {
     clients: Interner,
     names: Interner,
-    hosts: Interner,
     ips: Vec<Ipv4Addr>,
     ip_ids: HashMap<Ipv4Addr, u32>,
     files: Interner,
@@ -485,7 +466,6 @@ impl ChunkArena {
         let tables = [
             &mut self.clients,
             &mut self.names,
-            &mut self.hosts,
             &mut self.files,
             &mut self.paths,
             &mut self.params,
@@ -514,7 +494,6 @@ impl ChunkArena {
             timestamp: r.timestamp,
             client: self.clients.intern(&r.client),
             server,
-            host: self.hosts.intern(&r.host),
             ip,
             file: self.files.intern(uri_file(&r.uri)),
             path: self.paths.intern(uri_path(&r.uri)),
@@ -569,7 +548,7 @@ impl TraceDataset {
     /// Decodes a day payload — all of it, trailing bytes refused — on
     /// two threads (DESIGN.md §12.4). One pass over the length prefixes
     /// finds where each [`Section`] ends; the record columns then decode
-    /// beside the symbol tables, keys and postings ([`par::join`]), each
+    /// beside the symbol tables and postings ([`par::join`]), each
     /// section from its start exactly as the sequential reader would
     /// meet it, and [`assemble`] takes the results in wire order, so the
     /// verdict is the sequential reader's: the first failing section's
@@ -623,14 +602,7 @@ impl TraceDataset {
     }
 
     fn intern_server(&mut self, host: &str) -> ServerId {
-        let key = ServerKey::from_host(host);
-        let name = key.to_string();
-        let before = self.servers.len();
-        let id = self.servers.intern(&name);
-        if self.servers.len() > before {
-            self.server_keys.push(key);
-        }
-        id
+        self.servers.intern(&ServerKey::from_host(host).to_string())
     }
 
     /// Extends every posting table to cover all interned server ids.
@@ -717,12 +689,11 @@ impl TraceDataset {
         &self.cols
     }
 
-    /// The eight symbol tables, in wire order.
-    fn tables(&self) -> [&Interner; 8] {
+    /// The seven symbol tables, in wire order.
+    fn tables(&self) -> [&Interner; 7] {
         [
             &self.clients,
             &self.servers,
-            &self.hosts,
             &self.ips,
             &self.files,
             &self.paths,
@@ -754,12 +725,13 @@ impl TraceDataset {
 
     /// FNV-1a fingerprint of the dataset (`fnv1a:<16 hex digits>`).
     ///
-    /// Hashes the wire form of the symbol tables, server keys, and the
-    /// column arena in one streaming pass through a buffer of a few
-    /// KiB — no serialized copy of the dataset is materialized. The
-    /// postings are derived from the columns deterministically, so they
-    /// contribute nothing new and are skipped. A day file's round trip
-    /// is checked against it (`load_day(save_day(ds))`).
+    /// Hashes the wire form of the symbol tables and the column arena
+    /// in one streaming pass through a buffer of a few KiB — no
+    /// serialized copy of the dataset is materialized. The postings are
+    /// derived from the columns deterministically, so they contribute
+    /// nothing new and are skipped; so are the server keys, which are
+    /// the server names parsed back. A day file's round trip is checked
+    /// against it (`load_day(save_day(ds))`).
     pub fn fingerprint(&self) -> String {
         use smash_support::ckpt::{fingerprint_string, Fnv1a};
         let mut h = Fnv1a::new();
@@ -768,15 +740,15 @@ impl TraceDataset {
         for table in self.tables() {
             table.wire_pieces(&mut buf, &mut sink);
         }
-        wire::wire_pieces(&self.server_keys, &mut buf, &mut sink);
         self.cols.wire_pieces(&mut buf, &mut sink);
         fingerprint_string(h.finish())
     }
 
-    /// The [`ServerKey`] of a server id, or `None` for an id this
-    /// dataset never interned.
-    pub fn server_key(&self, id: ServerId) -> Option<&ServerKey> {
-        self.server_keys.get(id as usize)
+    /// The [`ServerKey`] of a server id — its name parsed back, which
+    /// [`validate`](Self::validate) guarantees is the key it was
+    /// interned under — or `None` for an id this dataset never interned.
+    pub fn server_key(&self, id: ServerId) -> Option<ServerKey> {
+        self.servers.resolve_checked(id).map(ServerKey::from_host)
     }
 
     /// The display name of a server id (domain or dotted IP).
@@ -925,23 +897,18 @@ impl TraceDataset {
     }
 
     /// Checks every cross-table invariant of the data-layout contract
-    /// (DESIGN.md §12): column ids resolve in their symbol tables,
+    /// (DESIGN.md §12): every server name is its own aggregate (the
+    /// [`ServerKey`] of a host, as [`server_key`](Self::server_key)
+    /// derives it back), column ids resolve in their symbol tables,
     /// postings cover exactly the interned servers, sorted postings are
     /// sorted and deduplicated, and record postings index real records.
     /// The `SMSHCOLS` loader runs this on every decoded day, so a file
     /// that checksums clean but lies structurally is still rejected.
     pub fn validate(&self) -> Result<(), String> {
         let n_servers = self.servers.len();
-        if self.server_keys.len() != n_servers {
-            return Err(format!(
-                "{} server keys for {n_servers} servers",
-                self.server_keys.len()
-            ));
-        }
-        for (id, key) in self.server_keys.iter().enumerate() {
-            let name = self.servers.resolve_checked(id as u32);
-            if name != Some(key.to_string().as_str()) {
-                return Err(format!("server key {id} does not match its interned name"));
+        for (id, name) in self.servers.iter() {
+            if ServerKey::from_host(name).to_string() != name {
+                return Err(format!("server {id} is not named by its aggregate"));
             }
         }
         let in_range = |col: &[u32], len: usize, what: &str| -> Result<(), String> {
@@ -957,7 +924,6 @@ impl TraceDataset {
         let limits = [
             self.clients.len(),
             n_servers,
-            self.hosts.len(),
             self.ips.len(),
             self.files.len(),
             self.paths.len(),
@@ -968,7 +934,7 @@ impl TraceDataset {
         ];
         let columns: Vec<_> = c.id_columns().into_iter().zip(limits).enumerate().collect();
         let flagged = par::par_map(&columns, |&(i, (col, len))| {
-            let optional = i >= 8;
+            let optional = i >= 7;
             col.iter()
                 .position(|&id| id as usize >= len && !(optional && id == NO_ID))
         });
@@ -1045,6 +1011,51 @@ mod tests {
             .server_key(ds.server_id("1.2.3.4").unwrap())
             .unwrap()
             .is_ip());
+    }
+
+    #[test]
+    fn a_records_server_key_is_the_key_of_its_raw_host() {
+        let hosts = [
+            "10.0.0.1",
+            "10.0.0.1.",
+            "WWW.Shop.COM",
+            "shop.com.",
+            "img.shop.com",
+            "A.B.Co.UK.",
+            "192.168.001.7",
+            "localhost",
+            "",
+        ];
+        let ds = TraceDataset::from_records(
+            hosts
+                .iter()
+                .map(|&host| rec("c1", host, "1.1.1.1", "/").with_referrer(host)),
+        );
+        assert!(ds.validate().is_ok(), "{:?}", ds.validate());
+        for (r, &host) in ds.records().zip(&hosts) {
+            assert_eq!(ds.server_key(r.server), Some(ServerKey::from_host(host)));
+            assert_eq!(r.referrer, Some(r.server));
+        }
+        assert_eq!(ds.server_key(ds.server_count() as ServerId), None);
+    }
+
+    #[test]
+    fn a_server_name_that_is_not_its_own_aggregate_is_refused() {
+        let mut ds = TraceDataset::from_records(vec![
+            rec("c1", "a.x.com", "1.1.1.1", "/f.php"),
+            rec("c2", "1.2.3.4", "1.2.3.4", "/"),
+        ]);
+        assert!(ds.validate().is_ok());
+        for lie in ["WWW.X.COM", "www.x.com", "x.com.", "01.2.3.4"] {
+            ds.servers = Interner::new();
+            ds.servers.intern("x.com");
+            ds.servers.intern(lie);
+            assert_eq!(
+                ds.validate(),
+                Err("server 1 is not named by its aggregate".to_owned()),
+                "{lie}"
+            );
+        }
     }
 
     #[test]
@@ -1165,12 +1176,12 @@ mod tests {
         // A late column's early record beats an early column's late one,
         // and a redirect past the server table counts like any id.
         let record = |i: usize| Err(format!("record {i} has an out-of-range interned id"));
-        assert_eq!(with(&[(2, 2, 99), (7, 1, 99)]), record(1));
-        assert_eq!(with(&[(4, 2, 99), (9, 0, 99)]), record(0));
-        assert_eq!(with(&[(9, 1, NO_ID)]), Ok(()));
+        assert_eq!(with(&[(2, 2, 99), (6, 1, 99)]), record(1));
+        assert_eq!(with(&[(3, 2, 99), (8, 0, 99)]), record(0));
+        assert_eq!(with(&[(8, 1, NO_ID)]), Ok(()));
         // The client and server columns are checked first and by value.
         assert_eq!(
-            with(&[(7, 0, 99), (1, 2, 77)]),
+            with(&[(6, 0, 99), (1, 2, 77)]),
             Err("server id 77 out of range (table len 4)".to_owned())
         );
     }
@@ -1200,13 +1211,12 @@ mod tests {
             HttpRecord::new(9, "c2", "1.2.3.4", "1.2.3.4", "/dir/").with_status(404),
             HttpRecord::new(11, "c2", "b.x.com", "1.1.1.2", "/g.gif").with_redirect_to("z.com"),
         ]);
-        // Streamed in pieces, it is still FNV-1a over the tables, the
-        // server keys and the columns as `wire` lays them out whole…
+        // Streamed in pieces, it is still FNV-1a over the tables and the
+        // columns as `wire` lays them out whole…
         let mut whole = Vec::new();
         for table in ds.tables() {
             table.wire(&mut whole);
         }
-        ds.server_keys.wire(&mut whole);
         ds.cols.wire(&mut whole);
         let hashed = smash_support::ckpt::fnv1a(&whole);
         assert_eq!(
@@ -1215,7 +1225,7 @@ mod tests {
         );
         // …and pinned, so a layout or codec change that moves it cannot
         // land unnoticed.
-        assert_eq!(ds.fingerprint(), "fnv1a:c580ce26925ce738");
+        assert_eq!(ds.fingerprint(), "fnv1a:3cbe524a9b2ba0e8");
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! [`DayError::Version`] carrying the number the file held, never a
 //! best-effort parse. Layout changes bump the version (v1 was a
 //! hand-rolled frame with a trailing checksum, v2 the shared envelope
-//! under a byte-serial checksum; v3 is v2's payload, byte for byte,
-//! under the envelope's word-wise checksum) and same-version additions
-//! are forbidden (the wire codec rejects trailing bytes). A day file is
-//! a regenerable cache: an older one is refused by number and
-//! `smash preprocess` writes it again.
+//! under a byte-serial checksum, v3 v2's payload, byte for byte, under
+//! the envelope's word-wise checksum; v4 drops v3's raw-host table and
+//! column and its server keys, which are derived from the server names)
+//! and same-version additions are forbidden (the wire codec rejects
+//! trailing bytes). A day file is a regenerable cache: an older one is
+//! refused by number and `smash preprocess` writes it again.
 
 use crate::dataset::TraceDataset;
 use smash_support::ckpt;
@@ -44,7 +45,7 @@ use std::path::Path;
 pub const MAGIC: &[u8; 8] = b"SMSHCOLS";
 
 /// Current (and only) layout version this reader/writer speaks.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// The envelope stage name of a day payload.
 pub const STAGE: &str = "day";

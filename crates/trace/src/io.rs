@@ -50,7 +50,7 @@ pub struct IngestReport {
     pub lines: usize,
     /// Records successfully decoded.
     pub records: usize,
-    /// Lines longer than [`IngestOptions::max_line_bytes`].
+    /// Lines longer than [`MAX_LINE_BYTES`].
     pub oversized: usize,
     /// Lines that were not valid UTF-8 JSON.
     pub bad_json: usize,
@@ -102,14 +102,6 @@ impl IngestReport {
 /// Tuning knobs for ingest.
 #[derive(Debug, Clone)]
 pub struct IngestOptions {
-    /// Lines longer than this are rejected without being held: the
-    /// reader keeps at most this many bytes plus one chunk of any line
-    /// (see [`CHUNK_BYTES`]) and reads the rest through to its `\n`,
-    /// streaming it to the quarantine sidecar if there is one. The one
-    /// exception is a line that is still all whitespace past the cap
-    /// while a sidecar is set: it is held until it proves blank
-    /// (skipped) or not (spilled). Default 1 MiB.
-    pub max_line_bytes: usize,
     /// Maximum tolerated [`IngestReport::bad_fraction`]; exceeding it
     /// fails the whole ingest with [`IngestError::BudgetExceeded`].
     /// Default 0.05 — the "dirty trace vs. wrong file" line; 0 is
@@ -129,7 +121,6 @@ pub struct IngestOptions {
 impl Default for IngestOptions {
     fn default() -> Self {
         Self {
-            max_line_bytes: 1 << 20,
             error_budget: 0.05,
             quarantine: None,
             cancel: None,
@@ -150,12 +141,6 @@ impl IngestOptions {
         self
     }
 
-    /// Sets the per-line size cap.
-    pub fn with_max_line_bytes(mut self, n: usize) -> Self {
-        self.max_line_bytes = n;
-        self
-    }
-
     /// Sets the cooperative cancellation token polled during ingest.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -170,6 +155,14 @@ impl IngestOptions {
 /// poll and per-chunk hand-off never show in a profile; small enough
 /// that the chunks in flight cost a few MiB. A constant, not an option.
 pub const CHUNK_BYTES: usize = 256 << 10;
+
+/// Lines longer than this are rejected without being held: the reader
+/// keeps at most this many bytes plus one chunk of any line and reads
+/// the rest through to its `\n`, streaming it to the quarantine sidecar
+/// if there is one. The one exception is a line that is still all
+/// whitespace past the cap while a sidecar is set: it is held until it
+/// proves blank (skipped) or not (spilled). A constant, not an option.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Chunks cut but not yet merged, per worker thread: enough that a
 /// worker finding its next chunk never waits on the merge, few enough
@@ -506,8 +499,13 @@ struct Decoded<T> {
 /// The per-chunk half of the reader, run on a worker: frames the chunk
 /// into lines, classifies each, and pushes the good ones into `out`.
 /// Strict mode stops at the chunk's first bad line, so the tally counts
-/// up to and including it.
-fn decode_chunk<T: Chunk>(bytes: Vec<u8>, mut out: T, opts: &IngestOptions) -> Decoded<T> {
+/// up to and including it. Lines over `max_line_bytes` are oversized.
+fn decode_chunk<T: Chunk>(
+    bytes: Vec<u8>,
+    mut out: T,
+    opts: &IngestOptions,
+    max_line_bytes: usize,
+) -> Decoded<T> {
     let lenient = opts.error_budget > 0.0;
     let keep_bad = opts.quarantine.is_some();
     out.clear();
@@ -524,7 +522,7 @@ fn decode_chunk<T: Chunk>(bytes: Vec<u8>, mut out: T, opts: &IngestOptions) -> D
             continue;
         }
         report.lines += 1;
-        let class = if raw.len() > opts.max_line_bytes {
+        let class = if raw.len() > max_line_bytes {
             &mut report.oversized
         } else {
             match decode_fields(raw) {
@@ -576,6 +574,7 @@ struct Pool<T> {
 /// summed and their records handed to `merge`.
 struct Pipeline<'o, T, M> {
     opts: &'o IngestOptions,
+    max_line_bytes: usize,
     merge: M,
     pool: Option<Pool<T>>,
     report: IngestReport,
@@ -598,7 +597,7 @@ impl<T: Chunk, M: FnMut(&mut T)> Pipeline<'_, T, M> {
     fn submit(&mut self, bytes: Vec<u8>) -> Result<(), IngestError> {
         let out = self.spent.pop().unwrap_or_default();
         let Some(pool) = &mut self.pool else {
-            let decoded = decode_chunk(bytes, out, self.opts);
+            let decoded = decode_chunk(bytes, out, self.opts, self.max_line_bytes);
             return self.absorb(decoded);
         };
         let (done, result) = mpsc::sync_channel(1);
@@ -659,7 +658,7 @@ fn read_more(r: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> io::Result<bool>
 
 /// The reader's front: reads `r` a chunk at a time, cuts each at its
 /// last `\n` and submits it, carrying the partial line into the next
-/// read. A partial line past `max_line_bytes` goes to [`long_line`].
+/// read. A partial line past the cap goes to [`long_line`].
 fn cut<R: Read, T: Chunk, M: FnMut(&mut T)>(
     r: &mut R,
     chunk_bytes: usize,
@@ -691,7 +690,7 @@ fn cut<R: Read, T: Chunk, M: FnMut(&mut T)>(
                 buf.truncate(end);
                 p.submit(std::mem::replace(&mut buf, next))?;
             }
-            None if buf.len() > opts.max_line_bytes => {
+            None if buf.len() > p.max_line_bytes => {
                 // The line reaches the sidecar, if at all, after every
                 // line before it.
                 p.drain()?;
@@ -779,7 +778,7 @@ impl LongLine {
     }
 }
 
-/// Reads a line that outgrew `max_line_bytes` before its `\n` through
+/// Reads a line that outgrew the cap before its `\n` through
 /// to the end, holding at most the cap plus one read of it: `buf` holds
 /// its start on entry and whatever follows its `\n` on return. A line
 /// that trims back under the cap is submitted as a chunk of its own; an
@@ -791,7 +790,7 @@ fn long_line<R: Read, T: Chunk, M: FnMut(&mut T)>(
     buf: &mut Vec<u8>,
     p: &mut Pipeline<'_, T, M>,
 ) -> Result<(), IngestError> {
-    let max = p.opts.max_line_bytes;
+    let max = p.max_line_bytes;
     let mut line = LongLine::default();
     line.feed(buf, max, &mut p.quarantine)?;
     loop {
@@ -824,7 +823,9 @@ fn long_line<R: Read, T: Chunk, M: FnMut(&mut T)>(
     Ok(())
 }
 
-/// The one JSONL reader, in chunks of `chunk_bytes`: cuts the stream,
+/// The one JSONL reader, in chunks of `chunk_bytes` and with lines
+/// capped at `max_line_bytes` (the public readers pass [`CHUNK_BYTES`]
+/// and [`MAX_LINE_BYTES`]; tests pass small ones): cuts the stream,
 /// decodes each chunk into a `T` on [`par::current_num_threads`]
 /// workers (inline on one), and hands the `T`s to `merge` in input
 /// order, counting (and optionally quarantining) malformed lines
@@ -843,6 +844,7 @@ fn ingest<R: Read, T: Chunk>(
     mut r: R,
     opts: &IngestOptions,
     chunk_bytes: usize,
+    max_line_bytes: usize,
     merge: impl FnMut(&mut T),
 ) -> Result<IngestReport, IngestError> {
     failpoint::check("ingest/jsonl").map_err(io::Error::other)?;
@@ -850,6 +852,7 @@ fn ingest<R: Read, T: Chunk>(
     let chunk_bytes = chunk_bytes.max(1);
     let mut p = Pipeline {
         opts,
+        max_line_bytes,
         merge,
         pool: None,
         report: IngestReport::default(),
@@ -877,7 +880,7 @@ fn ingest<R: Read, T: Chunk>(
                         };
                         // A reader that has stopped listening no longer
                         // wants the chunk.
-                        let _ = done.send(decode_chunk(bytes, out, opts));
+                        let _ = done.send(decode_chunk(bytes, out, opts, max_line_bytes));
                     })
                 })
                 .collect();
@@ -931,10 +934,16 @@ pub fn read_jsonl_into<R: Read>(
 ) -> Result<IngestReport, IngestError> {
     let chunks = metrics.counter("ingest/chunks");
     let mut merge = metrics.stopwatch("stage/ingest/merge");
-    ingest(r, opts, CHUNK_BYTES, |chunk: &mut ChunkArena| {
-        chunks.inc();
-        merge.time(|| arena.merge_chunk(chunk));
-    })
+    ingest(
+        r,
+        opts,
+        CHUNK_BYTES,
+        MAX_LINE_BYTES,
+        |chunk: &mut ChunkArena| {
+            chunks.inc();
+            merge.time(|| arena.merge_chunk(chunk));
+        },
+    )
 }
 
 /// Reads JSONL records into a row vector, counting (and optionally
@@ -953,9 +962,15 @@ pub fn read_jsonl_lenient<R: Read>(
     opts: &IngestOptions,
 ) -> Result<(Vec<HttpRecord>, IngestReport), IngestError> {
     let mut out = Vec::new();
-    let report = ingest(r, opts, CHUNK_BYTES, |rows: &mut Vec<HttpRecord>| {
-        out.append(rows);
-    })?;
+    let report = ingest(
+        r,
+        opts,
+        CHUNK_BYTES,
+        MAX_LINE_BYTES,
+        |rows: &mut Vec<HttpRecord>| {
+            out.append(rows);
+        },
+    )?;
     Ok((out, report))
 }
 
@@ -1081,7 +1096,7 @@ mod tests {
             }
             other => panic!("expected BudgetExceeded, got {other:?}"),
         }
-        let mut long = vec![b' '; strict.max_line_bytes];
+        let mut long = vec![b' '; MAX_LINE_BYTES];
         long.extend_from_slice(b"{}\n");
         assert!(read_jsonl(&long[..]).is_err());
     }
@@ -1103,6 +1118,7 @@ mod tests {
     fn per_line_oracle(
         input: &[u8],
         opts: &IngestOptions,
+        max_line_bytes: usize,
     ) -> (TraceDataset, IngestReport, Vec<u8>) {
         let mut ds = TraceDataset::default();
         let mut report = IngestReport::default();
@@ -1118,7 +1134,7 @@ mod tests {
                 continue;
             }
             report.lines += 1;
-            match (raw.len() > opts.max_line_bytes, decode_fields(raw)) {
+            match (raw.len() > max_line_bytes, decode_fields(raw)) {
                 (true, _) => report.oversized += 1,
                 (false, Ok(fields)) => {
                     report.records += 1;
@@ -1137,20 +1153,26 @@ mod tests {
         (ds, report, sidecar)
     }
 
-    /// The chunked reader into an arena, at one chunk size: the arena,
-    /// the tally (from the error, for a blown budget) and the sidecar.
+    /// The chunked reader into an arena, at one chunk size and line
+    /// cap: the arena, the tally (from the error, for a blown budget)
+    /// and the sidecar.
     fn chunked(
         input: &[u8],
         opts: &IngestOptions,
         chunk_bytes: usize,
+        max_line_bytes: usize,
     ) -> (TraceDataset, IngestReport, Vec<u8>) {
         let sidecar = opts.quarantine.as_deref().unwrap();
         std::fs::remove_file(sidecar).ok();
         let mut ds = TraceDataset::default();
         let mut arena = ds.appender();
-        let res = ingest(input, opts, chunk_bytes, |chunk: &mut ChunkArena| {
-            arena.merge_chunk(chunk)
-        });
+        let res = ingest(
+            input,
+            opts,
+            chunk_bytes,
+            max_line_bytes,
+            |chunk: &mut ChunkArena| arena.merge_chunk(chunk),
+        );
         drop(arena);
         let report = match res {
             Ok(report) | Err(IngestError::BudgetExceeded { report, .. }) => report,
@@ -1240,7 +1262,6 @@ mod tests {
             .with_error_budget(1.0)
             .with_quarantine(&sidecar);
         let strict = lenient.clone().with_error_budget(0.0);
-        let narrow = lenient.clone().with_max_line_bytes(100);
         let cases: [(&[u8], Vec<usize>); 3] = [
             (&clean, (1..=48).chain([CHUNK_BYTES]).collect()),
             (&dirty, vec![1, 2, 5, 13, 64, 333, CHUNK_BYTES]),
@@ -1249,11 +1270,16 @@ mod tests {
         for threads in [1, 2, 4] {
             smash_support::par::set_thread_count(threads);
             for (input, chunk_sizes) in &cases {
-                for opts in [&lenient, &strict, &narrow] {
-                    let (want, want_report, want_sidecar) = per_line_oracle(input, opts);
+                // The lenient reader also runs under a 100-byte line cap.
+                for (opts, max) in [
+                    (&lenient, MAX_LINE_BYTES),
+                    (&strict, MAX_LINE_BYTES),
+                    (&lenient, 100),
+                ] {
+                    let (want, want_report, want_sidecar) = per_line_oracle(input, opts, max);
                     for &chunk_bytes in chunk_sizes {
-                        let at = format!("{threads} threads, {chunk_bytes} B chunks");
-                        let (got, report, spilled) = chunked(input, opts, chunk_bytes);
+                        let at = format!("{threads} threads, {chunk_bytes} B chunks, {max} B cap");
+                        let (got, report, spilled) = chunked(input, opts, chunk_bytes, max);
                         assert_eq!(report, want_report, "{at}");
                         assert_eq!(spilled, want_sidecar, "{at}");
                         assert_eq!(got.validate(), Ok(()), "{at}");
@@ -1269,14 +1295,14 @@ mod tests {
             }
             // The owned rows of the other chunk form build the same arena.
             let (rows, _) = read_jsonl_lenient(&hostile[..], &lenient).unwrap();
-            let want = per_line_oracle(&hostile, &lenient).0;
+            let want = per_line_oracle(&hostile, &lenient, MAX_LINE_BYTES).0;
             assert_eq!(
                 TraceDataset::from_records(rows).fingerprint(),
                 want.fingerprint()
             );
         }
         smash_support::par::set_thread_count(0);
-        let (clean_ds, ..) = per_line_oracle(&clean, &strict);
+        let (clean_ds, ..) = per_line_oracle(&clean, &strict, MAX_LINE_BYTES);
         assert_eq!(clean_ds.record_count(), records.len() + 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1324,9 +1350,13 @@ mod tests {
                 };
                 let opts = IngestOptions::default().with_cancel(token);
                 let mut merged = 0;
-                let res = ingest(&mut reader, &opts, 4096, |rows: &mut Vec<HttpRecord>| {
-                    merged += rows.len()
-                });
+                let res = ingest(
+                    &mut reader,
+                    &opts,
+                    4096,
+                    MAX_LINE_BYTES,
+                    |rows: &mut Vec<HttpRecord>| merged += rows.len(),
+                );
                 assert!(matches!(res, Err(IngestError::Cancelled(_))), "{res:?}");
                 // Every record merged ended before the read that fired.
                 let before = reader.before_firing.unwrap();
@@ -1433,10 +1463,12 @@ mod tests {
         write_jsonl(&mut buf, &sample()).unwrap();
         buf.extend_from_slice(&vec![b'x'; 600]);
         buf.push(b'\n');
-        let opts = IngestOptions::default()
-            .with_max_line_bytes(512)
-            .with_error_budget(1.0);
-        let (recs, report) = read_jsonl_lenient(&buf[..], &opts).unwrap();
+        let opts = IngestOptions::default().with_error_budget(1.0);
+        let mut recs = Vec::new();
+        let report = ingest(&buf[..], &opts, CHUNK_BYTES, 512, |rows: &mut Vec<_>| {
+            recs.append(rows)
+        })
+        .unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(report.oversized, 1);
     }

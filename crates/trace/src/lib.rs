@@ -6,9 +6,12 @@
 //! (DESIGN.md §12, the data-layout contract):
 //!
 //! * **Symbol tables** ([`Interner`]) — every string field (client,
-//!   server, host, IP, URI file, path, parameter pattern, user-agent)
-//!   is interned to a dense `u32` id exactly once, at ingest. Inner
-//!   loops downstream compare integers and never hash a raw string.
+//!   server, IP, URI file, path, parameter pattern, user-agent) is
+//!   interned to a dense `u32` id exactly once, at ingest. A raw host
+//!   is kept only as its server (the paper aggregates hosts before any
+//!   equation runs), whose [`ServerKey`] is derived from its name.
+//!   Inner loops downstream compare integers and never hash a raw
+//!   string.
 //! * **Column arena** ([`columns::RecordColumns`]) — records are stored
 //!   one column per field (timestamps, interned ids, statuses, sizes),
 //!   not as row structs; [`CompactRecord`] is the *view* assembled on

@@ -1,6 +1,5 @@
 //! Server identity: second-level-domain aggregation and IP servers.
 
-use smash_support::wire::{FromWire, Reader, ToWire, WireError};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -68,33 +67,6 @@ pub enum ServerKey {
     Domain(String),
     /// A server contacted directly by IPv4 literal.
     Ip(Ipv4Addr),
-}
-
-/// Wire form: a `u32` tag (`0` = Domain, `1` = Ip) then the payload —
-/// the domain string, or the IP as its big-endian `u32` form.
-impl ToWire for ServerKey {
-    fn wire(&self, out: &mut Vec<u8>) {
-        match self {
-            ServerKey::Domain(d) => {
-                0u32.wire(out);
-                d.as_str().wire(out);
-            }
-            ServerKey::Ip(ip) => {
-                1u32.wire(out);
-                u32::from(*ip).wire(out);
-            }
-        }
-    }
-}
-
-impl FromWire for ServerKey {
-    fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u32::from_wire(r)? {
-            0 => Ok(ServerKey::Domain(String::from_wire(r)?)),
-            1 => Ok(ServerKey::Ip(Ipv4Addr::from(u32::from_wire(r)?))),
-            tag => Err(WireError(format!("unknown ServerKey tag {tag}"))),
-        }
-    }
 }
 
 impl ServerKey {
@@ -206,20 +178,5 @@ mod tests {
         let k = ServerKey::from_host("www.shop.example.com");
         assert_eq!(k.to_string(), "example.com");
         assert_eq!(k.domain(), Some("example.com"));
-    }
-
-    #[test]
-    fn wire_round_trips_both_variants() {
-        use smash_support::wire::{decode, encode};
-        for key in [
-            ServerKey::Domain("evil.com".to_owned()),
-            ServerKey::Ip(Ipv4Addr::new(10, 0, 0, 1)),
-        ] {
-            let back: ServerKey = decode(&encode(&key)).unwrap();
-            assert_eq!(back, key);
-        }
-        let mut bad = Vec::new();
-        7u32.wire(&mut bad);
-        assert!(decode::<ServerKey>(&bad).is_err());
     }
 }

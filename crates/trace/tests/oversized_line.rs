@@ -1,4 +1,4 @@
-//! `IngestOptions::max_line_bytes` bounds what the reader holds of a
+//! `io::MAX_LINE_BYTES` bounds what the reader holds of a
 //! line, not just what it decodes: a line far past the cap is counted
 //! `oversized` and read through without ever being resident. A test
 //! binary of its own, so the process's peak RSS is this test's alone.

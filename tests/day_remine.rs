@@ -106,15 +106,15 @@ fn hostile_payload_in_a_valid_envelope_never_panics_or_parses() {
     );
 
     // The envelope checksum is not keyed, so a crafted file can carry
-    // any count it likes. An empty day is 27 zero counts: 9 tables, 13
+    // any count it likes. An empty day is 24 zero counts: 7 tables, 12
     // columns, 5 posting tables. Padded with a MiB of zeros, the first
     // column (`Vec<u64>`) and the first posting table (`Vec<Vec<u32>>`)
     // each claim one element per byte that follows — which passes the
     // count check — and must be refused for their *size* before 8 MiB
     // resp. 24 MiB are reserved on the file's say-so.
     let empty = wire::encode(&TraceDataset::default());
-    assert_eq!(empty, vec![0u8; 27 * 8]);
-    for (count_at, complaint) in [(9 * 8, "cells of 8 bytes exceed"), (22 * 8, "need 8 byte")] {
+    assert_eq!(empty, vec![0u8; 24 * 8]);
+    for (count_at, complaint) in [(7 * 8, "cells of 8 bytes exceed"), (19 * 8, "need 8 byte")] {
         let mut payload = empty.clone();
         payload.resize(empty.len() + (1 << 20), 0);
         let claimed = (payload.len() - count_at - 8) as u64;
@@ -135,7 +135,7 @@ impl Shrink for Damage {}
 #[test]
 fn damaged_real_payloads_get_the_sequential_readers_verdict() {
     // Random bytes fail at the first count; damage to a real payload
-    // reaches every section — strings, keys, columns, postings — and
+    // reaches every section — strings, columns, postings — and
     // may decode clean yet fail validation. Reframed under a valid
     // checksum, each must get the verdict the front-to-back reader
     // gives, with the same message, at every thread count.
@@ -174,24 +174,18 @@ fn an_undecodable_payload_under_a_stale_checksum_reports_the_checksum() {
 }
 
 /// Byte offset of record `record`'s cell in column `column` (0 =
-/// timestamps … 12 = redirects) of a dataset payload, found by walking
+/// timestamps … 11 = redirects) of a dataset payload, found by walking
 /// the length prefixes in front of it.
 fn column_cell(payload: &[u8], column: usize, record: usize) -> usize {
-    const WIDTHS: [usize; 13] = [8, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2, 4, 4];
+    const WIDTHS: [usize; 12] = [8, 4, 4, 4, 4, 4, 4, 4, 4, 2, 4, 4];
     let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
     let mut at = 0;
-    // Eight symbol tables, the server keys third.
-    for section in 0..9 {
+    // Seven symbol tables, each a count and length-prefixed strings.
+    for _ in 0..7 {
         let count = word(at);
         at += 8;
         for _ in 0..count {
-            if section == 2 {
-                let tag = payload[at];
-                at += 4;
-                at += if tag == 0 { 8 + word(at) } else { 4 };
-            } else {
-                at += 8 + word(at);
-            }
+            at += 8 + word(at);
         }
     }
     for width in &WIDTHS[..column] {
@@ -203,10 +197,10 @@ fn column_cell(payload: &[u8], column: usize, record: usize) -> usize {
 #[test]
 fn bad_ids_in_two_columns_report_the_smaller_record_index() {
     let mut payload = wire::encode(&three_records());
-    // Record 2's user agent (column 8) and record 1's file (column 5)
+    // Record 2's user agent (column 7) and record 1's file (column 4)
     // point past their tables; the sweep reports record 1 whichever
     // column it finishes first.
-    for (column, record) in [(8, 2), (5, 1)] {
+    for (column, record) in [(7, 2), (4, 1)] {
         let at = column_cell(&payload, column, record);
         payload[at..at + 4].copy_from_slice(&1000u32.to_le_bytes());
     }
@@ -260,8 +254,8 @@ fn payload_layout_is_pinned() {
     // moves this value owes `VERSION` an increment.
     let framed = frame_day(&three_records());
     let payload = envelope::parse(&framed, MAGIC, VERSION, STAGE).expect("own frame");
-    assert_eq!(payload.len(), 912);
-    assert_eq!(fnv1a(payload), 0x8c0d_b5d4_c53a_0733);
+    assert_eq!(payload.len(), 772);
+    assert_eq!(fnv1a(payload), 0x8fe2_5ab6_ab92_c81f);
 }
 
 #[test]
@@ -284,8 +278,32 @@ fn v2_day_files_fail_closed_by_number() {
     assert_eq!(parse_day(&v2).unwrap_err(), DayError::Version(2));
     assert_eq!(
         DayError::Version(2).to_string(),
-        "day file version 2 not supported (this build reads 3)"
+        "day file version 2 not supported (this build reads 4)"
     );
+}
+
+#[test]
+fn a_server_name_that_is_not_its_own_aggregate_is_invalid_everywhere() {
+    // The day stores each server once, by its aggregated name; its key
+    // is derived from that name on demand. A checksum-valid day whose
+    // server table holds a host that was never aggregated must be
+    // refused, with one message on every load path.
+    let name = |s: &str| [&(s.len() as u64).to_le_bytes()[..], s.as_bytes()].concat();
+    let payload = wire::encode(&three_records());
+    let (honest, lie) = (name("x.com"), name("WWW.X.COM"));
+    let found: Vec<usize> = (0..payload.len())
+        .filter(|&i| payload[i..].starts_with(&honest))
+        .collect();
+    let [at] = found[..] else {
+        panic!("x.com is stored once, in the server table: {found:?}")
+    };
+    let bad = [&payload[..at], &lie, &payload[at + honest.len()..]].concat();
+    let framed = envelope::frame(MAGIC, VERSION, STAGE, &bad).expect("frame");
+    let refused = Err(DayError::Invalid(
+        "server 0 is not named by its aggregate".to_owned(),
+    ));
+    assert_eq!(same_at_every_thread_count(|| verdict(&framed)), refused);
+    assert_eq!(sequential_verdict(&bad), refused);
 }
 
 #[test]
