@@ -19,7 +19,15 @@
 #                                             with 0 campaigns and seven
 #                                             dimension warnings, and with
 #                                             whois killed still infers
-#                                             campaigns, with one warning
+#                                             campaigns, with one warning;
+#                                             `--deadline-ms 500` over a
+#                                             300 ms ingest stall and a
+#                                             300 ms client stall drops the
+#                                             client (one clock from before
+#                                             ingest, DESIGN.md §11); and
+#                                             `--memory-budget-mb` is an
+#                                             unknown flag (exit 2) to
+#                                             `analyze` and `serve`
 #   5. cargo doc --no-deps                    rustdoc gate, warnings are errors
 #   6. preprocess / re-mine diff              `smash preprocess` writes a
 #                                             SMSHCOLS day, then analyzing the
@@ -140,6 +148,23 @@ killed() {
 }
 killed dimension/client '; 0 campaigns inferred$' 7
 killed dimension/whois '; [1-9][0-9]* campaigns inferred$' 1
+# One run deadline covers ingest and mining: neither 300 ms stall alone
+# passes 500 ms, the two together cancel the client.
+SMASH_FAILPOINTS=ingest/jsonl=delay:300,dimension/client=delay:300 "$smash_bin" analyze \
+    "$remine_dir/fault.jsonl" --deadline-ms 500 >"$remine_dir/deadline.out" 2>"$remine_dir/deadline.err" \
+    || { echo "deadline smoke: the process failed"; cat "$remine_dir/deadline.err"; exit 1; }
+grep -q '; 0 campaigns inferred$' "$remine_dir/deadline.out" \
+    || { echo "deadline smoke: campaigns survived the deadline"; cat "$remine_dir/deadline.out"; exit 1; }
+grep -qF 'warning: dimension client dropped: cancelled: governor: run deadline exceeded' \
+    "$remine_dir/deadline.err" \
+    || { echo "deadline smoke: the client was not cancelled by the run deadline"; cat "$remine_dir/deadline.err"; exit 1; }
+# The memory budget is gone: its flag is unknown to both commands.
+for cmd in "analyze $remine_dir/fault.jsonl" "serve --data-dir $remine_dir/serve-flag --stdio"; do
+    status=0
+    # shellcheck disable=SC2086 # the command and its arguments split on purpose
+    "$smash_bin" $cmd --memory-budget-mb 1 </dev/null >/dev/null 2>&1 || status=$?
+    test "$status" -eq 2 || { echo "flag smoke: $cmd --memory-budget-mb exited $status, not 2"; exit 1; }
+done
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps

@@ -65,7 +65,7 @@
 
 use crate::config::LshConfig;
 use crate::incidence::{self, IdIndex};
-use smash_support::governor::{CancelToken, Governor, Rung, StageScope};
+use smash_support::governor::{CancelToken, Governor, StageScope};
 use smash_support::par;
 use std::ops::Range;
 
@@ -96,8 +96,7 @@ impl FeatureId for u32 {
 /// Funnel statistics of one candidate-generation pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CandidateStats {
-    /// Distinct features observed (inverted-index postings); 0 when a
-    /// memory budget made the generator skip the rare path.
+    /// Distinct features observed (inverted-index postings).
     pub features: u64,
     /// LSH buckets skipped because they exceeded `bucket_cap`.
     pub capped_buckets: u64,
@@ -222,11 +221,6 @@ impl BandTable {
             }
         }
         Self { order, pos, starts }
-    }
-
-    /// Every bucket, as its run of positions in `order`.
-    fn buckets(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        bucket_runs(&self.starts, self.order.len())
     }
 
     /// Unpairs every member of a bucket over `cap`; returns the buckets
@@ -359,9 +353,8 @@ impl Mask {
 }
 
 /// Bands [`CandidateScan::lsh`] builds at once at most. The account
-/// charges every build of a batch, so it bounds what is alive whatever
-/// the worker count, and a given budget holds the same bands on every
-/// thread count.
+/// charges every build of a batch, so what is alive at once — and the
+/// stage's tracked peak — is the same on every thread count.
 const BUILD_BATCH: usize = 8;
 
 /// Rows one task of [`CandidateScan::run`] gathers; the task's mask is
@@ -369,8 +362,8 @@ const BUILD_BATCH: usize = 8;
 /// smallest ids, so the tasks stay short enough to balance.
 const ROWS_PER_TASK: usize = 32;
 
-/// The resident candidate state of one stage: the held bands' tables
-/// and the rare path's index, over the borrowed feature sets.
+/// The resident candidate state of one stage: the bands' tables and
+/// the rare path's index, over the borrowed feature sets.
 /// [`run`](Self::run) scans it; the stage account carries
 /// [`charged_bytes`](Self::charged_bytes) until the caller releases
 /// them.
@@ -415,88 +408,35 @@ impl<'a, F: FeatureId, S: AsRef<[F]> + Sync> CandidateScan<'a, F, S> {
         }
     }
 
-    /// MinHash/LSH candidates under governor control. Every feature of
-    /// a node takes part in banding, however popular; features shared
-    /// by 2..=`lsh.rare_cap` nodes also pair exactly.
+    /// MinHash/LSH candidates. Every feature of a node takes part in
+    /// banding, however popular; features shared by 2..=`lsh.rare_cap`
+    /// nodes also pair exactly. Buckets over `lsh.bucket_cap` pair
+    /// nothing.
     ///
-    /// The generator charges every band build while it runs and what
-    /// the scan keeps resident — the band tables and the rare index —
-    /// and under a memory budget walks the first three [`Rung`]s
-    /// (DESIGN.md §11.3), each decided *before*
-    /// the allocation it guards and from charged bytes only, so a given
-    /// (input, budget) pair always degrades identically: it holds as
-    /// many bands as fit ([`Rung::Abandoned`]), fits each band's
-    /// `bucket_cap` to the edges its cliques would become
-    /// ([`Rung::Tightened`]), and skips the rare index when it would not
-    /// fit beside the bands ([`Rung::RareSkipped`]). With no budget no
-    /// rung fires.
+    /// The bands are built in batches of [`BUILD_BATCH`]: a batch's
+    /// builds are charged to `scope` together and shrink to their tables
+    /// once it is done. The account carries the tables and the rare
+    /// index — what the scan keeps resident — until the caller releases
+    /// [`charged_bytes`](Self::charged_bytes).
     // lint:allow(index): lifetime-annotated slice type, not an indexing site
     pub(crate) fn lsh(sets: &'a [S], lsh: &LshConfig, scope: &StageScope) -> Self {
         let eligible = eligible_nodes(sets);
         let (nodes, count) = (sets.len() as u64, eligible.len() as u64);
         let build_bytes = BandTable::build_bytes(nodes, count);
         let table_bytes = BandTable::bytes(nodes, count);
-        let abandon = |band: usize, why: &str| {
-            let event = format!("banding abandoned at band {band}/{}: {why}", lsh.bands);
-            scope.record(Rung::Abandoned, event);
-        };
-        // Why `more` bands built at once beside what the account carries
-        // would not fit: every build of a batch is alive at once, and
-        // each leaves its table behind.
-        let refusal = |more: u64| {
-            let tracked = scope.tracked_bytes();
-            let (soft, hard) = (scope.soft_bytes(), scope.hard_bytes());
-            if hard > 0 && tracked + more * build_bytes > hard {
-                Some("its keys and buckets would cross the hard budget")
-            } else if soft > 0 && tracked + more * table_bytes > soft {
-                Some("its table would not fit under soft beside the bands held")
-            } else {
-                None
-            }
-        };
-
-        // Hold as many bands as fit, built in batches of at most
-        // BUILD_BATCH: a batch is as many more bands as fit built at
-        // once, its builds are charged together and shrink to their
-        // tables once it is done. Fit the cap band by band, in band
-        // order: a lowered cap stays lowered.
         let mut stats = CandidateStats::default();
-        let mut bucket_cap = lsh.bucket_cap;
         let mut bands: Vec<BandTable> = Vec::with_capacity(lsh.bands);
-        'hold: while bands.len() < lsh.bands {
+        let ids: Vec<usize> = (0..lsh.bands).collect();
+        for batch in ids.chunks(BUILD_BATCH) {
             scope.tick();
-            let room = BUILD_BATCH.min(lsh.bands - bands.len()) as u64;
-            let batch = (1..=room)
-                .take_while(|&more| refusal(more).is_none())
-                .count();
-            if batch == 0 {
-                abandon(bands.len(), refusal(1).unwrap_or_default());
-                break;
-            }
-            let ids: Vec<usize> = (bands.len()..).take(batch).collect();
-            scope.charge(batch as u64 * build_bytes);
-            let built = par::par_map_cancellable(&ids, scope.token(), |&band| {
+            let batch_len = batch.len() as u64;
+            scope.charge(batch_len * build_bytes);
+            let built = par::par_map_cancellable(batch, scope.token(), |&band| {
                 BandTable::band(sets, &eligible, band, lsh.rows)
             });
-            scope.release(batch as u64 * (build_bytes - table_bytes));
-            for (left, (band, mut table)) in (0..batch).rev().zip(ids.into_iter().zip(built)) {
-                let sizes = || table.buckets().map(|run| run.len());
-                let Some(fitted) = fit_bucket_cap(scope, sizes, bucket_cap) else {
-                    abandon(
-                        band,
-                        "its cliques would not fit under the hard budget even at the bucket_cap floor",
-                    );
-                    scope.release((left as u64 + 1) * table_bytes);
-                    break 'hold;
-                };
-                if fitted < bucket_cap {
-                    scope.record(
-                        Rung::Tightened,
-                        format!("bucket_cap tightened {bucket_cap} -> {fitted} at band {band}"),
-                    );
-                    bucket_cap = fitted;
-                }
-                let (capped, proposed) = table.cap(bucket_cap);
+            scope.release(batch_len * (build_bytes - table_bytes));
+            for mut table in built {
+                let (capped, proposed) = table.cap(lsh.bucket_cap);
                 stats.capped_buckets += capped;
                 stats.proposed += proposed;
                 bands.push(table);
@@ -589,11 +529,9 @@ impl<'a, F: FeatureId, S: AsRef<[F]> + Sync> CandidateScan<'a, F, S> {
 /// runs, known from slice lengths before it is built (the table beside
 /// them is not charged: `IdIndex` builds the smaller of the two in the
 /// worst case, at most a key and an offset per incidence, which is what
-/// ranking sparse keys always could take). If that would not fit under
-/// soft beside the bands it is never built — banding alone still finds
-/// every pair above the similarity threshold (§10). Counts the index's
-/// features and the clique entries its postings of 2..=`rare_cap` nodes
-/// propose into `stats`; returns the index with its charge.
+/// ranking sparse keys always could take). Counts the index's features
+/// and the clique entries its postings of 2..=`rare_cap` nodes propose
+/// into `stats`; returns the index with its charge.
 fn rare_index<F: FeatureId, S: AsRef<[F]>>(
     sets: &[S],
     rare_cap: usize,
@@ -601,17 +539,9 @@ fn rare_index<F: FeatureId, S: AsRef<[F]>>(
     stats: &mut CandidateStats,
 ) -> Option<(IdIndex<F>, u64)> {
     let bytes: u64 = sets.iter().map(|set| set.as_ref().len() as u64 * 4).sum();
-    let soft = scope.soft_bytes();
-    if soft > 0 && scope.tracked_bytes() + bytes > soft {
-        scope.record(
-            Rung::RareSkipped,
-            format!("rare path skipped: {bytes} posting bytes would not fit under soft"),
-        );
-        return None;
-    }
     scope.charge(bytes);
     scope.tick();
-    let Some(rare) = IdIndex::over(0, sets) else {
+    let Some(rare) = IdIndex::over(sets) else {
         scope.release(bytes);
         return None;
     };
@@ -633,9 +563,9 @@ fn rare_index<F: FeatureId, S: AsRef<[F]>>(
 /// in MinHash banding, so candidacy tracks the full-set Jaccard the
 /// exact scorer will see.
 ///
-/// This is the URI-file dimension's scan under an inert scope — with no
-/// budget a charge is two relaxed adds and a tick one relaxed load, and
-/// no ladder rung can fire — collecting the pairs it visits.
+/// This is the URI-file dimension's scan under an inert scope — a charge
+/// is two relaxed adds and a tick one relaxed load — collecting the
+/// pairs it visits.
 pub fn lsh_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
     node_features: &[S],
     lsh: &LshConfig,
@@ -651,42 +581,6 @@ pub fn lsh_candidates<F: FeatureId, S: AsRef<[F]> + Sync>(
     (pairs, stats)
 }
 
-/// Pairs the cliques of one band's buckets (given by size) propose
-/// under `cap`.
-fn clique_pairs(sizes: impl Iterator<Item = usize>, cap: usize) -> u64 {
-    sizes.filter(|&len| len <= cap).map(pair_universe).sum()
-}
-
-/// Fits `bucket_cap` to one band: the largest cap on the ÷4 ladder
-/// (floor 2) at which the band's cliques, *projected* from its bucket
-/// `sizes`, fit under the soft budget as the [`EDGE_BYTES`] edges they
-/// would become — no single band may propose more pairs than the budget
-/// could keep as edges. A crowd's clique is near-identical sets — every
-/// pair an edge, scoring the same 1.0 a herd's edges do — so once it is
-/// scanned, weight thinning cannot tell it from a herd; the cap is the
-/// only place to refuse it. At the floor the band is kept over soft as
-/// long as it stays under hard; `None` means not even that fits. A lower
-/// cap loses pairs inside degenerate crowds only.
-fn fit_bucket_cap<I: Iterator<Item = usize>>(
-    scope: &StageScope,
-    sizes: impl Fn() -> I,
-    mut cap: usize,
-) -> Option<usize> {
-    if scope.soft_bytes() == 0 {
-        return Some(cap);
-    }
-    loop {
-        let edges = clique_pairs(sizes(), cap) * EDGE_BYTES;
-        if edges <= scope.soft_bytes() {
-            return Some(cap);
-        }
-        if cap <= 2 {
-            return (edges <= scope.hard_bytes()).then_some(cap);
-        }
-        cap = (cap / 4).max(2);
-    }
-}
-
 /// `n·(n−1)/2` — the size of the all-pairs universe over `n` nodes.
 pub fn pair_universe(n: usize) -> u64 {
     let n = n as u64;
@@ -697,7 +591,6 @@ pub fn pair_universe(n: usize) -> u64 {
 mod tests {
     use super::*;
     use smash_support::check::{check, Gen};
-    use smash_support::governor::GovernorOptions;
     use smash_support::rng::{DetRng, Rng, SeedableRng};
 
     fn set_of(rng: &mut DetRng, len: usize, universe: u64) -> Vec<u64> {
@@ -1071,91 +964,6 @@ mod tests {
             assert_eq!(scope.peak_bytes(), peak, "{nodes} nodes");
             assert!(peak < 4 * stats.pairs, "{nodes} nodes: {peak} B");
         }
-    }
-
-    #[test]
-    fn tight_budget_degrades_rung_by_rung_instead_of_cancelling() {
-        // The 600-node dense crowd holds 64 band tables of 4 880 bytes
-        // and a 15 376-byte rare index unconstrained; building a band
-        // takes 7 280. A 30 000-byte budget (soft 24 000) builds four
-        // bands at once (a fifth build would cross hard) and then holds
-        // no fifth table under soft; the cap is fitted to the 1 000
-        // edges soft could keep, and the rare index no longer fits.
-        // With 8 400 one build fits under hard, and its cap is fitted
-        // to 280 edges. Either way the stage completes with a subset of
-        // the pairs, in the same events every time.
-        let sets = dense_crowd(600, 0xD0_5E);
-        let lsh = LshConfig::default();
-        let (all, _) = lsh_candidates(&sets, &lsh);
-        let degrade = |budget: u64| {
-            let governor =
-                Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(budget));
-            let scope = governor.stage("dimension/uri-file", 0);
-            let (pairs, _) = scanned(&sets, &lsh, &scope);
-            assert!(!scope.token().is_cancelled(), "budget {budget}");
-            assert!(scope.peak_bytes() <= budget, "budget {budget}");
-            (pairs, governor.stage_summaries().remove(0))
-        };
-        let mut wider = all.len();
-        for (budget, expected, events) in [
-            (
-                30_000,
-                814,
-                vec![
-                    "bucket_cap tightened 512 -> 32 at band 0",
-                    "bucket_cap tightened 32 -> 8 at band 1",
-                    "banding abandoned at band 4/64: its table would not fit under soft beside the bands held",
-                    "rare path skipped: 15376 posting bytes would not fit under soft",
-                ],
-            ),
-            (
-                8_400,
-                90,
-                vec![
-                    "bucket_cap tightened 512 -> 8 at band 0",
-                    "banding abandoned at band 1/64: its keys and buckets would cross the hard budget",
-                    "rare path skipped: 15376 posting bytes would not fit under soft",
-                ],
-            ),
-        ] {
-            let (pairs, summary) = degrade(budget);
-            assert!(pairs.len() < wider, "budget {budget}");
-            assert!(pairs.iter().all(|pair| all.binary_search(pair).is_ok()));
-            let fired: Vec<&str> = summary.events.iter().map(String::as_str).collect();
-            assert_eq!((pairs.len(), fired), (expected, events), "budget {budget}");
-            // Same input, same budget: same degradation.
-            let (again, repeat) = degrade(budget);
-            assert_eq!(again, pairs, "budget {budget}");
-            assert_eq!(repeat.events, summary.events, "budget {budget}");
-            wider = pairs.len();
-        }
-    }
-
-    #[test]
-    fn band_keys_over_soft_do_not_floor_the_cap() {
-        // 7 600 bytes hold one band's 7 280-byte build, which alone
-        // passes the 6 080-byte soft budget. The keys are gone once the
-        // band's 4 880-byte table is built, so the build is held against
-        // hard only: band 0 is kept and its cap fitted to the 253 edges
-        // soft could keep (cap 8: 90 pairs), not dropped to the floor
-        // whatever the band proposes — which used to lose every pair of
-        // a 12-server herd at ISP scale (DESIGN.md §11.4).
-        let sets = dense_crowd(600, 0xD0_5E);
-        let budget = GovernorOptions::unlimited().with_memory_budget_bytes(7_600);
-        let governor = Governor::new(&budget);
-        let scope = governor.stage("dimension/uri-file", 0);
-        let (pairs, stats) = scanned(&sets, &LshConfig::default(), &scope);
-        assert!(!scope.token().is_cancelled());
-        assert!(scope.peak_bytes() <= 7_600);
-        assert_eq!(pairs.len() as u64, stats.pairs);
-        assert_eq!(stats.pairs, 90, "{stats:?}");
-        let events = governor.stage_summaries().remove(0).events;
-        let expected = [
-            "bucket_cap tightened 512 -> 8 at band 0",
-            "banding abandoned at band 1/64: its keys and buckets would cross the hard budget",
-            "rare path skipped: 15376 posting bytes would not fit under soft",
-        ];
-        assert_eq!(events, expected);
     }
 
     #[test]

@@ -14,18 +14,13 @@
 //! accumulator increments (`dim/client/scan_steps`) plus the incidences
 //! walked, and the graph is the exact one by construction.
 //!
-//! The index is the stage's one charge, and its ladder is *windows*
-//! (DESIGN.md §11.3): when the whole index does not fit under the soft
-//! budget it is built over one run of partner nodes at a time, each
-//! sized from slice lengths before it is allocated. More windows cost
-//! passes over the rows, never recall — W windows build the graph of one
-//! to the bit.
+//! The index is the stage's one charge, sized by `IdIndex::max_bytes`
+//! from slice lengths before it is allocated.
 
 use super::DimensionKind;
 use super::{instrumented_builder, overlap_product, scan_rows, Dimension, DimensionContext};
 use crate::incidence::IdIndex;
 use smash_graph::Graph;
-use smash_support::governor::Rung;
 
 /// Builder of the client-similarity graph.
 #[derive(Debug, Clone, Default)]
@@ -58,65 +53,34 @@ impl Dimension for ClientDimension {
                 (sim >= ctx.config.client_edge_min).then_some(sim)
             };
 
-            // Dense ids are their own ranks, so the whole index holds one
-            // posting per id up to the widest the rows see, whatever the
-            // windows it is built in.
+            // Dense ids are their own ranks, so the index holds one
+            // posting per id up to the widest the rows see.
             let widest = rows.iter().filter_map(|row| row.last()).max();
             funnel.postings = widest.map_or(0, |&widest| u64::from(widest) + 1);
 
-            // Every row is scanned against the client → nodes index of
-            // the rows behind it, one window of partner nodes at a time.
-            // A window is the longest run of nodes whose index — sized by
-            // `IdIndex::max_bytes` from slice lengths, before anything is
-            // allocated — fits under the soft budget beside what the
-            // account carries: without a budget, all of them. It is
-            // charged while it lives and gone before the next one is
-            // sized. A single node's index is taken even over soft; the
-            // hard budget cancels the stage if it cannot hold that.
-            let soft = scope.soft_bytes();
-            let (mut windows, mut lo) = (0u64, 0);
-            while let Some(behind) = rows.get(lo..).filter(|behind| !behind.is_empty()) {
-                scope.tick();
-                let room = soft.saturating_sub(scope.tracked_bytes());
-                let (mut len, mut bytes) = (0, 0);
-                let (mut incidences, mut bound) = (0u64, 0u64);
-                for row in behind {
-                    incidences += row.len() as u64;
-                    bound = bound.max(row.last().map_or(0, |&widest| u64::from(widest) + 1));
-                    let grown = IdIndex::<u32>::max_bytes(incidences, bound);
-                    if len > 0 && soft > 0 && grown > room {
-                        break;
-                    }
-                    (len, bytes) = (len + 1, grown);
-                }
-                scope.charge(bytes);
-                let window = behind.get(..len).unwrap_or_default();
-                if let Some(ids) = IdIndex::over(lo as u32, window) {
-                    let row_of = |u: u32| {
-                        let row = rows.get(u as usize).copied().unwrap_or_default();
-                        row.iter().filter_map(|&client| ids.rank(client))
-                    };
-                    scan_rows(scope, builder, funnel, &ids.index, row_of, |_| true, score);
-                }
-                scope.release(bytes);
-                windows += 1;
-                lo += len;
+            // Every row is scanned against the one client → nodes index
+            // of all rows, charged while it lives.
+            scope.tick();
+            let incidences = rows.iter().map(|row| row.len() as u64).sum();
+            let bytes = IdIndex::<u32>::max_bytes(incidences, funnel.postings);
+            scope.charge(bytes);
+            if let Some(ids) = IdIndex::over(&rows) {
+                let row_of = |u: u32| {
+                    let row = rows.get(u as usize).copied().unwrap_or_default();
+                    row.iter().filter_map(|&client| ids.rank(client))
+                };
+                scan_rows(scope, builder, funnel, &ids.index, row_of, |_| true, score);
             }
-            if windows > 1 {
-                let event = format!("client index built over {windows} windows of partner nodes");
-                scope.record(Rung::Windowed, event);
-            }
-            ctx.metrics.gauge("dim/client/windows").set(windows as f64);
+            scope.release(bytes);
         })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::build_governed;
+    use super::super::tests::build_with;
     use super::*;
     use crate::config::SmashConfig;
-    use smash_support::governor::{Governor, GovernorOptions};
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;
 
@@ -129,7 +93,7 @@ mod tests {
     }
 
     fn build(ds: &TraceDataset, whois: &WhoisRegistry, config: &SmashConfig) -> Graph {
-        build_governed(&ClientDimension, ds, whois, config, &Governor::unlimited())
+        build_with(&ClientDimension, ds, whois, config)
     }
 
     #[test]
@@ -213,9 +177,7 @@ mod tests {
     fn exact_mode_matches_lsh_on_small_graphs() {
         // The dimension has one mode and it is the exact one: 6 servers
         // with assorted client overlaps must get eq. 1 of every pair of
-        // them, whether the index is built whole or — under a 100-byte
-        // budget, whose 80 soft bytes hold two rows of 4 of the 8
-        // clients (4 B × (8 + 8 + 1)) — a window at a time.
+        // them.
         let mut records = Vec::new();
         for s in 0..6u32 {
             for k in 0..4u32 {
@@ -244,13 +206,5 @@ mod tests {
         assert!(!expected.is_empty(), "overlapping servers must connect");
         let whole = build(&ds, &w, &config);
         assert_eq!(whole.edges().collect::<Vec<_>>(), expected);
-
-        let budget = GovernorOptions::unlimited().with_memory_budget_bytes(100);
-        let governor = Governor::new(&budget);
-        let windowed = build_governed(&ClientDimension, &ds, &w, &config, &governor);
-        assert_eq!(windowed.edges().collect::<Vec<_>>(), expected);
-        let summary = governor.stage_summaries().remove(0);
-        let event = "client index built over 3 windows of partner nodes";
-        assert_eq!(summary.events, vec![event]);
     }
 }

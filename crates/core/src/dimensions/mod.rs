@@ -11,7 +11,7 @@
 //! feature with it. The client dimension (eq. 1) runs there over the
 //! arena's client ids, the IP-set, Whois and the three opt-in
 //! dimensions through `score_cooccurring`, which ranks their keys and
-//! governs the index first. The URI-file dimension matches *different*
+//! charges the index first. The URI-file dimension matches *different*
 //! long names by charset cosine, which no exact-match index
 //! enumerates: it routes through `score_candidates`, a scan of the
 //! MinHash/LSH layer's resident buckets ([`crate::candidates`],
@@ -31,13 +31,12 @@ use crate::candidates::{self, CandidateScan, FeatureId};
 use crate::config::SmashConfig;
 use crate::incidence::{self, FeatureIndex};
 use smash_graph::{Graph, GraphBuilder};
-use smash_support::governor::{Governor, Rung, StageScope};
+use smash_support::governor::{Governor, StageScope};
 use smash_support::impl_json_enum;
 use smash_support::metrics::Registry;
 use smash_support::par;
 use smash_trace::{ServerId, TraceDataset};
 use smash_whois::WhoisRegistry;
-use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -146,45 +145,12 @@ pub struct DimensionContext<'a> {
     /// DESIGN.md §7). Pass a throwaway [`Registry`] when observability
     /// is not needed.
     pub metrics: &'a Registry,
-    /// Resource governor (DESIGN.md §11): each builder runs under the
-    /// `dimension/<kind>` stage scope it hands out. Pass
-    /// [`Governor::unlimited`] when no budgets apply — polls and
-    /// charges are then two relaxed atomic ops.
+    /// Run governor (DESIGN.md §11): each builder runs under the
+    /// `dimension/<kind>` stage scope it hands out, polling its token
+    /// and charging its ledger. Pass [`Governor::unlimited`] when no
+    /// deadline applies — polls and charges are then two relaxed atomic
+    /// ops.
     pub governor: Governor,
-}
-
-/// Charges `index`'s `4 B` per incidence to the stage account and, on a
-/// soft-budget breach, sheds the most popular postings — longest first,
-/// smallest key breaking ties (`keys` are the features by rank, and rank
-/// order is key order) — until the account is back under the soft
-/// budget. Every shed feature is recorded on the scope. Sheds are a
-/// prefix of that order, so the last one, returned as `(Reverse(len),
-/// feature)`, names them all: a posting was shed iff it does not sort
-/// after it. Without a budget, just the charge.
-fn govern_postings<K: fmt::Display>(
-    scope: &StageScope,
-    index: &FeatureIndex,
-    keys: &[K],
-) -> Option<(Reverse<usize>, u32)> {
-    scope.charge(index.incidences() as u64 * 4);
-    let mut shed = None;
-    if !scope.soft_exceeded() {
-        return shed;
-    }
-    let keyed = index.postings().zip(keys);
-    let mut order: Vec<(Reverse<usize>, u32, &K)> = keyed
-        .map(|((feature, nodes), key)| (Reverse(nodes.len()), feature, key))
-        .collect();
-    order.sort_unstable_by_key(|&(len, feature, _)| (len, feature));
-    for (Reverse(len), feature, key) in order {
-        if !scope.soft_exceeded() {
-            break;
-        }
-        shed = Some((Reverse(len), feature));
-        scope.release(len as u64 * 4);
-        scope.record(Rung::Shed, format!("shed posting feature={key} len={len}"));
-    }
-    shed
 }
 
 /// Rows one parallel task of [`scan_rows`] scans: the task owns one
@@ -264,10 +230,10 @@ pub(crate) fn scan_rows<R: Iterator<Item = u32>>(
 
 /// The co-occurrence frame for features that are not dense ids:
 /// `feature_sets` (one per node; repeats within a set count once) are
-/// ranked and transposed into a feature → nodes index, which is
-/// governed — the only allocation charged, for the life of the stage —
-/// and scanned by [`scan_rows`]; postings longer than `posting_cap`
-/// carry no herd signal and are skipped.
+/// ranked and transposed into a feature → nodes index, which is charged
+/// at `4 B` per incidence — the only allocation charged, for the life
+/// of the stage — and scanned by [`scan_rows`]; postings longer than
+/// `posting_cap` carry no herd signal and are skipped.
 pub(crate) fn score_cooccurring<K, S>(
     scope: &StageScope,
     builder: &mut GraphBuilder,
@@ -276,7 +242,7 @@ pub(crate) fn score_cooccurring<K, S>(
     posting_cap: usize,
     score: impl Fn(u32, u32, u32) -> Option<f64> + Sync,
 ) where
-    K: Ord + fmt::Display,
+    K: Ord,
     S: AsRef<[K]>,
 {
     let keys = incidence::distinct(feature_sets.iter().flat_map(|set| set.as_ref()));
@@ -286,14 +252,11 @@ pub(crate) fn score_cooccurring<K, S>(
         .map(|set| incidence::distinct(set.as_ref().iter().filter_map(rank)))
         .collect();
     let ranked = rows.iter().map(|row| row.iter().copied());
-    let Some(index) = FeatureIndex::transpose(keys.len(), 0, ranked) else {
+    let Some(index) = FeatureIndex::transpose(keys.len(), ranked) else {
         return;
     };
-    let shed = govern_postings(scope, &index, &keys);
-    let live = |&feature: &u32| {
-        let len = index.nodes_of(feature).len();
-        len <= posting_cap && Some((Reverse(len), feature)) > shed
-    };
+    scope.charge(index.incidences() as u64 * 4);
+    let live = |&feature: &u32| index.nodes_of(feature).len() <= posting_cap;
     let row_of = |u: u32| rows.get(u as usize).into_iter().flatten().copied();
     scan_rows(scope, builder, funnel, &index, row_of, live, score);
 }
@@ -373,7 +336,7 @@ pub(crate) fn record_dimension_metrics(
 pub(crate) struct BuilderFunnel {
     /// Inverted-index postings (distinct features) processed; for the
     /// client dimension, whose dense ids are their own ranks, the id
-    /// range its index spans — the same however many windows it took.
+    /// range its index spans.
     pub postings: u64,
     /// Size of the brute-force pair universe over nodes with features.
     pub pairs_considered: u64,
@@ -388,7 +351,7 @@ pub(crate) struct BuilderFunnel {
     pub pairs_scored: u64,
     /// Accumulator increments [`scan_rows`] spent: one per (feature,
     /// unordered pair of nodes it was seen on) — for the client
-    /// dimension `Σ_c C(deg(c), 2)`, however many windows it took. 0 for
+    /// dimension `Σ_c C(deg(c), 2)`. 0 for
     /// URI-file, which has no accumulator: the tails its scan walks are
     /// `pairs_proposed`.
     pub scan_steps: u64,
@@ -417,7 +380,7 @@ where
     smash_support::failpoint::fire(&format!("dimension/{kind}"));
     let _span = ctx.metrics.span(&format!("dim/{kind}/build"));
     // The stage scope starts the per-dimension wall-clock budget and
-    // carries the byte account the builder's inner loops charge.
+    // carries the ledger the builder's inner loops charge.
     let scope = ctx
         .governor
         .stage(&format!("dimension/{kind}"), ctx.config.dimension_budget_ms);
@@ -425,26 +388,7 @@ where
     let mut funnel = BuilderFunnel::default();
     body(&mut builder, &mut funnel, &scope);
     // Graph edges are the allocation that outlives the builder
-    // (`EDGE_BYTES` each). If that charge would not fit under the soft
-    // budget, thin the graph to its heaviest edges first — campaign
-    // herds score near 1.0 while coincidental overlaps sit just above
-    // the edge threshold, so the lightest edges go first and the stage
-    // completes degraded instead of cancelling on its own output.
-    if scope.soft_bytes() > 0 {
-        let headroom = scope.soft_bytes().saturating_sub(scope.tracked_bytes());
-        let keep = (headroom / candidates::EDGE_BYTES) as usize;
-        if builder.edge_count() > keep {
-            let dropped = builder.thin_to(keep);
-            funnel.edges = builder.edge_count() as u64;
-            scope.record(
-                Rung::Thinned,
-                format!(
-                    "graph thinned: {dropped} lightest edges dropped, {} kept",
-                    builder.edge_count()
-                ),
-            );
-        }
-    }
+    // (`EDGE_BYTES` each).
     scope.charge(funnel.edges * candidates::EDGE_BYTES);
     record_dimension_metrics(ctx, kind, &funnel);
     builder.build()
@@ -494,16 +438,14 @@ pub(crate) fn overlap_product(shared: usize, len_a: usize, len_b: usize) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smash_support::governor::GovernorOptions;
 
     /// `dimension`'s graph over every server of `dataset` (node `i` is
-    /// server `i`).
-    pub(super) fn build_governed(
+    /// server `i`) under `config`.
+    pub(super) fn build_with(
         dimension: &dyn Dimension,
         dataset: &TraceDataset,
         whois: &WhoisRegistry,
         config: &SmashConfig,
-        governor: &Governor,
     ) -> Graph {
         let nodes: Vec<ServerId> = dataset.server_ids().collect();
         dimension.build_graph(&DimensionContext {
@@ -513,18 +455,17 @@ mod tests {
             nodes: &nodes,
             node_of: &nodes.iter().copied().zip(0..).collect(),
             metrics: &Registry::new(),
-            governor: governor.clone(),
+            governor: Governor::unlimited(),
         })
     }
 
-    /// [`build_governed`] with no budget, under the default configuration.
+    /// [`build_with`] under the default configuration.
     pub(super) fn build_unbudgeted(
         dimension: &dyn Dimension,
         dataset: &TraceDataset,
         whois: &WhoisRegistry,
     ) -> Graph {
-        let (config, governor) = (SmashConfig::default(), Governor::unlimited());
-        build_governed(dimension, dataset, whois, &config, &governor)
+        build_with(dimension, dataset, whois, &SmashConfig::default())
     }
 
     #[test]
@@ -540,51 +481,6 @@ mod tests {
         assert_eq!(overlap_product(0, 5, 5), 0.0);
         assert_eq!(overlap_product(1, 0, 5), 0.0);
         assert!((overlap_product(1, 2, 4) - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
-    fn govern_postings_sheds_longest_first_until_under_soft() {
-        // 100-byte hard budget, 80 soft; the index charges 4 bytes per
-        // posting entry = 96 bytes, so the longest posting (and only
-        // it) must go.
-        let governor = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(100));
-        let scope = governor.stage("dimension/ip-set", 0);
-        let keys = [7u32, 8, 9];
-        // Keys 7, 8, 9 on the first 12, 8, 4 nodes.
-        let rows = (0..12u32).map(|node| (0..3u32).filter(move |rank| node < 12 - 4 * rank));
-        let index = FeatureIndex::transpose(keys.len(), 0, rows).expect("24 incidences");
-        let shed = govern_postings(&scope, &index, &keys);
-        let live = |&((f, n), _): &((u32, &[u32]), u32)| Some((Reverse(n.len()), f)) > shed;
-        let kept = index.postings().zip(keys).filter(live).map(|(_, key)| key);
-        assert_eq!(kept.collect::<Vec<u32>>(), vec![8, 9]);
-        assert_eq!(scope.tracked_bytes(), 48);
-        let summary = governor.stage_summaries().remove(0);
-        assert_eq!(summary.events, vec!["shed posting feature=7 len=12"]);
-        assert_eq!(summary.rungs.get(&Rung::Shed), Some(&1));
-    }
-
-    #[test]
-    fn a_crowd_on_one_ip_is_thinned_not_cancelled() {
-        // 150 servers on one address: a 600-byte index and 11 175
-        // pairs, every one an eq. 8 edge of weight 1.0. Only the graph
-        // grows with the pairs, and its rung is thinning: what the index
-        // leaves of the 80 000-byte soft budget keeps 3 308 edges. (A
-        // 178 800-byte pair table, charged once it existed, used to
-        // cross the hard budget here with no rung in front.)
-        let records = (0..150)
-            .map(|s| smash_trace::HttpRecord::new(0, "c", &format!("s{s}.com"), "9.9.9.9", "/"));
-        let dataset = TraceDataset::from_records(records);
-        let budget = GovernorOptions::unlimited().with_memory_budget_bytes(100_000);
-        let governor = Governor::new(&budget);
-        let (whois, config) = (WhoisRegistry::new(), SmashConfig::default());
-        let graph = build_governed(&IpSetDimension, &dataset, &whois, &config, &governor);
-        let summary = governor.stage_summaries().remove(0);
-        assert!(!summary.cancelled, "events: {:?}", summary.events);
-        assert_eq!(summary.events.len(), 1, "events: {:?}", summary.events);
-        assert_eq!(summary.rungs, [(Rung::Thinned, 1)].into_iter().collect());
-        let fits = (80_000 - 600) / candidates::EDGE_BYTES;
-        assert_eq!(graph.edge_count() as u64, fits);
-        assert!(graph.edges().all(|(_, _, weight)| weight == 1.0));
     }
 
     #[test]

@@ -162,18 +162,16 @@ fn charset_feature(name: &str) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::build_governed;
+    use super::super::tests::build_with;
     use super::*;
     use crate::candidates;
     use crate::config::SmashConfig;
-    use smash_support::governor::Governor;
     use smash_trace::{HttpRecord, TraceDataset};
     use smash_whois::WhoisRegistry;
 
     fn build(records: Vec<HttpRecord>, config: SmashConfig) -> (TraceDataset, Graph) {
         let ds = TraceDataset::from_records(records);
-        let (whois, governor) = (WhoisRegistry::new(), Governor::unlimited());
-        let g = build_governed(&UriFileDimension, &ds, &whois, &config, &governor);
+        let g = build_with(&UriFileDimension, &ds, &WhoisRegistry::new(), &config);
         (ds, g)
     }
 

@@ -30,13 +30,12 @@ pub(crate) struct FeatureIndex {
 }
 
 impl FeatureIndex {
-    /// Transposes `rows` — one per node from `first_node` up, each a
+    /// Transposes `rows` — one per node from 0 up, each a
     /// duplicate-free run of feature ranks below `features` — by
     /// counting sort. `None` when the incidences outnumber what the
     /// `u32` offsets can address.
     pub(crate) fn transpose<R: IntoIterator<Item = u32>>(
         features: usize,
-        first_node: u32,
         rows: impl Iterator<Item = R> + Clone,
     ) -> Option<Self> {
         // Count each feature's nodes, turn the counts into run starts,
@@ -55,7 +54,7 @@ impl FeatureIndex {
             start = start.checked_add(count)?;
         }
         let mut nodes = vec![0u32; start as usize];
-        for (node, row) in (first_node..).zip(rows) {
+        for (node, row) in (0u32..).zip(rows) {
             for feature in row {
                 let Some(cursor) = offsets.get_mut(feature as usize) else {
                     continue;
@@ -142,8 +141,7 @@ impl FeatureIndex {
 /// A [`FeatureIndex`] over sets of feature *ids*. Dense ids are their
 /// own ranks: the index is one counting sort over the borrowed sets, its
 /// offsets table as long as the ids' range. Ids sparser than that — the
-/// URI-file dimension's `u64` charset keys, a window of the client
-/// dimension's nodes that sees few of the clients — are ranked first, so
+/// URI-file dimension's `u64` charset keys — are ranked first, so
 /// the table is as long as the distinct ids and their keys ride along.
 /// Whichever table is smaller in the worst case (every id distinct) is
 /// the one built.
@@ -168,9 +166,9 @@ impl<F: FeatureId> IdIndex<F> {
         4 * (incidences + 1) + Self::ranked_bytes(incidences).min(bound.saturating_mul(4))
     }
 
-    /// The index over `sets` — one per node from `first_node` up, each
+    /// The index over `sets` — one per node from 0 up, each
     /// duplicate-free, so every posting comes out sorted and unique.
-    pub(crate) fn over<S: AsRef<[F]>>(first_node: u32, sets: &[S]) -> Option<Self> {
+    pub(crate) fn over<S: AsRef<[F]>>(sets: &[S]) -> Option<Self> {
         let ids = || sets.iter().flat_map(|set| set.as_ref().iter().copied());
         let incidences: u64 = sets.iter().map(|set| set.as_ref().len() as u64).sum();
         let widest = ids().map(F::widen).max();
@@ -180,7 +178,7 @@ impl<F: FeatureId> IdIndex<F> {
         let features = keys.as_ref().map_or(bound as usize, Vec::len);
         let rank = |&id: &F| rank_in(&keys, id).unwrap_or(u32::MAX);
         let rows = sets.iter().map(|set| set.as_ref().iter().map(rank));
-        let index = FeatureIndex::transpose(features, first_node, rows)?;
+        let index = FeatureIndex::transpose(features, rows)?;
         Some(Self { keys, index })
     }
 
@@ -214,7 +212,7 @@ mod tests {
     use super::*;
 
     fn index_of(features: usize, rows: &[Vec<u32>]) -> FeatureIndex {
-        FeatureIndex::transpose(features, 0, rows.iter().map(|row| row.iter().copied()))
+        FeatureIndex::transpose(features, rows.iter().map(|row| row.iter().copied()))
             .expect("a handful of incidences")
     }
 
@@ -251,12 +249,12 @@ mod tests {
     fn ids_are_their_own_ranks_until_they_are_sparse() {
         // Six incidences of ids below 5: a 5-slot offsets table beats
         // ranking, and an id the sets never held still has a (empty)
-        // posting. Nodes count from `first_node`.
+        // posting.
         let sets: [&[u32]; 3] = [&[0, 4], &[1, 4], &[0, 4]];
-        let dense = IdIndex::over(7, &sets).expect("6 incidences");
+        let dense = IdIndex::over(&sets).expect("6 incidences");
         assert_eq!(dense.rank(4), Some(4));
-        assert_eq!(dense.index.nodes_of(4), &[7, 8, 9]);
-        assert_eq!(dense.index.window(), (7, 9));
+        assert_eq!(dense.index.nodes_of(4), &[0, 1, 2]);
+        assert_eq!(dense.index.window(), (0, 2));
         assert_eq!(
             dense.rank(3).map(|r| dense.index.nodes_of(r).len()),
             Some(0)
@@ -265,11 +263,11 @@ mod tests {
         // The same shape over ids up to 4 000: ranked, three postings,
         // and an absent id has no rank at all.
         let sets: [&[u32]; 3] = [&[0, 4_000], &[100, 4_000], &[0, 4_000]];
-        let ranked = IdIndex::over(7, &sets).expect("6 incidences");
+        let ranked = IdIndex::over(&sets).expect("6 incidences");
         assert_eq!(ranked.index.postings().count(), 3);
         assert_eq!(ranked.rank(4_000), Some(2));
-        assert_eq!(ranked.index.nodes_of(2), &[7, 8, 9]);
-        assert_eq!(ranked.index.nodes_of(1), &[8]);
+        assert_eq!(ranked.index.nodes_of(2), &[0, 1, 2]);
+        assert_eq!(ranked.index.nodes_of(1), &[1]);
         assert_eq!(ranked.rank(3), None);
         // Sized for the worst case: every id distinct, a key and an
         // offset each.

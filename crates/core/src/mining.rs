@@ -31,7 +31,7 @@ pub fn mine_with_metrics(
 }
 
 /// [`mine_with_metrics`] under governor control: when `cancel` is given,
-/// Louvain polls it between local moves, so a deadline or budget breach
+/// Louvain polls it between local moves, so a deadline or a cancel
 /// unwinds out of mining instead of letting a huge level run to the end.
 pub fn mine_governed(
     kind: DimensionKind,

@@ -94,24 +94,21 @@ impl Smash {
         self.run_governed(dataset, whois, metrics, None)
     }
 
-    /// [`run_with_metrics`](Self::run_with_metrics) under a resource
+    /// [`run_with_metrics`](Self::run_with_metrics) under a run
     /// governor (DESIGN.md §11).
     ///
     /// With `resources` set, every stage runs against a cooperative
     /// [`Governor`]: dimension builders, LSH bucketing, Louvain mining,
-    /// and candidate scoring poll a shared cancellation token and charge
-    /// their dominant allocations against per-stage memory budgets. A
-    /// stage heading past its soft budget walks the deterministic
-    /// degradation ladder of DESIGN.md §11.3 — each rung gives up the
-    /// cheapest recall left *before* the allocation it guards — so it
-    /// completes degraded; a hard breach or deadline cancels the stage
+    /// and candidate scoring poll a shared cancellation token. A run
+    /// deadline or an external cancel stops the stages it catches
     /// through the same panic-isolation boundary used for crashes, so
-    /// the run degrades (eq. 9 renormalized) instead of dying. Every
-    /// rung that fires is recorded in
+    /// the run degrades (eq. 9 renormalized) instead of dying; each
+    /// cancelled stage is named in
     /// [`RunHealth::governor`](crate::report::RunHealth) and counted
-    /// under `governor/<rung>`. With `resources` unset (or unlimited),
-    /// the governor is inert and the report is byte-identical to an
-    /// ungoverned run.
+    /// under `governor/cancelled`. Stages charge their dominant
+    /// allocations to the governor's ledger either way, which only
+    /// reports peaks. With `resources` unset (or unlimited), the report
+    /// is byte-identical to an ungoverned run.
     pub fn run_governed(
         &self,
         dataset: &TraceDataset,
@@ -359,7 +356,7 @@ impl Smash {
     /// The empty report returned when the main dimension itself failed:
     /// no campaigns, `client`'s failure, every other dimension —
     /// disabled ones included — marked as not run, and any governor
-    /// events preserved in `RunHealth`.
+    /// cancellation lines preserved in `RunHealth`.
     fn aborted_report(
         kept: &[ServerId],
         dropped_popular: usize,
@@ -398,11 +395,11 @@ impl Smash {
 
 /// Triage of one dimension's isolated build-and-mine: it completed
 /// inside its budget (kept, `Ok`), was cancelled cooperatively by the
-/// governor (dropped, `TimedOut` for deadlines / `Cancelled` for
-/// memory), overran `budget_ms` between polls (dropped, `TimedOut` via
-/// the post-hoc backstop; `0` = no backstop), or panicked (dropped,
-/// `Failed`). Returns the mined dimension when it is kept, and its
-/// health record.
+/// governor (dropped, `TimedOut` for its own wall-clock budget,
+/// `Cancelled` for a run deadline or an external cancel), overran
+/// `budget_ms` between polls (dropped, `TimedOut` via the post-hoc
+/// backstop; `0` = no backstop), or panicked (dropped, `Failed`).
+/// Returns the mined dimension when it is kept, and its health record.
 fn settle(
     kind: DimensionKind,
     result: Result<(MinedDimension, u64), String>,
@@ -444,9 +441,9 @@ fn unfinished(kind: DimensionKind, status: DimensionStatus) -> DimensionHealth {
 }
 
 /// Maps an isolated-build failure reason onto a [`DimensionStatus`]:
-/// governor deadline messages become `TimedOut`, other governor
-/// cancellations (memory hard budget, explicit cancel) become
-/// `Cancelled`, and anything else is a genuine `Failed` panic.
+/// a per-dimension budget's message becomes `TimedOut`, other governor
+/// cancellations (run deadline, explicit cancel) become `Cancelled`,
+/// and anything else is a genuine `Failed` panic.
 fn triage_failure(reason: String) -> DimensionStatus {
     if let Some((elapsed_ms, budget_ms)) = governor::parse_deadline_message(&reason) {
         DimensionStatus::TimedOut {
@@ -460,14 +457,12 @@ fn triage_failure(reason: String) -> DimensionStatus {
     }
 }
 
-/// Folds the governor's final accounting into `metrics` (one
-/// `governor/<rung>` counter per ladder rung that fired, counted where
-/// the rung was recorded, plus `governor/cancelled`;
-/// `governor/<stage>/peak_bytes` and `governor/peak_bytes` gauges) and
-/// returns the stage-prefixed degradation-ladder event
-/// lines for [`RunHealth::governor`](crate::report::RunHealth). Empty —
-/// and free of side effects beyond zero-valued gauges — when no ladder
-/// rung ever engaged, so unbudgeted runs stay byte-identical.
+/// Folds the governor's final accounting into `metrics`
+/// (`governor/cancelled`, and the `governor/<stage>/peak_bytes` and
+/// `governor/peak_bytes` gauges) and returns one
+/// `<stage>: stage cancelled by governor` line per cancelled stage for
+/// [`RunHealth::governor`](crate::report::RunHealth). Empty when
+/// nothing was cancelled, so uncancelled runs stay byte-identical.
 fn harvest_governor(governor: &Governor, metrics: &Registry) -> Vec<String> {
     let mut events = Vec::new();
     for stage in governor.stage_summaries() {
@@ -475,14 +470,6 @@ fn harvest_governor(governor: &Governor, metrics: &Registry) -> Vec<String> {
             metrics
                 .gauge(&format!("governor/{}/peak_bytes", stage.name))
                 .set(stage.peak_bytes as f64);
-        }
-        for (rung, fired) in &stage.rungs {
-            metrics
-                .counter(&format!("governor/{}", rung.name()))
-                .add(*fired);
-        }
-        for e in &stage.events {
-            events.push(format!("{}: {e}", stage.name));
         }
         if stage.cancelled {
             metrics.counter("governor/cancelled").add(1);

@@ -93,17 +93,18 @@ pub enum DimensionStatus {
         /// The captured panic message or skip reason.
         reason: String,
     },
-    /// Built successfully but blew the per-dimension wall-clock budget;
-    /// dropped from correlation.
+    /// Blew the per-dimension wall-clock budget (`--dimension-budget-ms`),
+    /// mid-build or by finishing late; dropped from correlation.
     TimedOut {
         /// Observed build+mine time.
         elapsed_ms: u64,
         /// The configured budget it exceeded.
         budget_ms: u64,
     },
-    /// Stopped mid-build by the resource governor (memory hard budget or
-    /// run deadline — the final rung of the degradation ladder); dropped
-    /// from correlation like a failed dimension.
+    /// Stopped mid-build by the governor: the run deadline
+    /// (`--deadline-ms`, one clock from before ingest) expired, or the
+    /// caller cancelled the run (the daemon superseding a stale mine);
+    /// dropped from correlation like a failed dimension.
     Cancelled {
         /// The governor's cancellation reason.
         reason: String,
@@ -213,18 +214,17 @@ pub struct RunHealth {
     /// Factor applied to eq. 9 scores to renormalize over the secondary
     /// dimensions that completed (1.0 when nothing was lost).
     pub score_renormalization: f64,
-    /// Every degradation-ladder rung the resource governor took, in
-    /// stage order (`<stage>: <event>` — skipped or shed postings,
-    /// tightened caps, abandoned bands, thinned graphs, cancellations;
-    /// DESIGN.md §11.3). Empty — and omitted from the JSON — on unbudgeted
-    /// runs, so a governed-but-unconstrained run's report stays
-    /// byte-identical to a pre-governor one.
+    /// One `<stage>: stage cancelled by governor` line per stage the
+    /// governor cancelled, sorted by stage name (DESIGN.md §11). Empty —
+    /// and omitted from the JSON — when nothing was cancelled, so a
+    /// governed-but-uncancelled run's report stays byte-identical to an
+    /// ungoverned one.
     pub governor: Vec<String>,
 }
 
 // Hand-written (not `impl_json_struct!`) so the `governor` field is
-// omitted when empty: every budgetless run must serialize exactly as it
-// did before the governor existed.
+// omitted when empty: every uncancelled run must serialize exactly as
+// it did before the governor existed.
 impl ToJson for RunHealth {
     fn to_json(&self) -> Json {
         let mut fields = vec![
@@ -563,7 +563,7 @@ mod tests {
             ],
             ingest: None,
             score_renormalization: 1.5,
-            governor: vec!["dimension/whois: shed posting feature=as1 len=900".to_owned()],
+            governor: vec!["dimension/whois: stage cancelled by governor".to_owned()],
         };
         assert!(!health.fully_healthy());
         assert_eq!(health.degraded_dimensions(), vec![DimensionKind::Whois]);

@@ -11,7 +11,7 @@ use smash_core::pruning::prune;
 use smash_core::{Smash, SmashConfig};
 use smash_graph::{GraphBuilder, Partition};
 use smash_support::check::{cases, Gen, Shrink};
-use smash_support::governor::{parse_deadline_message, Governor, GovernorOptions, Rung};
+use smash_support::governor::{parse_deadline_message, Governor};
 use smash_support::metrics::Registry;
 use smash_support::par;
 use smash_trace::{HttpRecord, TraceDataset};
@@ -407,8 +407,7 @@ enum Shape {
     Wide,
     /// Dozens of servers of 30–60 clients out of 200: every pair shares
     /// clients, few pairs are edges — an index many times the bytes of
-    /// the graph, which is what lets a budget cut it into many windows
-    /// without thinning an edge.
+    /// the graph, so the stage's tracked peak is the index's.
     Fat,
 }
 
@@ -523,71 +522,34 @@ fn merge_oracle(ds: &TraceDataset, nodes: &[u32]) -> (Vec<(u32, u32, u64)>, [u64
 }
 
 /// Builds the client graph over `sets` at 1, 2 and 4 threads — in both
-/// candidate modes, which must not show, and with the index cut into
-/// ever more windows — against eq. 1 merged pair by pair over the whole
-/// universe.
+/// candidate modes, which must not show — against eq. 1 merged pair by
+/// pair over the whole universe.
 fn scan_matches_merge(sets: &[Vec<u32>]) {
     let (ds, nodes) = client_dataset(sets);
     let whois = WhoisRegistry::new();
     let (expected, universe, index_bytes) = merge_oracle(&ds, &nodes);
     assert!(expected.len() <= 500, "generator: too dense");
-    // (edges, [scan_steps, postings], windows) of one build, and the
-    // stage's account.
-    let build = |config: &SmashConfig, governor: &Governor| {
-        let (edges, metrics) =
-            build_dimension(&ClientDimension, &ds, &whois, config, &nodes, governor);
-        let counter = |name: &str| metrics.counter(&format!("dim/client/{name}")).get();
-        let steps = ["scan_steps", "postings"].map(counter);
-        let windows = metrics.gauge("dim/client/windows").get() as u64;
-        let summary = governor.stage_summaries().remove(0);
-        assert!(!summary.cancelled, "{:?}", summary.events);
-        ((edges, steps, windows), summary)
-    };
-
-    // Soft budgets, descending: the whole index to the byte, one word
-    // short of it, a seventh of it, and the floor — the widest single
-    // row (a window is never less than a node; 25 % over soft is still
-    // under hard). None may be too small for the graph itself, or
-    // rung 7 would thin it.
     let graph_bytes = 24 * expected.len() as u64;
-    let widest = nodes.iter().map(|&s| ds.clients_of(s).len() as u64).max();
-    let floor = widest.map_or(0, |row| 4 * (row + 1) + 8 * row);
-    let softs = [index_bytes, index_bytes - 4, index_bytes / 7, floor]
-        .map(|soft| soft.max(graph_bytes).max(floor).next_multiple_of(4));
-
     let lsh = SmashConfig::default();
     let exact = lsh.clone().with_exact_candidates(true);
     for threads in [1, 2, 4] {
         par::set_thread_count(threads);
-        // Unbudgeted: one window, and the stage's tracked peak is the
-        // index alone (or the graph, where that is the larger).
+        // The stage's tracked peak is the index alone (or the graph,
+        // where that is the larger).
         for config in [&lsh, &exact] {
-            let (built, summary) = build(config, &Governor::unlimited());
-            let whole = (expected.clone(), universe, 1);
-            assert_eq!(built, whole, "{threads} thread(s)");
-            assert_eq!(summary.peak_bytes, index_bytes.max(graph_bytes));
-            assert!(summary.events.is_empty(), "{:?}", summary.events);
-        }
-        // W windows ≡ 1 window: same graph to the bit, same steps and
-        // postings; one summary event says how many, and a tighter
-        // budget never takes fewer.
-        let mut fewest = 1;
-        for soft in softs {
-            let budget = GovernorOptions::unlimited().with_memory_budget_bytes(soft / 4 * 5);
-            let ((edges, steps, windows), summary) = build(&lsh, &Governor::new(&budget));
-            let context = format!("soft {soft} of {index_bytes}, {threads} thread(s)");
-            assert_eq!((edges, steps), (expected.clone(), universe), "{context}");
+            let governor = Governor::unlimited();
+            let (edges, metrics) =
+                build_dimension(&ClientDimension, &ds, &whois, config, &nodes, &governor);
+            let counter = |name: &str| metrics.counter(&format!("dim/client/{name}")).get();
+            let steps = ["scan_steps", "postings"].map(counter);
             assert_eq!(
-                windows == 1,
-                soft >= index_bytes,
-                "{context}: {windows} windows"
+                (edges, steps),
+                (expected.clone(), universe),
+                "{threads} thread(s)"
             );
-            assert!(windows >= fewest, "{context}: {windows} < {fewest} windows");
-            let event = format!("client index built over {windows} windows of partner nodes");
-            let events = if windows > 1 { vec![event] } else { vec![] };
-            assert_eq!(summary.events, events, "{context}");
-            assert!(summary.peak_bytes <= soft.max(graph_bytes), "{context}");
-            fewest = windows;
+            let summary = governor.stage_summaries().remove(0);
+            assert!(!summary.cancelled);
+            assert_eq!(summary.peak_bytes, index_bytes.max(graph_bytes));
         }
     }
     par::set_thread_count(0);
@@ -678,12 +640,11 @@ fn per_server<I: Iterator<Item = String>>(
 /// (one list per node). Shared features are counted by brute force, as
 /// `smash-graph`'s deleted pair counter was: postings over sorted,
 /// deduplicated node lists, those of fewer than 2 or more than `cap`
-/// nodes (or listed in `shed`) skipped, every pair of a posting bumped
-/// once; each pair then goes, ascending, through the `weight` rule.
+/// nodes skipped, every pair of a posting bumped once; each pair then
+/// goes, ascending, through the `weight` rule.
 fn expected(
     features: &[Vec<String>],
     cap: usize,
-    shed: &[String],
     weight: impl Fn(usize, usize, u32) -> Option<f64>,
 ) -> Scored {
     let mut postings: HashMap<&String, Vec<u32>> = HashMap::new();
@@ -693,10 +654,10 @@ fn expected(
         }
     }
     let mut counts: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-    for (feature, nodes) in &mut postings {
+    for nodes in postings.values_mut() {
         nodes.sort_unstable();
         nodes.dedup();
-        if nodes.len() < 2 || nodes.len() > cap || shed.contains(feature) {
+        if nodes.len() < 2 || nodes.len() > cap {
             continue;
         }
         for (i, &u) in nodes.iter().enumerate() {
@@ -791,7 +752,7 @@ fn cooccurrence_dimensions_match_the_bruteforce_count_to_the_bit() {
         let set_product = |features: &[Vec<String>], cap: usize, min: f64| {
             let distinct = |f: &Vec<String>| f.iter().collect::<HashSet<_>>().len();
             let sizes: Vec<usize> = features.iter().map(distinct).collect();
-            expected(features, cap, &[], |u, v, shared| {
+            expected(features, cap, |u, v, shared| {
                 let shared = f64::from(shared);
                 let sim = (shared / sizes[u] as f64) * (shared / sizes[v] as f64);
                 (sim >= min).then_some(sim)
@@ -821,7 +782,7 @@ fn cooccurrence_dimensions_match_the_bruteforce_count_to_the_bit() {
             });
             fields.collect::<Vec<_>>().into_iter()
         });
-        let whois_graph = expected(&values, FIXED_CAP, &[], |u, v, hits| {
+        let whois_graph = expected(&values, FIXED_CAP, |u, v, hits| {
             let (shared, union) = registered(u as u32)?.shared_fields(registered(v as u32)?);
             (hits >= 2 && shared >= 2 && union > 0).then(|| shared as f64 / union as f64)
         });
@@ -846,7 +807,7 @@ fn cooccurrence_dimensions_match_the_bruteforce_count_to_the_bit() {
             let active = buckets.filter(|(_, &x)| x > 0.0);
             active.map(|(bucket, _)| bucket.to_string())
         });
-        let timing = expected(&bursts, FIXED_CAP, &[], |u, v, _| {
+        let timing = expected(&bursts, FIXED_CAP, |u, v, _| {
             let (a, b) = (histograms[u].as_ref()?, histograms[v].as_ref()?);
             let cos: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
             (cos >= config.timing_edge_min).then_some(cos)
@@ -872,34 +833,4 @@ fn cooccurrence_dimensions_match_the_bruteforce_count_to_the_bit() {
         }
         par::set_thread_count(0);
     });
-}
-
-#[test]
-fn shed_postings_leave_the_graph_of_the_features_kept() {
-    // 180 hosts on one address and 20 pairs of hosts on an address of
-    // their own: 220 incidences, 880 bytes of index against an 800-byte
-    // soft budget. The crowd's posting is the longest: it goes, the
-    // account drops to 160 bytes and the 20 edges left (480 bytes) fit
-    // without thinning.
-    let crowd = (0..180).map(|i| visit(&format!("c{i}.com"), "10.9.0.1", 0, "", 0));
-    let pairs =
-        (0..40).map(|i| visit(&format!("p{i}.com"), &format!("10.0.0.{}", i / 2), 0, "", 0));
-    let ds = &TraceDataset::from_records(crowd.chain(pairs));
-    let world = (ds, &WhoisRegistry::new(), &SmashConfig::default());
-    let ips = per_server(ds, |s| ds.ips_of(s).iter().map(u32::to_string));
-    let weigh = |_: usize, _: usize, shared: u32| Some(f64::from(shared * shared));
-
-    let unbudgeted = scored(&IpSetDimension, world, &Governor::unlimited());
-    assert_eq!(unbudgeted, expected(&ips, FIXED_CAP, &[], weigh));
-    assert_eq!(unbudgeted.0.len(), 180 * 179 / 2 + 20);
-    let governor = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(1_000));
-    let budgeted = scored(&IpSetDimension, world, &governor);
-    let crowd_ip = ips[0][0].clone();
-    let summary = governor.stage_summaries().remove(0);
-    let event = format!("shed posting feature={crowd_ip} len=180");
-    assert_eq!(summary.events, vec![event]);
-    assert_eq!(summary.rungs, [(Rung::Shed, 1)].into_iter().collect());
-    assert!(!summary.cancelled);
-    assert_eq!(budgeted, expected(&ips, FIXED_CAP, &[crowd_ip], weigh));
-    assert_eq!(budgeted.0.len(), 20);
 }

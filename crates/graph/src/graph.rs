@@ -197,27 +197,6 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Retains only the `keep` heaviest edges, dropping the rest, and
-    /// returns how many were dropped. Deterministic: edges are ranked
-    /// by weight descending with `(u, v)` ascending breaking ties, so
-    /// equal-weight edges always survive in the same order. Nodes are
-    /// never removed — a thinned node just loses edges.
-    pub fn thin_to(&mut self, keep: usize) -> usize {
-        self.normalize();
-        if self.edges.len() <= keep {
-            return 0;
-        }
-        let dropped = self.edges.len() - keep;
-        self.edges.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("edge weights are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        self.edges.truncate(keep);
-        self.edges.sort_unstable_by_key(|&(key, _)| key);
-        dropped
-    }
-
     /// Finalizes the graph.
     pub fn build(&mut self) -> Graph {
         self.normalize();
@@ -285,24 +264,6 @@ mod tests {
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.total_weight(), 0.0);
-    }
-
-    #[test]
-    fn thin_to_keeps_heaviest_edges_deterministically() {
-        let mut b = GraphBuilder::new();
-        b.add_edge(0, 1, 0.9);
-        b.add_edge(1, 2, 0.1);
-        b.add_edge(2, 3, 0.5);
-        b.add_edge(0, 3, 0.5); // ties with (2,3); lower (u,v) survives first
-        assert_eq!(b.thin_to(4), 0);
-        assert_eq!(b.thin_to(2), 2);
-        let g = b.build();
-        assert_eq!(g.edge_weight(0, 1), Some(0.9));
-        assert_eq!(g.edge_weight(0, 3), Some(0.5));
-        assert_eq!(g.edge_weight(2, 3), None);
-        assert_eq!(g.edge_weight(1, 2), None);
-        // Nodes survive thinning even when all their edges are gone.
-        assert_eq!(g.node_count(), 4);
     }
 
     #[test]

@@ -203,12 +203,6 @@ impl ModelBuilder {
         *self.edges.entry((u.min(v), u.max(v))).or_insert(0.0) += weight;
     }
 
-    fn thin_to(&mut self, keep: usize) {
-        let mut order: Vec<((u32, u32), f64)> = self.edges.iter().map(|(&k, &w)| (k, w)).collect();
-        order.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        self.edges = order.into_iter().take(keep).collect();
-    }
-
     fn build(&self) -> ModelGraph {
         let n = self.max_node.map_or(0, |m| m as usize + 1);
         let mut g = ModelGraph {
@@ -297,30 +291,6 @@ fn builder_matches_the_hashmap_reference_model_to_the_bit() {
                 model.add_edge(u, v, w);
             }
             assert_eq!(b.edge_count(), model.edges.len());
-            assert_same_bits(&b.build(), &model.build());
-        },
-    );
-}
-
-#[test]
-fn thinning_keeps_the_reference_models_edges_on_weight_ties() {
-    check(
-        |g| (edge_stream(g), g.range(0usize..40)),
-        |(es, keep)| {
-            let mut b = GraphBuilder::new();
-            let mut model = ModelBuilder::default();
-            for &(u, v, w) in es {
-                b.add_edge(u, v, w);
-                model.add_edge(u, v, w);
-            }
-            let distinct = model.edges.len();
-            assert_eq!(b.thin_to(*keep), distinct.saturating_sub(*keep));
-            model.thin_to(*keep);
-            assert_eq!(b.edge_count(), model.edges.len());
-            assert_same_bits(&b.build(), &model.build());
-            // A thinned builder still accumulates.
-            b.add_edge(3, 1, 0.5);
-            model.add_edge(3, 1, 0.5);
             assert_same_bits(&b.build(), &model.build());
         },
     );

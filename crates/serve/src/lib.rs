@@ -17,9 +17,11 @@
 //!   version-gated [`snapshot::SnapshotCell`] whose steady-state query
 //!   path is one atomic load — queries never block on a publish.
 //! * [`service`] — [`service::CampaignService`]: lenient ingest with
-//!   governor-budgeted backpressure (`BUSY`) that keeps each accepted
-//!   line as its only record form, the panic-isolated, retry-supervised
-//!   background miner that absorbs replayed and live epochs through one
+//!   backpressure (`BUSY` to a line that would carry the open epoch past
+//!   its byte budget) that keeps each accepted line as its only record
+//!   form, the panic-isolated, retry-supervised background miner (each
+//!   mine under an optional deadline, cancelled when a newer seal
+//!   supersedes it) that absorbs replayed and live epochs through one
 //!   path, and crash recovery (snapshot + WAL replay) at start.
 //! * [`server`] — TCP and stdio transports over one connection handler.
 //!

@@ -6,10 +6,10 @@
 //! * **Ingest** — `INGEST` lines are validated by the same lenient
 //!   per-line core as file ingest ([`decode_fields`]), and only the line
 //!   itself is kept: it is the daemon's one record form. Rejects get an
-//!   `ERR` class and a quarantine sidecar entry, and a governor
-//!   [`StageScope`] accounts every buffered byte so the service answers
-//!   `BUSY` (sheds load) once the open epoch crosses its soft budget
-//!   instead of growing without bound.
+//!   `ERR` class and a quarantine sidecar entry. The service counts the
+//!   open epoch's bytes and answers `BUSY` (sheds load) to a line that
+//!   would carry them past the epoch budget, instead of growing without
+//!   bound.
 //! * **Seal** — the buffer becomes epoch *N*: WAL first
 //!   ([`crate::epoch`]), acknowledgment second, and the very lines the
 //!   WAL holds are moved to the miner third. A seal also cancels any
@@ -46,7 +46,7 @@ use crate::snapshot::{ServeSnapshot, SnapshotCell, SnapshotReader, SNAPSHOT_FILE
 use smash_core::config::SmashConfig;
 use smash_core::{DimensionKind, DimensionStatus, Smash};
 use smash_support::ckpt;
-use smash_support::governor::{self, CancelToken, Governor, GovernorOptions, Rung, StageScope};
+use smash_support::governor::{self, CancelToken, GovernorOptions};
 use smash_support::json::{self, ToJson};
 use smash_support::metrics::{Counter, Histogram, HistogramSnapshot, Registry, Span};
 use smash_support::retry;
@@ -71,26 +71,22 @@ pub struct ServeOptions {
     pub data_dir: PathBuf,
     /// Pipeline configuration used by every mine.
     pub config: SmashConfig,
-    /// Soft-budgeted byte cap for the open epoch buffer (0 = no
-    /// backpressure). Ingest answers `BUSY` once the governor account
-    /// crosses 4/5 of this, mirroring the pipeline's degradation
-    /// ladder.
+    /// Byte cap for the open epoch's accepted payloads (0 = no
+    /// backpressure). Ingest answers `BUSY` to a line that would carry
+    /// the open epoch past it; a `SEAL` frees it all.
     pub epoch_budget_bytes: u64,
-    /// Per-stage memory budget handed to each mine (0 = unlimited).
-    pub mine_memory_budget_bytes: u64,
     /// Wall-clock deadline handed to each mine (0 = none).
     pub mine_deadline_ms: u64,
 }
 
 impl ServeOptions {
     /// Defaults for `data_dir`: default pipeline config, 64 MiB epoch
-    /// budget, unlimited mines.
+    /// budget, no mine deadline.
     pub fn new<P: Into<PathBuf>>(data_dir: P) -> Self {
         Self {
             data_dir: data_dir.into(),
             config: SmashConfig::default(),
             epoch_budget_bytes: 64 << 20,
-            mine_memory_budget_bytes: 0,
             mine_deadline_ms: 0,
         }
     }
@@ -102,7 +98,8 @@ impl ServeOptions {
 struct State {
     /// Accepted lines of the open epoch (the future WAL payload).
     buffer: Vec<String>,
-    /// Bytes charged against the epoch scope for the open buffer.
+    /// Payload bytes of the open buffer, held against
+    /// [`ServeOptions::epoch_budget_bytes`].
     buffer_bytes: u64,
     /// Sealed epochs' lines the mine worker has not yet absorbed into
     /// its arena (where the cumulative trace lives), in seal order.
@@ -213,7 +210,6 @@ struct Inner {
     progress: Mutex<Progress>,
     progress_cv: Condvar,
     cell: SnapshotCell,
-    epoch_scope: Arc<StageScope>,
 }
 
 /// What [`Connection::handle`] tells the transport to do.
@@ -306,10 +302,6 @@ impl CampaignService {
             .counter("serve/recovery/epochs_replayed")
             .add(replay.epochs.len() as u64);
 
-        let ingest_governor = Governor::new(
-            &GovernorOptions::unlimited().with_memory_budget_bytes(opts.epoch_budget_bytes),
-        );
-        let epoch_scope = ingest_governor.stage("serve/epoch", 0);
         let inner = Arc::new(Inner {
             smash: Smash::new(opts.config.clone()),
             whois: WhoisRegistry::new(),
@@ -326,7 +318,6 @@ impl CampaignService {
             }),
             progress_cv: Condvar::new(),
             cell: SnapshotCell::new(Arc::new(initial)),
-            epoch_scope,
         });
         let worker = {
             let inner = Arc::clone(&inner);
@@ -465,27 +456,15 @@ impl CampaignService {
         let inner = &*self.inner;
         let mut state = inner.state.lock().expect("state mutex not poisoned");
         let bytes = payload.len() as u64;
-        if inner.opts.epoch_budget_bytes > 0
-            && inner.epoch_scope.tracked_bytes() + bytes > inner.epoch_scope.soft_bytes()
-        {
-            // Governor-driven load shedding: the open epoch crossed its
-            // soft budget; the client must SEAL (or back off) first.
-            let busy = inner.hot.ingest_busy.of(&inner.metrics);
-            if busy.get() == 0 {
-                inner.epoch_scope.record(
-                    Rung::IngestShed,
-                    format!(
-                        "epoch buffer crossed soft budget ({} bytes): shedding ingest",
-                        inner.epoch_scope.soft_bytes()
-                    ),
-                );
-            }
-            busy.inc();
+        let budget = inner.opts.epoch_budget_bytes;
+        if budget > 0 && state.buffer_bytes + bytes > budget {
+            // Load shedding: the line would carry the open epoch past
+            // its budget; the client must SEAL (or back off) first.
+            inner.hot.ingest_busy.of(&inner.metrics).inc();
             return Response::Reply("BUSY".into());
         }
         match decode_fields(payload.as_bytes()) {
             Ok(_) => {
-                inner.epoch_scope.charge(bytes);
                 state.buffer_bytes += bytes;
                 state.buffer.push(payload.to_owned());
                 inner.hot.ingest_ok.of(&inner.metrics).inc();
@@ -569,8 +548,7 @@ impl CampaignService {
         let lines = std::mem::take(&mut state.buffer);
         let records = lines.len();
         state.unabsorbed.push(lines);
-        let freed = std::mem::take(&mut state.buffer_bytes);
-        inner.epoch_scope.release(freed);
+        state.buffer_bytes = 0;
         drop(state);
         let mut progress = inner.progress.lock().expect("progress mutex not poisoned");
         // `max`, not assignment: two seals that raced past the state
@@ -788,7 +766,6 @@ fn mine_worker(inner: &Inner, replayed: Vec<epoch::ReplayedEpoch>) {
         absorb(inner, &mut dataset, fresh.into_iter().flatten());
         inner.metrics.counter("serve/mine/started").inc();
         let gov = GovernorOptions {
-            memory_budget_bytes: inner.opts.mine_memory_budget_bytes,
             deadline_ms: inner.opts.mine_deadline_ms,
             cancel: Some(token.clone()),
         };
@@ -832,8 +809,8 @@ fn mine_worker(inner: &Inner, replayed: Vec<epoch::ReplayedEpoch>) {
             // covers a strict prefix; loop and mine the new target.
             continue;
         }
-        // A mine whose main dimension did not complete (a governor
-        // budget cancelled it, or it panicked) found nothing to
+        // A mine whose main dimension did not complete (the mine
+        // deadline cancelled it, or it panicked) found nothing to
         // correlate: its empty report is no answer for the epoch.
         let result =
             result.and_then(

@@ -1,25 +1,19 @@
-//! Run-scoped resource governor: cooperative cancellation, byte-accurate
-//! memory accounting, and the graceful-degradation ladder.
+//! Run-scoped governor: cooperative cancellation and a tracked-bytes
+//! ledger.
 //!
-//! SMASH at the ISP vantage point must *survive* whatever the tap sends:
-//! a degenerate day that explodes posting lists, a stage that stalls, a
-//! box with less memory than the trace deserves. The governor is the
-//! mechanism (DESIGN.md §11): the pipeline opens one [`Governor`] per
-//! run, every heavy stage registers a [`StageScope`], and the stage's
-//! inner loops then
+//! The pipeline opens one [`Governor`] per run (DESIGN.md §11), every
+//! heavy stage registers a [`StageScope`], and the stage's inner loops
+//! then
 //!
 //! 1. **poll** — [`StageScope::tick`] is an atomic-load-cheap
 //!    cancellation point (plus the deterministic `<stage>/tick`
-//!    failpoint), so deadline and budget violations stop work mid-stage
-//!    instead of after the stage burned its full wall time;
+//!    failpoint), so a run deadline, a per-stage wall-clock budget or an
+//!    external cancel stops work mid-stage instead of after the stage
+//!    burned its full wall time;
 //! 2. **charge** — [`StageScope::charge`] / [`release`](StageScope::release)
 //!    account the bytes of the dominant allocations (postings, LSH band
-//!    tables, graph edges) against per-stage soft and hard budgets;
-//! 3. **degrade** — on a soft-budget breach the *caller* walks the
-//!    deterministic ladder (DESIGN.md §11.3; the rungs are the [`Rung`]
-//!    variants, in ladder order), recording every rung that fires with
-//!    [`StageScope::record`] so the run's health report shows exactly
-//!    what was traded away. Crossing the hard budget cancels the stage.
+//!    tables, graph edges). The ledger bounds nothing: it reports
+//!    per-stage and run peaks.
 //!
 //! Cancellation is delivered by panicking with a `governor:`-prefixed
 //! message from a poll point; the pipeline's existing panic-isolation
@@ -27,16 +21,13 @@
 //! `DimensionStatus`, so a cancelled dimension degrades exactly like a
 //! crashed one — renormalized away, never fatal.
 //!
-//! Everything the governor decides from *charged bytes* is deterministic:
-//! charges happen at deterministic points with deterministic sizes, and
-//! ladder decisions are taken in sequential stage code. Wall-clock
-//! deadlines are inherently nondeterministic and only ever map to the
-//! same degraded statuses a wall-clock budget always produced. With no
-//! budgets configured every poll is a pair of relaxed loads and every
-//! charge a pair of atomic adds, and reports stay byte-identical.
+//! Charges happen at deterministic points with deterministic sizes, so
+//! the ledger's peaks are deterministic. Wall-clock deadlines are
+//! inherently nondeterministic. With no deadline every poll is a pair of
+//! relaxed loads and every charge a pair of atomic adds, and reports stay
+//! byte-identical.
 
 use crate::failpoint;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant; // lint:allow(wallclock): deadline enforcement is inherently wall-clock
@@ -46,33 +37,28 @@ use std::time::Instant; // lint:allow(wallclock): deadline enforcement is inhere
 pub const CANCEL_PREFIX: &str = "governor: ";
 
 /// Run-scoped governor knobs, kept out of the pipeline config: they
-/// bound what one run may spend, not what it computes, and the daemon
-/// sets them per mine (`ServeOptions::mine_memory_budget_bytes`).
+/// bound how long one run may take, not what it computes. The daemon
+/// sets them per mine (`ServeOptions::mine_deadline_ms` and the mine's
+/// supersede token); `smash analyze` passes one token whose deadline
+/// started before the trace was read, so ingest and mining share one
+/// clock.
 #[derive(Debug, Clone, Default)]
 pub struct GovernorOptions {
-    /// Hard per-stage memory budget in bytes (0 = unlimited). The soft
-    /// budget — where the degradation ladder engages — is
-    /// [`SOFT_NUM`]/[`SOFT_DEN`] of this.
-    pub memory_budget_bytes: u64,
-    /// Whole-run wall-clock deadline in milliseconds (0 = none).
+    /// Wall-clock deadline in milliseconds, started when the
+    /// [`Governor`] is created (0 = none).
     pub deadline_ms: u64,
     /// Optional external parent for the run token. When set, the run's
-    /// token is a child of this one, so cancelling the parent cancels
-    /// the whole run cooperatively — how the serve layer's miner stops
-    /// a stale mine the moment a fresh epoch supersedes it.
+    /// token is a child of this one, so cancelling the parent — or the
+    /// parent's own deadline expiring — cancels the whole run
+    /// cooperatively. The serve layer's miner stops a stale mine this
+    /// way the moment a fresh epoch supersedes it.
     pub cancel: Option<CancelToken>,
 }
 
 impl GovernorOptions {
-    /// No budgets: every governor operation is a no-op-priced poll.
+    /// No deadline and no parent: every poll is no-op-priced.
     pub fn unlimited() -> Self {
         Self::default()
-    }
-
-    /// Sets the hard per-stage memory budget in bytes.
-    pub fn with_memory_budget_bytes(mut self, bytes: u64) -> Self {
-        self.memory_budget_bytes = bytes;
-        self
     }
 
     /// Sets the whole-run deadline in milliseconds.
@@ -86,62 +72,6 @@ impl GovernorOptions {
         self.cancel = Some(token);
         self
     }
-}
-
-/// Verbatim ladder events kept per stage; further events are counted
-/// and folded into one summary line per stage.
-pub const MAX_RECORDED_EVENTS: usize = 64;
-
-/// Soft budget numerator: the ladder engages at 4/5 of the hard budget.
-pub const SOFT_NUM: u64 = 4;
-/// Soft budget denominator.
-pub const SOFT_DEN: u64 = 5;
-
-/// One rung of the degradation ladder (DESIGN.md §11.3), in the order a
-/// stage reaches them. [`StageScope::record`] takes the rung, so firings
-/// are counted where they happen, not parsed back out of event text.
-/// Cancellation, the last rung, is [`StageSummary::cancelled`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Rung {
-    /// The remaining LSH bands given up: their tables would not fit.
-    Abandoned,
-    /// `bucket_cap` lowered to fit a band's projected cliques.
-    Tightened,
-    /// LSH rare-feature path skipped: its index would not fit under soft
-    /// beside the band tables.
-    RareSkipped,
-    /// A popular co-occurrence posting shed, longest first.
-    Shed,
-    /// The client index built over several windows of partner nodes
-    /// because the whole did not fit under soft: costs time, no recall.
-    Windowed,
-    /// The finished graph thinned to its heaviest edges.
-    Thinned,
-    /// `smash serve` refused ingest: the open epoch is at its budget.
-    IngestShed,
-}
-
-impl Rung {
-    /// The rung's metric name: it is counted under `governor/<name>`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Rung::Abandoned => "abandoned",
-            Rung::Tightened => "tightened",
-            Rung::RareSkipped => "rare_skipped",
-            Rung::Shed => "shed",
-            Rung::Windowed => "windowed",
-            Rung::Thinned => "thinned",
-            Rung::IngestShed => "ingest_shed",
-        }
-    }
-}
-
-/// A stage's recorded ladder events: the lines kept verbatim, and how
-/// often each rung fired (lines past the cap included).
-#[derive(Debug, Default)]
-struct EventLog {
-    lines: Vec<String>,
-    rungs: BTreeMap<Rung, u64>,
 }
 
 /// A wall-clock deadline owned by a token.
@@ -245,7 +175,9 @@ impl CancelToken {
     }
 
     /// Polls the token: checks the cancel flag, then the deadline (a
-    /// blown deadline cancels the token), then the parent chain.
+    /// blown deadline cancels the token), then the parent chain. A token
+    /// that finds an ancestor cancelled takes the ancestor's reason as
+    /// its own, so a stage that observed a run-wide cancel says so.
     pub fn is_cancelled(&self) -> bool {
         if self.inner.cancelled.load(Ordering::Relaxed) {
             return true;
@@ -263,10 +195,15 @@ impl CancelToken {
                 return true;
             }
         }
-        match &self.inner.parent {
-            Some(p) => p.is_cancelled(),
-            None => false,
+        let Some(parent) = &self.inner.parent else {
+            return false;
+        };
+        if !parent.is_cancelled() {
+            return false;
         }
+        let reason = parent.reason().unwrap_or_default();
+        self.cancel(&reason);
+        true
     }
 
     /// The cancellation reason, when cancelled (this level or an
@@ -336,20 +273,16 @@ fn saturating_sub(tracked: &AtomicU64, bytes: u64) {
 }
 
 /// One stage's governed scope: its cancellation token (chained to the
-/// run token, carrying the per-stage wall-clock budget), its byte
-/// account against the per-stage soft/hard budgets, and the ladder
-/// events it recorded. Created through [`Governor::stage`]; shared by
-/// the builder, the candidate generator, and the miner of one stage.
+/// run token, carrying the per-stage wall-clock budget) and its byte
+/// account. Created through [`Governor::stage`]; shared by the builder,
+/// the candidate generator, and the miner of one stage.
 #[derive(Debug)]
 pub struct StageScope {
     name: String,
     tick_site: String,
     token: CancelToken,
-    soft_bytes: u64,
-    hard_bytes: u64,
     tracked: AtomicU64,
     peak: AtomicU64,
-    events: Mutex<EventLog>,
     totals: Arc<Totals>,
 }
 
@@ -377,29 +310,15 @@ impl StageScope {
         self.token.bail();
     }
 
-    /// Charges `bytes` against the stage (and run) account. Crossing
-    /// the hard budget cancels the stage and panics at once — the hard
-    /// budget is the promise that a stage never outgrows its cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics (cancelling the stage) when the charge crosses the hard
-    /// budget.
+    /// Charges `bytes` to the stage (and run) account.
     pub fn charge(&self, bytes: u64) {
         let now = self.tracked.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.peak.fetch_max(now, Ordering::Relaxed);
         self.totals.add(bytes);
-        if self.hard_bytes > 0 && now > self.hard_bytes {
-            self.token.cancel(&format!(
-                "{CANCEL_PREFIX}memory hard budget exceeded in {}: {now} > {} tracked bytes",
-                self.name, self.hard_bytes
-            ));
-            self.token.bail();
-        }
     }
 
-    /// Returns `bytes` to the account (shed postings, cleared buckets,
-    /// dropped buffers).
+    /// Returns `bytes` to the account (built tables shrunk, scan state
+    /// dropped).
     pub fn release(&self, bytes: u64) {
         saturating_sub(&self.tracked, bytes);
         self.totals.sub(bytes);
@@ -414,41 +333,6 @@ impl StageScope {
     pub fn peak_bytes(&self) -> u64 {
         self.peak.load(Ordering::Relaxed)
     }
-
-    /// Whether the soft budget is currently exceeded — the ladder's
-    /// engage signal. Always `false` without a memory budget.
-    pub fn soft_exceeded(&self) -> bool {
-        self.soft_bytes > 0 && self.tracked_bytes() > self.soft_bytes
-    }
-
-    /// The soft budget in bytes (0 = unlimited).
-    pub fn soft_bytes(&self) -> u64 {
-        self.soft_bytes
-    }
-
-    /// The hard budget in bytes (0 = unlimited): the bound
-    /// [`charge`](Self::charge) enforces by cancelling the stage.
-    pub fn hard_bytes(&self) -> u64 {
-        self.hard_bytes
-    }
-
-    /// Records that `rung` fired, with one event line (deterministic
-    /// text: byte counts and feature ids only, never wall-clock
-    /// values). Every firing is counted; at most
-    /// [`MAX_RECORDED_EVENTS`] lines are kept verbatim per stage — a
-    /// rung that sheds tens of thousands of postings would otherwise
-    /// bloat `RunHealth` — and [`Governor::stage_summaries`] folds the
-    /// overflow into one summary line.
-    pub fn record(&self, rung: Rung, event: String) {
-        let mut log = self
-            .events
-            .lock()
-            .expect("governor event mutex not poisoned");
-        *log.rungs.entry(rung).or_insert(0) += 1;
-        if log.lines.len() < MAX_RECORDED_EVENTS {
-            log.lines.push(event);
-        }
-    }
 }
 
 /// One stage's final account, from [`Governor::stage_summaries`].
@@ -458,17 +342,13 @@ pub struct StageSummary {
     pub name: String,
     /// High-water mark of the stage's tracked bytes.
     pub peak_bytes: u64,
-    /// Degradation-ladder events, in the order the stage recorded them.
-    pub events: Vec<String>,
-    /// How often each rung fired (rungs that never fired are absent).
-    pub rungs: BTreeMap<Rung, u64>,
-    /// Whether the stage's token ended cancelled.
+    /// Whether the stage's token ended cancelled — by its own budget or
+    /// by a run-wide cancel it observed.
     pub cancelled: bool,
 }
 
 #[derive(Debug)]
 struct GovernorInner {
-    opts: GovernorOptions,
     run_token: CancelToken,
     totals: Arc<Totals>,
     stages: Mutex<Vec<Arc<StageScope>>>,
@@ -489,8 +369,8 @@ impl Default for Governor {
 }
 
 impl Governor {
-    /// A governor with no budgets: polls and charges stay cheap and
-    /// nothing is ever cancelled or degraded.
+    /// A governor with no deadline and no parent: polls and charges stay
+    /// cheap and nothing is ever cancelled.
     pub fn unlimited() -> Self {
         Self::new(&GovernorOptions::unlimited())
     }
@@ -509,17 +389,11 @@ impl Governor {
         let run_token = CancelToken::with(deadline, opts.cancel.clone());
         Self {
             inner: Arc::new(GovernorInner {
-                opts: opts.clone(),
                 run_token,
                 totals: Arc::new(Totals::default()),
                 stages: Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    /// The run-level token (deadline-bearing); ingest paths poll this.
-    pub fn run_token(&self) -> CancelToken {
-        self.inner.run_token.clone()
     }
 
     /// Gets or creates the scope for `stage`. The first call creates it
@@ -535,16 +409,12 @@ impl Governor {
         if let Some(existing) = stages.iter().find(|s| s.name == stage) {
             return Arc::clone(existing);
         }
-        let hard = self.inner.opts.memory_budget_bytes;
         let scope = Arc::new(StageScope {
             name: stage.to_owned(),
             tick_site: format!("{stage}/tick"),
             token: self.inner.run_token.child_with_budget_ms(budget_ms),
-            soft_bytes: hard / SOFT_DEN * SOFT_NUM,
-            hard_bytes: hard,
             tracked: AtomicU64::new(0),
             peak: AtomicU64::new(0),
-            events: Mutex::new(EventLog::default()),
             totals: Arc::clone(&self.inner.totals),
         });
         stages.push(Arc::clone(&scope));
@@ -552,8 +422,8 @@ impl Governor {
     }
 
     /// Marks a stage finished: its tracked bytes leave the run total
-    /// (the stage's structures are dropped or snapshotted by now). The
-    /// stage's own peak and events stay for the final summary.
+    /// (the stage's structures are dropped by now). The stage's own
+    /// peak stays for the final summary.
     pub fn close_stage(&self, stage: &str) {
         let stages = self
             .inner
@@ -581,20 +451,10 @@ impl Governor {
             .expect("governor stage registry mutex not poisoned");
         let mut out: Vec<StageSummary> = stages
             .iter()
-            .map(|s| {
-                let log = s.events.lock().expect("governor event mutex not poisoned");
-                let mut events = log.lines.clone();
-                let suppressed = log.rungs.values().sum::<u64>() - events.len() as u64;
-                if suppressed > 0 {
-                    events.push(format!("{suppressed} further ladder events suppressed"));
-                }
-                StageSummary {
-                    name: s.name.clone(),
-                    peak_bytes: s.peak_bytes(),
-                    events,
-                    rungs: log.rungs.clone(),
-                    cancelled: s.token.inner.cancelled.load(Ordering::Acquire),
-                }
+            .map(|s| StageSummary {
+                name: s.name.clone(),
+                peak_bytes: s.peak_bytes(),
+                cancelled: s.token.inner.cancelled.load(Ordering::Acquire),
             })
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -607,10 +467,12 @@ pub fn is_cancel_message(msg: &str) -> bool {
     msg.starts_with(CANCEL_PREFIX)
 }
 
-/// Parses `elapsed <e> ms > budget <b> ms` out of a deadline
-/// cancellation message, for triage into a timed-out status.
+/// Parses `elapsed <e> ms > budget <b> ms` out of a per-stage budget
+/// cancellation message, for triage into a timed-out status. A run
+/// deadline's message is not one: the run, not the stage, ran out.
 pub fn parse_deadline_message(msg: &str) -> Option<(u64, u64)> {
-    let rest = msg.split("elapsed ").nth(1)?;
+    let rest = msg.strip_prefix(CANCEL_PREFIX)?;
+    let rest = rest.strip_prefix("dimension budget exceeded: elapsed ")?;
     let (elapsed, rest) = rest.split_once(" ms > budget ")?;
     let budget = rest.strip_suffix(" ms")?;
     Some((elapsed.trim().parse().ok()?, budget.trim().parse().ok()?))
@@ -621,14 +483,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unlimited_governor_never_cancels_or_degrades() {
+    fn unlimited_governor_never_cancels() {
         let g = Governor::unlimited();
         let s = g.stage("dimension/client", 0);
         for _ in 0..1000 {
             s.tick();
             s.charge(1 << 20);
         }
-        assert!(!s.soft_exceeded());
         assert!(!s.token().is_cancelled());
         assert_eq!(s.peak_bytes(), 1000 << 20);
     }
@@ -644,48 +505,26 @@ mod tests {
     }
 
     #[test]
-    fn soft_budget_engages_before_hard() {
-        let g = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(1000));
-        let s = g.stage("dimension/uri-file", 0);
-        s.charge(700);
-        assert!(!s.soft_exceeded());
-        s.charge(200); // 900 > 800 soft, under 1000 hard
-        assert!(s.soft_exceeded());
-        s.release(300);
-        assert!(!s.soft_exceeded());
-    }
-
-    #[test]
-    fn hard_budget_cancels_the_stage() {
-        let g = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(100));
-        let s = g.stage("dimension/ip-set", 0);
-        let r = crate::par::run_isolated(|| {
-            s.charge(60);
-            s.charge(60); // 120 > 100: cancels and panics
-            s.charge(1);
-        });
-        let msg = r.expect_err("hard breach must cancel");
-        assert!(is_cancel_message(&msg), "got: {msg}");
-        assert!(msg.contains("dimension/ip-set"), "got: {msg}");
-        assert!(s.token().is_cancelled());
-        // Subsequent ticks keep bailing.
-        let again = crate::par::run_isolated(|| s.tick());
-        assert!(again.is_err());
-        let summary = g.stage_summaries();
-        assert!(summary.first().is_some_and(|s| s.cancelled));
-    }
-
-    #[test]
     fn deadline_token_cancels_and_reports_elapsed() {
-        let t = CancelToken::with_deadline_ms(10);
-        assert!(!t.is_cancelled());
+        let run = CancelToken::with_deadline_ms(10_000);
+        let stage = run.child_with_budget_ms(10);
+        assert!(!stage.is_cancelled());
         std::thread::sleep(std::time::Duration::from_millis(25));
-        assert!(t.is_cancelled());
-        let reason = t.reason().expect("cancelled tokens carry a reason");
+        assert!(stage.is_cancelled());
+        assert!(!run.is_cancelled(), "a stage budget cancels its stage only");
+        let reason = stage.reason().expect("cancelled tokens carry a reason");
         let (elapsed, budget) =
             parse_deadline_message(&reason).expect("deadline reason must parse");
         assert!(elapsed >= 10, "elapsed {elapsed}");
         assert_eq!(budget, 10);
+
+        // A run deadline is no stage budget: it triages as a cancel.
+        let run = CancelToken::with_deadline_ms(1);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert!(run.is_cancelled());
+        let reason = run.reason().expect("cancelled tokens carry a reason");
+        assert!(reason.starts_with("governor: run deadline exceeded: elapsed "));
+        assert_eq!(parse_deadline_message(&reason), None);
     }
 
     #[test]
@@ -696,6 +535,28 @@ mod tests {
         parent.cancel("governor: run deadline exceeded: elapsed 9 ms > budget 1 ms");
         assert!(child.is_cancelled());
         assert!(child.reason().is_some_and(|r| r.contains("run deadline")));
+    }
+
+    #[test]
+    fn a_stage_that_observes_a_run_cancel_is_summarized_cancelled() {
+        let parent = CancelToken::new();
+        let g = Governor::new(&GovernorOptions::unlimited().with_cancel(parent.clone()));
+        let (polled, idle) = (
+            g.stage("dimension/client", 0),
+            g.stage("dimension/whois", 0),
+        );
+        parent.cancel("governor: cancelled by the caller");
+        let r = crate::par::run_isolated(|| polled.tick());
+        assert_eq!(
+            r.expect_err("a cancelled run bails"),
+            "governor: cancelled by the caller"
+        );
+        let cancelled: Vec<(String, bool)> = (g.stage_summaries().into_iter())
+            .map(|s| (s.name, s.cancelled))
+            .collect();
+        let expected = [("dimension/client", true), ("dimension/whois", false)];
+        assert_eq!(cancelled, expected.map(|(n, c)| (n.to_owned(), c)));
+        assert!(!idle.token().inner.cancelled.load(Ordering::Acquire));
     }
 
     #[test]
@@ -722,37 +583,15 @@ mod tests {
     }
 
     #[test]
-    fn event_overflow_is_folded_into_one_summary_line() {
-        let g = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(1 << 30));
-        let s = g.stage("dimension/client", 0);
-        for i in 0..MAX_RECORDED_EVENTS + 36 {
-            s.record(Rung::Shed, format!("shed posting feature={i} len=1"));
-        }
-        let summary = g.stage_summaries().remove(0);
-        // Suppressed events are still counted against their rung.
-        assert_eq!(
-            summary.rungs,
-            BTreeMap::from([(Rung::Shed, MAX_RECORDED_EVENTS as u64 + 36)])
-        );
-        assert_eq!(summary.events.len(), MAX_RECORDED_EVENTS + 1);
-        assert_eq!(
-            summary.events.last().map(String::as_str),
-            Some("36 further ladder events suppressed")
-        );
-    }
-
-    #[test]
-    fn events_are_summarized_sorted_by_stage() {
-        let g = Governor::new(&GovernorOptions::unlimited().with_memory_budget_bytes(1 << 30));
-        let z = g.stage("dimension/whois", 0);
-        let a = g.stage("dimension/client", 0);
-        z.record(Rung::Shed, "shed posting feature=1 len=9".to_owned());
-        a.record(
-            Rung::Tightened,
-            "bucket_cap tightened 512 -> 128".to_owned(),
-        );
-        let names: Vec<String> = g.stage_summaries().into_iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["dimension/client", "dimension/whois"]);
+    fn summaries_are_sorted_by_stage() {
+        let g = Governor::unlimited();
+        g.stage("dimension/whois", 0).charge(9);
+        g.stage("dimension/client", 0).charge(4);
+        let names: Vec<(String, u64)> = (g.stage_summaries().into_iter())
+            .map(|s| (s.name, s.peak_bytes))
+            .collect();
+        let expected = [("dimension/client", 4), ("dimension/whois", 9)];
+        assert_eq!(names, expected.map(|(n, b)| (n.to_owned(), b)));
     }
 
     #[test]
@@ -763,7 +602,10 @@ mod tests {
             ),
             Some((207, 100))
         );
-        assert_eq!(parse_deadline_message("governor: memory hard budget"), None);
+        assert_eq!(
+            parse_deadline_message("governor: run deadline exceeded: elapsed 9 ms > budget 1 ms"),
+            None
+        );
     }
 
     #[test]

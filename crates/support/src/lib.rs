@@ -16,10 +16,10 @@
 //!   panic-isolating variant for the degraded-mode pipeline.
 //! * [`failpoint`] — deterministic, zero-cost-when-unarmed fault
 //!   injection (`SMASH_FAILPOINTS`) for resilience testing.
-//! * [`governor`] — run-scoped resource governance: cooperative
-//!   cancellation tokens, byte-accurate per-stage memory accounting, and
-//!   the graceful-degradation ladder behind `--memory-budget-mb` /
-//!   `--deadline-ms`.
+//! * [`governor`] — run-scoped governance: the cooperative
+//!   cancellation tokens behind `--deadline-ms` and
+//!   `--dimension-budget-ms`, and a per-stage tracked-bytes ledger that
+//!   reports peaks.
 //! * [`check`] — a seeded property-test harness with shrink-on-failure
 //!   and failure-seed reporting, replacing `proptest`.
 //! * [`envelope`] — the one versioned, checksummed, fail-closed frame

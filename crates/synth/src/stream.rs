@@ -20,7 +20,7 @@
 //! The world model is deliberately simpler than the batch presets (no
 //! Whois, no IDS labels): the huge scenario exists to exercise *scale*
 //! — the IDF filter dropping hyper-popular servers, the LSH candidate
-//! funnel, streaming ingest, and the governor's degradation sweep
+//! funnel, streaming ingest, and the governor's deadline sweep
 //! (`tests/governor.rs`) — not evaluation metrics.
 
 use crate::scenario::mix;

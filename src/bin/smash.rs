@@ -24,6 +24,7 @@
 
 use smash::core::baseline::ReputationBaseline;
 use smash::core::{DimensionStatus, Smash, SmashConfig};
+use smash::support::governor::{CancelToken, GovernorOptions};
 use smash::support::metrics::Registry;
 use smash::synth::Scenario;
 use smash::trace::{io, IngestOptions, IngestReport, TraceDataset, TraceStats};
@@ -61,12 +62,10 @@ analyze flags:
                          oracle; see DESIGN.md §10 — slow on large
                          traces)
   --dimension-budget-ms <ms>  per-dimension wall-clock budget (0 = off)
-  --memory-budget-mb <mb>  per-stage tracked-memory hard budget; the
-                         degradation ladder engages at 80% (0 = off;
-                         see DESIGN.md §11)
-  --deadline-ms <ms>     whole-run wall-clock deadline, polled
-                         cooperatively by ingest, builders, and mining
-                         (0 = off)
+  --deadline-ms <ms>     whole-run wall-clock deadline, one clock from
+                         before the trace is read, polled cooperatively
+                         by ingest, builders, and mining (0 = off; see
+                         DESIGN.md §11)
   --json <path>          write the campaign/health/perf report as JSON
   --dot <path>           write the client-similarity graph as Graphviz DOT
   --metrics <path>       dump the full metrics registry snapshot as JSON
@@ -78,11 +77,12 @@ serve flags (the always-on campaign daemon; see DESIGN.md §13):
                          bound address is printed as `LISTENING <addr>`)
   --stdio                serve stdin/stdout instead of TCP (EOF drains)
   --epoch-budget-mb <mb> open-epoch buffer budget; ingest answers BUSY
-                         past 80% of it (default 64, 0 = off)
+                         to a line that would pass it (default 64,
+                         0 = off)
   --threshold / --idf / --param-dimension / --exact
                          pipeline knobs, as for analyze
-  --memory-budget-mb / --deadline-ms
-                         per-mine governor budgets, as for analyze
+  --dimension-budget-ms / --deadline-ms
+                         per-mine wall-clock budgets, as for analyze
 
   protocol: one request per line — PING, INGEST <json>, SEAL, WAIT,
   QUERY <server>, STATS, REPORT, SHUTDOWN. Example session:
@@ -266,13 +266,15 @@ fn cmd_generate(args: &[String]) -> CliResult {
 
 /// Loads the trace (strict by default, quarantining with `--lenient`)
 /// plus the optional Whois registry. The third element is the ingest
-/// report when lenient mode ran. Records `stage/ingest` and
+/// report when lenient mode ran. A JSONL read polls `cancel` once per
+/// chunk and aborts once it is cancelled. Records `stage/ingest` and
 /// `stage/ingest/merge` timings plus `ingest/bytes` / `ingest/chunks` /
 /// `ingest/records` / `ingest/quarantined` counters into `metrics` — or,
 /// for a day file, `stage/load_day` and its `read` and `parse` parts.
 fn load(
     args: &[String],
     metrics: &Registry,
+    cancel: Option<&CancelToken>,
 ) -> Result<(TraceDataset, WhoisRegistry, Option<IngestReport>), Box<dyn std::error::Error>> {
     let whois = || -> Result<WhoisRegistry, Box<dyn std::error::Error>> {
         Ok(match flag_value(args, "--whois") {
@@ -317,14 +319,8 @@ fn load(
         } else {
             opts = opts.with_error_budget(0.0);
         }
-        // A run deadline covers ingest too: the reader polls the token
-        // once per chunk and aborts instead of parsing past the deadline.
-        if let Some(ms) = flag_value(args, "--deadline-ms") {
-            let ms: u64 = ms.parse()?;
-            if ms > 0 {
-                let token = smash::support::governor::CancelToken::with_deadline_ms(ms);
-                opts = opts.with_cancel(token);
-            }
+        if let Some(token) = cancel {
+            opts = opts.with_cancel(token.clone());
         }
         let mut dataset = TraceDataset::default();
         let file = std::fs::File::open(path)?;
@@ -367,7 +363,7 @@ fn cmd_preprocess(args: &[String]) -> CliResult {
         .map(String::as_str)
         .ok_or("missing output path (smash preprocess <trace> <out.smshcols>)")?;
     let metrics = Registry::new();
-    let (dataset, _, _) = load(args, &metrics)?;
+    let (dataset, _, _) = load(args, &metrics, None)?;
     smash::trace::day::save_day(std::path::Path::new(out), &dataset)?;
     println!(
         "preprocessed {} records ({} servers, {} clients, {} arena bytes) to {out}",
@@ -381,7 +377,7 @@ fn cmd_preprocess(args: &[String]) -> CliResult {
 
 fn cmd_stats(args: &[String]) -> CliResult {
     check_flags(args, &[LOAD_FLAGS])?;
-    let (dataset, _, _) = load(args, &Registry::new())?;
+    let (dataset, _, _) = load(args, &Registry::new(), None)?;
     println!("{}", TraceStats::compute(&dataset));
     Ok(())
 }
@@ -392,7 +388,6 @@ const ANALYZE_FLAGS: &[FlagSpec] = &[
     ("--param-dimension", false),
     ("--exact", false),
     ("--dimension-budget-ms", true),
-    ("--memory-budget-mb", true),
     ("--deadline-ms", true),
     ("--json", true),
     ("--dot", true),
@@ -424,19 +419,16 @@ fn pipeline_config(args: &[String]) -> Result<SmashConfig, Box<dyn std::error::E
 fn cmd_analyze(args: &[String]) -> CliResult {
     check_flags(args, &[LOAD_FLAGS, ANALYZE_FLAGS])?;
     let metrics = Registry::new();
-    let (dataset, whois, ingest) = load(args, &metrics)?;
+    // One run deadline, started before the trace is read: ingest polls
+    // it, and the governor's run token is its child, so ingest and
+    // mining share one clock.
+    let deadline_ms: u64 = flag_value(args, "--deadline-ms").unwrap_or("0").parse()?;
+    let deadline = (deadline_ms > 0).then(|| CancelToken::with_deadline_ms(deadline_ms));
+    let (dataset, whois, ingest) = load(args, &metrics, deadline.as_ref())?;
     let config = pipeline_config(args)?;
-    let mut resources = smash::support::governor::GovernorOptions::unlimited();
-    if let Some(mb) = flag_value(args, "--memory-budget-mb") {
-        resources = resources.with_memory_budget_bytes(mb.parse::<u64>()? << 20);
-    }
-    if let Some(ms) = flag_value(args, "--deadline-ms") {
-        resources = resources.with_deadline_ms(ms.parse()?);
-    }
-    let governed =
-        (resources.memory_budget_bytes > 0 || resources.deadline_ms > 0).then_some(&resources);
+    let resources = deadline.map(|token| GovernorOptions::unlimited().with_cancel(token));
     let smash = Smash::new(config);
-    let mut report = smash.run_governed(&dataset, &whois, &metrics, governed);
+    let mut report = smash.run_governed(&dataset, &whois, &metrics, resources.as_ref());
     report.health.ingest = ingest;
     for note in &report.health.governor {
         eprintln!("governor: {note}");
@@ -532,7 +524,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
 
 fn cmd_baseline(args: &[String]) -> CliResult {
     check_flags(args, &[LOAD_FLAGS, &[("--top", true)]])?;
-    let (dataset, _, _) = load(args, &Registry::new())?;
+    let (dataset, _, _) = load(args, &Registry::new(), None)?;
     let top: usize = flag_value(args, "--top").unwrap_or("20").parse()?;
     let baseline = ReputationBaseline::default();
     println!("top {top} servers by per-server reputation score (herd-blind comparator):");
@@ -552,7 +544,6 @@ const SERVE_FLAGS: &[FlagSpec] = &[
     ("--param-dimension", false),
     ("--exact", false),
     ("--dimension-budget-ms", true),
-    ("--memory-budget-mb", true),
     ("--deadline-ms", true),
 ];
 
@@ -569,9 +560,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
     serve.config = pipeline_config(args)?;
     if let Some(mb) = flag_value(args, "--epoch-budget-mb") {
         serve.epoch_budget_bytes = mb.parse::<u64>()? << 20;
-    }
-    if let Some(mb) = flag_value(args, "--memory-budget-mb") {
-        serve.mine_memory_budget_bytes = mb.parse::<u64>()? << 20;
     }
     if let Some(ms) = flag_value(args, "--deadline-ms") {
         serve.mine_deadline_ms = ms.parse()?;

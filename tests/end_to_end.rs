@@ -112,20 +112,37 @@ fn cli_help_exits_zero_and_mentions_lint() {
 
 #[test]
 fn cli_unknown_flag_exits_two_on_stderr() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_smash"))
-        .arg("--no-such-flag")
-        .output()
-        .expect("smash binary runs");
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown flag"),
-        "usage error goes to stderr, got: {stderr}"
-    );
-    assert!(
-        out.stdout.is_empty(),
-        "usage errors must not pollute stdout"
-    );
+    // `--memory-budget-mb` was a flag of `analyze` and `serve`; it is
+    // refused like any other unknown one, before anything is read.
+    let data_dir = std::env::temp_dir().join("smash-unknown-flag-serve");
+    let data_dir = data_dir.to_string_lossy();
+    for args in [
+        vec!["--no-such-flag"],
+        vec!["analyze", "no-such.jsonl", "--memory-budget-mb", "1"],
+        vec![
+            "serve",
+            "--data-dir",
+            &data_dir,
+            "--stdio",
+            "--memory-budget-mb",
+            "1",
+        ],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_smash"))
+            .args(&args)
+            .output()
+            .expect("smash binary runs");
+        assert_eq!(out.status.code(), Some(2), "usage errors exit 2: {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown flag"),
+            "usage error goes to stderr, got: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "usage errors must not pollute stdout"
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The `smash serve` robustness suite (DESIGN.md §13): the wire
 //! protocol must survive arbitrary hostile bytes, hostile `INGEST`
 //! payloads must be rejected-and-quarantined without wedging the mine
-//! worker, backpressure must shed load past the epoch soft budget, and
+//! worker, backpressure must shed load past the epoch budget, and
 //! — the chaos gate — a SIGKILL at *every* registered serve failpoint
 //! followed by a restart must serve a valid snapshot that converges to
 //! the no-crash answers.
@@ -134,28 +134,50 @@ fn ingest_backpressure_sheds_with_busy_past_the_soft_budget() {
     failpoint::disarm_all();
     let dir = scratch(SCRATCH, "busy");
     let mut opts = ServeOptions::new(&dir);
-    // A deliberately tiny epoch budget: soft budget = 4/5 of 4096.
-    opts.epoch_budget_bytes = 4096;
+    // A deliberately tiny epoch budget, held to the byte: a line is
+    // refused exactly when it would carry the accepted payloads past it.
+    const BUDGET: usize = 4096;
+    opts.epoch_budget_bytes = BUDGET as u64;
     let svc = CampaignService::start(opts).expect("start");
     let mut conn = svc.connection();
 
     let lines = flux_lines();
-    let mut accepted = 0usize;
-    let mut shed = 0usize;
+    let (mut held, mut accepted, mut shed) = (0usize, 0usize, 0usize);
+    let mut first_busy = None;
     for line in &lines {
         match reply(&mut conn, &format!("INGEST {line}")).as_str() {
-            "OK" => accepted += 1,
-            "BUSY" => shed += 1,
+            "OK" => {
+                held += line.len();
+                accepted += 1;
+            }
+            "BUSY" => {
+                first_busy.get_or_insert((held, line.len()));
+                shed += 1;
+            }
             other => panic!("unexpected ingest reply: {other}"),
         }
     }
     assert!(accepted > 0, "nothing fit under a 4 KiB budget?");
     assert!(shed > 0, "nothing shed over a 4 KiB budget?");
+    assert!(held <= BUDGET, "accepted {held} B over a {BUDGET} B budget");
+    let (before, refused) = first_busy.expect("a BUSY line");
+    assert!(
+        before + refused > BUDGET,
+        "BUSY at {before} B for a {refused} B line that fit the {BUDGET} B budget"
+    );
     assert_eq!(svc.counter("serve/ingest/busy"), shed as u64);
 
-    // Sealing releases the budget: ingest accepts again.
+    // Sealing frees the whole budget: lines up to the last that fits
+    // are all accepted again.
     assert!(reply(&mut conn, "SEAL").starts_with("OK epoch=1"));
-    assert_eq!(reply(&mut conn, &format!("INGEST {}", lines[0])), "OK");
+    let mut refill = 0usize;
+    for line in lines.iter().cycle() {
+        if refill + line.len() > BUDGET {
+            break;
+        }
+        assert_eq!(reply(&mut conn, &format!("INGEST {line}")), "OK");
+        refill += line.len();
+    }
 
     svc.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
