@@ -44,17 +44,20 @@
 #                                             (day2011, ≈ 7.4 MB) preprocesses
 #                                             to the same day file bytes as its
 #                                             CRLF copy with blank lines added
-#                                             (DESIGN.md §12.1); that day is
-#                                             analyzed pinned to one CPU
-#                                             (`taskset -c 0`: the loader's
-#                                             threads all run inline) and
-#                                             unpinned, with identical stdout
-#                                             and report, and the four
-#                                             refusals repeat pinned
-#                                             (DESIGN.md §12.4); and under
-#                                             `--idf 20` every server of every
-#                                             multi-client campaign is a label
-#                                             of the `--dot` graph
+#                                             (DESIGN.md §12.1); pinned to
+#                                             one CPU (`taskset -c 0`: the
+#                                             reader's, the postings' and the
+#                                             loader's threads all run
+#                                             inline) the trace preprocesses
+#                                             to the same day bytes (DESIGN.md
+#                                             §12.3), that day is analyzed
+#                                             pinned and unpinned with
+#                                             identical stdout and report,
+#                                             and the four refusals repeat
+#                                             pinned (DESIGN.md §12.4); and
+#                                             under `--idf 20` every server of
+#                                             every multi-client campaign is a
+#                                             label of the `--dot` graph
 #   7. daemon smoke                           `smash serve --stdio`: ingest a
 #                                             generated day, SIGKILL the daemon
 #                                             mid-epoch via a failpoint, restart
@@ -223,9 +226,12 @@ awk '{ printf "%s\r\n", $0 } NR % 100 == 0 { printf "\r\n \t\n" }' \
 "$smash_bin" preprocess "$remine_dir/day2011.crlf.jsonl" "$remine_dir/day2011.crlf.day" >/dev/null
 cmp "$remine_dir/day2011.day" "$remine_dir/day2011.crlf.day"
 # Loading a day spreads the read, the checksum, the section decode and
-# the validation over threads. Pinned to one CPU they all run inline: the
-# output, the report (minus its timings) and every refusal must not move.
+# the validation over threads, and ingest builds the postings on them.
+# Pinned to one CPU they all run inline: the day written, the output, the
+# report (minus its timings) and every refusal must not move.
 if command -v taskset >/dev/null; then
+    taskset -c 0 "$smash_bin" preprocess "$remine_dir/day2011.jsonl" "$remine_dir/day2011.pinned.day" >/dev/null
+    cmp "$remine_dir/day2011.day" "$remine_dir/day2011.pinned.day"
     for run in unpinned pinned; do
         if [ "$run" = pinned ]; then pin="taskset -c 0"; fi
         $pin "$smash_bin" analyze "$remine_dir/day2011.day" --json "$remine_dir/$run.json" \

@@ -515,7 +515,7 @@ impl<'a, F: FeatureId, S: AsRef<[F]> + Sync> CandidateScan<'a, F, S> {
         };
         let features = self.sets.get(u as usize).map(AsRef::as_ref);
         for &feature in features.unwrap_or_default() {
-            let nodes = rare.rank(feature).map(|f| rare.index.nodes_of(f));
+            let nodes = rare.rank(feature).map(|f| rare.index.row(f as usize));
             let nodes = nodes.unwrap_or_default();
             if (2..=*cap).contains(&nodes.len()) {
                 let behind = nodes.partition_point(|&v| v <= u);
@@ -545,7 +545,7 @@ fn rare_index<F: FeatureId, S: AsRef<[F]>>(
         scope.release(bytes);
         return None;
     };
-    for (_, nodes) in rare.index.postings().filter(|(_, nodes)| !nodes.is_empty()) {
+    for nodes in rare.index.rows().filter(|nodes| !nodes.is_empty()) {
         stats.features += 1;
         if (2..=rare_cap).contains(&nodes.len()) {
             stats.proposed += pair_universe(nodes.len());

@@ -192,7 +192,7 @@ pub(crate) fn scan_rows<R: Iterator<Item = u32>>(
     // The scan's cost is known before it runs: a live posting of `len`
     // nodes is walked for at most C(len, 2) increments.
     let walk = |(f, nodes): (u32, &[u32])| live(&f).then(|| candidates::pair_universe(nodes.len()));
-    let steps: u64 = index.postings().filter_map(walk).sum();
+    let steps: u64 = (0u32..).zip(index.rows()).filter_map(walk).sum();
     let whole = usize::from(steps < PAR_MIN_SCAN_STEPS) * hi as usize;
     let per_task = ROWS_PER_TASK.max(whole);
     let tasks: Vec<u32> = (0..hi).step_by(per_task).collect();
@@ -256,7 +256,7 @@ pub(crate) fn score_cooccurring<K, S>(
         return;
     };
     scope.charge(index.incidences() as u64 * 4);
-    let live = |&feature: &u32| index.nodes_of(feature).len() <= posting_cap;
+    let live = |&feature: &u32| index.row(feature as usize).len() <= posting_cap;
     let row_of = |u: u32| rows.get(u as usize).into_iter().flatten().copied();
     scan_rows(scope, builder, funnel, &index, row_of, live, score);
 }

@@ -4,7 +4,8 @@
 //! two servers share — eq. 8 is by its own words "the same form as
 //! eq. 1" — and §VI's scalability remark is that those counts are the
 //! sparse product `A·Aᵀ` of the incidence matrix `A`. [`FeatureIndex`]
-//! is `Aᵀ`, built by the one transposition routine; its
+//! is `Aᵀ`, a [`Csr`] built by the workspace's one counting sort
+//! ([`Csr::group`], which also builds the arena's postings); its
 //! [`count_shared`](FeatureIndex::count_shared) is one row of the
 //! product, the one shared-count kernel. The client dimension (eq. 1)
 //! and the co-occurrence dimensions scan every node's row against it —
@@ -18,89 +19,46 @@
 //! ranks.
 
 use crate::candidates::FeatureId;
+use smash_support::csr::Csr;
+use std::ops::Deref;
 
-/// Feature → nodes in CSR form: every node's feature row transposed,
-/// each feature's nodes ascending. (Not the arena's "postings",
-/// DESIGN.md §12.3: those are server → features, the rows of `A`.)
+/// Feature → nodes: every node's feature row transposed, row `f` the
+/// nodes feature `f` was seen on, ascending. (Not the arena's
+/// "postings", DESIGN.md §12.3: those are server → features, the rows
+/// of `A`.)
 #[derive(Debug)]
-pub(crate) struct FeatureIndex {
-    /// Feature `f`'s nodes are `nodes[offsets[f]..offsets[f + 1]]`.
-    offsets: Vec<u32>,
-    nodes: Vec<u32>,
+pub(crate) struct FeatureIndex(Csr);
+
+impl Deref for FeatureIndex {
+    type Target = Csr;
+
+    fn deref(&self) -> &Csr {
+        &self.0
+    }
 }
 
 impl FeatureIndex {
     /// Transposes `rows` — one per node from 0 up, each a
-    /// duplicate-free run of feature ranks below `features` — by
-    /// counting sort. `None` when the incidences outnumber what the
-    /// `u32` offsets can address.
-    pub(crate) fn transpose<R: IntoIterator<Item = u32>>(
+    /// duplicate-free run of feature ranks; a rank not below `features`
+    /// is dropped — by grouping the `(rank, node)` pairs, so each
+    /// feature's nodes come out in node order. `None` when the
+    /// incidences outnumber what the `u32` offsets can address.
+    pub(crate) fn transpose<R: IntoIterator<Item = u32, IntoIter: Clone>>(
         features: usize,
         rows: impl Iterator<Item = R> + Clone,
     ) -> Option<Self> {
-        // Count each feature's nodes, turn the counts into run starts,
-        // then deal the nodes out in node order — so each run ascends —
-        // advancing the feature's start as its cursor.
-        let mut offsets = vec![0u32; features + 1];
-        for feature in rows.clone().flatten() {
-            if let Some(count) = offsets.get_mut(feature as usize) {
-                *count = count.checked_add(1)?;
-            }
-        }
-        let mut start = 0u32;
-        for slot in &mut offsets {
-            let count = *slot;
-            *slot = start;
-            start = start.checked_add(count)?;
-        }
-        let mut nodes = vec![0u32; start as usize];
-        for (node, row) in (0u32..).zip(rows) {
-            for feature in row {
-                let Some(cursor) = offsets.get_mut(feature as usize) else {
-                    continue;
-                };
-                if let Some(slot) = nodes.get_mut(*cursor as usize) {
-                    *slot = node;
-                }
-                *cursor += 1;
-            }
-        }
-        // Every cursor ended on its run's end, which is the next run's
-        // start: shift them up one feature and the table is whole again.
-        offsets.rotate_right(1);
-        if let Some(first) = offsets.first_mut() {
-            *first = 0;
-        }
-        Some(Self { offsets, nodes })
+        let pairs = (0u32..)
+            .zip(rows)
+            .flat_map(|(node, row)| row.into_iter().map(move |feature| (feature, node)));
+        Csr::group(features, pairs).map(Self)
     }
 
-    /// The first and last node any feature was seen on: every run
-    /// ascends, so they are a run's first and a run's last.
+    /// The first and last node any feature was seen on: every row
+    /// ascends, so they are a row's first and a row's last.
     pub(crate) fn window(&self) -> (u32, u32) {
-        let lo = self.postings().filter_map(|(_, nodes)| nodes.first()).min();
-        let hi = self.postings().filter_map(|(_, nodes)| nodes.last()).max();
+        let lo = self.rows().filter_map(<[u32]>::first).min();
+        let hi = self.rows().filter_map(<[u32]>::last).max();
         (lo.map_or(0, |&lo| lo), hi.map_or(0, |&hi| hi))
-    }
-
-    /// The (feature, node) incidences held.
-    pub(crate) fn incidences(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The nodes `feature` was seen on, ascending.
-    pub(crate) fn nodes_of(&self, feature: u32) -> &[u32] {
-        let at = feature as usize;
-        match self.offsets.get(at..at + 2) {
-            Some(&[lo, hi]) => self.nodes.get(lo as usize..hi as usize),
-            _ => None,
-        }
-        .unwrap_or_default()
-    }
-
-    /// Every feature with its nodes, in rank order.
-    pub(crate) fn postings(&self) -> impl Iterator<Item = (u32, &[u32])> {
-        let features = self.offsets.len().saturating_sub(1);
-        (0u32..).take(features).map(|f| (f, self.nodes_of(f)))
     }
 
     /// The shared-count kernel: one row of `A·Aᵀ` (Gustavson's row
@@ -121,7 +79,7 @@ impl FeatureIndex {
     ) -> u64 {
         let mut steps = 0;
         for feature in row {
-            let nodes = self.nodes_of(feature);
+            let nodes = self.row(feature as usize);
             let from = nodes.partition_point(|&v| v < first);
             let inside = nodes.iter().skip(from).take_while(|&&v| v <= last);
             for &v in inside {
@@ -218,17 +176,24 @@ mod tests {
 
     #[test]
     fn transpose_deals_nodes_out_ascending() {
-        // Rows need not ascend; the runs do, because nodes are dealt
-        // in node order.
+        // Rows need not ascend; the nodes of a feature do, because
+        // nodes are dealt in node order.
         let index = index_of(4, &[vec![3, 0], vec![], vec![0, 2], vec![0]]);
-        let postings: Vec<(u32, &[u32])> = index.postings().collect();
-        let expected: [(u32, &[u32]); 4] = [(0, &[0, 2, 3]), (1, &[]), (2, &[2]), (3, &[0])];
-        assert_eq!(postings, expected);
+        let rows: Vec<&[u32]> = index.rows().collect();
+        let expected: [&[u32]; 4] = [&[0, 2, 3], &[], &[2], &[0]];
+        assert_eq!(rows, expected);
         assert_eq!(index.incidences(), 5);
         assert_eq!(index.window(), (0, 3));
         assert_eq!(index_of(2, &[vec![], vec![1], vec![]]).window(), (1, 1));
-        assert_eq!(index.nodes_of(4), &[] as &[u32], "past the last rank");
-        assert_eq!(index_of(0, &[]).postings().count(), 0);
+        assert_eq!(index.row(4), &[] as &[u32], "past the last rank");
+        assert_eq!(index_of(0, &[]).rows().count(), 0);
+        // A rank not below `features` is neither dealt nor counted.
+        let clipped = index_of(2, &[vec![0, 2], vec![5, 1]]);
+        assert_eq!(
+            clipped.rows().collect::<Vec<_>>(),
+            [&[0u32] as &[u32], &[1]]
+        );
+        assert_eq!(clipped.incidences(), 2);
     }
 
     #[test]
@@ -253,10 +218,10 @@ mod tests {
         let sets: [&[u32]; 3] = [&[0, 4], &[1, 4], &[0, 4]];
         let dense = IdIndex::over(&sets).expect("6 incidences");
         assert_eq!(dense.rank(4), Some(4));
-        assert_eq!(dense.index.nodes_of(4), &[0, 1, 2]);
+        assert_eq!(dense.index.row(4), &[0, 1, 2]);
         assert_eq!(dense.index.window(), (0, 2));
         assert_eq!(
-            dense.rank(3).map(|r| dense.index.nodes_of(r).len()),
+            dense.rank(3).map(|r| dense.index.row(r as usize).len()),
             Some(0)
         );
         assert_eq!(IdIndex::<u32>::max_bytes(6, 5), 4 * (6 + 5 + 1));
@@ -264,10 +229,10 @@ mod tests {
         // and an absent id has no rank at all.
         let sets: [&[u32]; 3] = [&[0, 4_000], &[100, 4_000], &[0, 4_000]];
         let ranked = IdIndex::over(&sets).expect("6 incidences");
-        assert_eq!(ranked.index.postings().count(), 3);
+        assert_eq!(ranked.index.len(), 3);
         assert_eq!(ranked.rank(4_000), Some(2));
-        assert_eq!(ranked.index.nodes_of(2), &[0, 1, 2]);
-        assert_eq!(ranked.index.nodes_of(1), &[1]);
+        assert_eq!(ranked.index.row(2), &[0, 1, 2]);
+        assert_eq!(ranked.index.row(1), &[1]);
         assert_eq!(ranked.rank(3), None);
         // Sized for the worst case: every id distinct, a key and an
         // offset each.

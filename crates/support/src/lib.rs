@@ -20,6 +20,8 @@
 //!   cancellation tokens behind `--deadline-ms` and
 //!   `--dimension-budget-ms`, and a per-stage tracked-bytes ledger that
 //!   reports peaks.
+//! * [`csr`] — compressed sparse rows built by one counting sort: the
+//!   arena's server postings and the miner's feature index.
 //! * [`check`] — a seeded property-test harness with shrink-on-failure
 //!   and failure-seed reporting, replacing `proptest`.
 //! * [`envelope`] — the one versioned, checksummed, fail-closed frame
@@ -41,6 +43,7 @@
 
 pub mod check;
 pub mod ckpt;
+pub mod csr;
 pub mod envelope;
 pub mod failpoint;
 pub mod governor;

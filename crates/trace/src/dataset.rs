@@ -6,6 +6,7 @@ use crate::interner::Interner;
 use crate::record::{HttpRecord, RecordFields};
 use crate::server::ServerKey;
 use crate::uri::{parameter_pattern, uri_file, uri_path};
+use smash_support::csr::Csr;
 use smash_support::par;
 use smash_support::wire::{self, FromWire, Reader, ToWire, WireError};
 use std::collections::HashMap;
@@ -50,8 +51,9 @@ pub struct CompactRecord {
 /// Servers are aggregated per the paper's preprocessing step (§III-A):
 /// hosts sharing a second-level domain are one server; IP-literal hosts
 /// are servers keyed by IP. The postings (server → sorted client ids,
-/// file ids, IP ids, referrer ids) are built once during ingest and
-/// handed out as borrowed slices — the dimension builders, the LSH
+/// file ids, IP ids, referrer ids, record indexes) are a function of the
+/// columns, rebuilt from them whenever an append ends, and handed out as
+/// borrowed slices — the dimension builders, the LSH
 /// candidate generator, and Louvain all run on these integers and never
 /// hash a raw string.
 ///
@@ -79,13 +81,13 @@ pub struct TraceDataset {
     params: Interner,
     user_agents: Interner,
     cols: RecordColumns,
-    // Postings, all sorted + deduplicated except `server_records`
-    // (which stays in record order).
-    server_clients: Vec<Vec<u32>>,
-    server_files: Vec<Vec<u32>>,
-    server_ips: Vec<Vec<u32>>,
-    server_records: Vec<Vec<u32>>,
-    server_referrers: Vec<Vec<ServerId>>,
+    // Postings: one row per server id, every row strictly ascending
+    // (`server_records` in record order, which is ascending).
+    server_clients: Csr,
+    server_files: Csr,
+    server_ips: Csr,
+    server_records: Csr,
+    server_referrers: Csr,
 }
 
 impl ToWire for TraceDataset {
@@ -98,11 +100,9 @@ impl ToWire for TraceDataset {
         self.params.wire(out);
         self.user_agents.wire(out);
         self.cols.wire(out);
-        self.server_clients.wire(out);
-        self.server_files.wire(out);
-        self.server_ips.wire(out);
-        self.server_records.wire(out);
-        self.server_referrers.wire(out);
+        for (_, table) in self.postings() {
+            table.wire(out);
+        }
     }
 }
 
@@ -127,7 +127,7 @@ enum Section {
     Cells,
     /// The `u16` status column.
     Narrow,
-    /// A posting table (`Vec<Vec<u32>>`).
+    /// A posting table ([`Csr`], on the wire a `Vec<Vec<u32>>`).
     Postings,
 }
 
@@ -149,7 +149,7 @@ enum Decoded {
     Wide(Vec<u64>),
     Cells(Vec<u32>),
     Narrow(Vec<u16>),
-    Postings(Vec<Vec<u32>>),
+    Postings(Csr),
 }
 
 impl Section {
@@ -165,7 +165,7 @@ impl Section {
             Section::Wide => Decoded::Wide(Vec::from_wire(r)?),
             Section::Cells => Decoded::Cells(Vec::from_wire(r)?),
             Section::Narrow => Decoded::Narrow(Vec::from_wire(r)?),
-            Section::Postings => Decoded::Postings(Vec::from_wire(r)?),
+            Section::Postings => Decoded::Postings(Csr::from_wire(r)?),
         })
     }
 
@@ -246,18 +246,15 @@ fn assemble(
 
 /// An in-progress append: records go in through
 /// [`push_fields`](Self::push_fields) (or [`push`](Self::push), or a
-/// whole decoded chunk at a time from the JSONL reader), and dropping
-/// the appender re-sorts and deduplicates the postings of the servers
-/// it touched. It holds the dataset's one mutable borrow while those
-/// are unsorted, so no reader sees the intermediate state — even when
-/// the feeding loop bails out early or unwinds.
+/// whole decoded chunk at a time from the JSONL reader) and land in the
+/// columns only; dropping the appender rebuilds every posting table
+/// from the columns (DESIGN.md §12.3). It holds the dataset's one
+/// mutable borrow while the postings lag the columns, so no reader sees
+/// the intermediate state — even when the feeding loop bails out early
+/// or unwinds.
 #[derive(Debug)]
 pub struct Appender<'a> {
     ds: &'a mut TraceDataset,
-    /// Arena index of the first record this appender adds.
-    first_new: u32,
-    /// Servers that received a record since `first_new`.
-    touched: Vec<ServerId>,
     /// Raw host string → server id, for the hosts this appender has
     /// already aggregated: a repeat (nearly every record's host,
     /// referrer and redirect target) skips lowercasing, label splitting
@@ -296,22 +293,21 @@ impl Appender<'_> {
             .or_insert_with(|| ips.intern(&ip.to_string()))
     }
 
-    /// Interns one record into the arena and its server's postings.
-    /// Only the first sight of a symbol allocates; a record whose
-    /// strings are all known costs hash lookups and column pushes.
+    /// Interns one record into the arena's columns. Only the first sight
+    /// of a symbol allocates; a record whose strings are all known costs
+    /// hash lookups and column pushes.
     pub fn push_fields(&mut self, r: &RecordFields<'_>) {
         let server = self.server_of(&r.host);
         let referrer = r.referrer.as_deref().map(|h| self.server_of(h));
         let redirect_to = r.redirect_to.as_deref().map(|h| self.server_of(h));
         let ip = self.ip_of(r.server_ip);
         let ds = &mut *self.ds;
-        let file = uri_file(&r.uri);
         let rec = CompactRecord {
             timestamp: r.timestamp,
             client: ds.clients.intern(&r.client),
             server,
             ip,
-            file: ds.files.intern(file),
+            file: ds.files.intern(uri_file(&r.uri)),
             path: ds.paths.intern(uri_path(&r.uri)),
             param_pattern: intern_param_pattern(&mut ds.params, &r.uri),
             user_agent: ds.user_agents.intern(&r.user_agent),
@@ -320,7 +316,7 @@ impl Appender<'_> {
             resp_bytes: r.resp_bytes,
             redirect_to,
         };
-        self.push_compact(rec, file.is_empty());
+        ds.cols.push(rec);
     }
 
     /// Merges one decoded chunk, whose records follow every record
@@ -328,7 +324,7 @@ impl Appender<'_> {
     /// in its local-id order — which is the order the chunk first saw
     /// them — so every table issues its new ids exactly as pushing the
     /// chunk's records one by one would have; then the rows, remapped
-    /// to those ids, go through the same [`push_compact`](Self::push_compact).
+    /// to those ids, are pushed onto the columns.
     pub(crate) fn merge_chunk(&mut self, chunk: &ChunkArena) {
         let servers: Vec<ServerId> = chunk.names.iter().map(|(_, h)| self.server_of(h)).collect();
         let ips: Vec<u32> = chunk.ips.iter().map(|&ip| self.ip_of(ip)).collect();
@@ -341,7 +337,6 @@ impl Appender<'_> {
         let paths = remap(&chunk.paths, &mut ds.paths);
         let params = remap(&chunk.params, &mut ds.params);
         let user_agents = remap(&chunk.user_agents, &mut ds.user_agents);
-        let no_file = chunk.files.get("");
         let global = |ids: &[u32], local: u32| ids.get(local as usize).copied();
         for row in &chunk.rows {
             let server = |local: Option<u32>| match local {
@@ -368,63 +363,15 @@ impl Appender<'_> {
                 })
             })();
             if let Some(rec) = rec {
-                self.push_compact(rec, Some(row.file) == no_file);
+                ds.cols.push(rec);
             }
-        }
-    }
-
-    /// Appends one interned record to the columns and its server's
-    /// postings — the one routine both [`push_fields`](Self::push_fields)
-    /// and a chunk merge end in. `is_dir` says the request named no
-    /// file, so the server's file posting skips it.
-    fn push_compact(&mut self, rec: CompactRecord, is_dir: bool) {
-        let ds = &mut *self.ds;
-        let idx = ds.cols.len() as u32;
-        ds.grow_postings();
-        let s = rec.server as usize;
-        // Interned server ids are dense indexes into the postings;
-        // a miss would be an interner bug, and skipping the record
-        // beats panicking mid-ingest.
-        if let (Some(sc), Some(sf), Some(si), Some(sr), Some(sref)) = (
-            ds.server_clients.get_mut(s),
-            ds.server_files.get_mut(s),
-            ds.server_ips.get_mut(s),
-            ds.server_records.get_mut(s),
-            ds.server_referrers.get_mut(s),
-        ) {
-            // Record postings stay in record order, so the last entry
-            // tells whether this append has been here before.
-            if sr.last().is_none_or(|&last| last < self.first_new) {
-                self.touched.push(rec.server);
-            }
-            sc.push(rec.client);
-            if !is_dir {
-                sf.push(rec.file);
-            }
-            si.push(rec.ip);
-            sr.push(idx);
-            if let Some(rf) = rec.referrer {
-                sref.push(rf);
-            }
-            ds.cols.push(rec);
         }
     }
 }
 
 impl Drop for Appender<'_> {
     fn drop(&mut self) {
-        let ds = &mut *self.ds;
-        for &server in &self.touched {
-            let s = server as usize;
-            let postings = (ds.server_clients.get_mut(s).into_iter())
-                .chain(ds.server_files.get_mut(s))
-                .chain(ds.server_ips.get_mut(s))
-                .chain(ds.server_referrers.get_mut(s));
-            for posting in postings {
-                posting.sort_unstable();
-                posting.dedup();
-            }
-        }
+        self.ds.build_postings();
     }
 }
 
@@ -519,13 +466,13 @@ impl TraceDataset {
     /// Absorbs more records into the arena, interning and indexing.
     ///
     /// Ingest is a single pass: each record's fields go straight into
-    /// the column arena and its ids into the per-server postings, so a
-    /// lazy record iterator (the streamed ISP-scale generator) is never
-    /// buffered in row form. Interning is first-seen order and touched
-    /// postings are re-sorted and deduplicated at the end, so a trace
-    /// appended in any number of chunks is byte-identical (wire form,
-    /// [`fingerprint`](Self::fingerprint)) to one-shot
-    /// [`from_records`](Self::from_records).
+    /// the column arena, so a lazy record iterator (the streamed
+    /// ISP-scale generator) is never buffered in row form, and the
+    /// postings are rebuilt from the columns once, at the end.
+    /// Interning is first-seen order and the postings are a function of
+    /// the columns, so a trace appended in any number of chunks is
+    /// byte-identical (wire form, [`fingerprint`](Self::fingerprint)) to
+    /// one-shot [`from_records`](Self::from_records).
     pub fn append<I: IntoIterator<Item = HttpRecord>>(&mut self, records: I) {
         let mut appender = self.appender();
         for r in records {
@@ -537,9 +484,7 @@ impl TraceDataset {
     /// streaming file reader) rather than hand over an iterator.
     pub fn appender(&mut self) -> Appender<'_> {
         Appender {
-            first_new: self.cols.len() as u32,
             ds: self,
-            touched: Vec::new(),
             server_memo: HashMap::new(),
             ip_memo: HashMap::new(),
         }
@@ -605,15 +550,49 @@ impl TraceDataset {
         self.servers.intern(&ServerKey::from_host(host).to_string())
     }
 
-    /// Extends every posting table to cover all interned server ids.
-    fn grow_postings(&mut self) {
+    /// Rebuilds the five posting tables from the columns, side by side
+    /// ([`par`]), each one [`Csr::group`] of a column by the server
+    /// column over every interned server. Record indexes are dealt in
+    /// record order, so they ascend as they land; clients, files (minus
+    /// directory requests, whose file is `""`), IPs and referrers are
+    /// then sorted and deduplicated row by row.
+    fn build_postings(&mut self) {
+        // lint:allow(index): an array pattern, not an indexing site
+        let [clients, servers, ips, files, _, _, _, referrers, _] = self.cols.id_columns();
+        // The tables in wire order (`postings()`): the column each one
+        // groups — `None` for the record index — and the one id it
+        // leaves out: a directory request's `""` file, a missing referrer.
+        let jobs = [
+            (Some(clients), None),
+            (Some(files), self.files.get("")),
+            (Some(ips), None),
+            (None, None),
+            (Some(referrers), Some(NO_ID)),
+        ];
         let n = self.servers.len();
-        if self.server_clients.len() < n {
-            self.server_clients.resize_with(n, Vec::new);
-            self.server_files.resize_with(n, Vec::new);
-            self.server_ips.resize_with(n, Vec::new);
-            self.server_records.resize_with(n, Vec::new);
-            self.server_referrers.resize_with(n, Vec::new);
+        let built = par::par_map(&jobs, |&(column, skip)| {
+            let by_server = servers.iter().copied();
+            // Past `u32` offsets — more ids than `u32` record indexes
+            // can address — a table is left empty, which `validate`
+            // refuses, rather than panicking in a drop.
+            let Some(ids) = column else {
+                return Csr::group(n, by_server.zip(0..)).unwrap_or_default();
+            };
+            let pairs = by_server.zip(ids.iter().copied());
+            let kept = pairs.filter(|&(_, id)| Some(id) != skip);
+            let mut postings = Csr::group(n, kept).unwrap_or_default();
+            postings.dedup_rows();
+            postings
+        });
+        let tables = [
+            &mut self.server_clients,
+            &mut self.server_files,
+            &mut self.server_ips,
+            &mut self.server_records,
+            &mut self.server_referrers,
+        ];
+        for (table, postings) in tables.into_iter().zip(built) {
+            *table = postings;
         }
     }
 
@@ -709,16 +688,11 @@ impl TraceDataset {
     /// figure is a function of the trace alone (the `ingest/arena_bytes`
     /// counter and the daemon's `serve/arena/bytes` gauge report it).
     pub fn heap_bytes(&self) -> u64 {
-        let postings: u64 = [
-            &self.server_clients,
-            &self.server_files,
-            &self.server_ips,
-            &self.server_records,
-            &self.server_referrers,
-        ]
-        .iter()
-        .map(|t| t.iter().map(|v| v.len() as u64 * 4).sum::<u64>())
-        .sum();
+        let postings: u64 = self
+            .postings()
+            .iter()
+            .map(|(_, table)| table.incidences() as u64 * 4)
+            .sum();
         let tables: u64 = self.tables().iter().map(|t| t.heap_bytes()).sum();
         self.cols.payload_bytes() + postings + tables
     }
@@ -728,10 +702,11 @@ impl TraceDataset {
     /// Hashes the wire form of the symbol tables and the column arena
     /// in one streaming pass through a buffer of a few KiB — no
     /// serialized copy of the dataset is materialized. The postings are
-    /// derived from the columns deterministically, so they contribute
-    /// nothing new and are skipped; so are the server keys, which are
-    /// the server names parsed back. A day file's round trip is checked
-    /// against it (`load_day(save_day(ds))`).
+    /// a function of the columns — every append rebuilds them from the
+    /// columns alone — so they contribute nothing new and are skipped;
+    /// so are the server keys, which are the server names parsed back.
+    /// A day file's round trip is checked against it
+    /// (`load_day(save_day(ds))`).
     pub fn fingerprint(&self) -> String {
         use smash_support::ckpt::{fingerprint_string, Fnv1a};
         let mut h = Fnv1a::new();
@@ -814,32 +789,24 @@ impl TraceDataset {
     /// Sorted, deduplicated client ids that contacted `server`. A rogue
     /// id yields the empty slice rather than a panic.
     pub fn clients_of(&self, server: ServerId) -> &[u32] {
-        self.server_clients
-            .get(server as usize)
-            .map_or(&[], Vec::as_slice)
+        self.server_clients.row(server as usize)
     }
 
     /// Sorted, deduplicated non-empty URI-file ids requested on `server`.
     /// A rogue id yields the empty slice rather than a panic.
     pub fn files_of(&self, server: ServerId) -> &[u32] {
-        self.server_files
-            .get(server as usize)
-            .map_or(&[], Vec::as_slice)
+        self.server_files.row(server as usize)
     }
 
     /// Sorted, deduplicated IP ids `server` resolved to. A rogue id
     /// yields the empty slice rather than a panic.
     pub fn ips_of(&self, server: ServerId) -> &[u32] {
-        self.server_ips
-            .get(server as usize)
-            .map_or(&[], Vec::as_slice)
+        self.server_ips.row(server as usize)
     }
 
     /// Arena indexes (in record order) of the requests to `server`.
     pub fn record_ids_of(&self, server: ServerId) -> &[u32] {
-        self.server_records
-            .get(server as usize)
-            .map_or(&[], Vec::as_slice)
+        self.server_records.row(server as usize)
     }
 
     /// Assembled row views of the requests to `server`, in record order.
@@ -852,9 +819,7 @@ impl TraceDataset {
     /// Sorted, deduplicated servers that referred clients to `server`.
     /// A rogue id yields the empty slice rather than a panic.
     pub fn referrers_of(&self, server: ServerId) -> &[ServerId] {
-        self.server_referrers
-            .get(server as usize)
-            .map_or(&[], Vec::as_slice)
+        self.server_referrers.row(server as usize)
     }
 
     /// The redirect target of `server`, if any 3xx response with a
@@ -900,8 +865,12 @@ impl TraceDataset {
     /// (DESIGN.md §12): every server name is its own aggregate (the
     /// [`ServerKey`] of a host, as [`server_key`](Self::server_key)
     /// derives it back), column ids resolve in their symbol tables,
-    /// postings cover exactly the interned servers, sorted postings are
-    /// sorted and deduplicated, and record postings index real records.
+    /// postings cover exactly the interned servers with every row
+    /// strictly ascending and in range, and the record postings are the
+    /// records grouped by the server column — each server's own, every
+    /// record once. The four deduplicated tables' *contents* are not
+    /// compared with the columns: that is the rebuild a load avoids
+    /// (DESIGN.md §12.3).
     /// The `SMSHCOLS` loader runs this on every decoded day, so a file
     /// that checksums clean but lies structurally is still rejected.
     pub fn validate(&self) -> Result<(), String> {
@@ -950,33 +919,65 @@ impl TraceDataset {
         if let Some(i) = flagged.iter().skip(named.len()).flatten().min() {
             return Err(format!("record {i} has an out-of-range interned id"));
         }
-        let tables: [(&str, &Vec<Vec<u32>>, usize, bool); 5] = [
-            ("clients", &self.server_clients, self.clients.len(), true),
-            ("files", &self.server_files, self.files.len(), true),
-            ("ips", &self.server_ips, self.ips.len(), true),
-            ("records", &self.server_records, c.len(), false),
-            ("referrers", &self.server_referrers, n_servers, true),
+        let ranges = [
+            self.clients.len(),
+            self.files.len(),
+            self.ips.len(),
+            c.len(),
+            n_servers,
         ];
+        let tables: Vec<_> = self.postings().into_iter().zip(ranges).collect();
         // Each table checked on its own thread; the first failure in
         // table order is the verdict, as when they ran one by one.
-        let checked = par::par_map(&tables, |&(what, table, id_range, sorted)| {
+        let checked = par::par_map(&tables, |&((what, table), id_range)| {
             if table.len() != n_servers {
                 return Err(format!(
                     "{} {what} postings for {n_servers} servers",
                     table.len()
                 ));
             }
-            for (server, posting) in table.iter().enumerate() {
+            for (server, posting) in (0u32..).zip(table.rows()) {
                 in_range(posting, id_range, what)?;
-                if sorted && !posting.is_sorted_by(|a, b| a < b) {
+                if !posting.is_sorted_by(|a, b| a < b) {
                     return Err(format!(
                         "{what} posting of server {server} is not sorted+deduplicated"
                     ));
                 }
             }
-            Ok(())
+            if what != "records" {
+                return Ok(());
+            }
+            // The record postings must be the records grouped by the
+            // server column: in one sweep of that column, each record is
+            // the next one its server's posting holds, and no more are.
+            let mut rows: Vec<_> = table.rows().map(<[u32]>::iter).collect();
+            for (i, &server) in (0u32..).zip(c.servers()) {
+                if rows.get_mut(server as usize).and_then(Iterator::next) != Some(&i) {
+                    return Err(format!(
+                        "records postings disagree with the server column at record {i}"
+                    ));
+                }
+            }
+            match table.incidences() {
+                held if held != c.len() => Err(format!(
+                    "records postings hold {held} of {} records",
+                    c.len()
+                )),
+                _ => Ok(()),
+            }
         });
         checked.into_iter().collect()
+    }
+
+    /// The five posting tables, named, in wire order.
+    fn postings(&self) -> [(&'static str, &Csr); 5] {
+        [
+            ("clients", &self.server_clients),
+            ("files", &self.server_files),
+            ("ips", &self.server_ips),
+            ("records", &self.server_records),
+            ("referrers", &self.server_referrers),
+        ]
     }
 }
 

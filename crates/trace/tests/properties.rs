@@ -9,6 +9,7 @@ use smash_trace::{
     parameter_pattern, second_level_domain, uri_file, uri_path, HttpRecord, Interner, RecordFields,
     ServerKey, TraceDataset,
 };
+use std::collections::{BTreeMap, BTreeSet};
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
 const LOWER_DIGIT: &str = "abcdefghijklmnopqrstuvwxyz0123456789";
@@ -144,35 +145,61 @@ fn interner_round_trips() {
 
 #[test]
 fn dataset_index_invariants() {
+    // Every posting table against an oracle built from the raw records
+    // alone, by server name: clients, files (directory requests, whose
+    // file is empty, excluded), IPs and referring servers as sets — the
+    // rows must hold their ids strictly ascending — and record indexes
+    // in arrival order.
+    #[derive(Default)]
+    struct Rows {
+        clients: BTreeSet<String>,
+        files: BTreeSet<String>,
+        ips: BTreeSet<String>,
+        records: Vec<u32>,
+        referrers: BTreeSet<String>,
+    }
     check(
-        |g| {
-            g.vec(1..40, |g| {
-                (
-                    hostname(g),
-                    g.string(1..=1, "abc"),
-                    format!("/{}.php", g.string(1..=5, LOWER)),
-                    g.range(0u8..4),
-                )
-            })
-        },
-        |recs| {
-            let records: Vec<HttpRecord> = recs
-                .iter()
-                .enumerate()
-                .map(|(t, (host, client, uri, ip))| {
-                    HttpRecord::new(t as u64, client, host, &format!("10.0.0.{ip}"), uri)
-                })
-                .collect();
-            let ds = TraceDataset::from_records(records);
-            // Every record's server/client/file ids resolve, and inverted
-            // indexes are consistent with the records.
-            for r in ds.records() {
-                assert!(ds.clients_of(r.server).binary_search(&r.client).is_ok());
-                assert!(ds.ips_of(r.server).binary_search(&r.ip).is_ok());
-                assert!(ds.files_of(r.server).binary_search(&r.file).is_ok());
+        |g| g.vec(1..40, raw_record),
+        |raw| {
+            let server = |host: &str| ServerKey::from_host(host).to_string();
+            let mut oracle: BTreeMap<String, Rows> = BTreeMap::new();
+            for (i, (_, client, host, ip, uri, _, referrer, _)) in (0u32..).zip(raw) {
+                let rows = oracle.entry(server(host)).or_default();
+                rows.clients.insert(client.clone());
+                let file = uri_file(uri);
+                if !file.is_empty() {
+                    rows.files.insert(file.to_owned());
+                }
+                rows.ips.insert(format!("10.0.0.{ip}"));
+                rows.records.push(i);
+                if !referrer.is_empty() {
+                    rows.referrers.insert(server(referrer));
+                }
             }
-            // Total clients across servers >= distinct clients (each client
-            // appears in at least one server's list).
+            let ds = TraceDataset::from_records(raw.iter().map(to_record));
+            let names = |ids: &[u32], name: &dyn Fn(u32) -> String| -> BTreeSet<String> {
+                assert!(
+                    ids.is_sorted_by(|a, b| a < b),
+                    "{ids:?} not strictly ascending"
+                );
+                ids.iter().map(|&id| name(id)).collect()
+            };
+            let none = Rows::default();
+            for s in ds.server_ids() {
+                let want = oracle.get(ds.server_name(s)).unwrap_or(&none);
+                let client = |id| ds.client_name(id).to_owned();
+                let file = |id| ds.file_name(id).to_owned();
+                let ip = |id| ds.ip_name(id).to_owned();
+                let referrer = |id| ds.server_name(id).to_owned();
+                assert_eq!(names(ds.clients_of(s), &client), want.clients);
+                assert_eq!(names(ds.files_of(s), &file), want.files);
+                assert_eq!(names(ds.ips_of(s), &ip), want.ips);
+                assert_eq!(ds.record_ids_of(s), &want.records[..]);
+                assert_eq!(names(ds.referrers_of(s), &referrer), want.referrers);
+            }
+            assert!(oracle.keys().all(|name| ds.server_id(name).is_some()));
+            assert_eq!(ds.validate(), Ok(()));
+            // Each client appears in at least one server's list.
             let union: std::collections::HashSet<u32> = ds
                 .server_ids()
                 .flat_map(|s| ds.clients_of(s).to_vec())

@@ -307,6 +307,62 @@ fn a_server_name_that_is_not_its_own_aggregate_is_invalid_everywhere() {
 }
 
 #[test]
+fn record_postings_that_contradict_the_server_column_are_invalid_everywhere() {
+    // a.com holds record 0 (200), b.com records 1 and 2 (404). A day
+    // whose record postings lie about that would misread a.com's error
+    // rate as 2/3 and hand `records_of` b.com's records; it must be
+    // refused, with one message on every load path.
+    let ds = TraceDataset::from_records(vec![
+        HttpRecord::new(0, "c1", "a.com", "1.1.1.1", "/a").with_status(200),
+        HttpRecord::new(1, "c1", "b.com", "1.1.1.2", "/b").with_status(404),
+        HttpRecord::new(2, "c2", "b.com", "1.1.1.2", "/c").with_status(404),
+    ]);
+    let table = |of: fn(&TraceDataset, u32) -> &[u32]| -> Vec<Vec<u32>> {
+        ds.server_ids().map(|s| of(&ds, s).to_vec()).collect()
+    };
+    let honest = [
+        table(TraceDataset::clients_of),
+        table(TraceDataset::files_of),
+        table(TraceDataset::ips_of),
+        table(TraceDataset::record_ids_of),
+        table(TraceDataset::referrers_of),
+    ];
+    assert_eq!(honest[3], vec![vec![0], vec![1, 2]]);
+    let encode =
+        |tables: &[Vec<Vec<u32>>]| -> Vec<u8> { tables.iter().flat_map(wire::encode).collect() };
+    let payload = wire::encode(&ds);
+    let columns = payload.len() - encode(&honest).len();
+    assert_eq!(payload[columns..], encode(&honest)[..]);
+    let lies: [(Vec<Vec<u32>>, &str); 4] = [
+        (
+            vec![vec![0, 1, 2], vec![1, 1]],
+            "records posting of server 1 is not sorted+deduplicated",
+        ),
+        (
+            vec![vec![1], vec![0, 2]],
+            "records postings disagree with the server column at record 0",
+        ),
+        (
+            vec![vec![0], vec![2]],
+            "records postings disagree with the server column at record 1",
+        ),
+        (
+            vec![vec![0, 1, 2], vec![1, 2]],
+            "records postings hold 5 of 3 records",
+        ),
+    ];
+    for (records, complaint) in lies {
+        let mut tables = honest.clone();
+        tables[3] = records;
+        let bad = [&payload[..columns], &encode(&tables)].concat();
+        let framed = envelope::frame(MAGIC, VERSION, STAGE, &bad).expect("frame");
+        let refused = Err(DayError::Invalid(complaint.to_owned()));
+        assert_eq!(same_at_every_thread_count(|| verdict(&framed)), refused);
+        assert_eq!(sequential_verdict(&bad), refused);
+    }
+}
+
+#[test]
 fn other_versions_are_rejected_with_the_version_they_carried() {
     let data = Scenario::small_day(11).generate();
     let mut bytes = frame_day(&data.dataset);
