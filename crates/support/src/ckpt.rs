@@ -21,7 +21,7 @@ use crate::retry::write_atomic_retrying;
 use crate::wire::{self, FromWire, ToWire};
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every snapshot file.
@@ -140,33 +140,50 @@ pub fn parse_snapshot<'a>(bytes: &'a [u8], expected_stage: &str) -> Result<&'a [
     })
 }
 
-/// Atomic file write shared by every snapshot and the day file: write to
-/// a sibling temp file, then `rename` into place.
+/// [`write_atomic_with`] of bytes a caller already holds: every
+/// snapshot and WAL epoch.
 ///
 /// # Errors
 ///
 /// [`CkptError::Io`] if any filesystem step fails.
 pub fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), CkptError> {
+    write_atomic_with(path, |out| out.write_all(contents)).map_err(|e| CkptError::Io(e.to_string()))
+}
+
+/// Streams what `write` puts through the buffered writer it is handed
+/// into a sibling temp file, flushes it, then `rename`s it into place.
+/// On *any* failure — `write`'s own, the flush, the rename — the temp
+/// file is removed and a file already at `path` is left as it was.
+///
+/// No fsync: rename gives atomicity against process crash (the case
+/// `tests/checkpoint.rs` and `tests/serve.rs` exercise), and a file torn
+/// by power loss fails its envelope checksum when read back: a serve
+/// snapshot is then rebuilt from the WAL, a WAL epoch is skipped and
+/// counted (DESIGN.md §13.4).
+///
+/// # Errors
+///
+/// The first failing step's error, naming the step and the temp file.
+pub fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
     let tmp = tmp_path(path);
-    let io = |what: &str, e: std::io::Error| CkptError::Io(format!("{what}: {e}"));
-    {
-        // No fsync: rename gives atomicity against process crash (the
-        // case `tests/checkpoint.rs` and `tests/serve.rs` exercise), and
-        // a file torn by power loss fails its envelope checksum when read
-        // back: a serve snapshot is then rebuilt from the WAL, a WAL
-        // epoch is skipped and counted (DESIGN.md §13.4).
-        let mut f =
-            fs::File::create(&tmp).map_err(|e| io(&format!("create {}", tmp.display()), e))?;
-        f.write_all(contents)
-            .map_err(|e| io(&format!("write {}", tmp.display()), e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| {
+    let failed = |step: &str, e: io::Error| {
+        io::Error::new(e.kind(), format!("{step} {}: {e}", tmp.display()))
+    };
+    let file = fs::File::create(&tmp).map_err(|e| failed("create", e))?;
+    let written = {
+        let mut out = BufWriter::new(file);
+        write(&mut out).and_then(|()| out.flush())
+    };
+    let placed = written
+        .map_err(|e| failed("write", e))
+        .and_then(|()| fs::rename(&tmp, path).map_err(|e| failed("rename", e)));
+    if placed.is_err() {
         let _ = fs::remove_file(&tmp);
-        io(
-            &format!("rename {} -> {}", tmp.display(), path.display()),
-            e,
-        )
-    })
+    }
+    placed
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -283,6 +300,28 @@ mod tests {
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, vec!["s.ckpt"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_write_that_fails_midway_leaves_no_temp_file_and_the_old_target() {
+        let dir = tmp_dir("midway");
+        let path = dir.join("s.ckpt");
+        write_atomic(&path, b"old").expect("write");
+        let err = write_atomic_with(&path, |out| {
+            // More than the writer buffers, so some of it reaches the
+            // temp file before the failure.
+            out.write_all(&vec![7u8; 64 << 10])?;
+            Err(io::Error::other("disk full"))
+        });
+        assert!(matches!(err, Err(e) if e.to_string().contains("disk full")));
+        let names: Vec<String> = fs::read_dir(&dir)
+            .expect("list dir")
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec!["s.ckpt"]);
+        assert_eq!(fs::read(&path).expect("read"), b"old");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -165,9 +165,10 @@ impl RecordColumns {
 }
 
 /// The wire form is the columns in this order, each a `Vec` (a count,
-/// then its cells), written whole or a bounded piece at a time. The
-/// day decoder reads each column as a section of its own and hands them
-/// back through [`RecordColumns::from_wire_columns`].
+/// then its cells), written whole, a column at a time, or a bounded
+/// piece at a time. A day file frames each column as a section of its
+/// own; the decoder hands them back through
+/// [`RecordColumns::from_wire_columns`].
 macro_rules! wire_columns {
     ($($column:ident),+ $(,)?) => {
         impl ToWire for RecordColumns {
@@ -177,6 +178,11 @@ macro_rules! wire_columns {
         }
 
         impl RecordColumns {
+            /// The twelve columns in wire order, each its own section.
+            pub(crate) fn wire_columns(&self) -> [&dyn ToWire; 12] {
+                [$( &self.$column ),+]
+            }
+
             /// The wire form handed to `sink` through `buf`, never
             /// whole ([`wire::wire_pieces`] per column).
             pub(crate) fn wire_pieces(&self, buf: &mut Vec<u8>, sink: &mut impl FnMut(&[u8])) {

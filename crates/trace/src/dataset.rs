@@ -92,33 +92,25 @@ pub struct TraceDataset {
 
 impl ToWire for TraceDataset {
     fn wire(&self, out: &mut Vec<u8>) {
-        self.clients.wire(out);
-        self.servers.wire(out);
-        self.ips.wire(out);
-        self.files.wire(out);
-        self.paths.wire(out);
-        self.params.wire(out);
-        self.user_agents.wire(out);
-        self.cols.wire(out);
-        for (_, table) in self.postings() {
-            table.wire(out);
+        for section in self.wire_sections() {
+            section.wire(out);
         }
     }
 }
 
-/// The sequential reader: every section of the payload decoded inline,
-/// in wire order — the same decoders the day loader spreads over
-/// threads (DESIGN.md §12.4).
+/// The sequential reader: every section of the wire form decoded
+/// inline, in wire order — the decoders the day loader runs frame by
+/// frame (DESIGN.md §12.4).
 impl FromWire for TraceDataset {
     fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
         assemble(SECTIONS.iter().map(|section| section.decode(r)))
     }
 }
 
-/// One section of a dataset's wire form: a unit the day loader can find
-/// the end of from its length prefixes alone and decode on its own.
+/// One section of a dataset's wire form: the unit a day file frames
+/// and the loader decodes on its own.
 #[derive(Debug, Clone, Copy)]
-enum Section {
+pub(crate) enum Section {
     /// A symbol table ([`Interner`]).
     Table,
     /// The `u64` timestamp column.
@@ -133,7 +125,7 @@ enum Section {
 
 /// The 24 sections of a dataset payload, in wire order: the seven
 /// symbol tables, the twelve record columns, the five posting tables.
-const SECTIONS: [Section; 24] = {
+pub(crate) const SECTIONS: [Section; 24] = {
     use Section::{Cells, Narrow, Postings, Table, Wide};
     [
         Table, Table, Table, Table, Table, Table, Table, //
@@ -144,7 +136,7 @@ const SECTIONS: [Section; 24] = {
 
 /// A decoded [`Section`].
 #[derive(Debug)]
-enum Decoded {
+pub(crate) enum Decoded {
     Table(Interner),
     Wide(Vec<u64>),
     Cells(Vec<u32>),
@@ -153,12 +145,7 @@ enum Decoded {
 }
 
 impl Section {
-    /// Whether this is one of the twelve record columns.
-    fn is_column(self) -> bool {
-        matches!(self, Section::Wide | Section::Cells | Section::Narrow)
-    }
-
-    /// Decodes one section.
+    /// Decodes one section from the front of `r`.
     fn decode(self, r: &mut Reader<'_>) -> Result<Decoded, WireError> {
         Ok(match self {
             Section::Table => Decoded::Table(Interner::from_wire(r)?),
@@ -169,30 +156,16 @@ impl Section {
         })
     }
 
-    /// Steps over one section reading only its length prefixes. Fails
-    /// wherever [`decode`](Self::decode) would fail on the structure;
-    /// content checks are left to the decode.
-    fn skip(self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        let cells = |r: &mut Reader<'_>, width: usize| {
-            let len = r.length()?;
-            r.slab(len, width).map(drop)
-        };
-        match self {
-            Section::Table => {
-                for _ in 0..r.length()? {
-                    cells(r, 1)?;
-                }
-            }
-            Section::Wide => cells(r, 8)?,
-            Section::Cells => cells(r, 4)?,
-            Section::Narrow => cells(r, 2)?,
-            Section::Postings => {
-                for _ in 0..r.length()? {
-                    cells(r, 4)?;
-                }
-            }
-        }
-        Ok(())
+    /// Decodes one section that is all of `bytes`, trailing bytes
+    /// refused ([`wire::decode`]).
+    pub(crate) fn decode_all(self, bytes: &[u8]) -> Result<Decoded, WireError> {
+        Ok(match self {
+            Section::Table => Decoded::Table(wire::decode(bytes)?),
+            Section::Wide => Decoded::Wide(wire::decode(bytes)?),
+            Section::Cells => Decoded::Cells(wire::decode(bytes)?),
+            Section::Narrow => Decoded::Narrow(wire::decode(bytes)?),
+            Section::Postings => Decoded::Postings(wire::decode(bytes)?),
+        })
     }
 }
 
@@ -200,7 +173,7 @@ impl Section {
 /// The first error in that order is the verdict, and the record
 /// columns' length check falls between the columns and the postings —
 /// exactly where a reader going front to back meets each.
-fn assemble(
+pub(crate) fn assemble(
     mut sections: impl Iterator<Item = Result<Decoded, WireError>>,
 ) -> Result<TraceDataset, WireError> {
     let mut next = || {
@@ -487,62 +460,6 @@ impl TraceDataset {
             ds: self,
             server_memo: HashMap::new(),
             ip_memo: HashMap::new(),
-        }
-    }
-
-    /// Decodes a day payload — all of it, trailing bytes refused — on
-    /// two threads (DESIGN.md §12.4). One pass over the length prefixes
-    /// finds where each [`Section`] ends; the record columns then decode
-    /// beside the symbol tables and postings ([`par::join`]), each
-    /// section from its start exactly as the sequential reader would
-    /// meet it, and [`assemble`] takes the results in wire order, so the
-    /// verdict is the sequential reader's: the first failing section's
-    /// error, then trailing bytes. A payload whose prefixes do not chain
-    /// goes to the sequential reader whole.
-    pub(crate) fn from_payload(payload: &[u8]) -> Result<Self, WireError> {
-        let at = |r: &Reader<'_>| payload.len() - r.remaining();
-        let mut r = Reader::new(payload);
-        let mut bounds = Vec::with_capacity(SECTIONS.len());
-        for section in SECTIONS {
-            let start = at(&r);
-            if section.skip(&mut r).is_err() {
-                return wire::decode(payload);
-            }
-            bounds.push((section, start, at(&r)));
-        }
-        let end = at(&r);
-        // Each section reads everything from its start on, as it would
-        // in line, and must stop where the scan said it ends. A group
-        // decodes its own sections and leaves the other's positions
-        // empty.
-        let decode = |columns: bool| -> Vec<_> {
-            let one = |&(section, start, end): &(Section, usize, usize)| {
-                let mut r = Reader::new(payload.get(start..).unwrap_or_default());
-                let out = section.decode(&mut r);
-                (out.is_err() || at(&r) == end).then_some(out)
-            };
-            bounds
-                .iter()
-                .map(|bound| (bound.0.is_column() == columns).then(|| one(bound)))
-                .collect()
-        };
-        // The record columns — most of a day's bytes — decode on the
-        // calling thread, everything else beside them: what a helper
-        // thread allocates comes from an allocator arena of its own, and
-        // a process that loads day after day would keep a high-water
-        // mark in each arena.
-        let (columns, others) = par::join(|| decode(true), || decode(false));
-        let in_order = columns
-            .into_iter()
-            .zip(others)
-            .map(|(c, o)| c.or(o).flatten());
-        let Some(decoded) = in_order.collect::<Option<Vec<_>>>() else {
-            return wire::decode(payload);
-        };
-        let ds = assemble(decoded.into_iter())?;
-        match payload.len() - end {
-            0 => Ok(ds),
-            trailing => Err(WireError(format!("{trailing} trailing byte(s)"))),
         }
     }
 
@@ -967,6 +884,14 @@ impl TraceDataset {
             }
         });
         checked.into_iter().collect()
+    }
+
+    /// The 24 sections of the wire form, in wire order ([`SECTIONS`]):
+    /// what a day file frames one by one.
+    pub(crate) fn wire_sections(&self) -> impl Iterator<Item = &dyn ToWire> {
+        let tables = self.tables().into_iter().map(|t| t as &dyn ToWire);
+        let postings = self.postings().into_iter().map(|(_, p)| p as &dyn ToWire);
+        tables.chain(self.cols.wire_columns()).chain(postings)
     }
 
     /// The five posting tables, named, in wire order.

@@ -24,11 +24,15 @@
 
 use smash::core::baseline::ReputationBaseline;
 use smash::core::{DimensionStatus, Smash, SmashConfig};
+use smash::support::ckpt::write_atomic_with;
 use smash::support::governor::{CancelToken, GovernorOptions};
+use smash::support::json::to_string_pretty;
 use smash::support::metrics::Registry;
 use smash::synth::Scenario;
 use smash::trace::{io, IngestOptions, IngestReport, TraceDataset, TraceStats};
 use smash::whois::WhoisRegistry;
+use std::io::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
 
 const HELP: &str = "\
@@ -227,17 +231,6 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Writes `contents` atomically: a unique temp file in the target's
-/// directory, then a rename — a crash mid-write never leaves a
-/// truncated report at the final path.
-fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
-    let tmp = format!("{path}.tmp.{}", std::process::id());
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        std::fs::remove_file(&tmp).ok();
-    })
-}
-
 fn cmd_generate(args: &[String]) -> CliResult {
     check_flags(args, &[&[("--seed", true)]])?;
     let preset = args.first().map(String::as_str).unwrap_or("small");
@@ -253,10 +246,7 @@ fn cmd_generate(args: &[String]) -> CliResult {
     let records: Vec<smash::trace::HttpRecord> = data.dataset.raw_records().collect();
     io::write_jsonl_file(out, &records)?;
     let whois_path = format!("{out}.whois.json");
-    std::fs::write(
-        &whois_path,
-        smash::support::json::to_string_pretty(&data.whois),
-    )?;
+    std::fs::write(&whois_path, to_string_pretty(&data.whois))?;
     println!(
         "wrote {} records to {out} and the Whois registry to {whois_path} (seed {seed})",
         records.len()
@@ -270,7 +260,7 @@ fn cmd_generate(args: &[String]) -> CliResult {
 /// chunk and aborts once it is cancelled. Records `stage/ingest` and
 /// `stage/ingest/merge` timings plus `ingest/bytes` / `ingest/chunks` /
 /// `ingest/records` / `ingest/quarantined` counters into `metrics` — or,
-/// for a day file, `stage/load_day` and its `read` and `parse` parts.
+/// for a day file, `stage/load_day`.
 fn load(
     args: &[String],
     metrics: &Registry,
@@ -296,12 +286,7 @@ fn load(
     });
     let (dataset, ingest) = if let Some(day) = day_path {
         let _span = metrics.span("stage/load_day");
-        let bytes = {
-            let _read = metrics.span("stage/load_day/read");
-            smash::trace::day::read_day(std::path::Path::new(day))?
-        };
-        let _parse = metrics.span("stage/load_day/parse");
-        (smash::trace::day::parse_day(&bytes)?, None)
+        (smash::trace::load_day(Path::new(day))?, None)
     } else {
         let path = positional.ok_or("missing trace path")?;
         let _span = metrics.span("stage/ingest");
@@ -349,7 +334,7 @@ fn load(
         .counter("ingest/arena_bytes")
         .add(dataset.heap_bytes());
     if let Some(out) = flag_value(args, "--save-day") {
-        smash::trace::day::save_day(std::path::Path::new(out), &dataset)?;
+        smash::trace::day::save_day(Path::new(out), &dataset)?;
         eprintln!("note: saved preprocessed day to {out}");
     }
     Ok((dataset, whois()?, ingest))
@@ -364,7 +349,7 @@ fn cmd_preprocess(args: &[String]) -> CliResult {
         .ok_or("missing output path (smash preprocess <trace> <out.smshcols>)")?;
     let metrics = Registry::new();
     let (dataset, _, _) = load(args, &metrics, None)?;
-    smash::trace::day::save_day(std::path::Path::new(out), &dataset)?;
+    smash::trace::day::save_day(Path::new(out), &dataset)?;
     println!(
         "preprocessed {} records ({} servers, {} clients, {} arena bytes) to {out}",
         dataset.record_count(),
@@ -477,12 +462,16 @@ fn cmd_analyze(args: &[String]) -> CliResult {
             ("health".into(), report.health.to_json()),
             ("perf".into(), report.perf.to_json()),
         ]);
-        write_atomic(out, &smash::support::json::to_string_pretty(&doc))?;
+        write_atomic_with(Path::new(out), |w| {
+            w.write_all(to_string_pretty(&doc).as_bytes())
+        })?;
         println!("\nwrote JSON report to {out}");
     }
     if let Some(out) = flag_value(args, "--metrics") {
         let snap = metrics.snapshot();
-        write_atomic(out, &smash::support::json::to_string_pretty(&snap))?;
+        write_atomic_with(Path::new(out), |w| {
+            w.write_all(to_string_pretty(&snap).as_bytes())
+        })?;
         println!("\nwrote metrics snapshot to {out}");
     }
     if args.iter().any(|a| a == "--profile") {
@@ -516,7 +505,8 @@ fn cmd_analyze(args: &[String]) -> CliResult {
             partition: Some(&report.main.partition),
             skip_isolated: true,
         };
-        write_atomic(out, &smash::graph::dot::to_dot(&report.main.graph, &opts))?;
+        let dot = smash::graph::dot::to_dot(&report.main.graph, &opts);
+        write_atomic_with(Path::new(out), |w| w.write_all(dot.as_bytes()))?;
         println!("wrote client-similarity DOT graph to {out}");
     }
     Ok(())

@@ -1,22 +1,25 @@
 //! The SMSHCOLS on-disk day contract (DESIGN.md §12.4), from both
-//! ends: behind the shared envelope, the payload codec must never
-//! panic on hostile bytes and must reject every structural lie, and a
-//! dataset mined after a save/load round trip
-//! must produce a byte-identical campaign report — the guarantee that
-//! lets `smash preprocess` + `--load-day` replace re-ingesting. The
-//! loader spreads its read, checksum, decode and validation over
-//! threads, so every verdict here is checked at 1, 2 and 4 of them.
+//! ends: behind each section's envelope frame, the section codecs must
+//! never panic on hostile bytes and must reject every structural lie,
+//! and a dataset mined after a save/load round trip must produce a
+//! byte-identical campaign report — the guarantee that lets
+//! `smash preprocess` + `--load-day` replace re-ingesting. The frame
+//! reader decodes each section beside its checksum and validates on
+//! threads, and serves both `parse_day` (bytes) and `load_day` (a file),
+//! so every verdict here is checked at 1, 2 and 4 threads.
 
 use smash::core::{Smash, SmashConfig, SmashReport};
 use smash::support::check::{cases, Gen, Shrink};
 use smash::support::ckpt::{fnv1a, Fnv1a};
+use smash::support::csr::Csr;
 use smash::support::envelope;
 use smash::support::json::{self, ToJson};
 use smash::support::{par, wire};
 use smash::synth::Scenario;
-use smash::trace::day::{frame_day, parse_day, MAGIC, STAGE, VERSION};
-use smash::trace::{load_day, save_day, DayError, HttpRecord, TraceDataset};
+use smash::trace::day::{frame_day, parse_day, MAGIC, STAGES, VERSION};
+use smash::trace::{load_day, save_day, DayError, HttpRecord, Interner, TraceDataset};
 use std::fmt::Debug;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// `par::set_thread_count` is process-wide: a test that sweeps it holds
@@ -45,19 +48,107 @@ fn same_at_every_thread_count<T: PartialEq + Debug>(f: impl Fn() -> T) -> T {
     one
 }
 
-/// What the load path must answer for `framed`, as comparable values:
-/// the dataset's fingerprint or the error.
-fn verdict(framed: &[u8]) -> Result<String, DayError> {
-    parse_day(framed).map(|ds| ds.fingerprint())
+/// What the load path must answer for a day's bytes, as comparable
+/// values: the dataset's fingerprint or the error.
+fn verdict(day: &[u8]) -> Result<String, DayError> {
+    parse_day(day).map(|ds| ds.fingerprint())
 }
 
-/// The verdict of the reader the sections spread over threads: the
-/// wire decode front to back on this thread, then `validate`.
-fn sequential_verdict(payload: &[u8]) -> Result<String, DayError> {
-    let ds: TraceDataset =
-        wire::decode(payload).map_err(|e| DayError::Corrupt(format!("payload: {}", e.0)))?;
+/// The same from a file.
+fn loaded(path: &Path) -> Result<String, DayError> {
+    load_day(path).map(|ds| ds.fingerprint())
+}
+
+/// A scratch directory of this test process's own.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("smash-day-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The frames of a day file, in file order, found by their headers.
+fn frames(day: &[u8]) -> Vec<&[u8]> {
+    let mut out = Vec::new();
+    let mut rest = day;
+    while !rest.is_empty() {
+        let stage_len = u16::from_le_bytes(rest[12..14].try_into().unwrap()) as usize;
+        let len_at = 14 + stage_len;
+        let len = u64::from_le_bytes(rest[len_at..len_at + 8].try_into().unwrap()) as usize;
+        let (frame, after) = rest.split_at(envelope::HEADER_BYTES + stage_len + len);
+        out.push(frame);
+        rest = after;
+    }
+    out
+}
+
+/// The section payloads of `ds`'s day file, in file order.
+fn sections(ds: &TraceDataset) -> Vec<Vec<u8>> {
+    let day = frame_day(ds);
+    let frames = frames(&day);
+    assert_eq!(frames.len(), STAGES.len());
+    let parsed = frames.iter().zip(STAGES);
+    parsed
+        .map(|(frame, stage)| {
+            envelope::parse(frame, MAGIC, VERSION, stage)
+                .unwrap()
+                .to_vec()
+        })
+        .collect()
+}
+
+/// A day file of the given section payloads, each framed under its
+/// stage with a valid checksum.
+fn day_of(sections: &[Vec<u8>]) -> Vec<u8> {
+    let framed = sections.iter().zip(STAGES);
+    framed
+        .flat_map(|(payload, stage)| envelope::frame(MAGIC, VERSION, stage, payload).unwrap())
+        .collect()
+}
+
+/// `payload`, a dataset's wire form edited in place, cut where the
+/// sections of `like` end.
+fn cut_like(payload: &[u8], like: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut rest = payload;
+    let mut out = Vec::new();
+    for section in like {
+        let (head, tail) = rest.split_at(section.len());
+        out.push(head.to_vec());
+        rest = tail;
+    }
+    assert!(rest.is_empty());
+    out
+}
+
+/// The frame-by-frame oracle, on one thread: the first section in file
+/// order whose payload does not decode as its type, all of it, is the
+/// verdict; past that, the sequential wire reader over the 24 payloads
+/// back to back (the column-length check), then `validate`.
+fn oracle(sections: &[Vec<u8>]) -> Result<String, DayError> {
+    for (i, (payload, stage)) in sections.iter().zip(STAGES).enumerate() {
+        let decoded = match i {
+            0..=6 => wire::decode::<Interner>(payload).map(drop),
+            7 => wire::decode::<Vec<u64>>(payload).map(drop),
+            16 => wire::decode::<Vec<u16>>(payload).map(drop),
+            8..=18 => wire::decode::<Vec<u32>>(payload).map(drop),
+            _ => wire::decode::<Csr>(payload).map(drop),
+        };
+        decoded.map_err(|e| DayError::Corrupt(format!("{stage}: {}", e.0)))?;
+    }
+    let ds: TraceDataset = wire::decode(&sections.concat()).map_err(|e| DayError::Corrupt(e.0))?;
     ds.validate().map_err(DayError::Invalid)?;
     Ok(ds.fingerprint())
+}
+
+/// Asserts that `parse_day` of the day of `sections`, and `load_day` of
+/// it written to `path`, give the oracle's verdict at every thread
+/// count, and returns it.
+fn agrees_with_the_oracle(sections: &[Vec<u8>], path: &Path) -> Result<String, DayError> {
+    let day = day_of(sections);
+    let expected = oracle(sections);
+    assert_eq!(same_at_every_thread_count(|| verdict(&day)), expected);
+    std::fs::write(path, &day).unwrap();
+    assert_eq!(same_at_every_thread_count(|| loaded(path)), expected);
+    expected
 }
 
 /// The report's serializable surface, as one canonical JSON string
@@ -77,54 +168,83 @@ fn fingerprint(report: &SmashReport) -> String {
     json::to_string_pretty(&root.to_json())
 }
 
-/// Arbitrary bytes handed to the day decoder as a *payload*. No
-/// shrinking: every case is cheap and the seed replays it exactly.
+/// Arbitrary bytes handed to the day decoder as one section's
+/// payload. No shrinking: every case is cheap and the seed replays it
+/// exactly.
 #[derive(Debug, Clone)]
-struct Hostile(Vec<u8>);
+struct Hostile(usize, Vec<u8>);
 impl Shrink for Hostile {}
 
 #[test]
 fn hostile_payload_in_a_valid_envelope_never_panics_or_parses() {
     // The shared envelope's own suite (`smash_support::envelope`)
     // covers hostile *frames*; what is specific to days is the layer
-    // behind a clean checksum — the wire decoder and `validate` — so
-    // the garbage here is framed correctly and must be refused there.
+    // behind a clean checksum — the section decoders and `validate` —
+    // so the garbage here is framed correctly, as any one section of a
+    // real day, and must be refused there.
+    let real = sections(&three_records());
+    let dir = scratch("hostile");
+    let path = dir.join("day");
     cases(512).run(
         |g: &mut Gen| {
             let len = g.range(0..4096usize);
-            Hostile(g.vec(len..=len, |g| g.range(0..=255u32) as u8))
+            let at = g.range(0..STAGES.len());
+            Hostile(at, g.vec(len..=len, |g| g.range(0..=255u32) as u8))
         },
-        |case: &Hostile| {
-            let framed = envelope::frame(MAGIC, VERSION, STAGE, &case.0).expect("frame");
-            let verdict = same_at_every_thread_count(|| verdict(&framed));
+        |Hostile(at, garbage): &Hostile| {
+            let mut bad = real.clone();
+            bad[*at] = garbage.clone();
+            let verdict = agrees_with_the_oracle(&bad, &path);
             assert!(matches!(
                 verdict,
                 Err(DayError::Corrupt(_) | DayError::Invalid(_))
             ));
-            assert_eq!(verdict, sequential_verdict(&case.0));
         },
     );
 
     // The envelope checksum is not keyed, so a crafted file can carry
-    // any count it likes. An empty day is 24 zero counts: 7 tables, 12
-    // columns, 5 posting tables. Padded with a MiB of zeros, the first
-    // column (`Vec<u64>`) and the first posting table (`Vec<Vec<u32>>`)
-    // each claim one element per byte that follows — which passes the
-    // count check — and must be refused for their *size* before 8 MiB
-    // resp. 24 MiB are reserved on the file's say-so.
-    let empty = wire::encode(&TraceDataset::default());
-    assert_eq!(empty, vec![0u8; 24 * 8]);
-    for (count_at, complaint) in [(7 * 8, "cells of 8 bytes exceed"), (19 * 8, "need 8 byte")] {
-        let mut payload = empty.clone();
-        payload.resize(empty.len() + (1 << 20), 0);
-        let claimed = (payload.len() - count_at - 8) as u64;
-        payload[count_at..count_at + 8].copy_from_slice(&claimed.to_le_bytes());
-        let framed = envelope::frame(MAGIC, VERSION, STAGE, &payload).expect("frame");
-        match same_at_every_thread_count(|| parse_day(&framed).map(|ds| ds.fingerprint())) {
-            Err(DayError::Corrupt(m)) => assert!(m.contains(complaint), "{m}"),
-            other => panic!("hostile count at {count_at} must not parse: {other:?}"),
+    // any count it likes. An empty day's sections are one zero count
+    // each. Padded with a MiB of zeros, the timestamp column
+    // (`Vec<u64>`) and the first posting table (`Vec<Vec<u32>>`) each
+    // claim one element per byte that follows — which passes the count
+    // check — and must be refused for their *size* before 8 MiB resp.
+    // 24 MiB are reserved on the file's say-so.
+    let empty = sections(&TraceDataset::default());
+    assert!(empty.iter().all(|s| s == &[0u8; 8]));
+    for (at, complaint) in [(7, "cells of 8 bytes exceed"), (19, "need 8 byte")] {
+        let mut payloads = empty.clone();
+        let claimed = 1u64 << 20;
+        payloads[at] = [&claimed.to_le_bytes()[..], &vec![0u8; 1 << 20]].concat();
+        let day = day_of(&payloads);
+        match same_at_every_thread_count(|| verdict(&day)) {
+            Err(DayError::Corrupt(m)) => {
+                assert!(m.starts_with(STAGES[at]) && m.contains(complaint), "{m}")
+            }
+            other => panic!("hostile count in {} must not parse: {other:?}", STAGES[at]),
         }
     }
+
+    // A frame header may declare any payload length, `u64::MAX` too: it
+    // is refused against the bytes that follow before anything is
+    // allocated for it — on disk and in memory alike.
+    let day = frame_day(&three_records());
+    for at in [0, 7, STAGES.len() - 1] {
+        let start: usize = frames(&day)[..at].iter().map(|f| f.len()).sum();
+        let len_at = start + 14 + STAGES[at].len();
+        let follow = day.len() - len_at - 16;
+        for lie in [u64::MAX, follow as u64 + 1] {
+            let mut bad = day.clone();
+            bad[len_at..len_at + 8].copy_from_slice(&lie.to_le_bytes());
+            std::fs::write(&path, &bad).unwrap();
+            let refused = Err(DayError::Corrupt(format!(
+                "{}: header declares {lie} payload byte(s), {follow} follow",
+                STAGES[at]
+            )));
+            assert_eq!(same_at_every_thread_count(|| verdict(&bad)), refused);
+            assert_eq!(same_at_every_thread_count(|| loaded(&path)), refused);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A real day's payload with bytes overwritten somewhere inside it.
@@ -134,12 +254,16 @@ impl Shrink for Damage {}
 
 #[test]
 fn damaged_real_payloads_get_the_sequential_readers_verdict() {
-    // Random bytes fail at the first count; damage to a real payload
-    // reaches every section — strings, columns, postings — and
-    // may decode clean yet fail validation. Reframed under a valid
-    // checksum, each must get the verdict the front-to-back reader
-    // gives, with the same message, at every thread count.
-    let payload = wire::encode(&Scenario::small_day(5).generate().dataset);
+    // Random bytes fail at the first count; damage to a real day
+    // reaches every section — strings, columns, postings — and may
+    // decode clean yet fail validation. Each damaged section reframed
+    // under a valid checksum, every day must get the frame-by-frame
+    // oracle's verdict, with the same message, from the bytes and from
+    // a file, at every thread count.
+    let real = sections(&Scenario::small_day(5).generate().dataset);
+    let payload = real.concat();
+    let dir = scratch("damaged");
+    let path = dir.join("day");
     cases(96).run(
         |g: &mut Gen| {
             Damage(g.vec(1..=3usize, |g| {
@@ -151,26 +275,30 @@ fn damaged_real_payloads_get_the_sequential_readers_verdict() {
             for &(at, byte) in damage {
                 bad[at] = byte;
             }
-            let framed = envelope::frame(MAGIC, VERSION, STAGE, &bad).expect("frame");
-            let verdict = same_at_every_thread_count(|| verdict(&framed));
-            assert_eq!(verdict, sequential_verdict(&bad));
+            let _ = agrees_with_the_oracle(&cut_like(&bad, &real), &path);
         },
     );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn an_undecodable_payload_under_a_stale_checksum_reports_the_checksum() {
-    // The decode runs beside the checksum, but the checksum speaks
-    // first: garbage behind a wrong sum is a checksum mismatch, not a
-    // decode error.
-    let garbage = vec![0xFFu8; 4096];
-    let mut framed = envelope::frame(MAGIC, VERSION, STAGE, &garbage).expect("frame");
-    let sum_at = envelope::HEADER_BYTES + STAGE.len() - 8;
-    framed[sum_at] ^= 1;
-    assert_eq!(
-        same_at_every_thread_count(|| verdict(&framed)),
-        Err(DayError::Corrupt("checksum mismatch".to_owned()))
-    );
+    // Each section decodes beside its frame's checksum, but the
+    // checksum speaks first: garbage behind a wrong sum is a checksum
+    // mismatch of that frame, not a decode error, in whichever section
+    // it sits.
+    let real = sections(&three_records());
+    for (at, stage) in STAGES.iter().enumerate() {
+        let mut bad = real.clone();
+        bad[at] = vec![0xFFu8; 4096];
+        let mut day = day_of(&bad);
+        let start: usize = frames(&day)[..at].iter().map(|f| f.len()).sum();
+        day[start + envelope::HEADER_BYTES + stage.len() - 8] ^= 1;
+        assert_eq!(
+            same_at_every_thread_count(|| verdict(&day)),
+            Err(DayError::Corrupt(format!("{stage}: checksum mismatch")))
+        );
+    }
 }
 
 /// Byte offset of record `record`'s cell in column `column` (0 =
@@ -196,7 +324,8 @@ fn column_cell(payload: &[u8], column: usize, record: usize) -> usize {
 
 #[test]
 fn bad_ids_in_two_columns_report_the_smaller_record_index() {
-    let mut payload = wire::encode(&three_records());
+    let real = sections(&three_records());
+    let mut payload = real.concat();
     // Record 2's user agent (column 7) and record 1's file (column 4)
     // point past their tables; the sweep reports record 1 whichever
     // column it finishes first.
@@ -204,9 +333,9 @@ fn bad_ids_in_two_columns_report_the_smaller_record_index() {
         let at = column_cell(&payload, column, record);
         payload[at..at + 4].copy_from_slice(&1000u32.to_le_bytes());
     }
-    let framed = envelope::frame(MAGIC, VERSION, STAGE, &payload).expect("frame");
+    let day = day_of(&cut_like(&payload, &real));
     assert_eq!(
-        same_at_every_thread_count(|| verdict(&framed)),
+        same_at_every_thread_count(|| verdict(&day)),
         Err(DayError::Invalid(
             "record 1 has an out-of-range interned id".to_owned()
         ))
@@ -249,36 +378,58 @@ fn three_records() -> TraceDataset {
 #[test]
 fn payload_layout_is_pinned() {
     // Versions guard the layout only if a layout change comes with a
-    // bump. The payload of a fixed dataset is pinned to its bytes'
-    // hash, so drift inside a version cannot land silently: whoever
-    // moves this value owes `VERSION` an increment.
-    let framed = frame_day(&three_records());
-    let payload = envelope::parse(&framed, MAGIC, VERSION, STAGE).expect("own frame");
+    // bump. The section payloads of a fixed dataset, back to back, are
+    // pinned to their bytes' hash — they are its wire form — and so is
+    // the whole file, frames and all, so drift inside a version cannot
+    // land silently: whoever moves either value owes `VERSION` an
+    // increment.
+    let ds = three_records();
+    let payload = sections(&ds).concat();
+    assert_eq!(payload, wire::encode(&ds));
     assert_eq!(payload.len(), 772);
-    assert_eq!(fnv1a(payload), 0x8fe2_5ab6_ab92_c81f);
+    assert_eq!(fnv1a(&payload), 0x8fe2_5ab6_ab92_c81f);
+    let day = frame_day(&ds);
+    assert_eq!(day.len(), FILE_LEN);
+    assert_eq!(fnv1a(&day), FILE_HASH);
 }
+
+/// The pinned v5 file of [`three_records`]: 772 payload bytes in 24
+/// frames of 30 header bytes plus its stage name (205 bytes in all).
+const FILE_LEN: usize = 772 + 24 * 30 + 205;
+const FILE_HASH: u64 = 0x65f0_a31b_35c1_8c9a;
 
 #[test]
 fn v2_day_files_fail_closed_by_number() {
-    // A version-2 file as its writer made it: the same header and
-    // payload, checksummed byte-serially (FNV-1a over version ‖ stage ‖
-    // payload). Nothing behind the version field is looked at.
+    // A version-2 file as its writer made it: one frame under the stage
+    // `day` holding the whole payload, checksummed byte-serially
+    // (FNV-1a over version ‖ stage ‖ payload). Nothing behind the
+    // version field is looked at.
     let payload = wire::encode(&three_records());
     let mut sum = Fnv1a::new();
     sum.write(&2u32.to_le_bytes());
-    sum.write(STAGE.as_bytes());
+    sum.write(b"day");
     sum.write(&payload);
     let mut v2 = MAGIC.to_vec();
     v2.extend_from_slice(&2u32.to_le_bytes());
-    v2.extend_from_slice(&(STAGE.len() as u16).to_le_bytes());
-    v2.extend_from_slice(STAGE.as_bytes());
+    v2.extend_from_slice(&3u16.to_le_bytes());
+    v2.extend_from_slice(b"day");
     v2.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     v2.extend_from_slice(&sum.finish().to_le_bytes());
     v2.extend_from_slice(&payload);
     assert_eq!(parse_day(&v2).unwrap_err(), DayError::Version(2));
+    // Version 4 — the same single frame under today's word-wise
+    // checksum — likewise: no v4 reader is kept, a v4 cache is
+    // refused by its number, from bytes and from disk.
+    let v4 = envelope::frame(MAGIC, 4, "day", &payload).unwrap();
+    assert_eq!(parse_day(&v4).unwrap_err(), DayError::Version(4));
+    let dir = scratch("v4");
+    let path = dir.join("v4.day");
+    std::fs::write(&path, &v4).unwrap();
+    assert_eq!(load_day(&path).unwrap_err(), DayError::Version(4));
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(
-        DayError::Version(2).to_string(),
-        "day file version 2 not supported (this build reads 4)"
+        DayError::Version(4).to_string(),
+        "day file version 4 not supported (this build reads 5)"
     );
 }
 
@@ -289,21 +440,23 @@ fn a_server_name_that_is_not_its_own_aggregate_is_invalid_everywhere() {
     // server table holds a host that was never aggregated must be
     // refused, with one message on every load path.
     let name = |s: &str| [&(s.len() as u64).to_le_bytes()[..], s.as_bytes()].concat();
-    let payload = wire::encode(&three_records());
+    let real = sections(&three_records());
     let (honest, lie) = (name("x.com"), name("WWW.X.COM"));
-    let found: Vec<usize> = (0..payload.len())
-        .filter(|&i| payload[i..].starts_with(&honest))
+    let found: Vec<(usize, usize)> = (0..real.len())
+        .flat_map(|s| (0..real[s].len()).map(move |i| (s, i)))
+        .filter(|&(s, i)| real[s][i..].starts_with(&honest))
         .collect();
-    let [at] = found[..] else {
+    let [(1, at)] = found[..] else {
         panic!("x.com is stored once, in the server table: {found:?}")
     };
-    let bad = [&payload[..at], &lie, &payload[at + honest.len()..]].concat();
-    let framed = envelope::frame(MAGIC, VERSION, STAGE, &bad).expect("frame");
+    let mut bad = real.clone();
+    bad[1] = [&real[1][..at], &lie, &real[1][at + honest.len()..]].concat();
     let refused = Err(DayError::Invalid(
         "server 0 is not named by its aggregate".to_owned(),
     ));
-    assert_eq!(same_at_every_thread_count(|| verdict(&framed)), refused);
-    assert_eq!(sequential_verdict(&bad), refused);
+    let dir = scratch("aggregate");
+    assert_eq!(agrees_with_the_oracle(&bad, &dir.join("day")), refused);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -317,22 +470,14 @@ fn record_postings_that_contradict_the_server_column_are_invalid_everywhere() {
         HttpRecord::new(1, "c1", "b.com", "1.1.1.2", "/b").with_status(404),
         HttpRecord::new(2, "c2", "b.com", "1.1.1.2", "/c").with_status(404),
     ]);
-    let table = |of: fn(&TraceDataset, u32) -> &[u32]| -> Vec<Vec<u32>> {
-        ds.server_ids().map(|s| of(&ds, s).to_vec()).collect()
-    };
-    let honest = [
-        table(TraceDataset::clients_of),
-        table(TraceDataset::files_of),
-        table(TraceDataset::ips_of),
-        table(TraceDataset::record_ids_of),
-        table(TraceDataset::referrers_of),
-    ];
-    assert_eq!(honest[3], vec![vec![0], vec![1, 2]]);
-    let encode =
-        |tables: &[Vec<Vec<u32>>]| -> Vec<u8> { tables.iter().flat_map(wire::encode).collect() };
-    let payload = wire::encode(&ds);
-    let columns = payload.len() - encode(&honest).len();
-    assert_eq!(payload[columns..], encode(&honest)[..]);
+    let records: Vec<Vec<u32>> = ds
+        .server_ids()
+        .map(|s| ds.record_ids_of(s).to_vec())
+        .collect();
+    assert_eq!(records, vec![vec![0], vec![1, 2]]);
+    let real = sections(&ds);
+    let at = STAGES.iter().position(|&s| s == "post/records").unwrap();
+    assert_eq!(real[at], wire::encode(&records));
     let lies: [(Vec<Vec<u32>>, &str); 4] = [
         (
             vec![vec![0, 1, 2], vec![1, 1]],
@@ -351,30 +496,35 @@ fn record_postings_that_contradict_the_server_column_are_invalid_everywhere() {
             "records postings hold 5 of 3 records",
         ),
     ];
-    for (records, complaint) in lies {
-        let mut tables = honest.clone();
-        tables[3] = records;
-        let bad = [&payload[..columns], &encode(&tables)].concat();
-        let framed = envelope::frame(MAGIC, VERSION, STAGE, &bad).expect("frame");
+    let dir = scratch("postings");
+    for (lie, complaint) in lies {
+        let mut bad = real.clone();
+        bad[at] = wire::encode(&lie);
         let refused = Err(DayError::Invalid(complaint.to_owned()));
-        assert_eq!(same_at_every_thread_count(|| verdict(&framed)), refused);
-        assert_eq!(sequential_verdict(&bad), refused);
+        assert_eq!(agrees_with_the_oracle(&bad, &dir.join("day")), refused);
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn other_versions_are_rejected_with_the_version_they_carried() {
     let data = Scenario::small_day(11).generate();
-    let mut bytes = frame_day(&data.dataset);
-    assert!(parse_day(&bytes).is_ok(), "pristine frame must parse");
-    // Patch the version field: readers fail closed with the version
-    // they saw (DESIGN.md §12.4), before even checking the checksum —
-    // the error must tell an operator *which* writer produced the file.
-    for other in [VERSION + 1, VERSION - 1] {
-        bytes[8..12].copy_from_slice(&other.to_le_bytes());
-        match parse_day(&bytes) {
-            Err(DayError::Version(v)) => assert_eq!(v, other),
-            other => panic!("patched version must not parse: {other:?}"),
+    let pristine = frame_day(&data.dataset);
+    assert!(parse_day(&pristine).is_ok(), "pristine frame must parse");
+    // Patch the version field of the first frame, or of one in the
+    // middle: readers fail closed with the version they saw (DESIGN.md
+    // §12.4), before even checking that frame's checksum — the error
+    // must tell an operator *which* writer produced the file. v4 is
+    // `VERSION - 1`.
+    let middle: usize = frames(&pristine)[..7].iter().map(|f| f.len()).sum();
+    for at in [0, middle] {
+        for other in [VERSION + 1, VERSION - 1] {
+            let mut bytes = pristine.clone();
+            bytes[at + 8..at + 12].copy_from_slice(&other.to_le_bytes());
+            match parse_day(&bytes) {
+                Err(DayError::Version(v)) => assert_eq!(v, other),
+                other => panic!("patched version must not parse: {other:?}"),
+            }
         }
     }
 }

@@ -228,8 +228,8 @@ fn cli_metrics_dump_parses_and_names_every_stage() {
     );
 
     // A preprocessed day loads instead of ingesting: `stage/load_day`,
-    // with the file read and the parse (checksum, decode, validation)
-    // timed as its two parts.
+    // one span, since the read, the checksums and the decode interleave
+    // section by section.
     let day: PathBuf = dir.join("trace.day");
     let day_metrics: PathBuf = dir.join("day-metrics.json");
     let preprocess = Command::new(smash)
@@ -255,16 +255,10 @@ fn cli_metrics_dump_parses_and_names_every_stage() {
     );
     let raw = std::fs::read_to_string(&day_metrics).unwrap();
     let snapshot: MetricsSnapshot = smash::support::json::from_str(&raw).unwrap();
-    let parts = ["stage/load_day/read", "stage/load_day/parse"];
     let mut expected = vec!["stage/load_day"];
-    expected.extend_from_slice(&parts);
     expected.extend_from_slice(PIPELINE_STAGES);
     assert_stages_once(&snapshot, &expected);
-    let whole = snapshot.histograms["stage/load_day"].sum_ns;
-    for part in parts {
-        let sum = snapshot.histograms[part].sum_ns;
-        assert!(sum <= whole, "{part} took {sum} ns of a {whole} ns load");
-    }
+    assert!(snapshot.histograms["stage/load_day"].sum_ns > 0);
 
     std::fs::remove_dir_all(&dir).ok();
 }
