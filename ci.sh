@@ -38,7 +38,7 @@
 #                                             byte flipped in the last or in
 #                                             a middle section, one byte cut
 #                                             off, a cut inside a middle
-#                                             frame, or any of the three
+#                                             frame, or any of the four
 #                                             previous version numbers are
 #                                             each refused by name, never
 #                                             mined (DESIGN.md §12.4); and a
@@ -55,7 +55,7 @@
 #                                             §12.3), that day is analyzed
 #                                             pinned and unpinned with
 #                                             identical stdout and report,
-#                                             and the seven refusals repeat
+#                                             and the eight refusals repeat
 #                                             pinned (DESIGN.md §12.4); and
 #                                             under `--idf 20` every server of
 #                                             every multi-client campaign is a
@@ -209,7 +209,7 @@ last="$(od -An -tu1 -j"$((day_bytes - 1))" -N1 "$remine_dir/trace.day")"
 cp "$remine_dir/trace.day" "$remine_dir/flipped.day"
 printf "\\$(printf '%03o' "$((last ^ 1))")" \
     | dd of="$remine_dir/flipped.day" bs=1 seek="$((day_bytes - 1))" conv=notrunc status=none
-refused "$remine_dir/flipped.day" "day file corrupt: post/referrers: checksum mismatch"
+refused "$remine_dir/flipped.day" "day file corrupt: col/redirect: checksum mismatch"
 # A middle section: a cell of the server column, 32 bytes into its
 # frame's payload (past the length and checksum fields and the count).
 stage=col/server
@@ -221,14 +221,14 @@ printf "\\$(printf '%03o' "$((byte ^ 1))")" \
     | dd of="$remine_dir/flipped-middle.day" bs=1 seek="$cell" conv=notrunc status=none
 refused "$remine_dir/flipped-middle.day" "day file corrupt: col/server: checksum mismatch"
 head -c "$((day_bytes - 1))" "$remine_dir/trace.day" >"$remine_dir/short.day"
-refused "$remine_dir/short.day" "day file corrupt: post/referrers: header declares"
+refused "$remine_dir/short.day" "day file corrupt: col/redirect: header declares"
 head -c "$cell" "$remine_dir/trace.day" >"$remine_dir/cut-middle.day"
 refused "$remine_dir/cut-middle.day" "day file corrupt: col/server: header declares"
-for old in 2 3 4; do
+for old in 2 3 4 5; do
     cp "$remine_dir/trace.day" "$remine_dir/v$old.day"
     printf "\\00$old\\000\\000\\000" \
         | dd of="$remine_dir/v$old.day" bs=1 seek=8 conv=notrunc status=none
-    refused "$remine_dir/v$old.day" "version $old not supported (this build reads 5)"
+    refused "$remine_dir/v$old.day" "version $old not supported (this build reads 6)"
 done
 # The step's trace is one 256 KiB reader chunk; day2011 is ≈ 30. Its
 # CRLF copy, with a blank and a whitespace-only line every 100 records,
@@ -239,8 +239,8 @@ awk '{ printf "%s\r\n", $0 } NR % 100 == 0 { printf "\r\n \t\n" }' \
 "$smash_bin" preprocess "$remine_dir/day2011.jsonl" "$remine_dir/day2011.day" >/dev/null
 "$smash_bin" preprocess "$remine_dir/day2011.crlf.jsonl" "$remine_dir/day2011.crlf.day" >/dev/null
 cmp "$remine_dir/day2011.day" "$remine_dir/day2011.crlf.day"
-# Loading a day decodes each section beside its frame's checksum and
-# validates on threads, and ingest builds the postings on them.
+# Loading a day decodes each section beside its frame's checksum,
+# validates on threads and builds the postings on them, as ingest does.
 # Pinned to one CPU they all run inline: the day written, the output, the
 # report (minus its timings) and every refusal must not move.
 if command -v taskset >/dev/null; then
@@ -254,12 +254,12 @@ if command -v taskset >/dev/null; then
     done
     cmp "$remine_dir/unpinned.out" "$remine_dir/pinned.out"
     cmp "$remine_dir/unpinned.untimed" "$remine_dir/pinned.untimed"
-    refused "$remine_dir/flipped.day" "day file corrupt: post/referrers: checksum mismatch"
+    refused "$remine_dir/flipped.day" "day file corrupt: col/redirect: checksum mismatch"
     refused "$remine_dir/flipped-middle.day" "day file corrupt: col/server: checksum mismatch"
-    refused "$remine_dir/short.day" "day file corrupt: post/referrers: header declares"
+    refused "$remine_dir/short.day" "day file corrupt: col/redirect: header declares"
     refused "$remine_dir/cut-middle.day" "day file corrupt: col/server: header declares"
-    for old in 2 3 4; do
-        refused "$remine_dir/v$old.day" "version $old not supported (this build reads 5)"
+    for old in 2 3 4 5; do
+        refused "$remine_dir/v$old.day" "version $old not supported (this build reads 6)"
     done
     pin=""
 else

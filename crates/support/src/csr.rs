@@ -2,10 +2,7 @@
 //! ([`Csr::group`]): the arena's server → feature postings and the
 //! miner's feature → node index (DESIGN.md §5, §12.3).
 
-use crate::wire::{FromWire, Reader, ToWire, WireError};
-
 /// Rows of `u32` ids: row `i` is `ids[offsets[i]..offsets[i + 1]]`.
-/// On the wire it is the `Vec<Vec<u32>>` of its rows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Csr {
     /// One run start per row, then `ids.len()` (empty with no rows).
@@ -49,28 +46,36 @@ impl Csr {
         Some(Self { offsets, ids })
     }
 
-    /// Sorts every row and drops its repeats, compacting the ids in
-    /// place and giving back the memory freed.
-    pub fn dedup_rows(&mut self) {
-        let mut from = 0;
-        for &to in self.offsets.iter().skip(1) {
-            let row = self.ids.get_mut(from..to as usize).unwrap_or_default();
-            row.sort_unstable();
-            from = to as usize;
-        }
-        // Keep each row's first copy of an id; a row's end becomes the
-        // count kept through it.
-        let mut ends = self.offsets.iter_mut().skip(1).peekable();
-        let (mut seen, mut kept, mut last) = (0, 0, None);
-        self.ids.retain(|&id| {
-            while let Some(end) = ends.next_if(|end| **end == seen) {
-                (*end, last) = (kept, None);
+    /// Drops every row's repeats and sorts what it keeps, compacting the
+    /// ids in place and giving back the memory freed. `range` is the
+    /// length of the table the ids index: a marker per id below it drops
+    /// a repeat before the sort sees it, so each row sorts only its
+    /// distinct ids. An id at or past `range` has no marker and is kept
+    /// every time it occurs.
+    pub fn dedup_rows(&mut self, range: usize) {
+        // An id's marker is the number of the last row that kept it.
+        let mut kept_by = vec![0u32; range];
+        let (mut from, mut kept) = (0, 0);
+        for (row, end) in (1u32..).zip(self.offsets.iter_mut().skip(1)) {
+            let (start, to) = (kept, *end as usize);
+            for at in from..to {
+                let id = self.ids.get(at).copied().unwrap_or_default();
+                let marker = kept_by.get_mut(id as usize);
+                if marker.is_some_and(|m| std::mem::replace(m, row) == row) {
+                    continue;
+                }
+                if let Some(slot) = self.ids.get_mut(kept) {
+                    *slot = id;
+                }
+                kept += 1;
             }
-            let keep = last != Some(id);
-            (seen, kept, last) = (seen + 1, kept + u32::from(keep), Some(id));
-            keep
-        });
-        ends.for_each(|end| *end = kept);
+            self.ids
+                .get_mut(start..kept)
+                .unwrap_or_default()
+                .sort_unstable();
+            (from, *end) = (to, kept as u32);
+        }
+        self.ids.truncate(kept);
         self.ids.shrink_to_fit();
     }
 
@@ -104,46 +109,10 @@ impl Csr {
     }
 }
 
-impl ToWire for Csr {
-    fn wire(&self, out: &mut Vec<u8>) {
-        self.len().wire(out);
-        self.rows().for_each(|row| row.wire(out));
-    }
-}
-
-/// Makes `Vec<Vec<u32>>`'s [`Reader`] calls in its order, so the same
-/// bytes fail with the same error, and copies the rows' cells into an
-/// id array allocated once, at its final size.
-impl FromWire for Csr {
-    fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let rows = r.length()?;
-        let mut slabs = Vec::with_capacity(r.capacity_for::<Vec<u32>>(rows));
-        let mut offsets = Vec::with_capacity(slabs.capacity() + 1);
-        offsets.push(0u32);
-        for _ in 0..rows {
-            let len = r.length()?;
-            slabs.push(r.slab(len, 4)?);
-            let end = offsets
-                .last()
-                .and_then(|&at| at.checked_add(u32::try_from(len).ok()?));
-            offsets.push(end.ok_or_else(|| WireError("ids overflow u32 offsets".to_owned()))?);
-        }
-        let mut ids = Vec::with_capacity(offsets.last().map_or(0, |&n| n as usize));
-        for slab in slabs {
-            let cells = slab
-                .chunks_exact(4)
-                .map(|cell| cell.try_into().map_or(0, u32::from_le_bytes));
-            ids.extend(cells);
-        }
-        Ok(Self { offsets, ids })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::check::{cases, Gen};
-    use crate::wire::{decode, encode};
 
     fn rows_of(csr: &Csr) -> Vec<Vec<u32>> {
         csr.rows().map(<[u32]>::to_vec).collect()
@@ -161,7 +130,6 @@ mod tests {
         assert_eq!(csr.incidences(), 6);
         let none = Csr::group(0, std::iter::empty()).unwrap();
         assert_eq!((none.len(), Csr::default().len()), (0, 0));
-        assert_eq!(encode(&none), encode(&Csr::default()));
     }
 
     #[test]
@@ -182,47 +150,42 @@ mod tests {
         // leading and trailing, keep their place.
         let pairs = [(1, 5), (1, 3), (1, 5), (2, 5), (2, 5), (4, 0), (1, 3)];
         let mut csr = Csr::group(6, pairs.iter().copied()).unwrap();
-        csr.dedup_rows();
+        csr.dedup_rows(6);
         assert_eq!(
             rows_of(&csr),
             vec![vec![], vec![3, 5], vec![5], vec![], vec![0], vec![]]
         );
         assert_eq!(csr.incidences(), 4);
         let mut empty = Csr::group(3, std::iter::empty()).unwrap();
-        empty.dedup_rows();
+        empty.dedup_rows(0);
         assert_eq!(rows_of(&empty), vec![Vec::<u32>::new(); 3]);
-    }
-
-    #[test]
-    fn wire_form_is_the_nested_vectors_and_so_is_every_verdict() {
-        cases(128).run(
+        // Against sorting each row and dropping its repeats — but an id
+        // at or past the range, which has no marker, is kept each time.
+        cases(256).run(
             |g: &mut Gen| {
-                g.vec(0..=12usize, |g| {
-                    g.vec(0..=6usize, |g| g.range(0..=u32::MAX))
-                })
+                let range = g.range(0..=24usize);
+                let rows = g.vec(0..=12usize, |g| {
+                    g.vec(0..=16usize, |g| g.range(0..range as u32 + 3))
+                });
+                (range, rows)
             },
-            |rows: &Vec<Vec<u32>>| {
+            |(range, rows): &(usize, Vec<Vec<u32>>)| {
                 let pairs = (0u32..)
                     .zip(rows)
                     .flat_map(|(k, row)| row.iter().map(move |&id| (k, id)));
-                let csr = Csr::group(rows.len(), pairs).unwrap();
-                let bytes = encode(&csr);
-                assert_eq!(bytes, encode(rows));
-                assert_eq!(decode::<Csr>(&bytes), Ok(csr));
-                for cut in 0..bytes.len() {
-                    let short = bytes.get(..cut).unwrap_or_default();
-                    assert_eq!(
-                        decode::<Csr>(short).map(|csr| rows_of(&csr)),
-                        decode::<Vec<Vec<u32>>>(short),
-                        "cut at {cut}"
-                    );
-                }
-                let mut long = bytes.clone();
-                long.push(0);
-                assert_eq!(
-                    decode::<Csr>(&long).map(|csr| rows_of(&csr)),
-                    decode::<Vec<Vec<u32>>>(&long)
-                );
+                let mut csr = Csr::group(rows.len(), pairs).unwrap();
+                csr.dedup_rows(*range);
+                let expected: Vec<Vec<u32>> = rows
+                    .iter()
+                    .map(|row| {
+                        let mut row = row.clone();
+                        row.sort_unstable();
+                        row.dedup_by(|a, b| a == b && (*a as usize) < *range);
+                        row
+                    })
+                    .collect();
+                assert_eq!(rows_of(&csr), expected);
+                assert_eq!(csr.incidences(), expected.concat().len());
             },
         );
     }

@@ -100,10 +100,14 @@ impl ToWire for TraceDataset {
 
 /// The sequential reader: every section of the wire form decoded
 /// inline, in wire order — the decoders the day loader runs frame by
-/// frame (DESIGN.md §12.4).
+/// frame (DESIGN.md §12.4) — and the postings built from the columns.
+/// Like every decoded dataset, it is [`validate`](TraceDataset::validate)d
+/// before it is mined.
 impl FromWire for TraceDataset {
     fn from_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        assemble(SECTIONS.iter().map(|section| section.decode(r)))
+        let mut ds = assemble(SECTIONS.iter().map(|section| section.decode(r)))?;
+        ds.build_postings();
+        Ok(ds)
     }
 }
 
@@ -119,18 +123,16 @@ pub(crate) enum Section {
     Cells,
     /// The `u16` status column.
     Narrow,
-    /// A posting table ([`Csr`], on the wire a `Vec<Vec<u32>>`).
-    Postings,
 }
 
-/// The 24 sections of a dataset payload, in wire order: the seven
-/// symbol tables, the twelve record columns, the five posting tables.
-pub(crate) const SECTIONS: [Section; 24] = {
-    use Section::{Cells, Narrow, Postings, Table, Wide};
+/// The 19 sections of a dataset payload, in wire order: the seven
+/// symbol tables and the twelve record columns. The postings are not
+/// among them: they are a function of the columns (DESIGN.md §12.3).
+pub(crate) const SECTIONS: [Section; 19] = {
+    use Section::{Cells, Narrow, Table, Wide};
     [
         Table, Table, Table, Table, Table, Table, Table, //
         Wide, Cells, Cells, Cells, Cells, Cells, Cells, Cells, Cells, Narrow, Cells, Cells,
-        Postings, Postings, Postings, Postings, Postings,
     ]
 };
 
@@ -141,7 +143,6 @@ pub(crate) enum Decoded {
     Wide(Vec<u64>),
     Cells(Vec<u32>),
     Narrow(Vec<u16>),
-    Postings(Csr),
 }
 
 impl Section {
@@ -152,7 +153,6 @@ impl Section {
             Section::Wide => Decoded::Wide(Vec::from_wire(r)?),
             Section::Cells => Decoded::Cells(Vec::from_wire(r)?),
             Section::Narrow => Decoded::Narrow(Vec::from_wire(r)?),
-            Section::Postings => Decoded::Postings(Csr::from_wire(r)?),
         })
     }
 
@@ -164,15 +164,15 @@ impl Section {
             Section::Wide => Decoded::Wide(wire::decode(bytes)?),
             Section::Cells => Decoded::Cells(wire::decode(bytes)?),
             Section::Narrow => Decoded::Narrow(wire::decode(bytes)?),
-            Section::Postings => Decoded::Postings(wire::decode(bytes)?),
         })
     }
 }
 
 /// Builds a dataset from its sections' decode results in wire order.
 /// The first error in that order is the verdict, and the record
-/// columns' length check falls between the columns and the postings —
-/// exactly where a reader going front to back meets each.
+/// columns' length check comes after the last column — exactly where a
+/// reader going front to back meets each. The dataset has no postings
+/// yet: the caller builds them ([`TraceDataset::build_postings`]).
 pub(crate) fn assemble(
     mut sections: impl Iterator<Item = Result<Decoded, WireError>>,
 ) -> Result<TraceDataset, WireError> {
@@ -209,11 +209,7 @@ pub(crate) fn assemble(
             let redirects = take!(Cells);
             RecordColumns::from_wire_columns(timestamps, ids, statuses, resp_bytes, redirects)?
         },
-        server_clients: take!(Postings),
-        server_files: take!(Postings),
-        server_ips: take!(Postings),
-        server_records: take!(Postings),
-        server_referrers: take!(Postings),
+        ..TraceDataset::default()
     })
 }
 
@@ -471,34 +467,39 @@ impl TraceDataset {
     /// ([`par`]), each one [`Csr::group`] of a column by the server
     /// column over every interned server. Record indexes are dealt in
     /// record order, so they ascend as they land; clients, files (minus
-    /// directory requests, whose file is `""`), IPs and referrers are
-    /// then sorted and deduplicated row by row.
-    fn build_postings(&mut self) {
+    /// directory requests, whose file is `""`), IPs and referrers then
+    /// drop their repeats and sort row by row. Every buffer is sized by
+    /// a column's or a symbol table's length, never by an id, so the
+    /// day loader runs it on what it read — once `validate` has passed
+    /// the columns.
+    pub(crate) fn build_postings(&mut self) {
         // lint:allow(index): an array pattern, not an indexing site
         let [clients, servers, ips, files, _, _, _, referrers, _] = self.cols.id_columns();
-        // The tables in wire order (`postings()`): the column each one
-        // groups — `None` for the record index — and the one id it
-        // leaves out: a directory request's `""` file, a missing referrer.
-        let jobs = [
-            (Some(clients), None),
-            (Some(files), self.files.get("")),
-            (Some(ips), None),
-            (None, None),
-            (Some(referrers), Some(NO_ID)),
-        ];
         let n = self.servers.len();
-        let built = par::par_map(&jobs, |&(column, skip)| {
+        // The tables in `postings()` order: the column each one groups
+        // — `None` for the record index — the one id it leaves out (a
+        // directory request's `""` file, a missing referrer) and the
+        // length of the table its ids index.
+        let jobs = [
+            (Some(clients), None, self.clients.len()),
+            (Some(files), self.files.get(""), self.files.len()),
+            (Some(ips), None, self.ips.len()),
+            (None, None, 0),
+            (Some(referrers), Some(NO_ID), n),
+        ];
+        let built = par::par_map(&jobs, |&(column, skip, range)| {
             let by_server = servers.iter().copied();
-            // Past `u32` offsets — more ids than `u32` record indexes
-            // can address — a table is left empty, which `validate`
-            // refuses, rather than panicking in a drop.
+            // Past `u32` offsets — more records than `u32` record
+            // indexes can address — a table is left empty, which
+            // `validate` refuses by the record count, rather than
+            // panicking in a drop.
             let Some(ids) = column else {
                 return Csr::group(n, by_server.zip(0..)).unwrap_or_default();
             };
             let pairs = by_server.zip(ids.iter().copied());
             let kept = pairs.filter(|&(_, id)| Some(id) != skip);
             let mut postings = Csr::group(n, kept).unwrap_or_default();
-            postings.dedup_rows();
+            postings.dedup_rows(range);
             postings
         });
         let tables = [
@@ -608,7 +609,7 @@ impl TraceDataset {
         let postings: u64 = self
             .postings()
             .iter()
-            .map(|(_, table)| table.incidences() as u64 * 4)
+            .map(|table| table.incidences() as u64 * 4)
             .sum();
         let tables: u64 = self.tables().iter().map(|t| t.heap_bytes()).sum();
         self.cols.payload_bytes() + postings + tables
@@ -616,13 +617,12 @@ impl TraceDataset {
 
     /// FNV-1a fingerprint of the dataset (`fnv1a:<16 hex digits>`).
     ///
-    /// Hashes the wire form of the symbol tables and the column arena
-    /// in one streaming pass through a buffer of a few KiB — no
-    /// serialized copy of the dataset is materialized. The postings are
-    /// a function of the columns — every append rebuilds them from the
-    /// columns alone — so they contribute nothing new and are skipped;
-    /// so are the server keys, which are the server names parsed back.
-    /// A day file's round trip is checked against it
+    /// Hashes the wire form — the symbol tables and the column arena,
+    /// what a day file stores — in one streaming pass through a buffer
+    /// of a few KiB: no serialized copy of the dataset is materialized.
+    /// The postings are a function of the columns and the server keys
+    /// are the server names parsed back, so neither is hashed. A day
+    /// file's round trip is checked against it
     /// (`load_day(save_day(ds))`).
     pub fn fingerprint(&self) -> String {
         use smash_support::ckpt::{fingerprint_string, Fnv1a};
@@ -779,34 +779,27 @@ impl TraceDataset {
     }
 
     /// Checks every cross-table invariant of the data-layout contract
-    /// (DESIGN.md §12): every server name is its own aggregate (the
-    /// [`ServerKey`] of a host, as [`server_key`](Self::server_key)
-    /// derives it back), column ids resolve in their symbol tables,
-    /// postings cover exactly the interned servers with every row
-    /// strictly ascending and in range, and the record postings are the
-    /// records grouped by the server column — each server's own, every
-    /// record once. The four deduplicated tables' *contents* are not
-    /// compared with the columns: that is the rebuild a load avoids
-    /// (DESIGN.md §12.3).
+    /// (DESIGN.md §12): the record count fits `u32` record indexes,
+    /// every server name is its own aggregate (the [`ServerKey`] of a
+    /// host, as [`server_key`](Self::server_key) derives it back), and
+    /// column ids resolve in their symbol tables. The postings are not
+    /// checked: they are built from the columns, never read (§12.3).
     /// The `SMSHCOLS` loader runs this on every decoded day, so a file
     /// that checksums clean but lies structurally is still rejected.
     pub fn validate(&self) -> Result<(), String> {
+        let c = &self.cols;
+        if u32::try_from(c.len()).is_err() {
+            return Err(format!("{} records overflow u32 record indexes", c.len()));
+        }
         let n_servers = self.servers.len();
         for (id, name) in self.servers.iter() {
             if ServerKey::from_host(name).to_string() != name {
                 return Err(format!("server {id} is not named by its aggregate"));
             }
         }
-        let in_range = |col: &[u32], len: usize, what: &str| -> Result<(), String> {
-            match col.iter().find(|&&id| id as usize >= len) {
-                Some(&bad) => Err(format!("{what} id {bad} out of range (table len {len})")),
-                None => Ok(()),
-            }
-        };
         // The id columns are swept whole, side by side ([`par`]), for
         // each one's first out-of-range id; the last two (referrers,
         // redirect targets) are out of range only when not `NO_ID`.
-        let c = &self.cols;
         let limits = [
             self.clients.len(),
             n_servers,
@@ -833,75 +826,27 @@ impl TraceDataset {
                 return Err(format!("{what} id {bad} out of range (table len {len})"));
             }
         }
-        if let Some(i) = flagged.iter().skip(named.len()).flatten().min() {
-            return Err(format!("record {i} has an out-of-range interned id"));
+        match flagged.iter().skip(named.len()).flatten().min() {
+            Some(i) => Err(format!("record {i} has an out-of-range interned id")),
+            None => Ok(()),
         }
-        let ranges = [
-            self.clients.len(),
-            self.files.len(),
-            self.ips.len(),
-            c.len(),
-            n_servers,
-        ];
-        let tables: Vec<_> = self.postings().into_iter().zip(ranges).collect();
-        // Each table checked on its own thread; the first failure in
-        // table order is the verdict, as when they ran one by one.
-        let checked = par::par_map(&tables, |&((what, table), id_range)| {
-            if table.len() != n_servers {
-                return Err(format!(
-                    "{} {what} postings for {n_servers} servers",
-                    table.len()
-                ));
-            }
-            for (server, posting) in (0u32..).zip(table.rows()) {
-                in_range(posting, id_range, what)?;
-                if !posting.is_sorted_by(|a, b| a < b) {
-                    return Err(format!(
-                        "{what} posting of server {server} is not sorted+deduplicated"
-                    ));
-                }
-            }
-            if what != "records" {
-                return Ok(());
-            }
-            // The record postings must be the records grouped by the
-            // server column: in one sweep of that column, each record is
-            // the next one its server's posting holds, and no more are.
-            let mut rows: Vec<_> = table.rows().map(<[u32]>::iter).collect();
-            for (i, &server) in (0u32..).zip(c.servers()) {
-                if rows.get_mut(server as usize).and_then(Iterator::next) != Some(&i) {
-                    return Err(format!(
-                        "records postings disagree with the server column at record {i}"
-                    ));
-                }
-            }
-            match table.incidences() {
-                held if held != c.len() => Err(format!(
-                    "records postings hold {held} of {} records",
-                    c.len()
-                )),
-                _ => Ok(()),
-            }
-        });
-        checked.into_iter().collect()
     }
 
-    /// The 24 sections of the wire form, in wire order ([`SECTIONS`]):
+    /// The 19 sections of the wire form, in wire order ([`SECTIONS`]):
     /// what a day file frames one by one.
     pub(crate) fn wire_sections(&self) -> impl Iterator<Item = &dyn ToWire> {
         let tables = self.tables().into_iter().map(|t| t as &dyn ToWire);
-        let postings = self.postings().into_iter().map(|(_, p)| p as &dyn ToWire);
-        tables.chain(self.cols.wire_columns()).chain(postings)
+        tables.chain(self.cols.wire_columns())
     }
 
-    /// The five posting tables, named, in wire order.
-    fn postings(&self) -> [(&'static str, &Csr); 5] {
+    /// The five posting tables.
+    fn postings(&self) -> [&Csr; 5] {
         [
-            ("clients", &self.server_clients),
-            ("files", &self.server_files),
-            ("ips", &self.server_ips),
-            ("records", &self.server_records),
-            ("referrers", &self.server_referrers),
+            &self.server_clients,
+            &self.server_files,
+            &self.server_ips,
+            &self.server_records,
+            &self.server_referrers,
         ]
     }
 }
@@ -1137,13 +1082,14 @@ mod tests {
             HttpRecord::new(9, "c2", "1.2.3.4", "1.2.3.4", "/dir/").with_status(404),
             HttpRecord::new(11, "c2", "b.x.com", "1.1.1.2", "/g.gif").with_redirect_to("z.com"),
         ]);
-        // Streamed in pieces, it is still FNV-1a over the tables and the
-        // columns as `wire` lays them out whole…
+        // Streamed in pieces, it is still FNV-1a over the wire form —
+        // the tables and the columns — laid out whole…
         let mut whole = Vec::new();
         for table in ds.tables() {
             table.wire(&mut whole);
         }
         ds.cols.wire(&mut whole);
+        assert_eq!(whole, smash_support::wire::encode(&ds));
         let hashed = smash_support::ckpt::fnv1a(&whole);
         assert_eq!(
             ds.fingerprint(),

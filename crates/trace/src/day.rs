@@ -1,12 +1,14 @@
 //! `SMSHCOLS`: the on-disk day format (DESIGN.md §12.4).
 //!
-//! A *day file* is one preprocessed [`TraceDataset`] — symbol tables,
-//! column arena, and postings — as its 24 wire sections, each in its own
+//! A *day file* is one preprocessed [`TraceDataset`] — its symbol
+//! tables and column arena — as its 19 wire sections, each in its own
 //! frame of the workspace's checksummed envelope
 //! ([`smash_support::envelope`]) under the day magic and version and
 //! the section's stage name ([`STAGES`]), back to back. Concatenated,
-//! the payloads are the dataset's wire form. This module owns only the
-//! order of the frames and of the verdicts.
+//! the payloads are the dataset's wire form. The postings are not
+//! stored: they are a function of the columns, and every load builds
+//! them the way every append does. This module owns only the order of
+//! the frames and of the verdicts.
 //!
 //! Write once with [`save_day`] (`smash preprocess`), re-mine as often
 //! as thresholds change with [`load_day`]. One frame writer serves
@@ -17,7 +19,8 @@
 //! allocation on a header's say-so; each section decodes beside its
 //! checksum, whose verdict comes first; the first failing frame in file
 //! order is the file's verdict; and a day whose frames all verify still
-//! passes [`TraceDataset::validate`] before the miner sees it.
+//! passes [`TraceDataset::validate`] before its postings are built and
+//! the miner sees it.
 //!
 //! Version policy: readers accept exactly [`VERSION`]; any other is
 //! [`DayError::Version`] carrying the number the file held, never a
@@ -25,7 +28,8 @@
 //! hand-rolled frame with a trailing checksum, v2 the shared envelope
 //! under a byte-serial checksum, v3 v2's payload under the envelope's
 //! word-wise checksum, v4 v3 less the raw hosts and the server keys,
-//! v5 v4's payload framed a section at a time) and same-version
+//! v5 v4's payload framed a section at a time, v6 v5 less the five
+//! posting tables) and same-version
 //! additions are forbidden (the wire codec rejects trailing bytes). A
 //! day file is a regenerable cache: an older one is refused by number
 //! and `smash preprocess` writes it again.
@@ -42,17 +46,16 @@ use std::path::Path;
 pub const MAGIC: &[u8; 8] = b"SMSHCOLS";
 
 /// Current (and only) layout version this reader/writer speaks.
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 
 /// The envelope stage name of each section's frame, in file (= wire)
-/// order: the seven symbol tables, the twelve record columns, the five
-/// posting tables. A frame in another section's place is refused by it.
+/// order: the seven symbol tables, the twelve record columns. A frame
+/// in another section's place is refused by it.
 #[rustfmt::skip]
-pub const STAGES: [&str; 24] = [
+pub const STAGES: [&str; 19] = [
     "clients", "servers", "ips", "files", "paths", "params", "agents",
     "col/time", "col/client", "col/server", "col/ip", "col/file", "col/path",
     "col/param", "col/agent", "col/referrer", "col/status", "col/size", "col/redirect",
-    "post/clients", "post/files", "post/ips", "post/records", "post/referrers",
 ];
 
 /// Why a day file could not be written or loaded.
@@ -135,11 +138,12 @@ pub fn load_day(path: &Path) -> Result<TraceDataset, DayError> {
     })
 }
 
-/// The frame reader: the 24 sections from `input`, which holds `left`
+/// The frame reader: the 19 sections from `input`, which holds `left`
 /// more bytes, each read into one reused buffer and decoded beside its
 /// checksum; then the column-length check, trailing bytes, and
-/// [`TraceDataset::validate`]. Nothing is returned before every check
-/// has passed, and the first failure in file order is the verdict.
+/// [`TraceDataset::validate`]; then the postings, built from the
+/// columns that passed. Nothing is returned before every check has
+/// passed, and the first failure in file order is the verdict.
 fn read_frames(mut input: impl Read, mut left: u64) -> Result<TraceDataset, DayError> {
     let mut frame = Vec::new();
     let mut sections = Vec::with_capacity(SECTIONS.len());
@@ -152,7 +156,7 @@ fn read_frames(mut input: impl Read, mut left: u64) -> Result<TraceDataset, DayE
         sections.push(decoded);
     }
     drop(frame);
-    let ds = assemble(sections.into_iter().map(Ok)).map_err(|e| DayError::Corrupt(e.0))?;
+    let mut ds = assemble(sections.into_iter().map(Ok)).map_err(|e| DayError::Corrupt(e.0))?;
     let trailing =
         io::copy(&mut input, &mut io::sink()).map_err(|e| DayError::Io(e.to_string()))?;
     if trailing > 0 {
@@ -161,6 +165,7 @@ fn read_frames(mut input: impl Read, mut left: u64) -> Result<TraceDataset, DayE
         )));
     }
     ds.validate().map_err(DayError::Invalid)?;
+    ds.build_postings();
     Ok(ds)
 }
 
@@ -330,7 +335,7 @@ mod tests {
     fn v1_files_fail_closed_with_their_version() {
         // v1 (the pre-envelope layout: magic, version, payload,
         // trailing checksum) kept its version at the same offset, so an
-        // old cache is refused by number, not misparsed. v2, v4 and
+        // old cache is refused by number, not misparsed. v2, v4, v5 and
         // future versions: `tests/day_remine.rs`.
         let mut v1 = MAGIC.to_vec();
         v1.extend_from_slice(&1u32.to_le_bytes());
@@ -371,24 +376,27 @@ mod tests {
         let bytes = with_section(&dataset(), STAGES.len() - 1, |p| p.push(0xAB));
         assert_eq!(
             parse_day(&bytes).unwrap_err(),
-            DayError::Corrupt("post/referrers: 1 trailing byte(s)".to_owned())
+            DayError::Corrupt("col/redirect: 1 trailing byte(s)".to_owned())
         );
     }
 
     #[test]
     fn structurally_lying_payload_is_invalid() {
-        // Checksums clean and decodes clean, but the last posting cell
-        // (b.com's referrer, a.com = id 0) points past the server
-        // table: `validate` is the last line of defence.
+        // Checksums clean and decodes clean, but the last record's
+        // redirect target points past the two-server table: `validate`
+        // is the last line of defence.
         let ds = TraceDataset::from_records(vec![
             HttpRecord::new(0, "c", "a.com", "1.1.1.1", "/").with_referrer("b.com"),
             HttpRecord::new(1, "c", "b.com", "1.1.1.2", "/").with_referrer("a.com"),
         ]);
         let bytes = with_section(&ds, STAGES.len() - 1, |p| {
             let last = p.len() - 4;
-            p[last..].copy_from_slice(&u32::MAX.to_le_bytes());
+            p[last..].copy_from_slice(&2u32.to_le_bytes());
         });
-        assert!(matches!(parse_day(&bytes), Err(DayError::Invalid(_))));
+        assert_eq!(
+            parse_day(&bytes).unwrap_err(),
+            DayError::Invalid("record 1 has an out-of-range interned id".to_owned())
+        );
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //!   one-shot build however the stream is cut), so neither the file
 //!   reader, the lazy generator, nor the daemon ever buffers rows.
 //! * **Postings** — per-server sorted, deduplicated id lists
-//!   (server → clients, files, IPs, referrers) built once at ingest and
-//!   shared by all dimension builders, the LSH candidate generator, and
-//!   Louvain. Invariant: sorted ascending, no duplicates — consumers
+//!   (server → clients, files, IPs, referrers), a function of the
+//!   columns built when an append ends or a day loads, and shared by
+//!   all dimension builders, the LSH candidate generator, and Louvain. Invariant: sorted ascending, no duplicates — consumers
 //!   may merge-intersect without checking.
-//! * **On-disk days** ([`day`]) — the arena as a `SMSHCOLS` file in the
-//!   workspace's shared checksummed envelope: preprocess a day once,
+//! * **On-disk days** ([`day`]) — the symbol tables and columns as a
+//!   `SMSHCOLS` file in the workspace's shared checksummed envelope: preprocess a day once,
 //!   re-mine it under different thresholds without re-ingesting.
 //!
 //! Also here: [`ServerKey`] (second-level-domain aggregation, §III-A),

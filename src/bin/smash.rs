@@ -273,8 +273,9 @@ fn load(
         })
     };
     let positional = args.first().filter(|a| !a.starts_with("--"));
-    // A preprocessed day skips ingest entirely: the arena, symbol
-    // tables, and postings come back exactly as `preprocess` built them.
+    // A preprocessed day skips parsing and interning: the arena and
+    // symbol tables come back exactly as `preprocess` built them, and
+    // the postings are rebuilt from them as ingest builds them.
     let day_path = flag_value(args, "--load-day").or_else(|| {
         positional.map(String::as_str).filter(|p| {
             let mut head = [0u8; 8];

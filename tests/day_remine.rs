@@ -11,7 +11,6 @@
 use smash::core::{Smash, SmashConfig, SmashReport};
 use smash::support::check::{cases, Gen, Shrink};
 use smash::support::ckpt::{fnv1a, Fnv1a};
-use smash::support::csr::Csr;
 use smash::support::envelope;
 use smash::support::json::{self, ToJson};
 use smash::support::{par, wire};
@@ -121,7 +120,7 @@ fn cut_like(payload: &[u8], like: &[Vec<u8>]) -> Vec<Vec<u8>> {
 
 /// The frame-by-frame oracle, on one thread: the first section in file
 /// order whose payload does not decode as its type, all of it, is the
-/// verdict; past that, the sequential wire reader over the 24 payloads
+/// verdict; past that, the sequential wire reader over the 19 payloads
 /// back to back (the column-length check), then `validate`.
 fn oracle(sections: &[Vec<u8>]) -> Result<String, DayError> {
     for (i, (payload, stage)) in sections.iter().zip(STAGES).enumerate() {
@@ -129,8 +128,7 @@ fn oracle(sections: &[Vec<u8>]) -> Result<String, DayError> {
             0..=6 => wire::decode::<Interner>(payload).map(drop),
             7 => wire::decode::<Vec<u64>>(payload).map(drop),
             16 => wire::decode::<Vec<u16>>(payload).map(drop),
-            8..=18 => wire::decode::<Vec<u32>>(payload).map(drop),
-            _ => wire::decode::<Csr>(payload).map(drop),
+            _ => wire::decode::<Vec<u32>>(payload).map(drop),
         };
         decoded.map_err(|e| DayError::Corrupt(format!("{stage}: {}", e.0)))?;
     }
@@ -204,21 +202,22 @@ fn hostile_payload_in_a_valid_envelope_never_panics_or_parses() {
 
     // The envelope checksum is not keyed, so a crafted file can carry
     // any count it likes. An empty day's sections are one zero count
-    // each. Padded with a MiB of zeros, the timestamp column
-    // (`Vec<u64>`) and the first posting table (`Vec<Vec<u32>>`) each
-    // claim one element per byte that follows — which passes the count
-    // check — and must be refused for their *size* before 8 MiB resp.
-    // 24 MiB are reserved on the file's say-so.
+    // each. Padded with a MiB of zeros, a column of each cell width —
+    // timestamps (`Vec<u64>`), clients (`Vec<u32>`), statuses
+    // (`Vec<u16>`) — claims one cell per byte that follows, which
+    // passes the count check, and must be refused for its *size* before
+    // 8, 4 resp. 2 MiB are reserved on the file's say-so.
     let empty = sections(&TraceDataset::default());
     assert!(empty.iter().all(|s| s == &[0u8; 8]));
-    for (at, complaint) in [(7, "cells of 8 bytes exceed"), (19, "need 8 byte")] {
+    let widths = [(7, "8 bytes"), (8, "4 bytes"), (16, "2 bytes")];
+    for (at, complaint) in widths.map(|(at, width)| (at, format!("cells of {width} exceed"))) {
         let mut payloads = empty.clone();
         let claimed = 1u64 << 20;
         payloads[at] = [&claimed.to_le_bytes()[..], &vec![0u8; 1 << 20]].concat();
         let day = day_of(&payloads);
         match same_at_every_thread_count(|| verdict(&day)) {
             Err(DayError::Corrupt(m)) => {
-                assert!(m.starts_with(STAGES[at]) && m.contains(complaint), "{m}")
+                assert!(m.starts_with(STAGES[at]) && m.contains(&complaint), "{m}")
             }
             other => panic!("hostile count in {} must not parse: {other:?}", STAGES[at]),
         }
@@ -255,7 +254,7 @@ impl Shrink for Damage {}
 #[test]
 fn damaged_real_payloads_get_the_sequential_readers_verdict() {
     // Random bytes fail at the first count; damage to a real day
-    // reaches every section — strings, columns, postings — and may
+    // reaches every section — strings and columns — and may
     // decode clean yet fail validation. Each damaged section reframed
     // under a valid checksum, every day must get the frame-by-frame
     // oracle's verdict, with the same message, from the bytes and from
@@ -386,17 +385,19 @@ fn payload_layout_is_pinned() {
     let ds = three_records();
     let payload = sections(&ds).concat();
     assert_eq!(payload, wire::encode(&ds));
-    assert_eq!(payload.len(), 772);
-    assert_eq!(fnv1a(&payload), 0x8fe2_5ab6_ab92_c81f);
+    assert_eq!(payload.len(), 524);
+    assert_eq!(fnv1a(&payload), 0x3cbe_524a_9b2b_a0e8);
+    // The wire form is what the fingerprint hashes.
+    assert_eq!(ds.fingerprint(), "fnv1a:3cbe524a9b2ba0e8");
     let day = frame_day(&ds);
     assert_eq!(day.len(), FILE_LEN);
     assert_eq!(fnv1a(&day), FILE_HASH);
 }
 
-/// The pinned v5 file of [`three_records`]: 772 payload bytes in 24
-/// frames of 30 header bytes plus its stage name (205 bytes in all).
-const FILE_LEN: usize = 772 + 24 * 30 + 205;
-const FILE_HASH: u64 = 0x65f0_a31b_35c1_8c9a;
+/// The pinned v6 file of [`three_records`]: 524 payload bytes in 19
+/// frames of 30 header bytes plus its stage name (149 bytes in all).
+const FILE_LEN: usize = 524 + 19 * 30 + 149;
+const FILE_HASH: u64 = 0x2b18_c5da_3257_d3ad;
 
 #[test]
 fn v2_day_files_fail_closed_by_number() {
@@ -419,17 +420,22 @@ fn v2_day_files_fail_closed_by_number() {
     assert_eq!(parse_day(&v2).unwrap_err(), DayError::Version(2));
     // Version 4 — the same single frame under today's word-wise
     // checksum — likewise: no v4 reader is kept, a v4 cache is
-    // refused by its number, from bytes and from disk.
+    // refused by its number, from bytes and from disk. So is version
+    // 5, whose first frame is today's `clients` frame under its number.
     let v4 = envelope::frame(MAGIC, 4, "day", &payload).unwrap();
-    assert_eq!(parse_day(&v4).unwrap_err(), DayError::Version(4));
+    let clients = &sections(&three_records())[0];
+    let v5 = envelope::frame(MAGIC, 5, STAGES[0], clients).unwrap();
     let dir = scratch("v4");
-    let path = dir.join("v4.day");
-    std::fs::write(&path, &v4).unwrap();
-    assert_eq!(load_day(&path).unwrap_err(), DayError::Version(4));
+    for (version, old) in [(4, v4), (5, v5)] {
+        assert_eq!(parse_day(&old).unwrap_err(), DayError::Version(version));
+        let path = dir.join(format!("v{version}.day"));
+        std::fs::write(&path, &old).unwrap();
+        assert_eq!(load_day(&path).unwrap_err(), DayError::Version(version));
+    }
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(
-        DayError::Version(4).to_string(),
-        "day file version 4 not supported (this build reads 5)"
+        DayError::Version(5).to_string(),
+        "day file version 5 not supported (this build reads 6)"
     );
 }
 
@@ -459,12 +465,53 @@ fn a_server_name_that_is_not_its_own_aggregate_is_invalid_everywhere() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Each server's five posting tables, as `TraceDataset` hands them
+/// out: clients, files, IPs, record indexes, referrers.
+fn posting_tables(ds: &TraceDataset) -> Vec<[Vec<u32>; 5]> {
+    let tables = |s| {
+        [
+            ds.clients_of(s),
+            ds.files_of(s),
+            ds.ips_of(s),
+            ds.record_ids_of(s),
+            ds.referrers_of(s),
+        ]
+        .map(<[u32]>::to_vec)
+    };
+    ds.server_ids().map(tables).collect()
+}
+
+/// The same five tables, grouped from the record columns by the server
+/// column: each server's distinct clients, files (less a directory
+/// request's `""`), IPs and referrers ascending, its records in order.
+fn grouped_columns(ds: &TraceDataset) -> Vec<[Vec<u32>; 5]> {
+    let mut grouped = vec![<[Vec<u32>; 5]>::default(); ds.server_count()];
+    let directory = ds.file_id("");
+    for (i, r) in (0u32..).zip(ds.records()) {
+        let [clients, files, ips, records, referrers] = &mut grouped[r.server as usize];
+        clients.push(r.client);
+        files.extend(Some(r.file).filter(|&f| Some(f) != directory));
+        ips.push(r.ip);
+        records.push(i);
+        referrers.extend(r.referrer);
+    }
+    for tables in &mut grouped {
+        for table in tables {
+            table.sort_unstable();
+            table.dedup();
+        }
+    }
+    grouped
+}
+
 #[test]
 fn record_postings_that_contradict_the_server_column_are_invalid_everywhere() {
-    // a.com holds record 0 (200), b.com records 1 and 2 (404). A day
-    // whose record postings lie about that would misread a.com's error
-    // rate as 2/3 and hand `records_of` b.com's records; it must be
-    // refused, with one message on every load path.
+    // a.com holds record 0 (200), b.com records 1 and 2 (404). Record
+    // postings that lied about that would misread a.com's error rate
+    // as 2/3 and hand `records_of` b.com's records. A day stores no
+    // postings, so it has none to lie with: such a table framed as a
+    // section after the last one is trailing bytes on every load path,
+    // and a loaded day's tables are the ones ingest builds.
     let ds = TraceDataset::from_records(vec![
         HttpRecord::new(0, "c1", "a.com", "1.1.1.1", "/a").with_status(200),
         HttpRecord::new(1, "c1", "b.com", "1.1.1.2", "/b").with_status(404),
@@ -475,35 +522,88 @@ fn record_postings_that_contradict_the_server_column_are_invalid_everywhere() {
         .map(|s| ds.record_ids_of(s).to_vec())
         .collect();
     assert_eq!(records, vec![vec![0], vec![1, 2]]);
-    let real = sections(&ds);
-    let at = STAGES.iter().position(|&s| s == "post/records").unwrap();
-    assert_eq!(real[at], wire::encode(&records));
-    let lies: [(Vec<Vec<u32>>, &str); 4] = [
-        (
-            vec![vec![0, 1, 2], vec![1, 1]],
-            "records posting of server 1 is not sorted+deduplicated",
-        ),
-        (
-            vec![vec![1], vec![0, 2]],
-            "records postings disagree with the server column at record 0",
-        ),
-        (
-            vec![vec![0], vec![2]],
-            "records postings disagree with the server column at record 1",
-        ),
-        (
-            vec![vec![0, 1, 2], vec![1, 2]],
-            "records postings hold 5 of 3 records",
-        ),
-    ];
+    let lie = wire::encode(&vec![vec![1u32], vec![0, 2]]);
+    let lie = envelope::frame(MAGIC, VERSION, "post/records", &lie).unwrap();
+    let day = [frame_day(&ds), lie.clone()].concat();
+    let refused = Err(DayError::Corrupt(format!(
+        "{} trailing byte(s) after the last section",
+        lie.len()
+    )));
+    assert_eq!(same_at_every_thread_count(|| verdict(&day)), refused);
     let dir = scratch("postings");
-    for (lie, complaint) in lies {
-        let mut bad = real.clone();
-        bad[at] = wire::encode(&lie);
-        let refused = Err(DayError::Invalid(complaint.to_owned()));
-        assert_eq!(agrees_with_the_oracle(&bad, &dir.join("day")), refused);
-    }
+    let path = dir.join("day");
+    std::fs::write(&path, &day).unwrap();
+    assert_eq!(same_at_every_thread_count(|| loaded(&path)), refused);
     std::fs::remove_dir_all(&dir).ok();
+    let back = parse_day(&frame_day(&ds)).unwrap();
+    assert_eq!(posting_tables(&back), posting_tables(&ds));
+    assert_eq!(posting_tables(&back), grouped_columns(&ds));
+}
+
+/// The elements of a section's payload — a count, then that many cells
+/// of a column, strings of a symbol table or rows of a posting table —
+/// as byte slices, told apart by the section's stage name.
+fn elements<'a>(stage: &str, payload: &'a [u8]) -> Vec<&'a [u8]> {
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+    let mut at = 8;
+    let mut out = Vec::new();
+    for _ in 0..word(0) {
+        let len = match stage {
+            "col/time" => 8,
+            "col/status" => 2,
+            _ if stage.starts_with("col/") => 4,
+            _ if stage.starts_with("post/") => 8 + 4 * word(at),
+            _ => 8 + word(at),
+        };
+        out.push(&payload[at..at + len]);
+        at += len;
+    }
+    assert_eq!(at, payload.len(), "{stage}");
+    out
+}
+
+/// Section `at` of a real day with two of its elements swapped: another
+/// payload that decodes as the section's type.
+#[derive(Debug, Clone)]
+struct Swap(usize, u32, u32);
+impl Shrink for Swap {}
+
+#[test]
+fn a_loaded_days_postings_are_its_columns_grouped_by_server() {
+    // Whatever a checksum-valid day says, the miner must see postings
+    // that agree with its columns: swap two strings of a symbol table,
+    // two cells of a column — or, where a day stored them, two servers'
+    // rows of a posting table — and a day that still loads must hand
+    // out every table as its column grouped by the server column.
+    let real = sections(&Scenario::small_day(5).generate().dataset);
+    let loaded = parse_day(&day_of(&real)).unwrap();
+    assert_eq!(posting_tables(&loaded), grouped_columns(&loaded));
+    cases(128).run(
+        |g: &mut Gen| {
+            let at = g.range(0..STAGES.len());
+            Swap(at, g.range(0..=u32::MAX), g.range(0..=u32::MAX))
+        },
+        |&Swap(at, i, j): &Swap| {
+            let mut cells = elements(STAGES[at], &real[at]);
+            let n = cells.len() as u32;
+            if n < 2 {
+                return;
+            }
+            cells.swap((i % n) as usize, (j % n) as usize);
+            let mut bad = real.clone();
+            bad[at] = [&real[at][..8], &cells.concat()].concat();
+            if let Ok(ds) = parse_day(&day_of(&bad)) {
+                assert_eq!(
+                    posting_tables(&ds),
+                    grouped_columns(&ds),
+                    "{} swapped at {} and {}",
+                    STAGES[at],
+                    i % n,
+                    j % n
+                );
+            }
+        },
+    );
 }
 
 #[test]
@@ -514,7 +614,7 @@ fn other_versions_are_rejected_with_the_version_they_carried() {
     // Patch the version field of the first frame, or of one in the
     // middle: readers fail closed with the version they saw (DESIGN.md
     // §12.4), before even checking that frame's checksum — the error
-    // must tell an operator *which* writer produced the file. v4 is
+    // must tell an operator *which* writer produced the file. v5 is
     // `VERSION - 1`.
     let middle: usize = frames(&pristine)[..7].iter().map(|f| f.len()).sum();
     for at in [0, middle] {
