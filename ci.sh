@@ -46,11 +46,17 @@
 #                                             (day2011, ≈ 7.4 MB) preprocesses
 #                                             to the same day file bytes as its
 #                                             CRLF copy with blank lines added
-#                                             (DESIGN.md §12.1); pinned to
+#                                             and as its copy with 0–7 spaces
+#                                             after each line's `{`, which puts
+#                                             every line end and string start
+#                                             at every offset mod 8 of the
+#                                             word-at-a-time scans (DESIGN.md
+#                                             §12.1); pinned to
 #                                             one CPU (`taskset -c 0`: the
 #                                             reader's, the postings' and the
 #                                             loader's threads all run
-#                                             inline) the trace preprocesses
+#                                             inline) the trace and its
+#                                             shifted copy preprocess
 #                                             to the same day bytes (DESIGN.md
 #                                             §12.3), that day is analyzed
 #                                             pinned and unpinned with
@@ -239,6 +245,13 @@ awk '{ printf "%s\r\n", $0 } NR % 100 == 0 { printf "\r\n \t\n" }' \
 "$smash_bin" preprocess "$remine_dir/day2011.jsonl" "$remine_dir/day2011.day" >/dev/null
 "$smash_bin" preprocess "$remine_dir/day2011.crlf.jsonl" "$remine_dir/day2011.crlf.day" >/dev/null
 cmp "$remine_dir/day2011.day" "$remine_dir/day2011.crlf.day"
+# Zero to seven spaces after each line's `{`, cycling line by line, put
+# every line end and every string start at every offset mod 8 of the
+# reader's word-at-a-time newline and string scans: the same day again.
+awk '{ sub(/^[{]/, "{" substr("       ", 1, (NR - 1) % 8)); print }' \
+    "$remine_dir/day2011.jsonl" >"$remine_dir/day2011.shifted.jsonl"
+"$smash_bin" preprocess "$remine_dir/day2011.shifted.jsonl" "$remine_dir/day2011.shifted.day" >/dev/null
+cmp "$remine_dir/day2011.day" "$remine_dir/day2011.shifted.day"
 # Loading a day decodes each section beside its frame's checksum,
 # validates on threads and builds the postings on them, as ingest does.
 # Pinned to one CPU they all run inline: the day written, the output, the
@@ -246,6 +259,9 @@ cmp "$remine_dir/day2011.day" "$remine_dir/day2011.crlf.day"
 if command -v taskset >/dev/null; then
     taskset -c 0 "$smash_bin" preprocess "$remine_dir/day2011.jsonl" "$remine_dir/day2011.pinned.day" >/dev/null
     cmp "$remine_dir/day2011.day" "$remine_dir/day2011.pinned.day"
+    taskset -c 0 "$smash_bin" preprocess "$remine_dir/day2011.shifted.jsonl" \
+        "$remine_dir/day2011.shifted.pinned.day" >/dev/null
+    cmp "$remine_dir/day2011.day" "$remine_dir/day2011.shifted.pinned.day"
     for run in unpinned pinned; do
         if [ "$run" = pinned ]; then pin="taskset -c 0"; fi
         $pin "$smash_bin" analyze "$remine_dir/day2011.day" --json "$remine_dir/$run.json" \

@@ -31,6 +31,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::net::Ipv4Addr;
 
+use crate::swar;
+
 /// A parsed JSON value.
 ///
 /// Objects preserve insertion order (they are written exactly as built);
@@ -255,6 +257,22 @@ pub enum Scalar<'a> {
     Str(Cow<'a, str>),
 }
 
+impl Scalar<'_> {
+    /// The number as a `u64`, by the rule of the unsigned [`FromJson`]
+    /// impls: an integer that is not negative, or an integral float in
+    /// range. `None` for anything else.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Scalar::UInt(u) => Some(u),
+            Scalar::Int(i) => u64::try_from(i).ok(),
+            Scalar::Float(x) if x.fract() == 0.0 && x >= 0.0 && x <= u64::MAX as f64 => {
+                Some(x as u64)
+            }
+            _ => None,
+        }
+    }
+}
+
 impl From<Scalar<'_>> for Json {
     fn from(s: Scalar<'_>) -> Json {
         match s {
@@ -270,11 +288,24 @@ impl From<Scalar<'_>> for Json {
 
 /// The one JSON grammar: [`parse`] builds a [`Json`] tree with it and
 /// [`visit_members`] walks a top-level object without building one.
+/// The methods a member walk runs are `#[inline]`: `visit_members` is
+/// generic, so it is compiled in its caller's crate (the JSONL reader's),
+/// where each of them would otherwise be a call into this one.
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
     /// Arrays and objects currently open, at most [`MAX_DEPTH`].
     depth: usize,
+}
+
+/// How many leading bytes of `bytes` a string takes as they are: up to
+/// the first quote, backslash or control character, or all of them.
+#[inline]
+fn plain_run(bytes: &[u8]) -> usize {
+    swar::position(bytes, |w| {
+        swar::equal(w, b'"') | swar::equal(w, b'\\') | swar::below(w, 0x20)
+    })
+    .unwrap_or(bytes.len())
 }
 
 impl<'a> Parser<'a> {
@@ -286,38 +317,48 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn fail<T>(&self, msg: &str) -> Result<T, JsonError> {
+    /// The error at the current byte. Cold and out of line, with the
+    /// message formatted here: the hot paths carry a call, not a
+    /// `format!`.
+    #[cold]
+    #[inline(never)]
+    fn fail<T>(&self, msg: impl fmt::Display) -> Result<T, JsonError> {
         err(format!("{msg} at byte {}", self.pos))
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
 
     /// The unread input. The lexer only ever steps over ASCII bytes or
     /// up to one, so `pos` is always a character boundary.
+    #[inline]
     fn rest(&self) -> &'a str {
         self.src.get(self.pos..).unwrap_or_default()
     }
 
     /// `src[start..self.pos]`, both character boundaries as in
     /// [`rest`](Self::rest).
+    #[inline]
     fn since(&self, start: usize) -> &'a str {
         self.src.get(start..self.pos).unwrap_or_default()
     }
 
+    #[inline]
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            self.fail(&format!("expected `{}`", b as char))
+            self.fail(format_args!("expected `{}`", b as char))
         }
     }
 
@@ -326,7 +367,7 @@ impl<'a> Parser<'a> {
             self.pos += lit.len();
             Ok(v)
         } else {
-            self.fail(&format!("expected `{lit}`"))
+            self.fail(format_args!("expected `{lit}`"))
         }
     }
 
@@ -342,7 +383,7 @@ impl<'a> Parser<'a> {
     /// Opens an array or object (the caller has peeked `open`).
     fn enter(&mut self, open: u8) -> Result<(), JsonError> {
         if self.depth == MAX_DEPTH {
-            return self.fail(&format!("nesting deeper than {MAX_DEPTH} levels"));
+            return self.fail(format_args!("nesting deeper than {MAX_DEPTH} levels"));
         }
         self.depth += 1;
         self.eat(open)
@@ -364,6 +405,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn scalar(&mut self) -> Result<Scalar<'a>, JsonError> {
         match self.peek() {
             Some(b'n') => self.eat_literal("null", Scalar::Null),
@@ -371,7 +413,7 @@ impl<'a> Parser<'a> {
             Some(b'f') => self.eat_literal("false", Scalar::Bool(false)),
             Some(b'"') => self.string().map(Scalar::Str),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => self.fail(&format!("unexpected byte `{}`", b as char)),
+            Some(b) => self.fail(format_args!("unexpected byte `{}`", b as char)),
             None => self.fail("unexpected end of input"),
         }
     }
@@ -426,15 +468,15 @@ impl<'a> Parser<'a> {
 
     /// Advances over string bytes that stand for themselves: everything
     /// up to the next quote, backslash or control character (all ASCII,
-    /// so multi-byte characters are stepped over whole).
+    /// so multi-byte characters are stepped over whole), eight bytes a
+    /// step.
+    #[inline]
     fn skip_plain(&mut self) {
         let rest = self.rest().as_bytes();
-        self.pos += rest
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-            .unwrap_or(rest.len());
+        self.pos += plain_run(rest);
     }
 
+    #[inline]
     fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
         let start = self.pos;
@@ -515,6 +557,7 @@ impl<'a> Parser<'a> {
         char::from_u32(hi).ok_or_else(|| JsonError("bad \\u escape".into()))
     }
 
+    #[inline]
     fn number(&mut self) -> Result<Scalar<'a>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -695,15 +738,14 @@ macro_rules! impl_json_uint {
         }
         impl FromJson for $t {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
-                let u = match v {
-                    Json::UInt(u) => *u,
-                    Json::Int(i) if *i >= 0 => *i as u64,
-                    Json::Float(x) if x.fract() == 0.0 && *x >= 0.0 && *x <= u64::MAX as f64 => {
-                        *x as u64
-                    }
-                    other => return err(format!(
-                        "expected unsigned integer, got {}", other.kind()
-                    )),
+                let number = match *v {
+                    Json::UInt(u) => Scalar::UInt(u),
+                    Json::Int(i) => Scalar::Int(i),
+                    Json::Float(x) => Scalar::Float(x),
+                    _ => Scalar::Null,
+                };
+                let Some(u) = number.as_u64() else {
+                    return err(format!("expected unsigned integer, got {}", v.kind()));
                 };
                 <$t>::try_from(u).map_err(|_| JsonError(format!(
                     "integer {u} out of range for {}", stringify!($t)
@@ -1241,6 +1283,26 @@ mod tests {
             6 => Json::Arr(g.vec(0..4, |g| arbitrary(g, depth - 1))),
             _ => Json::Obj(g.vec(0..4, |g| (text(g), arbitrary(g, depth - 1)))),
         }
+    }
+
+    #[test]
+    fn a_plain_run_ends_where_a_bytewise_scan_ends_it() {
+        // Quotes, backslashes, control bytes, the bytes either side of
+        // 0x20 and bytes ≥ 0x80, at every offset of words and tails.
+        crate::check::cases(512).run(
+            |g| {
+                g.vec(0..=40usize, |g| {
+                    *g.pick(b"\"\\\x00\x1f\x20\x21\n\ra.\x7f\x80\xff\xc3\xa9")
+                })
+            },
+            |bytes: &Vec<u8>| {
+                let bytewise = bytes
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .unwrap_or(bytes.len());
+                assert_eq!(plain_run(bytes), bytewise);
+            },
+        );
     }
 
     #[test]

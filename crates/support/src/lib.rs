@@ -32,6 +32,8 @@
 //! * [`retry`] — the shared transient-fault retry policy (deterministic
 //!   backoff jitter, process-wide `retry/*` counters) behind quarantine,
 //!   epoch-WAL and snapshot writes.
+//! * [`swar`] — word-at-a-time byte search in safe code, behind the
+//!   JSONL reader's line framing and the JSON parser's string scan.
 //! * [`metrics`] — thread-safe counters, gauges, fixed-bucket duration
 //!   histograms, and scoped stage timers for pipeline observability.
 //!
@@ -53,4 +55,5 @@ pub mod par;
 mod quiet;
 pub mod retry;
 pub mod rng;
+pub mod swar;
 pub mod wire;

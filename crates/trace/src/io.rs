@@ -24,10 +24,11 @@ use smash_support::ckpt;
 use smash_support::failpoint;
 use smash_support::governor::CancelToken;
 use smash_support::impl_json_struct;
-use smash_support::json::{self, FromJson, Json, Scalar};
+use smash_support::json::{self, Scalar};
 use smash_support::metrics::Registry;
 use smash_support::par;
 use smash_support::retry;
+use smash_support::swar;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
@@ -311,13 +312,12 @@ fn fill<T>(slot: &mut Slot<T>, v: Option<T>) {
     }
 }
 
-/// An integer member, by the rules of the `FromJson` integer impls: an
-/// integral float counts, a negative or out-of-range value does not.
-fn number<T: FromJson>(v: Option<Scalar<'_>>) -> Option<T> {
-    match v? {
-        Scalar::Str(_) => None,
-        n => T::from_json(&Json::from(n)).ok(),
-    }
+/// An integer member, by the rules of the unsigned `FromJson` impls
+/// ([`Scalar::as_u64`]): an integral float counts, a negative or
+/// out-of-range value does not. Straight from the scalar: no `Json`
+/// is built and dropped.
+fn number<T: TryFrom<u64>>(v: Option<Scalar<'_>>) -> Option<T> {
+    T::try_from(v?.as_u64()?).ok()
 }
 
 /// A string member.
@@ -452,6 +452,22 @@ fn is_blank(line: &[u8]) -> bool {
     line.iter().all(u8::is_ascii_whitespace)
 }
 
+/// `bytes.split(|&b| b == b'\n')`, a word at a time
+/// ([`swar::position`]): every line without its `\n`, and after a
+/// final `\n` one empty line.
+fn lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = Some(bytes);
+    std::iter::from_fn(move || {
+        let now = rest?;
+        let Some(at) = swar::position(now, |w| swar::equal(w, b'\n')) else {
+            rest = None;
+            return Some(now);
+        };
+        rest = now.get(at + 1..);
+        now.get(..at)
+    })
+}
+
 /// The per-chunk form a reader builds good records into: filled on a
 /// worker, merged in input order, then handed back to be emptied and
 /// filled again, so each chunk's tables and rows reuse the last one's
@@ -511,7 +527,7 @@ fn decode_chunk<T: Chunk>(
     out.clear();
     let mut report = IngestReport::default();
     let mut bad = Vec::new();
-    for line in bytes.split(|&b| b == b'\n') {
+    for line in lines(&bytes) {
         if !lenient && report.bad_lines() > 0 {
             break;
         }
@@ -1030,6 +1046,31 @@ mod tests {
     use crate::TraceDataset;
     use smash_support::wire;
     use std::sync::atomic::{AtomicU32, Ordering};
+
+    #[test]
+    fn lines_split_at_every_newline_as_split_does() {
+        // Random bytes: newlines, `\r\n`, bytes ≥ 0x80, tails shorter
+        // than a word, and the empty input.
+        smash_support::check::cases(512).run(
+            |g| g.vec(0..=40usize, |g| *g.pick(b"\n\n\ra{\"\x80\xff\xc3\xa9 ")),
+            |bytes: &Vec<u8>| {
+                let want: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+                assert_eq!(lines(bytes).collect::<Vec<_>>(), want);
+            },
+        );
+        // A newline at every offset mod 8, alone, as `\r\n` and beside
+        // another, in inputs of every length up to three words.
+        for len in 0..=24 {
+            for at in 0..len {
+                for end in [&b"\n"[..], b"\r\n", b"\n\n"] {
+                    let mut bytes = vec![b'x'; len];
+                    bytes.splice(at..at, end.iter().copied());
+                    let want: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+                    assert_eq!(lines(&bytes).collect::<Vec<_>>(), want, "{bytes:?}");
+                }
+            }
+        }
+    }
 
     /// A fresh directory per call: the process id plus a counter keep
     /// parallel test invocations (and parallel `cargo test` processes)

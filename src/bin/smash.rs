@@ -257,10 +257,11 @@ fn cmd_generate(args: &[String]) -> CliResult {
 /// Loads the trace (strict by default, quarantining with `--lenient`)
 /// plus the optional Whois registry. The third element is the ingest
 /// report when lenient mode ran. A JSONL read polls `cancel` once per
-/// chunk and aborts once it is cancelled. Records `stage/ingest` and
-/// `stage/ingest/merge` timings plus `ingest/bytes` / `ingest/chunks` /
-/// `ingest/records` / `ingest/quarantined` counters into `metrics` — or,
-/// for a day file, `stage/load_day`.
+/// chunk and aborts once it is cancelled. Records `stage/ingest`,
+/// `stage/ingest/merge` and `stage/ingest/postings` timings plus
+/// `ingest/bytes` / `ingest/chunks` / `ingest/records` /
+/// `ingest/quarantined` counters into `metrics` — or, for a day file,
+/// `stage/load_day`.
 fn load(
     args: &[String],
     metrics: &Registry,
@@ -311,7 +312,13 @@ fn load(
         let mut dataset = TraceDataset::default();
         let file = std::fs::File::open(path)?;
         metrics.counter("ingest/bytes").add(file.metadata()?.len());
-        let report = io::read_jsonl_into(file, &opts, &mut dataset.appender(), metrics)?;
+        let mut arena = dataset.appender();
+        let report = io::read_jsonl_into(file, &opts, &mut arena, metrics)?;
+        // The appender's drop builds the five posting tables from the
+        // columns (DESIGN.md §12.3), the one ingest step past the merge.
+        let postings = metrics.span("stage/ingest/postings");
+        drop(arena);
+        drop(postings);
         if report.bad_lines() > 0 {
             eprintln!(
                 "note: quarantined {} of {} lines ({} oversized, {} bad JSON, {} bad IP, {} bad field)",

@@ -200,15 +200,21 @@ fn cli_metrics_dump_parses_and_names_every_stage() {
 
     let raw = std::fs::read_to_string(&metrics_out).unwrap();
     let snapshot: MetricsSnapshot = smash::support::json::from_str(&raw).unwrap();
-    // The CLI path adds the ingest stage, and the reader's ordered
-    // merge timed on its own, in front of the pipeline's own.
-    let mut expected = vec!["stage/ingest", "stage/ingest/merge"];
+    // The CLI path adds the ingest stage, and inside it the reader's
+    // ordered merge and the appender's posting build timed on their
+    // own, in front of the pipeline's own.
+    let mut expected = vec![
+        "stage/ingest",
+        "stage/ingest/merge",
+        "stage/ingest/postings",
+    ];
     expected.extend_from_slice(PIPELINE_STAGES);
     assert_stages_once(&snapshot, &expected);
     assert!(snapshot.counters["ingest/records"] > 0);
     assert!(snapshot.counters["ingest/chunks"] > 0);
     assert!(
         snapshot.histograms["stage/ingest/merge"].sum_ns
+            + snapshot.histograms["stage/ingest/postings"].sum_ns
             <= snapshot.histograms["stage/ingest"].sum_ns
     );
     assert_eq!(snapshot.counters["ingest/quarantined"], 0);
